@@ -105,9 +105,8 @@ Cell measure(const NetContext& ctx, numeric::DType dt, std::size_t trials) {
 
   // Kernel-engine before/after: the same campaign with the scalar reference
   // kernels forced (set_active_mode affects the plans the new Campaign
-  // builds). In the default bit-identity modes the scalar run must produce
-  // byte-identical TrialRecords; only the opt-in avx2-relaxed mode is
-  // allowed to differ.
+  // builds). Every kernel set is bit-identical to scalar, so the scalar run
+  // must produce byte-identical TrialRecords.
   const std::string prev_mode = dnn::kernels::kernel_profile().mode;
   TimedRun scalar_inc;
   {
@@ -120,8 +119,7 @@ Cell measure(const NetContext& ctx, numeric::DType dt, std::size_t trials) {
     scalar_inc = timed_run(scalar_campaign, opt, /*incremental=*/true);
     dnn::kernels::set_active_mode(prev_mode);
   }
-  if (prev_mode != "avx2-relaxed" &&
-      scalar_inc.result.acc.bytes() != inc.result.acc.bytes()) {
+  if (scalar_inc.result.acc.bytes() != inc.result.acc.bytes()) {
     std::cerr << "FATAL: scalar and " << prev_mode
               << " kernels disagree on " << ctx.name << " "
               << numeric::dtype_name(dt)

@@ -366,7 +366,7 @@ StreamingReport measure_streaming_memory() {
 
 // ---------------------------------------------------------------------------
 // Per-kernel GFLOP/s: every registered kernel set (scalar reference, avx2,
-// avx2-relaxed where the CPU has them) on fixed conv / fully-connected
+// avx512 where the CPU has them) on fixed conv / fully-connected
 // shapes, driven through the kernels API directly — the packed layout is
 // interleaved once outside the timed loop, as Workspace::bind does.
 // ---------------------------------------------------------------------------
@@ -376,7 +376,6 @@ struct KernelCell {
   std::string set;
   std::string op;  ///< "conv" or "fc"
   double gflops = 0;
-  bool bit_identical = true;
 };
 
 template <typename Fn>
@@ -430,13 +429,13 @@ void bench_kernel_sets(const char* dtype, std::vector<KernelCell>& cells) {
     }
     const T* cp = cpacked.empty() ? nullptr : cpacked.data();
     const T* fp = fpacked.empty() ? nullptr : fpacked.data();
-    KernelCell conv{dtype, name, "conv", 0, ks->bit_identical};
+    KernelCell conv{dtype, name, "conv", 0};
     conv.gflops = time_gflops(conv_flops, [&] {
       ks->conv(g, cin.data(), cw.data(), cp, cbias.data(), cout.data());
       benchmark::DoNotOptimize(cout.data());
     });
     cells.push_back(conv);
-    KernelCell fc{dtype, name, "fc", 0, ks->bit_identical};
+    KernelCell fc{dtype, name, "fc", 0};
     fc.gflops = time_gflops(fc_flops, [&] {
       ks->fc(fg, fin.data(), fw.data(), fp, fbias.data(), fout.data());
       benchmark::DoNotOptimize(fout.data());
@@ -550,7 +549,6 @@ void write_json(const AllocatorReport& r, const StreamingReport& s,
     const KernelCell& c = kc[i];
     out << "    {\"dtype\": \"" << c.dtype << "\", \"set\": \"" << c.set
         << "\", \"op\": \"" << c.op << "\", \"gflops\": " << c.gflops
-        << ", \"bit_identical\": " << (c.bit_identical ? "true" : "false")
         << "}" << (i + 1 < kc.size() ? "," : "") << "\n";
   }
   out << "  ],\n"
@@ -586,9 +584,8 @@ int main(int argc, char** argv) {
   std::printf("\nper-kernel throughput (GFLOP/s, fixed conv 32c16x16k3 / fc "
               "1024x1024):\n");
   for (const KernelCell& c : kc)
-    std::printf("  %-8s %-13s %-4s %8.2f%s\n", c.dtype.c_str(), c.set.c_str(),
-                c.op.c_str(), c.gflops,
-                c.bit_identical ? "" : "  (tolerance mode)");
+    std::printf("  %-8s %-13s %-4s %8.2f\n", c.dtype.c_str(), c.set.c_str(),
+                c.op.c_str(), c.gflops);
   std::printf("\nper-layer-kind wall time of a fault-free forward:\n");
   for (const LayerKindCost& c : lp)
     std::printf("  %-10s %-8s %-14s %10.0f ns  %5.1f%%\n", c.network.c_str(),

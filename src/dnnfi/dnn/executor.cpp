@@ -164,9 +164,8 @@ void ActivationCache<T>::build(const ExecutionPlan<T>& plan,
   }
   // Layers write straight into their cache segment: no ping-pong, no
   // copies, and kernel calls identical to a plain Executor run (a local
-  // packed copy is interleaved here so the cache matches the plan's kernel
-  // set bit-for-bit even in the relaxed tolerance mode; cache builds are
-  // per-input setup work, not the faulty hot path).
+  // packed copy is interleaved here so the cache runs the plan's own kernel
+  // set; cache builds are per-input setup work, not the faulty hot path).
   std::vector<T> packed;
   const T* pk = nullptr;
   if (plan.packed_elems() > 0) {

@@ -1,9 +1,10 @@
 // Entry points of the AVX2/F16C kernel TU (kernel_avx2.cpp, compiled with
-// -mavx2 -mf16c -mfma -ffp-contract=off; see src/CMakeLists.txt). Only the
+// -mavx2 -mf16c -ffp-contract=off; see src/CMakeLists.txt). Only the
 // registry references these, and only after numeric/cpu.h probes confirm the
-// CPU has the instructions. All functions implement the full KernelSet
-// contract (lane blocks vectorized, remainder rows computed by a TU-local
-// scalar path), so they can be installed directly as KernelSet pointers.
+// CPU has AVX2 (and F16C for FLOAT16). All functions implement the full
+// KernelSet contract (lane blocks vectorized, remainder rows through the
+// 1-lane scalar traits of kernel_mac_body.h), so they can be installed
+// directly as KernelSet pointers.
 #pragma once
 
 #include <cstddef>
@@ -14,9 +15,9 @@
 
 namespace dnnfi::dnn::kernels::detail {
 
-// Bit-identical sets: one output per lane, scalar accumulation order per
-// lane, separate multiply and add (no FMA), FLOAT16 rounded to half after
-// every operation with the canonical quiet-NaN rule.
+// MAC kernels: one output per lane, scalar accumulation order per lane,
+// separate multiply and add (no FMA), FLOAT16 rounded to half after every
+// operation with the canonical quiet-NaN rule.
 void avx2_conv_float(const ConvGeom&, const float*, const float*,
                      const float*, const float*, float*);
 void avx2_fc_float(const FcGeom&, const float*, const float*, const float*,
@@ -37,7 +38,7 @@ void avx2_fc_half(const FcGeom&, const numeric::Half*, const numeric::Half*,
 void avx2_relu_half(const numeric::Half*, numeric::Half*, std::size_t);
 
 // Post-MAC kernels (bit-identical to the scalar reference; shared by the
-// avx2, avx2-relaxed, and avx512 sets). LRN vectorizes the double-precision
+// avx2 and avx512 sets). LRN vectorizes the double-precision
 // window bookkeeping across four spatial positions and keeps the per-element
 // std::pow scalar; maxpool vectorizes across output columns with
 // compare+blend (so NaNs lose exactly as in the scalar `if (v > best)`);
@@ -59,24 +60,6 @@ void avx2_avgpool_half(const numeric::Half*, numeric::Half*, std::size_t,
 void avx2_softmax_float(const float*, float*, std::size_t);
 void avx2_softmax_double(const double*, double*, std::size_t);
 void avx2_softmax_half(const numeric::Half*, numeric::Half*, std::size_t);
-
-// Relaxed (tolerance) sets: FMA contraction for float/double; FLOAT16
-// accumulates in float and rounds to half once per output. Faster, not
-// bit-identical to the scalar reference.
-void avx2_relaxed_conv_float(const ConvGeom&, const float*, const float*,
-                             const float*, const float*, float*);
-void avx2_relaxed_fc_float(const FcGeom&, const float*, const float*,
-                           const float*, const float*, float*);
-void avx2_relaxed_conv_double(const ConvGeom&, const double*, const double*,
-                              const double*, const double*, double*);
-void avx2_relaxed_fc_double(const FcGeom&, const double*, const double*,
-                            const double*, const double*, double*);
-void avx2_relaxed_conv_half(const ConvGeom&, const numeric::Half*,
-                            const numeric::Half*, const numeric::Half*,
-                            const numeric::Half*, numeric::Half*);
-void avx2_relaxed_fc_half(const FcGeom&, const numeric::Half*,
-                          const numeric::Half*, const numeric::Half*,
-                          const numeric::Half*, numeric::Half*);
 
 }  // namespace dnnfi::dnn::kernels::detail
 

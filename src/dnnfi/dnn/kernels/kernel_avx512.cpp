@@ -8,17 +8,15 @@
 // emits is either an exported avx512_* entry point or an internal-linkage
 // helper; it instantiates no shared inline library function, so the linker
 // can never pick an EVEX-encoded COMDAT copy of a function that non-AVX-512
-// code paths also call. Remainder rows are handled by TU-local scalar loops
-// that replicate kernel_scalar.h semantics exactly.
+// code paths also call.
 //
-// Bit-identity strategy, unchanged from AVX2: vectorize ACROSS output
-// channels, one output per lane, each lane performing the scalar reference's
-// accumulation chain — (ci, ky, kx) order, separate multiply and add per
-// tap, padded taps multiplying a zero activation. FLOAT16 rounds to half
-// after every multiply and add via VCVTPS2PH (zmm form, AVX512F) with a
-// mask-guarded fixup to the canonical quiet NaN (sign | 0x7E00). A lane's
-// chain never mixes with another lane's, so widening 8 -> 16 lanes cannot
-// change a single output bit relative to scalar or AVX2.
+// The kernels are kernel_mac_body.h's single body — the same one the AVX2 TU
+// instantiates — over the zmm traits below, with the same 1-lane scalar
+// tail. FLOAT16 rounds to half after every multiply and add via VCVTPS2PH
+// (zmm form, AVX512F) with a mask-guarded fixup to the canonical quiet NaN
+// (sign | 0x7E00). A lane's chain never mixes with another lane's, so
+// widening 8 -> 16 lanes cannot change a single output bit relative to
+// scalar or AVX2.
 #include "dnnfi/dnn/kernels/kernel_avx512.h"
 
 #if defined(DNNFI_ENABLE_AVX512_KERNELS)
@@ -33,19 +31,7 @@ namespace dnnfi::dnn::kernels::detail {
 
 namespace {
 
-constexpr int kRne = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
-
-inline std::uint16_t canonical_nan_bits(float v) noexcept {
-  std::uint32_t fb;
-  std::memcpy(&fb, &v, sizeof(fb));
-  return static_cast<std::uint16_t>(((fb >> 16) & 0x8000U) | 0x7E00U);
-}
-
-// float -> half bits with the library's canonical-NaN rule, one lane.
-inline std::uint16_t f2h(float v) noexcept {
-  if (v != v) return canonical_nan_bits(v);
-  return static_cast<std::uint16_t>(_cvtss_sh(v, kRne));
-}
+#include "dnnfi/dnn/kernels/kernel_mac_body.h"
 
 // float -> half bits, 16 lanes, canonical-NaN rule.
 inline __m256i cvtps_ph_canon512(__m512 v) noexcept {
@@ -64,439 +50,138 @@ inline __m256i cvtps_ph_canon512(__m512 v) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// TU-local scalar remainders, re-stated as in kernel_avx2.cpp so this TU
-// never instantiates an external-linkage template.
+// Vector traits for kernel_mac_body.h.
 // ---------------------------------------------------------------------------
 
-template <typename T>
-void conv_rows_plain(const ConvGeom& g, const T* in, const T* w_oihw,
-                     const T* bias, T* out, std::size_t co_begin,
-                     std::size_t co_end) {
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.in_c * g.k * g.k;
-  for (std::size_t co = co_begin; co < co_end; ++co) {
-    const T* const wco = w_oihw + co * kvol;
-    const T b = bias[co];
-    T* op = out + co * g.out_h * g.out_w;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        T acc{};
-        const T* w = wco;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const T* const ic = in + ci * g.in_h * g.in_w;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const T* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, ++w) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              T act{};
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              const T product = *w * act;
-              acc += product;
-            }
-          }
-        }
-        acc += b;
-        *op++ = acc;
-      }
-    }
+struct F32x16 {
+  using T = float;
+  using Acc = __m512;
+  static constexpr std::size_t kLanes = 16;
+  static Acc zero() noexcept { return _mm512_setzero_ps(); }
+  static __m512 load_w(const float* p) noexcept { return _mm512_loadu_ps(p); }
+  static __m512 splat(float a) noexcept { return _mm512_set1_ps(a); }
+  static Acc mac(Acc acc, __m512 w, __m512 a) noexcept {
+    return _mm512_add_ps(acc, _mm512_mul_ps(w, a));
   }
-}
-
-template <typename T>
-void fc_rows_plain(const FcGeom& g, const T* in, const T* w, const T* bias,
-                   T* out, std::size_t o_begin, std::size_t o_end) {
-  for (std::size_t o = o_begin; o < o_end; ++o) {
-    T acc{};
-    const T* const wr = w + o * g.in;
-    for (std::size_t i = 0; i < g.in; ++i) {
-      const T product = wr[i] * in[i];
-      acc += product;
-    }
-    acc += bias[o];
-    out[o] = acc;
+  static __m512 finish(Acc acc, const float* bias) noexcept {
+    return _mm512_add_ps(acc, _mm512_loadu_ps(bias));
   }
-}
-
-void conv_rows_half_bits(const ConvGeom& g, const std::uint16_t* in,
-                         const std::uint16_t* w_oihw,
-                         const std::uint16_t* bias, std::uint16_t* out,
-                         std::size_t co_begin, std::size_t co_end) {
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.in_c * g.k * g.k;
-  for (std::size_t co = co_begin; co < co_end; ++co) {
-    const std::uint16_t* const wco = w_oihw + co * kvol;
-    const std::uint16_t b = bias[co];
-    std::uint16_t* op = out + co * g.out_h * g.out_w;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        std::uint16_t acc = 0;
-        const std::uint16_t* w = wco;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const std::uint16_t* const ic = in + ci * g.in_h * g.in_w;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const std::uint16_t* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, ++w) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              std::uint16_t act = 0;
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              const std::uint16_t product =
-                  f2h(_cvtsh_ss(*w) * _cvtsh_ss(act));
-              acc = f2h(_cvtsh_ss(acc) + _cvtsh_ss(product));
-            }
-          }
-        }
-        acc = f2h(_cvtsh_ss(acc) + _cvtsh_ss(b));
-        *op++ = acc;
-      }
-    }
+  static void store(__m512 r, float* lanes) noexcept {
+    _mm512_storeu_ps(lanes, r);
   }
-}
-
-void fc_rows_half_bits(const FcGeom& g, const std::uint16_t* in,
-                       const std::uint16_t* w, const std::uint16_t* bias,
-                       std::uint16_t* out, std::size_t o_begin,
-                       std::size_t o_end) {
-  for (std::size_t o = o_begin; o < o_end; ++o) {
-    std::uint16_t acc = 0;
-    const std::uint16_t* const wr = w + o * g.in;
-    for (std::size_t i = 0; i < g.in; ++i) {
-      const std::uint16_t product = f2h(_cvtsh_ss(wr[i]) * _cvtsh_ss(in[i]));
-      acc = f2h(_cvtsh_ss(acc) + _cvtsh_ss(product));
-    }
-    acc = f2h(_cvtsh_ss(acc) + _cvtsh_ss(bias[o]));
-    out[o] = acc;
+  static void relu_block(const float* in, float* out) noexcept {
+    const __m512 v = _mm512_loadu_ps(in);
+    const __mmask16 m = _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_GT_OQ);
+    _mm512_storeu_ps(out, _mm512_maskz_mov_ps(m, v));
   }
-}
+};
 
-// ---------------------------------------------------------------------------
-// float: 16 outputs per lane-block.
-// ---------------------------------------------------------------------------
-
-void conv_f32_blocks16(const ConvGeom& g, const float* in, const float* wp,
-                       const float* bias, float* out, std::size_t blocks) {
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.in_c * g.k * g.k;
-  const std::size_t iplane = g.in_h * g.in_w;
-  const std::size_t oplane = g.out_h * g.out_w;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const float* const wb = wp + b * kvol * 16;
-    const __m512 bv = _mm512_loadu_ps(bias + b * 16);
-    float* const ob = out + b * 16 * oplane;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        __m512 acc = _mm512_setzero_ps();
-        const float* w = wb;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const float* const ic = in + ci * iplane;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const float* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, w += 16) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              float act = 0.0f;
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              const __m512 av = _mm512_set1_ps(act);
-              const __m512 wv = _mm512_loadu_ps(w);
-              acc = _mm512_add_ps(acc, _mm512_mul_ps(wv, av));
-            }
-          }
-        }
-        acc = _mm512_add_ps(acc, bv);
-        alignas(64) float lane[16];
-        _mm512_store_ps(lane, acc);
-        const std::size_t pix = oy * g.out_w + ox;
-        for (std::size_t l = 0; l < 16; ++l) ob[l * oplane + pix] = lane[l];
-      }
-    }
+struct F64x8 {
+  using T = double;
+  using Acc = __m512d;
+  static constexpr std::size_t kLanes = 8;
+  static Acc zero() noexcept { return _mm512_setzero_pd(); }
+  static __m512d load_w(const double* p) noexcept {
+    return _mm512_loadu_pd(p);
   }
-}
-
-void fc_f32_blocks16(const FcGeom& g, const float* in, const float* wp,
-                     const float* bias, float* out, std::size_t blocks) {
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const float* w = wp + b * g.in * 16;
-    __m512 acc = _mm512_setzero_ps();
-    for (std::size_t i = 0; i < g.in; ++i, w += 16) {
-      const __m512 av = _mm512_set1_ps(in[i]);
-      const __m512 wv = _mm512_loadu_ps(w);
-      acc = _mm512_add_ps(acc, _mm512_mul_ps(wv, av));
-    }
-    acc = _mm512_add_ps(acc, _mm512_loadu_ps(bias + b * 16));
-    _mm512_storeu_ps(out + b * 16, acc);
+  static __m512d splat(double a) noexcept { return _mm512_set1_pd(a); }
+  static Acc mac(Acc acc, __m512d w, __m512d a) noexcept {
+    return _mm512_add_pd(acc, _mm512_mul_pd(w, a));
   }
-}
-
-// ---------------------------------------------------------------------------
-// double: 8 outputs per lane-block.
-// ---------------------------------------------------------------------------
-
-void conv_f64_blocks8(const ConvGeom& g, const double* in, const double* wp,
-                      const double* bias, double* out, std::size_t blocks) {
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.in_c * g.k * g.k;
-  const std::size_t iplane = g.in_h * g.in_w;
-  const std::size_t oplane = g.out_h * g.out_w;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const double* const wb = wp + b * kvol * 8;
-    const __m512d bv = _mm512_loadu_pd(bias + b * 8);
-    double* const ob = out + b * 8 * oplane;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        __m512d acc = _mm512_setzero_pd();
-        const double* w = wb;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const double* const ic = in + ci * iplane;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const double* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, w += 8) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              double act = 0.0;
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              const __m512d av = _mm512_set1_pd(act);
-              const __m512d wv = _mm512_loadu_pd(w);
-              acc = _mm512_add_pd(acc, _mm512_mul_pd(wv, av));
-            }
-          }
-        }
-        acc = _mm512_add_pd(acc, bv);
-        alignas(64) double lane[8];
-        _mm512_store_pd(lane, acc);
-        const std::size_t pix = oy * g.out_w + ox;
-        for (std::size_t l = 0; l < 8; ++l) ob[l * oplane + pix] = lane[l];
-      }
-    }
+  static __m512d finish(Acc acc, const double* bias) noexcept {
+    return _mm512_add_pd(acc, _mm512_loadu_pd(bias));
   }
-}
-
-void fc_f64_blocks8(const FcGeom& g, const double* in, const double* wp,
-                    const double* bias, double* out, std::size_t blocks) {
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const double* w = wp + b * g.in * 8;
-    __m512d acc = _mm512_setzero_pd();
-    for (std::size_t i = 0; i < g.in; ++i, w += 8) {
-      const __m512d av = _mm512_set1_pd(in[i]);
-      const __m512d wv = _mm512_loadu_pd(w);
-      acc = _mm512_add_pd(acc, _mm512_mul_pd(wv, av));
-    }
-    acc = _mm512_add_pd(acc, _mm512_loadu_pd(bias + b * 8));
-    _mm512_storeu_pd(out + b * 8, acc);
+  static void store(__m512d r, double* lanes) noexcept {
+    _mm512_storeu_pd(lanes, r);
   }
-}
-
-// ---------------------------------------------------------------------------
-// FLOAT16: 16 outputs per lane-block, rounded to half after every multiply
-// and every add (zmm VCVTPH2PS / VCVTPS2PH, canonical-NaN fixup).
-// ---------------------------------------------------------------------------
-
-void conv_f16_blocks16(const ConvGeom& g, const std::uint16_t* in,
-                       const std::uint16_t* wp, const std::uint16_t* bias,
-                       std::uint16_t* out, std::size_t blocks) {
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.in_c * g.k * g.k;
-  const std::size_t iplane = g.in_h * g.in_w;
-  const std::size_t oplane = g.out_h * g.out_w;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::uint16_t* const wb = wp + b * kvol * 16;
-    const __m256i bh =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bias + b * 16));
-    std::uint16_t* const ob = out + b * 16 * oplane;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        __m256i acch = _mm256_setzero_si256();
-        const std::uint16_t* w = wb;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const std::uint16_t* const ic = in + ci * iplane;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const std::uint16_t* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, w += 16) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              std::uint16_t act = 0;
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              const __m512 av = _mm512_set1_ps(_cvtsh_ss(act));
-              const __m512 wf = _mm512_cvtph_ps(_mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(w)));
-              const __m256i prod =
-                  cvtps_ph_canon512(_mm512_mul_ps(wf, av));
-              acch = cvtps_ph_canon512(_mm512_add_ps(
-                  _mm512_cvtph_ps(acch), _mm512_cvtph_ps(prod)));
-            }
-          }
-        }
-        const __m256i res = cvtps_ph_canon512(_mm512_add_ps(
-            _mm512_cvtph_ps(acch), _mm512_cvtph_ps(bh)));
-        alignas(32) std::uint16_t lane[16];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(lane), res);
-        const std::size_t pix = oy * g.out_w + ox;
-        for (std::size_t l = 0; l < 16; ++l) ob[l * oplane + pix] = lane[l];
-      }
-    }
+  static void relu_block(const double* in, double* out) noexcept {
+    const __m512d v = _mm512_loadu_pd(in);
+    const __mmask8 m = _mm512_cmp_pd_mask(v, _mm512_setzero_pd(), _CMP_GT_OQ);
+    _mm512_storeu_pd(out, _mm512_maskz_mov_pd(m, v));
   }
-}
+};
 
-void fc_f16_blocks16(const FcGeom& g, const std::uint16_t* in,
-                     const std::uint16_t* wp, const std::uint16_t* bias,
-                     std::uint16_t* out, std::size_t blocks) {
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::uint16_t* w = wp + b * g.in * 16;
-    __m256i acch = _mm256_setzero_si256();
-    for (std::size_t i = 0; i < g.in; ++i, w += 16) {
-      const __m512 av = _mm512_set1_ps(_cvtsh_ss(in[i]));
-      const __m512 wf = _mm512_cvtph_ps(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w)));
-      const __m256i prod = cvtps_ph_canon512(_mm512_mul_ps(wf, av));
-      acch = cvtps_ph_canon512(
-          _mm512_add_ps(_mm512_cvtph_ps(acch), _mm512_cvtph_ps(prod)));
-    }
-    const __m256i bh =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bias + b * 16));
-    const __m256i res = cvtps_ph_canon512(
-        _mm512_add_ps(_mm512_cvtph_ps(acch), _mm512_cvtph_ps(bh)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + b * 16), res);
+// Half bits: the accumulator stays 16 half values and every product and sum
+// is rounded through cvtps_ph_canon512.
+struct F16x16 {
+  using T = std::uint16_t;
+  using Acc = __m256i;
+  static constexpr std::size_t kLanes = 16;
+  static __m256i load(const T* p) noexcept {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
   }
-}
+  static Acc zero() noexcept { return _mm256_setzero_si256(); }
+  static __m512 load_w(const T* p) noexcept {
+    return _mm512_cvtph_ps(load(p));
+  }
+  static __m512 splat(T a) noexcept { return _mm512_set1_ps(_cvtsh_ss(a)); }
+  static Acc mac(Acc acc, __m512 w, __m512 a) noexcept {
+    const __m256i prod = cvtps_ph_canon512(_mm512_mul_ps(w, a));
+    return cvtps_ph_canon512(
+        _mm512_add_ps(_mm512_cvtph_ps(acc), _mm512_cvtph_ps(prod)));
+  }
+  static __m256i finish(Acc acc, const T* bias) noexcept {
+    return cvtps_ph_canon512(
+        _mm512_add_ps(_mm512_cvtph_ps(acc), _mm512_cvtph_ps(load(bias))));
+  }
+  static void store(__m256i r, T* lanes) noexcept {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), r);
+  }
+  // Compare on the converted floats, keep the original 16 bits.
+  static void relu_block(const T* in, T* out) noexcept {
+    const __m256i h = load(in);
+    const __mmask16 m = _mm512_cmp_ps_mask(_mm512_cvtph_ps(h),
+                                           _mm512_setzero_ps(), _CMP_GT_OQ);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                        _mm256_maskz_mov_epi16(m, h));
+  }
+};
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Exported entry points: lane blocks vectorized, remainder rows scalar.
-// ---------------------------------------------------------------------------
-
 void avx512_conv_float(const ConvGeom& g, const float* in, const float* w,
                        const float* wp, const float* bias, float* out) {
-  const std::size_t blocks = g.out_c / 16;
-  if (blocks > 0) conv_f32_blocks16(g, in, wp, bias, out, blocks);
-  if (blocks * 16 < g.out_c)
-    conv_rows_plain<float>(g, in, w, bias, out, blocks * 16, g.out_c);
+  conv_lanes<F32x16>(g, in, w, wp, bias, out);
 }
 
 void avx512_fc_float(const FcGeom& g, const float* in, const float* w,
                      const float* wp, const float* bias, float* out) {
-  const std::size_t blocks = g.out / 16;
-  if (blocks > 0) fc_f32_blocks16(g, in, wp, bias, out, blocks);
-  if (blocks * 16 < g.out)
-    fc_rows_plain<float>(g, in, w, bias, out, blocks * 16, g.out);
+  fc_lanes<F32x16>(g, in, w, wp, bias, out);
 }
 
 void avx512_relu_float(const float* in, float* out, std::size_t n) {
-  const __m512 zero = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 v = _mm512_loadu_ps(in + i);
-    const __mmask16 m = _mm512_cmp_ps_mask(v, zero, _CMP_GT_OQ);
-    _mm512_storeu_ps(out + i, _mm512_maskz_mov_ps(m, v));
-  }
-  for (; i < n; ++i) out[i] = (in[i] > 0.0f) ? in[i] : 0.0f;
+  relu_lanes<F32x16>(in, out, n);
 }
 
 void avx512_conv_double(const ConvGeom& g, const double* in, const double* w,
                         const double* wp, const double* bias, double* out) {
-  const std::size_t blocks = g.out_c / 8;
-  if (blocks > 0) conv_f64_blocks8(g, in, wp, bias, out, blocks);
-  if (blocks * 8 < g.out_c)
-    conv_rows_plain<double>(g, in, w, bias, out, blocks * 8, g.out_c);
+  conv_lanes<F64x8>(g, in, w, wp, bias, out);
 }
 
 void avx512_fc_double(const FcGeom& g, const double* in, const double* w,
                       const double* wp, const double* bias, double* out) {
-  const std::size_t blocks = g.out / 8;
-  if (blocks > 0) fc_f64_blocks8(g, in, wp, bias, out, blocks);
-  if (blocks * 8 < g.out)
-    fc_rows_plain<double>(g, in, w, bias, out, blocks * 8, g.out);
+  fc_lanes<F64x8>(g, in, w, wp, bias, out);
 }
 
 void avx512_relu_double(const double* in, double* out, std::size_t n) {
-  const __m512d zero = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d v = _mm512_loadu_pd(in + i);
-    const __mmask8 m = _mm512_cmp_pd_mask(v, zero, _CMP_GT_OQ);
-    _mm512_storeu_pd(out + i, _mm512_maskz_mov_pd(m, v));
-  }
-  for (; i < n; ++i) out[i] = (in[i] > 0.0) ? in[i] : 0.0;
+  relu_lanes<F64x8>(in, out, n);
 }
 
 void avx512_conv_half(const ConvGeom& g, const numeric::Half* in,
                       const numeric::Half* w, const numeric::Half* wp,
                       const numeric::Half* bias, numeric::Half* out) {
-  const auto* ib = reinterpret_cast<const std::uint16_t*>(in);
-  const auto* wb = reinterpret_cast<const std::uint16_t*>(w);
-  const auto* pb = reinterpret_cast<const std::uint16_t*>(wp);
-  const auto* bb = reinterpret_cast<const std::uint16_t*>(bias);
-  auto* ob = reinterpret_cast<std::uint16_t*>(out);
-  const std::size_t blocks = g.out_c / 16;
-  if (blocks > 0) conv_f16_blocks16(g, ib, pb, bb, ob, blocks);
-  if (blocks * 16 < g.out_c)
-    conv_rows_half_bits(g, ib, wb, bb, ob, blocks * 16, g.out_c);
+  conv_lanes<F16x16>(g, bits(in), bits(w), bits(wp), bits(bias), bits(out));
 }
 
 void avx512_fc_half(const FcGeom& g, const numeric::Half* in,
                     const numeric::Half* w, const numeric::Half* wp,
                     const numeric::Half* bias, numeric::Half* out) {
-  const auto* ib = reinterpret_cast<const std::uint16_t*>(in);
-  const auto* wb = reinterpret_cast<const std::uint16_t*>(w);
-  const auto* pb = reinterpret_cast<const std::uint16_t*>(wp);
-  const auto* bb = reinterpret_cast<const std::uint16_t*>(bias);
-  auto* ob = reinterpret_cast<std::uint16_t*>(out);
-  const std::size_t blocks = g.out / 16;
-  if (blocks > 0) fc_f16_blocks16(g, ib, pb, bb, ob, blocks);
-  if (blocks * 16 < g.out)
-    fc_rows_half_bits(g, ib, wb, bb, ob, blocks * 16, g.out);
+  fc_lanes<F16x16>(g, bits(in), bits(w), bits(wp), bits(bias), bits(out));
 }
 
 void avx512_relu_half(const numeric::Half* in, numeric::Half* out,
                       std::size_t n) {
-  const auto* ip = reinterpret_cast<const std::uint16_t*>(in);
-  auto* op = reinterpret_cast<std::uint16_t*>(out);
-  const __m512 zero = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i h =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ip + i));
-    const __m512 f = _mm512_cvtph_ps(h);
-    const __mmask16 m = _mm512_cmp_ps_mask(f, zero, _CMP_GT_OQ);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(op + i),
-                        _mm256_maskz_mov_epi16(m, h));
-  }
-  for (; i < n; ++i) op[i] = (_cvtsh_ss(ip[i]) > 0.0f) ? ip[i] : 0;
+  relu_lanes<F16x16>(bits(in), bits(out), n);
 }
 
 }  // namespace dnnfi::dnn::kernels::detail

@@ -4,8 +4,8 @@
 // numeric/cpu.h confirms the CPU has the full avx512 kernel bundle
 // (cpu_has_avx512_kernel_bundle). All functions implement the full KernelSet
 // contract: 16-lane float / 8-lane double / 16-lane F16C-path Half MAC
-// kernels with the same lane-accumulation-order bit-identity contract as the
-// AVX2 set, remainder rows computed by a TU-local scalar path. The avx512
+// kernels, the same kernel_mac_body.h body as the AVX2 set (remainder rows
+// included) instantiated over zmm traits. The avx512
 // set's post-MAC ops (lrn / maxpool / avgpool / softmax) are shared with the
 // AVX2 TU — they are already vector-width-bound by pow/exp and gathers, and
 // every AVX-512 CPU runs AVX2 code at full speed.

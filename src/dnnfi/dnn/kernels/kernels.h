@@ -7,9 +7,8 @@
 // accumulation order, padded taps multiplying a zero activation, trailing
 // bias add). SIMD sets vectorize ACROSS output channels — one output per
 // lane, each lane's accumulation chain identical to the scalar one — so
-// their results are bit-identical to the reference (KernelSet::bit_identical)
-// and call sites with and without SIMD can be mixed freely without changing
-// a single output bit.
+// every set's results are bit-identical to the reference and call sites with
+// and without SIMD can be mixed freely without changing a single output bit.
 //
 // One documented hole in the bit-identity claim: when two NaNs with
 // DIFFERENT bit patterns meet in a single addition, x86 keeps whichever
@@ -20,14 +19,11 @@
 // "indefinite" NaN from Inf*0 / Inf-Inf) are exact: x86 propagates a lone
 // NaN operand verbatim. Campaign aggregates never resolve the hole either
 // way, since outcome classification and distance metrics treat all NaNs
-// alike. The other exception is the opt-in "avx2-relaxed" set,
-// which contracts multiply-add (FMA) and, for FLOAT16, accumulates in float:
-// faster, but sums differ by rounding, so it is never selected by default
-// and the campaign bit-identity gates do not hold under it.
+// alike. There is no other exception.
 //
 // Selection happens once per process: the DNNFI_KERNELS environment variable
-// ("scalar" | "avx2" | "avx2-relaxed" | "avx512" | "auto"/unset) is combined
-// with CPUID probes (numeric/cpu.h); "auto" prefers avx512 > avx2 > scalar,
+// ("scalar" | "avx2" | "avx512" | "auto"/unset) is combined with CPUID
+// probes (numeric/cpu.h); "auto" prefers avx512 > avx2 > scalar,
 // and requesting an unavailable set falls back to scalar. ExecutionPlan<T>
 // captures the active set at plan-build time.
 //
@@ -36,7 +32,8 @@
 // workspace arena at Workspace::bind time (the plan-time layout transform).
 // Public tensors stay NCHW/OIHW; the packed copy is invisible outside the
 // kernel call. Only full blocks of `lanes` rows are packed — remainder rows
-// are computed by the scalar reference directly from the row-major weights.
+// are read directly from the row-major weights, which are the 1-lane packed
+// layout.
 #pragma once
 
 #include <cstddef>
@@ -124,8 +121,6 @@ using SoftmaxFn = void (*)(const T* in, T* out, std::size_t n);
 template <typename T>
 struct KernelSet {
   const char* name = "scalar";
-  /// Every output is guaranteed bit-identical to the scalar reference.
-  bool bit_identical = true;
   /// Lane-interleave width of the packed weight layout this set consumes
   /// (0: the set reads row-major weights directly; nothing to pack).
   std::size_t pack_lanes = 0;
@@ -159,7 +154,7 @@ std::vector<const char*> registered_names();
 
 /// Overrides the mode used by subsequent active_kernels calls (and thus
 /// subsequently built ExecutionPlans) for every datapath type: one of
-/// "scalar", "avx2", "avx2-relaxed", "avx512", or "auto" to restore the
+/// "scalar", "avx2", "avx512", or "auto" to restore the
 /// DNNFI_KERNELS / CPUID default. Returns false (and changes nothing) for
 /// unknown names. For tests and benches; call before building the plans it
 /// should affect.
@@ -167,7 +162,7 @@ bool set_active_mode(std::string_view mode);
 
 /// The resolved hardware/dispatch profile, for bench JSON attribution.
 struct KernelProfile {
-  std::string mode;            ///< requested: auto/scalar/avx2/avx2-relaxed/avx512
+  std::string mode;            ///< requested: auto/scalar/avx2/avx512
   bool cpu_avx2 = false;       ///< CPUID probe results
   bool cpu_avx512 = false;     ///< the avx512 kernel bundle (F+BW+VL+DQ)
   bool cpu_f16c = false;
@@ -193,8 +188,8 @@ void pack_rows(const T* w, std::size_t rows, std::size_t cols,
 
 /// Dispatch helpers for layer-level call sites (no workspace, so no packed
 /// copy): run the active set when it needs no packing, otherwise the scalar
-/// reference. Under a bit-identical active set this is indistinguishable
-/// from the Executor's packed path.
+/// reference. Every set being bit-identical, this is indistinguishable from
+/// the Executor's packed path.
 template <typename T>
 void conv_forward(const ConvGeom& g, const T* in, const T* w, const T* bias,
                   T* out);

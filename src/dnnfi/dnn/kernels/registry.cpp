@@ -16,7 +16,7 @@ namespace dnnfi::dnn::kernels {
 
 namespace {
 
-enum class Mode { kAuto, kScalar, kAvx2, kAvx2Relaxed, kAvx512 };
+enum class Mode { kAuto, kScalar, kAvx2, kAvx512 };
 
 bool parse_mode(std::string_view s, Mode& out) {
   if (s == "auto") {
@@ -25,8 +25,6 @@ bool parse_mode(std::string_view s, Mode& out) {
     out = Mode::kScalar;
   } else if (s == "avx2") {
     out = Mode::kAvx2;
-  } else if (s == "avx2-relaxed") {
-    out = Mode::kAvx2Relaxed;
   } else if (s == "avx512") {
     out = Mode::kAvx512;
   } else {
@@ -41,8 +39,6 @@ const char* mode_name(Mode m) {
       return "scalar";
     case Mode::kAvx2:
       return "avx2";
-    case Mode::kAvx2Relaxed:
-      return "avx2-relaxed";
     case Mode::kAvx512:
       return "avx512";
     case Mode::kAuto:
@@ -61,7 +57,7 @@ Mode& mode_ref() {
       if (!parse_mode(*v, parsed)) {
         std::fprintf(stderr,
                      "dnnfi: ignoring unknown DNNFI_KERNELS value \"%s\" "
-                     "(expected scalar|avx2|avx2-relaxed|avx512|auto)\n",
+                     "(expected scalar|avx2|avx512|auto)\n",
                      v->c_str());
         parsed = Mode::kAuto;
       }
@@ -73,7 +69,7 @@ Mode& mode_ref() {
 
 #if defined(DNNFI_ENABLE_AVX2_KERNELS)
 
-/// The exact AVX2 set for T, or null when T has none or the CPU lacks the
+/// The AVX2 set for T, or null when T has none or the CPU lacks the
 /// instructions. FLOAT16 kernels additionally execute F16C converts. The
 /// post-MAC kernels (lrn / maxpool / avgpool / softmax) are the AVX2
 /// implementations for all three vector-friendly types; fixed-point stays
@@ -83,7 +79,7 @@ const KernelSet<T>* avx2_set() {
   if constexpr (std::is_same_v<T, float>) {
     if (!numeric::cpu_has_avx2()) return nullptr;
     static const KernelSet<float> s{
-        "avx2", true, 8, detail::avx2_conv_float, detail::avx2_fc_float,
+        "avx2", 8, detail::avx2_conv_float, detail::avx2_fc_float,
         detail::avx2_relu_float, detail::avx2_lrn_float,
         detail::avx2_maxpool_float, detail::avx2_avgpool_float,
         detail::avx2_softmax_float};
@@ -91,7 +87,7 @@ const KernelSet<T>* avx2_set() {
   } else if constexpr (std::is_same_v<T, double>) {
     if (!numeric::cpu_has_avx2()) return nullptr;
     static const KernelSet<double> s{
-        "avx2", true, 4, detail::avx2_conv_double, detail::avx2_fc_double,
+        "avx2", 4, detail::avx2_conv_double, detail::avx2_fc_double,
         detail::avx2_relu_double, detail::avx2_lrn_double,
         detail::avx2_maxpool_double, detail::avx2_avgpool_double,
         detail::avx2_softmax_double};
@@ -99,7 +95,7 @@ const KernelSet<T>* avx2_set() {
   } else if constexpr (std::is_same_v<T, numeric::Half>) {
     if (!numeric::cpu_has_avx2() || !numeric::cpu_has_f16c()) return nullptr;
     static const KernelSet<numeric::Half> s{
-        "avx2", true, 8, detail::avx2_conv_half, detail::avx2_fc_half,
+        "avx2", 8, detail::avx2_conv_half, detail::avx2_fc_half,
         detail::avx2_relu_half, detail::avx2_lrn_half,
         detail::avx2_maxpool_half, detail::avx2_avgpool_half,
         detail::avx2_softmax_half};
@@ -109,50 +105,10 @@ const KernelSet<T>* avx2_set() {
   }
 }
 
-/// The relaxed (FMA / float-accumulation) set; requires FMA on top of the
-/// exact set's features. Relu and the post-MAC kernels are shared with the
-/// exact set — elementwise max has no reassociation to relax, and the
-/// post-MAC ops already run their internals at double precision.
-template <typename T>
-const KernelSet<T>* relaxed_set() {
-  if (!numeric::cpu_has_fma()) return nullptr;
-  if constexpr (std::is_same_v<T, float>) {
-    if (!numeric::cpu_has_avx2()) return nullptr;
-    static const KernelSet<float> s{
-        "avx2-relaxed", false, 8, detail::avx2_relaxed_conv_float,
-        detail::avx2_relaxed_fc_float, detail::avx2_relu_float,
-        detail::avx2_lrn_float, detail::avx2_maxpool_float,
-        detail::avx2_avgpool_float, detail::avx2_softmax_float};
-    return &s;
-  } else if constexpr (std::is_same_v<T, double>) {
-    if (!numeric::cpu_has_avx2()) return nullptr;
-    static const KernelSet<double> s{
-        "avx2-relaxed", false, 4, detail::avx2_relaxed_conv_double,
-        detail::avx2_relaxed_fc_double, detail::avx2_relu_double,
-        detail::avx2_lrn_double, detail::avx2_maxpool_double,
-        detail::avx2_avgpool_double, detail::avx2_softmax_double};
-    return &s;
-  } else if constexpr (std::is_same_v<T, numeric::Half>) {
-    if (!numeric::cpu_has_avx2() || !numeric::cpu_has_f16c()) return nullptr;
-    static const KernelSet<numeric::Half> s{
-        "avx2-relaxed", false, 8, detail::avx2_relaxed_conv_half,
-        detail::avx2_relaxed_fc_half, detail::avx2_relu_half,
-        detail::avx2_lrn_half, detail::avx2_maxpool_half,
-        detail::avx2_avgpool_half, detail::avx2_softmax_half};
-    return &s;
-  } else {
-    return nullptr;
-  }
-}
-
 #else  // !DNNFI_ENABLE_AVX2_KERNELS
 
 template <typename T>
 const KernelSet<T>* avx2_set() {
-  return nullptr;
-}
-template <typename T>
-const KernelSet<T>* relaxed_set() {
   return nullptr;
 }
 
@@ -171,14 +127,14 @@ const KernelSet<T>* avx512_set() {
     return nullptr;
   if constexpr (std::is_same_v<T, float>) {
     static const KernelSet<float> s{
-        "avx512", true, 16, detail::avx512_conv_float, detail::avx512_fc_float,
+        "avx512", 16, detail::avx512_conv_float, detail::avx512_fc_float,
         detail::avx512_relu_float, detail::avx2_lrn_float,
         detail::avx2_maxpool_float, detail::avx2_avgpool_float,
         detail::avx2_softmax_float};
     return &s;
   } else if constexpr (std::is_same_v<T, double>) {
     static const KernelSet<double> s{
-        "avx512", true, 8, detail::avx512_conv_double,
+        "avx512", 8, detail::avx512_conv_double,
         detail::avx512_fc_double, detail::avx512_relu_double,
         detail::avx2_lrn_double, detail::avx2_maxpool_double,
         detail::avx2_avgpool_double, detail::avx2_softmax_double};
@@ -186,7 +142,7 @@ const KernelSet<T>* avx512_set() {
   } else if constexpr (std::is_same_v<T, numeric::Half>) {
     if (!numeric::cpu_has_f16c()) return nullptr;
     static const KernelSet<numeric::Half> s{
-        "avx512", true, 16, detail::avx512_conv_half, detail::avx512_fc_half,
+        "avx512", 16, detail::avx512_conv_half, detail::avx512_fc_half,
         detail::avx512_relu_half, detail::avx2_lrn_half,
         detail::avx2_maxpool_half, detail::avx2_avgpool_half,
         detail::avx2_softmax_half};
@@ -209,11 +165,11 @@ const KernelSet<T>* avx512_set() {
 
 template <typename T>
 const KernelSet<T>& scalar_kernels() noexcept {
-  static const KernelSet<T> s{"scalar",         true,
-                              0,                &scalar_conv<T>,
-                              &scalar_fc<T>,    &scalar_relu<T>,
-                              &scalar_lrn<T>,   &scalar_maxpool<T>,
-                              &scalar_avgpool<T>, &scalar_softmax<T>};
+  static const KernelSet<T> s{"scalar",           0,
+                              &scalar_conv<T>,    &scalar_fc<T>,
+                              &scalar_relu<T>,    &scalar_lrn<T>,
+                              &scalar_maxpool<T>, &scalar_avgpool<T>,
+                              &scalar_softmax<T>};
   return s;
 }
 
@@ -222,10 +178,6 @@ const KernelSet<T>& active_kernels() noexcept {
   switch (mode_ref()) {
     case Mode::kScalar:
       return scalar_kernels<T>();
-    case Mode::kAvx2Relaxed: {
-      const KernelSet<T>* s = relaxed_set<T>();
-      return s ? *s : scalar_kernels<T>();
-    }
     case Mode::kAvx2: {
       const KernelSet<T>* s = avx2_set<T>();
       return s ? *s : scalar_kernels<T>();
@@ -247,7 +199,6 @@ template <typename T>
 const KernelSet<T>* kernel_set(std::string_view name) noexcept {
   if (name == "scalar") return &scalar_kernels<T>();
   if (name == "avx2") return avx2_set<T>();
-  if (name == "avx2-relaxed") return relaxed_set<T>();
   if (name == "avx512") return avx512_set<T>();
   return nullptr;
 }
@@ -256,7 +207,6 @@ template <typename T>
 std::vector<const char*> registered_names() {
   std::vector<const char*> names{"scalar"};
   if (avx2_set<T>()) names.push_back("avx2");
-  if (relaxed_set<T>()) names.push_back("avx2-relaxed");
   if (avx512_set<T>()) names.push_back("avx512");
   return names;
 }

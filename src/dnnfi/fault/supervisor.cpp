@@ -432,7 +432,9 @@ class Supervisor {
 
   /// Wakeup bound: soonest of worker deadlines, backoff expiries, and
   /// fleet quarantine releases, clamped to [10, 200] ms so reaping and
-  /// cancellation stay responsive.
+  /// cancellation stay responsive. A worker whose pipe already closed has
+  /// no fd left to wake poll() when it exits, so its reap is polled at the
+  /// floor.
   int next_wakeup_ms() const {
     double soonest = 0.2;
     const TimePoint now = Clock::now();
@@ -440,6 +442,7 @@ class Supervisor {
       return std::chrono::duration<double>(tp - now).count();
     };
     for (const Worker& w : active_) {
+      if (w.fd < 0) return 10;
       soonest = std::min(
           soonest, until(w.last_beat + to_duration(opt_.heartbeat_timeout_s)));
       if (opt_.shard_timeout_s > 0)

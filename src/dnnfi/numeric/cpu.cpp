@@ -8,7 +8,6 @@ struct CpuFeatures {
   bool avx = false;
   bool avx2 = false;
   bool f16c = false;
-  bool fma = false;
   bool avx512f = false;
   bool avx512bw = false;
   bool avx512vl = false;
@@ -20,7 +19,6 @@ struct CpuFeatures {
     avx = __builtin_cpu_supports("avx") != 0;
     avx2 = __builtin_cpu_supports("avx2") != 0;
     f16c = __builtin_cpu_supports("f16c") != 0;
-    fma = __builtin_cpu_supports("fma") != 0;
     avx512f = __builtin_cpu_supports("avx512f") != 0;
     avx512bw = __builtin_cpu_supports("avx512bw") != 0;
     avx512vl = __builtin_cpu_supports("avx512vl") != 0;
@@ -39,7 +37,6 @@ const CpuFeatures& features() noexcept {
 bool cpu_has_avx() noexcept { return features().avx; }
 bool cpu_has_avx2() noexcept { return features().avx2; }
 bool cpu_has_f16c() noexcept { return features().f16c; }
-bool cpu_has_fma() noexcept { return features().fma; }
 bool cpu_has_avx512f() noexcept { return features().avx512f; }
 bool cpu_has_avx512bw() noexcept { return features().avx512bw; }
 bool cpu_has_avx512vl() noexcept { return features().avx512vl; }

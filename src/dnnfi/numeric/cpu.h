@@ -9,7 +9,6 @@ namespace dnnfi::numeric {
 bool cpu_has_avx() noexcept;
 bool cpu_has_avx2() noexcept;
 bool cpu_has_f16c() noexcept;
-bool cpu_has_fma() noexcept;
 bool cpu_has_avx512f() noexcept;
 bool cpu_has_avx512bw() noexcept;
 bool cpu_has_avx512vl() noexcept;

@@ -3,9 +3,8 @@
 // shapes (output channels not divisible by the lane width, including the
 // zero-full-blocks case), non-finite inputs (NaN / ±Inf / -0 propagation,
 // canonical-NaN rule for FLOAT16), and 100-run buffer reuse — asserting
-// tensor::bitwise_equal for bit_identical sets and a coarse tolerance for
-// the opt-in relaxed sets. The post-MAC ops (lrn / maxpool / avgpool /
-// softmax) are bitwise-checked in every set, with restructure-lock tests
+// tensor::bitwise_equal for every set, MAC and post-MAC ops (lrn / maxpool /
+// avgpool / softmax) alike, with restructure-lock tests
 // pinning the scalar reference to the formulas the layers used to inline.
 // Plus the packed-layout formula itself and executor-level integration
 // checks that set_active_mode("scalar") and each SIMD mode produce
@@ -124,29 +123,17 @@ Tensor<T> run_softmax(const KernelSet<T>& ks, std::size_t n,
   return out;
 }
 
-/// Coarse closeness for the relaxed sets: per-element absolute tolerance
-/// scaled by the accumulation length (the real contract for the default
-/// sets is bitwise, tested separately).
-template <typename T>
-void expect_close(const Tensor<T>& got, const Tensor<T>& want, double tol) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    const double a = numeric_traits<T>::to_double(got[i]);
-    const double b = numeric_traits<T>::to_double(want[i]);
-    ASSERT_TRUE(std::isfinite(a) && std::isfinite(b)) << "element " << i;
-    ASSERT_NEAR(a, b, tol * (1.0 + std::max(std::fabs(a), std::fabs(b))))
-        << "element " << i;
-  }
-}
-
-// Odd geometries on purpose: out_c = 13 leaves a 5-row tail at 8 lanes and
-// a 1-row tail at 4; out_c = 7 yields ZERO full 8-lane blocks (the packed
-// pointer must never be dereferenced); 16 and 32 are all-blocks.
+// Odd geometries on purpose, at every lane width (16, 8, 4): out_c = 13
+// leaves a 5-row tail at 8 lanes and a 1-row tail at 4; out_c = 7, 9 and 13
+// yield ZERO full 16-lane blocks (7 also at 8 lanes: the packed pointer must
+// never be dereferenced); 16 is all-blocks at every width; 21 is full blocks
+// plus a tail at every width (1+5 at 16, 2+5 at 8, 5+1 at 4).
 const ConvGeom kConvGeoms[] = {
     {3, 9, 7, 13, 5, 4, 3, 2, 1},   // strided, padded, tail rows
     {5, 6, 6, 7, 6, 6, 1, 1, 0},    // 1x1 kernel, zero full blocks at w=8
-    {8, 8, 8, 16, 8, 8, 3, 1, 1},   // full blocks only (at 8 and 4 lanes)
+    {8, 8, 8, 16, 8, 8, 3, 1, 1},   // full blocks only (at 16, 8 and 4 lanes)
     {4, 5, 5, 9, 2, 2, 3, 2, 0},    // stride 2, no padding
+    {2, 7, 7, 21, 4, 4, 3, 2, 1},   // blocks plus a tail at every width
 };
 const FcGeom kFcGeoms[] = {{37, 19}, {64, 32}, {10, 3}};
 
@@ -185,9 +172,10 @@ TYPED_TEST(KernelProperty, ScalarReferenceAlwaysRegistered) {
   EXPECT_STREQ(names.front(), "scalar");
   const KernelSet<T>* s = kernel_set<T>("scalar");
   ASSERT_NE(s, nullptr);
-  EXPECT_TRUE(s->bit_identical);
   EXPECT_EQ(s->pack_lanes, 0u);
   EXPECT_EQ(kernel_set<T>("no-such-set"), nullptr);
+  EXPECT_EQ(kernel_set<T>("avx2-relaxed"), nullptr);
+  EXPECT_FALSE(set_active_mode("avx2-relaxed"));
 }
 
 TYPED_TEST(KernelProperty, SimdSetsBitIdenticalToScalarOnOddShapes) {
@@ -196,7 +184,6 @@ TYPED_TEST(KernelProperty, SimdSetsBitIdenticalToScalarOnOddShapes) {
   for (const char* name : registered_names<T>()) {
     const KernelSet<T>* ks = kernel_set<T>(name);
     ASSERT_NE(ks, nullptr) << name;
-    if (!ks->bit_identical) continue;
     for (const Season season : {Season::kFinite, Season::kNaN, Season::kInf}) {
       for (const ConvGeom& g : kConvGeoms) {
         const auto in = awkward<T>(g.in_c * g.in_h * g.in_w, 11, season);
@@ -242,8 +229,6 @@ TYPED_TEST(KernelProperty, PostMacOpsBitIdenticalToScalarOnOddShapes) {
   for (const char* name : registered_names<T>()) {
     const KernelSet<T>* ks = kernel_set<T>(name);
     ASSERT_NE(ks, nullptr) << name;
-    // No bit_identical filter: the post-MAC kernels are exact in EVERY set,
-    // the relaxed one included (their internals already run at double).
     for (const Season season : {Season::kFinite, Season::kNaN, Season::kInf}) {
       for (const LrnGeom& g : kLrnGeoms) {
         const auto in = awkward<T>(g.c * g.h * g.w, 51, season);
@@ -277,35 +262,6 @@ TYPED_TEST(KernelProperty, PostMacOpsBitIdenticalToScalarOnOddShapes) {
   }
 }
 
-TYPED_TEST(KernelProperty, RelaxedSetsWithinToleranceOfScalar) {
-  using T = TypeParam;
-  const KernelSet<T>& ref = scalar_kernels<T>();
-  // FLOAT16 relaxed accumulates in float (one rounding instead of one per
-  // tap): tolerance scales with the accumulation length and half epsilon.
-  const double per_step =
-      numeric_traits<T>::width <= 16 ? 0.01 : 1e-6;
-  for (const char* name : registered_names<T>()) {
-    const KernelSet<T>* ks = kernel_set<T>(name);
-    ASSERT_NE(ks, nullptr) << name;
-    if (ks->bit_identical) continue;
-    for (const ConvGeom& g : kConvGeoms) {
-      const auto in = awkward<T>(g.in_c * g.in_h * g.in_w, 11, Season::kFinite);
-      const auto w = awkward<T>(g.out_c * g.steps(), 23, Season::kFinite);
-      const auto bias = awkward<T>(g.out_c, 5, Season::kFinite);
-      expect_close(run_conv(*ks, g, in, w, bias),
-                   run_conv(ref, g, in, w, bias),
-                   per_step * static_cast<double>(g.steps()));
-    }
-    for (const FcGeom& g : kFcGeoms) {
-      const auto in = awkward<T>(g.in, 31, Season::kFinite);
-      const auto w = awkward<T>(g.out * g.in, 41, Season::kFinite);
-      const auto bias = awkward<T>(g.out, 7, Season::kFinite);
-      expect_close(run_fc(*ks, g, in, w, bias), run_fc(ref, g, in, w, bias),
-                   per_step * static_cast<double>(g.in));
-    }
-  }
-}
-
 TYPED_TEST(KernelProperty, HundredRunReuseIsStable) {
   using T = TypeParam;
   const ConvGeom g = kConvGeoms[0];
@@ -332,10 +288,8 @@ TYPED_TEST(KernelProperty, HundredRunReuseIsStable) {
         ASSERT_TRUE(tensor::bitwise_equal(out, first))
             << name << " run " << run;
     }
-    if (ks->bit_identical) {
-      const Tensor<T> want = run_conv(scalar_kernels<T>(), g, in, w, bias);
-      EXPECT_TRUE(tensor::bitwise_equal(first, want)) << name;
-    }
+    const Tensor<T> want = run_conv(scalar_kernels<T>(), g, in, w, bias);
+    EXPECT_TRUE(tensor::bitwise_equal(first, want)) << name;
   }
 }
 
