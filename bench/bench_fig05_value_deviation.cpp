@@ -38,8 +38,14 @@ int main() {
     const auto est = r.rate_if(in_bucket, [](const fault::TrialRecord& tr) {
       return tr.outcome.sdc1;
     });
-    std::string label = (b == 4) ? ">=1000" : ("[" + Table::num(lo, 0) + ", " +
-                                               Table::num(hi, 0) + ")");
+    // append() rather than "[" + str: GCC 12 raises a false -Wrestrict on
+    // operator+(const char*, std::string&&).
+    const std::string label = (b == 4) ? std::string(">=1000")
+                                       : std::string("[")
+                                             .append(Table::num(lo, 0))
+                                             .append(", ")
+                                             .append(Table::num(hi, 0))
+                                             .append(")");
     t.row({label, std::to_string(est.n), Table::pct(est.p),
            Table::pct(1.0 - est.p)});
   }

@@ -38,13 +38,9 @@ RsMapping map_conv(const accel::LayerFootprint& fp, const dnn::LayerSpec& ls,
 
   m.active_pes = std::min(array_pes, m.sets_per_pass * set_size);
 
-  // Each PE in a set performs kernel-width MACs per output element of its
-  // row: total MACs of the layer spread over active PEs per pass.
-  const std::size_t macs_per_set = fp.out_shape.w * ls.kernel * ls.kernel *
-                                   1;  // per (co, ci) pair, per ofmap row set
-  // Cycles: each pass runs its slowest PE set; sets are identical, so a
-  // pass takes macs_per_set * rows... PEs within a set work in parallel on
-  // different (kernel-row, ofmap-row); each PE does out_w * kernel MACs.
+  // Cycles: each pass runs its slowest PE set; sets are identical, and the
+  // PEs within a set work in parallel on different (kernel-row, ofmap-row)
+  // pairs, so a pass takes one PE's out_w * kernel MACs.
   const std::size_t pe_macs = fp.out_shape.w * ls.kernel;
   m.cycles = m.passes * pe_macs;
 

@@ -39,20 +39,24 @@ namespace {
 
 #include "dnnfi/dnn/kernels/kernel_mac_body.h"
 
+// The NaN lanes of cvtps_ph_canon, rewritten to the canonical NaN. Out of
+// line and cold so the MAC loops stay small enough to unroll.
+[[gnu::noinline, gnu::cold]] __m128i canon_nans(__m256 v, __m128i h,
+                                                int nan_mask) noexcept {
+  alignas(32) float fv[8];
+  alignas(16) std::uint16_t hb[8];
+  _mm256_store_ps(fv, v);
+  _mm_store_si128(reinterpret_cast<__m128i*>(hb), h);
+  for (int l = 0; l < 8; ++l)
+    if ((nan_mask >> l) & 1) hb[l] = canonical_nan_bits(fv[l]);
+  return _mm_load_si128(reinterpret_cast<const __m128i*>(hb));
+}
+
 // float -> half bits, 8 lanes, canonical-NaN rule (the vector f2h).
 inline __m128i cvtps_ph_canon(__m256 v) noexcept {
-  __m128i h = _mm256_cvtps_ph(v, kRne);
+  const __m128i h = _mm256_cvtps_ph(v, kRne);
   const int nan_mask = _mm256_movemask_ps(_mm256_cmp_ps(v, v, _CMP_UNORD_Q));
-  if (nan_mask != 0) {
-    alignas(32) float fv[8];
-    alignas(16) std::uint16_t hb[8];
-    _mm256_store_ps(fv, v);
-    _mm_store_si128(reinterpret_cast<__m128i*>(hb), h);
-    for (int l = 0; l < 8; ++l)
-      if ((nan_mask >> l) & 1) hb[l] = canonical_nan_bits(fv[l]);
-    h = _mm_load_si128(reinterpret_cast<const __m128i*>(hb));
-  }
-  return h;
+  return nan_mask == 0 ? h : canon_nans(v, h, nan_mask);
 }
 
 // ---------------------------------------------------------------------------

@@ -33,20 +33,24 @@ namespace {
 
 #include "dnnfi/dnn/kernels/kernel_mac_body.h"
 
+// The NaN lanes of cvtps_ph_canon512, rewritten to the canonical NaN. Out of
+// line and cold so the MAC loops stay small enough to unroll.
+[[gnu::noinline, gnu::cold]] __m256i canon_nans512(__m512 v, __m256i h,
+                                                   __mmask16 nan_mask) noexcept {
+  alignas(64) float fv[16];
+  alignas(32) std::uint16_t hb[16];
+  _mm512_store_ps(fv, v);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(hb), h);
+  for (int l = 0; l < 16; ++l)
+    if ((nan_mask >> l) & 1) hb[l] = canonical_nan_bits(fv[l]);
+  return _mm256_load_si256(reinterpret_cast<const __m256i*>(hb));
+}
+
 // float -> half bits, 16 lanes, canonical-NaN rule.
 inline __m256i cvtps_ph_canon512(__m512 v) noexcept {
-  __m256i h = _mm512_cvtps_ph(v, kRne);
+  const __m256i h = _mm512_cvtps_ph(v, kRne);
   const __mmask16 nan_mask = _mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q);
-  if (nan_mask != 0) {
-    alignas(64) float fv[16];
-    alignas(32) std::uint16_t hb[16];
-    _mm512_store_ps(fv, v);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(hb), h);
-    for (int l = 0; l < 16; ++l)
-      if ((nan_mask >> l) & 1) hb[l] = canonical_nan_bits(fv[l]);
-    h = _mm256_load_si256(reinterpret_cast<const __m256i*>(hb));
-  }
-  return h;
+  return nan_mask == 0 ? h : canon_nans512(v, h, nan_mask);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,11 @@
 //   relu_block(const T*, T*)     relu over kLanes contiguous elements
 // so each lane runs exactly the scalar reference's accumulation chain.
 //
+// The conv body keeps kChains output pixels in flight per lane-block pass,
+// one independent accumulator chain each, sharing every weight load. Chains
+// never read each other's accumulators, so the interleaving only reorders
+// independent work: every output is still its own chain, bit for bit.
+//
 // Rows past the last full lane-block run the same body through the 1-lane
 // ScalarLane<T> traits below: a 1-lane packed layout IS the row-major OIHW
 // (conv) / row (fc) layout, so the tail is the body on w + blocks*L*kvol.
@@ -94,54 +99,80 @@ struct ScalarLane<std::uint16_t> {
   }
 };
 
+/// Output pixels conv_blocks keeps in flight per lane-block pass: one
+/// independent accumulator chain each. A Half tap is a ~20-cycle serial
+/// chain (cvtph -> add -> cvtps_ph), so a single chain leaves the SIMD units
+/// idle; 4 chains hide most of that latency, and 8 measured no faster.
+constexpr std::size_t kChains = 4;
+
+/// P consecutive flattened output pixels pix0 .. pix0+P-1 of one lane-block
+/// (a group may wrap an output row): one accumulator chain per pixel, each
+/// weight load shared by the P chains. Every chain is exactly the scalar
+/// reference's — same (ci, ky, kx) tap order, same mac — and no chain ever
+/// reads another's accumulator, so interleaving them cannot change a bit.
+template <class V, std::size_t P>
+void conv_pixels(const ConvGeom& g, const typename V::T* in,
+                 const typename V::T* wb, const typename V::T* bb,
+                 typename V::T* ob, std::size_t pix0) {
+  using T = typename V::T;
+  constexpr std::size_t L = V::kLanes;
+  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
+  const auto in_h = static_cast<std::ptrdiff_t>(g.in_h);
+  const auto in_w = static_cast<std::ptrdiff_t>(g.in_w);
+  const std::size_t oplane = g.out_h * g.out_w;
+  std::ptrdiff_t y0[P], x0[P];
+  typename V::Acc acc[P];
+  for (std::size_t p = 0; p < P; ++p) {
+    y0[p] = static_cast<std::ptrdiff_t>((pix0 + p) / g.out_w * g.stride) - pad;
+    x0[p] = static_cast<std::ptrdiff_t>((pix0 + p) % g.out_w * g.stride) - pad;
+    acc[p] = V::zero();
+  }
+  const T* wt = wb;
+  for (std::size_t ci = 0; ci < g.in_c; ++ci) {
+    const T* const ic = in + ci * g.in_h * g.in_w;
+    for (std::size_t ky = 0; ky < g.k; ++ky) {
+      const T* irow[P];  // null: the pixel's input row is padding
+      for (std::size_t p = 0; p < P; ++p) {
+        const std::ptrdiff_t iy = y0[p] + static_cast<std::ptrdiff_t>(ky);
+        irow[p] = (iy >= 0 && iy < in_h) ? ic + iy * in_w : nullptr;
+      }
+      for (std::size_t kx = 0; kx < g.k; ++kx, wt += L) {
+        const auto wv = V::load_w(wt);
+#pragma GCC unroll 8  // keeps acc[] in registers
+        for (std::size_t p = 0; p < P; ++p) {
+          const std::ptrdiff_t ix = x0[p] + static_cast<std::ptrdiff_t>(kx);
+          const T act = (irow[p] && ix >= 0 && ix < in_w) ? irow[p][ix] : T{};
+          acc[p] = V::mac(acc[p], wv, V::splat(act));
+        }
+      }
+    }
+  }
+  for (std::size_t p = 0; p < P; ++p) {
+    alignas(64) T lane[L];
+    V::store(V::finish(acc[p], bb), lane);
+    for (std::size_t l = 0; l < L; ++l) ob[l * oplane + pix0 + p] = lane[l];
+  }
+}
+
 /// Conv over `blocks` lane-blocks of V::kLanes output channels: `w` in the
 /// V::kLanes-interleaved layout, `bias` and `out` starting at the first
-/// block's channel. Padded taps multiply a zero activation, so NaN/Inf
-/// weights propagate as in the scalar reference.
+/// block's channel. Each block's output plane runs kChains pixels at a time,
+/// the last oplane % kChains one at a time. Padded taps multiply a zero
+/// activation, so NaN/Inf weights propagate as in the scalar reference.
 template <class V>
 void conv_blocks(const ConvGeom& g, const typename V::T* in,
                  const typename V::T* w, const typename V::T* bias,
                  typename V::T* out, std::size_t blocks) {
-  using T = typename V::T;
   constexpr std::size_t L = V::kLanes;
-  const auto pad = static_cast<std::ptrdiff_t>(g.pad);
-  const std::size_t kvol = g.steps();
-  const std::size_t iplane = g.in_h * g.in_w;
   const std::size_t oplane = g.out_h * g.out_w;
   for (std::size_t b = 0; b < blocks; ++b) {
-    const T* const wb = w + b * kvol * L;
-    const T* const bb = bias + b * L;
-    T* const ob = out + b * L * oplane;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
-        typename V::Acc acc = V::zero();
-        const T* wt = wb;
-        for (std::size_t ci = 0; ci < g.in_c; ++ci) {
-          const T* const ic = in + ci * iplane;
-          for (std::size_t ky = 0; ky < g.k; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            const bool row_ok =
-                iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-            const T* const irow =
-                row_ok ? ic + static_cast<std::size_t>(iy) * g.in_w : nullptr;
-            for (std::size_t kx = 0; kx < g.k; ++kx, wt += L) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              T act{};
-              if (row_ok && ix >= 0 &&
-                  ix < static_cast<std::ptrdiff_t>(g.in_w))
-                act = irow[static_cast<std::size_t>(ix)];
-              acc = V::mac(acc, V::load_w(wt), V::splat(act));
-            }
-          }
-        }
-        alignas(64) T lane[L];
-        V::store(V::finish(acc, bb), lane);
-        const std::size_t pix = oy * g.out_w + ox;
-        for (std::size_t l = 0; l < L; ++l) ob[l * oplane + pix] = lane[l];
-      }
-    }
+    const auto* const wb = w + b * g.steps() * L;
+    const auto* const bb = bias + b * L;
+    auto* const ob = out + b * L * oplane;
+    std::size_t pix = 0;
+    for (; pix + kChains <= oplane; pix += kChains)
+      conv_pixels<V, kChains>(g, in, wb, bb, ob, pix);
+    for (; pix < oplane; ++pix) conv_pixels<V, 1>(g, in, wb, bb, ob, pix);
   }
 }
 

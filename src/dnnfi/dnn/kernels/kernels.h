@@ -9,6 +9,9 @@
 // lane, each lane's accumulation chain identical to the scalar one — so
 // every set's results are bit-identical to the reference and call sites with
 // and without SIMD can be mixed freely without changing a single output bit.
+// The SIMD conv additionally runs several output pixels' chains side by side
+// to hide the per-tap latency; the chains share weight loads but never an
+// accumulator, so that changes timing only.
 //
 // One documented hole in the bit-identity claim: when two NaNs with
 // DIFFERENT bit patterns meet in a single addition, x86 keeps whichever

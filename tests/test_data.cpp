@@ -73,9 +73,9 @@ TEST(Textures, ClassesAreVisuallyDistinct) {
   auto corr = [](const tensor::Tensor<float>& a, const tensor::Tensor<float>& b) {
     double num = 0, da = 0, db = 0;
     for (std::size_t i = 0; i < a.size(); ++i) {
-      num += static_cast<double>(a[i]) * b[i];
-      da += static_cast<double>(a[i]) * a[i];
-      db += static_cast<double>(b[i]) * b[i];
+      num += static_cast<double>(a[i]) * static_cast<double>(b[i]);
+      da += static_cast<double>(a[i]) * static_cast<double>(a[i]);
+      db += static_cast<double>(b[i]) * static_cast<double>(b[i]);
     }
     return num / std::sqrt(da * db);
   };

@@ -228,7 +228,7 @@ TEST(Conv2d, WeightFaultEqualsForwardWithFlippedWeight) {
   const std::size_t wi = 7;
   const int bit = 20;
   LayerFaults faults;
-  faults.weight = WeightFault{wi, fault::FaultOp::flip(bit)};
+  faults.weight = WeightFault{wi, fault::FaultOp::flip(bit), {}};
   Tensor<float> faulty = golden;
   conv->apply_faults(in, faulty, faults, nullptr);
 
@@ -263,7 +263,9 @@ TEST(Conv2d, ScopedInputFaultAffectsOnlyOneRow) {
       for (std::size_t x = 0; x < os.w; ++x) {
         const bool changed =
             golden.at(0, co, y, x) != faulty.at(0, co, y, x);
-        if (!(co == 1 && y == 2)) EXPECT_FALSE(changed);
+        if (!(co == 1 && y == 2)) {
+          EXPECT_FALSE(changed);
+        }
       }
   // And the scoped row does change (input (2,3) is in row 2's receptive field).
   bool row_changed = false;
@@ -331,8 +333,8 @@ TEST(FullyConnected, WeightFaultAffectsSingleOutput) {
   Tensor<float> golden;
   fc.forward(in, golden);
   LayerFaults faults;
-  faults.weight =
-      WeightFault{3 * 5 + 2, fault::FaultOp::flip(22)};  // weight of output 3
+  // Weight of output 3.
+  faults.weight = WeightFault{3 * 5 + 2, fault::FaultOp::flip(22), {}};
   Tensor<float> faulty = golden;
   fc.apply_faults(in, faulty, faults, nullptr);
   for (std::size_t o = 0; o < 4; ++o) {
@@ -444,7 +446,7 @@ TEST(Softmax, NormalizesAndOrders) {
   Tensor<float> out;
   sm.forward(in, out);
   double sum = 0;
-  for (std::size_t i = 0; i < 3; ++i) sum += out[i];
+  for (std::size_t i = 0; i < 3; ++i) sum += static_cast<double>(out[i]);
   EXPECT_NEAR(sum, 1.0, 1e-5);
   EXPECT_GT(out[2], out[1]);
   EXPECT_GT(out[1], out[0]);

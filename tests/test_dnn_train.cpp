@@ -122,7 +122,8 @@ TEST(InitWeights, DeterministicAndScaled) {
     EXPECT_EQ(la.weights()[i], lb.weights()[i]);
   // He-init std for fan_in 9 is sqrt(2/9) ~ 0.47; check sample std is sane.
   double s2 = 0;
-  for (const float w : la.weights()) s2 += static_cast<double>(w) * w;
+  for (const float w : la.weights())
+    s2 += static_cast<double>(w) * static_cast<double>(w);
   const double std_est = std::sqrt(s2 / static_cast<double>(la.weights().size()));
   EXPECT_GT(std_est, 0.2);
   EXPECT_LT(std_est, 0.8);

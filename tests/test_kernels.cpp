@@ -127,13 +127,17 @@ Tensor<T> run_softmax(const KernelSet<T>& ks, std::size_t n,
 // leaves a 5-row tail at 8 lanes and a 1-row tail at 4; out_c = 7, 9 and 13
 // yield ZERO full 16-lane blocks (7 also at 8 lanes: the packed pointer must
 // never be dereferenced); 16 is all-blocks at every width; 21 is full blocks
-// plus a tail at every width (1+5 at 16, 2+5 at 8, 5+1 at 4).
+// plus a tail at every width (1+5 at 16, 2+5 at 8, 5+1 at 4). The conv
+// body runs 4 output pixels per pass and the last out_h*out_w % 4 one at a
+// time: the 7x5 plane leaves 3 such pixels, and its 4-pixel groups straddle
+// output rows and the padded right border.
 const ConvGeom kConvGeoms[] = {
     {3, 9, 7, 13, 5, 4, 3, 2, 1},   // strided, padded, tail rows
     {5, 6, 6, 7, 6, 6, 1, 1, 0},    // 1x1 kernel, zero full blocks at w=8
     {8, 8, 8, 16, 8, 8, 3, 1, 1},   // full blocks only (at 16, 8 and 4 lanes)
     {4, 5, 5, 9, 2, 2, 3, 2, 0},    // stride 2, no padding
     {2, 7, 7, 21, 4, 4, 3, 2, 1},   // blocks plus a tail at every width
+    {3, 13, 9, 21, 7, 5, 3, 2, 1},  // pixel groups wrap rows; 3-pixel tail
 };
 const FcGeom kFcGeoms[] = {{37, 19}, {64, 32}, {10, 3}};
 

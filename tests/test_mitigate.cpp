@@ -129,9 +129,10 @@ TEST(Slh, MultiIsNoWorseThanAnySingleTechnique) {
     ASSERT_TRUE(multi.feasible);
     for (std::size_t d = 1; d < latch_designs().size(); ++d) {
       const auto single = harden_single(fit, latch_designs()[d], target);
-      if (single.feasible)
+      if (single.feasible) {
         EXPECT_LE(multi.area_overhead, single.area_overhead + 1e-9)
             << "target " << target << " design " << latch_designs()[d].name;
+      }
     }
   }
 }

@@ -122,8 +122,12 @@ TYPED_TEST(FixedAlgebra, AdditionCommutesAndNeverWraps) {
     const F b((rng.uniform() - 0.5) * 2 * range);
     EXPECT_EQ((a + b).raw(), (b + a).raw());
     // Saturation: result magnitude is bounded, never sign-flipped garbage.
-    if (a.raw() > 0 && b.raw() > 0) EXPECT_GE((a + b).raw(), a.raw());
-    if (a.raw() < 0 && b.raw() < 0) EXPECT_LE((a + b).raw(), a.raw());
+    if (a.raw() > 0 && b.raw() > 0) {
+      EXPECT_GE((a + b).raw(), a.raw());
+    }
+    if (a.raw() < 0 && b.raw() < 0) {
+      EXPECT_LE((a + b).raw(), a.raw());
+    }
   }
 }
 
@@ -186,8 +190,9 @@ TEST_P(DTypeProjection, FlipBitAlwaysChangesStoredBits) {
 
 INSTANTIATE_TEST_SUITE_P(AllTypes, DTypeProjection,
                          ::testing::ValuesIn(numeric::kAllDTypes),
-                         [](const auto& info) {
-                           return std::string(numeric::dtype_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(
+                               numeric::dtype_name(param_info.param));
                          });
 
 // ---------------------------------------------------------------------------

@@ -45,7 +45,9 @@ TEST_P(PretrainedTest, ClassifiesWellAboveChance) {
   const double chance = 1.0 / static_cast<double>(ds->num_classes());
   EXPECT_GT(acc, 5.0 * chance) << "accuracy " << acc;
   // ConvNet on the 10-class shapes dataset should be near-perfect.
-  if (GetParam() == NetworkId::kConvNet) EXPECT_GT(acc, 0.9);
+  if (GetParam() == NetworkId::kConvNet) {
+    EXPECT_GT(acc, 0.9);
+  }
 }
 
 TEST_P(PretrainedTest, QuantizedDeploymentsAgreeOnConfidentInputs) {
@@ -85,8 +87,9 @@ TEST_P(PretrainedTest, GoldenPredictionIsDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(Zoo, PretrainedTest,
                          ::testing::ValuesIn(dnn::zoo::kAllNetworks),
-                         [](const auto& info) {
-                           std::string n(dnn::zoo::network_name(info.param));
+                         [](const auto& param_info) {
+                           std::string n(
+                               dnn::zoo::network_name(param_info.param));
                            std::erase(n, '-');
                            return n;
                          });
