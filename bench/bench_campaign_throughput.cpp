@@ -1,6 +1,7 @@
 // Campaign throughput with and without incremental fault replay.
 //
-// For AlexNet-S and ConvNet at FLOAT16 and FLOAT, runs the same campaign
+// For AlexNet-S and ConvNet at FLOAT16 and FLOAT, plus AlexNet-S at the
+// paper's 32b_rb10 fixed point, runs the same campaign
 // twice — full replay (--no-incremental semantics) and incremental replay
 // (cache seeding + masked-fault early exit) — and reports trials/s for
 // each, the speedup, and the masked-exit rate. The two runs are asserted
@@ -198,8 +199,10 @@ int main(int argc, char** argv) {
             "E[suffix MACs]", "scalar", "vs scalar"});
   for (const NetworkId id : {NetworkId::kAlexNetS, NetworkId::kConvNet}) {
     const NetContext ctx = load_net(id);
-    for (const numeric::DType dt :
-         {numeric::DType::kFloat16, numeric::DType::kFloat}) {
+    std::vector<numeric::DType> dtypes{numeric::DType::kFloat16,
+                                       numeric::DType::kFloat};
+    if (id == NetworkId::kAlexNetS) dtypes.push_back(numeric::DType::kFx32r10);
+    for (const numeric::DType dt : dtypes) {
       const Cell c = measure(ctx, dt, trials);
       t.row({c.network, c.dtype, Table::num(c.full_tps, 1),
              Table::num(c.incremental_tps, 1),

@@ -367,8 +367,10 @@ StreamingReport measure_streaming_memory() {
 // ---------------------------------------------------------------------------
 // Per-kernel GFLOP/s: every registered kernel set (scalar reference, avx2,
 // avx512 where the CPU has them) on fixed conv / fully-connected
-// shapes, driven through the kernels API directly — the packed layout is
-// interleaved once outside the timed loop, as Workspace::bind does.
+// shapes, for float, FLOAT16, double and 32b_rb10, driven through the
+// kernels API directly — a set's packed layout is interleaved once outside
+// the timed loop, as Workspace::bind does (fixed-point sets read row-major
+// weights and pack nothing).
 // ---------------------------------------------------------------------------
 
 struct KernelCell {
@@ -449,6 +451,7 @@ std::vector<KernelCell> measure_kernel_gflops() {
   bench_kernel_sets<float>("float", cells);
   bench_kernel_sets<numeric::Half>("float16", cells);
   bench_kernel_sets<double>("double", cells);
+  bench_kernel_sets<numeric::Fx32r10>("32b_rb10", cells);
   return cells;
 }
 

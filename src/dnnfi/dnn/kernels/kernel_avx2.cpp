@@ -67,8 +67,11 @@ struct F32x8 {
   using T = float;
   using Acc = __m256;
   static constexpr std::size_t kLanes = 8;
+  static constexpr bool kRowMajor = false;
   static Acc zero() noexcept { return _mm256_setzero_ps(); }
-  static __m256 load_w(const float* p) noexcept { return _mm256_loadu_ps(p); }
+  static __m256 load_w(const float* p, std::size_t) noexcept {
+    return _mm256_loadu_ps(p);
+  }
   static __m256 splat(float a) noexcept { return _mm256_set1_ps(a); }
   static Acc mac(Acc acc, __m256 w, __m256 a) noexcept {
     return _mm256_add_ps(acc, _mm256_mul_ps(w, a));
@@ -91,8 +94,9 @@ struct F64x4 {
   using T = double;
   using Acc = __m256d;
   static constexpr std::size_t kLanes = 4;
+  static constexpr bool kRowMajor = false;
   static Acc zero() noexcept { return _mm256_setzero_pd(); }
-  static __m256d load_w(const double* p) noexcept {
+  static __m256d load_w(const double* p, std::size_t) noexcept {
     return _mm256_loadu_pd(p);
   }
   static __m256d splat(double a) noexcept { return _mm256_set1_pd(a); }
@@ -119,11 +123,12 @@ struct F16x8 {
   using T = std::uint16_t;
   using Acc = __m128i;
   static constexpr std::size_t kLanes = 8;
+  static constexpr bool kRowMajor = false;
   static __m128i load(const T* p) noexcept {
     return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
   }
   static Acc zero() noexcept { return _mm_setzero_si128(); }
-  static __m256 load_w(const T* p) noexcept {
+  static __m256 load_w(const T* p, std::size_t) noexcept {
     return _mm256_cvtph_ps(load(p));
   }
   static __m256 splat(T a) noexcept { return _mm256_set1_ps(_cvtsh_ss(a)); }

@@ -3,12 +3,13 @@
 // src/CMakeLists.txt). Only the registry references these, and only after
 // numeric/cpu.h confirms the CPU has the full avx512 kernel bundle
 // (cpu_has_avx512_kernel_bundle). All functions implement the full KernelSet
-// contract: 16-lane float / 8-lane double / 16-lane F16C-path Half MAC
-// kernels, the same kernel_mac_body.h body as the AVX2 set (remainder rows
-// included) instantiated over zmm traits. The avx512
-// set's post-MAC ops (lrn / maxpool / avgpool / softmax) are shared with the
-// AVX2 TU — they are already vector-width-bound by pow/exp and gathers, and
-// every AVX-512 CPU runs AVX2 code at full speed.
+// contract: 16-lane float / 8-lane double / 16-lane F16C-path Half and
+// 8-lane int64 fixed-point MAC kernels, the same kernel_mac_body.h body as
+// the AVX2 set (remainder rows included) instantiated over zmm traits. The
+// avx512 set's post-MAC ops (lrn / maxpool / avgpool / softmax) are shared
+// with the AVX2 TU for float, double and Half — they are already
+// vector-width-bound by pow/exp and gathers, and every AVX-512 CPU runs AVX2
+// code at full speed — and stay the scalar reference for fixed point.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +39,22 @@ void avx512_fc_half(const FcGeom&, const numeric::Half*,
                     const numeric::Half*, const numeric::Half*,
                     const numeric::Half*, numeric::Half*);
 void avx512_relu_half(const numeric::Half*, numeric::Half*, std::size_t);
+
+// Fixed point: 8 int64 lanes, row-major weights (the packed argument is
+// ignored; the sets register pack_lanes = 0).
+#define DNNFI_AVX512_FIXED_DECL(Fx, name)                                    \
+  void avx512_conv_##name(const ConvGeom&, const numeric::Fx*,               \
+                          const numeric::Fx*, const numeric::Fx*,            \
+                          const numeric::Fx*, numeric::Fx*);                 \
+  void avx512_fc_##name(const FcGeom&, const numeric::Fx*,                   \
+                        const numeric::Fx*, const numeric::Fx*,              \
+                        const numeric::Fx*, numeric::Fx*);                   \
+  void avx512_relu_##name(const numeric::Fx*, numeric::Fx*, std::size_t)
+
+DNNFI_AVX512_FIXED_DECL(Fx32r26, fx32r26);
+DNNFI_AVX512_FIXED_DECL(Fx32r10, fx32r10);
+DNNFI_AVX512_FIXED_DECL(Fx16r10, fx16r10);
+#undef DNNFI_AVX512_FIXED_DECL
 
 }  // namespace dnnfi::dnn::kernels::detail
 

@@ -36,7 +36,15 @@
 // Public tensors stay NCHW/OIHW; the packed copy is invisible outside the
 // kernel call. Only full blocks of `lanes` rows are packed — remainder rows
 // are read directly from the row-major weights, which are the 1-lane packed
-// layout.
+// layout. Sets with pack_lanes == 0 read the row-major weights throughout:
+// the scalar reference, and the avx512 fixed-point sets, whose lanes gather
+// one weight per output row (no per-workspace copy, so no extra memory, and
+// conv_forward / fc_forward below run them at layer level too).
+//
+// Fixed point: the avx512 sets for Fx16r10 / Fx32r10 / Fx32r26 compute each
+// tap as Fixed::operator* then operator+ in exact int64 arithmetic (product,
+// rounding shift, saturate; sum, saturate), so they are bit-identical by
+// construction. There is no avx2 fixed-point set.
 #pragma once
 
 #include <cstddef>
@@ -190,8 +198,9 @@ void pack_rows(const T* w, std::size_t rows, std::size_t cols,
                std::size_t lanes, T* dst);
 
 /// Dispatch helpers for layer-level call sites (no workspace, so no packed
-/// copy): run the active set when it needs no packing, otherwise the scalar
-/// reference. Every set being bit-identical, this is indistinguishable from
+/// copy): run the active set when it needs no packing (scalar, or avx512
+/// fixed point), otherwise the scalar reference. Every set being
+/// bit-identical, this is indistinguishable from
 /// the Executor's packed path.
 template <typename T>
 void conv_forward(const ConvGeom& g, const T* in, const T* w, const T* bias,

@@ -72,8 +72,8 @@ Mode& mode_ref() {
 /// The AVX2 set for T, or null when T has none or the CPU lacks the
 /// instructions. FLOAT16 kernels additionally execute F16C converts. The
 /// post-MAC kernels (lrn / maxpool / avgpool / softmax) are the AVX2
-/// implementations for all three vector-friendly types; fixed-point stays
-/// the scalar reference across the board.
+/// implementations for all three floating types. Fixed point has no AVX2
+/// set (unmeasured): without AVX-512 it runs the scalar reference.
 template <typename T>
 const KernelSet<T>* avx2_set() {
   if constexpr (std::is_same_v<T, float>) {
@@ -101,7 +101,7 @@ const KernelSet<T>* avx2_set() {
         detail::avx2_softmax_half};
     return &s;
   } else {
-    return nullptr;  // fixed-point stays scalar-only
+    return nullptr;  // fixed point: avx512 or the scalar reference
   }
 }
 
@@ -118,9 +118,12 @@ const KernelSet<T>* avx2_set() {
 
 /// The AVX-512 set for T: 16-lane float, 8-lane double, 16-lane F16C-path
 /// Half MAC kernels from the -mavx512f TU, post-MAC kernels shared with the
-/// AVX2 TU (every AVX-512 CPU also runs AVX2). Gated on the full avx512
-/// kernel bundle (F+BW+VL+DQ, see numeric/cpu.h) so Knights-Landing-class
-/// parts fall back rather than fault in the Half mask blends.
+/// AVX2 TU (every AVX-512 CPU also runs AVX2). The three fixed-point types
+/// get 8-lane int64 MAC kernels that read row-major weights (pack_lanes 0,
+/// so there is no packed copy) and keep the scalar post-MAC kernels. Gated
+/// on the full avx512 kernel bundle (F+BW+VL+DQ, see numeric/cpu.h) so
+/// Knights-Landing-class parts fall back rather than fault in the Half mask
+/// blends.
 template <typename T>
 const KernelSet<T>* avx512_set() {
   if (!numeric::cpu_has_avx512_kernel_bundle() || !numeric::cpu_has_avx2())
@@ -147,8 +150,25 @@ const KernelSet<T>* avx512_set() {
         detail::avx2_maxpool_half, detail::avx2_avgpool_half,
         detail::avx2_softmax_half};
     return &s;
+  } else if constexpr (std::is_same_v<T, numeric::Fx32r26>) {
+    static const KernelSet<T> s{
+        "avx512", 0, detail::avx512_conv_fx32r26, detail::avx512_fc_fx32r26,
+        detail::avx512_relu_fx32r26, &scalar_lrn<T>, &scalar_maxpool<T>,
+        &scalar_avgpool<T>, &scalar_softmax<T>};
+    return &s;
+  } else if constexpr (std::is_same_v<T, numeric::Fx32r10>) {
+    static const KernelSet<T> s{
+        "avx512", 0, detail::avx512_conv_fx32r10, detail::avx512_fc_fx32r10,
+        detail::avx512_relu_fx32r10, &scalar_lrn<T>, &scalar_maxpool<T>,
+        &scalar_avgpool<T>, &scalar_softmax<T>};
+    return &s;
   } else {
-    return nullptr;  // fixed-point stays scalar-only
+    static_assert(std::is_same_v<T, numeric::Fx16r10>);
+    static const KernelSet<T> s{
+        "avx512", 0, detail::avx512_conv_fx16r10, detail::avx512_fc_fx16r10,
+        detail::avx512_relu_fx16r10, &scalar_lrn<T>, &scalar_maxpool<T>,
+        &scalar_avgpool<T>, &scalar_softmax<T>};
+    return &s;
   }
 }
 

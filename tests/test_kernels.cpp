@@ -10,6 +10,8 @@
 // checks that set_active_mode("scalar") and each SIMD mode produce
 // byte-identical network outputs.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -397,6 +399,207 @@ TEST(KernelPacking, PackRowsInterleavesFullBlocksOnly) {
                   w[(b * lanes + l) * cols + c]);
 }
 
+// ---------------------------------------------------------------------------
+// Fixed-point saturation seasoning. awkward() stays inside [-3, 3], so it
+// never reaches the raw extremes where the MAC's per-step saturation and
+// rounding shift decide the result. Each FC row / conv channel below is the
+// tap sequence
+//   t0  kRawMax * kRawMax       product saturates high      acc -> max
+//   t1  kRawMax * kRawMin       product saturates low       acc -> -1
+//   t2  kRawMin * kRawMin       2^62 (32-bit) saturates     acc -> max - 1
+//   t3  positive product        acc saturates at max
+//   t4  negative product        pulls the saturated acc back down
+//   t5  -3 * 2^(F-1)            exact-half negative: -1.5 ulp rounds to -1
+// with the bias alternating kRawMin / kRawMax, so a lane that saturates only
+// at the end, skips the product saturation, or shifts logically diverges
+// from the scalar reference.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+class FixedSaturation : public ::testing::Test {};
+using FixedTypes =
+    ::testing::Types<numeric::Fx32r26, numeric::Fx32r10, numeric::Fx16r10>;
+TYPED_TEST_SUITE(FixedSaturation, FixedTypes);
+
+template <typename T>
+T raw_fx(std::int64_t r) {
+  return T::from_raw(static_cast<typename T::raw_type>(r));
+}
+
+constexpr std::size_t kSatTaps = 6;
+
+/// Activation of tap t (shared by every row).
+template <typename T>
+T sat_act(std::size_t t) {
+  constexpr std::int64_t kHalf = std::int64_t{1} << (T::kFraction - 1);
+  const std::int64_t a[kSatTaps] = {T::kRawMax, T::kRawMin, T::kRawMin,
+                                    T::kRawMax / 3, T::kRawMax / 5, kHalf};
+  return raw_fx<T>(a[t]);
+}
+
+/// Weight of tap t in row r: the sequence above, with the t3/t4 magnitudes
+/// varied per row so lanes differ.
+template <typename T>
+T sat_weight(std::size_t r, std::size_t t) {
+  const auto k = static_cast<std::int64_t>(r % 7);
+  constexpr std::int64_t kOne = std::int64_t{1} << T::kFraction;
+  const std::int64_t w[kSatTaps] = {T::kRawMax, T::kRawMax, T::kRawMin,
+                                    kOne * (2 + k), -kOne / (1 + k), -3};
+  return raw_fx<T>(w[t]);
+}
+
+template <typename T>
+T sat_bias(std::size_t r) {
+  return raw_fx<T>(r % 2 == 0 ? T::kRawMin : T::kRawMax);
+}
+
+TYPED_TEST(FixedSaturation, EverySetMatchesScalarAtRawExtremes) {
+  using T = TypeParam;
+  const KernelSet<T>& ref = scalar_kernels<T>();
+  // 19 rows: two 8-lane blocks plus a 3-row tail (one 16-lane block + 3).
+  const FcGeom fg{kSatTaps, 19};
+  std::vector<T> fin(fg.in), fw(fg.out * fg.in), fbias(fg.out);
+  for (std::size_t t = 0; t < fg.in; ++t) fin[t] = sat_act<T>(t);
+  for (std::size_t r = 0; r < fg.out; ++r) {
+    for (std::size_t t = 0; t < fg.in; ++t)
+      fw[r * fg.in + t] = sat_weight<T>(r, t);
+    fbias[r] = sat_bias<T>(r);
+  }
+  // 1x1 conv, one input channel per tap, weights and bias as for FC
+  // (out_c x in_c x 1 x 1 == out x in): output pixel 0 sees the sequence;
+  // the other 5 pixels see the same activations rotated.
+  const ConvGeom cg{kSatTaps, 2, 3, 19, 2, 3, 1, 1, 0};
+  const std::size_t plane = cg.in_h * cg.in_w;
+  std::vector<T> cin(cg.in_c * plane);
+  for (std::size_t c = 0; c < cg.in_c; ++c)
+    for (std::size_t p = 0; p < plane; ++p)
+      cin[c * plane + p] = sat_act<T>((c + p) % kSatTaps);
+  // relu over every extreme and its neighbours.
+  const std::vector<T> rin{raw_fx<T>(T::kRawMin), raw_fx<T>(T::kRawMax),
+                           raw_fx<T>(T::kRawMin + 1), raw_fx<T>(-1),
+                           raw_fx<T>(0), raw_fx<T>(1),
+                           raw_fx<T>(T::kRawMax - 1), raw_fx<T>(T::kRawMin),
+                           raw_fx<T>(T::kRawMax), raw_fx<T>(-1)};
+
+  const Tensor<T> fc_want = run_fc(ref, fg, fin, fw, fbias);
+  const Tensor<T> conv_want = run_conv(ref, cg, cin, fw, fbias);
+  // The reference itself must show the per-step behaviour the sequence is
+  // built for: t0..t2 leave max - 1, t3 saturates, t4 pulls back, so row 0
+  // ends strictly inside the range and the comparisons below are not
+  // between two saturated values.
+  const auto r0 = static_cast<std::int64_t>(fc_want[0].raw());
+  EXPECT_GT(r0, static_cast<std::int64_t>(T::kRawMin));
+  EXPECT_LT(r0, static_cast<std::int64_t>(T::kRawMax));
+  for (const char* name : registered_names<T>()) {
+    const KernelSet<T>* ks = kernel_set<T>(name);
+    ASSERT_NE(ks, nullptr) << name;
+    EXPECT_TRUE(tensor::bitwise_equal(run_fc(*ks, fg, fin, fw, fbias),
+                                      fc_want))
+        << name << " fc";
+    EXPECT_TRUE(tensor::bitwise_equal(run_conv(*ks, cg, cin, fw, fbias),
+                                      conv_want))
+        << name << " conv";
+    Tensor<T> a(Shape{1, 1, 1, rin.size()}), b(Shape{1, 1, 1, rin.size()});
+    ks->relu(rin.data(), a.data().data(), rin.size());
+    ref.relu(rin.data(), b.data().data(), rin.size());
+    EXPECT_TRUE(tensor::bitwise_equal(a, b)) << name << " relu";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Out-of-bounds guard: the weight array is placed flush against a PROT_NONE
+// page — once ending at it, once starting right after one — so a kernel that
+// reads a single byte outside the array (e.g. a 4-byte gather of the last
+// 16-bit weight) faults and kills the test.
+// ---------------------------------------------------------------------------
+
+/// `n` elements of T flush against an inaccessible page: after the array
+/// when `guard_after`, before it otherwise.
+template <typename T>
+class GuardedArray {
+ public:
+  GuardedArray(std::size_t n, bool guard_after) {
+    page_ = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t bytes = n * sizeof(T);
+    data_pages_ = (bytes + page_ - 1) / page_;
+    len_ = (data_pages_ + 2) * page_;
+    void* m = mmap(nullptr, len_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (m == MAP_FAILED) return;
+    base_ = static_cast<char*>(m);
+    if (mprotect(base_, page_, PROT_NONE) != 0 ||
+        mprotect(base_ + (data_pages_ + 1) * page_, page_, PROT_NONE) != 0)
+      return;  // data() stays null: the test refuses to run unguarded
+    char* const first = base_ + page_;
+    data_ = reinterpret_cast<T*>(
+        guard_after ? first + data_pages_ * page_ - bytes : first);
+  }
+  ~GuardedArray() {
+    if (base_ != nullptr) munmap(base_, len_);
+  }
+  GuardedArray(const GuardedArray&) = delete;
+  GuardedArray& operator=(const GuardedArray&) = delete;
+  T* data() const { return data_; }
+
+ private:
+  std::size_t page_ = 0, data_pages_ = 0, len_ = 0;
+  char* base_ = nullptr;
+  T* data_ = nullptr;
+};
+
+TYPED_TEST(FixedSaturation, WeightReadsStayInsideTheArray) {
+  using T = TypeParam;
+  // out_c / out = 16: the last 8-lane block's lane 7 owns the array's last
+  // row; 21 / 19: blocks plus tail rows. Weights use every raw extreme.
+  const ConvGeom convs[] = {{3, 5, 4, 16, 5, 4, 3, 1, 1},
+                            {2, 4, 4, 21, 2, 2, 3, 2, 1}};
+  const FcGeom fcs[] = {{37, 16}, {13, 19}};
+  auto fill = [](T* p, std::size_t n, std::uint64_t salt) {
+    const auto v = awkward<T>(n, salt, Season::kFinite);
+    for (std::size_t i = 0; i < n; ++i) p[i] = v[i];
+    p[0] = raw_fx<T>(T::kRawMin);
+    p[n - 1] = raw_fx<T>(T::kRawMax);
+  };
+  for (const char* name : registered_names<T>()) {
+    const KernelSet<T>* ks = kernel_set<T>(name);
+    ASSERT_NE(ks, nullptr) << name;
+    if (ks->pack_lanes != 0) continue;  // reads a packed copy, not `w`
+    for (const bool guard_after : {true, false}) {
+      for (const ConvGeom& g : convs) {
+        const std::size_t n = g.out_c * g.steps();
+        GuardedArray<T> w(n, guard_after);
+        ASSERT_NE(w.data(), nullptr);
+        fill(w.data(), n, 23);
+        const std::vector<T> wv(w.data(), w.data() + n);
+        const auto in = awkward<T>(g.in_c * g.in_h * g.in_w, 11,
+                                   Season::kFinite);
+        const auto bias = awkward<T>(g.out_c, 5, Season::kFinite);
+        Tensor<T> got(Shape{1, g.out_c, g.out_h, g.out_w});
+        ks->conv(g, in.data(), w.data(), nullptr, bias.data(),
+                 got.data().data());
+        EXPECT_TRUE(tensor::bitwise_equal(
+            got, run_conv(scalar_kernels<T>(), g, in, wv, bias)))
+            << name << " conv out_c=" << g.out_c;
+      }
+      for (const FcGeom& g : fcs) {
+        const std::size_t n = g.out * g.in;
+        GuardedArray<T> w(n, guard_after);
+        ASSERT_NE(w.data(), nullptr);
+        fill(w.data(), n, 41);
+        const std::vector<T> wv(w.data(), w.data() + n);
+        const auto in = awkward<T>(g.in, 31, Season::kFinite);
+        const auto bias = awkward<T>(g.out, 7, Season::kFinite);
+        Tensor<T> got(Shape{1, g.out, 1, 1});
+        ks->fc(g, in.data(), w.data(), nullptr, bias.data(),
+               got.data().data());
+        EXPECT_TRUE(tensor::bitwise_equal(
+            got, run_fc(scalar_kernels<T>(), g, in, wv, bias)))
+            << name << " fc out=" << g.out;
+      }
+    }
+  }
+}
+
 /// set_active_mode is process-global; restore the default on scope exit so
 /// test order cannot leak a scalar override into other suites.
 struct ModeGuard {
@@ -449,6 +652,9 @@ TEST(KernelDispatch, ExecutorScalarAndAvx512ModesBitIdentical) {
   executor_modes_match<float>("avx512");
   executor_modes_match<numeric::Half>("avx512");
   executor_modes_match<double>("avx512");
+  executor_modes_match<numeric::Fx32r26>("avx512");
+  executor_modes_match<numeric::Fx32r10>("avx512");
+  executor_modes_match<numeric::Fx16r10>("avx512");
 }
 
 TEST(KernelDispatch, UnknownModeRejected) {
