@@ -4,7 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <limits>
-#include <mutex>
+#include <optional>
 #include <utility>
 
 #include "dnnfi/common/thread_pool.h"
@@ -182,7 +182,7 @@ struct Campaign::TypedBackend final : Campaign::Backend {
   }
 
   /// One sampled-and-lowered trial awaiting execution. `idx` is the trial's
-  /// slot in the caller's record buffer (its batch-relative index).
+  /// slot in the batch.
   struct Pending {
     std::size_t idx;
     std::size_t input;
@@ -190,18 +190,15 @@ struct Campaign::TypedBackend final : Campaign::Backend {
     dnn::AppliedFault af;
   };
 
-  /// Executes one chunk's trials on the calling thread — the shared hot
-  /// path of the uniform shard loop and the stratified runner. Sorts
-  /// `pending` by (input, fault layer, idx) so trials sharing an activation
-  /// cache and injection depth run back to back, keeping the cache segment
-  /// hot; records land in slots[idx] when `slots` is non-null (restoring
-  /// batch order for the caller) or in one reused scratch record otherwise.
-  /// Each finished record is handed to done(pending, record, masked); all
-  /// aggregation policy lives in the caller.
-  template <typename Done>
+  /// Executes one chunk's trials on the calling thread: drive()'s hot path.
+  /// Sorts `pending` by (input, fault layer, idx) so trials sharing an
+  /// activation cache and injection depth run back to back, keeping the
+  /// cache segment hot. Trial p's record lands in records[p.idx] and its
+  /// masked-exit flag in masked[p.idx], which restores slot order for the
+  /// caller.
   void execute_span(const CampaignOptions& opt, const dnn::Executor<T>& exec,
                     const GoldenTables& golden, std::vector<Pending>& pending,
-                    TrialRecord* slots, const Done& done) const {
+                    TrialRecord* records, char* masked) const {
     const bool incremental = opt.incremental_replay;
     dnn::Workspace<T> ws(net.plan());
     const std::size_t last_end = ends.back();
@@ -246,10 +243,9 @@ struct Campaign::TypedBackend final : Campaign::Backend {
           }
         };
 
-    TrialRecord scratch;
     dnn::ReplayInfo replay;
     for (const Pending& p : pending) {
-      TrialRecord& tr = slots ? slots[p.idx] : scratch;
+      TrialRecord& tr = records[p.idx];
       tr.input_index = p.input;
       tr.fault = p.fd;
       // Layers write record fields only when the fault touches them;
@@ -295,204 +291,258 @@ struct Campaign::TypedBackend final : Campaign::Backend {
         tr.block_distance.assign(dist.begin(), dist.end());
       else
         tr.block_distance.clear();
-      done(p, tr, replay.masked);
+      masked[p.idx] = replay.masked ? 1 : 0;
     }
   }
 
-  void write_checkpoint(const ShardSpec& shard, std::uint64_t fingerprint,
-                        std::uint64_t total, std::uint64_t begin,
-                        std::uint64_t end, const ShardResult& st,
-                        const std::string& accel_id,
-                        const std::string& op_id) const {
-    ShardCheckpoint ck;
-    ck.fingerprint = fingerprint;
-    ck.network = net.spec().name;
-    ck.accel = accel_id;
-    ck.fault_op = op_id;
-    ck.trials_total = total;
-    ck.shard_begin = begin;
-    ck.shard_end = end;
-    ck.next_trial = st.next_trial;
-    ck.complete = st.complete;
-    ck.masked_exits = st.masked_exits;
-    ck.acc = st.acc;
-    save_shard_checkpoint(shard.checkpoint, ck);
+  /// One run's identity, geometry and aggregates, shared by drive() and its
+  /// two callers. `accs` is the caller's storage: one accumulator per slot
+  /// key (uniform: one; stratified: one per stratum).
+  struct Run {
+    Run(const TypedBackend& b, const CampaignOptions& o, const ShardSpec& s,
+        std::uint64_t fp, std::vector<OutcomeAccumulator>& a)
+        : opt(o), shard(s), fingerprint(fp), begin(s.begin),
+          end(s.end == 0 ? o.trials : s.end), accel_id(o.accel.to_string()),
+          op_id(o.constraint.op_spec().to_string()), samp_id(sampler_id(o)),
+          sampler(&b.site_sampler), accs(a) {
+      DNNFI_EXPECTS(begin <= end && end <= o.trials);
+      // The default (Eyeriss) reuses the backend's precomputed sampler so
+      // the hot path is unchanged; other geometries build their model and
+      // sampler per run.
+      if (!o.accel.is_eyeriss()) {
+        owned_model = accel::make_accelerator(o.accel);
+        model = owned_model.get();
+        owned_sampler.emplace(b.net.spec(), numeric::dtype_of<T>(), *model);
+        sampler = &*owned_sampler;
+      }
+      DNNFI_EXPECTS(model->supports(o.site));
+    }
+    // `sampler` may point into `owned_sampler`.
+    Run(const Run&) = delete;
+    Run& operator=(const Run&) = delete;
+
+    /// Trials folded so far, resumed ones included.
+    std::uint64_t executed() const {
+      std::uint64_t n = 0;
+      for (const auto& a : accs) n += a.trials();
+      return n;
+    }
+
+    const CampaignOptions& opt;
+    const ShardSpec& shard;
+    const std::uint64_t fingerprint;
+    const std::uint64_t begin, end;  ///< trial range; stratified: [0, budget)
+    const std::string accel_id, op_id, samp_id;
+    std::unique_ptr<accel::AcceleratorModel> owned_model;
+    const accel::AcceleratorModel* model = &accel::eyeriss_model();
+    std::optional<Sampler> owned_sampler;
+    const Sampler* sampler;
+    std::vector<OutcomeAccumulator>& accs;
+    std::uint64_t masked_exits = 0;
+    bool resumed = false;
+    /// The checkpoint on disk already says complete: nothing left to save.
+    bool saved_complete = false;
+  };
+
+  /// Exact fold of every slot accumulator.
+  OutcomeAccumulator pooled(const std::vector<OutcomeAccumulator>& accs) const {
+    OutcomeAccumulator p(ends.size());
+    for (const auto& a : accs) p.merge(a);
+    return p;
+  }
+
+  /// Loads the run's checkpoint when one exists and validates it in this
+  /// order: fingerprint, trial range, axes. Restores the masked-exit count;
+  /// the caller restores its own state from the returned checkpoint.
+  std::optional<ShardCheckpoint> resume(Run& run) const {
+    const std::string& path = run.shard.checkpoint;
+    if (path.empty() || !std::filesystem::exists(path)) return std::nullopt;
+    ShardCheckpoint ck = load_shard_checkpoint(path);
+    if (ck.fingerprint != run.fingerprint)
+      throw CheckpointError(
+          Errc::kFingerprintMismatch,
+          "checkpoint " + path +
+              ": campaign fingerprint mismatch (file was written by a run "
+              "with different options; refusing to resume)");
+    if (ck.trials_total != run.opt.trials || ck.shard_begin != run.begin ||
+        ck.shard_end != run.end)
+      throw CheckpointError(
+          Errc::kShardMismatch,
+          "checkpoint " + path + ": shard range mismatch (file covers [" +
+              std::to_string(ck.shard_begin) + ", " +
+              std::to_string(ck.shard_end) + ") of " +
+              std::to_string(ck.trials_total) + " trials, run requests [" +
+              std::to_string(run.begin) + ", " + std::to_string(run.end) +
+              ") of " + std::to_string(run.opt.trials) + ")");
+    if (auto axes = validate_checkpoint_axes(ck, run.accel_id, run.op_id,
+                                             run.samp_id);
+        !axes.ok())
+      throw CheckpointError(axes.error().code,
+                            "checkpoint " + path + ": " + axes.error().message);
+    run.masked_exits = ck.masked_exits;
+    run.resumed = true;
+    run.saved_complete = ck.complete;
+    return ck;
+  }
+
+  /// Slot i of a batch: the accumulator its record folds into (uniform: 0;
+  /// stratified: the stratum) and the trial's index in that slot's stream.
+  struct Slot {
+    std::size_t acc;
+    std::uint64_t trial;
+  };
+
+  /// The one trial-batch loop behind run_shard and run_stratified. The
+  /// caller supplies what differs between samplers:
+  ///  - next(batch, slots) plans the next batch of at most `batch` slots
+  ///    on the driving thread, or returns false once the campaign is done;
+  ///  - draw(slot) samples the slot's fault from the slot's own RNG stream;
+  ///  - fill(ck) adds the caller's fields to each saved checkpoint;
+  ///  - sdc1() is the running SDC-1 estimate progress reports carry.
+  /// Records land in a per-batch slot buffer and fold on the driving thread
+  /// in slot order, so aggregates are byte-identical at any thread count by
+  /// construction, and memory stays flat in trial count. After every batch
+  /// the records stream to `sink` (keyed by slot trial), the checkpoint is
+  /// saved, progress is reported, and stop_after/cancel may end the run.
+  /// Batches bound that latency and the record buffer; they never change
+  /// results. Returns true when the campaign ran to completion.
+  template <typename Next, typename Draw, typename Fill, typename Sdc1>
+  bool drive(Run& run, const TrialSink* sink, const Next& next,
+             const Draw& draw, const Fill& fill, const Sdc1& sdc1) const {
+    const auto save = [&](bool complete) {
+      if (run.shard.checkpoint.empty()) return;
+      ShardCheckpoint ck;
+      ck.fingerprint = run.fingerprint;
+      ck.network = net.spec().name;
+      ck.accel = run.accel_id;
+      ck.fault_op = run.op_id;
+      ck.sampler = run.samp_id;
+      ck.trials_total = run.opt.trials;
+      ck.shard_begin = run.begin;
+      ck.shard_end = run.end;
+      ck.next_trial = run.begin + run.executed();
+      ck.complete = complete;
+      ck.masked_exits = run.masked_exits;
+      ck.acc = pooled(run.accs);
+      fill(ck);
+      save_shard_checkpoint(run.shard.checkpoint, ck);
+      run.saved_complete = ck.complete;
+    };
+    if (run.saved_complete) return true;
+
+    const CampaignOptions& opt = run.opt;
+    ThreadPool& pool = opt.pool ? *opt.pool : ThreadPool::global();
+    const dnn::Executor<T> exec(net.plan());
+    const GoldenTables golden = compute_golden(opt);
+    const std::size_t batch = std::max<std::size_t>(1, run.shard.batch);
+    const auto t0 = std::chrono::steady_clock::now();
+    std::uint64_t ran = 0;  // new trials executed by this call
+    std::vector<Slot> slots;
+    std::vector<TrialRecord> records;
+    std::vector<char> masked;
+
+    while (next(batch, slots)) {
+      const std::size_t count = slots.size();
+      records.resize(count);
+      masked.assign(count, 0);
+      parallel_for_chunks(pool, count, [&](std::size_t cb, std::size_t ce) {
+        // Sample and lower every trial of the chunk up front (a trial's RNG
+        // stream depends only on its slot, so sampling order is free);
+        // execute_span then runs them sorted by (input, fault layer).
+        std::vector<Pending> pending;
+        pending.reserve(ce - cb);
+        for (std::size_t i = cb; i < ce; ++i) {
+          Pending p;
+          p.idx = i;
+          p.input = static_cast<std::size_t>(slots[i].trial % caches.size());
+          p.fd = draw(slots[i]);
+          p.af = lower(p.fd, net.mac_layers(), *run.model);
+          pending.push_back(p);
+        }
+        execute_span(opt, exec, golden, pending, records.data(),
+                     masked.data());
+      });
+      for (std::size_t i = 0; i < count; ++i) {
+        run.accs[slots[i].acc].add(records[i]);
+        if (masked[i] != 0) ++run.masked_exits;
+      }
+      ran += count;
+
+      if (sink)
+        for (std::size_t i = 0; i < count; ++i)
+          (*sink)(slots[i].trial, records[i]);
+      save(false);
+      if (opt.progress) {
+        const double secs = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+        CampaignProgress p;
+        p.done = run.executed();
+        p.begin = run.begin;
+        p.end = run.end;  // stratified: the budget, an upper bound
+        p.trials_per_sec = secs > 0 ? static_cast<double>(ran) / secs : 0.0;
+        p.eta_seconds = p.trials_per_sec > 0
+                            ? static_cast<double>(run.end - run.begin -
+                                                  p.done) /
+                                  p.trials_per_sec
+                            : 0.0;
+        p.sdc1 = sdc1();
+        p.masked_exits = run.masked_exits;
+        p.masked_exit_rate = p.done > 0
+                                 ? static_cast<double>(run.masked_exits) /
+                                       static_cast<double>(p.done)
+                                 : 0.0;
+        opt.progress(p);
+      }
+      // Clean preemption or graceful shutdown: the batch is folded and its
+      // checkpoint (if any) is on disk.
+      if ((run.shard.stop_after > 0 && ran >= run.shard.stop_after) ||
+          (opt.cancel && opt.cancel->load(std::memory_order_relaxed)))
+        return false;
+    }
+    // A uniform shard's last batch already saved complete; a stratified run
+    // learns it is done only after its last batch, and an empty shard ran
+    // none.
+    if (!run.saved_complete) save(true);
+    return true;
   }
 
   ShardResult run_shard(const CampaignOptions& opt, const ShardSpec& shard,
                         const TrialSink* sink,
                         std::uint64_t fingerprint) const override {
     DNNFI_EXPECTS(opt.sampler == SamplerMode::kUniform);
-    const std::uint64_t total = opt.trials;
-    const std::uint64_t begin = shard.begin;
-    const std::uint64_t end = shard.end == 0 ? total : shard.end;
-    DNNFI_EXPECTS(begin <= end && end <= total);
-
-    // Geometry the shard samples from and lowers through. The default
-    // (Eyeriss) reuses the backend's precomputed sampler so the hot path is
-    // unchanged; other geometries build their model + sampler per run.
-    const std::string accel_id = opt.accel.to_string();
-    const std::string op_id = opt.constraint.op_spec().to_string();
-    std::unique_ptr<accel::AcceleratorModel> owned_model;
-    const accel::AcceleratorModel* model = &accel::eyeriss_model();
-    const Sampler* sampler = &site_sampler;
-    std::optional<Sampler> shard_sampler;
-    if (!opt.accel.is_eyeriss()) {
-      owned_model = accel::make_accelerator(opt.accel);
-      model = owned_model.get();
-      shard_sampler.emplace(net.spec(), numeric::dtype_of<T>(), *model);
-      sampler = &*shard_sampler;
+    std::vector<OutcomeAccumulator> accs(1, OutcomeAccumulator(ends.size()));
+    Run run(*this, opt, shard, fingerprint, accs);
+    std::uint64_t next_trial = run.begin;
+    if (std::optional<ShardCheckpoint> ck = resume(run)) {
+      accs[0] = std::move(ck->acc);
+      next_trial = ck->complete ? run.end : ck->next_trial;
     }
-    DNNFI_EXPECTS(model->supports(opt.site));
+
+    // Uniform is the one-slot case: trial t draws from
+    // derive_stream(seed, t) and replays input t % num_inputs.
+    drive(
+        run, sink,
+        [&](std::size_t batch, std::vector<Slot>& slots) {
+          const std::uint64_t b1 =
+              std::min<std::uint64_t>(run.end, next_trial + batch);
+          slots.clear();
+          for (; next_trial < b1; ++next_trial) slots.push_back({0, next_trial});
+          return !slots.empty();
+        },
+        [&](const Slot& s) {
+          Rng rng = derive_stream(opt.seed, s.trial);
+          return run.sampler->sample(opt.site, rng, opt.constraint);
+        },
+        [&](ShardCheckpoint& ck) { ck.complete = ck.next_trial == run.end; },
+        [&] { return accs[0].sdc1(); });
 
     ShardResult st;
-    st.acc = OutcomeAccumulator(ends.size());
-    st.next_trial = begin;
-
-    if (!shard.checkpoint.empty() &&
-        std::filesystem::exists(shard.checkpoint)) {
-      ShardCheckpoint ck = load_shard_checkpoint(shard.checkpoint);
-      if (ck.fingerprint != fingerprint)
-        throw CheckpointError(
-            Errc::kFingerprintMismatch,
-            "checkpoint " + shard.checkpoint +
-                ": campaign fingerprint mismatch (file was written by a run "
-                "with different options; refusing to resume)");
-      if (ck.trials_total != total || ck.shard_begin != begin ||
-          ck.shard_end != end)
-        throw CheckpointError(
-            Errc::kShardMismatch,
-            "checkpoint " + shard.checkpoint + ": shard range mismatch (file" +
-                " covers [" + std::to_string(ck.shard_begin) + ", " +
-                std::to_string(ck.shard_end) + ") of " +
-                std::to_string(ck.trials_total) + " trials, run requests [" +
-                std::to_string(begin) + ", " + std::to_string(end) + ") of " +
-                std::to_string(total) + ")");
-      if (auto axes = validate_checkpoint_axes(ck, accel_id, op_id); !axes.ok())
-        throw CheckpointError(axes.error().code,
-                              "checkpoint " + shard.checkpoint + ": " +
-                                  axes.error().message);
-      st.acc = std::move(ck.acc);
-      st.next_trial = ck.next_trial;
-      st.masked_exits = ck.masked_exits;
-      st.resumed = true;
-      if (ck.complete || st.next_trial == end) {
-        st.next_trial = end;
-        st.complete = true;
-        return st;
-      }
-    }
-
-    ThreadPool& pool = opt.pool ? *opt.pool : ThreadPool::global();
-    const dnn::Executor<T> exec(net.plan());
-    const GoldenTables golden = compute_golden(opt);
-
-    // Batches exist only to bound checkpoint/progress/stop/cancel latency.
-    // With none of those active, the whole remaining range is one batch so
-    // the chunk layout (and per-chunk allocations) match the legacy run()
-    // path. Batching never changes results (shard/batch invariance is
-    // locked down by test_campaign_determinism), only reaction latency.
-    const bool batched = !shard.checkpoint.empty() || opt.progress != nullptr ||
-                         shard.stop_after > 0 || opt.cancel != nullptr;
-    std::uint64_t batch_size = end - st.next_trial;
-    if (batched) batch_size = std::max<std::uint64_t>(1, shard.batch);
-    if (batch_size == 0) batch_size = 1;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t ran = 0;          // new trials executed by this call
-    std::vector<TrialRecord> recbuf;  // one batch of records, iff sink
-    std::mutex merge_mu;
-
-    while (st.next_trial < end) {
-      const std::uint64_t b0 = st.next_trial;
-      const std::uint64_t b1 = std::min<std::uint64_t>(end, b0 + batch_size);
-      const auto count = static_cast<std::size_t>(b1 - b0);
-      if (sink) recbuf.resize(count);
-      OutcomeAccumulator batch_acc(ends.size());
-
-      // Chunk boundaries and per-trial RNG streams depend only on (count,
-      // seed, b0); each worker holds one Workspace, one observer closure,
-      // and one local accumulator for its whole share. Merging is exact
-      // (ExactSum), so the merge order across chunks cannot matter.
-      parallel_for_chunks(pool, count, [&](std::size_t cb, std::size_t ce) {
-        // Sample and lower every trial of the chunk up front (each trial's
-        // RNG stream depends only on its global index, so sampling order is
-        // free); execute_span then runs them sorted by (input, fault
-        // layer). Records land at recbuf[idx], which restores trial order
-        // for the sink, and accumulator folds are exact (ExactSum), so
-        // execution order cannot leak into results.
-        std::vector<Pending> pending;
-        pending.reserve(ce - cb);
-        for (std::size_t i = cb; i < ce; ++i) {
-          const std::uint64_t trial = b0 + i;
-          Rng rng = derive_stream(opt.seed, trial);
-          Pending p;
-          p.idx = i;
-          p.input = static_cast<std::size_t>(trial % caches.size());
-          p.fd = sampler->sample(opt.site, rng, opt.constraint);
-          p.af = lower(p.fd, net.mac_layers(), *model);
-          pending.push_back(p);
-        }
-        OutcomeAccumulator local(ends.size());
-        std::uint64_t local_masked = 0;
-        execute_span(opt, exec, golden, pending,
-                     sink ? recbuf.data() : nullptr,
-                     [&](const Pending&, TrialRecord& tr, bool masked) {
-                       local.add(tr);
-                       if (masked) ++local_masked;
-                     });
-        const std::scoped_lock lk(merge_mu);
-        batch_acc.merge(local);
-        st.masked_exits += local_masked;
-      });
-
-      st.acc.merge(batch_acc);
-      st.next_trial = b1;
-      st.complete = st.next_trial == end;
-      ran += count;
-
-      if (sink)
-        for (std::size_t i = 0; i < count; ++i) (*sink)(b0 + i, recbuf[i]);
-      if (!shard.checkpoint.empty())
-        write_checkpoint(shard, fingerprint, total, begin, end, st, accel_id,
-                         op_id);
-      if (opt.progress) {
-        const double secs =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count();
-        CampaignProgress p;
-        p.done = st.next_trial - begin;
-        p.begin = begin;
-        p.end = end;
-        p.trials_per_sec =
-            secs > 0 ? static_cast<double>(ran) / secs : 0.0;
-        p.eta_seconds = p.trials_per_sec > 0
-                            ? static_cast<double>(end - st.next_trial) /
-                                  p.trials_per_sec
-                            : 0.0;
-        p.sdc1 = st.acc.sdc1();
-        p.masked_exits = st.masked_exits;
-        p.masked_exit_rate =
-            p.done > 0
-                ? static_cast<double>(st.masked_exits) /
-                      static_cast<double>(p.done)
-                : 0.0;
-        opt.progress(p);
-      }
-      if (!st.complete && shard.stop_after > 0 && ran >= shard.stop_after)
-        return st;  // clean preemption: checkpoint (if any) already on disk
-      if (!st.complete && opt.cancel &&
-          opt.cancel->load(std::memory_order_relaxed))
-        return st;  // graceful shutdown: batch folded, checkpoint on disk
-    }
-
-    st.complete = true;
-    // An empty shard (or one already finished on disk) never enters the
-    // loop; still leave a checkpoint behind so resume tooling sees it.
-    if (!shard.checkpoint.empty() && ran == 0 && !st.resumed)
-      write_checkpoint(shard, fingerprint, total, begin, end, st, accel_id,
-                       op_id);
+    st.acc = std::move(accs[0]);
+    st.next_trial = next_trial;
+    st.complete = next_trial == run.end;
+    st.resumed = run.resumed;
+    st.masked_exits = run.masked_exits;
     return st;
   }
 
@@ -500,31 +550,13 @@ struct Campaign::TypedBackend final : Campaign::Backend {
                                   const ShardSpec& shard,
                                   std::uint64_t fingerprint) const override {
     DNNFI_EXPECTS(opt.sampler == SamplerMode::kStratified);
-    const std::uint64_t budget = opt.trials;
-    DNNFI_EXPECTS(budget > 0);
-    // Stratified campaigns are sequential-adaptive: no sharding.
-    DNNFI_EXPECTS(shard.begin == 0 &&
-                  (shard.end == 0 || shard.end == budget));
-
-    const std::string accel_id = opt.accel.to_string();
-    const std::string op_id = opt.constraint.op_spec().to_string();
-    const std::string samp_id = sampler_id(opt);
-    std::unique_ptr<accel::AcceleratorModel> owned_model;
-    const accel::AcceleratorModel* model = &accel::eyeriss_model();
-    const Sampler* sampler = &site_sampler;
-    std::optional<Sampler> run_sampler;
-    if (!opt.accel.is_eyeriss()) {
-      owned_model = accel::make_accelerator(opt.accel);
-      model = owned_model.get();
-      run_sampler.emplace(net.spec(), numeric::dtype_of<T>(), *model);
-      sampler = &*run_sampler;
-    }
-    DNNFI_EXPECTS(model->supports(opt.site));
-
-    const StratumSet set(*sampler, opt.site, opt.constraint);
-    const std::size_t H = set.size();
-
     StratifiedResult res;
+    Run run(*this, opt, shard, fingerprint, res.per_stratum);
+    // Stratified campaigns are sequential-adaptive: no sharding.
+    DNNFI_EXPECTS(opt.trials > 0 && run.begin == 0 && run.end == opt.trials);
+
+    const StratumSet set(*run.sampler, opt.site, opt.constraint);
+    const std::size_t H = set.size();
     res.strata.reserve(H);
     res.weights.reserve(H);
     for (std::size_t h = 0; h < H; ++h) {
@@ -536,242 +568,98 @@ struct Campaign::TypedBackend final : Campaign::Backend {
     // Controller state. `rounds` counts completed allocation rounds; `plan`
     // is the in-flight round's per-stratum allocation and `cursor` how many
     // of its trials (canonical order: ascending stratum, then within-
-    // stratum trial index) are already executed and folded.
+    // stratum trial index) are already planned into batches.
     std::uint64_t rounds = 0;
     std::uint64_t cursor = 0;
     std::vector<std::uint64_t> plan;
 
-    const auto executed_total = [&] {
-      std::uint64_t n = 0;
-      for (const auto& a : res.per_stratum) n += a.trials();
-      return n;
-    };
-    const auto sdc1_hits = [](const OutcomeAccumulator& a) {
-      return a.sdc1().hits;
-    };
-    const auto finalize = [&](bool complete) {
-      res.pooled = OutcomeAccumulator(ends.size());
-      for (const auto& a : res.per_stratum) res.pooled.merge(a);
-      res.trials = res.pooled.trials();
-      res.rounds = rounds;
-      res.complete = complete;
-      res.converged = complete && opt.stratified.target_ci > 0 &&
-                      res.sdc1().est.ci95 <= opt.stratified.target_ci;
-    };
-    const auto persist = [&](bool complete) {
-      if (shard.checkpoint.empty()) return;
-      ShardCheckpoint ck;
-      ck.fingerprint = fingerprint;
-      ck.network = net.spec().name;
-      ck.accel = accel_id;
-      ck.fault_op = op_id;
-      ck.sampler = samp_id;
-      ck.trials_total = budget;
-      ck.shard_begin = 0;
-      ck.shard_end = budget;
-      ck.complete = complete;
-      ck.masked_exits = res.masked_exits;
-      ck.acc = OutcomeAccumulator(ends.size());
-      StratifiedCheckpoint s;
-      s.rounds = rounds;
-      s.cursor = cursor;
-      s.plan = plan;
-      s.strata.reserve(H);
-      std::uint64_t executed = 0;
-      for (std::size_t h = 0; h < H; ++h) {
-        ck.acc.merge(res.per_stratum[h]);
-        executed += res.per_stratum[h].trials();
-        StratumCheckpoint hc;
-        hc.id = res.strata[h].id();
-        hc.weight = res.weights[h];
-        hc.acc = res.per_stratum[h];
-        s.strata.push_back(std::move(hc));
-      }
-      ck.next_trial = executed;
-      ck.stratified = std::move(s);
-      save_shard_checkpoint(shard.checkpoint, ck);
-    };
-
-    if (!shard.checkpoint.empty() &&
-        std::filesystem::exists(shard.checkpoint)) {
-      ShardCheckpoint ck = load_shard_checkpoint(shard.checkpoint);
-      if (ck.fingerprint != fingerprint)
-        throw CheckpointError(
-            Errc::kFingerprintMismatch,
-            "checkpoint " + shard.checkpoint +
-                ": campaign fingerprint mismatch (file was written by a run "
-                "with different options; refusing to resume)");
-      if (ck.trials_total != budget || ck.shard_begin != 0 ||
-          ck.shard_end != budget)
-        throw CheckpointError(
-            Errc::kShardMismatch,
-            "checkpoint " + shard.checkpoint +
-                ": trial-budget mismatch (file covers " +
-                std::to_string(ck.trials_total) + " trials, run requests " +
-                std::to_string(budget) + ")");
-      if (auto axes = validate_checkpoint_axes(ck, accel_id, op_id, samp_id);
-          !axes.ok())
-        throw CheckpointError(axes.error().code,
-                              "checkpoint " + shard.checkpoint + ": " +
-                                  axes.error().message);
-      if (!ck.stratified || ck.stratified->strata.size() != H ||
-          (!ck.stratified->plan.empty() && ck.stratified->plan.size() != H))
+    if (std::optional<ShardCheckpoint> ck = resume(run)) {
+      if (!ck->stratified || ck->stratified->strata.size() != H ||
+          (!ck->stratified->plan.empty() && ck->stratified->plan.size() != H))
         throw CheckpointError(Errc::kShardMismatch,
                               "checkpoint " + shard.checkpoint +
                                   ": stratum layout mismatch");
       for (std::size_t h = 0; h < H; ++h)
-        if (ck.stratified->strata[h].id != res.strata[h].id())
+        if (ck->stratified->strata[h].id != res.strata[h].id())
           throw CheckpointError(
               Errc::kShardMismatch,
               "checkpoint " + shard.checkpoint + ": stratum " +
-                  std::to_string(h) + " is '" +
-                  ck.stratified->strata[h].id + "', campaign expects '" +
-                  res.strata[h].id() + "'");
+                  std::to_string(h) + " is '" + ck->stratified->strata[h].id +
+                  "', campaign expects '" + res.strata[h].id() + "'");
       for (std::size_t h = 0; h < H; ++h)
-        res.per_stratum[h] = std::move(ck.stratified->strata[h].acc);
-      res.masked_exits = ck.masked_exits;
-      rounds = ck.stratified->rounds;
-      plan = std::move(ck.stratified->plan);
-      cursor = ck.stratified->cursor;
-      res.resumed = true;
-      if (ck.complete) {
-        finalize(true);
-        return res;
-      }
+        res.per_stratum[h] = std::move(ck->stratified->strata[h].acc);
+      rounds = ck->stratified->rounds;
+      plan = std::move(ck->stratified->plan);
+      cursor = ck->stratified->cursor;
     }
 
-    ThreadPool& pool = opt.pool ? *opt.pool : ThreadPool::global();
-    const dnn::Executor<T> exec(net.plan());
-    const GoldenTables golden = compute_golden(opt);
-
-    // Same batching rule as run_shard: batches only bound checkpoint/
-    // progress/stop/cancel latency and never change results.
-    const bool batched = !shard.checkpoint.empty() ||
-                         opt.progress != nullptr || shard.stop_after > 0 ||
-                         opt.cancel != nullptr;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t ran = 0;  // new trials executed by this call
-    std::vector<TrialRecord> recbuf;
-    std::vector<char> maskedbuf;
-    std::vector<std::pair<std::size_t, std::uint64_t>> items;
-
-    while (true) {
-      if (plan.empty()) {
-        // The next allocation is a pure function of accumulated state, so a
-        // resumed campaign recomputes exactly the schedule an uninterrupted
-        // one would have run.
-        plan = next_allocation(res.counts(sdc1_hits), opt.stratified,
-                               budget - executed_total());
-        cursor = 0;
-        if (plan.empty()) break;  // converged, retired, or out of budget
-      }
-      std::vector<std::uint64_t> pref(H + 1, 0);
-      for (std::size_t h = 0; h < H; ++h) pref[h + 1] = pref[h] + plan[h];
-      const std::uint64_t round_total = pref[H];
-      if (cursor >= round_total) {
+    const auto sdc1_hits = [](const OutcomeAccumulator& a) {
+      return a.sdc1().hits;
+    };
+    std::vector<std::uint64_t> pref(H + 1, 0);
+    const auto next = [&](std::size_t batch, std::vector<Slot>& slots) {
+      while (true) {
+        if (plan.empty()) {
+          // The next allocation is a pure function of accumulated state, so
+          // a resumed campaign recomputes exactly the schedule an
+          // uninterrupted one would have run.
+          plan = next_allocation(res.counts(sdc1_hits), opt.stratified,
+                                 opt.trials - run.executed());
+          cursor = 0;
+          if (plan.empty()) return false;  // converged, retired, or spent
+        }
+        for (std::size_t h = 0; h < H; ++h) pref[h + 1] = pref[h] + plan[h];
+        if (cursor < pref[H]) break;
         ++rounds;
         plan.clear();
-        continue;
       }
-
-      while (cursor < round_total) {
-        const std::uint64_t b0 = cursor;
-        const std::uint64_t bsz = batched
-                                      ? std::max<std::uint64_t>(1, shard.batch)
-                                      : round_total - b0;
-        const std::uint64_t b1 =
-            std::min<std::uint64_t>(round_total, b0 + bsz);
-        const auto count = static_cast<std::size_t>(b1 - b0);
-
-        // Slot -> (stratum h, within-stratum trial index t). Trial t of
-        // stratum h draws from derive_stream(seed, h, t) and replays input
-        // t % num_inputs — functions of accumulated state alone, so the
-        // trial set is invariant to batch and resume boundaries.
-        items.resize(count);
-        {
-          std::size_t h = 0;
-          for (std::size_t i = 0; i < count; ++i) {
-            const std::uint64_t g = b0 + i;
-            while (pref[h + 1] <= g) ++h;
-            const std::uint64_t folded_this_round = std::min<std::uint64_t>(
-                plan[h], b0 > pref[h] ? b0 - pref[h] : 0);
-            const std::uint64_t at_round_start =
-                res.per_stratum[h].trials() - folded_this_round;
-            items[i] = {h, at_round_start + (g - pref[h])};
-          }
-        }
-
-        recbuf.resize(count);
-        maskedbuf.assign(count, 0);
-        parallel_for_chunks(pool, count, [&](std::size_t cb, std::size_t ce) {
-          std::vector<Pending> pending;
-          pending.reserve(ce - cb);
-          for (std::size_t i = cb; i < ce; ++i) {
-            const auto [h, t] = items[i];
-            Rng rng =
-                derive_stream(opt.seed, static_cast<std::uint64_t>(h), t);
-            Pending p;
-            p.idx = i;
-            p.input = static_cast<std::size_t>(t % caches.size());
-            p.fd = set.sample(h, rng);
-            p.af = lower(p.fd, net.mac_layers(), *model);
-            pending.push_back(p);
-          }
-          execute_span(opt, exec, golden, pending, recbuf.data(),
-                       [&](const Pending& p, TrialRecord&, bool masked) {
-                         maskedbuf[p.idx] = masked ? 1 : 0;
-                       });
-        });
-        // Fold on the driving thread in canonical slot order: per-stratum
-        // aggregates are byte-identical at any thread count by
-        // construction, not by merge-order argument.
-        for (std::size_t i = 0; i < count; ++i) {
-          res.per_stratum[items[i].first].add(recbuf[i]);
-          if (maskedbuf[i] != 0) ++res.masked_exits;
-        }
-        cursor = b1;
-        ran += count;
-
-        persist(false);
-        if (opt.progress) {
-          const double secs = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count();
-          const std::uint64_t done = executed_total();
-          CampaignProgress p;
-          p.done = done;
-          p.begin = 0;
-          p.end = budget;  // upper bound: convergence may stop earlier
-          p.trials_per_sec =
-              secs > 0 ? static_cast<double>(ran) / secs : 0.0;
-          p.eta_seconds =
-              p.trials_per_sec > 0
-                  ? static_cast<double>(budget - done) / p.trials_per_sec
-                  : 0.0;
-          p.sdc1 = res.sdc1().est;
-          p.masked_exits = res.masked_exits;
-          p.masked_exit_rate =
-              done > 0 ? static_cast<double>(res.masked_exits) /
-                             static_cast<double>(done)
-                       : 0.0;
-          opt.progress(p);
-        }
-        if (shard.stop_after > 0 && ran >= shard.stop_after) {
-          finalize(false);
-          return res;  // clean preemption: checkpoint already on disk
-        }
-        if (opt.cancel && opt.cancel->load(std::memory_order_relaxed)) {
-          finalize(false);
-          return res;  // graceful shutdown: batch folded + persisted
-        }
+      // Slot -> (stratum h, within-stratum trial index t): functions of
+      // accumulated state alone, so the trial set is invariant to batch and
+      // resume boundaries.
+      const std::uint64_t b0 = cursor;
+      cursor = std::min<std::uint64_t>(pref[H], b0 + batch);
+      slots.resize(static_cast<std::size_t>(cursor - b0));
+      std::size_t h = 0;
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        const std::uint64_t g = b0 + i;
+        while (pref[h + 1] <= g) ++h;
+        const std::uint64_t folded_this_round = std::min<std::uint64_t>(
+            plan[h], b0 > pref[h] ? b0 - pref[h] : 0);
+        slots[i] = {h, res.per_stratum[h].trials() - folded_this_round +
+                           (g - pref[h])};
       }
-      ++rounds;
-      plan.clear();
-    }
+      return true;
+    };
 
-    finalize(true);
-    persist(true);
+    // Trial t of stratum h draws from derive_stream(seed, h, t).
+    const bool done = drive(
+        run, nullptr, next,
+        [&](const Slot& s) {
+          Rng rng = derive_stream(opt.seed, static_cast<std::uint64_t>(s.acc),
+                                  s.trial);
+          return set.sample(s.acc, rng);
+        },
+        [&](ShardCheckpoint& ck) {
+          StratifiedCheckpoint s;
+          s.rounds = rounds;
+          s.cursor = cursor;
+          s.plan = plan;
+          s.strata.reserve(H);
+          for (std::size_t h = 0; h < H; ++h)
+            s.strata.push_back(StratumCheckpoint{
+                res.strata[h].id(), res.weights[h], res.per_stratum[h]});
+          ck.stratified = std::move(s);
+        },
+        [&] { return res.sdc1().est; });
+
+    res.pooled = pooled(res.per_stratum);
+    res.trials = res.pooled.trials();
+    res.rounds = rounds;
+    res.masked_exits = run.masked_exits;
+    res.complete = done;
+    res.resumed = run.resumed;
+    res.converged = done && opt.stratified.target_ci > 0 &&
+                    res.sdc1().est.ci95 <= opt.stratified.target_ci;
     return res;
   }
 

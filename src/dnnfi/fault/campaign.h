@@ -136,8 +136,8 @@ struct ShardSpec {
   std::string checkpoint;
 
   /// Trials per batch: the granularity of checkpoints, progress callbacks,
-  /// and stop_after. Only batches when one of those features is active —
-  /// otherwise the whole range runs as a single batch.
+  /// stop_after and cancellation, and the size of the record buffer each
+  /// batch folds from. Batching never changes results.
   std::size_t batch = 512;
 
   /// Testing/preemption hook: stop cleanly (checkpoint written, incomplete

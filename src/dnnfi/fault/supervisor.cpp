@@ -68,7 +68,7 @@ struct Worker {
   int fd = -1;  ///< nonblocking worker->supervisor fd; -1 once EOF
   Task task;
   Fleet::Node* node = nullptr;  ///< owning fleet node; nullptr in local mode
-  WorkerChannel channel{false};
+  WorkerChannel channel;
   std::string ckpt_path;  ///< supervisor-side checkpoint for this shard
   std::string log_path;   ///< per-shard stderr log ("" = inherited stderr)
   TimePoint started{};
@@ -387,7 +387,6 @@ class Supervisor {
     w.fd = handle.value().rx;
     w.task = task;
     w.node = node;
-    w.channel = WorkerChannel(transport.framed());
     w.ckpt_path = spawn.checkpoint;
     w.log_path = spawn.stderr_log;
     w.started = w.last_beat = Clock::now();
@@ -462,12 +461,12 @@ class Supervisor {
         std::chrono::duration<double>(seconds));
   }
 
-  /// Reads everything the worker's channel holds, decoding beats (and, on
-  /// framed channels, shipped checkpoints). Short reads and EINTR are
-  /// retried by the io layer — a signal landing mid-read must not drop a
-  /// beat. Structural damage poisons the worker: it is SIGKILLed and its
-  /// exit is classified kTransport / kCheckpointShip (both retryable, on
-  /// another host when one exists).
+  /// Reads everything the worker's channel holds, decoding beats and
+  /// shipped checkpoints. Short reads and EINTR are retried by the io
+  /// layer — a signal landing mid-read must not drop a beat. Structural
+  /// damage poisons the worker: it is SIGKILLed and its exit is classified
+  /// kTransport / kCheckpointShip (both retryable, on another host when one
+  /// exists).
   void drain(Worker& w) {
     std::uint8_t buf[4096];
     while (w.fd >= 0 && !w.channel_corrupt) {

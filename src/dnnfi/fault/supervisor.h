@@ -3,9 +3,10 @@
 //
 // The supervisor partitions [0, trials) into shards and fork/execs one
 // `dnnfi_campaign worker` process per shard (the same binary in a hidden
-// mode). Each worker streams heartbeats — an 8-byte little-endian count of
-// completed trials per batch — over an inherited pipe, and persists a
-// shard checkpoint after every batch. The supervisor:
+// mode). Each worker streams heartbeats — a kBeat frame (transport.h)
+// carrying its count of completed trials, once per batch — over an
+// inherited pipe, and persists a shard checkpoint after every batch. The
+// supervisor:
 //
 //   launch    — up to `workers` concurrent subprocesses, one shard each;
 //   watchdog  — SIGKILLs a worker that misses its heartbeat deadline or
@@ -92,11 +93,10 @@ struct SupervisorOptions {
   // ---- fleet mode (multi-node campaigns; DESIGN.md §13) ------------------
 
   /// Comma-separated `host:slots[:workdir]` fleet members. Non-empty turns
-  /// on fleet mode: every worker runs over a framed RemoteTransport (ssh
-  /// for real hosts, direct exec with a private scratch dir for localhost
-  /// entries) and ships its checkpoint back after every batch. Empty — and
-  /// hosts_file empty — keeps the classic single-host fork/exec path,
-  /// bit-for-bit identical to the pre-fleet supervisor.
+  /// on fleet mode: every worker runs over a RemoteTransport (ssh for real
+  /// hosts, direct exec with a private scratch dir for localhost entries)
+  /// and ships its checkpoint back after every batch. Empty — and
+  /// hosts_file empty — keeps the single-host fork/exec path.
   std::string hosts;
   /// Hosts file: one `host:slots[:workdir]` per line, `#` comments. Takes
   /// precedence over `hosts`, and is re-read whenever *reload_hosts reads

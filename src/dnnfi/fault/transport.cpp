@@ -165,27 +165,6 @@ Expected<std::optional<std::vector<std::uint8_t>>> read_init_frame(int fd) {
 
 Expected<void> WorkerChannel::feed(const std::uint8_t* data, std::size_t n,
                                    std::vector<ChannelEvent>& out) {
-  if (!framed_) {
-    // Legacy dialect: a stream of 8-byte little-endian counters. A beat can
-    // arrive split across reads; stash the incomplete tail.
-    partial_.insert(partial_.end(), data, data + n);
-    std::size_t consumed = 0;
-    while (partial_.size() - consumed >= 8) {
-      const std::uint8_t* b = partial_.data() + consumed;
-      std::uint64_t done = 0;
-      for (int i = 0; i < 8; ++i)
-        done |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-      ChannelEvent ev;
-      ev.kind = ChannelEvent::Kind::kBeat;
-      ev.done = done;
-      out.push_back(std::move(ev));
-      consumed += 8;
-    }
-    partial_.erase(partial_.begin(),
-                   partial_.begin() + static_cast<std::ptrdiff_t>(consumed));
-    return {};
-  }
-
   decoder_.feed(data, n);
   while (true) {
     auto parsed = decoder_.next();

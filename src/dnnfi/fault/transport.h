@@ -1,23 +1,22 @@
 // Pluggable worker transports for the campaign supervisor.
 //
-// PR 5's supervisor fork/execs workers on the local host and watches them
-// over a raw pipe carrying 8-byte little-endian heartbeats. This header
-// generalizes that wire into a `WorkerTransport`:
+// Every worker speaks one wire dialect to the supervisor: length-prefixed,
+// CRC-checked frames (below). A `WorkerTransport` decides only how the
+// worker process is created and where its frames travel:
 //
-//   LocalTransport  — today's fork/exec path, bit-for-bit: same argv, same
-//                     raw --heartbeat-fd pipe, worker checkpoints written
-//                     straight into the shared --ckpt-dir.
+//   LocalTransport  — fork/exec on this host. The worker writes kBeat
+//                     frames to an inherited --heartbeat-fd pipe and its
+//                     checkpoints straight into the shared --ckpt-dir.
 //   RemoteTransport — workers spawned on another host (ssh, or exec'd
 //                     directly when the host is localhost — the multi-node-
 //                     on-one-machine test configuration). The worker runs
 //                     in `--frame-io` mode: the supervisor ships a resume
 //                     checkpoint down the worker's stdin at spawn, and the
 //                     worker's stdout carries heartbeats AND its checkpoint
-//                     file image back after every batch, as length-prefixed
-//                     CRC-checked frames. The supervisor lands each shipped
-//                     image atomically in --ckpt-dir, so retry-elsewhere can
-//                     resume a dead host's shard on a healthy one from the
-//                     last shipped batch.
+//                     file image back after every batch. The supervisor
+//                     lands each shipped image atomically in --ckpt-dir, so
+//                     retry-elsewhere can resume a dead host's shard on a
+//                     healthy one from the last shipped batch.
 //
 // Frame layout (little-endian):
 //
@@ -42,7 +41,7 @@
 //
 // All reads and writes here loop on EINTR and short transfers (write(2) to
 // a pipe is not atomic past PIPE_BUF; read(2) returns early at buffer
-// boundaries). The raw-beat dialect tolerates arbitrary fragmentation for
+// boundaries), and the frame decoder tolerates arbitrary fragmentation for
 // the same reason. See DESIGN.md §13.
 #pragma once
 
@@ -122,7 +121,7 @@ Expected<std::optional<std::vector<std::uint8_t>>> read_init_frame(int fd);
 
 // ---- supervisor-side channel ---------------------------------------------
 
-/// One decoded message from a worker, dialect-independent.
+/// One decoded message from a worker.
 struct ChannelEvent {
   enum class Kind { kBeat, kCheckpoint };
   Kind kind = Kind::kBeat;
@@ -130,23 +129,17 @@ struct ChannelEvent {
   std::vector<std::uint8_t> bytes;   ///< kCheckpoint: shipped file image
 };
 
-/// Turns a worker's byte stream into events. Two wire dialects: the legacy
-/// raw 8-byte little-endian beat stream (LocalTransport) and the framed
-/// protocol (RemoteTransport). Both tolerate arbitrary fragmentation.
+/// Turns a worker's frame stream into events, tolerating arbitrary
+/// fragmentation.
 class WorkerChannel {
  public:
-  explicit WorkerChannel(bool framed) : framed_(framed) {}
-
   /// Decodes as many complete messages as `data` completes, appending them
-  /// to `out`. kTransport on structural damage (framed dialect only — the
-  /// raw dialect has no structure to damage).
+  /// to `out`. kTransport on structural damage.
   Expected<void> feed(const std::uint8_t* data, std::size_t n,
                       std::vector<ChannelEvent>& out);
 
  private:
-  bool framed_;
-  FrameDecoder decoder_;              // framed dialect
-  std::vector<std::uint8_t> partial_; // raw dialect: incomplete beat bytes
+  FrameDecoder decoder_;
 };
 
 // ---- transports ----------------------------------------------------------
@@ -179,22 +172,18 @@ class WorkerTransport {
   /// Host label for logs and retry-elsewhere bookkeeping.
   virtual const std::string& host() const noexcept = 0;
 
-  /// True when workers speak the framed dialect (and ship checkpoints).
-  virtual bool framed() const noexcept = 0;
-
   /// Starts one worker. On success the caller owns handle.rx and must
   /// waitpid(handle.pid). Spawn-level failures are kTransport.
   virtual Expected<WorkerHandle> spawn(const WorkerSpawn& s) = 0;
 };
 
-/// PR-5 fork/exec on this host: raw heartbeat pipe, shared checkpoint
-/// directory, no shipping. Byte-for-byte the original supervisor path.
+/// Fork/exec on this host: beat frames over an inherited pipe, shared
+/// checkpoint directory, no shipping.
 class LocalTransport final : public WorkerTransport {
  public:
   LocalTransport() : host_("local") {}
 
   const std::string& host() const noexcept override { return host_; }
-  bool framed() const noexcept override { return false; }
   Expected<WorkerHandle> spawn(const WorkerSpawn& s) override;
 
  private:
@@ -215,7 +204,6 @@ class RemoteTransport final : public WorkerTransport {
   RemoteTransport(std::string host, std::string scratch_dir);
 
   const std::string& host() const noexcept override { return host_; }
-  bool framed() const noexcept override { return true; }
   /// Worker-side checkpoint paths are rewritten into this node's scratch
   /// directory (s.checkpoint names the supervisor-side file; only its leaf
   /// is kept).

@@ -144,33 +144,53 @@ TEST(FrameCodec, OversizedLengthAndUnknownTypeAreTransportErrors) {
   EXPECT_EQ(next2.error().code, Errc::kTransport);
 }
 
-// ---- worker channel dialects ---------------------------------------------
+// ---- worker channel ------------------------------------------------------
 
-TEST(WorkerChannel, RawBeatsSurviveArbitraryFragmentation) {
-  // The legacy dialect: 8-byte little-endian counters, split at every
-  // possible boundary (pipes do that). Every beat must be reassembled.
-  WorkerChannel ch(/*framed=*/false);
-  std::vector<std::uint8_t> wire;
+TEST(WorkerChannel, BeatsAndCheckpointSurviveArbitraryFragmentation) {
+  // Beat frames around one checkpoint frame, fed in 3-byte pieces and one
+  // byte at a time (pipes split writes anywhere). Every message must be
+  // reassembled, in order.
   const std::vector<std::uint64_t> beats = {1, 16, 0xDEADBEEFCAFEF00DULL, 64};
-  for (const std::uint64_t b : beats)
+  const auto image = bytes_of("pretend checkpoint file image");
+  std::vector<std::uint8_t> wire;
+  for (std::size_t k = 0; k < beats.size(); ++k) {
+    std::uint8_t b[8];
     for (int i = 0; i < 8; ++i)
-      wire.push_back(static_cast<std::uint8_t>(b >> (8 * i)));
-
-  std::vector<ChannelEvent> events;
-  for (std::size_t i = 0; i < wire.size(); i += 3) {
-    const std::size_t n = std::min<std::size_t>(3, wire.size() - i);
-    auto fed = ch.feed(wire.data() + i, n, events);
-    ASSERT_TRUE(fed.ok()) << fed.error().to_string();
+      b[i] = static_cast<std::uint8_t>(beats[k] >> (8 * i));
+    const auto f = encode_frame(FrameType::kBeat, b, sizeof b);
+    wire.insert(wire.end(), f.begin(), f.end());
+    if (k == 1) {
+      const auto c =
+          encode_frame(FrameType::kCheckpoint, image.data(), image.size());
+      wire.insert(wire.end(), c.begin(), c.end());
+    }
   }
-  ASSERT_EQ(events.size(), beats.size());
-  for (std::size_t i = 0; i < beats.size(); ++i) {
-    EXPECT_EQ(events[i].kind, ChannelEvent::Kind::kBeat);
-    EXPECT_EQ(events[i].done, beats[i]);
+
+  for (const std::size_t step : {std::size_t{3}, std::size_t{1}}) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    WorkerChannel ch;
+    std::vector<ChannelEvent> events;
+    for (std::size_t i = 0; i < wire.size(); i += step) {
+      const std::size_t n = std::min(step, wire.size() - i);
+      auto fed = ch.feed(wire.data() + i, n, events);
+      ASSERT_TRUE(fed.ok()) << fed.error().to_string();
+    }
+    ASSERT_EQ(events.size(), beats.size() + 1);
+    std::size_t beat = 0;
+    for (std::size_t e = 0; e < events.size(); ++e) {
+      if (e == 2) {
+        EXPECT_EQ(events[e].kind, ChannelEvent::Kind::kCheckpoint);
+        EXPECT_EQ(events[e].bytes, image);
+        continue;
+      }
+      EXPECT_EQ(events[e].kind, ChannelEvent::Kind::kBeat);
+      EXPECT_EQ(events[e].done, beats[beat++]);
+    }
   }
 }
 
 TEST(WorkerChannel, FramedDialectYieldsBeatsAndCheckpoints) {
-  WorkerChannel ch(/*framed=*/true);
+  WorkerChannel ch;
   std::vector<std::uint8_t> wire;
   std::uint8_t beat[8] = {42, 0, 0, 0, 0, 0, 0, 0};
   const auto f1 = encode_frame(FrameType::kBeat, beat, sizeof beat);
@@ -192,7 +212,7 @@ TEST(WorkerChannel, FramedDialectYieldsBeatsAndCheckpoints) {
 
 TEST(WorkerChannel, FramedDamageIsATransportErrorAndWrongDirectionToo) {
   {
-    WorkerChannel ch(/*framed=*/true);
+    WorkerChannel ch;
     std::uint8_t bad_beat[3] = {1, 2, 3};  // beats must be exactly 8 bytes
     const auto f = encode_frame(FrameType::kBeat, bad_beat, sizeof bad_beat);
     std::vector<ChannelEvent> events;
@@ -202,7 +222,7 @@ TEST(WorkerChannel, FramedDamageIsATransportErrorAndWrongDirectionToo) {
   }
   {
     // Workers never send kInit; one arriving means the stream is confused.
-    WorkerChannel ch(/*framed=*/true);
+    WorkerChannel ch;
     std::uint8_t one = 0;
     const auto f = encode_frame(FrameType::kInit, &one, 1);
     std::vector<ChannelEvent> events;

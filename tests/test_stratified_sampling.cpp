@@ -12,8 +12,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -426,6 +431,86 @@ TEST(StratifiedSampling, ResumeAcrossThreadCounts) {
   const StratifiedResult resumed = c.run_stratified(opt, resume);
   ASSERT_TRUE(resumed.complete);
   expect_same_result(once, resumed);
+}
+
+TEST(StratifiedSampling, ResumeRejectsMismatchedCheckpoints) {
+  // The error codes a stratified resume must keep: the shared checkpoint
+  // validator's (fingerprint, range, axes) and the stratum-layout checks.
+  const Campaign c = tiny_campaign(DType::kFloat16);
+  const CampaignOptions opt = stratified_options();
+  ThreadPool serial(0);
+  TempFile ckpt("stratified_reject");
+  ShardSpec shard;
+  shard.checkpoint = ckpt.path;
+  shard.batch = 16;
+  shard.stop_after = 70;
+  {
+    CampaignOptions o = opt;
+    o.pool = &serial;
+    ASSERT_FALSE(c.run_stratified(o, shard).complete);
+  }
+  const ShardCheckpoint good = load_shard_checkpoint(ckpt.path);
+  ASSERT_TRUE(good.stratified.has_value());
+  ASSERT_GT(good.stratified->strata.size(), 1u);
+
+  const auto code_of = [&](const CampaignOptions& o,
+                           const ShardSpec& s) -> std::optional<Errc> {
+    CampaignOptions run = o;
+    run.pool = &serial;
+    try {
+      c.run_stratified(run, s);
+    } catch (const CheckpointError& e) {
+      return e.code();
+    }
+    return std::nullopt;
+  };
+
+  // A run with a different seed.
+  CampaignOptions reseeded = opt;
+  reseeded.seed += 1;
+  EXPECT_EQ(code_of(reseeded, shard), Errc::kFingerprintMismatch);
+
+  // A uniform campaign's checkpoint.
+  TempFile uniform_ckpt("stratified_reject_uniform");
+  ShardSpec uniform_shard;
+  uniform_shard.checkpoint = uniform_ckpt.path;
+  CampaignOptions uniform = opt;
+  uniform.sampler = SamplerMode::kUniform;
+  uniform.pool = &serial;
+  ASSERT_TRUE(c.run_shard(uniform, uniform_shard).complete);
+  EXPECT_EQ(code_of(opt, uniform_shard), Errc::kFingerprintMismatch);
+
+  // Re-saved with one stratum dropped (and its plan entry, so the file
+  // itself stays well-formed).
+  ShardCheckpoint dropped = good;
+  StratifiedCheckpoint& d = *dropped.stratified;
+  d.strata.pop_back();
+  if (!d.plan.empty()) {
+    d.plan.pop_back();
+    d.cursor = std::min(
+        d.cursor, std::accumulate(d.plan.begin(), d.plan.end(),
+                                  std::uint64_t{0}));
+  }
+  save_shard_checkpoint(ckpt.path, dropped);
+  EXPECT_EQ(code_of(opt, shard), Errc::kShardMismatch);
+
+  // Re-saved with one stratum id renamed.
+  ShardCheckpoint renamed = good;
+  renamed.stratified->strata[1].id += "-renamed";
+  save_shard_checkpoint(ckpt.path, renamed);
+  EXPECT_EQ(code_of(opt, shard), Errc::kShardMismatch);
+
+  // A flipped byte.
+  save_shard_checkpoint(ckpt.path, good);
+  std::string bytes;
+  {
+    std::ifstream in(ckpt.path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(bytes.size(), 40u);
+  bytes[bytes.size() - 3] = static_cast<char>(bytes[bytes.size() - 3] ^ 0x40);
+  std::ofstream(ckpt.path, std::ios::binary) << bytes;
+  EXPECT_THROW(c.run_stratified(opt, shard), CheckpointError);
 }
 
 }  // namespace

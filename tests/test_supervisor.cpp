@@ -61,6 +61,25 @@ int run_tool(const std::string& args, const std::string& env = "",
   return WEXITSTATUS(st);
 }
 
+TEST(CampaignCli, MalformedNumericFlagsAreUsageErrors) {
+  // Each is a usage error: exit 2 with the usage text, never an uncaught
+  // exception (exit 134) or a library precondition failure (exit 1).
+  const std::string log =
+      (fs::temp_directory_path() /
+       ("dnnfi_test_cli_usage_" + std::to_string(getpid()) + ".log"))
+          .string();
+  for (const char* flags :
+       {"--trials abc", "--seed -", "--shard 3:x", "--shard 5:3",
+        "--shard 20:30 --trials 10", "--inputs 0"}) {
+    SCOPED_TRACE(flags);
+    EXPECT_EQ(run_tool(std::string("run --network alexnet ") + flags, "", log),
+              2);
+    EXPECT_NE(read_file(log).find("usage: dnnfi_campaign"), std::string::npos)
+        << read_file(log);
+  }
+  fs::remove(log);
+}
+
 class SupervisorTest : public ::testing::Test {
  protected:
   void SetUp() override {

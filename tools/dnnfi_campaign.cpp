@@ -75,6 +75,7 @@
 #include "dnnfi/fault/stats_io.h"
 #include "dnnfi/fault/supervisor.h"
 #include "dnnfi/fault/transport.h"
+#include "cli_number.h"
 
 namespace {
 
@@ -125,6 +126,12 @@ void install_signal_handlers() {
          "            --host-quarantine S --host-fail-limit N\n"
          "            (SIGHUP re-reads --hosts-file mid-campaign)\n";
   std::exit(2);
+}
+
+/// A numeric flag value; usage() (exit 2) when `val` is not one.
+template <typename N>
+N number(const std::string& key, const std::string& val) {
+  return cli::number<N>(key, val, usage);
 }
 
 NetworkId parse_network(const std::string& s) {
@@ -240,24 +247,24 @@ Args parse(int argc, char** argv) {
     } else if (key == "--site") {
       a.site = parse_site(val);
     } else if (key == "--trials") {
-      a.trials = std::stoull(val);
+      a.trials = number<std::size_t>(key, val);
     } else if (key == "--seed") {
-      a.seed = std::stoull(val);
+      a.seed = number<std::uint64_t>(key, val);
     } else if (key == "--shard") {
       const auto colon = val.find(':');
       if (colon == std::string::npos) usage("--shard expects B:E");
-      a.shard_begin = std::stoull(val.substr(0, colon));
-      a.shard_end = std::stoull(val.substr(colon + 1));
+      a.shard_begin = number<std::uint64_t>(key, val.substr(0, colon));
+      a.shard_end = number<std::uint64_t>(key, val.substr(colon + 1));
     } else if (key == "--checkpoint") {
       a.checkpoint = val;
     } else if (key == "--batch") {
-      a.batch = std::stoull(val);
+      a.batch = number<std::size_t>(key, val);
     } else if (key == "--stop-after") {
-      a.stop_after = std::stoull(val);
+      a.stop_after = number<std::uint64_t>(key, val);
     } else if (key == "--bit") {
-      a.bit = std::stoi(val);
+      a.bit = number<int>(key, val);
     } else if (key == "--layer") {
-      a.layer = std::stoi(val);
+      a.layer = number<int>(key, val);
     } else if (key == "--accel") {
       const auto cfg = accel::parse_accelerator(val);
       if (!cfg) usage("bad --accel (want eyeriss or systolic:<rows>x<cols>)");
@@ -275,55 +282,60 @@ Args parse(int argc, char** argv) {
       else
         usage("bad --sampler (want uniform or stratified)");
     } else if (key == "--pilot") {
-      a.stratified.pilot = std::stoull(val);
+      a.stratified.pilot = number<std::uint64_t>(key, val);
       if (a.stratified.pilot == 0) usage("--pilot must be positive");
     } else if (key == "--round-size") {
-      a.stratified.round = std::stoull(val);
+      a.stratified.round = number<std::uint64_t>(key, val);
       if (a.stratified.round == 0) usage("--round-size must be positive");
     } else if (key == "--ci-target") {
-      a.stratified.target_ci = std::stod(val);
+      a.stratified.target_ci = number<double>(key, val);
       if (a.stratified.target_ci < 0) usage("--ci-target must be >= 0");
     } else if (key == "--inputs") {
-      a.inputs = std::stoull(val);
+      a.inputs = number<std::size_t>(key, val);
     } else if (key == "--out") {
       a.out = val;
     } else if (key == "--workers") {
-      a.workers = std::stoi(val);
+      a.workers = number<int>(key, val);
     } else if (key == "--shard-size") {
-      a.shard_size = std::stoull(val);
+      a.shard_size = number<std::uint64_t>(key, val);
     } else if (key == "--ckpt-dir") {
       a.ckpt_dir = val;
     } else if (key == "--heartbeat-timeout") {
-      a.heartbeat_timeout = std::stod(val);
+      a.heartbeat_timeout = number<double>(key, val);
     } else if (key == "--shard-timeout") {
-      a.shard_timeout = std::stod(val);
+      a.shard_timeout = number<double>(key, val);
     } else if (key == "--max-attempts") {
-      a.max_attempts = std::stoi(val);
+      a.max_attempts = number<int>(key, val);
     } else if (key == "--backoff") {
-      a.backoff = std::stod(val);
+      a.backoff = number<double>(key, val);
     } else if (key == "--max-quarantine") {
-      a.max_quarantine = std::stoull(val);
+      a.max_quarantine = number<std::size_t>(key, val);
     } else if (key == "--heartbeat-fd") {
-      a.heartbeat_fd = std::stoi(val);
+      a.heartbeat_fd = number<int>(key, val);
     } else if (key == "--hosts") {
       a.hosts = val;
     } else if (key == "--hosts-file") {
       a.hosts_file = val;
     } else if (key == "--host-quarantine") {
-      a.host_quarantine = std::stod(val);
+      a.host_quarantine = number<double>(key, val);
       if (a.host_quarantine < 0) usage("--host-quarantine must be >= 0");
     } else if (key == "--host-fail-limit") {
-      a.host_fail_limit = std::stoi(val);
+      a.host_fail_limit = number<int>(key, val);
       if (a.host_fail_limit < 1) usage("--host-fail-limit must be >= 1");
     } else {
       usage("unknown option " + key);
     }
   }
-  if (a.command != "merge" && !have_network) usage("--network is required");
-  if (a.command != "merge" &&
-      !accel::make_accelerator(a.accel)->supports(a.site))
-    usage("site " + std::string(fault::site_class_name(a.site)) +
-          " is not in the " + a.accel.to_string() + " site inventory");
+  if (a.command != "merge") {
+    if (!have_network) usage("--network is required");
+    if (!accel::make_accelerator(a.accel)->supports(a.site))
+      usage("site " + std::string(fault::site_class_name(a.site)) +
+            " is not in the " + a.accel.to_string() + " site inventory");
+    if (a.inputs == 0) usage("--inputs must be >= 1");
+    const std::uint64_t end = a.shard_end == 0 ? a.trials : a.shard_end;
+    if (a.shard_begin > end || end > a.trials)
+      usage("--shard B:E needs B <= E <= --trials");
+  }
   if (a.sampler == fault::SamplerMode::kStratified) {
     // Stratified campaigns are sequential-adaptive over the *whole* site
     // population: no trial-index shards, no pinned axes, no supervision.
@@ -474,60 +486,10 @@ fault::CampaignOptions campaign_options(const Args& a) {
   return opt;
 }
 
-/// run/resume with --sampler stratified: the adaptive campaign. Prints the
-/// pooled (raw-count) summary plus the HT estimates; --out emits the v5
+/// run/resume. Uniform runs trial indices [B, E) of the campaign; with
+/// --sampler stratified the adaptive campaign runs instead, printing the
+/// pooled (raw-count) summary plus the HT estimates, and --out emits the v5
 /// stats file with the per-stratum section.
-int cmd_run_stratified(const Args& a) {
-  const dnn::Model m = data::pretrained(a.network);
-  const fault::Campaign c(m.spec, m.blob, a.dtype,
-                          test_inputs(a.network, a.inputs));
-
-  fault::CampaignOptions opt = campaign_options(a);
-  if (a.progress) {
-    opt.progress = [](const fault::CampaignProgress& p) {
-      std::cerr << "\rstratified: " << p.done << "/" << p.end
-                << " trial budget, "
-                << static_cast<int>(p.trials_per_sec) << "/s, SDC-1 "
-                << Table::pct_ci(p.sdc1.p, p.sdc1.ci95) << ", masked "
-                << static_cast<int>(p.masked_exit_rate * 100.0) << "%   "
-                << std::flush;
-    };
-  }
-
-  fault::ShardSpec shard;
-  shard.checkpoint = a.checkpoint;
-  shard.batch = a.batch;
-  shard.stop_after = a.stop_after;
-
-  const auto res = c.run_stratified(opt, shard);
-  if (a.progress) std::cerr << "\n";
-
-  if (!res.complete) {
-    const bool interrupted = g_cancel.load(std::memory_order_relaxed);
-    std::cerr << (interrupted ? "interrupted after " : "stopped after ")
-              << res.trials << " of " << a.trials << " budgeted trials"
-              << (a.checkpoint.empty() ? "" : "; checkpoint saved") << "\n";
-    return interrupted ? exit_code(Errc::kInterrupted) : 3;
-  }
-
-  print_summary("stratified campaign, " + std::to_string(res.trials) + "/" +
-                    std::to_string(a.trials) + " budgeted trials (pooled): " +
-                    std::string(dnn::zoo::network_name(a.network)) + " " +
-                    std::string(numeric::dtype_name(a.dtype)) + " " +
-                    fault::site_class_name(a.site),
-                res.pooled);
-  const fault::StratifiedStatsSection section = strat_section(res);
-  print_ht_summary(section, res.trials);
-  std::cerr << "stratified: " << res.rounds << " round(s), "
-            << (res.converged ? "converged on the CI target"
-                              : "stopped on the trial budget")
-            << "\n";
-  if (!a.out.empty())
-    return emit_stats_or_fail(a.out, c.fingerprint(opt), res.pooled,
-                              res.masked_exits, {}, stats_axes(a), &section);
-  return 0;
-}
-
 int cmd_run(const Args& a, bool resume) {
   if (resume) {
     if (a.checkpoint.empty()) usage("resume requires --checkpoint");
@@ -537,20 +499,24 @@ int cmd_run(const Args& a, bool resume) {
       return 1;
     }
   }
-  if (a.sampler == fault::SamplerMode::kStratified)
-    return cmd_run_stratified(a);
+  const bool stratified = a.sampler == fault::SamplerMode::kStratified;
   const dnn::Model m = data::pretrained(a.network);
   const fault::Campaign c(m.spec, m.blob, a.dtype,
                           test_inputs(a.network, a.inputs));
 
   fault::CampaignOptions opt = campaign_options(a);
   if (a.progress) {
-    opt.progress = [](const fault::CampaignProgress& p) {
-      const std::uint64_t span = p.end - p.begin;
-      std::cerr << "\rshard [" << p.begin << ", " << p.end << "): " << p.done
-                << "/" << span << " trials, " << static_cast<int>(p.trials_per_sec)
-                << "/s, ETA " << static_cast<int>(p.eta_seconds) << "s, SDC-1 "
-                << Table::pct_ci(p.sdc1.p, p.sdc1.ci95) << ", masked "
+    opt.progress = [stratified](const fault::CampaignProgress& p) {
+      if (stratified)
+        std::cerr << "\rstratified: " << p.done << "/" << p.end
+                  << " trial budget, " << static_cast<int>(p.trials_per_sec)
+                  << "/s, SDC-1 ";
+      else
+        std::cerr << "\rshard [" << p.begin << ", " << p.end << "): " << p.done
+                  << "/" << p.end - p.begin << " trials, "
+                  << static_cast<int>(p.trials_per_sec) << "/s, ETA "
+                  << static_cast<int>(p.eta_seconds) << "s, SDC-1 ";
+      std::cerr << Table::pct_ci(p.sdc1.p, p.sdc1.ci95) << ", masked "
                 << static_cast<int>(p.masked_exit_rate * 100.0) << "%   "
                 << std::flush;
     };
@@ -563,24 +529,51 @@ int cmd_run(const Args& a, bool resume) {
   shard.batch = a.batch;
   shard.stop_after = a.stop_after;
 
-  const auto res = c.run_shard(opt, shard);
-  if (a.progress) std::cerr << "\n";
-
-  const std::uint64_t end = a.shard_end == 0 ? a.trials : a.shard_end;
-  if (!res.complete) {
+  // An incomplete run names where it stopped and exits 3, or 4 when a
+  // signal stopped it.
+  const auto incomplete = [&](const std::string& where) {
     const bool interrupted = g_cancel.load(std::memory_order_relaxed);
-    std::cerr << (interrupted ? "interrupted at trial " : "stopped at trial ")
-              << res.next_trial << " of shard [" << a.shard_begin << ", "
-              << end << ")"
+    std::cerr << (interrupted ? "interrupted " : "stopped ") << where
               << (a.checkpoint.empty() ? "" : "; checkpoint saved") << "\n";
     return interrupted ? exit_code(Errc::kInterrupted) : 3;
+  };
+  const std::string what = std::string(dnn::zoo::network_name(a.network)) +
+                           " " + std::string(numeric::dtype_name(a.dtype)) +
+                           " " + fault::site_class_name(a.site);
+
+  if (stratified) {
+    const auto res = c.run_stratified(opt, shard);
+    if (a.progress) std::cerr << "\n";
+    if (!res.complete)
+      return incomplete("after " + std::to_string(res.trials) + " of " +
+                        std::to_string(a.trials) + " budgeted trials");
+    print_summary("stratified campaign, " + std::to_string(res.trials) + "/" +
+                      std::to_string(a.trials) +
+                      " budgeted trials (pooled): " + what,
+                  res.pooled);
+    const fault::StratifiedStatsSection section = strat_section(res);
+    print_ht_summary(section, res.trials);
+    std::cerr << "stratified: " << res.rounds << " round(s), "
+              << (res.converged ? "converged on the CI target"
+                                : "stopped on the trial budget")
+              << "\n";
+    if (!a.out.empty())
+      return emit_stats_or_fail(a.out, c.fingerprint(opt), res.pooled,
+                                res.masked_exits, {}, stats_axes(a), &section);
+    return 0;
   }
-  print_summary("shard [" + std::to_string(a.shard_begin) + ", " +
-                    std::to_string(end) + ") of " + std::to_string(a.trials) +
-                    " trials: " +
-                    std::string(dnn::zoo::network_name(a.network)) + " " +
-                    std::string(numeric::dtype_name(a.dtype)) + " " +
-                    fault::site_class_name(a.site),
+
+  const auto res = c.run_shard(opt, shard);
+  if (a.progress) std::cerr << "\n";
+  const std::string range = "[" + std::to_string(a.shard_begin) + ", " +
+                            std::to_string(a.shard_end == 0 ? a.trials
+                                                            : a.shard_end) +
+                            ")";
+  if (!res.complete)
+    return incomplete("at trial " + std::to_string(res.next_trial) +
+                      " of shard " + range);
+  print_summary("shard " + range + " of " + std::to_string(a.trials) +
+                    " trials: " + what,
                 res.acc);
   if (!a.out.empty())
     return emit_stats_or_fail(a.out, c.fingerprint(opt), res.acc,
@@ -590,28 +583,25 @@ int cmd_run(const Args& a, bool resume) {
 
 // ---- worker mode ---------------------------------------------------------
 
-/// The worker's upstream channel: the classic raw heartbeat pipe
-/// (--heartbeat-fd) or the framed fleet protocol (--frame-io).
+/// The worker's upstream channel: the heartbeat pipe (--heartbeat-fd) or,
+/// for fleet workers (--frame-io), stdout, which also ships checkpoints.
 struct WorkerWire {
   int fd = -1;
-  bool framed = false;
+  bool framed = false;  ///< --frame-io: ship checkpoints too
 };
 
-/// One heartbeat: completed-trial count, as a raw 8-byte little-endian
-/// counter or a kBeat frame. Writes ride io_write_full, so a signal landing
-/// mid-write (EINTR) or a short pipe write can never truncate a beat. A
-/// dead supervisor turns writes into EPIPE noise (SIGPIPE is ignored); the
-/// worker keeps going and its checkpoint remains the source of truth.
+/// One heartbeat: the completed-trial count as a kBeat frame. Writes ride
+/// io_write_full, so a signal landing mid-write (EINTR) or a short pipe
+/// write can never truncate a beat. A dead supervisor turns writes into
+/// EPIPE noise (SIGPIPE is ignored); the worker keeps going and its
+/// checkpoint remains the source of truth.
 void heartbeat(const WorkerWire& w, std::uint64_t done) {
   if (w.fd < 0) return;
   std::uint8_t b[8];
   for (int i = 0; i < 8; ++i)
     b[i] = static_cast<std::uint8_t>(done >> (8 * i));
-  if (w.framed)
-    [[maybe_unused]] auto sent =
-        fault::send_frame(w.fd, fault::FrameType::kBeat, b, sizeof b);
-  else
-    [[maybe_unused]] auto wrote = fault::io_write_full(w.fd, b, sizeof b);
+  [[maybe_unused]] auto sent =
+      fault::send_frame(w.fd, fault::FrameType::kBeat, b, sizeof b);
 }
 
 /// Ships the worker's node-local checkpoint file image home as a

@@ -28,13 +28,14 @@
 #include "dnnfi/data/pretrain.h"
 #include "dnnfi/fault/campaign.h"
 #include "dnnfi/fit/fit.h"
+#include "cli_number.h"
 
 namespace {
 
 using namespace dnnfi;
 using dnn::zoo::NetworkId;
 
-[[noreturn]] void usage(const char* why) {
+[[noreturn]] void usage(const std::string& why) {
   std::cerr << "error: " << why << "\n\n"
             << "usage: dnnfi <campaign|profile|inject|info> --network <name> "
                "[--dtype <name>] [options]\n"
@@ -46,6 +47,12 @@ using dnn::zoo::NetworkId;
                "  options:  --trials N --seed S --bit B --layer L --count N "
                "--storage <dtype> --accel <geom> --fault-op <op>\n";
   std::exit(2);
+}
+
+/// A numeric flag value; usage() (exit 2) when `val` is not one.
+template <typename N>
+N number(const std::string& key, const std::string& val) {
+  return cli::number<N>(key, val, usage);
 }
 
 NetworkId parse_network(const std::string& s) {
@@ -99,15 +106,15 @@ Args parse(int argc, char** argv) {
     } else if (key == "--site") {
       a.site = parse_site(val);
     } else if (key == "--trials") {
-      a.trials = std::stoull(val);
+      a.trials = number<std::size_t>(key, val);
     } else if (key == "--seed") {
-      a.seed = std::stoull(val);
+      a.seed = number<std::uint64_t>(key, val);
     } else if (key == "--count") {
-      a.count = std::stoull(val);
+      a.count = number<std::size_t>(key, val);
     } else if (key == "--bit") {
-      a.bit = std::stoi(val);
+      a.bit = number<int>(key, val);
     } else if (key == "--layer") {
-      a.layer = std::stoi(val);
+      a.layer = number<int>(key, val);
     } else if (key == "--storage") {
       a.storage = parse_dtype(val);
     } else if (key == "--accel") {
@@ -119,14 +126,13 @@ Args parse(int argc, char** argv) {
       if (!spec) usage("bad --fault-op (want toggle|set0|set1[:<n>|:0x<mask>])");
       a.fault_op = *spec;
     } else {
-      usage(("unknown option " + key).c_str());
+      usage("unknown option " + key);
     }
   }
   if (!have_network) usage("--network is required");
   if (!accel::make_accelerator(a.accel)->supports(a.site))
-    usage(("site " + std::string(fault::site_class_name(a.site)) +
-           " is not in the " + a.accel.to_string() + " site inventory")
-              .c_str());
+    usage("site " + std::string(fault::site_class_name(a.site)) +
+          " is not in the " + a.accel.to_string() + " site inventory");
   return a;
 }
 
