@@ -107,7 +107,7 @@ std::unique_ptr<Fleet::Node> Fleet::make_node(const HostSpec& spec,
                   ? cfg_.scratch_root + "/node" + std::to_string(index)
                   : "/tmp/dnnfi_fleet/node" + std::to_string(index);
   }
-  node->transport = std::make_unique<RemoteTransport>(spec.host, scratch);
+  node->scratch = std::move(scratch);
   return node;
 }
 
@@ -130,15 +130,27 @@ Fleet::Node* Fleet::acquire(const std::string& avoid) {
   return best;
 }
 
-ReleaseOutcome Fleet::release(Node& node, bool success) {
+ReleaseOutcome Fleet::release(Node& node, bool success,
+                             bool resource_failure) {
   if (node.busy > 0) --node.busy;
   ReleaseOutcome out;
   if (success) {
     node.fail_streak = 0;
+    node.resource_streak = 0;
     return out;
   }
+  if (resource_failure && ++node.resource_streak >= 2 &&
+      node.spec.slots > 1) {
+    node.spec.slots /= 2;
+    node.resource_streak = 0;
+    out.degraded = true;
+  }
   ++node.fail_streak;
-  if (node.fail_streak >= cfg_.fail_limit) {
+  const bool alone = std::none_of(
+      nodes_.begin(), nodes_.end(), [&](const std::unique_ptr<Node>& n) {
+        return n.get() != &node && !n->draining;
+      });
+  if (node.fail_streak >= cfg_.fail_limit && !alone) {
     double d = cfg_.quarantine_base_s;
     for (int i = 0; i < node.quarantine_count; ++i) d *= 2;
     d = std::min(d, cfg_.quarantine_cap_s);

@@ -1,18 +1,29 @@
-// Fleet membership and health for the distributed campaign supervisor.
+// Fleet membership and health for the campaign supervisor.
 //
-// A fleet is a set of worker hosts, each contributing a fixed number of
-// slots (concurrent workers). The supervisor asks the fleet for a slot
-// before every launch (`acquire`, optionally avoiding the host a shard just
-// died on — retry-elsewhere) and returns it on reap (`release`, carrying
-// whether the attempt succeeded).
+// A fleet is a set of worker hosts, each contributing a number of slots
+// (concurrent workers). Every supervised campaign runs on one: --hosts /
+// --hosts-file name its members, and without them it is the single node
+// `localhost:<--workers>`. The supervisor asks the fleet for a slot before
+// every launch (`acquire`, optionally avoiding the host a shard just died
+// on — retry-elsewhere) and returns it on reap (`release`, carrying whether
+// the attempt succeeded and whether it failed for lack of resources).
 //
-// Health is tracked per host as a consecutive-failure streak. When a host's
-// streak reaches the configured limit, the host is quarantined: no new work
-// for base * 2^(quarantines so far) seconds, capped. Quarantine is graceful
-// degradation, not removal — the host rejoins automatically when its clock
-// expires, and a success resets its streak. Only a fleet with zero usable
-// hosts and work still pending is fatal (Errc::kNoHosts, decided by the
-// supervisor, which can see the pending-work side).
+// Health is tracked per node by one rule with two parts:
+//
+//   degradation — two resource failures in a row (a spawn failure, exit
+//                 127, or kOutOfMemory) mean the node is oversubscribed,
+//                 not unlucky: its slots halve, never below one.
+//   quarantine  — when a node's consecutive-failure streak reaches the
+//                 configured limit it gets no new work for
+//                 base * 2^(quarantines so far) seconds, capped. The only
+//                 member is never quarantined: there is nowhere else to
+//                 send the work, so benching it would only stall the run.
+//
+// Quarantine is graceful degradation, not removal — the host rejoins
+// automatically when its clock expires, and a success resets its streaks.
+// Only a fleet with zero usable hosts and work still pending is fatal
+// (Errc::kNoHosts, decided by the supervisor, which can see the
+// pending-work side).
 //
 // Membership is elastic: `reload` diffs a freshly parsed host list against
 // the current one by host name. New hosts join immediately; hosts that
@@ -66,6 +77,7 @@ struct FleetConfig {
 struct ReleaseOutcome {
   bool quarantined = false;   ///< this failure tripped the quarantine
   double quarantine_s = 0.0;  ///< how long the host is out
+  bool degraded = false;      ///< this failure halved the node's slots
 };
 
 class Fleet {
@@ -77,9 +89,11 @@ class Fleet {
   struct Node {
     std::string id;        ///< "host#i" — unique even with duplicate names
     HostSpec spec;
-    std::unique_ptr<WorkerTransport> transport;
+    std::string scratch;   ///< worker-side checkpoint directory
     int busy = 0;               ///< slots currently running workers
     int fail_streak = 0;        ///< consecutive failed attempts
+    int resource_streak = 0;    ///< resource failures since the last
+                                ///< success or degradation
     int quarantine_count = 0;   ///< times quarantined (drives backoff)
     TimePoint quarantined_until{};  ///< no new work before this instant
     bool draining = false;      ///< removed from membership; finish and go
@@ -103,9 +117,12 @@ class Fleet {
   /// release() it exactly once.
   Node* acquire(const std::string& avoid);
 
-  /// Returns a slot. On failure, advances the node's streak and possibly
-  /// trips quarantine (reported back for logging); on success, resets it.
-  ReleaseOutcome release(Node& node, bool success);
+  /// Returns a slot. On failure, advances the node's streaks and possibly
+  /// degrades or quarantines it (reported back for logging); on success,
+  /// resets them. A resource failure is a spawn failure, exit 127, or
+  /// kOutOfMemory.
+  ReleaseOutcome release(Node& node, bool success,
+                         bool resource_failure = false);
 
   /// Replaces membership with `specs` (diffed by host name, positionally
   /// within a name): surviving nodes keep their health state, new hosts

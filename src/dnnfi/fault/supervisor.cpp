@@ -67,7 +67,7 @@ struct Worker {
   pid_t pid = -1;
   int fd = -1;  ///< nonblocking worker->supervisor fd; -1 once EOF
   Task task;
-  Fleet::Node* node = nullptr;  ///< owning fleet node; nullptr in local mode
+  Fleet::Node* node = nullptr;  ///< fleet node the worker runs on
   WorkerChannel channel;
   std::string ckpt_path;  ///< supervisor-side checkpoint for this shard
   std::string log_path;   ///< per-shard stderr log ("" = inherited stderr)
@@ -88,15 +88,17 @@ struct Completed {
 
 class Supervisor {
  public:
-  explicit Supervisor(const SupervisorOptions& opt) : opt_(opt) {}
+  Supervisor(const SupervisorOptions& opt, std::vector<HostSpec> hosts)
+      : opt_(opt),
+        fleet_(std::move(hosts),
+               FleetConfig{opt.host_fail_limit, opt.quarantine_base_s,
+                           opt.quarantine_cap_s, opt.checkpoint_dir}) {}
 
   Expected<SupervisorReport> run() {
     if (opt_.trials == 0)
       return fail(Errc::kInvalidArgument, "supervise: trials must be > 0");
     if (opt_.binary.empty())
       return fail(Errc::kInvalidArgument, "supervise: worker binary not set");
-    if (opt_.workers < 1)
-      return fail(Errc::kInvalidArgument, "supervise: workers must be >= 1");
     if (opt_.checkpoint_dir.empty())
       return fail(Errc::kInvalidArgument,
                   "supervise: checkpoint directory not set");
@@ -110,25 +112,11 @@ class Supervisor {
       return fail(Errc::kIo, "supervise: cannot create " +
                                  opt_.checkpoint_dir + "/logs: " +
                                  ec.message());
-    target_workers_ = opt_.workers;
-
-    if (!opt_.hosts.empty() || !opt_.hosts_file.empty()) {
-      auto specs = opt_.hosts_file.empty()
-                       ? parse_hosts(opt_.hosts)
-                       : parse_hosts_file(opt_.hosts_file);
-      if (!specs.ok()) return specs.error();
-      FleetConfig fc;
-      fc.fail_limit = opt_.host_fail_limit;
-      fc.quarantine_base_s = opt_.quarantine_base_s;
-      fc.quarantine_cap_s = opt_.quarantine_cap_s;
-      fc.scratch_root = opt_.checkpoint_dir;
-      fleet_.emplace(std::move(specs).value(), fc);
-      // Init frames to workers that die instantly surface as EPIPE write
-      // errors, not process death.
-      signal(SIGPIPE, SIG_IGN);
-      log("fleet: " + std::to_string(fleet_->nodes().size()) + " host(s), " +
-          std::to_string(fleet_->total_slots()) + " slot(s)");
-    }
+    // Init frames to workers that die instantly surface as EPIPE write
+    // errors, not process death.
+    signal(SIGPIPE, SIG_IGN);
+    log("fleet: " + std::to_string(fleet_.nodes().size()) + " host(s), " +
+        std::to_string(fleet_.total_slots()) + " slot(s)");
 
     if (auto scanned = scan_checkpoint_dir(); !scanned.ok())
       return scanned.error();
@@ -138,7 +126,7 @@ class Supervisor {
     while (true) {
       if (opt_.cancel && opt_.cancel->load(std::memory_order_relaxed))
         return shutdown_cancelled();
-      if (fleet_ && opt_.reload_hosts &&
+      if (opt_.reload_hosts &&
           opt_.reload_hosts->exchange(false, std::memory_order_relaxed))
         reload_fleet();
       promote_waiting();
@@ -148,7 +136,7 @@ class Supervisor {
         return launched.error();
       }
       if (active_.empty() && waiting_.empty() && ready_.empty()) break;
-      if (fleet_ && active_.empty() && !fleet_->any_member())
+      if (active_.empty() && !fleet_.any_member())
         return fail(Errc::kNoHosts,
                     "supervise: every fleet host has left (--hosts-file) "
                     "with " +
@@ -237,17 +225,15 @@ class Supervisor {
   }
 
   /// Schedules every trial range not covered by a complete checkpoint or
-  /// an already-quarantined singleton, chunked to the shard size. Fleet
-  /// mode sizes shards against the fleet's total slots (topology-aware):
-  /// ~4 shards per slot keeps every host busy while bounding the work a
-  /// dead host strands.
+  /// an already-quarantined singleton, chunked to the shard size. Shards
+  /// are sized against the fleet's total slots (topology-aware): ~4 shards
+  /// per slot keeps every host busy while bounding the work a dead host
+  /// strands.
   void schedule_gaps() {
     std::uint64_t shard_size = opt_.shard_size;
     if (shard_size == 0) {
       const std::uint64_t lanes =
-          static_cast<std::uint64_t>(fleet_ ? std::max(1, fleet_->total_slots())
-                                            : opt_.workers) *
-          4;
+          static_cast<std::uint64_t>(std::max(1, fleet_.total_slots())) * 4;
       shard_size = std::max<std::uint64_t>(1, (opt_.trials + lanes - 1) / lanes);
     }
 
@@ -302,43 +288,30 @@ class Supervisor {
           "); keeping current membership");
       return;
     }
-    const auto [joined, drained] = fleet_->reload(specs.value());
+    const auto [joined, drained] = fleet_.reload(specs.value());
     log("hosts-file reloaded: " + std::to_string(joined) + " host(s) joined, " +
         std::to_string(drained) + " draining; " +
-        std::to_string(fleet_->total_slots()) + " slot(s) now");
+        std::to_string(fleet_.total_slots()) + " slot(s) now");
   }
 
   // ---- process management ----------------------------------------------
 
   Expected<void> launch_ready() {
     while (!ready_.empty()) {
-      if (!fleet_) {
-        if (active_.size() >= static_cast<std::size_t>(target_workers_)) break;
-        Task task = ready_.front();
-        ready_.pop_front();
-        if (auto spawned = launch(task, nullptr); !spawned.ok()) {
-          // fork/pipe/exec-level failure: count toward degradation and
-          // retry the task through the normal backoff path.
-          note_resource_failure("launch failure for shard " +
-                                range_str(task.begin, task.end));
-          if (auto handled = handle_failure(
-                  task, Error{Errc::kWorkerCrash, "could not launch worker"});
-              !handled.ok())
-            return handled.error();
-        }
-        continue;
-      }
-      // Fleet mode: a slot must be available; prefer a node other than the
-      // one the shard last failed on (retry-elsewhere).
-      Fleet::Node* node = fleet_->acquire(ready_.front().last_node);
+      // A slot must be available; prefer a node other than the one the
+      // shard last failed on (retry-elsewhere).
+      Fleet::Node* node = fleet_.acquire(ready_.front().last_node);
       if (node == nullptr) break;
       Task task = ready_.front();
       ready_.pop_front();
-      auto spawned = launch(task, node);
+      auto spawned = launch(task, *node);
       if (!spawned.ok()) {
-        note_host_release(*node, /*success=*/false);
+        // fork/pipe/exec-level failure: a resource failure of the node;
+        // the task retries through the normal backoff path.
         log("spawn on " + node->id + " failed: " +
             spawned.error().to_string());
+        note_host_release(*node, /*success=*/false,
+                          /*resource_failure=*/true);
         if (auto handled = handle_failure(task, spawned.error());
             !handled.ok())
           return handled.error();
@@ -347,9 +320,8 @@ class Supervisor {
     return {};
   }
 
-  /// Starts `task` on `node` (fleet mode) or on the classic local
-  /// transport (node == nullptr). On success the worker joins active_.
-  Expected<void> launch(const Task& task, Fleet::Node* node) {
+  /// Starts `task` on `node`. On success the worker joins active_.
+  Expected<void> launch(const Task& task, Fleet::Node& node) {
     WorkerSpawn spawn;
     spawn.binary = opt_.binary;
     spawn.flags = opt_.worker_flags;
@@ -360,11 +332,11 @@ class Supervisor {
                        std::to_string(task.begin) + "_" +
                        std::to_string(task.end) + ".log";
 
-    // Fleet workers checkpoint on their own node; resume state travels in
-    // the init frame from the supervisor's durable copy (landed by a prior
-    // attempt on any host). Local workers read the shared file themselves.
+    // Workers checkpoint on their own node; resume state travels in the
+    // init frame from the supervisor's durable copy (landed by a prior
+    // attempt on any host, or left by a crashed supervisor).
     std::vector<std::uint8_t> resume_bytes;
-    if (node != nullptr && std::filesystem::exists(spawn.checkpoint)) {
+    if (std::filesystem::exists(spawn.checkpoint)) {
       auto bytes = read_checkpoint_bytes(spawn.checkpoint);
       if (bytes.ok()) {
         resume_bytes = std::move(bytes).value();
@@ -376,32 +348,27 @@ class Supervisor {
       }
     }
 
-    WorkerTransport& transport =
-        node != nullptr ? *node->transport
-                        : static_cast<WorkerTransport&>(local_transport_);
-    auto handle = transport.spawn(spawn);
+    auto handle = spawn_worker(node.spec.host, node.scratch, spawn);
     if (!handle.ok()) return handle.error();
 
     Worker w;
     w.pid = handle.value().pid;
     w.fd = handle.value().rx;
     w.task = task;
-    w.node = node;
+    w.node = &node;
     w.ckpt_path = spawn.checkpoint;
     w.log_path = spawn.stderr_log;
     w.started = w.last_beat = Clock::now();
     ++report_.workers_spawned;
-    if (node != nullptr && !task.last_node.empty() &&
-        node->id != task.last_node) {
+    if (!task.last_node.empty() && node.id != task.last_node) {
       ++report_.retries_elsewhere;
       log("shard " + range_str(task.begin, task.end) + " moves " +
-          task.last_node + " -> " + node->id + " (retry-elsewhere" +
+          task.last_node + " -> " + node.id + " (retry-elsewhere" +
           (spawn.resume != nullptr ? ", resuming from shipped checkpoint)"
                                    : ")"));
     }
-    log("shard " + range_str(task.begin, task.end) + " -> " +
-        (node != nullptr ? node->id + " " : "") + "pid " +
-        std::to_string(w.pid) +
+    log("shard " + range_str(task.begin, task.end) + " -> " + node.id +
+        " pid " + std::to_string(w.pid) +
         (task.attempts > 0 ? " (attempt " + std::to_string(task.attempts + 1) +
                                  "/" + std::to_string(opt_.max_attempts) + ")"
                            : ""));
@@ -430,7 +397,7 @@ class Supervisor {
   }
 
   /// Wakeup bound: soonest of worker deadlines, backoff expiries, and
-  /// fleet quarantine releases, clamped to [10, 200] ms so reaping and
+  /// quarantine releases, clamped to [10, 200] ms so reaping and
   /// cancellation stay responsive. A worker whose pipe already closed has
   /// no fd left to wake poll() when it exits, so its reap is polled at the
   /// floor.
@@ -449,10 +416,8 @@ class Supervisor {
             soonest, until(w.started + to_duration(opt_.shard_timeout_s)));
     }
     for (const Task& t : waiting_) soonest = std::min(soonest, until(t.ready));
-    if (fleet_) {
-      if (const auto release = fleet_->earliest_release(now))
-        soonest = std::min(soonest, until(*release));
-    }
+    if (const auto release = fleet_.earliest_release(now))
+      soonest = std::min(soonest, until(*release));
     return std::clamp(static_cast<int>(soonest * 1000.0), 10, 200);
   }
 
@@ -504,8 +469,7 @@ class Supervisor {
   /// that fails to parse or covers the wrong range is channel damage; a
   /// local write failure is a plain retryable kIo for this attempt.
   void land_checkpoint(Worker& w, const std::vector<std::uint8_t>& bytes) {
-    const std::string origin =
-        "checkpoint frame from " + (w.node ? w.node->id : "worker");
+    const std::string origin = "checkpoint frame from " + w.node->id;
     auto parsed = parse_checkpoint_bytes(bytes.data(), bytes.size(), origin);
     if (!parsed.ok()) {
       channel_fault(w, Error{Errc::kCheckpointShip,
@@ -596,9 +560,17 @@ class Supervisor {
     return {};
   }
 
-  /// Gives a slot back to the fleet and narrates a tripped quarantine.
-  void note_host_release(Fleet::Node& node, bool success) {
-    const ReleaseOutcome out = fleet_->release(node, success);
+  /// Gives a slot back to the fleet and narrates a degradation or a tripped
+  /// quarantine.
+  void note_host_release(Fleet::Node& node, bool success,
+                         bool resource_failure = false) {
+    const ReleaseOutcome out = fleet_.release(node, success, resource_failure);
+    if (out.degraded) {
+      ++report_.degradations;
+      log("host " + node.id + " degraded to " +
+          std::to_string(node.spec.slots) +
+          " slot(s) after 2 resource failures in a row");
+    }
     if (out.quarantined) {
       ++report_.host_quarantines;
       log("host " + node.id + " quarantined for " +
@@ -615,8 +587,7 @@ class Supervisor {
     if (w.log_path.empty()) return;
     const auto lines = tail_lines(w.log_path, 10);
     if (lines.empty()) return;
-    const std::string prefix = "[" + (w.node ? w.node->spec.host : "local") +
-                               ":shard_" + std::to_string(w.task.begin) + "_" +
+    const std::string prefix = "[" + w.node->spec.host + ":shard_" + std::to_string(w.task.begin) + "_" +
                                std::to_string(w.task.end) + "] ";
     log("last " + std::to_string(lines.size()) + " stderr line(s):");
     for (const std::string& line : lines) log(prefix + line);
@@ -624,22 +595,21 @@ class Supervisor {
 
   Expected<void> handle_exit(const Worker& w, int status) {
     Task task = w.task;
-    if (w.node != nullptr) task.last_node = w.node->id;
+    task.last_node = w.node->id;
 
     if (!w.channel_corrupt && WIFEXITED(status) && WEXITSTATUS(status) == 0) {
       // Trust but verify: the shard is only done if its checkpoint says
-      // so. In fleet mode the verified copy is the supervisor-side one the
-      // worker shipped — a worker whose final ship never landed retries.
+      // so. The verified copy is the supervisor-side one the worker
+      // shipped — a worker whose final ship never landed retries.
       auto loaded = try_load_shard_checkpoint(w.ckpt_path);
       if (loaded.ok() && loaded.value().complete) {
         completed_.push_back(Completed{task.begin, task.end, w.ckpt_path});
-        resource_failure_streak_ = 0;
-        if (w.node != nullptr) note_host_release(*w.node, /*success=*/true);
+        note_host_release(*w.node, /*success=*/true);
         log("shard " + range_str(task.begin, task.end) + " complete (" +
             std::to_string(w.trials_done) + " trials this attempt)");
         return {};
       }
-      if (w.node != nullptr) note_host_release(*w.node, /*success=*/false);
+      note_host_release(*w.node, /*success=*/false);
       log_failure_tail(w);
       return handle_failure(
           task, Error{Errc::kIo,
@@ -648,6 +618,7 @@ class Supervisor {
     }
 
     Error err;
+    bool resource_failure = false;
     if (w.channel_corrupt) {
       err = w.channel_error;
     } else if (WIFSIGNALED(status)) {
@@ -660,16 +631,14 @@ class Supervisor {
       const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
       if (code == 127) {
         err = Error{Errc::kWorkerCrash, "exec failed (exit 127)"};
-        if (!fleet_) note_resource_failure("worker exec failure");
       } else {
         err.code = errc_from_exit(code);
         err.message = "exited with status " + std::to_string(code) + " (" +
                       std::string(errc_name(err.code)) + ")";
       }
-      if (err.code == Errc::kOutOfMemory && !fleet_)
-        note_resource_failure("worker out-of-memory");
+      resource_failure = code == 127 || err.code == Errc::kOutOfMemory;
     }
-    if (w.node != nullptr) note_host_release(*w.node, /*success=*/false);
+    note_host_release(*w.node, /*success=*/false, resource_failure);
     log_failure_tail(w);
     return handle_failure(task, err);
   }
@@ -733,22 +702,6 @@ class Supervisor {
       aborted_.push_back(trial);
   }
 
-  /// Repeated OOM/exec failures mean the machine is oversubscribed, not
-  /// unlucky: halve concurrency (never below one) and keep going. Local
-  /// mode only — fleet mode expresses host sickness as quarantine instead.
-  void note_resource_failure(const std::string& what) {
-    ++resource_failure_streak_;
-    log(what + " (streak " + std::to_string(resource_failure_streak_) + ")");
-    if (resource_failure_streak_ >= 2 && target_workers_ > 1) {
-      const int before = target_workers_;
-      target_workers_ = std::max(1, target_workers_ / 2);
-      resource_failure_streak_ = 0;
-      ++report_.degradations;
-      log("degrading worker concurrency " + std::to_string(before) + " -> " +
-          std::to_string(target_workers_));
-    }
-  }
-
   // ---- shutdown & merge -------------------------------------------------
 
   void kill_all(int sig) {
@@ -765,8 +718,7 @@ class Supervisor {
   }
 
   /// SIGTERM the workers and wait for the graceful exits (each finishes
-  /// its in-flight batch and checkpoints — fleet workers ship that final
-  /// batch home first); stragglers past the grace period are SIGKILLed.
+  /// its in-flight batch, checkpoints and ships that final batch home); stragglers past the grace period are SIGKILLed.
   /// At most one batch per worker is lost, and a later `supervise`
   /// resumes from the same directory.
   Expected<SupervisorReport> shutdown_cancelled() {
@@ -805,10 +757,10 @@ class Supervisor {
 
   /// Loads every completed shard checkpoint and merges exactly. The result
   /// is byte-identical to the monolithic run over the same trials —
-  /// quarantined trials excepted, and those are enumerated. Fleet mode
-  /// changes nothing here: shipped checkpoints carry the same exact
-  /// accumulators, and ExactSum merges are associative, so where a shard
-  /// ran (or how often it moved) cannot change a single bit.
+  /// quarantined trials excepted, and those are enumerated. Shipped
+  /// checkpoints carry the same exact accumulators, and ExactSum merges
+  /// are associative, so where a shard ran (or how often it moved) cannot
+  /// change a single bit.
   Expected<SupervisorReport> merge() {
     std::sort(completed_.begin(), completed_.end(),
               [](const Completed& a, const Completed& b) {
@@ -887,11 +839,7 @@ class Supervisor {
 
   const SupervisorOptions& opt_;
   SupervisorReport report_;
-  int target_workers_ = 1;
-  int resource_failure_streak_ = 0;
-
-  LocalTransport local_transport_;  ///< classic single-host path
-  std::optional<Fleet> fleet_;      ///< engaged by --hosts / --hosts-file
+  Fleet fleet_;
 
   std::deque<Task> ready_;
   std::vector<Task> waiting_;
@@ -903,7 +851,12 @@ class Supervisor {
 }  // namespace
 
 Expected<SupervisorReport> supervise(const SupervisorOptions& opt) {
-  return Supervisor(opt).run();
+  auto hosts = !opt.hosts_file.empty() ? parse_hosts_file(opt.hosts_file)
+               : !opt.hosts.empty()
+                   ? parse_hosts(opt.hosts)
+                   : parse_hosts("localhost:" + std::to_string(opt.workers));
+  if (!hosts.ok()) return hosts.error();
+  return Supervisor(opt, std::move(hosts).value()).run();
 }
 
 }  // namespace dnnfi::fault

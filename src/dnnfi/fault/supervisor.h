@@ -1,27 +1,34 @@
 // Fault-tolerant campaign supervisor: runs a sharded campaign across
 // spawned worker subprocesses and survives their failures.
 //
-// The supervisor partitions [0, trials) into shards and fork/execs one
+// The supervisor partitions [0, trials) into shards and starts one
 // `dnnfi_campaign worker` process per shard (the same binary in a hidden
-// mode). Each worker streams heartbeats — a kBeat frame (transport.h)
-// carrying its count of completed trials, once per batch — over an
-// inherited pipe, and persists a shard checkpoint after every batch. The
-// supervisor:
+// mode) on a fleet node (fault/fleet.h): the hosts of --hosts /
+// --hosts-file, or else the single node `localhost:<workers>`. Every worker
+// speaks frames (fault/transport.h) on its stdin/stdout: it receives its
+// resume checkpoint at spawn, keeps its own checkpoint in the node's scratch
+// directory (`<checkpoint_dir>/node<i>/` for localhost nodes), and sends a
+// kBeat frame — its count of completed trials — plus that checkpoint's file
+// image after every batch. The supervisor:
 //
-//   launch    — up to `workers` concurrent subprocesses, one shard each;
+//   launch    — one shard per free fleet slot, preferring a node other
+//               than the one the shard last failed on (retry-elsewhere);
+//   ship      — validates every shipped checkpoint and lands it atomically
+//               in checkpoint_dir, the durable copy a retry resumes from;
 //   watchdog  — SIGKILLs a worker that misses its heartbeat deadline or
 //               exceeds the per-shard wall-clock timeout;
 //   retry     — relaunches failed shards with exponential backoff plus
 //               deterministic jitter, up to `max_attempts` per range. A
-//               relaunched worker resumes from the shard's checkpoint, so
+//               relaunched worker resumes from the last shipped batch, so
 //               a crash loses at most one checkpoint batch;
 //   bisect    — a range that exhausts its attempts is split in half and
 //               each half re-queued; repeated failures converge on the
 //               single poison trial, which is *quarantined* (recorded in
 //               aborted_trials, excluded from aggregates) instead of
 //               aborting the campaign;
-//   degrade   — repeated OOM or launch failures halve worker concurrency
-//               (never below one);
+//   degrade   — two OOM or launch failures in a row on a node halve its
+//               slots (never below one); a node whose failures keep coming
+//               is benched for a while, unless it is the only one;
 //   merge     — completed shard checkpoints are merged exactly (ExactSum
 //               associativity) into aggregates byte-identical to a
 //               monolithic run, quarantined trials excepted and
@@ -38,17 +45,10 @@
 // checkpoint directory. On startup the directory is scanned; complete
 // shard checkpoints count as coverage, gaps are (re)scheduled with
 // deterministic names (`shard_<begin>_<end>.ckpt`), and an incomplete
-// checkpoint for a rescheduled range is resumed by its worker. `kill -9`
-// of the supervisor or any worker therefore loses at most one checkpoint
-// batch of work. See DESIGN.md §9.
-//
-// Fleet mode (--hosts / --hosts-file) generalizes the worker wire through
-// fault/transport.h: workers run on member hosts over framed stdin/stdout
-// channels, ship their checkpoints back to the supervisor's directory after
-// every batch, and a shard whose host dies is relaunched on a healthy host
-// resuming from the last shipped batch (retry-elsewhere). Host health is
-// tracked per node with exponential-backoff quarantine, and membership is
-// elastic via SIGHUP-triggered hosts-file reloads. See DESIGN.md §13.
+// checkpoint for a rescheduled range is shipped to its worker to resume.
+// `kill -9` of the supervisor or any worker therefore loses at most one
+// checkpoint batch of work. Membership is elastic via SIGHUP-triggered
+// hosts-file reloads. See DESIGN.md §9 and §13.
 #pragma once
 
 #include <atomic>
@@ -66,12 +66,14 @@ struct SupervisorOptions {
   std::string binary;
   /// Campaign-defining flags forwarded verbatim to every worker
   /// (--network, --dtype, --trials, --seed, ...). The supervisor appends
-  /// the per-shard --shard/--checkpoint/--heartbeat-fd flags itself.
+  /// the per-shard --shard/--checkpoint flags itself.
   std::vector<std::string> worker_flags;
 
   std::uint64_t trials = 0;       ///< whole-campaign trial count
   std::uint64_t shard_size = 0;   ///< trials per shard; 0 = auto
-  int workers = 2;                ///< max concurrent worker processes
+  /// Slots of the one-node fleet `localhost:<workers>` used when neither
+  /// hosts nor hosts_file is set.
+  int workers = 2;
 
   double heartbeat_timeout_s = 60.0;  ///< silence ⇒ SIGKILL
   double shard_timeout_s = 0.0;       ///< wall clock per attempt; 0 = none
@@ -90,13 +92,11 @@ struct SupervisorOptions {
   /// seed for reproducible schedules).
   std::uint64_t jitter_seed = 0;
 
-  // ---- fleet mode (multi-node campaigns; DESIGN.md §13) ------------------
+  // ---- fleet membership (DESIGN.md §13) ----------------------------------
 
-  /// Comma-separated `host:slots[:workdir]` fleet members. Non-empty turns
-  /// on fleet mode: every worker runs over a RemoteTransport (ssh for real
-  /// hosts, direct exec with a private scratch dir for localhost entries)
-  /// and ships its checkpoint back after every batch. Empty — and
-  /// hosts_file empty — keeps the single-host fork/exec path.
+  /// Comma-separated `host:slots[:workdir]` fleet members (ssh for real
+  /// hosts, direct exec with a private scratch dir for localhost entries).
+  /// Empty — and hosts_file empty — means `localhost:<workers>`.
   std::string hosts;
   /// Hosts file: one `host:slots[:workdir]` per line, `#` comments. Takes
   /// precedence over `hosts`, and is re-read whenever *reload_hosts reads
@@ -132,9 +132,9 @@ struct SupervisorReport {
   int retries = 0;          ///< failed attempts that were re-queued
   int watchdog_kills = 0;   ///< heartbeat/wall-clock SIGKILLs
   int bisections = 0;
-  int degradations = 0;     ///< times concurrency was halved
+  int degradations = 0;     ///< times a node's slots were halved
 
-  // Fleet-mode telemetry (all zero in single-host mode).
+  // Fleet telemetry.
   int retries_elsewhere = 0;    ///< failed shards relaunched on another host
   int checkpoints_shipped = 0;  ///< checkpoint frames landed in --ckpt-dir
   int host_quarantines = 0;     ///< times a host was benched for its streak

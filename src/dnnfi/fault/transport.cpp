@@ -200,60 +200,7 @@ Expected<void> WorkerChannel::feed(const std::uint8_t* data, std::size_t n,
   }
 }
 
-// ---- LocalTransport ------------------------------------------------------
-
-Expected<WorkerHandle> LocalTransport::spawn(const WorkerSpawn& s) {
-  int fds[2];
-  if (pipe(fds) != 0) return transport_errno("pipe failed");
-  // Heartbeat read ends must not leak into other workers (a surviving
-  // duplicate write end would defeat EOF detection and hold fds open).
-  fcntl(fds[0], F_SETFD, FD_CLOEXEC);
-
-  std::vector<std::string> args;
-  args.push_back(s.binary);
-  args.push_back("worker");
-  for (const auto& f : s.flags) args.push_back(f);
-  args.push_back("--shard");
-  args.push_back(std::to_string(s.begin) + ":" + std::to_string(s.end));
-  args.push_back("--checkpoint");
-  args.push_back(s.checkpoint);
-  args.push_back("--heartbeat-fd");
-  args.push_back(std::to_string(fds[1]));
-
-  const pid_t pid = fork();
-  if (pid < 0) {
-    close(fds[0]);
-    close(fds[1]);
-    return transport_errno("fork failed");
-  }
-  if (pid == 0) {
-    // Child: exec the worker; 127 signals "could not even start".
-    close(fds[0]);
-    if (!s.stderr_log.empty()) {
-      const int lfd =
-          open(s.stderr_log.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-      if (lfd >= 0) {
-        dup2(lfd, 2);
-        if (lfd != 2) close(lfd);
-      }
-    }
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (auto& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    execv(s.binary.c_str(), argv.data());
-    _exit(127);
-  }
-  close(fds[1]);
-  fcntl(fds[0], F_SETFL, O_NONBLOCK);
-
-  WorkerHandle h;
-  h.pid = pid;
-  h.rx = fds[0];
-  return h;
-}
-
-// ---- RemoteTransport -----------------------------------------------------
+// ---- worker spawning -----------------------------------------------------
 
 bool is_local_host(const std::string& host) {
   return host == "localhost" || host == "local" || host == "127.0.0.1" ||
@@ -272,15 +219,12 @@ std::string shell_quote(const std::string& s) {
   return out;
 }
 
-RemoteTransport::RemoteTransport(std::string host, std::string scratch_dir)
-    : host_(std::move(host)),
-      scratch_(std::move(scratch_dir)),
-      direct_(is_local_host(host_)) {}
-
-Expected<WorkerHandle> RemoteTransport::spawn(const WorkerSpawn& s) {
+Expected<WorkerHandle> spawn_worker(const std::string& host,
+                                    const std::string& scratch_dir,
+                                    const WorkerSpawn& s) {
   // The worker keeps its checkpoint on its own node; only the leaf of the
   // supervisor-side path survives, rehomed into this node's scratch dir.
-  const std::string worker_ckpt = scratch_ + "/" + path_leaf(s.checkpoint);
+  const std::string worker_ckpt = scratch_dir + "/" + path_leaf(s.checkpoint);
 
   std::vector<std::string> words;
   words.push_back(s.binary);
@@ -290,12 +234,11 @@ Expected<WorkerHandle> RemoteTransport::spawn(const WorkerSpawn& s) {
   words.push_back(std::to_string(s.begin) + ":" + std::to_string(s.end));
   words.push_back("--checkpoint");
   words.push_back(worker_ckpt);
-  words.push_back("--frame-io");
 
   // The exec'd argv: the worker command directly for localhost nodes, or an
   // ssh client carrying the shell-quoted command for real remote hosts.
   std::vector<std::string> args;
-  if (direct_) {
+  if (is_local_host(host)) {
     args = words;
   } else {
     std::string command;
@@ -309,7 +252,7 @@ Expected<WorkerHandle> RemoteTransport::spawn(const WorkerSpawn& s) {
       args.push_back("ssh");
       args.push_back("-oBatchMode=yes");
     }
-    args.push_back(host_);
+    args.push_back(host);
     args.push_back(std::move(command));
   }
 
@@ -377,7 +320,7 @@ Expected<WorkerHandle> RemoteTransport::spawn(const WorkerSpawn& s) {
     kill(pid, SIGKILL);
     int status = 0;
     while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {}
-    return transport_error("init frame to " + host_ +
+    return transport_error("init frame to " + host +
                            " failed: " + sent.error().message);
   }
   fcntl(from_worker[0], F_SETFL, O_NONBLOCK);

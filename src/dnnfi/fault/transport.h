@@ -1,22 +1,16 @@
-// Pluggable worker transports for the campaign supervisor.
+// The worker transport of the campaign supervisor.
 //
-// Every worker speaks one wire dialect to the supervisor: length-prefixed,
-// CRC-checked frames (below). A `WorkerTransport` decides only how the
-// worker process is created and where its frames travel:
-//
-//   LocalTransport  — fork/exec on this host. The worker writes kBeat
-//                     frames to an inherited --heartbeat-fd pipe and its
-//                     checkpoints straight into the shared --ckpt-dir.
-//   RemoteTransport — workers spawned on another host (ssh, or exec'd
-//                     directly when the host is localhost — the multi-node-
-//                     on-one-machine test configuration). The worker runs
-//                     in `--frame-io` mode: the supervisor ships a resume
-//                     checkpoint down the worker's stdin at spawn, and the
-//                     worker's stdout carries heartbeats AND its checkpoint
-//                     file image back after every batch. The supervisor
-//                     lands each shipped image atomically in --ckpt-dir, so
-//                     retry-elsewhere can resume a dead host's shard on a
-//                     healthy one from the last shipped batch.
+// Every worker is `dnnfi_campaign worker` speaking length-prefixed,
+// CRC-checked frames (below) on its standard streams. `spawn_worker` starts
+// one for a fleet node: exec'd directly when the node is this machine
+// (`localhost` — also the one-node fleet `supervise --workers W` runs), or
+// through `ssh <host> <command>` otherwise. The supervisor ships a resume
+// checkpoint down the worker's stdin at spawn; the worker keeps its
+// checkpoint in the node's scratch directory, and its stdout carries
+// heartbeats AND that checkpoint's file image back after every batch. The
+// supervisor lands each shipped image atomically in --ckpt-dir, so a
+// retried shard — on the same node or another — resumes from the last
+// shipped batch.
 //
 // Frame layout (little-endian):
 //
@@ -142,18 +136,18 @@ class WorkerChannel {
   FrameDecoder decoder_;
 };
 
-// ---- transports ----------------------------------------------------------
+// ---- worker spawning -----------------------------------------------------
 
-/// Everything a transport needs to start one shard attempt.
+/// Everything needed to start one shard attempt.
 struct WorkerSpawn {
   std::string binary;                    ///< dnnfi_campaign path (both ends)
   std::vector<std::string> flags;        ///< campaign flags, forwarded as-is
   std::uint64_t begin = 0;               ///< shard range [begin, end)
   std::uint64_t end = 0;
-  std::string checkpoint;                ///< worker-side checkpoint path
+  std::string checkpoint;                ///< supervisor-side checkpoint path
   std::string stderr_log;                ///< append worker stderr here; "" = inherit
-  /// Framed transports only: checkpoint image to resume from, shipped as
-  /// the kInit frame. nullptr = start fresh (worker discards stale state).
+  /// Checkpoint image to resume from, shipped as the kInit frame.
+  /// nullptr = start fresh (worker discards stale state).
   const std::vector<std::uint8_t>* resume = nullptr;
 };
 
@@ -163,60 +157,19 @@ struct WorkerHandle {
   int rx = -1;     ///< nonblocking worker->supervisor fd (owned by caller)
 };
 
-/// How worker processes are created and wired. One transport per fleet
-/// node; the supervisor owns scheduling, deadlines, and retry policy.
-class WorkerTransport {
- public:
-  virtual ~WorkerTransport() = default;
-
-  /// Host label for logs and retry-elsewhere bookkeeping.
-  virtual const std::string& host() const noexcept = 0;
-
-  /// Starts one worker. On success the caller owns handle.rx and must
-  /// waitpid(handle.pid). Spawn-level failures are kTransport.
-  virtual Expected<WorkerHandle> spawn(const WorkerSpawn& s) = 0;
-};
-
-/// Fork/exec on this host: beat frames over an inherited pipe, shared
-/// checkpoint directory, no shipping.
-class LocalTransport final : public WorkerTransport {
- public:
-  LocalTransport() : host_("local") {}
-
-  const std::string& host() const noexcept override { return host_; }
-  Expected<WorkerHandle> spawn(const WorkerSpawn& s) override;
-
- private:
-  std::string host_;
-};
-
-/// Frame-mode workers on a (possibly remote) host. For `localhost`/`local`/
-/// `127.0.0.1` the worker is exec'd directly — same machine, but with its
-/// own scratch directory and the full ship-over-frames protocol, which is
-/// exactly the multi-node simulation the tests and nightly drive. Any other
-/// host name is reached through `ssh -oBatchMode=yes <host> <command>`, or
-/// through `$DNNFI_FLEET_SSH <host> <command>` when that variable is set
-/// (test harnesses substitute a fake; deployments substitute wrappers).
-/// The dnnfi_campaign binary must exist at the same path on the remote
-/// host; the worker creates its scratch directory itself.
-class RemoteTransport final : public WorkerTransport {
- public:
-  RemoteTransport(std::string host, std::string scratch_dir);
-
-  const std::string& host() const noexcept override { return host_; }
-  /// Worker-side checkpoint paths are rewritten into this node's scratch
-  /// directory (s.checkpoint names the supervisor-side file; only its leaf
-  /// is kept).
-  Expected<WorkerHandle> spawn(const WorkerSpawn& s) override;
-
-  const std::string& scratch_dir() const noexcept { return scratch_; }
-  bool direct_exec() const noexcept { return direct_; }
-
- private:
-  std::string host_;
-  std::string scratch_;
-  bool direct_;  ///< localhost: exec the worker without ssh
-};
+/// Starts one worker on `host`, checkpointing into `scratch_dir` (only the
+/// leaf of s.checkpoint is kept). For `localhost`/`local`/`127.0.0.1` the
+/// worker is exec'd directly; any other host is reached through
+/// `ssh -oBatchMode=yes <host> <command>`, or through
+/// `$DNNFI_FLEET_SSH <host> <command>` when that variable is set (test
+/// harnesses substitute a fake; deployments substitute wrappers). The
+/// dnnfi_campaign binary must exist at the same path on the remote host;
+/// the worker creates its scratch directory itself. On success the caller
+/// owns handle.rx and must waitpid(handle.pid). Spawn-level failures are
+/// kTransport.
+Expected<WorkerHandle> spawn_worker(const std::string& host,
+                                    const std::string& scratch_dir,
+                                    const WorkerSpawn& s);
 
 /// True for host names that mean "this machine, no ssh".
 bool is_local_host(const std::string& host);

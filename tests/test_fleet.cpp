@@ -1,11 +1,11 @@
-// Distributed-fleet robustness: frame codec and channel properties at the
-// unit level, then end-to-end fleet campaigns exec'ing the real
-// dnnfi_campaign binary (path injected as DNNFI_CAMPAIGN_BIN). The
-// contract under test is the same one test_supervisor.cpp pins for the
-// single-host path: merged stats byte-identical to a monolithic run, no
-// matter what happens to the fleet in between — a whole node SIGKILLed
-// repeatedly, a host that fails every spawn (quarantine), or membership
-// rewritten mid-campaign via SIGHUP.
+// Distributed-fleet robustness: frame codec, channel, host-spec parser and
+// fleet health properties at the unit level, then end-to-end fleet
+// campaigns exec'ing the real dnnfi_campaign binary (path injected as
+// DNNFI_CAMPAIGN_BIN). The contract under test is the same one
+// test_supervisor.cpp pins for `--workers`: merged stats byte-identical to
+// a monolithic run, no matter what happens to the fleet in between — a
+// whole node SIGKILLed repeatedly, a host that fails every spawn
+// (quarantine), or membership rewritten mid-campaign via SIGHUP.
 //
 // "Remote" hosts here are localhost fleet nodes (direct exec, private
 // scratch dirs, full ship-over-frames protocol) or fake-ssh hosts whose
@@ -285,6 +285,61 @@ TEST(HostSpec, HostsFileSkipsCommentsAndNamesBadLines) {
   fs::remove(file);
 }
 
+TEST(HostSpec, ParsersSurviveEveryByteFlipAndTruncation) {
+  // Mutation sweep: every single-byte change (all 255 XOR masks at every
+  // offset) and every truncation of a valid --hosts string and hosts file
+  // must parse or fail with a typed error — never throw, never crash, never
+  // yield a host without a name or slots. beta's slot count sits near
+  // INT_MAX so that flipped digits overflow the number parser too.
+  const std::string csv = "alpha:4,localhost:2:/scratch/n0,beta:1000000000";
+  const std::string file_text =
+      "alpha:4\n  localhost:2:/scratch/n0  # on-box\nbeta:1000000000\n";
+  const fs::path file =
+      fs::temp_directory_path() /
+      ("dnnfi_fleet_hosts_mutation_" + std::to_string(getpid()));
+
+  const auto check = [](const Expected<std::vector<HostSpec>>& got,
+                        const std::string& input) {
+    if (got.ok()) {
+      for (const HostSpec& h : got.value()) {
+        EXPECT_FALSE(h.host.empty()) << input;
+        EXPECT_GE(h.slots, 1) << input;
+      }
+      return;
+    }
+    const Errc code = got.error().code;
+    EXPECT_TRUE(code == Errc::kInvalidArgument || code == Errc::kIo)
+        << errc_name(code) << " for '" << input << "'";
+  };
+  const auto mutants = [](const std::string& valid) {
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      for (int mask = 1; mask < 256; ++mask) {
+        std::string m = valid;
+        m[i] = static_cast<char>(m[i] ^ mask);
+        out.push_back(std::move(m));
+      }
+    }
+    for (std::size_t cut = 0; cut < valid.size(); ++cut)
+      out.push_back(valid.substr(0, cut));
+    return out;
+  };
+
+  for (const std::string& m : mutants(csv)) {
+    SCOPED_TRACE(m);
+    EXPECT_NO_THROW(check(parse_hosts(m), m));
+  }
+  for (const std::string& m : mutants(file_text)) {
+    SCOPED_TRACE(m);
+    {
+      std::ofstream out(file, std::ios::binary | std::ios::trunc);
+      out << m;
+    }
+    EXPECT_NO_THROW(check(parse_hosts_file(file.string()), m));
+  }
+  fs::remove(file);
+}
+
 FleetConfig test_fleet_config() {
   FleetConfig cfg;
   cfg.fail_limit = 3;
@@ -349,6 +404,72 @@ TEST(FleetMembership, RepeatedFailuresQuarantineTheHostThenExpire) {
     alpha_back |= (m->spec.host == "alpha");
   }
   EXPECT_TRUE(alpha_back);
+}
+
+TEST(FleetMembership, ResourceFailuresHalveSlotsButNeverBelowOne) {
+  auto specs = parse_hosts("localhost:4");
+  ASSERT_TRUE(specs.ok());
+  Fleet fleet(specs.value(), test_fleet_config());
+  Fleet::Node& node = *fleet.nodes()[0];
+  const auto resource_failure = [&] {
+    Fleet::Node* n = fleet.acquire("");
+    EXPECT_EQ(n, &node);
+    return fleet.release(node, /*success=*/false, /*resource_failure=*/true);
+  };
+
+  // One resource failure is bad luck; a success in between resets the
+  // streak, and plain failures neither count nor reset it.
+  EXPECT_FALSE(resource_failure().degraded);
+  fleet.acquire("");
+  fleet.release(node, /*success=*/true);
+  EXPECT_FALSE(resource_failure().degraded);
+  fleet.acquire("");
+  fleet.release(node, /*success=*/false);
+  EXPECT_EQ(node.spec.slots, 4);
+
+  // Two in a row: 4 -> 2, then 2 -> 1, then never 0.
+  EXPECT_TRUE(resource_failure().degraded);
+  EXPECT_EQ(node.spec.slots, 2);
+  EXPECT_FALSE(resource_failure().degraded);
+  EXPECT_TRUE(resource_failure().degraded);
+  EXPECT_EQ(node.spec.slots, 1);
+  for (int i = 0; i < 4; ++i) EXPECT_FALSE(resource_failure().degraded);
+  EXPECT_EQ(node.spec.slots, 1);
+  EXPECT_EQ(fleet.total_slots(), 1);
+  // The degraded node runs one worker at a time.
+  ASSERT_EQ(fleet.acquire(""), &node);
+  EXPECT_EQ(fleet.acquire(""), nullptr);
+}
+
+TEST(FleetMembership, OnlyMemberIsNeverQuarantined) {
+  // With nowhere else to send the work, benching the only host would only
+  // stall the campaign: failures past the limit keep it usable.
+  auto specs = parse_hosts("localhost:2");
+  ASSERT_TRUE(specs.ok());
+  const FleetConfig cfg = test_fleet_config();
+  Fleet fleet(specs.value(), cfg);
+  for (int i = 0; i < 3 * cfg.fail_limit; ++i) {
+    Fleet::Node* n = fleet.acquire("");
+    ASSERT_NE(n, nullptr) << "after " << i << " failures";
+    EXPECT_FALSE(fleet.release(*n, /*success=*/false).quarantined);
+  }
+  EXPECT_FALSE(fleet.earliest_release(Fleet::Clock::now()).has_value());
+
+  // A sibling that is draining is no alternative either.
+  auto pair = parse_hosts("alpha:1,beta:1");
+  ASSERT_TRUE(pair.ok());
+  Fleet two(pair.value(), cfg);
+  Fleet::Node* beta = two.acquire("alpha#0");
+  ASSERT_NE(beta, nullptr);
+  auto alpha_only = parse_hosts("alpha:1");
+  ASSERT_TRUE(alpha_only.ok());
+  two.reload(alpha_only.value());
+  ASSERT_TRUE(beta->draining);
+  Fleet::Node* alpha = two.nodes()[0].get();
+  for (int i = 0; i < cfg.fail_limit; ++i) {
+    ASSERT_EQ(two.acquire(""), alpha);
+    EXPECT_FALSE(two.release(*alpha, /*success=*/false).quarantined);
+  }
 }
 
 TEST(FleetMembership, ReloadJoinsNewHostsAndDrainsVanishedOnes) {
@@ -435,9 +556,10 @@ class FleetTest : public ::testing::Test {
   fs::path dir_;
 };
 
-TEST_F(FleetTest, SingleHostFleetlessPathStillMatchesMonolithic) {
-  // The LocalTransport refactor must be behaviorally invisible: no --hosts
-  // means the classic fork/exec pipe path, byte-identical results, and the
+TEST_F(FleetTest, WorkersFlagRunsAsOneLocalhostNode) {
+  // No --hosts means the one-node fleet localhost:<--workers>: the same
+  // framed transport and checkpoint shipping as any fleet, node0 scratch
+  // under the checkpoint directory, byte-identical results, and the
   // per-shard stderr logs appearing under the checkpoint directory.
   const std::string mono = monolithic();
   ASSERT_FALSE(mono.empty());
@@ -445,6 +567,12 @@ TEST_F(FleetTest, SingleHostFleetlessPathStillMatchesMonolithic) {
       << read_file(path("sup.log"));
   EXPECT_EQ(read_file(path("sup.stats")), mono);
   EXPECT_TRUE(fs::exists(dir_ / "ckpt/logs")) << "per-shard log dir missing";
+  EXPECT_TRUE(fs::is_directory(dir_ / "ckpt/node0"))
+      << "node0 scratch directory missing";
+  const std::string log = read_file(path("sup.log"));
+  EXPECT_NE(log.find("checkpoint(s) shipped"), std::string::npos) << log;
+  EXPECT_EQ(log.find("fleet: 0 checkpoint(s) shipped"), std::string::npos)
+      << log;
 }
 
 TEST_F(FleetTest, TwoNodeFleetMatchesMonolithicByteForByte) {

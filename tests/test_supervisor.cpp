@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -64,13 +65,17 @@ int run_tool(const std::string& args, const std::string& env = "",
 TEST(CampaignCli, MalformedNumericFlagsAreUsageErrors) {
   // Each is a usage error: exit 2 with the usage text, never an uncaught
   // exception (exit 134) or a library precondition failure (exit 1).
+  // --workers sizes the default localhost fleet; beside --hosts or
+  // --hosts-file it would be silently ignored, so it is refused.
   const std::string log =
       (fs::temp_directory_path() /
        ("dnnfi_test_cli_usage_" + std::to_string(getpid()) + ".log"))
           .string();
   for (const char* flags :
        {"--trials abc", "--seed -", "--shard 3:x", "--shard 5:3",
-        "--shard 20:30 --trials 10", "--inputs 0"}) {
+        "--shard 20:30 --trials 10", "--inputs 0", "--workers 0",
+        "--workers 2 --hosts localhost:2",
+        "--hosts-file /nonexistent/hosts --workers 1"}) {
     SCOPED_TRACE(flags);
     EXPECT_EQ(run_tool(std::string("run --network alexnet ") + flags, "", log),
               2);
@@ -183,6 +188,13 @@ TEST_F(SupervisorTest, PoisonTrialIsBisectedToAndQuarantined) {
       fault::try_load_shard_checkpoint((dir_ / "ckpt/campaign.ckpt").string());
   ASSERT_TRUE(ck.ok()) << ck.error().to_string();
   EXPECT_EQ(ck.value().aborted_trials, (std::vector<std::uint64_t>{37}));
+
+  // The failures all land on the only host, which must never be benched:
+  // there is nowhere else to send the work.
+  const std::string log = read_file(path("sup.log"));
+  EXPECT_FALSE(std::regex_search(log, std::regex("host \\S+ quarantined")))
+      << log;
+  EXPECT_NE(log.find(" 0 host quarantine(s)"), std::string::npos) << log;
 }
 
 TEST_F(SupervisorTest, GracefulSigtermSavesCheckpointAndResumeMatches) {

@@ -23,20 +23,20 @@
 //             subprocess under a watchdog: hung workers are SIGKILLed,
 //             failed shards retry with exponential backoff, repeatedly
 //             failing shards are bisected down to the poison trial, which
-//             is quarantined instead of aborting the campaign. Crashed
+//             is quarantined instead of aborting the campaign. Workers
+//             ship their checkpoints home after every batch; crashed
 //             workers (and a crashed supervisor) resume from the shard
 //             checkpoints in --ckpt-dir. See DESIGN.md §9.
-//             Fleet mode: [--hosts h1:slots,h2:slots[:workdir]] or
-//             [--hosts-file FILE] runs workers across member hosts over
-//             framed stdin/stdout channels (ssh for real hosts, direct
-//             exec for localhost entries). Workers ship checkpoints home
-//             every batch; a dead host's shards relaunch elsewhere from
-//             the last shipped batch. [--host-quarantine S] and
-//             [--host-fail-limit N] tune per-host health; SIGHUP re-reads
-//             --hosts-file (elastic membership). See DESIGN.md §13.
-//   worker    (internal) one supervised shard: `run` plus a heartbeat pipe
-//             (--heartbeat-fd), or --frame-io for fleet workers (framed
-//             init/beat/checkpoint protocol on stdin/stdout), and
+//             Workers run on a fleet: `localhost:W` by default, or the
+//             members of [--hosts h1:slots,h2:slots[:workdir]] or
+//             [--hosts-file FILE] (ssh for real hosts, direct exec for
+//             localhost entries; --workers is then a usage error). A dead
+//             host's shards relaunch elsewhere from the last shipped
+//             batch. [--host-quarantine S] and [--host-fail-limit N] tune
+//             per-host health; SIGHUP re-reads --hosts-file (elastic
+//             membership). See DESIGN.md §13.
+//   worker    (internal) one supervised shard: `run` speaking the framed
+//             init/beat/checkpoint protocol on stdin/stdout, with
 //             taxonomy-coded exit statuses.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown everywhere: the in-flight
@@ -63,7 +63,6 @@
 #include <iostream>
 #include <optional>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "dnnfi/common/env.h"
@@ -192,7 +191,7 @@ struct Args {
   std::vector<std::string> files;  // merge operands
 
   // supervise / worker
-  int workers = 2;
+  std::optional<int> workers;  ///< unset = 2 (without --hosts)
   std::uint64_t shard_size = 0;
   std::string ckpt_dir;
   double heartbeat_timeout = 60.0;
@@ -200,14 +199,12 @@ struct Args {
   int max_attempts = 3;
   double backoff = 0.25;
   std::size_t max_quarantine = 16;
-  int heartbeat_fd = -1;
 
-  // fleet mode
+  // fleet membership
   std::string hosts;
   std::string hosts_file;
   double host_quarantine = 2.0;  ///< quarantine base seconds
   int host_fail_limit = 3;
-  bool frame_io = false;  ///< worker: framed protocol on stdin/stdout
 };
 
 Args parse(int argc, char** argv) {
@@ -231,10 +228,6 @@ Args parse(int argc, char** argv) {
     }
     if (key == "--no-incremental") {
       a.incremental = false;
-      continue;
-    }
-    if (key == "--frame-io") {
-      a.frame_io = true;
       continue;
     }
     if (i + 1 >= argc) usage("missing value for " + key);
@@ -296,6 +289,7 @@ Args parse(int argc, char** argv) {
       a.out = val;
     } else if (key == "--workers") {
       a.workers = number<int>(key, val);
+      if (*a.workers < 1) usage("--workers must be >= 1");
     } else if (key == "--shard-size") {
       a.shard_size = number<std::uint64_t>(key, val);
     } else if (key == "--ckpt-dir") {
@@ -310,8 +304,6 @@ Args parse(int argc, char** argv) {
       a.backoff = number<double>(key, val);
     } else if (key == "--max-quarantine") {
       a.max_quarantine = number<std::size_t>(key, val);
-    } else if (key == "--heartbeat-fd") {
-      a.heartbeat_fd = number<int>(key, val);
     } else if (key == "--hosts") {
       a.hosts = val;
     } else if (key == "--hosts-file") {
@@ -336,6 +328,9 @@ Args parse(int argc, char** argv) {
     if (a.shard_begin > end || end > a.trials)
       usage("--shard B:E needs B <= E <= --trials");
   }
+  if (a.workers && (!a.hosts.empty() || !a.hosts_file.empty()))
+    usage("--workers sizes the default localhost fleet; with --hosts or "
+          "--hosts-file give each host's slots there");
   if (a.sampler == fault::SamplerMode::kStratified) {
     // Stratified campaigns are sequential-adaptive over the *whole* site
     // population: no trial-index shards, no pinned axes, no supervision.
@@ -583,37 +578,27 @@ int cmd_run(const Args& a, bool resume) {
 
 // ---- worker mode ---------------------------------------------------------
 
-/// The worker's upstream channel: the heartbeat pipe (--heartbeat-fd) or,
-/// for fleet workers (--frame-io), stdout, which also ships checkpoints.
-struct WorkerWire {
-  int fd = -1;
-  bool framed = false;  ///< --frame-io: ship checkpoints too
-};
-
-/// One heartbeat: the completed-trial count as a kBeat frame. Writes ride
-/// io_write_full, so a signal landing mid-write (EINTR) or a short pipe
-/// write can never truncate a beat. A dead supervisor turns writes into
-/// EPIPE noise (SIGPIPE is ignored); the worker keeps going and its
-/// checkpoint remains the source of truth.
-void heartbeat(const WorkerWire& w, std::uint64_t done) {
-  if (w.fd < 0) return;
+/// One heartbeat on the worker's frame stream `fd`: the completed-trial
+/// count as a kBeat frame. Writes ride io_write_full, so a signal landing
+/// mid-write (EINTR) or a short pipe write can never truncate a beat. A
+/// dead supervisor turns writes into EPIPE noise (SIGPIPE is ignored); the
+/// worker keeps going and its checkpoint remains the source of truth.
+void heartbeat(int fd, std::uint64_t done) {
   std::uint8_t b[8];
   for (int i = 0; i < 8; ++i)
     b[i] = static_cast<std::uint8_t>(done >> (8 * i));
   [[maybe_unused]] auto sent =
-      fault::send_frame(w.fd, fault::FrameType::kBeat, b, sizeof b);
+      fault::send_frame(fd, fault::FrameType::kBeat, b, sizeof b);
 }
 
 /// Ships the worker's node-local checkpoint file image home as a
-/// kCheckpoint frame (fleet mode; no-op otherwise). Failure is deliberately
-/// quiet here: the supervisor's trust-but-verify pass re-runs any shard
-/// whose durable copy never landed.
-void ship_checkpoint(const WorkerWire& w, const std::string& path) {
-  if (w.fd < 0 || !w.framed || path.empty()) return;
+/// kCheckpoint frame. Failure is deliberately quiet here: the supervisor's
+/// trust-but-verify pass re-runs any shard whose durable copy never landed.
+void ship_checkpoint(int fd, const std::string& path) {
   auto bytes = fault::read_checkpoint_bytes(path);
   if (!bytes.ok()) return;
   [[maybe_unused]] auto sent =
-      fault::send_frame(w.fd, fault::FrameType::kCheckpoint,
+      fault::send_frame(fd, fault::FrameType::kCheckpoint,
                         bytes.value().data(), bytes.value().size());
 }
 
@@ -627,23 +612,21 @@ bool fire_once(const std::optional<std::string>& sentinel) {
   return true;
 }
 
-/// Fleet worker setup: moves the frame stream off stdout (stray prints from
+/// Worker setup: moves the frame stream off stdout (stray prints from
 /// anywhere in the library would corrupt frames; they go to stderr instead),
 /// then lands the supervisor's init frame — the resume checkpoint image, or
-/// an order to discard stale node-local state. Returns the wire, or the
-/// exit code to die with.
-std::variant<WorkerWire, int> setup_frame_io(const Args& a) {
-  WorkerWire wire;
-  wire.framed = true;
-  wire.fd = dup(1);
-  if (wire.fd < 0) {
+/// an order to discard stale node-local state. Sets `fd` to the frame
+/// stream and returns 0, or returns the exit code to die with.
+int open_frame_stream(const Args& a, int& fd) {
+  fd = dup(1);
+  if (fd < 0) {
     std::cerr << "error: cannot dup stdout for frame I/O\n";
     return exit_code(Errc::kTransport);
   }
   dup2(2, 1);
 
   if (a.checkpoint.empty()) {
-    std::cerr << "error: --frame-io requires --checkpoint\n";
+    std::cerr << "error: worker requires --checkpoint\n";
     return 2;
   }
   std::error_code ec;
@@ -673,19 +656,13 @@ std::variant<WorkerWire, int> setup_frame_io(const Args& a) {
     // would resurrect state the supervisor has already moved past.
     std::filesystem::remove(a.checkpoint, ec);
   }
-  return wire;
+  return 0;
 }
 
 int cmd_worker(const Args& a) {
   signal(SIGPIPE, SIG_IGN);
-  WorkerWire wire;
-  if (a.frame_io) {
-    auto set_up = setup_frame_io(a);
-    if (std::holds_alternative<int>(set_up)) return std::get<int>(set_up);
-    wire = std::get<WorkerWire>(set_up);
-  } else {
-    wire.fd = a.heartbeat_fd;
-  }
+  int wire = -1;
+  if (const int failed = open_frame_stream(a, wire); failed != 0) return failed;
   heartbeat(wire, 0);  // liveness before the (slow) model load
 
   // Supervisor-robustness test hooks; inert without the env vars.
@@ -704,7 +681,7 @@ int cmd_worker(const Args& a) {
       (a.shard_end == 0 ? a.trials : a.shard_end) - a.shard_begin;
   // The campaign saves the shard checkpoint *before* invoking progress, so
   // shipping here always ships the batch that was just made durable.
-  opt.progress = [&wire, &a, span, &crash_once, &hang_once](
+  opt.progress = [wire, &a, span, &crash_once, &hang_once](
                      const fault::CampaignProgress& p) {
     heartbeat(wire, p.done);
     ship_checkpoint(wire, a.checkpoint);
@@ -763,7 +740,7 @@ int cmd_supervise(const Args& a, const char* argv0) {
   so.binary = self_binary(argv0);
   so.trials = a.trials;
   so.shard_size = a.shard_size;
-  so.workers = a.workers;
+  so.workers = a.workers.value_or(2);
   so.heartbeat_timeout_s = a.heartbeat_timeout;
   so.shard_timeout_s = a.shard_timeout;
   so.max_attempts = a.max_attempts;
@@ -822,11 +799,10 @@ int cmd_supervise(const Args& a, const char* argv0) {
             << ", " << rep.watchdog_kills << " watchdog kill(s), "
             << rep.bisections << " bisection(s), " << rep.degradations
             << " degradation(s)\n";
-  if (!a.hosts.empty() || !a.hosts_file.empty())
-    std::cerr << "fleet: " << rep.checkpoints_shipped
-              << " checkpoint(s) shipped, " << rep.retries_elsewhere
-              << " retry(s) elsewhere, " << rep.host_quarantines
-              << " host quarantine(s)\n";
+  std::cerr << "fleet: " << rep.checkpoints_shipped
+            << " checkpoint(s) shipped, " << rep.retries_elsewhere
+            << " retry(s) elsewhere, " << rep.host_quarantines
+            << " host quarantine(s)\n";
   if (!rep.aborted_trials.empty()) {
     std::cerr << "supervise: quarantined " << rep.aborted_trials.size()
               << " poison trial(s):";

@@ -76,10 +76,10 @@ grep -q '^masked_exits 0$' "$WORK/noinc.stats" || {
 
 echo "== supervised campaign with a worker killed -9 mid-flight =="
 # The supervisor (DESIGN.md §9) shards the same campaign across worker
-# subprocesses. We SIGKILL a live worker mid-campaign — simulating an OOM
-# kill or node reaper — and require the supervisor to relaunch the shard,
-# resume it from its checkpoint, and still merge bit-identical to the
-# monolithic reference.
+# subprocesses on the one-node fleet localhost:2. We SIGKILL a live worker
+# mid-campaign — simulating an OOM kill or node reaper — and require the
+# supervisor to relaunch the shard, resume it from its last shipped
+# checkpoint, and still merge bit-identical to the monolithic reference.
 "$CAMPAIGN" supervise "${COMMON[@]}" --batch 100 --workers 2 \
     --ckpt-dir "$WORK/sup-ckpt" --backoff 0.1 \
     --out "$WORK/sup.stats" 2>"$WORK/sup.log" &
@@ -101,6 +101,11 @@ fi
 rc=0; wait "$SUP_PID" || rc=$?
 [ "$rc" -eq 0 ] || {
   echo "FAIL: supervise exited $rc" >&2; cat "$WORK/sup.log" >&2; exit 1; }
+
+# --workers runs the framed transport: checkpoints were shipped home.
+grep -q 'checkpoint(s) shipped' "$WORK/sup.log" || {
+  echo "FAIL: supervise log has no 'checkpoint(s) shipped' line" >&2
+  cat "$WORK/sup.log" >&2; exit 1; }
 
 if diff -u "$WORK/full.stats" "$WORK/sup.stats"; then
   echo "PASS: supervised campaign survived kill -9 bit-identically"
