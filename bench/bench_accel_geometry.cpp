@@ -51,7 +51,9 @@ std::size_t validate_column_law(const NetContext& ctx,
   dnn::load_weights(net, ctx.model.blob);
   const tensor::Tensor<Half> img =
       tensor::convert<Half>(ctx.inputs.front().image);
-  const auto golden = net.forward_trace(img);
+  const dnn::ActivationCache<Half> golden(net.plan(), img);
+  const dnn::Executor<Half> exec(net.plan());
+  dnn::Workspace<Half> ws(net.plan());
 
   const fault::Sampler sampler(ctx.model.spec, numeric::DType::kFloat16,
                                model);
@@ -72,7 +74,7 @@ std::size_t validate_column_law(const NetContext& ctx,
     const dnn::LayerObserver<Half> observer =
         [&](std::size_t layer, tensor::ConstTensorView<Half> out) {
           if (layer != af.layer) return;
-          const auto& ref = golden.acts[layer];
+          const auto ref = golden.act(layer);
           const auto& os = ref.shape();
           const std::size_t plane = os.c > 1 ? os.h * os.w : 1;
           for (std::size_t e = 0; e < ref.size(); ++e) {
@@ -82,7 +84,12 @@ std::size_t validate_column_law(const NetContext& ctx,
             if (!in_footprint) violated = true;
           }
         };
-    (void)net.forward_with_fault(golden, af, nullptr, &observer);
+    dnn::RunRequest<Half> req;
+    req.cache = &golden;
+    req.fault = &af;
+    req.observer = &observer;
+    req.early_exit = true;  // only the struck layer's output is checked
+    (void)exec.run(ws, req);
     if (violated) {
       std::cerr << "column-law violation: " << f.describe() << "\n";
       ++violations;

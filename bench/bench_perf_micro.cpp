@@ -1,5 +1,5 @@
 // google-benchmark microbenchmarks: inference latency per network and data
-// type, injection fast-path overhead (golden-trace reuse), and campaign
+// type, injection fast-path overhead (activation-cache reuse), and campaign
 // throughput. These quantify the engineering claims of the harness itself
 // rather than a paper table.
 //
@@ -173,8 +173,8 @@ BENCHMARK(BM_Inference_ConvNet_Fx16)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Inference_AlexNetS_Float)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Inference_NiNS_Float)->Unit(benchmark::kMillisecond);
 
-/// One faulty inference via the golden-trace fast path on the compiled
-/// engine, vs a full forward.
+/// One faulty inference on the compiled engine, replaying every layer after
+/// the fault against the input's activation cache (no early exit).
 void BM_Injection_FastPath(benchmark::State& state) {
   const NetContext& ctx = ctx_for(NetworkId::kConvNet);
   const auto net =
@@ -182,12 +182,13 @@ void BM_Injection_FastPath(benchmark::State& state) {
   const dnn::Executor<numeric::Half> exec(net.plan());
   dnn::Workspace<numeric::Half> ws(net.plan());
   const auto input = tensor::convert<numeric::Half>(ctx.inputs[0].image);
-  const auto golden = net.forward_trace(input);
+  const dnn::ActivationCache<numeric::Half> golden(net.plan(), input);
   fault::Sampler sampler(ctx.model.spec, numeric::DType::kFloat16);
   Rng rng(1);
   for (auto _ : state) {
     const auto f = sampler.sample(fault::SiteClass::kDatapathLatch, rng);
-    auto out = fault::inject(exec, ws, net.mac_layers(), golden, f);
+    auto out = fault::inject(exec, ws, net.mac_layers(), golden, f,
+                             /*early_exit=*/false);
     benchmark::DoNotOptimize(out);
   }
 }
@@ -235,7 +236,7 @@ AllocatorReport measure_hot_path() {
   const dnn::Executor<T> exec(net.plan());
   dnn::Workspace<T> ws(net.plan());
   const auto input = tensor::convert<T>(ctx.inputs[0].image);
-  const auto golden = net.forward_trace(input);
+  const dnn::ActivationCache<T> cache(net.plan(), input);
 
   // Pre-sample descriptors over every site class so the measured loop covers
   // all four fault-lowering paths without touching the sampler.
@@ -269,17 +270,20 @@ AllocatorReport measure_hot_path() {
               .count()) /
       static_cast<double>(kInferences);
 
-  // Faulty-path warm-up, then the measured window.
+  // Full-replay faulty path (every layer after the fault re-executes):
+  // warm-up, then the measured window.
   for (std::size_t i = 0; i < kWarmup; ++i)
-    benchmark::DoNotOptimize(fault::inject(exec, ws, net.mac_layers(), golden,
-                                           faults[i % faults.size()]));
+    benchmark::DoNotOptimize(fault::inject(exec, ws, net.mac_layers(), cache,
+                                           faults[i % faults.size()],
+                                           /*early_exit=*/false));
 
   const std::uint64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
   const auto t1 = Clock::now();
   for (std::size_t i = 0; i < kTrials; ++i)
-    benchmark::DoNotOptimize(fault::inject(exec, ws, net.mac_layers(), golden,
-                                           faults[i % faults.size()]));
+    benchmark::DoNotOptimize(fault::inject(exec, ws, net.mac_layers(), cache,
+                                           faults[i % faults.size()],
+                                           /*early_exit=*/false));
   const auto t2 = Clock::now();
   const std::uint64_t allocs_after =
       g_alloc_count.load(std::memory_order_relaxed);
@@ -293,10 +297,9 @@ AllocatorReport measure_hot_path() {
       static_cast<double>(allocs_after - allocs_before) /
       static_cast<double>(kTrials);
 
-  // Incremental-replay hot path: cache-seeded trials with masked-fault
-  // early exit. Same zero-allocation contract as the golden-trace path —
-  // the ActivationCache is immutable and replays touch only workspace slots.
-  const dnn::ActivationCache<T> cache(net.plan(), input);
+  // Incremental-replay hot path: the same trials with masked-fault early
+  // exit. Same zero-allocation contract as the full replay — the
+  // ActivationCache is immutable and replays touch only workspace slots.
   for (std::size_t i = 0; i < kWarmup; ++i)
     benchmark::DoNotOptimize(fault::inject(exec, ws, net.mac_layers(), cache,
                                            faults[i % faults.size()]));

@@ -28,8 +28,8 @@ int main() {
   const auto ds = data::dataset_for(dnn::zoo::NetworkId::kConvNet);
   const auto sample = ds->sample(data::kTestSplitBegin + 3);
   const auto input = tensor::convert<numeric::Half>(sample.image);
-  const auto golden_trace = net.forward_trace(input);
-  const auto golden = net.interpret(golden_trace.output());
+  const dnn::ActivationCache<numeric::Half> cache(net.plan(), input);
+  const auto golden = net.interpret(cache.output());
   std::cout << "clean prediction:  " << ds->class_name(golden.top1())
             << " (confidence " << golden.top1_score() << ", truth "
             << ds->class_name(sample.label) << ")\n";
@@ -41,9 +41,14 @@ int main() {
   const auto fault = sampler.sample(fault::SiteClass::kDatapathLatch, rng);
   std::cout << "injecting: " << fault.describe() << "\n";
 
+  //    Only the struck layer and the layers after it re-execute, seeded
+  //    from the cached fault-free activations.
+  const dnn::Executor<numeric::Half> exec(net.plan());
+  dnn::Workspace<numeric::Half> ws(net.plan());
   dnn::InjectionRecord record;
-  const auto faulty_out = fault::inject(net, golden_trace, fault, &record);
-  const auto faulty = net.interpret(faulty_out);
+  const auto faulty = net.interpret(
+      fault::inject(exec, ws, net.mac_layers(), cache, fault,
+                    /*early_exit=*/true, /*replay=*/nullptr, &record));
   std::cout << "corrupted latch value: " << record.corrupted_before << " -> "
             << record.corrupted_after << "\n";
 

@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
   fault::Sampler sampler(model.spec, numeric::DType::kFx16r10);
   const auto ends = fault::block_end_layers(model.spec);
 
-  // One compiled plan and one reusable workspace drive the whole frame
-  // stream — no per-frame buffer allocation.
+  // One compiled plan, one reusable workspace and one activation cache
+  // (rebuilt in place per frame) drive the whole frame stream.
   const dnn::Executor<T> exec(net.plan());
   dnn::Workspace<T> ws(net.plan());
 
@@ -56,15 +56,11 @@ int main(int argc, char** argv) {
   std::cout << "driving " << frames << " frames; soft-error strike "
             << "probability per frame: 5%\n\n";
 
-  dnn::Trace<T> golden_trace;
+  dnn::ActivationCache<T> cache;
   for (std::size_t f = 0; f < frames; ++f) {
     const auto sample = ds->sample(data::kTestSplitBegin + 100 + f);
-    const auto input = tensor::convert<T>(sample.image);
-    dnn::RunRequest<T> golden_req;
-    golden_req.input = input;
-    golden_req.trace = &golden_trace;
-    exec.run(ws, golden_req);
-    const auto golden = net.interpret(golden_trace.output());
+    cache.build(net.plan(), tensor::convert<T>(sample.image));
+    const auto golden = net.interpret(cache.output());
     if (golden.top1() != sample.label) ++misclassified_clean;
 
     // Strike ~5% of frames, mixed over datapath and buffers.
@@ -82,10 +78,12 @@ int main(int argc, char** argv) {
           const int block = static_cast<int>(it - ends.begin()) + 1;
           flagged = detector.flags(block, act);
         };
-    const auto faulty_out =
-        fault::inject(exec, ws, net.mac_layers(), golden_trace, fault,
-                      nullptr, &observer);
-    const auto faulty = net.interpret(faulty_out);
+    // Full replay (no early exit): the detector must see every block end
+    // after the struck layer.
+    const auto faulty = net.interpret(
+        fault::inject(exec, ws, net.mac_layers(), cache, fault,
+                      /*early_exit=*/false, /*replay=*/nullptr,
+                      /*rec=*/nullptr, &observer));
     const auto outcome = fault::classify(golden, faulty);
 
     if (outcome.sdc1) {

@@ -1,6 +1,7 @@
 #include "dnnfi/accel/accelerator.h"
 
 #include <charconv>
+#include <limits>
 
 namespace dnnfi::accel {
 
@@ -43,8 +44,9 @@ std::optional<AcceleratorConfig> parse_accelerator(std::string_view s) {
   auto [rp, rec] = std::from_chars(r.data(), r.data() + r.size(), cfg.rows);
   auto [cp, cec] = std::from_chars(c.data(), c.data() + c.size(), cfg.cols);
   if (rec != std::errc{} || cec != std::errc{} || rp != r.data() + r.size() ||
-      cp != c.data() + c.size() || cfg.rows == 0 || cfg.cols == 0)
-    return std::nullopt;
+      cp != c.data() + c.size() || cfg.rows == 0 || cfg.cols == 0 ||
+      cfg.rows > std::numeric_limits<std::size_t>::max() / cfg.cols)
+    return std::nullopt;  // the PE count rows * cols must not wrap
   return cfg;
 }
 

@@ -95,7 +95,8 @@ struct AcceleratorConfig {
                          const AcceleratorConfig&) = default;
 };
 
-/// Parses the canonical spelling; nullopt on malformed input.
+/// Parses the canonical spelling; nullopt on malformed input, including a
+/// systolic geometry whose PE count rows * cols would overflow size_t.
 std::optional<AcceleratorConfig> parse_accelerator(std::string_view s);
 
 /// Geometry-level coordinates of one sampled strike, before lowering.

@@ -28,9 +28,9 @@ struct LayerFootprint {
 /// Footprints of all MAC layers, in execution order.
 std::vector<LayerFootprint> analyze(const dnn::NetworkSpec& spec);
 
-/// Footprints of the MAC layers whose NetworkSpec index lies in [from, to)
-/// — the static counterpart of Executor::run_range, used to account for
-/// the work incremental replay actually executes (DESIGN.md §8).
+/// Footprints of the MAC layers whose NetworkSpec index lies in [from, to),
+/// used to account for the work incremental replay actually executes
+/// (DESIGN.md §8).
 std::vector<LayerFootprint> analyze_range(const dnn::NetworkSpec& spec,
                                           std::size_t from, std::size_t to);
 

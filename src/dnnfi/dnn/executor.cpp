@@ -182,57 +182,22 @@ void ActivationCache<T>::build(const ExecutionPlan<T>& plan,
   }
 }
 
-namespace {
-
-/// Golden-source adapter for the legacy Trace-based fault path.
-template <typename T>
-struct TraceGolden {
-  const Trace<T>* t;
-  ConstTensorView<T> act(std::size_t i) const { return t->acts[i]; }
-  ConstTensorView<T> layer_input(std::size_t i) const {
-    return t->layer_input(i);
-  }
-  ConstTensorView<T> output() const { return t->output(); }
-};
-
-}  // namespace
-
 template <typename T>
 ConstTensorView<T> Executor<T>::run(Workspace<T>& ws,
                                     const RunRequest<T>& req) const {
   ws.bind(*plan_);
   if (req.fault != nullptr) {
-    if (req.cache != nullptr) {
-      DNNFI_EXPECTS(req.cache->num_layers() == plan_->num_layers());
-      return run_faulty(ws, req, *req.cache);
-    }
-    DNNFI_EXPECTS(req.golden != nullptr);
-    DNNFI_EXPECTS(req.golden->acts.size() == plan_->num_layers());
-    return run_faulty(ws, req, TraceGolden<T>{req.golden});
+    DNNFI_EXPECTS(req.cache != nullptr);
+    DNNFI_EXPECTS(req.cache->num_layers() == plan_->num_layers());
+    return run_faulty(ws, req, *req.cache);
   }
-  return run_range(ws, 0, plan_->num_layers(), req);
-}
-
-template <typename T>
-ConstTensorView<T> Executor<T>::run_range(Workspace<T>& ws, std::size_t from,
-                                          std::size_t to,
-                                          const RunRequest<T>& req) const {
-  ws.bind(*plan_);
   const auto& steps = plan_->steps();
-  DNNFI_EXPECTS(from < to && to <= steps.size());
-  DNNFI_EXPECTS(req.fault == nullptr);
-  DNNFI_EXPECTS(req.input.shape() == steps[from].in_shape);
-  if (req.trace != nullptr) {
-    DNNFI_EXPECTS(from == 0 && to == steps.size());
-    req.trace->input.assign(req.input);
-    req.trace->acts.resize(steps.size());
-  }
+  DNNFI_EXPECTS(req.input.shape() == plan_->input_shape());
   ConstTensorView<T> cur = req.input;
   unsigned parity = 0;
-  for (std::size_t i = from; i < to; ++i) {
+  for (std::size_t i = 0; i < steps.size(); ++i) {
     TensorView<T> out = ws.out_buffer(parity, steps[i].out_shape);
     plan_->exec_step(i, cur, out, ws.packed_data());
-    if (req.trace != nullptr) req.trace->acts[i].assign(out);
     if (req.observer != nullptr) (*req.observer)(i, out);
     cur = out;
     parity ^= 1U;
@@ -241,10 +206,9 @@ ConstTensorView<T> Executor<T>::run_range(Workspace<T>& ws, std::size_t from,
 }
 
 template <typename T>
-template <typename Golden>
 ConstTensorView<T> Executor<T>::run_faulty(Workspace<T>& ws,
                                            const RunRequest<T>& req,
-                                           const Golden& g) const {
+                                           const ActivationCache<T>& g) const {
   const AppliedFault& f = *req.fault;
   const auto& steps = plan_->steps();
   DNNFI_EXPECTS(f.layer < steps.size());

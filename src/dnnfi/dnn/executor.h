@@ -3,12 +3,11 @@
 // ExecutionPlan<T> is built once per Network<T>: it pre-resolves every
 // layer's input/output shape, per-layer MAC counts, and the arena high-water
 // mark a forward pass needs. Workspace<T> owns that arena (one contiguous
-// vector, reused across runs). Executor<T> runs a plan out of a workspace
-// and subsumes the three legacy forward variants — plain, traced, and
-// fault-patched partial re-execution — behind one RunRequest. Arbitrary
-// layer ranges run through run_range; ActivationCache<T> holds the
-// fault-free output of every layer boundary for one input in one contiguous
-// block, so faulty replays can seed from any layer and stop as soon as the
+// vector, reused across runs). Executor<T> runs a plan out of a workspace:
+// a plain forward pass, or a fault-patched partial re-execution, behind one
+// RunRequest. ActivationCache<T> is the one fault-free reference: it holds
+// the output of every layer boundary for one input in one contiguous block,
+// so faulty replays seed from the struck layer and stop as soon as the
 // fault's effect is erased (see DESIGN.md §8).
 //
 // Thread-safety contract: a plan is immutable after construction and may be
@@ -251,20 +250,17 @@ struct ReplayInfo {
 };
 
 /// One forward run, fully described. Exactly one of two modes:
-///  - plain/traced: `input` set; `trace`, when non-null, receives the
-///    golden trace (its tensors reuse capacity across runs); `observer`,
-///    when non-null, sees every layer output.
-///  - faulty: `fault` plus a golden source — `cache` (preferred) or
-///    `golden` — set; only the fault layer (patched) and the layers after
-///    it execute. `observer` sees recomputed layers only. With
-///    `early_exit`, the run stops at the first replayed layer whose output
-///    matches the golden source bit-for-bit and returns the cached final
-///    output; `replay`, when non-null, reports what actually ran.
+///  - plain: `input` set; `observer`, when non-null, sees every layer
+///    output.
+///  - faulty: `fault` plus the golden `cache` set; only the fault layer
+///    (patched) and the layers after it execute. `observer` sees recomputed
+///    layers only. With `early_exit`, the run stops at the first replayed
+///    layer whose output matches the cache bit-for-bit and returns the
+///    cached final output; `replay`, when non-null, reports what actually
+///    ran.
 template <typename T>
 struct RunRequest {
   ConstTensorView<T> input;
-  Trace<T>* trace = nullptr;
-  const Trace<T>* golden = nullptr;
   const ActivationCache<T>* cache = nullptr;
   const AppliedFault* fault = nullptr;
   InjectionRecord* record = nullptr;
@@ -288,18 +284,9 @@ class Executor {
   /// workspace runs again.
   ConstTensorView<T> run(Workspace<T>& ws, const RunRequest<T>& req) const;
 
-  /// Runs layers [from, to) of the plan: `req.input` must have layer
-  /// `from`'s input shape, and the returned view is layer `to - 1`'s
-  /// output. `req.fault` must be null (fault replay picks its own range);
-  /// `req.trace` is only legal for the full range. The observer sees every
-  /// executed layer, indexed by its plan position.
-  ConstTensorView<T> run_range(Workspace<T>& ws, std::size_t from,
-                               std::size_t to, const RunRequest<T>& req) const;
-
  private:
-  template <typename Golden>
   ConstTensorView<T> run_faulty(Workspace<T>& ws, const RunRequest<T>& req,
-                                const Golden& g) const;
+                                const ActivationCache<T>& g) const;
 
   const ExecutionPlan<T>* plan_;
 };

@@ -119,33 +119,6 @@ Tensor<T> Network<T>::forward(const Tensor<T>& input) const {
 }
 
 template <typename T>
-Trace<T> Network<T>::forward_trace(const Tensor<T>& input) const {
-  Workspace<T> ws(*plan_);
-  Trace<T> tr;
-  RunRequest<T> req;
-  req.input = input;
-  req.trace = &tr;
-  Executor<T>(*plan_).run(ws, req);
-  return tr;
-}
-
-template <typename T>
-Tensor<T> Network<T>::forward_with_fault(const Trace<T>& golden,
-                                         const AppliedFault& f,
-                                         InjectionRecord* rec,
-                                         const LayerObserverFn* observer) const {
-  Workspace<T> ws(*plan_);
-  RunRequest<T> req;
-  req.golden = &golden;
-  req.fault = &f;
-  req.record = rec;
-  req.observer = observer;
-  Tensor<T> out;
-  out.assign(Executor<T>(*plan_).run(ws, req));
-  return out;
-}
-
-template <typename T>
 Prediction Network<T>::interpret(ConstTensorView<T> output) const {
   DNNFI_EXPECTS(output.size() == spec_.num_classes);
   Prediction p;

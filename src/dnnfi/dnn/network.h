@@ -1,16 +1,13 @@
-// Network<T>: an ordered stack of layers executing in datapath type T, with
-// golden-trace caching and fault-aware partial re-execution.
-//
-// The injection fast path exploits the fact that a fault in layer L leaves
-// layers [0, L) untouched: given a cached fault-free activation trace, a
-// faulty run re-executes only layer L (patching just the ACTs the fault
-// reaches) and the layers after it.
+// Network<T>: an ordered stack of layers executing in datapath type T.
 //
 // Execution is delegated to the compiled-plan engine (executor.h): each
-// Network builds an ExecutionPlan once at construction; forward /
-// forward_trace / forward_with_fault are thin compatibility wrappers that
-// run the plan out of a local Workspace. Hot paths (the campaign engine)
-// use the plan and a long-lived per-thread Workspace directly.
+// Network builds an ExecutionPlan once at construction, and forward /
+// classify are thin wrappers that run the plan out of a local Workspace.
+// Fault injection goes through the plan directly: an ActivationCache holds
+// the fault-free activations of one input, and a faulty Executor run
+// re-executes only the struck layer (patching just the ACTs the fault
+// reaches) and the layers after it. Hot paths (the campaign engine) keep a
+// long-lived per-thread Workspace.
 #pragma once
 
 #include <functional>
@@ -44,19 +41,6 @@ struct Prediction {
   std::vector<std::size_t> topk(std::size_t k) const;
   /// Score of the top-1 class.
   double top1_score() const;
-};
-
-/// Per-layer activations of one forward pass. `acts[i]` is the output of
-/// layer i; `input` is the network input.
-template <typename T>
-struct Trace {
-  Tensor<T> input;
-  std::vector<Tensor<T>> acts;
-
-  const Tensor<T>& layer_input(std::size_t layer) const {
-    return layer == 0 ? input : acts[layer - 1];
-  }
-  const Tensor<T>& output() const { return acts.back(); }
 };
 
 /// Describes where a LayerFaults bundle should be applied during a forward
@@ -101,22 +85,6 @@ class Network {
 
   /// Plain forward pass; returns the final output tensor.
   Tensor<T> forward(const Tensor<T>& input) const;
-
-  /// Forward pass recording every layer output (the golden trace).
-  Trace<T> forward_trace(const Tensor<T>& input) const;
-
-  /// Callback observing faulty per-layer activations: (layer index, output).
-  /// Only layers at or after the fault layer are reported — earlier layers
-  /// are bit-identical to the golden trace.
-  using LayerObserverFn = LayerObserver<T>;
-
-  /// Faulty forward pass re-using a golden trace: re-executes only the
-  /// target layer (via fault patching) and everything after it. Returns the
-  /// final output. `rec`, when non-null, receives injection details;
-  /// `observer`, when non-null, sees every recomputed layer output.
-  Tensor<T> forward_with_fault(const Trace<T>& golden, const AppliedFault& f,
-                               InjectionRecord* rec = nullptr,
-                               const LayerObserverFn* observer = nullptr) const;
 
   /// Interprets a final output as a Prediction.
   Prediction interpret(ConstTensorView<T> output) const;

@@ -1,5 +1,6 @@
 // Lowering from hardware fault descriptors to layer-level fault hooks, and
-// the single-trial injection entry points.
+// the single-trial injection entry point: one faulty replay against the
+// ActivationCache of the trial's input, the same path campaigns take.
 //
 // Fault sites address logical NCHW/OIHW coordinates (tensor indices, MAC
 // step ordinals in (ci, ky, kx) order). The SIMD kernel engine's packed
@@ -22,31 +23,15 @@ dnn::AppliedFault lower(
     const FaultDescriptor& f, const std::vector<std::size_t>& mac_layers,
     const accel::AcceleratorModel& model = accel::eyeriss_model());
 
-/// Runs one faulty inference against a cached golden trace on the compiled
-/// engine: zero heap allocations after the workspace is warm. Returns a
-/// view of the final output that aliases `ws` — read or copy it before the
-/// workspace runs again. This is the campaign hot path.
-template <typename T>
-tensor::ConstTensorView<T> inject(
-    const dnn::Executor<T>& exec, dnn::Workspace<T>& ws,
-    const std::vector<std::size_t>& mac_layers, const dnn::Trace<T>& golden,
-    const FaultDescriptor& f, dnn::InjectionRecord* rec = nullptr,
-    const dnn::LayerObserver<T>* observer = nullptr,
-    const accel::AcceleratorModel& model = accel::eyeriss_model()) {
-  const dnn::AppliedFault af = lower(f, mac_layers, model);
-  dnn::RunRequest<T> req;
-  req.golden = &golden;
-  req.fault = &af;
-  req.record = rec;
-  req.observer = observer;
-  return exec.run(ws, req);
-}
-
-/// Incremental-replay counterpart: the golden source is an ActivationCache
-/// and, when `early_exit` is set, the run stops at the first replayed layer
-/// whose output matches the cache bit-for-bit (returning the cached final
-/// logits). Zero heap allocations after workspace warm-up, like the Trace
-/// path above. `replay`, when non-null, reports what actually executed.
+/// Runs one faulty inference against the fault-free activations in `cache`
+/// on the compiled engine. When `early_exit` is set, the run stops at the
+/// first replayed layer whose output matches the cache bit-for-bit
+/// (returning the cached final logits); pass false for a full replay, e.g.
+/// when `observer` must see every layer after the fault. Zero heap
+/// allocations after workspace warm-up: this is the campaign hot path.
+/// Returns a view of the final output that aliases `ws` (or `cache`) —
+/// read or copy it before the workspace runs again. `replay`, when
+/// non-null, reports what actually executed.
 template <typename T>
 tensor::ConstTensorView<T> inject(
     const dnn::Executor<T>& exec, dnn::Workspace<T>& ws,
@@ -65,17 +50,6 @@ tensor::ConstTensorView<T> inject(
   req.early_exit = early_exit;
   req.replay = replay;
   return exec.run(ws, req);
-}
-
-/// Convenience wrapper: one faulty inference via the network's compat path
-/// (allocates a workspace per call). Returns the final output tensor.
-template <typename T>
-dnn::Tensor<T> inject(
-    const dnn::Network<T>& net, const dnn::Trace<T>& golden,
-    const FaultDescriptor& f, dnn::InjectionRecord* rec = nullptr,
-    const typename dnn::Network<T>::LayerObserverFn* observer = nullptr) {
-  return net.forward_with_fault(golden, lower(f, net.mac_layers()), rec,
-                                observer);
 }
 
 }  // namespace dnnfi::fault

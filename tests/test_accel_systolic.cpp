@@ -58,7 +58,10 @@ TEST(AcceleratorConfig, ParseRejectsMalformedSpellings) {
   for (const char* s : {"", "tpu", "systolic", "systolic:", "systolic:16",
                         "systolic:16x", "systolic:x16", "systolic:0x16",
                         "systolic:16x0", "systolic:16x16x16", "Eyeriss",
-                        "systolic:-4x4"}) {
+                        "systolic:-4x4",
+                        // rows * cols (the PE count) must not wrap.
+                        "systolic:4294967296x4294967296",
+                        "systolic:18446744073709551615x2"}) {
     EXPECT_FALSE(accel::parse_accelerator(s).has_value()) << s;
   }
 }

@@ -1,11 +1,12 @@
-// Compiled-plan engine: bit-exact equivalence of Executor<T> against the
-// legacy layer-by-layer execution semantics (plain, traced, and
-// fault-patched partial re-execution) for every datapath type, plus
-// workspace-reuse hygiene across many consecutive faulty runs.
+// Compiled-plan engine: bit-exact equivalence of Executor<T> and
+// ActivationCache<T> against the legacy layer-by-layer execution semantics
+// (plain forward, every-layer golden activations, and fault-patched partial
+// re-execution) for every datapath type, plus workspace-reuse hygiene
+// across many consecutive faulty runs.
 //
 // The references here are hand-rolled per-layer Tensor loops — the exact
-// semantics Network<T>::forward* had before it delegated to the executor —
-// so the equivalence claim does not depend on the wrappers under test.
+// semantics Network<T> had before it delegated to the executor — so the
+// equivalence claim does not depend on the engine under test.
 #include <gtest/gtest.h>
 
 #include "dnnfi/common/rng.h"
@@ -46,10 +47,22 @@ Tensor<T> legacy_forward(const Network<T>& net, const Tensor<T>& input) {
   return a;
 }
 
+/// Per-layer activations of one legacy forward pass: `acts[i]` is the
+/// output of layer i, `input` the network input.
+template <typename T>
+struct LegacyTrace {
+  Tensor<T> input;
+  std::vector<Tensor<T>> acts;
+
+  const Tensor<T>& layer_input(std::size_t layer) const {
+    return layer == 0 ? input : acts[layer - 1];
+  }
+};
+
 /// Legacy trace: every layer output materialized into owning tensors.
 template <typename T>
-Trace<T> legacy_trace(const Network<T>& net, const Tensor<T>& input) {
-  Trace<T> tr;
+LegacyTrace<T> legacy_trace(const Network<T>& net, const Tensor<T>& input) {
+  LegacyTrace<T> tr;
   tr.input = input;
   tr.acts.resize(net.num_layers());
   const Tensor<T>* cur = &tr.input;
@@ -63,7 +76,7 @@ Trace<T> legacy_trace(const Network<T>& net, const Tensor<T>& input) {
 /// Legacy faulty run: patch (or recompute on flipped input) at the fault
 /// layer, then fresh-Tensor forward through the rest.
 template <typename T>
-Tensor<T> legacy_fault(const Network<T>& net, const Trace<T>& golden,
+Tensor<T> legacy_fault(const Network<T>& net, const LegacyTrace<T>& golden,
                        const AppliedFault& f) {
   Tensor<T> a, b;
   if (f.flip_layer_input) {
@@ -180,7 +193,7 @@ TYPED_TEST(ExecutorEquivalence, PlainAndTracedMatchLegacy) {
   const auto img = random_image<T>(spec.input, 22);
 
   const Tensor<T> want = legacy_forward(net, img);
-  const Trace<T> want_trace = legacy_trace(net, img);
+  const LegacyTrace<T> want_trace = legacy_trace(net, img);
 
   const Executor<T> exec(net.plan());
   Workspace<T> ws(net.plan());
@@ -188,13 +201,12 @@ TYPED_TEST(ExecutorEquivalence, PlainAndTracedMatchLegacy) {
   req.input = img;
   expect_bits_equal<T>(exec.run(ws, req), want);
 
-  Trace<T> got_trace;
-  req.trace = &got_trace;
-  expect_bits_equal<T>(exec.run(ws, req), want);
-  ASSERT_EQ(got_trace.acts.size(), want_trace.acts.size());
-  expect_bits_equal<T>(got_trace.input.view(), want_trace.input);
-  for (std::size_t i = 0; i < got_trace.acts.size(); ++i)
-    expect_bits_equal<T>(got_trace.acts[i].view(), want_trace.acts[i]);
+  const ActivationCache<T> cache(net.plan(), img);
+  ASSERT_EQ(cache.num_layers(), want_trace.acts.size());
+  expect_bits_equal<T>(cache.input(), want_trace.input);
+  for (std::size_t i = 0; i < cache.num_layers(); ++i)
+    expect_bits_equal<T>(cache.act(i), want_trace.acts[i]);
+  expect_bits_equal<T>(cache.output(), want);
 }
 
 TYPED_TEST(ExecutorEquivalence, FaultyRunsMatchLegacyForAllFaultClasses) {
@@ -203,7 +215,8 @@ TYPED_TEST(ExecutorEquivalence, FaultyRunsMatchLegacyForAllFaultClasses) {
   Network<T> net(spec);
   load_weights(net, random_blob(spec, 31));
   const auto img = random_image<T>(spec.input, 32);
-  const Trace<T> golden = legacy_trace(net, img);
+  const LegacyTrace<T> golden = legacy_trace(net, img);
+  const ActivationCache<T> cache(net.plan(), img);
 
   const Executor<T> exec(net.plan());
   Workspace<T> ws(net.plan());
@@ -212,7 +225,7 @@ TYPED_TEST(ExecutorEquivalence, FaultyRunsMatchLegacyForAllFaultClasses) {
     const AppliedFault f = nth_fault(net, trial);
     const Tensor<T> want = legacy_fault(net, golden, f);
     RunRequest<T> req;
-    req.golden = &golden;
+    req.cache = &cache;
     req.fault = &f;
     expect_bits_equal<T>(exec.run(ws, req), want);
   }
@@ -225,15 +238,9 @@ TYPED_TEST(ExecutorEquivalence, NetworkWrappersMatchLegacy) {
   load_weights(net, random_blob(spec, 41));
   const auto img = random_image<T>(spec.input, 42);
 
-  expect_bits_equal<T>(net.forward(img).view(), legacy_forward(net, img));
-  const Trace<T> golden = net.forward_trace(img);
-  const Trace<T> want_trace = legacy_trace(net, img);
-  for (std::size_t i = 0; i < want_trace.acts.size(); ++i)
-    expect_bits_equal<T>(golden.acts[i].view(), want_trace.acts[i]);
-
-  const AppliedFault f = nth_fault(net, 3);  // global-buffer flip
-  expect_bits_equal<T>(net.forward_with_fault(golden, f).view(),
-                       legacy_fault(net, golden, f));
+  const Tensor<T> want = legacy_forward(net, img);
+  expect_bits_equal<T>(net.forward(img).view(), want);
+  EXPECT_EQ(net.classify(img).scores, net.interpret(want).scores);
 }
 
 // A single workspace serving 100 consecutive faulty runs (mixed fault
@@ -246,17 +253,18 @@ TEST(ExecutorWorkspaceReuse, HundredFaultyRunsNoStaleData) {
   load_weights(net, random_blob(spec, 51));
   const auto img0 = random_image<T>(spec.input, 52);
   const auto img1 = random_image<T>(spec.input, 53);
-  const Trace<T> goldens[2] = {legacy_trace(net, img0),
-                               legacy_trace(net, img1)};
+  const LegacyTrace<T> goldens[2] = {legacy_trace(net, img0),
+                                     legacy_trace(net, img1)};
+  const ActivationCache<T> caches[2] = {{net.plan(), img0},
+                                        {net.plan(), img1}};
 
   const Executor<T> exec(net.plan());
   Workspace<T> ws;  // deliberately unsized: first run binds it
   for (std::size_t trial = 0; trial < 100; ++trial) {
-    const Trace<T>& golden = goldens[trial % 2];
     const AppliedFault f = nth_fault(net, trial);
-    const Tensor<T> want = legacy_fault(net, golden, f);
+    const Tensor<T> want = legacy_fault(net, goldens[trial % 2], f);
     RunRequest<T> req;
-    req.golden = &golden;
+    req.cache = &caches[trial % 2];
     req.fault = &f;
     const auto got = exec.run(ws, req);
     ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
@@ -276,7 +284,7 @@ TEST(ExecutorObserver, SeesRecomputedLayersInOrder) {
   Network<T> net(spec);
   load_weights(net, random_blob(spec, 61));
   const auto img = random_image<T>(spec.input, 62);
-  const Trace<T> golden = legacy_trace(net, img);
+  const ActivationCache<T> golden(net.plan(), img);
 
   const AppliedFault f = nth_fault(net, 5);  // second MAC layer, weight fault
   std::vector<std::size_t> seen;
@@ -289,9 +297,9 @@ TEST(ExecutorObserver, SeesRecomputedLayersInOrder) {
   const Executor<T> exec(net.plan());
   Workspace<T> ws(net.plan());
   RunRequest<T> req;
-  req.golden = &golden;
+  req.cache = &golden;
   req.fault = &f;
-  req.observer = &observer;
+  req.observer = &observer;  // no early exit: every later layer replays
   const auto out = exec.run(ws, req);
 
   ASSERT_FALSE(seen.empty());

@@ -212,48 +212,22 @@ TEST(IncrementalReplay, CacheMatchesFreshForwardAfterWorkspaceReuse) {
     ASSERT_FALSE(out.empty());
   }
 
-  dnn::Trace<T> fresh;
+  // A plain run through the same (reused) workspace reproduces every cached
+  // layer boundary.
+  std::size_t seen = 0;
+  const dnn::LayerObserver<T> observer =
+      [&](std::size_t i, tensor::ConstTensorView<T> act) {
+        EXPECT_TRUE(tensor::bitwise_equal<T>(cache.act(i), act))
+            << "layer " << i;
+        ++seen;
+      };
   dnn::RunRequest<T> req;
   req.input = image;
-  req.trace = &fresh;
+  req.observer = &observer;
   exec.run(ws, req);
-  ASSERT_EQ(fresh.acts.size(), cache.num_layers());
-  EXPECT_TRUE(tensor::bitwise_equal<T>(cache.input(), fresh.input.view()));
-  for (std::size_t i = 0; i < cache.num_layers(); ++i)
-    EXPECT_TRUE(tensor::bitwise_equal<T>(
-        cache.act(i), tensor::ConstTensorView<T>(fresh.acts[i])))
-        << "layer " << i;
-}
-
-// ---------------------------------------------------------------------------
-// run_range: executing [0, k) then [k, N) from the intermediate activation
-// reproduces the full forward bit-for-bit, for every split point.
-// ---------------------------------------------------------------------------
-
-TEST(IncrementalReplay, RunRangeSplitsReproduceFullForward) {
-  using T = numeric::Half;
-  const auto net = dnn::instantiate<T>(tiny_spec(), tiny_blob());
-  const auto image = tensor::convert<T>(tiny_inputs(1)[0].image);
-  const dnn::Executor<T> exec(net.plan());
-  dnn::Workspace<T> ws(net.plan());
-  const std::size_t n = net.plan().num_layers();
-
-  dnn::RunRequest<T> req;
-  req.input = image;
-  Tensor<T> whole;
-  whole.assign(exec.run(ws, req));
-
-  for (std::size_t k = 1; k < n; ++k) {
-    dnn::RunRequest<T> lo;
-    lo.input = image;
-    Tensor<T> mid;
-    mid.assign(exec.run_range(ws, 0, k, lo));
-    dnn::RunRequest<T> hi;
-    hi.input = mid;
-    Tensor<T> out;
-    out.assign(exec.run_range(ws, k, n, hi));
-    EXPECT_TRUE(tensor::bitwise_equal(out, whole)) << "split at " << k;
-  }
+  EXPECT_EQ(seen, cache.num_layers());
+  EXPECT_TRUE(tensor::bitwise_equal<T>(cache.input(),
+                                       tensor::ConstTensorView<T>(image)));
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "dnnfi/common/exact_sum.h"
 #include "dnnfi/common/rng.h"
@@ -341,6 +343,44 @@ TEST(FaultOpSpecRoundTrip, CanonicalStringsParseBack) {
                                                 0x5ULL << 2));
 }
 
+// Mutation sweep over the two CLI spec parsers (--accel, --fault-op): every
+// single-byte change (all 255 XOR masks at every offset) and every
+// truncation of a valid spelling either fails cleanly or parses to a value
+// whose canonical spelling parses back to the same value. Nothing throws.
+TEST(CliSpecParsers, SurviveEveryByteFlipAndTruncation) {
+  const auto mutants = [](const std::string& valid) {
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      for (int mask = 1; mask < 256; ++mask) {
+        std::string m = valid;
+        m[i] = static_cast<char>(m[i] ^ mask);
+        out.push_back(std::move(m));
+      }
+    }
+    for (std::size_t cut = 0; cut < valid.size(); ++cut)
+      out.push_back(valid.substr(0, cut));
+    return out;
+  };
+  for (const char* valid : {"systolic:16x16", "eyeriss"}) {
+    for (const std::string& m : mutants(valid)) {
+      SCOPED_TRACE(m);
+      std::optional<accel::AcceleratorConfig> got;
+      ASSERT_NO_THROW(got = accel::parse_accelerator(m));
+      if (!got) continue;
+      EXPECT_EQ(accel::parse_accelerator(got->to_string()), got);
+    }
+  }
+  for (const char* valid : {"set1:0x0003", "toggle:3"}) {
+    for (const std::string& m : mutants(valid)) {
+      SCOPED_TRACE(m);
+      std::optional<fault::FaultOpSpec> got;
+      ASSERT_NO_THROW(got = fault::FaultOpSpec::parse(m));
+      if (!got) continue;
+      EXPECT_EQ(fault::FaultOpSpec::parse(got->to_string()), got);
+    }
+  }
+}
+
 // Op application must be bit-identical whichever kernel set executes the
 // faulty layer: the injection hooks corrupt logical tensor words, never the
 // SIMD-packed copies, so scalar and avx2 runs see the same upset.
@@ -391,11 +431,16 @@ TEST(FaultOpKernels, FaultyRunsBitIdenticalAcrossScalarAndAvx2) {
     EXPECT_TRUE(dnn::kernels::set_active_mode(mode));
     dnn::Network<Half> net(spec);  // plan captures the active kernel set
     dnn::load_weights(net, blob);
-    const auto golden = net.forward_trace(img);
+    const dnn::ActivationCache<Half> golden(net.plan(), img);
+    const dnn::Executor<Half> exec(net.plan());
+    dnn::Workspace<Half> ws(net.plan());
     std::vector<Tensor<Half>> outs;
-    for (const auto& f : faults)
-      outs.push_back(net.forward_with_fault(
-          golden, fault::lower(f, net.mac_layers(), *model)));
+    for (const auto& f : faults) {
+      outs.emplace_back();
+      outs.back().assign(fault::inject<Half>(
+          exec, ws, net.mac_layers(), golden, f, /*early_exit=*/false,
+          nullptr, nullptr, nullptr, *model));
+    }
     return outs;
   };
   const auto scalar = run_mode("scalar");

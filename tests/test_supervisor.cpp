@@ -4,7 +4,8 @@
 // byte-identical to a monolithic run of the same configuration, no matter
 // what is done to the workers in between: SIGKILL mid-shard, a hung
 // worker reaped by the heartbeat watchdog, or a poison trial that is
-// bisected down to and quarantined.
+// bisected down to and quarantined. The CampaignCli tests lock the CLI's
+// usage errors and the output formats of `info`, `profile` and `inject`.
 //
 // Failure injection uses the worker's env-gated test hooks
 // (DNNFI_TEST_CRASH_ONCE_FILE / DNNFI_TEST_HANG_ONCE_FILE /
@@ -24,6 +25,8 @@
 #include <vector>
 
 #include "dnnfi/common/error.h"
+#include "dnnfi/data/pretrain.h"
+#include "dnnfi/fault/campaign.h"
 #include "dnnfi/fault/checkpoint.h"
 
 namespace dnnfi {
@@ -75,7 +78,10 @@ TEST(CampaignCli, MalformedNumericFlagsAreUsageErrors) {
        {"--trials abc", "--seed -", "--shard 3:x", "--shard 5:3",
         "--shard 20:30 --trials 10", "--inputs 0", "--workers 0",
         "--workers 2 --hosts localhost:2",
-        "--hosts-file /nonexistent/hosts --workers 1"}) {
+        "--hosts-file /nonexistent/hosts --workers 1",
+        // Pinned axes outside the network or the struck word.
+        "--bit 20", "--bit -1", "--layer 0", "--layer 99",
+        "--site global-buffer --storage 16b_rb10 --bit 16"}) {
     SCOPED_TRACE(flags);
     EXPECT_EQ(run_tool(std::string("run --network alexnet ") + flags, "", log),
               2);
@@ -83,6 +89,117 @@ TEST(CampaignCli, MalformedNumericFlagsAreUsageErrors) {
         << read_file(log);
   }
   fs::remove(log);
+}
+
+/// The stdout+stderr of one `DNNFI_CAMPAIGN_BIN <args>` that must exit 0.
+std::string tool_output(const std::string& args) {
+  const std::string log =
+      (fs::temp_directory_path() /
+       ("dnnfi_test_cli_out_" + std::to_string(getpid()) + ".log"))
+          .string();
+  const int code = run_tool(args, "", log);
+  std::string out = read_file(log);
+  fs::remove(log);
+  EXPECT_EQ(code, 0) << args << "\n" << out;
+  return out;
+}
+
+/// The four lines `inject` prints for one trial.
+std::string narration(const fault::TrialRecord& tr) {
+  std::ostringstream o;
+  o << "fault:   " << tr.fault.describe() << "\n"
+    << "value:   " << tr.record.corrupted_before << " -> "
+    << tr.record.corrupted_after
+    << (tr.record.zero_to_one ? "  (bit 0->1)" : "  (bit 1->0)") << "\n"
+    << "outcome: " << (tr.outcome.sdc1 ? "SDC-1" : "benign/masked")
+    << (tr.outcome.sdc5 ? " SDC-5" : "") << (tr.outcome.sdc10 ? " SDC-10%" : "")
+    << (tr.outcome.sdc20 ? " SDC-20%" : "") << "\n"
+    << "output corruption: " << tr.output_corruption * 100
+    << "% of final ACTs\n";
+  return o.str();
+}
+
+TEST(CampaignCli, InfoPrintsFootprintTable) {
+  const std::string out = tool_output("info --network convnet");
+  EXPECT_NE(out.find("network: ConvNet\ninput:   3x32x32, classes 10\n"
+                     "logical layers: 5\n== MAC-layer footprints ==\n"
+                     "| layer | kind | in elems | weights | out elems | MACs"
+                     "    |\n"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("| 1     | conv | 3072     | 1200    | 16384     | "
+                     "1228800 |\n"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("\ntotal MACs: 3719808\n"), std::string::npos) << out;
+}
+
+TEST(CampaignCli, ProfilePrintsOneRowPerBlock) {
+  const std::string out =
+      tool_output("profile --network convnet --dtype FLOAT16 --inputs 4");
+  EXPECT_NE(out.find("== fault-free value ranges: ConvNet FLOAT16 ==\n"
+                     "| layer | min"),
+            std::string::npos)
+      << out;
+  // One row per logical layer, numbered 1..5 in order.
+  const std::regex row("^\\| (\\d+) +\\| -?\\d+\\.\\d{4} +\\| "
+                       "-?\\d+\\.\\d{4} +\\|$",
+                       std::regex::multiline);
+  std::vector<int> blocks;
+  for (auto it = std::sregex_iterator(out.begin(), out.end(), row);
+       it != std::sregex_iterator(); ++it)
+    blocks.push_back(std::stoi((*it)[1]));
+  EXPECT_EQ(blocks, (std::vector<int>{1, 2, 3, 4, 5})) << out;
+}
+
+TEST(CampaignCli, InjectNarratesFourLines) {
+  EXPECT_EQ(tool_output("inject --network convnet --dtype FLOAT16 "
+                        "--shard 0:1 --seed 7"),
+            "fault:   datapath/product block 3 elem 1259 step 122 bit 15\n"
+            "value:   0 -> -0  (bit 0->1)\n"
+            "outcome: benign/masked\n"
+            "output corruption: 0% of final ACTs\n");
+  // --shard is required, and stratified campaigns have no trial shards.
+  EXPECT_EQ(run_tool("inject --network convnet"), 2);
+  EXPECT_EQ(run_tool("inject --network convnet --shard 0:1 "
+                     "--sampler stratified"),
+            2);
+}
+
+TEST(CampaignCli, InjectNarratesTheTrialRunShardStreams) {
+  // Trial 5 of a global-buffer campaign, narrated by the CLI, against the
+  // record trial 5 streams from an in-process run_shard over [0, 8) with
+  // the CLI's defaults (8 test-split inputs, 2000 trials).
+  const std::string got =
+      tool_output("inject --network convnet --dtype FLOAT16 "
+                  "--site global-buffer --seed 7 --shard 5:6");
+
+  ASSERT_EQ(setenv("DNNFI_MODEL_DIR", DNNFI_REPO_MODELS, 1), 0);
+  const auto id = dnn::zoo::NetworkId::kConvNet;
+  const dnn::Model m = data::pretrained(id);
+  const auto ds = data::dataset_for(id);
+  std::vector<dnn::Example> inputs;
+  for (std::size_t i = 0; i < 8; ++i) {
+    auto s = ds->sample(data::kTestSplitBegin + i);
+    inputs.push_back(dnn::Example{std::move(s.image), s.label});
+  }
+  const fault::Campaign c(m.spec, m.blob, numeric::DType::kFloat16, inputs);
+  fault::CampaignOptions opt;
+  opt.trials = 2000;
+  opt.seed = 7;
+  opt.site = fault::SiteClass::kGlobalBuffer;
+  fault::ShardSpec shard;
+  shard.end = 8;
+  std::optional<fault::TrialRecord> fifth;
+  const fault::TrialSink sink = [&](std::uint64_t t,
+                                    const fault::TrialRecord& tr) {
+    if (t == 5) fifth = tr;
+  };
+  ASSERT_TRUE(c.run_shard(opt, shard, &sink).complete);
+  ASSERT_TRUE(fifth.has_value());
+  EXPECT_EQ(fifth->input_index, 5u);
+  EXPECT_GT(fifth->output_corruption, 0.0);  // a trial worth narrating
+  EXPECT_EQ(got, narration(*fifth));
 }
 
 class SupervisorTest : public ::testing::Test {
@@ -139,6 +256,31 @@ TEST_F(SupervisorTest, CleanSupervisedRunMatchesMonolithicByteForByte) {
   EXPECT_EQ(ck.value().shard_begin, 0u);
   EXPECT_EQ(ck.value().shard_end, 64u);
   EXPECT_TRUE(ck.value().aborted_trials.empty());
+}
+
+TEST_F(SupervisorTest, SupervisedStorageCampaignMatchesRun) {
+  // --storage reaches the workers: the supervised stats equal a monolithic
+  // run with the same flags, which differ from a run without --storage.
+  const std::string flags = " --site global-buffer --no-progress --out ";
+  const std::string storage = " --storage 16b_rb10";
+  ASSERT_EQ(run_tool(std::string("run ") + kCampaignFlags + storage + flags +
+                         path("run.stats"),
+                     "", path("run.log")),
+            0)
+      << read_file(path("run.log"));
+  ASSERT_EQ(run_tool(std::string("run ") + kCampaignFlags + flags +
+                         path("plain.stats"),
+                     "", path("plain.log")),
+            0)
+      << read_file(path("plain.log"));
+  ASSERT_EQ(run_tool(supervise_flags("--site global-buffer" + storage), "",
+                     path("sup.log")),
+            0)
+      << read_file(path("sup.log"));
+  const std::string run = read_file(path("run.stats"));
+  ASSERT_FALSE(run.empty());
+  EXPECT_NE(run, read_file(path("plain.stats")));
+  EXPECT_EQ(read_file(path("sup.stats")), run);
 }
 
 TEST_F(SupervisorTest, SigkilledWorkerIsRetriedAndResumesByteIdentical) {

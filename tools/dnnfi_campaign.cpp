@@ -1,16 +1,21 @@
-// Sharded, resumable, supervised fault-injection campaign runner.
+// dnnfi's command-line runner: sharded, resumable, supervised
+// fault-injection campaigns, plus single-trial narration and network
+// inspection.
 //
 // Subcommands:
 //   run       --network <name> --dtype <name> [--site <name>] [--trials N]
 //             [--seed S] [--shard B:E] [--checkpoint FILE] [--batch N]
-//             [--stop-after N] [--bit B] [--layer L] [--inputs N]
-//             [--distances] [--out FILE] [--no-progress] [--no-incremental]
+//             [--stop-after N] [--bit B] [--layer L] [--storage <dtype>]
+//             [--inputs N] [--distances] [--out FILE] [--no-progress]
+//             [--no-incremental]
 //             Runs trial indices [B, E) of an N-trial campaign, streaming
 //             records into an accumulator. With --checkpoint, state is saved
 //             after every batch and an existing file resumes transparently.
 //             --no-incremental disables incremental fault replay (the
 //             masked-fault early exit); results are byte-identical either
 //             way, the flag only trades speed for a full-replay cross-check.
+//             A complete uniform run also prints the component's FIT rate
+//             (Eyeriss-16nm, or a systolic datapath) from its SDC-1 rate.
 //   resume    Same flags as run; requires the checkpoint file to exist.
 //   merge     [--out FILE] <checkpoint>...
 //             Validates that the checkpoints belong to one campaign (equal
@@ -35,6 +40,15 @@
 //             batch. [--host-quarantine S] and [--host-fail-limit N] tune
 //             per-host health; SIGHUP re-reads --hosts-file (elastic
 //             membership). See DESIGN.md §13.
+//   inject    Campaign flags with a required --shard B:E
+//             Narrates trials [B, E): the sampled fault, the corrupted
+//             value, the outcome and the output corruption of each. The
+//             trials stream from the same run_shard a `run` executes.
+//   profile   --network <name> --dtype <name> [--inputs N]
+//             Prints fault-free per-layer value ranges over N examples
+//             (SED learning data).
+//   info      --network <name>
+//             Prints topology, MACs, weights, and buffer footprints.
 //   worker    (internal) one supervised shard: `run` speaking the framed
 //             init/beat/checkpoint protocol on stdin/stdout, with
 //             taxonomy-coded exit statuses.
@@ -69,11 +83,13 @@
 #include "dnnfi/common/error.h"
 #include "dnnfi/common/table.h"
 #include "dnnfi/data/pretrain.h"
+#include "dnnfi/dnn/zoo.h"
 #include "dnnfi/fault/campaign.h"
 #include "dnnfi/fault/checkpoint.h"
 #include "dnnfi/fault/stats_io.h"
 #include "dnnfi/fault/supervisor.h"
 #include "dnnfi/fault/transport.h"
+#include "dnnfi/fit/fit.h"
 #include "cli_number.h"
 
 namespace {
@@ -104,8 +120,8 @@ void install_signal_handlers() {
 [[noreturn]] void usage(const std::string& why) {
   std::cerr
       << "error: " << why << "\n\n"
-      << "usage: dnnfi_campaign <run|resume|supervise> --network <name> "
-         "[--dtype <name>] [options]\n"
+      << "usage: dnnfi_campaign <run|resume|supervise|inject|profile|info> "
+         "--network <name> [--dtype <name>] [options]\n"
          "       dnnfi_campaign merge [--out FILE] <checkpoint>...\n"
          "  networks: convnet alexnet caffenet nin\n"
          "  dtypes:   DOUBLE FLOAT FLOAT16 32b_rb26 32b_rb10 16b_rb10\n"
@@ -114,10 +130,11 @@ void install_signal_handlers() {
          "  fault ops: toggle toggle:<n> set0 set1 set0:0x<mask> ...\n"
          "  options:  --trials N --seed S --shard B:E --checkpoint FILE\n"
          "            --batch N --stop-after N --bit B --layer L --inputs N\n"
-         "            --accel <geom> --fault-op <op>\n"
+         "            --storage <dtype> --accel <geom> --fault-op <op>\n"
          "            --sampler uniform|stratified --pilot N --round-size N\n"
          "            --ci-target X (stratified: 0 disables the CI stop)\n"
          "            --distances --out FILE --no-progress --no-incremental\n"
+         "  inject:   --shard B:E required; profile: --inputs N examples\n"
          "  supervise: --workers W --shard-size N --ckpt-dir DIR\n"
          "            --heartbeat-timeout S --shard-timeout S\n"
          "            --max-attempts N --backoff S --max-quarantine N\n"
@@ -174,11 +191,13 @@ struct Args {
   std::uint64_t seed = 2017;
   std::uint64_t shard_begin = 0;
   std::uint64_t shard_end = 0;  // 0 = trials
+  bool have_shard = false;
   std::string checkpoint;
   std::size_t batch = 512;
   std::uint64_t stop_after = 0;
   std::optional<int> bit;
   std::optional<int> layer;
+  std::optional<numeric::DType> storage;
   accel::AcceleratorConfig accel;
   fault::FaultOpSpec fault_op;
   fault::SamplerMode sampler = fault::SamplerMode::kUniform;
@@ -248,6 +267,7 @@ Args parse(int argc, char** argv) {
       if (colon == std::string::npos) usage("--shard expects B:E");
       a.shard_begin = number<std::uint64_t>(key, val.substr(0, colon));
       a.shard_end = number<std::uint64_t>(key, val.substr(colon + 1));
+      a.have_shard = true;
     } else if (key == "--checkpoint") {
       a.checkpoint = val;
     } else if (key == "--batch") {
@@ -258,6 +278,8 @@ Args parse(int argc, char** argv) {
       a.bit = number<int>(key, val);
     } else if (key == "--layer") {
       a.layer = number<int>(key, val);
+    } else if (key == "--storage") {
+      a.storage = parse_dtype(val);
     } else if (key == "--accel") {
       const auto cfg = accel::parse_accelerator(val);
       if (!cfg) usage("bad --accel (want eyeriss or systolic:<rows>x<cols>)");
@@ -327,19 +349,36 @@ Args parse(int argc, char** argv) {
     const std::uint64_t end = a.shard_end == 0 ? a.trials : a.shard_end;
     if (a.shard_begin > end || end > a.trials)
       usage("--shard B:E needs B <= E <= --trials");
+    // Pinned axes are checked here, not left to the sampler's contract:
+    // --bit indexes the struck word (the --storage word for buffer sites),
+    // --layer a logical layer (1-based).
+    const numeric::DType word =
+        a.storage && a.site != fault::SiteClass::kDatapathLatch ? *a.storage
+                                                                : a.dtype;
+    if (a.bit && (*a.bit < 0 || *a.bit >= numeric::dtype_width(word)))
+      usage("--bit must be in [0, " +
+            std::to_string(numeric::dtype_width(word)) + ") for " +
+            std::string(numeric::dtype_name(word)));
+    const int blocks = dnn::zoo::network_spec(a.network).num_blocks();
+    if (a.layer && (*a.layer < 1 || *a.layer > blocks))
+      usage("--layer must be in [1, " + std::to_string(blocks) + "]");
   }
+  if (a.command == "inject" && !a.have_shard)
+    usage("inject requires --shard B:E");
   if (a.workers && (!a.hosts.empty() || !a.hosts_file.empty()))
     usage("--workers sizes the default localhost fleet; with --hosts or "
           "--hosts-file give each host's slots there");
   if (a.sampler == fault::SamplerMode::kStratified) {
     // Stratified campaigns are sequential-adaptive over the *whole* site
     // population: no trial-index shards, no pinned axes, no supervision.
+    if (a.command == "supervise" || a.command == "worker" ||
+        a.command == "inject")
+      usage(a.command + " runs uniform campaigns; use run --sampler "
+            "stratified");
     if (a.shard_begin != 0 || a.shard_end != 0)
       usage("--shard is incompatible with --sampler stratified");
     if (a.bit || a.layer)
       usage("--bit/--layer pin a stratification axis; use --sampler uniform");
-    if (a.command == "supervise" || a.command == "worker")
-      usage("supervise runs uniform campaigns; use run --sampler stratified");
   }
   return a;
 }
@@ -469,6 +508,7 @@ fault::CampaignOptions campaign_options(const Args& a) {
   opt.site = a.site;
   opt.constraint.fixed_bit = a.bit;
   opt.constraint.fixed_block = a.layer;
+  opt.constraint.buffer_storage = a.storage;
   opt.constraint.op_kind = a.fault_op.kind;
   opt.constraint.burst = a.fault_op.burst;
   opt.constraint.op_pattern = a.fault_op.pattern;
@@ -479,6 +519,27 @@ fault::CampaignOptions campaign_options(const Args& a) {
   opt.incremental_replay = a.incremental;
   opt.cancel = &g_cancel;
   return opt;
+}
+
+/// Prints the FIT rate of the campaign's component given its SDC-1 rate:
+/// the Eyeriss-16nm datapath or buffer, or a systolic datapath. Buffer FIT
+/// needs a per-buffer bit inventory, which only the Eyeriss config carries;
+/// datapath FIT scales with the PE count alone.
+void print_fit(const Args& a, const dnn::NetworkSpec& spec, double sdc1) {
+  const bool datapath = a.site == fault::SiteClass::kDatapathLatch;
+  if (a.accel.is_eyeriss()) {
+    const auto cfg = accel::eyeriss_16nm();
+    const double f =
+        datapath ? fit::datapath_fit(a.dtype, cfg.num_pes, sdc1)
+                 : fit::buffer_fit(accel::analyze(spec),
+                                   fault::buffer_of(a.site), cfg, sdc1);
+    std::cout << "Eyeriss-16nm FIT for this component: " << f << "\n";
+  } else if (datapath) {
+    const double f = fit::datapath_fit(
+        a.dtype, accel::make_accelerator(a.accel)->num_pes(), sdc1);
+    std::cout << a.accel.to_string() << " datapath FIT (16nm latch rate): "
+              << f << "\n";
+  }
 }
 
 /// run/resume. Uniform runs trial indices [B, E) of the campaign; with
@@ -570,9 +631,82 @@ int cmd_run(const Args& a, bool resume) {
   print_summary("shard " + range + " of " + std::to_string(a.trials) +
                     " trials: " + what,
                 res.acc);
+  print_fit(a, m.spec, res.acc.sdc1().p);
   if (!a.out.empty())
     return emit_stats_or_fail(a.out, c.fingerprint(opt), res.acc,
                               res.masked_exits, {}, stats_axes(a));
+  return 0;
+}
+
+// ---- inject / profile / info ---------------------------------------------
+
+/// Narrates trials [B, E) as they stream from run_shard: the same trials,
+/// on the same code path, that a `run` of these flags folds.
+int cmd_inject(const Args& a) {
+  const dnn::Model m = data::pretrained(a.network);
+  const fault::Campaign c(m.spec, m.blob, a.dtype,
+                          test_inputs(a.network, a.inputs));
+  fault::ShardSpec shard;
+  shard.begin = a.shard_begin;
+  shard.end = a.shard_end;
+  const bool several = shard.end - shard.begin > 1;
+  const fault::TrialSink narrate = [several](std::uint64_t trial,
+                                             const fault::TrialRecord& tr) {
+    if (several)
+      std::cout << "-- trial " << trial << " (input " << tr.input_index
+                << ") --\n";
+    std::cout << "fault:   " << tr.fault.describe() << "\n"
+              << "value:   " << tr.record.corrupted_before << " -> "
+              << tr.record.corrupted_after
+              << (tr.record.zero_to_one ? "  (bit 0->1)" : "  (bit 1->0)")
+              << "\n"
+              << "outcome: " << (tr.outcome.sdc1 ? "SDC-1" : "benign/masked")
+              << (tr.outcome.sdc5 ? " SDC-5" : "")
+              << (tr.outcome.sdc10 ? " SDC-10%" : "")
+              << (tr.outcome.sdc20 ? " SDC-20%" : "") << "\n"
+              << "output corruption: " << tr.output_corruption * 100
+              << "% of final ACTs\n";
+  };
+  const auto res = c.run_shard(campaign_options(a), shard, &narrate);
+  return res.complete ? 0 : exit_code(Errc::kInterrupted);
+}
+
+int cmd_profile(const Args& a) {
+  const dnn::Model m = data::pretrained(a.network);
+  const auto ds = data::dataset_for(a.network);
+  const auto ranges = fault::profile_block_ranges(
+      m.spec, m.blob, a.dtype,
+      [&ds](std::uint64_t i) {
+        auto s = ds->sample(i);
+        return dnn::Example{std::move(s.image), s.label};
+      },
+      0, a.inputs);
+  Table t("fault-free value ranges: " +
+          std::string(dnn::zoo::network_name(a.network)) + " " +
+          std::string(numeric::dtype_name(a.dtype)));
+  t.header({"layer", "min", "max"});
+  for (std::size_t b = 0; b < ranges.size(); ++b)
+    t.row({std::to_string(b + 1), Table::num(ranges[b].lo, 4),
+           Table::num(ranges[b].hi, 4)});
+  t.print(std::cout);
+  return 0;
+}
+
+int cmd_info(const Args& a) {
+  const dnn::Model m = data::pretrained(a.network);
+  const auto fp = accel::analyze(m.spec);
+  std::cout << "network: " << m.spec.name << "\n"
+            << "input:   " << m.spec.input.c << "x" << m.spec.input.h << "x"
+            << m.spec.input.w << ", classes " << m.spec.num_classes << "\n"
+            << "logical layers: " << m.spec.num_blocks() << "\n";
+  Table t("MAC-layer footprints");
+  t.header({"layer", "kind", "in elems", "weights", "out elems", "MACs"});
+  for (const auto& f : fp)
+    t.row({std::to_string(f.block), f.is_conv ? "conv" : "fc",
+           std::to_string(f.input_elems), std::to_string(f.weight_elems),
+           std::to_string(f.output_elems), std::to_string(f.macs)});
+  t.print(std::cout);
+  std::cout << "total MACs: " << accel::total_macs(fp) << "\n";
   return 0;
 }
 
@@ -774,6 +908,10 @@ int cmd_supervise(const Args& a, const char* argv0) {
     so.worker_flags.push_back("--layer");
     so.worker_flags.push_back(std::to_string(*a.layer));
   }
+  if (a.storage) {
+    so.worker_flags.push_back("--storage");
+    so.worker_flags.push_back(std::string(numeric::dtype_name(*a.storage)));
+  }
   if (a.distances) so.worker_flags.push_back("--distances");
   if (!a.incremental) so.worker_flags.push_back("--no-incremental");
 
@@ -922,6 +1060,9 @@ int main(int argc, char** argv) {
     if (a.command == "worker") return cmd_worker(a);
     if (a.command == "supervise") return cmd_supervise(a, argv[0]);
     if (a.command == "merge") return cmd_merge(a);
+    if (a.command == "inject") return cmd_inject(a);
+    if (a.command == "profile") return cmd_profile(a);
+    if (a.command == "info") return cmd_info(a);
     usage("unknown command " + a.command);
   } catch (const fault::CheckpointError& e) {
     std::cerr << "error: " << e.what() << "\n";
