@@ -30,8 +30,10 @@
 // construction and routes every conv / fully-connected / relu / lrn /
 // maxpool / avgpool / softmax step through it (exec_step). Public tensors — activations, caches, checkpoints, fault
 // injection coordinates — stay NCHW/OIHW; the packed copy lives only in the
-// workspace and is refreshed whenever the workspace re-binds a different
-// plan (or Workspace::repack is called after mutating weights in place).
+// workspace and is taken when the workspace binds a plan (re-binding a
+// different plan retakes it). It is a snapshot: after mutating weights in
+// place, run through a fresh workspace (Network::forward builds one per
+// call).
 #pragma once
 
 #include <vector>
@@ -154,10 +156,6 @@ class Workspace {
       packed_base_ = base;
     }
   }
-
-  /// Forces the next bind to re-interleave weights. Call after mutating a
-  /// bound plan's layer weights in place (the packed copy is a snapshot).
-  void repack() noexcept { packed_plan_ = nullptr; }
 
   /// Ping (`parity` 0) or pong (`parity` 1) output buffer, shaped `s`.
   TensorView<T> out_buffer(unsigned parity, const Shape& s) {

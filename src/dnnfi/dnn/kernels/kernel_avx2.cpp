@@ -22,6 +22,12 @@
 // every add via VCVTPS2PH with a movemask-guarded fixup to the library's
 // canonical quiet NaN (sign | 0x7E00), matching Half operator semantics
 // bit-for-bit.
+//
+// The post-MAC kernels are likewise one body per op: lrn_blocks,
+// avgpool_lanes and softmax_lanes run over the LaneIoF32/F64/F16 traits
+// (4 double lanes, every type widened exactly), and maxpool_lanes runs over
+// the same F32x8/F64x4/F16x8 traits as the MAC body. The avx512 sets share
+// these twelve entry points.
 #include "dnnfi/dnn/kernels/kernel_avx2.h"
 
 #if defined(DNNFI_ENABLE_AVX2_KERNELS)
@@ -60,7 +66,13 @@ inline __m128i cvtps_ph_canon(__m256 v) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Vector traits for kernel_mac_body.h.
+// Vector traits for kernel_mac_body.h. Each also carries the maxpool_lanes
+// members below the MAC ones:
+//   lane_offsets(stride)    the gather operand for lanes `stride` apart
+//   gather(p, offsets)      one window tap of kLanes outputs
+//   keep_greater(best, v)   per lane v if v > best (ordered compare, so a
+//                           NaN never wins), else best
+//   greater(a, b)           the scalar `a > b` of the column tail
 // ---------------------------------------------------------------------------
 
 struct F32x8 {
@@ -88,6 +100,17 @@ struct F32x8 {
         out, _mm256_and_ps(v, _mm256_cmp_ps(v, _mm256_setzero_ps(),
                                             _CMP_GT_OQ)));
   }
+  static __m256i lane_offsets(std::size_t stride) noexcept {
+    return _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                              _mm256_set1_epi32(static_cast<int>(stride)));
+  }
+  static __m256 gather(const float* p, __m256i offsets) noexcept {
+    return _mm256_i32gather_ps(p, offsets, 4);
+  }
+  static __m256 keep_greater(__m256 best, __m256 v) noexcept {
+    return _mm256_blendv_ps(best, v, _mm256_cmp_ps(v, best, _CMP_GT_OQ));
+  }
+  static bool greater(float a, float b) noexcept { return a > b; }
 };
 
 struct F64x4 {
@@ -115,6 +138,17 @@ struct F64x4 {
         out, _mm256_and_pd(v, _mm256_cmp_pd(v, _mm256_setzero_pd(),
                                             _CMP_GT_OQ)));
   }
+  static __m128i lane_offsets(std::size_t stride) noexcept {
+    return _mm_mullo_epi32(_mm_setr_epi32(0, 1, 2, 3),
+                           _mm_set1_epi32(static_cast<int>(stride)));
+  }
+  static __m256d gather(const double* p, __m128i offsets) noexcept {
+    return _mm256_i32gather_pd(p, offsets, 8);
+  }
+  static __m256d keep_greater(__m256d best, __m256d v) noexcept {
+    return _mm256_blendv_pd(best, v, _mm256_cmp_pd(v, best, _CMP_GT_OQ));
+  }
+  static bool greater(double a, double b) noexcept { return a > b; }
 };
 
 // Half bits: the accumulator stays 8 half values and every product and sum
@@ -144,14 +178,33 @@ struct F16x8 {
   static void store(__m128i r, T* lanes) noexcept {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), r);
   }
-  // Compare on the converted floats, keep the original 16 bits.
+  // relu and maxpool compare on the converted floats and keep the original
+  // 16 bits: the ordered a > b per lane, narrowed to a 16-bit lane mask.
+  static __m128i gt_mask(__m256 a, __m256 b) noexcept {
+    const __m256i m32 = _mm256_castps_si256(_mm256_cmp_ps(a, b, _CMP_GT_OQ));
+    return _mm_packs_epi32(_mm256_castsi256_si128(m32),
+                           _mm256_extracti128_si256(m32, 1));
+  }
   static void relu_block(const T* in, T* out) noexcept {
     const __m128i h = load(in);
-    const __m256i m32 = _mm256_castps_si256(_mm256_cmp_ps(
-        _mm256_cvtph_ps(h), _mm256_setzero_ps(), _CMP_GT_OQ));
-    const __m128i m16 = _mm_packs_epi32(_mm256_castsi256_si128(m32),
-                                        _mm256_extracti128_si256(m32, 1));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out), _mm_and_si128(h, m16));
+    const __m128i keep = gt_mask(_mm256_cvtph_ps(h), _mm256_setzero_ps());
+    store(_mm_and_si128(h, keep), out);
+  }
+  // No 16-bit hardware gather exists: compose the lanes on the stack.
+  static std::size_t lane_offsets(std::size_t stride) noexcept {
+    return stride;
+  }
+  static __m128i gather(const T* p, std::size_t stride) noexcept {
+    alignas(16) T b[8];
+    for (std::size_t l = 0; l < 8; ++l) b[l] = p[l * stride];
+    return load(b);
+  }
+  static __m128i keep_greater(__m128i best, __m128i v) noexcept {
+    return _mm_blendv_epi8(
+        best, v, gt_mask(_mm256_cvtph_ps(v), _mm256_cvtph_ps(best)));
+  }
+  static bool greater(T a, T b) noexcept {
+    return _cvtsh_ss(a) > _cvtsh_ss(b);
   }
 };
 
@@ -201,11 +254,11 @@ inline double shifted_exp_local(double v, double mx) noexcept {
 }
 
 // Per-type lane I/O for the double-precision post-MAC internals: 4
-// contiguous elements <-> one __m256d, plus the single-element forms the
-// scalar tails use. Conversions are exactly numeric_traits<T>'s
-// to_double/from_double: float<->double casts are the hardware converts,
-// Half goes half->float->double in and double->float->half (canonical NaN)
-// out.
+// contiguous elements <-> one __m256d, 4 elements `stride` apart -> one
+// __m256d, plus the single-element forms the scalar tails use. Conversions
+// are exactly numeric_traits<T>'s to_double/from_double: float<->double
+// casts are the hardware converts, Half goes half->float->double in and
+// double->float->half (canonical NaN) out.
 struct LaneIoF32 {
   using T = float;
   static __m256d load4(const float* p) noexcept {
@@ -213,6 +266,11 @@ struct LaneIoF32 {
   }
   static void store4(__m256d v, float* p) noexcept {
     _mm_storeu_ps(p, _mm256_cvtpd_ps(v));
+  }
+  static __m256d gather4(const float* p, std::size_t stride) noexcept {
+    const int s = static_cast<int>(stride);
+    return _mm256_cvtps_pd(
+        _mm_i32gather_ps(p, _mm_setr_epi32(0, s, 2 * s, 3 * s), 4));
   }
   static double load1(const float* p) noexcept {
     return static_cast<double>(*p);
@@ -228,6 +286,10 @@ struct LaneIoF64 {
   static void store4(__m256d v, double* p) noexcept {
     _mm256_storeu_pd(p, v);
   }
+  static __m256d gather4(const double* p, std::size_t stride) noexcept {
+    const int s = static_cast<int>(stride);
+    return _mm256_i32gather_pd(p, _mm_setr_epi32(0, s, 2 * s, 3 * s), 8);
+  }
   static double load1(const double* p) noexcept { return *p; }
   static void store1(double v, double* p) noexcept { *p = v; }
 };
@@ -242,6 +304,11 @@ struct LaneIoF16 {
   static void store4(__m256d v, std::uint16_t* p) noexcept {
     const __m128i h = cvtps_ph_canon4(_mm256_cvtpd_ps(v));
     _mm_storel_epi64(reinterpret_cast<__m128i*>(p), h);
+  }
+  static __m256d gather4(const std::uint16_t* p, std::size_t stride) noexcept {
+    alignas(8) std::uint16_t b[4];
+    for (std::size_t l = 0; l < 4; ++l) b[l] = p[l * stride];
+    return load4(b);
   }
   static double load1(const std::uint16_t* p) noexcept {
     return static_cast<double>(_cvtsh_ss(*p));
@@ -344,6 +411,123 @@ void lrn_blocks(const LrnGeom& g, const typename Io::T* in,
   if (p < plane) lrn_ref_positions<Io>(g, in, out, p, plane);
 }
 
+// Max pooling across output columns, kLanes windows per lane-block: each
+// lane is seeded from its window's first element and folds the taps in the
+// scalar (ky, kx) order with keep_greater, so NaNs lose and the first
+// maximum wins exactly as in the scalar `if (v > best)`. Columns past the
+// last full block run that scalar loop.
+template <class P>
+void maxpool_lanes(const PoolGeom& g, const typename P::T* in,
+                   typename P::T* out) {
+  using T = typename P::T;
+  const std::size_t iplane = g.in_h * g.in_w;
+  const std::size_t oplane = g.out_h * g.out_w;
+  const auto offsets = P::lane_offsets(g.stride);
+  for (std::size_t c = 0; c < g.c; ++c) {
+    const T* const ic = in + c * iplane;
+    T* const oc = out + c * oplane;
+    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
+      const T* const iwin = ic + oy * g.stride * g.in_w;
+      T* const orow = oc + oy * g.out_w;
+      std::size_t ox = 0;
+      for (; ox + P::kLanes <= g.out_w; ox += P::kLanes) {
+        const T* const base = iwin + ox * g.stride;
+        auto best = P::gather(base, offsets);
+        for (std::size_t ky = 0; ky < g.k; ++ky) {
+          const T* const irow = base + ky * g.in_w;
+          for (std::size_t kx = 0; kx < g.k; ++kx)
+            best = P::keep_greater(best, P::gather(irow + kx, offsets));
+        }
+        P::store(best, orow + ox);
+      }
+      for (; ox < g.out_w; ++ox) {
+        const T* const base = iwin + ox * g.stride;
+        T best = base[0];
+        for (std::size_t ky = 0; ky < g.k; ++ky) {
+          const T* const irow = base + ky * g.in_w;
+          for (std::size_t kx = 0; kx < g.k; ++kx)
+            if (P::greater(irow[kx], best)) best = irow[kx];
+        }
+        orow[ox] = best;
+      }
+    }
+  }
+}
+
+// Global average pooling, four channels per pass: each lane is the scalar
+// sequential double sum over its plane from a zero accumulator, then one
+// multiply by 1/plane. Leftover channels run that scalar loop.
+template <class Io>
+void avgpool_lanes(const typename Io::T* in, typename Io::T* out,
+                   std::size_t channels, std::size_t plane) {
+  const double inv = 1.0 / static_cast<double>(plane);
+  const __m256d invv = _mm256_set1_pd(inv);
+  std::size_t c = 0;
+  for (; c + 4 <= channels; c += 4) {
+    __m256d acc = _mm256_setzero_pd();
+    for (std::size_t i = 0; i < plane; ++i)
+      acc = _mm256_add_pd(acc, Io::gather4(in + c * plane + i, plane));
+    Io::store4(_mm256_mul_pd(acc, invv), out + c);
+  }
+  for (; c < channels; ++c) {
+    double s = 0;
+    for (std::size_t i = 0; i < plane; ++i) s += Io::load1(in + c * plane + i);
+    Io::store1(s * inv, out + c);
+  }
+}
+
+constexpr std::size_t kSoftmaxStack = 1024;
+
+// Softmax in the scalar reference's three passes. The finite-max pass
+// replaces NaN and +/-Inf lanes by -Inf before a 4-lane double max over the
+// widened inputs; widening and max are exact, so any association gives the
+// scalar "max over finite elements" for every type (only the sign of a zero
+// maximum may differ, which exp(v - mx) cannot see; see Softmax in
+// layers.h). The exp/sum pass stays scalar; the normalize pass divides four
+// lanes at a time when the exps are buffered.
+template <class Io>
+void softmax_lanes(const typename Io::T* in, typename Io::T* out,
+                   std::size_t n) {
+  const __m256d ninf = _mm256_set1_pd(-__builtin_inf());
+  __m256d run = ninf;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d v = Io::load4(in + i);
+    const __m256d fin = _mm256_cmp_pd(_mm256_sub_pd(v, v),
+                                      _mm256_setzero_pd(), _CMP_EQ_OQ);
+    run = _mm256_max_pd(run, _mm256_blendv_pd(ninf, v, fin));
+  }
+  alignas(32) double lane[4];
+  _mm256_store_pd(lane, run);
+  double mx = -__builtin_inf();
+  for (const double l : lane)
+    if (l > mx) mx = l;
+  for (; i < n; ++i) {
+    const double v = Io::load1(in + i);
+    if (__builtin_isfinite(v) && v > mx) mx = v;
+  }
+  if (!__builtin_isfinite(mx)) mx = 0;
+  const bool buffered = n <= kSoftmaxStack;
+  double buf[kSoftmaxStack];
+  double sum = 0;
+  for (i = 0; i < n; ++i) {
+    const double e = shifted_exp_local(Io::load1(in + i), mx);
+    if (buffered) buf[i] = e;
+    sum += e;
+  }
+  i = 0;
+  if (sum > 0 && buffered) {
+    const __m256d sv = _mm256_set1_pd(sum);
+    for (; i + 4 <= n; i += 4)
+      Io::store4(_mm256_div_pd(_mm256_loadu_pd(buf + i), sv), out + i);
+  }
+  for (; i < n; ++i) {
+    const double e =
+        buffered ? buf[i] : shifted_exp_local(Io::load1(in + i), mx);
+    Io::store1(sum > 0 ? e / sum : 0.0, out + i);
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -409,382 +593,48 @@ void avx2_lrn_double(const LrnGeom& g, const double* in, double* out) {
 
 void avx2_lrn_half(const LrnGeom& g, const numeric::Half* in,
                    numeric::Half* out) {
-  lrn_blocks<LaneIoF16>(g, reinterpret_cast<const std::uint16_t*>(in),
-                        reinterpret_cast<std::uint16_t*>(out));
+  lrn_blocks<LaneIoF16>(g, bits(in), bits(out));
 }
 
 void avx2_maxpool_float(const PoolGeom& g, const float* in, float* out) {
-  const std::size_t iplane = g.in_h * g.in_w;
-  const std::size_t oplane = g.out_h * g.out_w;
-  const __m256i idx = _mm256_mullo_epi32(
-      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-      _mm256_set1_epi32(static_cast<int>(g.stride)));
-  for (std::size_t c = 0; c < g.c; ++c) {
-    const float* const ic = in + c * iplane;
-    float* const oc = out + c * oplane;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      const float* const iwin = ic + oy * g.stride * g.in_w;
-      float* const orow = oc + oy * g.out_w;
-      std::size_t ox = 0;
-      for (; ox + 8 <= g.out_w; ox += 8) {
-        const float* const base = iwin + ox * g.stride;
-        __m256 best = _mm256_i32gather_ps(base, idx, 4);
-        for (std::size_t ky = 0; ky < g.k; ++ky) {
-          const float* const irow = base + ky * g.in_w;
-          for (std::size_t kx = 0; kx < g.k; ++kx) {
-            const __m256 v = _mm256_i32gather_ps(irow + kx, idx, 4);
-            best = _mm256_blendv_ps(best, v,
-                                    _mm256_cmp_ps(v, best, _CMP_GT_OQ));
-          }
-        }
-        _mm256_storeu_ps(orow + ox, best);
-      }
-      for (; ox < g.out_w; ++ox) {
-        const float* const base = iwin + ox * g.stride;
-        float best = base[0];
-        for (std::size_t ky = 0; ky < g.k; ++ky) {
-          const float* const irow = base + ky * g.in_w;
-          for (std::size_t kx = 0; kx < g.k; ++kx) {
-            const float v = irow[kx];
-            if (v > best) best = v;
-          }
-        }
-        orow[ox] = best;
-      }
-    }
-  }
+  maxpool_lanes<F32x8>(g, in, out);
 }
 
 void avx2_maxpool_double(const PoolGeom& g, const double* in, double* out) {
-  const std::size_t iplane = g.in_h * g.in_w;
-  const std::size_t oplane = g.out_h * g.out_w;
-  const __m128i idx = _mm_mullo_epi32(
-      _mm_setr_epi32(0, 1, 2, 3),
-      _mm_set1_epi32(static_cast<int>(g.stride)));
-  for (std::size_t c = 0; c < g.c; ++c) {
-    const double* const ic = in + c * iplane;
-    double* const oc = out + c * oplane;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      const double* const iwin = ic + oy * g.stride * g.in_w;
-      double* const orow = oc + oy * g.out_w;
-      std::size_t ox = 0;
-      for (; ox + 4 <= g.out_w; ox += 4) {
-        const double* const base = iwin + ox * g.stride;
-        __m256d best = _mm256_i32gather_pd(base, idx, 8);
-        for (std::size_t ky = 0; ky < g.k; ++ky) {
-          const double* const irow = base + ky * g.in_w;
-          for (std::size_t kx = 0; kx < g.k; ++kx) {
-            const __m256d v = _mm256_i32gather_pd(irow + kx, idx, 8);
-            best = _mm256_blendv_pd(best, v,
-                                    _mm256_cmp_pd(v, best, _CMP_GT_OQ));
-          }
-        }
-        _mm256_storeu_pd(orow + ox, best);
-      }
-      for (; ox < g.out_w; ++ox) {
-        const double* const base = iwin + ox * g.stride;
-        double best = base[0];
-        for (std::size_t ky = 0; ky < g.k; ++ky) {
-          const double* const irow = base + ky * g.in_w;
-          for (std::size_t kx = 0; kx < g.k; ++kx) {
-            const double v = irow[kx];
-            if (v > best) best = v;
-          }
-        }
-        orow[ox] = best;
-      }
-    }
-  }
+  maxpool_lanes<F64x4>(g, in, out);
 }
-
-namespace {
-
-// 8 half bits gathered at a stride, composed on the stack (no 16-bit
-// hardware gather exists).
-inline __m128i gather8h(const std::uint16_t* p, std::size_t stride) noexcept {
-  alignas(16) std::uint16_t b[8];
-  for (std::size_t l = 0; l < 8; ++l) b[l] = p[l * stride];
-  return _mm_load_si128(reinterpret_cast<const __m128i*>(b));
-}
-
-// Lane mask (32-bit float compare) narrowed to 16-bit lanes for blending
-// half bit patterns: compares run on the converted floats, winners keep
-// their original 16 bits.
-inline __m128i gt_mask16(__m128i a, __m128i b) noexcept {
-  const __m256i m32 = _mm256_castps_si256(_mm256_cmp_ps(
-      _mm256_cvtph_ps(a), _mm256_cvtph_ps(b), _CMP_GT_OQ));
-  return _mm_packs_epi32(_mm256_castsi256_si128(m32),
-                         _mm256_extracti128_si256(m32, 1));
-}
-
-}  // namespace
 
 void avx2_maxpool_half(const PoolGeom& g, const numeric::Half* in,
                        numeric::Half* out) {
-  const auto* ip = reinterpret_cast<const std::uint16_t*>(in);
-  auto* op = reinterpret_cast<std::uint16_t*>(out);
-  const std::size_t iplane = g.in_h * g.in_w;
-  const std::size_t oplane = g.out_h * g.out_w;
-  for (std::size_t c = 0; c < g.c; ++c) {
-    const std::uint16_t* const ic = ip + c * iplane;
-    std::uint16_t* const oc = op + c * oplane;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      const std::uint16_t* const iwin = ic + oy * g.stride * g.in_w;
-      std::uint16_t* const orow = oc + oy * g.out_w;
-      std::size_t ox = 0;
-      for (; ox + 8 <= g.out_w; ox += 8) {
-        const std::uint16_t* const base = iwin + ox * g.stride;
-        __m128i best = gather8h(base, g.stride);
-        for (std::size_t ky = 0; ky < g.k; ++ky) {
-          const std::uint16_t* const irow = base + ky * g.in_w;
-          for (std::size_t kx = 0; kx < g.k; ++kx) {
-            const __m128i v = gather8h(irow + kx, g.stride);
-            best = _mm_blendv_epi8(best, v, gt_mask16(v, best));
-          }
-        }
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(orow + ox), best);
-      }
-      for (; ox < g.out_w; ++ox) {
-        const std::uint16_t* const base = iwin + ox * g.stride;
-        std::uint16_t best = base[0];
-        for (std::size_t ky = 0; ky < g.k; ++ky) {
-          const std::uint16_t* const irow = base + ky * g.in_w;
-          for (std::size_t kx = 0; kx < g.k; ++kx) {
-            const std::uint16_t v = irow[kx];
-            if (_cvtsh_ss(v) > _cvtsh_ss(best)) best = v;
-          }
-        }
-        orow[ox] = best;
-      }
-    }
-  }
+  maxpool_lanes<F16x8>(g, bits(in), bits(out));
 }
 
 void avx2_avgpool_float(const float* in, float* out, std::size_t channels,
                         std::size_t plane) {
-  const double inv = 1.0 / static_cast<double>(plane);
-  const __m256d invv = _mm256_set1_pd(inv);
-  const int p = static_cast<int>(plane);
-  const __m128i idx = _mm_setr_epi32(0, p, 2 * p, 3 * p);
-  std::size_t c = 0;
-  for (; c + 4 <= channels; c += 4) {
-    const float* const base = in + c * plane;
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t i = 0; i < plane; ++i)
-      acc = _mm256_add_pd(
-          acc, _mm256_cvtps_pd(_mm_i32gather_ps(base + i, idx, 4)));
-    _mm_storeu_ps(out + c, _mm256_cvtpd_ps(_mm256_mul_pd(acc, invv)));
-  }
-  for (; c < channels; ++c) {
-    const float* const ic = in + c * plane;
-    double s = 0;
-    for (std::size_t i = 0; i < plane; ++i)
-      s += static_cast<double>(ic[i]);
-    out[c] = static_cast<float>(s * inv);
-  }
+  avgpool_lanes<LaneIoF32>(in, out, channels, plane);
 }
 
 void avx2_avgpool_double(const double* in, double* out, std::size_t channels,
                          std::size_t plane) {
-  const double inv = 1.0 / static_cast<double>(plane);
-  const __m256d invv = _mm256_set1_pd(inv);
-  const int p = static_cast<int>(plane);
-  const __m128i idx = _mm_setr_epi32(0, p, 2 * p, 3 * p);
-  std::size_t c = 0;
-  for (; c + 4 <= channels; c += 4) {
-    const double* const base = in + c * plane;
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t i = 0; i < plane; ++i)
-      acc = _mm256_add_pd(acc, _mm256_i32gather_pd(base + i, idx, 8));
-    _mm256_storeu_pd(out + c, _mm256_mul_pd(acc, invv));
-  }
-  for (; c < channels; ++c) {
-    const double* const ic = in + c * plane;
-    double s = 0;
-    for (std::size_t i = 0; i < plane; ++i) s += ic[i];
-    out[c] = s * inv;
-  }
+  avgpool_lanes<LaneIoF64>(in, out, channels, plane);
 }
 
 void avx2_avgpool_half(const numeric::Half* in, numeric::Half* out,
                        std::size_t channels, std::size_t plane) {
-  const auto* ip = reinterpret_cast<const std::uint16_t*>(in);
-  auto* op = reinterpret_cast<std::uint16_t*>(out);
-  const double inv = 1.0 / static_cast<double>(plane);
-  const __m256d invv = _mm256_set1_pd(inv);
-  std::size_t c = 0;
-  for (; c + 4 <= channels; c += 4) {
-    const std::uint16_t* const base = ip + c * plane;
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t i = 0; i < plane; ++i) {
-      alignas(16) std::uint16_t b[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-      for (std::size_t l = 0; l < 4; ++l) b[l] = base[l * plane + i];
-      const __m128 f = _mm_cvtph_ps(
-          _mm_load_si128(reinterpret_cast<const __m128i*>(b)));
-      acc = _mm256_add_pd(acc, _mm256_cvtps_pd(f));
-    }
-    const __m128i h = cvtps_ph_canon4(_mm256_cvtpd_ps(
-        _mm256_mul_pd(acc, invv)));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(op + c), h);
-  }
-  for (; c < channels; ++c) {
-    const std::uint16_t* const ic = ip + c * plane;
-    double s = 0;
-    for (std::size_t i = 0; i < plane; ++i)
-      s += static_cast<double>(_cvtsh_ss(ic[i]));
-    op[c] = f2h(static_cast<float>(s * inv));
-  }
+  avgpool_lanes<LaneIoF16>(bits(in), bits(out), channels, plane);
 }
-
-namespace {
-
-constexpr std::size_t kSoftmaxStack = 1024;
-
-// Finite-max pass over floats (the widened Half path shares it): lanes that
-// are NaN or +/-Inf are replaced by -Inf before a vector max, so the result
-// equals the scalar "max over finite elements" — max is exact, any
-// association gives the same value (zero signs may differ; exp(v - mx) is
-// unaffected, see Softmax in layers.h).
-inline double finite_max_tail_f32(const float* in, std::size_t i,
-                                  std::size_t n, __m256 run) noexcept {
-  alignas(32) float lane[8];
-  _mm256_store_ps(lane, run);
-  double mx = -__builtin_inf();
-  for (int l = 0; l < 8; ++l)
-    if (static_cast<double>(lane[l]) > mx) mx = static_cast<double>(lane[l]);
-  for (; i < n; ++i) {
-    const double v = static_cast<double>(in[i]);
-    if (__builtin_isfinite(v) && v > mx) mx = v;
-  }
-  return mx;
-}
-
-inline __m256 finite_lanes_or_ninf(__m256 v) noexcept {
-  const __m256 fin = _mm256_cmp_ps(_mm256_sub_ps(v, v), _mm256_setzero_ps(),
-                                   _CMP_EQ_OQ);
-  return _mm256_blendv_ps(_mm256_set1_ps(-__builtin_inff()), v, fin);
-}
-
-}  // namespace
 
 void avx2_softmax_float(const float* in, float* out, std::size_t n) {
-  __m256 run = _mm256_set1_ps(-__builtin_inff());
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    run = _mm256_max_ps(run, finite_lanes_or_ninf(_mm256_loadu_ps(in + i)));
-  double mx = finite_max_tail_f32(in, i, n, run);
-  if (!__builtin_isfinite(mx)) mx = 0;
-  const bool buffered = n <= kSoftmaxStack;
-  double buf[kSoftmaxStack];
-  double sum = 0;
-  for (i = 0; i < n; ++i) {
-    const double e = shifted_exp_local(static_cast<double>(in[i]), mx);
-    if (buffered) buf[i] = e;
-    sum += e;
-  }
-  if (sum > 0 && buffered) {
-    const __m256d sv = _mm256_set1_pd(sum);
-    i = 0;
-    for (; i + 4 <= n; i += 4)
-      _mm_storeu_ps(out + i, _mm256_cvtpd_ps(_mm256_div_pd(
-                                 _mm256_loadu_pd(buf + i), sv)));
-    for (; i < n; ++i) out[i] = static_cast<float>(buf[i] / sum);
-  } else if (sum > 0) {
-    for (i = 0; i < n; ++i)
-      out[i] = static_cast<float>(
-          shifted_exp_local(static_cast<double>(in[i]), mx) / sum);
-  } else {
-    for (i = 0; i < n; ++i) out[i] = 0.0f;
-  }
+  softmax_lanes<LaneIoF32>(in, out, n);
 }
 
 void avx2_softmax_double(const double* in, double* out, std::size_t n) {
-  const __m256d ninf = _mm256_set1_pd(-__builtin_inf());
-  __m256d run = ninf;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(in + i);
-    const __m256d fin = _mm256_cmp_pd(
-        _mm256_sub_pd(v, v), _mm256_setzero_pd(), _CMP_EQ_OQ);
-    run = _mm256_max_pd(run, _mm256_blendv_pd(ninf, v, fin));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, run);
-  double mx = -__builtin_inf();
-  for (int l = 0; l < 4; ++l)
-    if (lane[l] > mx) mx = lane[l];
-  for (; i < n; ++i)
-    if (__builtin_isfinite(in[i]) && in[i] > mx) mx = in[i];
-  if (!__builtin_isfinite(mx)) mx = 0;
-  const bool buffered = n <= kSoftmaxStack;
-  double buf[kSoftmaxStack];
-  double sum = 0;
-  for (i = 0; i < n; ++i) {
-    const double e = shifted_exp_local(in[i], mx);
-    if (buffered) buf[i] = e;
-    sum += e;
-  }
-  if (sum > 0 && buffered) {
-    const __m256d sv = _mm256_set1_pd(sum);
-    i = 0;
-    for (; i + 4 <= n; i += 4)
-      _mm256_storeu_pd(out + i,
-                       _mm256_div_pd(_mm256_loadu_pd(buf + i), sv));
-    for (; i < n; ++i) out[i] = buf[i] / sum;
-  } else if (sum > 0) {
-    for (i = 0; i < n; ++i) out[i] = shifted_exp_local(in[i], mx) / sum;
-  } else {
-    for (i = 0; i < n; ++i) out[i] = 0.0;
-  }
+  softmax_lanes<LaneIoF64>(in, out, n);
 }
 
 void avx2_softmax_half(const numeric::Half* in, numeric::Half* out,
                        std::size_t n) {
-  const auto* ip = reinterpret_cast<const std::uint16_t*>(in);
-  auto* op = reinterpret_cast<std::uint16_t*>(out);
-  __m256 run = _mm256_set1_ps(-__builtin_inff());
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_cvtph_ps(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ip + i)));
-    run = _mm256_max_ps(run, finite_lanes_or_ninf(v));
-  }
-  alignas(32) float lane[8];
-  _mm256_store_ps(lane, run);
-  double mx = -__builtin_inf();
-  for (int l = 0; l < 8; ++l)
-    if (static_cast<double>(lane[l]) > mx) mx = static_cast<double>(lane[l]);
-  for (; i < n; ++i) {
-    const double v = static_cast<double>(_cvtsh_ss(ip[i]));
-    if (__builtin_isfinite(v) && v > mx) mx = v;
-  }
-  if (!__builtin_isfinite(mx)) mx = 0;
-  const bool buffered = n <= kSoftmaxStack;
-  double buf[kSoftmaxStack];
-  double sum = 0;
-  for (i = 0; i < n; ++i) {
-    const double e =
-        shifted_exp_local(static_cast<double>(_cvtsh_ss(ip[i])), mx);
-    if (buffered) buf[i] = e;
-    sum += e;
-  }
-  if (sum > 0 && buffered) {
-    const __m256d sv = _mm256_set1_pd(sum);
-    i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d q = _mm256_div_pd(_mm256_loadu_pd(buf + i), sv);
-      _mm_storel_epi64(reinterpret_cast<__m128i*>(op + i),
-                       cvtps_ph_canon4(_mm256_cvtpd_ps(q)));
-    }
-    for (; i < n; ++i) op[i] = f2h(static_cast<float>(buf[i] / sum));
-  } else if (sum > 0) {
-    for (i = 0; i < n; ++i)
-      op[i] = f2h(static_cast<float>(
-          shifted_exp_local(static_cast<double>(_cvtsh_ss(ip[i])), mx) /
-          sum));
-  } else {
-    for (i = 0; i < n; ++i) op[i] = 0;
-  }
+  softmax_lanes<LaneIoF16>(bits(in), bits(out), n);
 }
 
 }  // namespace dnnfi::dnn::kernels::detail

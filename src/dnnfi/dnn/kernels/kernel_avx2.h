@@ -38,12 +38,13 @@ void avx2_fc_half(const FcGeom&, const numeric::Half*, const numeric::Half*,
 void avx2_relu_half(const numeric::Half*, numeric::Half*, std::size_t);
 
 // Post-MAC kernels (bit-identical to the scalar reference; shared by the
-// avx2 and avx512 sets). LRN vectorizes the double-precision
-// window bookkeeping across four spatial positions and keeps the per-element
-// std::pow scalar; maxpool vectorizes across output columns with
-// compare+blend (so NaNs lose exactly as in the scalar `if (v > best)`);
-// avgpool runs four channel sums per pass; softmax vectorizes the finite-max
-// and normalize passes around a scalar exp loop.
+// avx2 and avx512 sets). Each op is one template body instantiated per
+// type over lane traits, and these entry points are one-line forwards. LRN
+// vectorizes the double-precision window bookkeeping across four spatial
+// positions and keeps the per-element std::pow scalar; maxpool vectorizes
+// across output columns with compare+blend (so NaNs lose exactly as in the
+// scalar `if (v > best)`); avgpool runs four channel sums per pass; softmax
+// vectorizes the finite-max and normalize passes around a scalar exp loop.
 void avx2_lrn_float(const LrnGeom&, const float*, float*);
 void avx2_lrn_double(const LrnGeom&, const double*, double*);
 void avx2_lrn_half(const LrnGeom&, const numeric::Half*, numeric::Half*);

@@ -35,9 +35,22 @@ T read_pod(std::istream& is) {
   read_bytes(is, &v, sizeof(v));
   return v;
 }
+// Bytes between the read position and the end of the file. Length fields
+// are checked against it before anything is allocated, so a corrupt length
+// fails fast instead of reserving gigabytes for a file that cannot fill them.
+std::uint64_t bytes_left(std::istream& is) {
+  const std::streamoff pos = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streamoff end = is.tellg();
+  is.seekg(pos);
+  if (pos < 0 || end < pos || !is)
+    throw std::runtime_error("dnnfi model: unseekable stream");
+  return static_cast<std::uint64_t>(end - pos);
+}
 std::string read_string(std::istream& is) {
   const auto n = read_pod<std::uint32_t>(is);
-  if (n > (1U << 20)) throw std::runtime_error("dnnfi model: bad string length");
+  if (n > (1U << 20) || n > bytes_left(is))
+    throw std::runtime_error("dnnfi model: bad string length");
   std::string s(n, '\0');
   if (n > 0) read_bytes(is, s.data(), n);
   return s;
@@ -50,7 +63,8 @@ void write_floats(std::ostream& os, const std::vector<F>& v) {
 }
 std::vector<float> read_floats(std::istream& is) {
   const auto n = read_pod<std::uint64_t>(is);
-  if (n > (1ULL << 30)) throw std::runtime_error("dnnfi model: bad array length");
+  if (n > (1ULL << 30) || n > bytes_left(is) / sizeof(float))
+    throw std::runtime_error("dnnfi model: bad array length");
   std::vector<float> v(n);
   if (n > 0) read_bytes(is, v.data(), n * sizeof(float));
   return v;

@@ -224,7 +224,7 @@ struct StratifiedResult {
 class Campaign {
  public:
   /// Builds the typed network from (spec, blob), quantizes `inputs`, and
-  /// computes golden traces and predictions.
+  /// computes their golden activation caches and predictions.
   Campaign(const dnn::NetworkSpec& spec, const dnn::WeightsBlob& blob,
            numeric::DType dtype, std::vector<dnn::Example> inputs);
   ~Campaign();

@@ -116,12 +116,16 @@ Expected<ShardCheckpoint> parse_checkpoint_bytes(const std::uint8_t* data,
     ck.next_trial = r.u64();
     ck.complete = r.u8() != 0;
     ck.masked_exits = r.u64();
+    // Every count that sizes an allocation is checked against the bytes
+    // left first (8 per entry at least), so a corrupt count is a typed
+    // error here instead of a length_error or bad_alloc out of reserve().
     const std::uint64_t aborted = r.u64();
-    if (aborted > ck.trials_total)
+    if (aborted > ck.trials_total || aborted > r.remaining() / 8)
       return defect(Errc::kCorruptData, path,
                     "aborted-trial count " + std::to_string(aborted) +
                         " exceeds trials_total " +
-                        std::to_string(ck.trials_total));
+                        std::to_string(ck.trials_total) +
+                        " or the bytes left");
     ck.aborted_trials.reserve(static_cast<std::size_t>(aborted));
     for (std::uint64_t i = 0; i < aborted; ++i)
       ck.aborted_trials.push_back(r.u64());
@@ -135,7 +139,7 @@ Expected<ShardCheckpoint> parse_checkpoint_bytes(const std::uint8_t* data,
       // and must not drive allocations.
       constexpr std::uint64_t kMaxStrata = 1u << 20;
       const std::uint64_t plan_count = r.u64();
-      if (plan_count > kMaxStrata)
+      if (plan_count > kMaxStrata || plan_count > r.remaining() / 8)
         return defect(Errc::kCorruptData, path,
                       "implausible stratified plan size " +
                           std::to_string(plan_count));
@@ -146,7 +150,7 @@ Expected<ShardCheckpoint> parse_checkpoint_bytes(const std::uint8_t* data,
         plan_sum += s.plan.back();
       }
       const std::uint64_t strata_count = r.u64();
-      if (strata_count > kMaxStrata)
+      if (strata_count > kMaxStrata || strata_count > r.remaining() / 8)
         return defect(Errc::kCorruptData, path,
                       "implausible stratum count " +
                           std::to_string(strata_count));

@@ -299,6 +299,96 @@ TEST(CampaignDeterminism, CorruptCheckpointsFailCleanly) {
   EXPECT_THROW(c.run_shard(opt, narrower), CheckpointError);
 }
 
+// Checkpoint image header (checkpoint.cpp): magic, u32 version, u32 CRC,
+// u64 payload size, then the payload.
+constexpr std::size_t kCkHeader = sizeof(kCheckpointMagic) + 4 + 4 + 8;
+
+// Re-seals an edited image's payload size and CRC, so the edit reaches the
+// structural parser instead of the CRC check.
+void reseal(std::vector<std::uint8_t>& img) {
+  const std::uint64_t size = img.size() - kCkHeader;
+  const std::uint32_t crc = crc32(img.data() + kCkHeader, size);
+  for (std::size_t i = 0; i < 4; ++i)
+    img[sizeof(kCheckpointMagic) + 4 + i] =
+        static_cast<std::uint8_t>(crc >> (8 * i));
+  for (std::size_t i = 0; i < 8; ++i)
+    img[sizeof(kCheckpointMagic) + 8 + i] =
+        static_cast<std::uint8_t>(size >> (8 * i));
+}
+
+TEST(CampaignDeterminism, HugeAbortedCountIsCorruptDataNotAThrow) {
+  ShardCheckpoint ck;
+  ck.trials_total = 1ULL << 62;
+  ck.shard_end = 4;
+  ck.next_trial = 4;
+  ck.complete = true;
+  TempFile f("huge_aborted");
+  ASSERT_TRUE(try_save_shard_checkpoint(f.path, ck).ok());
+  auto bytes = read_checkpoint_bytes(f.path);
+  ASSERT_TRUE(bytes.ok());
+  std::vector<std::uint8_t> img = std::move(bytes).value();
+  // Payload: fingerprint, four strings (u64 length + bytes), four u64s, the
+  // complete flag and masked_exits precede the aborted-trial count.
+  std::size_t off = kCkHeader + 8;
+  for (const std::string* s : {&ck.network, &ck.accel, &ck.fault_op,
+                               &ck.sampler})
+    off += 8 + s->size();
+  off += 4 * 8 + 1 + 8;
+  ASSERT_LE(off + 8, img.size());
+  const std::uint64_t aborted = ck.trials_total;  // passes `<= trials_total`
+  for (std::size_t i = 0; i < 8; ++i)
+    img[off + i] = static_cast<std::uint8_t>(aborted >> (8 * i));
+  reseal(img);
+  const auto parsed = parse_checkpoint_bytes(img.data(), img.size(), "huge");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().code, Errc::kCorruptData);
+}
+
+// Structure-aware mutation sweep (ROADMAP 5b): XOR every payload byte of a
+// uniform and of a stratified checkpoint, re-seal, and parse. Each image
+// parses or fails with a typed error; nothing throws.
+TEST(CampaignDeterminism, ResealedPayloadMutationsParseOrFailTyped) {
+  const Campaign c = tiny_campaign(DType::kFloat16);
+  TempFile ck("mutate");
+  ShardSpec shard;
+  shard.checkpoint = ck.path;
+  ASSERT_TRUE(c.run_shard(base_options(), shard).complete);
+  auto uniform = read_checkpoint_bytes(ck.path);
+  ASSERT_TRUE(uniform.ok());
+
+  ShardCheckpoint s = load_shard_checkpoint(ck.path);
+  StratifiedCheckpoint st;
+  st.rounds = 2;
+  st.cursor = 1;
+  st.plan = {1, 2};
+  st.strata = {{"block0/mac", 0.25, s.acc}, {"block1/mac", 0.75, s.acc}};
+  s.sampler = "stratified";
+  s.stratified = st;
+  ASSERT_TRUE(try_save_shard_checkpoint(ck.path, s).ok());
+  auto stratified = read_checkpoint_bytes(ck.path);
+  ASSERT_TRUE(stratified.ok());
+
+  for (const auto* good : {&uniform.value(), &stratified.value()}) {
+    std::size_t rejected = 0;
+    for (std::size_t i = kCkHeader; i < good->size(); ++i) {
+      for (const unsigned mask : {0x01U, 0x80U, 0xFFU}) {
+        std::vector<std::uint8_t> img = *good;
+        img[i] = static_cast<std::uint8_t>(img[i] ^ mask);
+        reseal(img);
+        try {
+          const auto parsed =
+              parse_checkpoint_bytes(img.data(), img.size(), "mutant");
+          if (!parsed.ok()) ++rejected;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "byte " << i << " ^ " << mask << " threw "
+                        << e.what();
+        }
+      }
+    }
+    EXPECT_GT(rejected, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The streaming aggregates agree with the buffered path on every statistic
 // they both compute.

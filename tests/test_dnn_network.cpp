@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -285,6 +286,84 @@ TEST(Serialize, RejectsGarbage) {
   EXPECT_FALSE(is_model_file(path));
   EXPECT_THROW(load_model(path), std::runtime_error);
   EXPECT_THROW(load_model("/nonexistent/nowhere.dnnfi"), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Offset of the first blob layer's u64 weight count (serialize.h layout).
+std::size_t first_weights_length_offset(const NetworkSpec& spec) {
+  std::size_t off = 6 + 4 + spec.name.size() + 5 * 8 + 4;
+  for (const auto& l : spec.layers) off += 1 + 4 + 4 + l.name.size() + 80 + 32;
+  return off + 4;
+}
+
+TEST(Serialize, RejectsLengthLargerThanFileBeforeAllocating) {
+  const auto spec = tiny_spec();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dnnfi_flipped_len.dnnfi")
+          .string();
+  save_model(path, spec, random_blob(spec, 17));
+  std::string bytes = read_file(path);
+  const std::size_t off = first_weights_length_offset(spec);
+  std::uint64_t n = 0;
+  std::memcpy(&n, bytes.data() + off, sizeof(n));
+  ASSERT_EQ(n, 2U * 1 * 3 * 3);  // conv(2, 3) over one input channel
+  // One flipped bit pattern turns 18 floats into ~1.06e9 (~4 GiB): below
+  // the 2^30 sanity cap, far beyond the file.
+  bytes[off + 3] = static_cast<char>(bytes[off + 3] ^ 0x3F);
+  write_file(path, bytes);
+  try {
+    load_model(path);
+    ADD_FAILURE() << "flipped weight count loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad array length"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+// Mutation sweep (ROADMAP 5b): every single-byte XOR with 0x01, 0x80 and
+// 0xFF, and every truncation, of a saved model either loads or throws
+// std::runtime_error; nothing else escapes and nothing over-allocates.
+TEST(Serialize, SurvivesEveryByteFlipAndTruncation) {
+  const auto spec = tiny_spec();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dnnfi_mutated.dnnfi")
+          .string();
+  save_model(path, spec, random_blob(spec, 19));
+  const std::string good = read_file(path);
+  ASSERT_FALSE(good.empty());
+  std::size_t rejected = 0;
+  const auto attempt = [&](const std::string& bytes, const std::string& what) {
+    write_file(path, bytes);
+    try {
+      load_model(path);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (...) {
+      ADD_FAILURE() << what << ": non-runtime_error exception";
+    }
+  };
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    for (const unsigned mask : {0x01U, 0x80U, 0xFFU}) {
+      std::string bad = good;
+      bad[i] = static_cast<char>(static_cast<unsigned char>(bad[i]) ^ mask);
+      attempt(bad, "byte " + std::to_string(i) + " ^ " + std::to_string(mask));
+    }
+  }
+  for (std::size_t len = 0; len < good.size(); ++len)
+    attempt(good.substr(0, len), "truncated to " + std::to_string(len));
+  EXPECT_GE(rejected, good.size());  // at least every truncation
   std::remove(path.c_str());
 }
 

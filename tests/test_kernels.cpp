@@ -157,6 +157,9 @@ const PoolGeom kPoolGeoms[] = {
     {3, 5, 5, 1, 1, 5, 1},
     {5, 9, 9, 4, 4, 3, 2},
     {8, 6, 8, 3, 4, 2, 2},
+    // AlexNet's k3/s2 pool with out_w = 10: one 8-lane block plus a
+    // 2-column tail (two 4-lane blocks plus a tail for double).
+    {5, 23, 21, 11, 10, 3, 2},
 };
 const std::size_t kAvgPools[][2] = {{3, 25}, {8, 1}, {13, 30}};
 // 1030 exceeds the 1024-element exp stack buffer, forcing the recompute
