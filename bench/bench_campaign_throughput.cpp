@@ -1,10 +1,11 @@
 // Campaign throughput with and without incremental fault replay.
 //
 // For AlexNet-S and ConvNet at FLOAT16 and FLOAT, plus AlexNet-S at the
-// paper's 32b_rb10 fixed point, runs the same campaign
+// paper's 32b_rb10 fixed point (all datapath-latch campaigns) and AlexNet-S
+// FLOAT16 under global-buffer strikes, runs the same campaign
 // twice — full replay (--no-incremental semantics) and incremental replay
-// (cache seeding + masked-fault early exit) — and reports trials/s for
-// each, the speedup, and the masked-exit rate. The two runs are asserted
+// (cache seeding, dirty-region replay, masked-fault early exit) — and
+// reports trials/s for each, the speedup, and the masked-exit rate. The two runs are asserted
 // byte-identical at the aggregate level before any timing is reported: a
 // speedup that changed results would be a bug, not a win.
 //
@@ -16,7 +17,10 @@
 // of the replayed-MAC fraction: with faults sampled MAC-uniformly, the
 // expected fraction of network MACs a replay starting at the fault layer
 // executes, from accel::analyze_range — the arithmetic incremental replay
-// saves before the early exit saves anything at all.
+// saves before the early exit saves anything at all. Next to it, the
+// measured fraction: the mean ReplayInfo::macs / network MACs of the
+// cell's own fault draws replayed incrementally, i.e. what dirty regions
+// and early exit together leave to compute.
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -24,12 +28,17 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "dnnfi/accel/dataflow.h"
 #include "dnnfi/common/atomic_file.h"
+#include "dnnfi/common/rng.h"
 #include "dnnfi/dnn/kernels/kernels.h"
+#include "dnnfi/dnn/weights.h"
+#include "dnnfi/fault/injector.h"
+#include "dnnfi/fault/sampler.h"
 
 using namespace dnnfi;
 using namespace dnnfi::benchutil;
@@ -39,11 +48,13 @@ namespace {
 struct Cell {
   std::string network;
   std::string dtype;
+  std::string site;
   double full_tps = 0;
   double incremental_tps = 0;
   double speedup = 0;
   double masked_rate = 0;
   double suffix_mac_fraction = 0;  ///< static replay-cost estimate
+  double replay_mac_fraction = 0;  ///< measured: mean ReplayInfo::macs share
   double scalar_tps = 0;       ///< incremental replay, scalar kernels forced
   double kernel_speedup = 0;   ///< incremental_tps / scalar_tps
 };
@@ -64,6 +75,36 @@ double expected_suffix_mac_fraction(const dnn::NetworkSpec& spec) {
   return acc;
 }
 
+/// Mean ReplayInfo::macs / network MACs over `trials` faults of class
+/// `site` drawn as a campaign draws them (trial t: derive_stream(seed, t),
+/// input t % inputs), each replayed incrementally.
+double measured_replay_mac_fraction(const NetContext& ctx, numeric::DType dt,
+                                    fault::SiteClass site,
+                                    std::uint64_t seed, std::size_t trials) {
+  return numeric::dispatch_dtype(dt, [&]<typename T>() {
+    const dnn::Network<T> net =
+        dnn::instantiate<T>(ctx.model.spec, ctx.model.blob);
+    const fault::Sampler sampler(ctx.model.spec, dt);
+    std::vector<dnn::ActivationCache<T>> caches;
+    caches.reserve(ctx.inputs.size());
+    for (const dnn::Example& ex : ctx.inputs)
+      caches.emplace_back(net.plan(), tensor::convert<T>(ex.image));
+    const dnn::Executor<T> exec(net.plan());
+    dnn::Workspace<T> ws(net.plan());
+    dnn::ReplayInfo info;
+    double macs = 0;
+    for (std::size_t t = 0; t < trials; ++t) {
+      Rng rng = derive_stream(seed, t);
+      const fault::FaultDescriptor fd = sampler.sample(site, rng);
+      (void)fault::inject(exec, ws, net.mac_layers(), caches[t % caches.size()],
+                          fd, /*early_exit=*/true, &info);
+      macs += static_cast<double>(info.macs);
+    }
+    return macs / static_cast<double>(trials) /
+           static_cast<double>(net.plan().total_macs());
+  });
+}
+
 struct TimedRun {
   double tps = 0;
   fault::ShardResult result;
@@ -82,11 +123,13 @@ TimedRun timed_run(const fault::Campaign& campaign, fault::CampaignOptions opt,
   return r;
 }
 
-Cell measure(const NetContext& ctx, numeric::DType dt, std::size_t trials) {
+Cell measure(const NetContext& ctx, numeric::DType dt, fault::SiteClass site,
+             std::size_t trials) {
   fault::Campaign campaign(ctx.model.spec, ctx.model.blob, dt, ctx.inputs);
   fault::CampaignOptions opt;
   opt.trials = trials;
   opt.seed = 2017;
+  opt.site = site;
 
   // Warm-up (thread pool spin-up, lazy tables) outside the timed windows.
   {
@@ -131,12 +174,15 @@ Cell measure(const NetContext& ctx, numeric::DType dt, std::size_t trials) {
   Cell cell;
   cell.network = ctx.name;
   cell.dtype = std::string(numeric::dtype_name(dt));
+  cell.site = fault::site_class_name(site);
   cell.full_tps = full.tps;
   cell.incremental_tps = inc.tps;
   cell.speedup = full.tps > 0 ? inc.tps / full.tps : 0;
   cell.masked_rate =
       static_cast<double>(inc.result.masked_exits) / static_cast<double>(trials);
   cell.suffix_mac_fraction = expected_suffix_mac_fraction(ctx.model.spec);
+  cell.replay_mac_fraction =
+      measured_replay_mac_fraction(ctx, dt, site, opt.seed, trials);
   cell.scalar_tps = scalar_inc.tps;
   cell.kernel_speedup = scalar_inc.tps > 0 ? inc.tps / scalar_inc.tps : 0;
   return cell;
@@ -158,11 +204,13 @@ void write_json(const std::vector<Cell>& cells, std::size_t trials,
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     out << "    {\"network\": \"" << c.network << "\", \"dtype\": \""
-        << c.dtype << "\", \"full_trials_per_sec\": " << c.full_tps
+        << c.dtype << "\", \"site\": \"" << c.site
+        << "\", \"full_trials_per_sec\": " << c.full_tps
         << ", \"incremental_trials_per_sec\": " << c.incremental_tps
         << ", \"speedup\": " << c.speedup
         << ", \"masked_exit_rate\": " << c.masked_rate
         << ", \"expected_suffix_mac_fraction\": " << c.suffix_mac_fraction
+        << ", \"replay_mac_fraction\": " << c.replay_mac_fraction
         << ", \"scalar_incremental_trials_per_sec\": " << c.scalar_tps
         << ", \"kernel_speedup\": " << c.kernel_speedup
         << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
@@ -195,20 +243,27 @@ int main(int argc, char** argv) {
 
   std::vector<Cell> cells;
   Table t("campaign throughput (trials/s)");
-  t.header({"network", "dtype", "full", "incremental", "speedup", "masked",
-            "E[suffix MACs]", "scalar", "vs scalar"});
+  t.header({"network", "dtype", "site", "full", "incremental", "speedup",
+            "masked", "E[suffix MACs]", "replay MACs", "scalar",
+            "vs scalar"});
+  using fault::SiteClass;
   for (const NetworkId id : {NetworkId::kAlexNetS, NetworkId::kConvNet}) {
     const NetContext ctx = load_net(id);
-    std::vector<numeric::DType> dtypes{numeric::DType::kFloat16,
-                                       numeric::DType::kFloat};
-    if (id == NetworkId::kAlexNetS) dtypes.push_back(numeric::DType::kFx32r10);
-    for (const numeric::DType dt : dtypes) {
-      const Cell c = measure(ctx, dt, trials);
-      t.row({c.network, c.dtype, Table::num(c.full_tps, 1),
+    std::vector<std::pair<numeric::DType, SiteClass>> runs{
+        {numeric::DType::kFloat16, SiteClass::kDatapathLatch},
+        {numeric::DType::kFloat, SiteClass::kDatapathLatch}};
+    if (id == NetworkId::kAlexNetS) {
+      runs.emplace_back(numeric::DType::kFx32r10, SiteClass::kDatapathLatch);
+      runs.emplace_back(numeric::DType::kFloat16, SiteClass::kGlobalBuffer);
+    }
+    for (const auto& [dt, site] : runs) {
+      const Cell c = measure(ctx, dt, site, trials);
+      t.row({c.network, c.dtype, c.site, Table::num(c.full_tps, 1),
              Table::num(c.incremental_tps, 1),
              Table::num(c.speedup, 2) + "x",
              Table::pct(c.masked_rate),
              Table::pct(c.suffix_mac_fraction),
+             Table::pct(c.replay_mac_fraction),
              Table::num(c.scalar_tps, 1),
              Table::num(c.kernel_speedup, 2) + "x"});
       cells.push_back(c);
@@ -226,7 +281,7 @@ int main(int argc, char** argv) {
     for (const Cell& c : cells) {
       if (c.incremental_tps < c.full_tps) {
         std::cerr << "FAIL: incremental replay slower than full on "
-                  << c.network << " " << c.dtype << " ("
+                  << c.network << " " << c.dtype << " " << c.site << " ("
                   << c.incremental_tps << " vs " << c.full_tps
                   << " trials/s)\n";
         fail = true;

@@ -436,7 +436,8 @@ void bench_kernel_sets(const char* dtype, std::vector<KernelCell>& cells) {
     const T* fp = fpacked.empty() ? nullptr : fpacked.data();
     KernelCell conv{dtype, name, "conv", 0};
     conv.gflops = time_gflops(conv_flops, [&] {
-      ks->conv(g, cin.data(), cw.data(), cp, cbias.data(), cout.data());
+      ks->conv(g, g.full(), cin.data(), cw.data(), cp, cbias.data(),
+               cout.data());
       benchmark::DoNotOptimize(cout.data());
     });
     cells.push_back(conv);

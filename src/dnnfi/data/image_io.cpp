@@ -1,7 +1,9 @@
 #include "dnnfi/data/image_io.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -39,6 +41,18 @@ tensor::Tensor<float> read_ppm(const std::string& path) {
   if (!is || w == 0 || h == 0 || maxv == 0 || maxv > 255)
     throw std::runtime_error("read_ppm: bad header");
   is.get();  // single whitespace after header
+  // The header is untrusted: size the pixel buffer only after checking that
+  // w*h*3 neither overflows nor exceeds the bytes left in the file.
+  const std::streamoff body = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streamoff end = is.tellg();
+  is.seekg(body);
+  if (!is || body < 0 || end < body)
+    throw std::runtime_error("read_ppm: unreadable pixel data");
+  const auto left = static_cast<std::uint64_t>(end - body);
+  if (w > std::numeric_limits<std::size_t>::max() / 3 / h ||
+      w * h * 3 > left)
+    throw std::runtime_error("read_ppm: truncated pixel data");
   std::vector<unsigned char> raw(w * h * 3);
   is.read(reinterpret_cast<char*>(raw.data()),
           static_cast<std::streamsize>(raw.size()));

@@ -7,8 +7,10 @@
 // a plain forward pass, or a fault-patched partial re-execution, behind one
 // RunRequest. ActivationCache<T> is the one fault-free reference: it holds
 // the output of every layer boundary for one input in one contiguous block,
-// so faulty replays seed from the struck layer and stop as soon as the
-// fault's effect is erased (see DESIGN.md §8).
+// so faulty replays seed from the struck layer, recompute only each step's
+// dirty region — the channel x row x column box of outputs the fault can
+// reach — and stop as soon as the fault's effect is erased (see DESIGN.md
+// §8).
 //
 // Thread-safety contract: a plan is immutable after construction and may be
 // shared by any number of threads; an Executor is a stateless handle over a
@@ -18,20 +20,24 @@
 // campaign). After warm-up, a faulty run performs zero heap allocations.
 //
 // Buffer lifetime: the arena is laid out as [ping | pong | patch | packed].
-// Layer i reads buffer (i % 2) and writes buffer (1 - i % 2); the patch slot
-// holds the flipped copy of a layer input for the global-buffer fault model;
-// the packed slot holds the lane-interleaved weight copies of the plan's MAC
-// layers when the plan's kernel set wants them (kernels.h — the plan-time
-// layout transform). The view returned by run() aliases the arena and is
+// Layer i reads buffer (i % 2) and writes buffer (1 - i % 2); a faulty
+// replay step that computes only its dirty region first fills its buffer
+// with the golden activation act(i), so the buffer always holds a full
+// tensor (DESIGN.md §5, §8). The patch slot holds the flipped copy of a
+// layer input for the global-buffer fault model; the packed slot holds the
+// lane-interleaved weight copies of the plan's MAC layers when the plan's
+// kernel set wants them (kernels.h — the plan-time layout transform). The
+// view returned by run() aliases the arena and is
 // valid only until the workspace is reused — except after a masked early
 // exit, where it aliases the (stable) ActivationCache instead.
 //
 // Kernel dispatch: a plan captures kernels::active_kernels<T>() at
 // construction and routes every conv / fully-connected / relu / lrn /
-// maxpool / avgpool / softmax step through it (exec_step). Public tensors — activations, caches, checkpoints, fault
-// injection coordinates — stay NCHW/OIHW; the packed copy lives only in the
-// workspace and is taken when the workspace binds a plan (re-binding a
-// different plan retakes it). It is a snapshot: after mutating weights in
+// maxpool / avgpool / softmax step through it (exec_step), optionally over
+// one output region. Public tensors — activations, caches, checkpoints,
+// fault injection coordinates — stay NCHW/OIHW; the packed copy lives only
+// in the workspace and is taken when the workspace binds a plan (re-binding
+// a different plan retakes it). It is a snapshot: after mutating weights in
 // place, run through a fresh workspace (Network::forward builds one per
 // call).
 #pragma once
@@ -116,9 +122,14 @@ class ExecutionPlan {
   /// Runs step `i` on `in` -> `out` through the captured kernel set.
   /// `packed` is the packed-region base (Workspace::packed_data()), or null
   /// — then steps whose kernels want packed weights take the scalar
-  /// reference path instead (bit-identical under an exact set).
+  /// reference path instead (bit-identical under an exact set). `region`,
+  /// when non-null, limits conv / relu / LRN / maxpool to that box of the
+  /// output (outputs outside it are not written); FC, avgpool and softmax
+  /// always run whole, and an empty region runs nothing. Null: the whole
+  /// output.
   void exec_step(std::size_t i, ConstTensorView<T> in, TensorView<T> out,
-                 const T* packed) const;
+                 const T* packed,
+                 const kernels::Region* region = nullptr) const;
 
  private:
   std::vector<PlanStep<T>> steps_;
@@ -240,6 +251,10 @@ class ActivationCache {
 struct ReplayInfo {
   std::size_t fault_layer = 0;
   std::size_t layers_run = 0;  ///< layers executed, fault layer included
+  /// MACs the replayed kernel steps executed: the dirty regions of the
+  /// fault layer (global-buffer model only; a patched fault layer's own
+  /// recompute is not counted) and of every later layer that ran.
+  std::size_t macs = 0;
   /// Early exit fired: a replayed layer's output matched the fault-free
   /// cache bit-for-bit, so the run stopped and returned the cached final
   /// output (which the remaining layers would have reproduced exactly).
@@ -252,10 +267,12 @@ struct ReplayInfo {
 ///    output.
 ///  - faulty: `fault` plus the golden `cache` set; only the fault layer
 ///    (patched) and the layers after it execute. `observer` sees recomputed
-///    layers only. With `early_exit`, the run stops at the first replayed
-///    layer whose output matches the cache bit-for-bit and returns the
-///    cached final output; `replay`, when non-null, reports what actually
-///    ran.
+///    layers only, always as full tensors. With `early_exit`, each replayed
+///    step computes only its dirty region (the rest is the cached golden
+///    activation) and the run stops at the first replayed layer whose
+///    output matches the cache bit-for-bit, returning the cached final
+///    output; without it every step runs whole. `replay`, when non-null,
+///    reports what actually ran.
 template <typename T>
 struct RunRequest {
   ConstTensorView<T> input;

@@ -318,19 +318,21 @@ struct LaneIoF16 {
   }
 };
 
-// Scalar LRN over spatial positions [p0, p1): the tail/fallback path. Fresh
-// per-output window sums in low-to-high channel order — identical to
-// kernels::scalar_lrn (buffering never changed a bit, see kernel_scalar.h).
+// Scalar LRN over spatial positions [p0, p1), output channels r.c0..r.c1:
+// the tail/fallback path. Fresh per-output window sums in low-to-high
+// channel order — identical to kernels::scalar_lrn (buffering never changed
+// a bit, see kernel_scalar.h).
 template <class Io>
-void lrn_ref_positions(const LrnGeom& g, const typename Io::T* in,
-                       typename Io::T* out, std::size_t p0, std::size_t p1) {
+void lrn_ref_positions(const LrnGeom& g, const Region& r,
+                       const typename Io::T* in, typename Io::T* out,
+                       std::size_t p0, std::size_t p1) {
   const std::size_t plane = g.h * g.w;
   const auto half = static_cast<std::ptrdiff_t>(g.size / 2);
   const double an = g.alpha / static_cast<double>(g.size);
   for (std::size_t p = p0; p < p1; ++p) {
     double memo_base = __builtin_nan("");
     double memo_pow = 0.0;
-    for (std::size_t c = 0; c < g.c; ++c) {
+    for (std::size_t c = r.c0; c < r.c1; ++c) {
       const std::ptrdiff_t clo =
           (static_cast<std::ptrdiff_t>(c) - half) > 0
               ? static_cast<std::ptrdiff_t>(c) - half
@@ -354,83 +356,95 @@ void lrn_ref_positions(const LrnGeom& g, const typename Io::T* in,
   }
 }
 
-// Vectorized LRN: 4 consecutive spatial positions per lane-block. Each
-// lane's window sum runs in the scalar order (clo..chi adds from a zero
+// Vectorized LRN: 4 consecutive spatial positions per lane-block, over the
+// region's runs of consecutive positions (one run when the region spans
+// whole rows, else one per row); each run's last run % 4 positions, and
+// every position past kMaxC channels, take the scalar path. Each lane's
+// window sum runs in the scalar order (clo..chi adds from a zero
 // accumulator), base = k + an*ss is one multiply + one add, and the
 // per-element pow stays a scalar libm call with a per-lane memo.
 template <class Io>
-void lrn_blocks(const LrnGeom& g, const typename Io::T* in,
+void lrn_blocks(const LrnGeom& g, const Region& r, const typename Io::T* in,
                 typename Io::T* out) {
   constexpr std::size_t kMaxC = 512;
+  if (r.c0 >= r.c1 || r.y0 >= r.y1 || r.x0 >= r.x1) return;
   const std::size_t plane = g.h * g.w;
-  if (g.c > kMaxC || plane < 4) {
-    lrn_ref_positions<Io>(g, in, out, 0, plane);
-    return;
-  }
+  const bool whole_rows = r.x0 == 0 && r.x1 == g.w;
+  const std::size_t runs = whole_rows ? 1 : r.y1 - r.y0;
+  const std::size_t run_len = whole_rows ? (r.y1 - r.y0) * g.w : r.x1 - r.x0;
+  const bool vector = g.c <= kMaxC;
   const auto half = static_cast<std::ptrdiff_t>(g.size / 2);
   const double an = g.alpha / static_cast<double>(g.size);
+  // Channels any output window in r.c0..r.c1 reads.
+  const std::size_t lo = r.c0 > g.size / 2 ? r.c0 - g.size / 2 : 0;
+  const std::size_t hi = r.c1 + g.size / 2 < g.c ? r.c1 + g.size / 2 : g.c;
   const __m256d kv = _mm256_set1_pd(g.k);
   const __m256d anv = _mm256_set1_pd(an);
   alignas(32) double vals[kMaxC * 4];
   alignas(32) double sqs[kMaxC * 4];
-  std::size_t p = 0;
-  for (; p + 4 <= plane; p += 4) {
-    for (std::size_t c = 0; c < g.c; ++c) {
-      const __m256d v = Io::load4(in + c * plane + p);
-      _mm256_store_pd(vals + c * 4, v);
-      _mm256_store_pd(sqs + c * 4, _mm256_mul_pd(v, v));
+  for (std::size_t k = 0; k < runs; ++k) {
+    const std::size_t p0 = (r.y0 + k) * g.w + r.x0;
+    const std::size_t p1 = p0 + run_len;
+    std::size_t p = p0;
+    for (; vector && p + 4 <= p1; p += 4) {
+      for (std::size_t c = lo; c < hi; ++c) {
+        const __m256d v = Io::load4(in + c * plane + p);
+        _mm256_store_pd(vals + c * 4, v);
+        _mm256_store_pd(sqs + c * 4, _mm256_mul_pd(v, v));
+      }
+      alignas(32) double memo_base[4];
+      alignas(32) double memo_pow[4] = {0, 0, 0, 0};
+      for (int l = 0; l < 4; ++l) memo_base[l] = __builtin_nan("");
+      for (std::size_t c = r.c0; c < r.c1; ++c) {
+        const std::ptrdiff_t clo =
+            (static_cast<std::ptrdiff_t>(c) - half) > 0
+                ? static_cast<std::ptrdiff_t>(c) - half
+                : 0;
+        const std::ptrdiff_t chi =
+            (static_cast<std::ptrdiff_t>(c) + half) <
+                    static_cast<std::ptrdiff_t>(g.c) - 1
+                ? static_cast<std::ptrdiff_t>(c) + half
+                : static_cast<std::ptrdiff_t>(g.c) - 1;
+        __m256d ss = _mm256_setzero_pd();
+        for (std::ptrdiff_t cc = clo; cc <= chi; ++cc)
+          ss = _mm256_add_pd(
+              ss, _mm256_load_pd(sqs + static_cast<std::size_t>(cc) * 4));
+        const __m256d base = _mm256_add_pd(kv, _mm256_mul_pd(anv, ss));
+        alignas(32) double bl[4];
+        alignas(32) double dl[4];
+        _mm256_store_pd(bl, base);
+        for (int l = 0; l < 4; ++l)
+          dl[l] = lrn_pow_local(bl[l], g.beta, memo_base[l], memo_pow[l]);
+        const __m256d outv =
+            _mm256_div_pd(_mm256_load_pd(vals + c * 4), _mm256_load_pd(dl));
+        Io::store4(outv, out + c * plane + p);
+      }
     }
-    alignas(32) double memo_base[4];
-    alignas(32) double memo_pow[4] = {0, 0, 0, 0};
-    for (int l = 0; l < 4; ++l) memo_base[l] = __builtin_nan("");
-    for (std::size_t c = 0; c < g.c; ++c) {
-      const std::ptrdiff_t clo =
-          (static_cast<std::ptrdiff_t>(c) - half) > 0
-              ? static_cast<std::ptrdiff_t>(c) - half
-              : 0;
-      const std::ptrdiff_t chi =
-          (static_cast<std::ptrdiff_t>(c) + half) <
-                  static_cast<std::ptrdiff_t>(g.c) - 1
-              ? static_cast<std::ptrdiff_t>(c) + half
-              : static_cast<std::ptrdiff_t>(g.c) - 1;
-      __m256d ss = _mm256_setzero_pd();
-      for (std::ptrdiff_t cc = clo; cc <= chi; ++cc)
-        ss = _mm256_add_pd(
-            ss, _mm256_load_pd(sqs + static_cast<std::size_t>(cc) * 4));
-      const __m256d base = _mm256_add_pd(kv, _mm256_mul_pd(anv, ss));
-      alignas(32) double bl[4];
-      alignas(32) double dl[4];
-      _mm256_store_pd(bl, base);
-      for (int l = 0; l < 4; ++l)
-        dl[l] = lrn_pow_local(bl[l], g.beta, memo_base[l], memo_pow[l]);
-      const __m256d outv =
-          _mm256_div_pd(_mm256_load_pd(vals + c * 4), _mm256_load_pd(dl));
-      Io::store4(outv, out + c * plane + p);
-    }
+    if (p < p1) lrn_ref_positions<Io>(g, r, in, out, p, p1);
   }
-  if (p < plane) lrn_ref_positions<Io>(g, in, out, p, plane);
 }
 
-// Max pooling across output columns, kLanes windows per lane-block: each
-// lane is seeded from its window's first element and folds the taps in the
-// scalar (ky, kx) order with keep_greater, so NaNs lose and the first
-// maximum wins exactly as in the scalar `if (v > best)`. Columns past the
-// last full block run that scalar loop.
+// Max pooling over the outputs in `r`, across output columns, kLanes
+// windows per lane-block: each lane is seeded from its window's first
+// element and folds the taps in the scalar (ky, kx) order with
+// keep_greater, so NaNs lose and the first maximum wins exactly as in the
+// scalar `if (v > best)`. Columns past the last full block run that scalar
+// loop.
 template <class P>
-void maxpool_lanes(const PoolGeom& g, const typename P::T* in,
+void maxpool_lanes(const PoolGeom& g, const Region& r, const typename P::T* in,
                    typename P::T* out) {
   using T = typename P::T;
   const std::size_t iplane = g.in_h * g.in_w;
   const std::size_t oplane = g.out_h * g.out_w;
   const auto offsets = P::lane_offsets(g.stride);
-  for (std::size_t c = 0; c < g.c; ++c) {
+  for (std::size_t c = r.c0; c < r.c1; ++c) {
     const T* const ic = in + c * iplane;
     T* const oc = out + c * oplane;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
+    for (std::size_t oy = r.y0; oy < r.y1; ++oy) {
       const T* const iwin = ic + oy * g.stride * g.in_w;
       T* const orow = oc + oy * g.out_w;
-      std::size_t ox = 0;
-      for (; ox + P::kLanes <= g.out_w; ox += P::kLanes) {
+      std::size_t ox = r.x0;
+      for (; ox + P::kLanes <= r.x1; ox += P::kLanes) {
         const T* const base = iwin + ox * g.stride;
         auto best = P::gather(base, offsets);
         for (std::size_t ky = 0; ky < g.k; ++ky) {
@@ -440,7 +454,7 @@ void maxpool_lanes(const PoolGeom& g, const typename P::T* in,
         }
         P::store(best, orow + ox);
       }
-      for (; ox < g.out_w; ++ox) {
+      for (; ox < r.x1; ++ox) {
         const T* const base = iwin + ox * g.stride;
         T best = base[0];
         for (std::size_t ky = 0; ky < g.k; ++ky) {
@@ -534,9 +548,10 @@ void softmax_lanes(const typename Io::T* in, typename Io::T* out,
 // MAC entry points: kernel_mac_body.h over this TU's traits.
 // ---------------------------------------------------------------------------
 
-void avx2_conv_float(const ConvGeom& g, const float* in, const float* w,
-                     const float* wp, const float* bias, float* out) {
-  conv_lanes<F32x8>(g, in, w, wp, bias, out);
+void avx2_conv_float(const ConvGeom& g, const Region& r, const float* in,
+                     const float* w, const float* wp, const float* bias,
+                     float* out) {
+  conv_lanes<F32x8>(g, r, in, w, wp, bias, out);
 }
 
 void avx2_fc_float(const FcGeom& g, const float* in, const float* w,
@@ -548,9 +563,10 @@ void avx2_relu_float(const float* in, float* out, std::size_t n) {
   relu_lanes<F32x8>(in, out, n);
 }
 
-void avx2_conv_double(const ConvGeom& g, const double* in, const double* w,
-                      const double* wp, const double* bias, double* out) {
-  conv_lanes<F64x4>(g, in, w, wp, bias, out);
+void avx2_conv_double(const ConvGeom& g, const Region& r, const double* in,
+                      const double* w, const double* wp, const double* bias,
+                      double* out) {
+  conv_lanes<F64x4>(g, r, in, w, wp, bias, out);
 }
 
 void avx2_fc_double(const FcGeom& g, const double* in, const double* w,
@@ -562,10 +578,12 @@ void avx2_relu_double(const double* in, double* out, std::size_t n) {
   relu_lanes<F64x4>(in, out, n);
 }
 
-void avx2_conv_half(const ConvGeom& g, const numeric::Half* in,
-                    const numeric::Half* w, const numeric::Half* wp,
-                    const numeric::Half* bias, numeric::Half* out) {
-  conv_lanes<F16x8>(g, bits(in), bits(w), bits(wp), bits(bias), bits(out));
+void avx2_conv_half(const ConvGeom& g, const Region& r,
+                    const numeric::Half* in, const numeric::Half* w,
+                    const numeric::Half* wp, const numeric::Half* bias,
+                    numeric::Half* out) {
+  conv_lanes<F16x8>(g, r, bits(in), bits(w), bits(wp), bits(bias),
+                    bits(out));
 }
 
 void avx2_fc_half(const FcGeom& g, const numeric::Half* in,
@@ -583,30 +601,34 @@ void avx2_relu_half(const numeric::Half* in, numeric::Half* out,
 // Post-MAC entry points.
 // ---------------------------------------------------------------------------
 
-void avx2_lrn_float(const LrnGeom& g, const float* in, float* out) {
-  lrn_blocks<LaneIoF32>(g, in, out);
+void avx2_lrn_float(const LrnGeom& g, const Region& r, const float* in,
+                    float* out) {
+  lrn_blocks<LaneIoF32>(g, r, in, out);
 }
 
-void avx2_lrn_double(const LrnGeom& g, const double* in, double* out) {
-  lrn_blocks<LaneIoF64>(g, in, out);
+void avx2_lrn_double(const LrnGeom& g, const Region& r, const double* in,
+                     double* out) {
+  lrn_blocks<LaneIoF64>(g, r, in, out);
 }
 
-void avx2_lrn_half(const LrnGeom& g, const numeric::Half* in,
+void avx2_lrn_half(const LrnGeom& g, const Region& r, const numeric::Half* in,
                    numeric::Half* out) {
-  lrn_blocks<LaneIoF16>(g, bits(in), bits(out));
+  lrn_blocks<LaneIoF16>(g, r, bits(in), bits(out));
 }
 
-void avx2_maxpool_float(const PoolGeom& g, const float* in, float* out) {
-  maxpool_lanes<F32x8>(g, in, out);
+void avx2_maxpool_float(const PoolGeom& g, const Region& r, const float* in,
+                        float* out) {
+  maxpool_lanes<F32x8>(g, r, in, out);
 }
 
-void avx2_maxpool_double(const PoolGeom& g, const double* in, double* out) {
-  maxpool_lanes<F64x4>(g, in, out);
+void avx2_maxpool_double(const PoolGeom& g, const Region& r, const double* in,
+                         double* out) {
+  maxpool_lanes<F64x4>(g, r, in, out);
 }
 
-void avx2_maxpool_half(const PoolGeom& g, const numeric::Half* in,
-                       numeric::Half* out) {
-  maxpool_lanes<F16x8>(g, bits(in), bits(out));
+void avx2_maxpool_half(const PoolGeom& g, const Region& r,
+                       const numeric::Half* in, numeric::Half* out) {
+  maxpool_lanes<F16x8>(g, r, bits(in), bits(out));
 }
 
 void avx2_avgpool_float(const float* in, float* out, std::size_t channels,

@@ -18,19 +18,19 @@ namespace dnnfi::dnn::kernels::detail {
 // MAC kernels: one output per lane, scalar accumulation order per lane,
 // separate multiply and add (no FMA), FLOAT16 rounded to half after every
 // operation with the canonical quiet-NaN rule.
-void avx2_conv_float(const ConvGeom&, const float*, const float*,
-                     const float*, const float*, float*);
+void avx2_conv_float(const ConvGeom&, const Region&, const float*,
+                     const float*, const float*, const float*, float*);
 void avx2_fc_float(const FcGeom&, const float*, const float*, const float*,
                    const float*, float*);
 void avx2_relu_float(const float*, float*, std::size_t);
 
-void avx2_conv_double(const ConvGeom&, const double*, const double*,
-                      const double*, const double*, double*);
+void avx2_conv_double(const ConvGeom&, const Region&, const double*,
+                      const double*, const double*, const double*, double*);
 void avx2_fc_double(const FcGeom&, const double*, const double*,
                     const double*, const double*, double*);
 void avx2_relu_double(const double*, double*, std::size_t);
 
-void avx2_conv_half(const ConvGeom&, const numeric::Half*,
+void avx2_conv_half(const ConvGeom&, const Region&, const numeric::Half*,
                     const numeric::Half*, const numeric::Half*,
                     const numeric::Half*, numeric::Half*);
 void avx2_fc_half(const FcGeom&, const numeric::Half*, const numeric::Half*,
@@ -45,13 +45,16 @@ void avx2_relu_half(const numeric::Half*, numeric::Half*, std::size_t);
 // across output columns with compare+blend (so NaNs lose exactly as in the
 // scalar `if (v > best)`); avgpool runs four channel sums per pass; softmax
 // vectorizes the finite-max and normalize passes around a scalar exp loop.
-void avx2_lrn_float(const LrnGeom&, const float*, float*);
-void avx2_lrn_double(const LrnGeom&, const double*, double*);
-void avx2_lrn_half(const LrnGeom&, const numeric::Half*, numeric::Half*);
+void avx2_lrn_float(const LrnGeom&, const Region&, const float*, float*);
+void avx2_lrn_double(const LrnGeom&, const Region&, const double*, double*);
+void avx2_lrn_half(const LrnGeom&, const Region&, const numeric::Half*,
+                   numeric::Half*);
 
-void avx2_maxpool_float(const PoolGeom&, const float*, float*);
-void avx2_maxpool_double(const PoolGeom&, const double*, double*);
-void avx2_maxpool_half(const PoolGeom&, const numeric::Half*, numeric::Half*);
+void avx2_maxpool_float(const PoolGeom&, const Region&, const float*, float*);
+void avx2_maxpool_double(const PoolGeom&, const Region&, const double*,
+                         double*);
+void avx2_maxpool_half(const PoolGeom&, const Region&, const numeric::Half*,
+                       numeric::Half*);
 
 void avx2_avgpool_float(const float*, float*, std::size_t, std::size_t);
 void avx2_avgpool_double(const double*, double*, std::size_t, std::size_t);

@@ -238,9 +238,10 @@ typename Fx::raw_type* raw(Fx* p) noexcept {
 
 }  // namespace
 
-void avx512_conv_float(const ConvGeom& g, const float* in, const float* w,
-                       const float* wp, const float* bias, float* out) {
-  conv_lanes<F32x16>(g, in, w, wp, bias, out);
+void avx512_conv_float(const ConvGeom& g, const Region& r, const float* in,
+                       const float* w, const float* wp, const float* bias,
+                       float* out) {
+  conv_lanes<F32x16>(g, r, in, w, wp, bias, out);
 }
 
 void avx512_fc_float(const FcGeom& g, const float* in, const float* w,
@@ -252,9 +253,10 @@ void avx512_relu_float(const float* in, float* out, std::size_t n) {
   relu_lanes<F32x16>(in, out, n);
 }
 
-void avx512_conv_double(const ConvGeom& g, const double* in, const double* w,
-                        const double* wp, const double* bias, double* out) {
-  conv_lanes<F64x8>(g, in, w, wp, bias, out);
+void avx512_conv_double(const ConvGeom& g, const Region& r, const double* in,
+                        const double* w, const double* wp,
+                        const double* bias, double* out) {
+  conv_lanes<F64x8>(g, r, in, w, wp, bias, out);
 }
 
 void avx512_fc_double(const FcGeom& g, const double* in, const double* w,
@@ -266,10 +268,12 @@ void avx512_relu_double(const double* in, double* out, std::size_t n) {
   relu_lanes<F64x8>(in, out, n);
 }
 
-void avx512_conv_half(const ConvGeom& g, const numeric::Half* in,
-                      const numeric::Half* w, const numeric::Half* wp,
-                      const numeric::Half* bias, numeric::Half* out) {
-  conv_lanes<F16x16>(g, bits(in), bits(w), bits(wp), bits(bias), bits(out));
+void avx512_conv_half(const ConvGeom& g, const Region& r,
+                      const numeric::Half* in, const numeric::Half* w,
+                      const numeric::Half* wp, const numeric::Half* bias,
+                      numeric::Half* out) {
+  conv_lanes<F16x16>(g, r, bits(in), bits(w), bits(wp), bits(bias),
+                     bits(out));
 }
 
 void avx512_fc_half(const FcGeom& g, const numeric::Half* in,
@@ -285,11 +289,12 @@ void avx512_relu_half(const numeric::Half* in, numeric::Half* out,
 
 // Fixed point reads row-major weights: the packed pointer is always null.
 #define DNNFI_AVX512_FIXED(Fx, name)                                         \
-  void avx512_conv_##name(const ConvGeom& g, const numeric::Fx* in,          \
-                          const numeric::Fx* w, const numeric::Fx*,          \
-                          const numeric::Fx* bias, numeric::Fx* out) {       \
+  void avx512_conv_##name(const ConvGeom& g, const Region& r,                \
+                          const numeric::Fx* in, const numeric::Fx* w,       \
+                          const numeric::Fx*, const numeric::Fx* bias,       \
+                          numeric::Fx* out) {                                \
     conv_lanes<FxI64x8<numeric::Fx>, ScalarLane<numeric::Fx>>(               \
-        g, raw(in), raw(w), nullptr, raw(bias), raw(out));                   \
+        g, r, raw(in), raw(w), nullptr, raw(bias), raw(out));                \
   }                                                                          \
   void avx512_fc_##name(const FcGeom& g, const numeric::Fx* in,              \
                         const numeric::Fx* w, const numeric::Fx*,            \

@@ -20,19 +20,20 @@
 
 namespace dnnfi::dnn::kernels::detail {
 
-void avx512_conv_float(const ConvGeom&, const float*, const float*,
-                       const float*, const float*, float*);
+void avx512_conv_float(const ConvGeom&, const Region&, const float*,
+                       const float*, const float*, const float*, float*);
 void avx512_fc_float(const FcGeom&, const float*, const float*, const float*,
                      const float*, float*);
 void avx512_relu_float(const float*, float*, std::size_t);
 
-void avx512_conv_double(const ConvGeom&, const double*, const double*,
-                        const double*, const double*, double*);
+void avx512_conv_double(const ConvGeom&, const Region&, const double*,
+                        const double*, const double*, const double*,
+                        double*);
 void avx512_fc_double(const FcGeom&, const double*, const double*,
                       const double*, const double*, double*);
 void avx512_relu_double(const double*, double*, std::size_t);
 
-void avx512_conv_half(const ConvGeom&, const numeric::Half*,
+void avx512_conv_half(const ConvGeom&, const Region&, const numeric::Half*,
                       const numeric::Half*, const numeric::Half*,
                       const numeric::Half*, numeric::Half*);
 void avx512_fc_half(const FcGeom&, const numeric::Half*,
@@ -43,9 +44,10 @@ void avx512_relu_half(const numeric::Half*, numeric::Half*, std::size_t);
 // Fixed point: 8 int64 lanes, row-major weights (the packed argument is
 // ignored; the sets register pack_lanes = 0).
 #define DNNFI_AVX512_FIXED_DECL(Fx, name)                                    \
-  void avx512_conv_##name(const ConvGeom&, const numeric::Fx*,               \
+  void avx512_conv_##name(const ConvGeom&, const Region&,                    \
                           const numeric::Fx*, const numeric::Fx*,            \
-                          const numeric::Fx*, numeric::Fx*);                 \
+                          const numeric::Fx*, const numeric::Fx*,            \
+                          numeric::Fx*);                                     \
   void avx512_fc_##name(const FcGeom&, const numeric::Fx*,                   \
                         const numeric::Fx*, const numeric::Fx*,              \
                         const numeric::Fx*, numeric::Fx*);                   \

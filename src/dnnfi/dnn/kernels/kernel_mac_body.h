@@ -31,14 +31,15 @@
 //                                `in` for fc), the next tap at p + 1
 // A block's base is w + b * kLanes * row in both layouts.
 //
-// The conv body keeps kChains output pixels in flight per lane-block pass,
-// one independent accumulator chain each, sharing every weight load. Chains
-// never read each other's accumulators, so the interleaving only reorders
-// independent work: every output is still its own chain, bit for bit.
+// The conv body computes one output Region (kernels.h) and keeps kChains
+// of its pixels in flight per lane-block pass, one independent accumulator
+// chain each, sharing every weight load. Chains never read each other's
+// accumulators, so the interleaving only reorders independent work: every
+// output is still its own chain, bit for bit, whatever box holds it.
 //
-// Rows past the last full lane-block run the same body through the 1-lane
-// ScalarLane traits below, the 1-lane row-major case: the tail is the body
-// on w + blocks*L*kvol.
+// Channels of the region outside its full lane-blocks run the same body
+// through the 1-lane ScalarLane traits below, the 1-lane row-major case:
+// channel c's tail is the body on w + c*kvol.
 #pragma once
 
 constexpr int kRne = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
@@ -158,15 +159,17 @@ inline std::size_t kvol(const ConvGeom& g) noexcept {
 /// idle; 4 chains hide most of that latency, and 8 measured no faster.
 constexpr std::size_t kChains = 4;
 
-/// P consecutive flattened output pixels pix0 .. pix0+P-1 of one lane-block
-/// (a group may wrap an output row): one accumulator chain per pixel, each
-/// weight load shared by the P chains. Every chain is exactly the scalar
-/// reference's — same (ci, ky, kx) tap order, same mac — and no chain ever
-/// reads another's accumulator, so interleaving them cannot change a bit.
+/// P consecutive pixels q0 .. q0+P-1 of the box-local flattened pixel order
+/// of region `r` (pixel q sits at row r.y0 + q / width, column
+/// r.x0 + q % width, so a group may wrap a row of the box) of one
+/// lane-block: one accumulator chain per pixel, each weight load shared by
+/// the P chains. Every chain is exactly the scalar reference's — same
+/// (ci, ky, kx) tap order, same mac — and no chain ever reads another's
+/// accumulator, so interleaving them cannot change a bit.
 template <class V, std::size_t P>
-void conv_pixels(const ConvGeom& g, const typename V::T* in,
+void conv_pixels(const ConvGeom& g, const Region& r, const typename V::T* in,
                  const typename V::T* wb, const typename V::T* bb,
-                 typename V::T* ob, std::size_t pix0) {
+                 typename V::T* ob, std::size_t q0) {
   using T = typename V::T;
   constexpr std::size_t L = V::kLanes;
   constexpr std::size_t tap = V::kRowMajor ? 1 : L;
@@ -174,11 +177,16 @@ void conv_pixels(const ConvGeom& g, const typename V::T* in,
   const auto in_h = static_cast<std::ptrdiff_t>(g.in_h);
   const auto in_w = static_cast<std::ptrdiff_t>(g.in_w);
   const std::size_t oplane = g.out_h * g.out_w;
+  const std::size_t width = r.x1 - r.x0;
   std::ptrdiff_t y0[P], x0[P];
+  std::size_t opix[P];
   typename V::Acc acc[P];
   for (std::size_t p = 0; p < P; ++p) {
-    y0[p] = static_cast<std::ptrdiff_t>((pix0 + p) / g.out_w * g.stride) - pad;
-    x0[p] = static_cast<std::ptrdiff_t>((pix0 + p) % g.out_w * g.stride) - pad;
+    const std::size_t oy = r.y0 + (q0 + p) / width;
+    const std::size_t ox = r.x0 + (q0 + p) % width;
+    y0[p] = static_cast<std::ptrdiff_t>(oy * g.stride) - pad;
+    x0[p] = static_cast<std::ptrdiff_t>(ox * g.stride) - pad;
+    opix[p] = oy * g.out_w + ox;
     acc[p] = V::zero();
   }
   const T* wt = wb;
@@ -204,29 +212,31 @@ void conv_pixels(const ConvGeom& g, const typename V::T* in,
   for (std::size_t p = 0; p < P; ++p) {
     alignas(64) T lane[L];
     V::store(V::finish(acc[p], bb), lane);
-    for (std::size_t l = 0; l < L; ++l) ob[l * oplane + pix0 + p] = lane[l];
+    for (std::size_t l = 0; l < L; ++l) ob[l * oplane + opix[p]] = lane[l];
   }
 }
 
-/// Conv over `blocks` lane-blocks of V::kLanes output channels: `w` in V's
-/// weight layout, `bias` and `out` starting at the first block's channel.
-/// Each block's output plane runs kChains pixels at a time, the last
-/// oplane % kChains one at a time. Padded taps multiply a zero
-/// activation, so NaN/Inf weights propagate as in the scalar reference.
+/// Conv over the pixels of region `r` for `blocks` lane-blocks of
+/// V::kLanes output channels: `w` in V's weight layout, `bias` and `out`
+/// starting at the first block's channel (r's channel range is the
+/// caller's). Each block runs the box's pixels kChains at a time, the last
+/// count % kChains one at a time. Padded taps multiply a zero activation,
+/// so NaN/Inf weights propagate as in the scalar reference.
 template <class V>
-void conv_blocks(const ConvGeom& g, const typename V::T* in,
+void conv_blocks(const ConvGeom& g, const Region& r, const typename V::T* in,
                  const typename V::T* w, const typename V::T* bias,
                  typename V::T* out, std::size_t blocks) {
   constexpr std::size_t L = V::kLanes;
   const std::size_t oplane = g.out_h * g.out_w;
+  const std::size_t count = (r.y1 - r.y0) * (r.x1 - r.x0);
   for (std::size_t b = 0; b < blocks; ++b) {
     const auto* const wb = w + b * kvol(g) * L;
     const auto* const bb = bias + b * L;
     auto* const ob = out + b * L * oplane;
-    std::size_t pix = 0;
-    for (; pix + kChains <= oplane; pix += kChains)
-      conv_pixels<V, kChains>(g, in, wb, bb, ob, pix);
-    for (; pix < oplane; ++pix) conv_pixels<V, 1>(g, in, wb, bb, ob, pix);
+    std::size_t q = 0;
+    for (; q + kChains <= count; q += kChains)
+      conv_pixels<V, kChains>(g, r, in, wb, bb, ob, q);
+    for (; q < count; ++q) conv_pixels<V, 1>(g, r, in, wb, bb, ob, q);
   }
 }
 
@@ -246,19 +256,33 @@ void fc_blocks(const FcGeom& g, const typename V::T* in,
   }
 }
 
-/// A full ConvFn: lane-blocks from the row-major `w` or, for packed traits,
-/// the packed copy `wp` (never dereferenced when out_c < kLanes); remaining
-/// rows from `w` through the 1-lane trait S (Fixed traits name theirs: the
-/// raw int alone does not carry F).
+/// A ConvFn: the lane-blocks that lie wholly inside r's channel range, from
+/// the row-major `w` or, for packed traits, the packed copy `wp` (never
+/// dereferenced when no such block exists); the region's other channels
+/// from `w` through the 1-lane trait S (Fixed traits name theirs: the raw
+/// int alone does not carry F). For the full region that is every full
+/// block, then the out_c % kLanes remainder rows.
 template <class V, class S = ScalarLane<typename V::T>>
-void conv_lanes(const ConvGeom& g, const typename V::T* in,
+void conv_lanes(const ConvGeom& g, const Region& r, const typename V::T* in,
                 const typename V::T* w, const typename V::T* wp,
                 const typename V::T* bias, typename V::T* out) {
-  const std::size_t blocks = g.out_c / V::kLanes;
-  const std::size_t done = blocks * V::kLanes;
-  conv_blocks<V>(g, in, V::kRowMajor ? w : wp, bias, out, blocks);
-  conv_blocks<S>(g, in, w + done * kvol(g), bias + done,
-                 out + done * g.out_h * g.out_w, g.out_c - done);
+  constexpr std::size_t L = V::kLanes;
+  if (r.c0 >= r.c1 || r.y0 >= r.y1 || r.x0 >= r.x1) return;
+  const std::size_t oplane = g.out_h * g.out_w;
+  const auto tail = [&](std::size_t c0, std::size_t c1) {
+    conv_blocks<S>(g, r, in, w + c0 * kvol(g), bias + c0, out + c0 * oplane,
+                   c1 - c0);
+  };
+  const std::size_t b0 = (r.c0 + L - 1) / L;  // first block inside r
+  const std::size_t b1 = r.c1 / L;            // one past the last
+  if (b0 >= b1) {
+    tail(r.c0, r.c1);
+    return;
+  }
+  tail(r.c0, b0 * L);
+  conv_blocks<V>(g, r, in, (V::kRowMajor ? w : wp) + b0 * L * kvol(g),
+                 bias + b0 * L, out + b0 * L * oplane, b1 - b0);
+  tail(b1 * L, r.c1);
 }
 
 /// A full FcFn; weights and S as for conv_lanes.

@@ -6,9 +6,9 @@
 // accumulation order, same multiply-then-accumulate per tap (padded taps
 // multiply by a zero activation), same trailing bias add — with the per-tap
 // Shape::index arithmetic replaced by hoisted row pointers. scalar_fc is
-// likewise the former FullyConnected fast path. The *_rows variants compute
-// a sub-range of output channels / features so SIMD kernels can delegate
-// their remainder rows (row counts not divisible by the lane width) here.
+// likewise the former FullyConnected fast path. scalar_conv, scalar_lrn and
+// scalar_maxpool compute one output Region (kernels.h); each output's value
+// does not depend on the region it is computed in.
 //
 // The post-MAC kernels (scalar_lrn / scalar_maxpool / scalar_avgpool /
 // scalar_softmax) are the former Lrn / MaxPool2d / GlobalAvgPool / Softmax
@@ -39,19 +39,20 @@
 
 namespace dnnfi::dnn::kernels {
 
-/// Output channels [co_begin, co_end) of a convolution, scalar reference.
+/// Convolution over the outputs in `r`, scalar reference.
 template <typename T>
-void scalar_conv_rows(const ConvGeom& g, const T* in, const T* w_oihw,
-                      const T* bias, T* out, std::size_t co_begin,
-                      std::size_t co_end) {
+void scalar_conv(const ConvGeom& g, const Region& r, const T* in,
+                 const T* w_oihw, const T* /*w_packed*/, const T* bias,
+                 T* out) {
   const auto pad = static_cast<std::ptrdiff_t>(g.pad);
   const std::size_t kvol = g.in_c * g.k * g.k;
-  for (std::size_t co = co_begin; co < co_end; ++co) {
+  for (std::size_t co = r.c0; co < r.c1; ++co) {
     const T* const wco = w_oihw + co * kvol;
     const T b = bias[co];
-    T* op = out + co * g.out_h * g.out_w;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
+    T* const oc = out + co * g.out_h * g.out_w;
+    for (std::size_t oy = r.y0; oy < r.y1; ++oy) {
+      T* op = oc + oy * g.out_w + r.x0;
+      for (std::size_t ox = r.x0; ox < r.x1; ++ox) {
         T acc{};
         const T* w = wco;
         for (std::size_t ci = 0; ci < g.in_c; ++ci) {
@@ -82,11 +83,11 @@ void scalar_conv_rows(const ConvGeom& g, const T* in, const T* w_oihw,
   }
 }
 
-/// Output features [o_begin, o_end) of a fully-connected layer.
+/// Fully-connected layer, scalar reference.
 template <typename T>
-void scalar_fc_rows(const FcGeom& g, const T* in, const T* w, const T* bias,
-                    T* out, std::size_t o_begin, std::size_t o_end) {
-  for (std::size_t o = o_begin; o < o_end; ++o) {
+void scalar_fc(const FcGeom& g, const T* in, const T* w,
+               const T* /*w_packed*/, const T* bias, T* out) {
+  for (std::size_t o = 0; o < g.out; ++o) {
     T acc{};
     const T* const wr = w + o * g.in;
     for (std::size_t i = 0; i < g.in; ++i) {
@@ -96,19 +97,6 @@ void scalar_fc_rows(const FcGeom& g, const T* in, const T* w, const T* bias,
     acc += bias[o];
     out[o] = acc;
   }
-}
-
-/// Full scalar kernels matching the KernelSet function signatures.
-template <typename T>
-void scalar_conv(const ConvGeom& g, const T* in, const T* w,
-                 const T* /*w_packed*/, const T* bias, T* out) {
-  scalar_conv_rows<T>(g, in, w, bias, out, 0, g.out_c);
-}
-
-template <typename T>
-void scalar_fc(const FcGeom& g, const T* in, const T* w,
-               const T* /*w_packed*/, const T* bias, T* out) {
-  scalar_fc_rows<T>(g, in, w, bias, out, 0, g.out);
 }
 
 template <typename T>
@@ -134,66 +122,73 @@ inline double lrn_pow(double base, double beta, double& memo_base,
   return memo_pow;
 }
 
-/// Local response normalization, scalar reference (see header comment for
-/// the bit-identity argument). Window sums run at double precision in
-/// low-to-high channel order per output, exactly like the former
-/// Lrn::raw_scale.
+/// Local response normalization over the outputs in `r`, scalar reference
+/// (see header comment for the bit-identity argument). Window sums run at
+/// double precision in low-to-high channel order per output, exactly like
+/// the former Lrn::raw_scale.
 template <typename T>
-void scalar_lrn(const LrnGeom& g, const T* in, T* out) {
+void scalar_lrn(const LrnGeom& g, const Region& r, const T* in, T* out) {
   using Tr = numeric::numeric_traits<T>;
   const std::size_t plane = g.h * g.w;
   const auto half = static_cast<std::ptrdiff_t>(g.size / 2);
   const double an = g.alpha / static_cast<double>(g.size);
   const bool buffered = g.c <= kScalarStackDoubles;
+  // Channels any output window in r.c0..r.c1 reads.
+  const std::size_t lo =
+      r.c0 > g.size / 2 ? r.c0 - g.size / 2 : std::size_t{0};
+  const std::size_t hi = std::min(g.c, r.c1 + g.size / 2);
   double sq[kScalarStackDoubles];
-  for (std::size_t p = 0; p < plane; ++p) {
-    if (buffered) {
-      for (std::size_t c = 0; c < g.c; ++c) {
-        const double v = Tr::to_double(in[c * plane + p]);
-        sq[c] = v * v;
-      }
-    }
-    double memo_base = std::numeric_limits<double>::quiet_NaN();
-    double memo_pow = 0.0;
-    for (std::size_t c = 0; c < g.c; ++c) {
-      const std::ptrdiff_t clo =
-          std::max<std::ptrdiff_t>(0, static_cast<std::ptrdiff_t>(c) - half);
-      const std::ptrdiff_t chi =
-          std::min<std::ptrdiff_t>(static_cast<std::ptrdiff_t>(g.c) - 1,
-                                   static_cast<std::ptrdiff_t>(c) + half);
-      double ss = 0;
+  for (std::size_t y = r.y0; y < r.y1; ++y) {
+    for (std::size_t p = y * g.w + r.x0; p < y * g.w + r.x1; ++p) {
       if (buffered) {
-        for (std::ptrdiff_t cc = clo; cc <= chi; ++cc)
-          ss += sq[static_cast<std::size_t>(cc)];
-      } else {
-        for (std::ptrdiff_t cc = clo; cc <= chi; ++cc) {
-          const double v =
-              Tr::to_double(in[static_cast<std::size_t>(cc) * plane + p]);
-          ss += v * v;
+        for (std::size_t c = lo; c < hi; ++c) {
+          const double v = Tr::to_double(in[c * plane + p]);
+          sq[c] = v * v;
         }
       }
-      const double base = g.k + an * ss;
-      const double denom = lrn_pow(base, g.beta, memo_base, memo_pow);
-      const double v = Tr::to_double(in[c * plane + p]);
-      out[c * plane + p] = Tr::from_double(v / denom);
+      double memo_base = std::numeric_limits<double>::quiet_NaN();
+      double memo_pow = 0.0;
+      for (std::size_t c = r.c0; c < r.c1; ++c) {
+        const std::ptrdiff_t clo = std::max<std::ptrdiff_t>(
+            0, static_cast<std::ptrdiff_t>(c) - half);
+        const std::ptrdiff_t chi =
+            std::min<std::ptrdiff_t>(static_cast<std::ptrdiff_t>(g.c) - 1,
+                                     static_cast<std::ptrdiff_t>(c) + half);
+        double ss = 0;
+        if (buffered) {
+          for (std::ptrdiff_t cc = clo; cc <= chi; ++cc)
+            ss += sq[static_cast<std::size_t>(cc)];
+        } else {
+          for (std::ptrdiff_t cc = clo; cc <= chi; ++cc) {
+            const double v =
+                Tr::to_double(in[static_cast<std::size_t>(cc) * plane + p]);
+            ss += v * v;
+          }
+        }
+        const double base = g.k + an * ss;
+        const double denom = lrn_pow(base, g.beta, memo_base, memo_pow);
+        const double v = Tr::to_double(in[c * plane + p]);
+        out[c * plane + p] = Tr::from_double(v / denom);
+      }
     }
   }
 }
 
-/// Max pooling, scalar reference: the former MaxPool2d::forward loop with
-/// the window seeded from its first element and strict-greater updates, so
-/// NaNs never win and first-maximum tie-breaking is preserved.
+/// Max pooling over the outputs in `r`, scalar reference: the former
+/// MaxPool2d::forward loop with the window seeded from its first element
+/// and strict-greater updates, so NaNs never win and first-maximum
+/// tie-breaking is preserved.
 template <typename T>
-void scalar_maxpool(const PoolGeom& g, const T* in, T* out) {
+void scalar_maxpool(const PoolGeom& g, const Region& r, const T* in, T* out) {
   const std::size_t iplane = g.in_h * g.in_w;
   const std::size_t oplane = g.out_h * g.out_w;
-  for (std::size_t c = 0; c < g.c; ++c) {
+  for (std::size_t c = r.c0; c < r.c1; ++c) {
     const T* const ic = in + c * iplane;
     T* const oc = out + c * oplane;
-    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
+    for (std::size_t oy = r.y0; oy < r.y1; ++oy) {
       const T* const iwin = ic + oy * g.stride * g.in_w;
       T* const orow = oc + oy * g.out_w;
-      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
+      for (std::size_t ox = r.x0; ox < r.x1; ++ox) {
         const T* const base = iwin + ox * g.stride;
         T best = base[0];
         for (std::size_t ky = 0; ky < g.k; ++ky) {

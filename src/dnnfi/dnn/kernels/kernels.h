@@ -24,6 +24,18 @@
 // way, since outcome classification and distance metrics treat all NaNs
 // alike. There is no other exception.
 //
+// Output regions: conv, LRN and maxpool compute one Region of their output
+// — a half-open channel x row x column box — and write nothing outside it.
+// A full-layer call passes the geometry's full() box; the executor's
+// dirty-region replay (DESIGN.md §8) passes the box a fault can reach. An
+// output's chain is the same whichever box holds it, so a region call
+// writes exactly the bits a full call writes there. The SIMD conv keeps its
+// kChains pixel groups in a box-local flattened pixel order (chains span
+// rows inside the box; for the full box that is the whole-plane order), and
+// channels outside the region's full lane-blocks run the 1-lane tail.
+// FC, relu, avgpool and softmax have no region: relu is elementwise (the
+// executor calls it once per contiguous run), the rest always run whole.
+//
 // Selection happens once per process: the DNNFI_KERNELS environment variable
 // ("scalar" | "avx2" | "avx512" | "auto"/unset) is combined with CPUID
 // probes (numeric/cpu.h); "auto" prefers avx512 > avx2 > scalar,
@@ -57,6 +69,23 @@
 
 namespace dnnfi::dnn::kernels {
 
+/// Half-open channel x row x column box [c0, c1) x [y0, y1) x [x0, x1) of
+/// a CHW output: the outputs one kernel call computes.
+struct Region {
+  std::size_t c0 = 0, c1 = 0;
+  std::size_t y0 = 0, y1 = 0;
+  std::size_t x0 = 0, x1 = 0;
+
+  constexpr bool empty() const noexcept {
+    return c0 >= c1 || y0 >= y1 || x0 >= x1;
+  }
+  /// Element count (0 when empty).
+  constexpr std::size_t size() const noexcept {
+    return empty() ? 0 : (c1 - c0) * (y1 - y0) * (x1 - x0);
+  }
+  friend constexpr bool operator==(const Region&, const Region&) = default;
+};
+
 /// Resolved convolution geometry: square kernel, zero padding, CHW input
 /// and output, OIHW weights.
 struct ConvGeom {
@@ -66,6 +95,10 @@ struct ConvGeom {
 
   /// Accumulation steps per output element (the kernel volume).
   constexpr std::size_t steps() const noexcept { return in_c * k * k; }
+  /// The whole output.
+  constexpr Region full() const noexcept {
+    return {0, out_c, 0, out_h, 0, out_w};
+  }
 };
 
 /// Resolved fully-connected geometry: out x in row-major weights.
@@ -80,6 +113,9 @@ struct LrnGeom {
   std::size_t c = 0, h = 0, w = 0;
   std::size_t size = 0;
   double alpha = 0.0, beta = 0.0, k = 0.0;
+
+  /// The whole output (shaped like the input).
+  constexpr Region full() const noexcept { return {0, c, 0, h, 0, w}; }
 };
 
 /// Resolved pooling geometry: CHW input and output, square window, no
@@ -89,15 +125,20 @@ struct PoolGeom {
   std::size_t in_h = 0, in_w = 0;
   std::size_t out_h = 0, out_w = 0;
   std::size_t k = 0, stride = 0;
+
+  /// The whole output.
+  constexpr Region full() const noexcept {
+    return {0, c, 0, out_h, 0, out_w};
+  }
 };
 
-/// Convolution kernel. `w` is the row-major OIHW weight array; `w_packed`
-/// is the pack_rows copy (pass null when the set's pack_lanes == 0, or when
-/// the geometry yields zero full blocks — it is only dereferenced inside
-/// full blocks).
+/// Convolution kernel over the outputs in `r` (within g.full()). `w` is the
+/// row-major OIHW weight array; `w_packed` is the pack_rows copy (pass null
+/// when the set's pack_lanes == 0, or when the geometry yields zero full
+/// blocks — it is only dereferenced inside full blocks).
 template <typename T>
-using ConvFn = void (*)(const ConvGeom&, const T* in, const T* w,
-                        const T* w_packed, const T* bias, T* out);
+using ConvFn = void (*)(const ConvGeom&, const Region& r, const T* in,
+                        const T* w, const T* w_packed, const T* bias, T* out);
 
 /// Fully-connected kernel; `w_packed` as for ConvFn.
 template <typename T>
@@ -108,14 +149,17 @@ using FcFn = void (*)(const FcGeom&, const T* in, const T* w,
 template <typename T>
 using EltwiseFn = void (*)(const T* in, T* out, std::size_t n);
 
-/// Local-response-normalization kernel (see LrnGeom).
+/// Local-response-normalization kernel (see LrnGeom) over the outputs in
+/// `r`; window channels outside r.c0..r.c1 are read, not written.
 template <typename T>
-using LrnFn = void (*)(const LrnGeom&, const T* in, T* out);
+using LrnFn = void (*)(const LrnGeom&, const Region& r, const T* in, T* out);
 
-/// Max-pooling kernel: per output, the window max under the scalar
-/// reference's `if (v > best)` comparison semantics (NaNs never win).
+/// Max-pooling kernel over the outputs in `r`: per output, the window max
+/// under the scalar reference's `if (v > best)` comparison semantics (NaNs
+/// never win).
 template <typename T>
-using PoolFn = void (*)(const PoolGeom&, const T* in, T* out);
+using PoolFn = void (*)(const PoolGeom&, const Region& r, const T* in,
+                        T* out);
 
 /// Global average pool: out[c] = mean of the `plane`-element channel plane,
 /// summed sequentially at double precision then re-quantized to T.

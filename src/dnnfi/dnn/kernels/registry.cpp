@@ -267,22 +267,15 @@ template <typename T>
 void conv_forward(const ConvGeom& g, const T* in, const T* w, const T* bias,
                   T* out) {
   const KernelSet<T>& ks = active_kernels<T>();
-  if (ks.pack_lanes == 0) {
-    ks.conv(g, in, w, nullptr, bias, out);
-    return;
-  }
-  scalar_conv<T>(g, in, w, nullptr, bias, out);
+  (ks.pack_lanes == 0 ? ks.conv : &scalar_conv<T>)(g, g.full(), in, w,
+                                                    nullptr, bias, out);
 }
 
 template <typename T>
 void fc_forward(const FcGeom& g, const T* in, const T* w, const T* bias,
                 T* out) {
   const KernelSet<T>& ks = active_kernels<T>();
-  if (ks.pack_lanes == 0) {
-    ks.fc(g, in, w, nullptr, bias, out);
-    return;
-  }
-  scalar_fc<T>(g, in, w, nullptr, bias, out);
+  (ks.pack_lanes == 0 ? ks.fc : &scalar_fc<T>)(g, in, w, nullptr, bias, out);
 }
 
 template <typename T>
@@ -292,12 +285,12 @@ void relu_forward(const T* in, T* out, std::size_t n) {
 
 template <typename T>
 void lrn_forward(const LrnGeom& g, const T* in, T* out) {
-  active_kernels<T>().lrn(g, in, out);
+  active_kernels<T>().lrn(g, g.full(), in, out);
 }
 
 template <typename T>
 void maxpool_forward(const PoolGeom& g, const T* in, T* out) {
-  active_kernels<T>().maxpool(g, in, out);
+  active_kernels<T>().maxpool(g, g.full(), in, out);
 }
 
 template <typename T>

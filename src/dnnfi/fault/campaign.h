@@ -83,13 +83,17 @@ struct CampaignOptions {
   bool record_block_distances = false;
 
   /// Incremental fault replay: seed each trial from the fault-free
-  /// activation cache at the injection layer and stop as soon as a replayed
-  /// layer matches the cache bit-for-bit (the fault was masked), emitting
-  /// the cached final logits. Per-trial results are byte-identical either
-  /// way — a masked trial's suffix is a deterministic function of state
-  /// identical to the fault-free run — so this is purely a speed knob
-  /// (tests/test_incremental_replay.cpp asserts the equivalence). Not part
-  /// of the campaign fingerprint for the same reason.
+  /// activation cache at the injection layer, recompute each replayed
+  /// layer only over its dirty region (the outputs the fault can reach; the
+  /// rest is copied from the cache, DESIGN.md §8), and stop as soon as a
+  /// replayed layer matches the cache bit-for-bit (the fault was masked),
+  /// emitting the cached final logits. Per-trial results are byte-identical
+  /// either way — outputs outside the dirty region read only fault-free
+  /// operands, and a masked trial's suffix is a deterministic function of
+  /// state identical to the fault-free run — so this is purely a speed knob
+  /// (tests/test_incremental_replay.cpp asserts the equivalence). Off, every
+  /// replayed layer runs whole: the independent full-replay reference. Not
+  /// part of the campaign fingerprint for the same reason.
   bool incremental_replay = true;
 
   /// Worker pool override. Null uses ThreadPool::global(). Results are

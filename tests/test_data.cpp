@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 
 #include "dnnfi/data/datasets.h"
 #include "dnnfi/data/image_io.h"
@@ -120,6 +122,60 @@ TEST(Ppm, RejectsBadFiles) {
     f << "P3\n1 1\n255\n0 0 0\n";  // ASCII PPM, unsupported
   }
   EXPECT_THROW(read_ppm(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+// Mutation sweep: every single-byte XOR (all 255 masks) and every
+// truncation of a small PPM either loads or throws std::runtime_error.
+// Headers whose w*h*3 wraps size_t, or exceeds the bytes left in the file,
+// are rejected before the pixel buffer is allocated.
+TEST(Ppm, SurvivesEveryByteFlipAndTruncation) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dnnfi_mutated.ppm").string();
+  tensor::Tensor<float> img(tensor::chw(3, 2, 2));
+  for (std::size_t i = 0; i < img.size(); ++i)
+    img[i] = static_cast<float>(i) / 12.0F - 0.5F;
+  write_ppm(path, img);
+  std::string good;
+  {
+    std::ifstream f(path, std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(f), {});
+  }
+  ASSERT_EQ(good.size(), std::string("P6\n2 2\n255\n").size() + 12);
+  const auto write = [&](const std::string& bytes) {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f << bytes;
+  };
+  std::size_t rejected = 0;
+  const auto attempt = [&](const std::string& bytes, const std::string& what) {
+    write(bytes);
+    try {
+      const auto back = read_ppm(path);
+      EXPECT_EQ(back.shape().c, 3U) << what;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    } catch (...) {
+      ADD_FAILURE() << what << ": non-runtime_error exception";
+    }
+  };
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    for (unsigned mask = 1; mask < 256; ++mask) {
+      std::string bad = good;
+      bad[i] = static_cast<char>(static_cast<unsigned char>(bad[i]) ^ mask);
+      attempt(bad, "byte " + std::to_string(i) + " ^ " + std::to_string(mask));
+    }
+  }
+  for (std::size_t len = 0; len < good.size(); ++len)
+    attempt(good.substr(0, len), "truncated to " + std::to_string(len));
+  EXPECT_GE(rejected, good.size());  // at least every truncation
+
+  // w*h*3 wraps to 2 in size_t; 20000x20000 would allocate 1.2 GB.
+  const std::string body(12, '\x7f');
+  for (const char* header :
+       {"P6\n6148914691236517206 1\n255\n", "P6\n20000 20000\n255\n"}) {
+    write(header + body);
+    EXPECT_THROW(read_ppm(path), std::runtime_error) << header;
+  }
   std::remove(path.c_str());
 }
 

@@ -9,6 +9,10 @@
 // equivalence claim does not depend on the engine under test.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <vector>
+
 #include "dnnfi/common/rng.h"
 #include "dnnfi/dnn/executor.h"
 #include "dnnfi/dnn/weights.h"
@@ -73,12 +77,15 @@ LegacyTrace<T> legacy_trace(const Network<T>& net, const Tensor<T>& input) {
   return tr;
 }
 
-/// Legacy faulty run: patch (or recompute on flipped input) at the fault
-/// layer, then fresh-Tensor forward through the rest.
+/// Legacy faulty run, layer by layer: patch (or recompute on flipped input)
+/// at the fault layer, then fresh-Tensor forward through the rest.
+/// `acts[i]` is layer i's faulty output for i >= f.layer (empty before).
 template <typename T>
-Tensor<T> legacy_fault(const Network<T>& net, const LegacyTrace<T>& golden,
-                       const AppliedFault& f) {
-  Tensor<T> a, b;
+std::vector<Tensor<T>> legacy_fault_trace(const Network<T>& net,
+                                          const LegacyTrace<T>& golden,
+                                          const AppliedFault& f) {
+  std::vector<Tensor<T>> acts(net.num_layers());
+  Tensor<T>& a = acts[f.layer];
   if (f.flip_layer_input) {
     Tensor<T> in = golden.layer_input(f.layer);
     in[f.input_index] =
@@ -89,11 +96,16 @@ Tensor<T> legacy_fault(const Network<T>& net, const LegacyTrace<T>& golden,
     net.layer(f.layer).apply_faults(golden.layer_input(f.layer), a, f.faults,
                                     nullptr);
   }
-  for (std::size_t i = f.layer + 1; i < net.num_layers(); ++i) {
-    net.layer(i).forward(a, b);
-    std::swap(a, b);
-  }
-  return a;
+  for (std::size_t i = f.layer + 1; i < net.num_layers(); ++i)
+    net.layer(i).forward(acts[i - 1], acts[i]);
+  return acts;
+}
+
+/// Legacy faulty run: the final output of legacy_fault_trace.
+template <typename T>
+Tensor<T> legacy_fault(const Network<T>& net, const LegacyTrace<T>& golden,
+                       const AppliedFault& f) {
+  return legacy_fault_trace(net, golden, f).back();
 }
 
 template <typename T>
@@ -241,6 +253,174 @@ TYPED_TEST(ExecutorEquivalence, NetworkWrappersMatchLegacy) {
   const Tensor<T> want = legacy_forward(net, img);
   expect_bits_equal<T>(net.forward(img).view(), want);
   EXPECT_EQ(net.classify(img).scores, net.interpret(want).scores);
+}
+
+/// A tiny AlexNet-shaped net: a stride-2 padded conv, relu, LRN and a
+/// 3x3/2 maxpool (27x27 -> 14x14 -> 6x6), then three 3x3 convs, a 2x2 pool
+/// and a classifier.
+NetworkSpec alexnet_like_spec() {
+  return SpecBuilder("alexnet-like", tensor::chw(3, 27, 27), 5)
+      .conv(8, 5, 2, 2).relu().lrn().maxpool(3, 2)
+      .conv(12, 3, 1, 1).relu().lrn()
+      .conv(12, 3, 1, 1).relu()
+      .conv(8, 3, 1, 1).relu().maxpool(2, 2)
+      .fc(5).softmax()
+      .build();
+}
+
+/// Faults of all five classes — MAC, weight, scoped input, systolic column
+/// and global buffer — on MAC layer `layer`, each struck at a corner, an
+/// edge and the centre element of the tensor it corrupts, with a low and a
+/// high bit (both valid for every datapath type).
+template <typename T>
+std::vector<AppliedFault> placed_faults(const Network<T>& net,
+                                        std::size_t layer) {
+  const PlanStep<T>& st = net.plan().steps()[layer];
+  const tensor::Shape& os = st.out_shape;
+  const tensor::Shape& is = st.in_shape;
+  const bool fc = st.kernel == StepKernel::kFc;
+  const std::size_t steps = st.macs / os.size();
+  const std::size_t wsize = net.layer(layer).weights().size();
+  const auto at = [](const tensor::Shape& s, std::size_t c, std::size_t y,
+                     std::size_t x) { return (c * s.h + y) * s.w + x; };
+  // Corner, edge and centre of a CHW tensor: (c, y, x) per place.
+  const auto place = [](const tensor::Shape& s, std::size_t p) {
+    const std::size_t c[] = {0, s.c / 2, s.c - 1};
+    const std::size_t y[] = {0, 0, s.h / 2};
+    const std::size_t x[] = {0, s.w / 2, s.w / 2};
+    return std::array<std::size_t, 3>{c[p], y[p], x[p]};
+  };
+  std::vector<AppliedFault> faults;
+  for (const int bit : {2, 14}) {
+    const fault::FaultOp op = fault::FaultOp::flip(bit);
+    for (std::size_t p = 0; p < 3; ++p) {
+      const auto [oc, oy, ox] = place(os, p);
+      const auto [ic, iy, ix] = place(is, p);
+      const std::size_t out_index = at(os, oc, oy, ox);
+      const std::size_t out_channel = fc ? out_index : oc;
+      const std::size_t step = (p * 7 + 3) % steps;
+      AppliedFault f;
+      f.layer = layer;
+
+      MacFault mf;
+      mf.out_index = out_index;
+      mf.step = step;
+      mf.site = kMacSites[(p + static_cast<std::size_t>(bit)) % 4];
+      mf.op = op;
+      f.faults = {};
+      f.faults.mac = mf;
+      faults.push_back(f);
+
+      WeightFault wf;
+      wf.weight_index = (out_channel * steps + step) % wsize;
+      wf.op = op;
+      f.faults = {};
+      f.faults.weight = wf;
+      faults.push_back(f);
+
+      ScopedInputFault sf;
+      sf.input_index = at(is, ic, iy, ix);
+      sf.out_channel = out_channel;
+      sf.out_row = oy;
+      sf.op = op;
+      f.faults = {};
+      f.faults.scoped_input = sf;
+      faults.push_back(f);
+
+      ColumnFault cf;
+      cf.cols = 4;
+      cf.col = out_channel % cf.cols;
+      cf.first_out = out_index;
+      cf.step = step;
+      cf.op = op;
+      f.faults = {};
+      f.faults.column = cf;
+      faults.push_back(f);
+
+      AppliedFault gb;
+      gb.layer = layer;
+      gb.flip_layer_input = true;
+      gb.input_index = at(is, ic, iy, ix);
+      gb.input_op = op;
+      faults.push_back(gb);
+    }
+  }
+  return faults;
+}
+
+// Dirty-region replay against the legacy full-tensor reference: for every
+// fault class at corner, edge and centre elements of every MAC layer, each
+// layer the observer sees is the legacy faulty tensor bit for bit (outside
+// the dirty region the executor fills in the golden activation), the
+// layers a masked exit skips are golden in the legacy run too, and the
+// final output matches. ReplayInfo::macs counts exactly the full suffix in
+// a full replay and stays below it for a centre fault on a conv layer.
+TYPED_TEST(ExecutorEquivalence, DirtyRegionReplayMatchesLegacyLayerByLayer) {
+  using T = TypeParam;
+  const auto spec = alexnet_like_spec();
+  Network<T> net(spec);
+  load_weights(net, random_blob(spec, 71));
+  const auto img = random_image<T>(spec.input, 72);
+  const LegacyTrace<T> golden = legacy_trace(net, img);
+  const ActivationCache<T> cache(net.plan(), img);
+  const auto& steps = net.plan().steps();
+  const std::size_t n = net.num_layers();
+
+  const Executor<T> exec(net.plan());
+  Workspace<T> ws(net.plan());
+  std::vector<Tensor<T>> seen(n);
+  const LayerObserver<T> observer =
+      [&](std::size_t layer, tensor::ConstTensorView<T> act) {
+        seen[layer].assign(act);
+      };
+  std::size_t partial = 0;  // centre conv faults whose replay ran < suffix
+  for (const std::size_t layer : net.mac_layers()) {
+    std::size_t suffix = 0;
+    for (std::size_t i = layer; i < n; ++i) suffix += steps[i].macs;
+    const bool conv = steps[layer].kernel == StepKernel::kConv;
+    const auto faults = placed_faults(net, layer);
+    for (std::size_t k = 0; k < faults.size(); ++k) {
+      const AppliedFault& f = faults[k];
+      const bool centre = (k / 5) % 3 == 2;
+      const auto want = legacy_fault_trace(net, golden, f);
+      for (const bool early_exit : {true, false}) {
+        const std::string what = "layer " + std::to_string(layer) +
+                                 " fault " + std::to_string(k) +
+                                 (early_exit ? " dirty" : " full");
+        for (auto& t : seen) t = Tensor<T>();
+        ReplayInfo info;
+        RunRequest<T> req;
+        req.cache = &cache;
+        req.fault = &f;
+        req.observer = &observer;
+        req.early_exit = early_exit;
+        req.replay = &info;
+        const auto out = exec.run(ws, req);
+        SCOPED_TRACE(what);
+        expect_bits_equal<T>(out, want.back());
+        for (std::size_t i = layer; i < n; ++i) {
+          if (seen[i].size() != 0) {
+            expect_bits_equal<T>(seen[i].view(), want[i]);
+          } else {
+            ASSERT_TRUE(info.masked && i > info.masked_at) << "layer " << i;
+            expect_bits_equal<T>(golden.acts[i].view(), want[i]);
+          }
+        }
+        if (info.masked)
+          expect_bits_equal<T>(golden.acts[info.masked_at].view(),
+                               want[info.masked_at]);
+        // A patched fault layer's own recompute is not counted.
+        const std::size_t patched = f.flip_layer_input ? 0 : steps[layer].macs;
+        if (!early_exit) {
+          EXPECT_EQ(info.macs, suffix - patched);
+        } else if (conv && centre) {
+          EXPECT_LT(info.macs, suffix);
+          ++partial;
+        }
+      }
+    }
+  }
+  EXPECT_GT(partial, 0u);
 }
 
 // A single workspace serving 100 consecutive faulty runs (mixed fault

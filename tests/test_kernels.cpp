@@ -13,12 +13,14 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "dnnfi/common/rng.h"
 #include "dnnfi/dnn/executor.h"
 #include "dnnfi/dnn/kernels/kernels.h"
 #include "dnnfi/dnn/weights.h"
@@ -75,8 +77,9 @@ Tensor<T> run_conv(const KernelSet<T>& ks, const ConvGeom& g,
   std::vector<T> packed(packed_elems(g.out_c, g.steps(), ks.pack_lanes));
   if (!packed.empty())
     pack_rows(w.data(), g.out_c, g.steps(), ks.pack_lanes, packed.data());
-  ks.conv(g, in.data(), w.data(), packed.empty() ? nullptr : packed.data(),
-          bias.data(), out.data().data());
+  ks.conv(g, g.full(), in.data(), w.data(),
+          packed.empty() ? nullptr : packed.data(), bias.data(),
+          out.data().data());
   return out;
 }
 
@@ -97,7 +100,7 @@ template <typename T>
 Tensor<T> run_lrn(const KernelSet<T>& ks, const LrnGeom& g,
                   const std::vector<T>& in) {
   Tensor<T> out(Shape{1, g.c, g.h, g.w});
-  ks.lrn(g, in.data(), out.data().data());
+  ks.lrn(g, g.full(), in.data(), out.data().data());
   return out;
 }
 
@@ -105,7 +108,7 @@ template <typename T>
 Tensor<T> run_maxpool(const KernelSet<T>& ks, const PoolGeom& g,
                       const std::vector<T>& in) {
   Tensor<T> out(Shape{1, g.c, g.out_h, g.out_w});
-  ks.maxpool(g, in.data(), out.data().data());
+  ks.maxpool(g, g.full(), in.data(), out.data().data());
   return out;
 }
 
@@ -271,6 +274,115 @@ TYPED_TEST(KernelProperty, PostMacOpsBitIdenticalToScalarOnOddShapes) {
   }
 }
 
+/// Output regions of a c x h x w output the region tests run: the whole
+/// box; 1-pixel boxes at two corners and the centre; a border-clamped
+/// corner box; full-width multi-row boxes; a 3x3 box (9 pixels, not a
+/// multiple of the conv body's 4-pixel groups); channel sub-ranges that
+/// start and end inside a lane block; and random boxes.
+std::vector<Region> test_regions(std::size_t c, std::size_t h, std::size_t w,
+                                 std::uint64_t seed) {
+  std::vector<Region> rs = {
+      {0, c, 0, h, 0, w},
+      {0, c, 0, 1, 0, 1},
+      {0, c, h - 1, h, w - 1, w},
+      {0, c, h / 2, h / 2 + 1, w / 2, w / 2 + 1},
+      {0, c, h > 2 ? h - 2 : std::size_t{0}, h, 0, std::min<std::size_t>(2, w)},
+      {0, c, h > 1 ? std::size_t{1} : std::size_t{0}, h, 0, w},
+      {0, c, h / 2, h, 0, w},
+      {0, c, 0, std::min<std::size_t>(3, h), 0, std::min<std::size_t>(3, w)},
+      {c / 3, c - c / 4, 0, h, 0, w},
+      {c / 2, c / 2 + 1, 0, std::min<std::size_t>(2, h), w / 3, w},
+  };
+  Rng rng(seed);
+  const auto span = [&](std::size_t n, std::size_t& lo, std::size_t& hi) {
+    lo = static_cast<std::size_t>(rng() % n);
+    hi = lo + 1 + static_cast<std::size_t>(rng() % (n - lo));
+  };
+  for (int i = 0; i < 8; ++i) {
+    Region r;
+    span(c, r.c0, r.c1);
+    span(h, r.y0, r.y1);
+    span(w, r.x0, r.x1);
+    rs.push_back(r);
+  }
+  return rs;
+}
+
+/// Runs `kernel(out)` over a sentinel-filled output of `n` elements shaped
+/// c x h x w, then checks that every element inside `r` equals the full
+/// scalar output `want` bit for bit and every element outside `r` still
+/// holds the sentinel.
+template <typename T, class Kernel>
+void expect_region_only(const Tensor<T>& want, const Region& r,
+                        Kernel&& kernel, const std::string& what) {
+  using Tr = numeric_traits<T>;
+  const Shape s = want.shape();
+  const auto sentinel = awkward<T>(want.size(), 97, Season::kNaN);
+  std::vector<T> out(sentinel);
+  kernel(out.data());
+  for (std::size_t c = 0; c < s.c; ++c)
+    for (std::size_t y = 0; y < s.h; ++y)
+      for (std::size_t x = 0; x < s.w; ++x) {
+        const std::size_t i = (c * s.h + y) * s.w + x;
+        const bool inside = c >= r.c0 && c < r.c1 && y >= r.y0 &&
+                            y < r.y1 && x >= r.x0 && x < r.x1;
+        ASSERT_EQ(Tr::to_bits(out[i]),
+                  Tr::to_bits(inside ? want[i] : sentinel[i]))
+            << what << " (" << c << "," << y << "," << x << ") "
+            << (inside ? "inside" : "outside") << " region c[" << r.c0 << ","
+            << r.c1 << ") y[" << r.y0 << "," << r.y1 << ") x[" << r.x0
+            << "," << r.x1 << ")";
+      }
+}
+
+TYPED_TEST(KernelProperty, RegionCallsWriteExactlyTheRegion) {
+  using T = TypeParam;
+  const KernelSet<T>& ref = scalar_kernels<T>();
+  for (const char* name : registered_names<T>()) {
+    const KernelSet<T>* ks = kernel_set<T>(name);
+    ASSERT_NE(ks, nullptr) << name;
+    for (const Season season : {Season::kFinite, Season::kNaN}) {
+      for (const ConvGeom& g : kConvGeoms) {
+        const auto in = awkward<T>(g.in_c * g.in_h * g.in_w, 11, season);
+        const auto w = awkward<T>(g.out_c * g.steps(), 23, season);
+        const auto bias = awkward<T>(g.out_c, 5, Season::kFinite);
+        std::vector<T> packed(
+            packed_elems(g.out_c, g.steps(), ks->pack_lanes));
+        if (!packed.empty())
+          pack_rows(w.data(), g.out_c, g.steps(), ks->pack_lanes,
+                    packed.data());
+        const Tensor<T> want = run_conv(ref, g, in, w, bias);
+        for (const Region& r : test_regions(g.out_c, g.out_h, g.out_w, 3)) {
+          expect_region_only(
+              want, r,
+              [&](T* out) {
+                ks->conv(g, r, in.data(), w.data(),
+                         packed.empty() ? nullptr : packed.data(),
+                         bias.data(), out);
+              },
+              std::string(name) + " conv out_c=" + std::to_string(g.out_c));
+        }
+      }
+      for (const LrnGeom& g : kLrnGeoms) {
+        const auto in = awkward<T>(g.c * g.h * g.w, 51, season);
+        const Tensor<T> want = run_lrn(ref, g, in);
+        for (const Region& r : test_regions(g.c, g.h, g.w, 5))
+          expect_region_only(
+              want, r, [&](T* out) { ks->lrn(g, r, in.data(), out); },
+              std::string(name) + " lrn c=" + std::to_string(g.c));
+      }
+      for (const PoolGeom& g : kPoolGeoms) {
+        const auto in = awkward<T>(g.c * g.in_h * g.in_w, 57, season);
+        const Tensor<T> want = run_maxpool(ref, g, in);
+        for (const Region& r : test_regions(g.c, g.out_h, g.out_w, 7))
+          expect_region_only(
+              want, r, [&](T* out) { ks->maxpool(g, r, in.data(), out); },
+              std::string(name) + " maxpool c=" + std::to_string(g.c));
+      }
+    }
+  }
+}
+
 TYPED_TEST(KernelProperty, HundredRunReuseIsStable) {
   using T = TypeParam;
   const ConvGeom g = kConvGeoms[0];
@@ -288,7 +400,7 @@ TYPED_TEST(KernelProperty, HundredRunReuseIsStable) {
     Tensor<T> out(Shape{1, g.out_c, g.out_h, g.out_w});
     Tensor<T> first;
     for (int run = 0; run < 100; ++run) {
-      ks->conv(g, in.data(), w.data(),
+      ks->conv(g, g.full(), in.data(), w.data(),
                packed.empty() ? nullptr : packed.data(), bias.data(),
                out.data().data());
       if (run == 0)
@@ -578,7 +690,7 @@ TYPED_TEST(FixedSaturation, WeightReadsStayInsideTheArray) {
                                    Season::kFinite);
         const auto bias = awkward<T>(g.out_c, 5, Season::kFinite);
         Tensor<T> got(Shape{1, g.out_c, g.out_h, g.out_w});
-        ks->conv(g, in.data(), w.data(), nullptr, bias.data(),
+        ks->conv(g, g.full(), in.data(), w.data(), nullptr, bias.data(),
                  got.data().data());
         EXPECT_TRUE(tensor::bitwise_equal(
             got, run_conv(scalar_kernels<T>(), g, in, wv, bias)))

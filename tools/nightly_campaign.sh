@@ -11,7 +11,9 @@
 #   4. the same monolithic run with --no-incremental (full replay, no
 #      masked-fault early exit) — identical except the masked_exits line,
 #      which is the one field that records how trials were *executed*
-#      rather than what they produced.
+#      rather than what they produced. The same cross-check then runs on
+#      AlexNet-S at --site datapath and --site global-buffer, whose stride-2
+#      padded conv, LRN and 3x3/2 pool exercise every dirty-region rule.
 #
 # Usage: tools/nightly_campaign.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -73,6 +75,25 @@ else
 fi
 grep -q '^masked_exits 0$' "$WORK/noinc.stats" || {
   echo "FAIL: full replay reported nonzero masked_exits" >&2; exit 1; }
+
+# ConvNet has no LRN and no stride-2 conv: repeat the full-replay
+# cross-check on AlexNet-S, where incremental replay computes dirty regions
+# through both (DESIGN.md §8), for datapath and global-buffer strikes.
+for SITE in datapath global-buffer; do
+  echo "== full-replay cross-check: AlexNet-S --site $SITE =="
+  ALEX=(--network alexnet --dtype FLOAT16 --site "$SITE" --trials 2000
+        --seed 20170101 --inputs 8 --distances --no-progress)
+  "$CAMPAIGN" run "${ALEX[@]}" --out "$WORK/alex-$SITE.stats"
+  "$CAMPAIGN" run "${ALEX[@]}" --no-incremental \
+      --out "$WORK/alex-$SITE-noinc.stats"
+  if diff -u <(grep -v '^masked_exits ' "$WORK/alex-$SITE.stats") \
+             <(grep -v '^masked_exits ' "$WORK/alex-$SITE-noinc.stats"); then
+    echo "PASS: AlexNet-S $SITE incremental replay is bit-identical to full replay"
+  else
+    echo "FAIL: AlexNet-S $SITE incremental replay diverged from full replay" >&2
+    exit 1
+  fi
+done
 
 echo "== supervised campaign with a worker killed -9 mid-flight =="
 # The supervisor (DESIGN.md §9) shards the same campaign across worker
