@@ -196,6 +196,8 @@ void write_json(const std::vector<Cell>& cells, std::size_t trials,
       << "  \"kernels\": {\"mode\": \"" << prof.mode
       << "\", \"cpu_avx2\": " << (prof.cpu_avx2 ? "true" : "false")
       << ", \"cpu_avx512\": " << (prof.cpu_avx512 ? "true" : "false")
+      << ", \"cpu_avx512fp16\": "
+      << (prof.cpu_avx512fp16 ? "true" : "false")
       << ", \"cpu_f16c\": " << (prof.cpu_f16c ? "true" : "false")
       << ", \"f16c_compiled\": " << (prof.f16c_compiled ? "true" : "false")
       << ", \"active_float\": \"" << prof.active_float
@@ -236,6 +238,7 @@ int main(int argc, char** argv) {
               << " float16=" << prof.active_float16
               << " (cpu avx2=" << (prof.cpu_avx2 ? "yes" : "no")
               << " avx512=" << (prof.cpu_avx512 ? "yes" : "no")
+              << " avx512fp16=" << (prof.cpu_avx512fp16 ? "yes" : "no")
               << " f16c=" << (prof.cpu_f16c ? "yes" : "no")
               << ", f16c built=" << (prof.f16c_compiled ? "yes" : "no")
               << ")\n";

@@ -547,6 +547,8 @@ void write_json(const AllocatorReport& r, const StreamingReport& s,
   out << "  \"kernels\": {\"mode\": \"" << prof.mode
       << "\", \"cpu_avx2\": " << (prof.cpu_avx2 ? "true" : "false")
       << ", \"cpu_avx512\": " << (prof.cpu_avx512 ? "true" : "false")
+      << ", \"cpu_avx512fp16\": "
+      << (prof.cpu_avx512fp16 ? "true" : "false")
       << ", \"cpu_f16c\": " << (prof.cpu_f16c ? "true" : "false")
       << ", \"f16c_compiled\": " << (prof.f16c_compiled ? "true" : "false")
       << ", \"active_float\": \"" << prof.active_float

@@ -578,12 +578,17 @@ void avx2_relu_double(const double* in, double* out, std::size_t n) {
   relu_lanes<F64x4>(in, out, n);
 }
 
+// GCC 12 returns from this one without VZEROUPPER, leaving the callers'
+// legacy-SSE code a merge penalty per instruction (ConvNet incremental
+// replay ~8x slower); test_kernels' KernelsReturnWithUpperVectorStateClear
+// checks every kernel.
 void avx2_conv_half(const ConvGeom& g, const Region& r,
                     const numeric::Half* in, const numeric::Half* w,
                     const numeric::Half* wp, const numeric::Half* bias,
                     numeric::Half* out) {
   conv_lanes<F16x8>(g, r, bits(in), bits(w), bits(wp), bits(bias),
                     bits(out));
+  _mm256_zeroupper();
 }
 
 void avx2_fc_half(const FcGeom& g, const numeric::Half* in,

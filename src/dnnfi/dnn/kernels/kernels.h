@@ -37,10 +37,14 @@
 // executor calls it once per contiguous run), the rest always run whole.
 //
 // Selection happens once per process: the DNNFI_KERNELS environment variable
-// ("scalar" | "avx2" | "avx512" | "auto"/unset) is combined with CPUID
-// probes (numeric/cpu.h); "auto" prefers avx512 > avx2 > scalar,
-// and requesting an unavailable set falls back to scalar. ExecutionPlan<T>
-// captures the active set at plan-build time.
+// ("scalar" | "avx2" | "avx512" | "avx512fp16" | "auto"/unset) is combined
+// with CPUID probes (numeric/cpu.h); "auto" prefers avx512fp16 > avx512 >
+// avx2 > scalar, and requesting an unavailable set falls back to scalar.
+// avx512fp16 exists for FLOAT16 only (native VMULPH / VADDPH Half conv and
+// fc, bit-identical to the F16C round trip of the avx512 Half set; the
+// argument is in kernel_avx512fp16.cpp): under "avx512fp16" every other
+// type resolves as "avx512", and "avx512" keeps FLOAT16 on the F16C path.
+// ExecutionPlan<T> captures the active set at plan-build time.
 //
 // Packed weights: SIMD sets with pack_lanes > 0 consume a lane-interleaved
 // copy of each MAC layer's weights, produced by pack_rows into the
@@ -209,7 +213,7 @@ std::vector<const char*> registered_names();
 
 /// Overrides the mode used by subsequent active_kernels calls (and thus
 /// subsequently built ExecutionPlans) for every datapath type: one of
-/// "scalar", "avx2", "avx512", or "auto" to restore the
+/// "scalar", "avx2", "avx512", "avx512fp16", or "auto" to restore the
 /// DNNFI_KERNELS / CPUID default. Returns false (and changes nothing) for
 /// unknown names. For tests and benches; call before building the plans it
 /// should affect.
@@ -217,9 +221,10 @@ bool set_active_mode(std::string_view mode);
 
 /// The resolved hardware/dispatch profile, for bench JSON attribution.
 struct KernelProfile {
-  std::string mode;            ///< requested: auto/scalar/avx2/avx512
+  std::string mode;  ///< requested: auto/scalar/avx2/avx512/avx512fp16
   bool cpu_avx2 = false;       ///< CPUID probe results
   bool cpu_avx512 = false;     ///< the avx512 kernel bundle (F+BW+VL+DQ)
+  bool cpu_avx512fp16 = false; ///< native binary16 arithmetic
   bool cpu_f16c = false;
   bool f16c_compiled = false;  ///< hardware Half conversions built in
   std::string active_float;    ///< resolved set name for FLOAT

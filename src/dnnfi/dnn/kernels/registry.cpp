@@ -16,7 +16,7 @@ namespace dnnfi::dnn::kernels {
 
 namespace {
 
-enum class Mode { kAuto, kScalar, kAvx2, kAvx512 };
+enum class Mode { kAuto, kScalar, kAvx2, kAvx512, kAvx512Fp16 };
 
 bool parse_mode(std::string_view s, Mode& out) {
   if (s == "auto") {
@@ -27,6 +27,8 @@ bool parse_mode(std::string_view s, Mode& out) {
     out = Mode::kAvx2;
   } else if (s == "avx512") {
     out = Mode::kAvx512;
+  } else if (s == "avx512fp16") {
+    out = Mode::kAvx512Fp16;
   } else {
     return false;
   }
@@ -41,6 +43,8 @@ const char* mode_name(Mode m) {
       return "avx2";
     case Mode::kAvx512:
       return "avx512";
+    case Mode::kAvx512Fp16:
+      return "avx512fp16";
     case Mode::kAuto:
       break;
   }
@@ -57,7 +61,7 @@ Mode& mode_ref() {
       if (!parse_mode(*v, parsed)) {
         std::fprintf(stderr,
                      "dnnfi: ignoring unknown DNNFI_KERNELS value \"%s\" "
-                     "(expected scalar|avx2|avx512|auto)\n",
+                     "(expected scalar|avx2|avx512|avx512fp16|auto)\n",
                      v->c_str());
         parsed = Mode::kAuto;
       }
@@ -181,6 +185,37 @@ const KernelSet<T>* avx512_set() {
 
 #endif  // DNNFI_ENABLE_AVX512_KERNELS && DNNFI_ENABLE_AVX2_KERNELS
 
+#if defined(DNNFI_ENABLE_AVX512FP16_KERNELS)
+
+/// The avx512fp16 set: FLOAT16 only. The avx512 Half set with the conv and
+/// fc swapped for native VMULPH / VADDPH kernels over the same 16-lane
+/// packed weights; gated on AVX512-FP16 on top of everything the avx512 set
+/// needs. Every other type has no such set (null).
+template <typename T>
+const KernelSet<T>* avx512fp16_set() {
+  if constexpr (std::is_same_v<T, numeric::Half>) {
+    if (avx512_set<T>() == nullptr || !numeric::cpu_has_avx512fp16())
+      return nullptr;
+    static const KernelSet<numeric::Half> s{
+        "avx512fp16", 16, detail::avx512fp16_conv_half,
+        detail::avx512fp16_fc_half, detail::avx512_relu_half,
+        detail::avx2_lrn_half, detail::avx2_maxpool_half,
+        detail::avx2_avgpool_half, detail::avx2_softmax_half};
+    return &s;
+  } else {
+    return nullptr;
+  }
+}
+
+#else  // !DNNFI_ENABLE_AVX512FP16_KERNELS
+
+template <typename T>
+const KernelSet<T>* avx512fp16_set() {
+  return nullptr;
+}
+
+#endif  // DNNFI_ENABLE_AVX512FP16_KERNELS
+
 }  // namespace
 
 template <typename T>
@@ -206,7 +241,15 @@ const KernelSet<T>& active_kernels() noexcept {
       const KernelSet<T>* s = avx512_set<T>();
       return s ? *s : scalar_kernels<T>();
     }
+    case Mode::kAvx512Fp16: {
+      // FLOAT16's set; every other type resolves as avx512.
+      const KernelSet<T>* s = std::is_same_v<T, numeric::Half>
+                                  ? avx512fp16_set<T>()
+                                  : avx512_set<T>();
+      return s ? *s : scalar_kernels<T>();
+    }
     case Mode::kAuto: {
+      if (const KernelSet<T>* s = avx512fp16_set<T>()) return *s;
       if (const KernelSet<T>* s = avx512_set<T>()) return *s;
       if (const KernelSet<T>* s = avx2_set<T>()) return *s;
       return scalar_kernels<T>();
@@ -220,6 +263,7 @@ const KernelSet<T>* kernel_set(std::string_view name) noexcept {
   if (name == "scalar") return &scalar_kernels<T>();
   if (name == "avx2") return avx2_set<T>();
   if (name == "avx512") return avx512_set<T>();
+  if (name == "avx512fp16") return avx512fp16_set<T>();
   return nullptr;
 }
 
@@ -228,6 +272,7 @@ std::vector<const char*> registered_names() {
   std::vector<const char*> names{"scalar"};
   if (avx2_set<T>()) names.push_back("avx2");
   if (avx512_set<T>()) names.push_back("avx512");
+  if (avx512fp16_set<T>()) names.push_back("avx512fp16");
   return names;
 }
 
@@ -244,6 +289,7 @@ KernelProfile kernel_profile() {
   p.cpu_avx2 = numeric::cpu_has_avx2();
   p.cpu_f16c = numeric::cpu_has_f16c();
   p.cpu_avx512 = numeric::cpu_has_avx512_kernel_bundle();
+  p.cpu_avx512fp16 = numeric::cpu_has_avx512fp16();
 #if defined(DNNFI_ENABLE_F16C)
   p.f16c_compiled = true;
 #endif

@@ -1,5 +1,9 @@
 #include "dnnfi/numeric/cpu.h"
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
 namespace dnnfi::numeric {
 
 namespace {
@@ -12,6 +16,7 @@ struct CpuFeatures {
   bool avx512bw = false;
   bool avx512vl = false;
   bool avx512dq = false;
+  bool avx512fp16 = false;
 
   CpuFeatures() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -23,6 +28,14 @@ struct CpuFeatures {
     avx512bw = __builtin_cpu_supports("avx512bw") != 0;
     avx512vl = __builtin_cpu_supports("avx512vl") != 0;
     avx512dq = __builtin_cpu_supports("avx512dq") != 0;
+    // CPUID.(EAX=7,ECX=0):EDX bit 23, read directly: older compilers'
+    // __builtin_cpu_supports has no "avx512fp16" name. The avx512f probe
+    // supplies the OS check (XCR0 enables the opmask and zmm state that
+    // every EVEX instruction needs).
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    avx512fp16 = avx512f &&
+                 __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 &&
+                 ((edx >> 23) & 1U) != 0;
 #endif
   }
 };
@@ -41,5 +54,6 @@ bool cpu_has_avx512f() noexcept { return features().avx512f; }
 bool cpu_has_avx512bw() noexcept { return features().avx512bw; }
 bool cpu_has_avx512vl() noexcept { return features().avx512vl; }
 bool cpu_has_avx512dq() noexcept { return features().avx512dq; }
+bool cpu_has_avx512fp16() noexcept { return features().avx512fp16; }
 
 }  // namespace dnnfi::numeric

@@ -13,6 +13,9 @@ bool cpu_has_avx512f() noexcept;
 bool cpu_has_avx512bw() noexcept;
 bool cpu_has_avx512vl() noexcept;
 bool cpu_has_avx512dq() noexcept;
+/// AVX512-FP16: native binary16 arithmetic (VMULPH / VADDPH). The
+/// avx512fp16 kernel set needs it on top of the avx512 kernel bundle.
+bool cpu_has_avx512fp16() noexcept;
 
 /// The feature bundle the avx512 kernel set needs: foundation zmm arithmetic
 /// (F), 16-bit mask blends for the Half path (BW + VL), and float<->mask

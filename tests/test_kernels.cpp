@@ -2,21 +2,28 @@
 // checked against the scalar reference across all six datapath types, odd
 // shapes (output channels not divisible by the lane width, including the
 // zero-full-blocks case), non-finite inputs (NaN / ±Inf / -0 propagation,
-// canonical-NaN rule for FLOAT16), and 100-run buffer reuse — asserting
-// tensor::bitwise_equal for every set, MAC and post-MAC ops (lrn / maxpool /
-// avgpool / softmax) alike, with restructure-lock tests
-// pinning the scalar reference to the formulas the layers used to inline.
-// Plus the packed-layout formula itself and executor-level integration
-// checks that set_active_mode("scalar") and each SIMD mode produce
-// byte-identical network outputs.
+// canonical-NaN rule for FLOAT16, fault-style payload NaNs), and 100-run
+// buffer reuse — asserting tensor::bitwise_equal for every set, MAC and
+// post-MAC ops (lrn / maxpool / avgpool / softmax) alike, with
+// restructure-lock tests pinning the scalar reference to the formulas the
+// layers used to inline. Plus the packed-layout formula itself, native
+// FP16 arithmetic against the F16C round trip (fp16_arith.h), a check that
+// every kernel returns with the upper vector state clear, and
+// executor-level integration checks that set_active_mode("scalar") and
+// each SIMD mode produce byte-identical network outputs.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <unistd.h>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,8 +32,10 @@
 #include "dnnfi/dnn/kernels/kernels.h"
 #include "dnnfi/dnn/weights.h"
 #include "dnnfi/dnn/zoo.h"
+#include "dnnfi/numeric/cpu.h"
 #include "dnnfi/numeric/traits.h"
 #include "dnnfi/tensor/tensor.h"
+#include "fp16_arith.h"
 
 namespace dnnfi::dnn::kernels {
 namespace {
@@ -44,10 +53,20 @@ using tensor::Tensor;
 /// single bit pattern (the planted canonical NaN, or the FFC00000-style
 /// "indefinite" from Inf*0 / Inf-Inf), which x86 propagates verbatim
 /// regardless of operand order, keeping the comparison exact.
-enum class Season { kFinite, kNaN, kInf };
+///
+/// kPayloadNaN plants ONE fault-style NaN, as a flipped exponent bit would
+/// leave it: random position and non-zero payload, signalling or quiet by
+/// salt bit 1, positive or negative by salt bit 2 (so any 8 consecutive
+/// salts cover all four forms twice). A canonical NaN propagates as
+/// itself, so the kNaN season cannot show whether a Half kernel
+/// canonicalises at all, let alone once per chain as the avx512fp16 set
+/// does; a payload NaN shows it. Seasoning the inputs OR the weights with
+/// it, never both, keeps every chain at one NaN.
+enum class Season { kFinite, kNaN, kInf, kPayloadNaN };
 
 /// Deterministic awkward values in roughly [-3, 3]; floating types also get
-/// the requested non-finite values planted at fixed positions.
+/// the requested non-finite values planted (at fixed positions, except for
+/// kPayloadNaN).
 template <typename T>
 std::vector<T> awkward(std::size_t n, std::uint64_t salt, Season season) {
   using Tr = numeric_traits<T>;
@@ -64,6 +83,19 @@ std::vector<T> awkward(std::size_t n, std::uint64_t salt, Season season) {
       v[n / 5] = Tr::from_double(std::numeric_limits<double>::infinity());
       v[n / 2] = Tr::from_double(-std::numeric_limits<double>::infinity());
       v[2 * n / 3] = Tr::from_double(-0.0);
+    } else if (n > 0 && season == Season::kPayloadNaN) {
+      using B = typename Tr::bits_type;
+      constexpr int kFrac = Tr::exponent_lo;  // fraction bits
+      constexpr B kQuiet = B{1} << (kFrac - 1);
+      Rng rng(salt);
+      const B payload = static_cast<B>(1 + rng() % (kQuiet - 1));
+      const B quiet = (salt >> 1) & 1 ? kQuiet : B{0};
+      const B sign =
+          (salt >> 2) & 1 ? static_cast<B>(B{1} << Tr::exponent_hi) : B{0};
+      const B exponent = static_cast<B>(
+          ((B{1} << (Tr::exponent_hi - kFrac)) - 1) << kFrac);
+      v[rng() % n] = Tr::from_bits(
+          static_cast<B>(sign | exponent | quiet | payload));
     }
   }
   return v;
@@ -383,6 +415,127 @@ TYPED_TEST(KernelProperty, RegionCallsWriteExactlyTheRegion) {
   }
 }
 
+TEST(KernelPayloadNaN, EveryHalfSetMatchesScalarWithOneNaNPerChain) {
+  using T = numeric::Half;
+  const KernelSet<T>& ref = scalar_kernels<T>();
+  std::size_t nan_outputs = 0;
+  const auto count_nans = [&](const Tensor<T>& t) {
+    for (std::size_t i = 0; i < t.size(); ++i) nan_outputs += t[i].is_nan();
+  };
+  for (const char* name : registered_names<T>()) {
+    const KernelSet<T>* ks = kernel_set<T>(name);
+    ASSERT_NE(ks, nullptr) << name;
+    for (std::uint64_t salt = 1; salt <= 12; ++salt) {
+      // Odd salts season the inputs, even ones the weights (as salt + 100);
+      // either way the 12 salts plant all four NaN forms.
+      const Season in_season =
+          salt % 2 ? Season::kPayloadNaN : Season::kFinite;
+      const Season w_season =
+          salt % 2 ? Season::kFinite : Season::kPayloadNaN;
+      for (const ConvGeom& g : kConvGeoms) {
+        const auto in = awkward<T>(g.in_c * g.in_h * g.in_w, salt, in_season);
+        const auto w = awkward<T>(g.out_c * g.steps(), salt + 100, w_season);
+        const auto bias = awkward<T>(g.out_c, 5, Season::kFinite);
+        const Tensor<T> want = run_conv(ref, g, in, w, bias);
+        count_nans(want);
+        const std::string what = std::string(name) + " conv out_c=" +
+                                 std::to_string(g.out_c) +
+                                 " salt=" + std::to_string(salt);
+        EXPECT_TRUE(
+            tensor::bitwise_equal(run_conv(*ks, g, in, w, bias), want))
+            << what;
+        std::vector<T> packed(
+            packed_elems(g.out_c, g.steps(), ks->pack_lanes));
+        if (!packed.empty())
+          pack_rows(w.data(), g.out_c, g.steps(), ks->pack_lanes,
+                    packed.data());
+        for (const Region& r : test_regions(g.out_c, g.out_h, g.out_w, salt))
+          expect_region_only(
+              want, r,
+              [&](T* out) {
+                ks->conv(g, r, in.data(), w.data(),
+                         packed.empty() ? nullptr : packed.data(),
+                         bias.data(), out);
+              },
+              what);
+      }
+      for (const FcGeom& g : kFcGeoms) {
+        const auto in = awkward<T>(g.in, salt, in_season);
+        const auto w = awkward<T>(g.out * g.in, salt + 100, w_season);
+        const auto bias = awkward<T>(g.out, 7, Season::kFinite);
+        const Tensor<T> want = run_fc(ref, g, in, w, bias);
+        count_nans(want);
+        EXPECT_TRUE(tensor::bitwise_equal(run_fc(*ks, g, in, w, bias), want))
+            << name << " fc out=" << g.out << " salt=" << salt;
+      }
+    }
+  }
+  EXPECT_GT(nan_outputs, 0u) << "no planted NaN reached an output";
+}
+
+/// Whether the upper halves of ymm0-15 / zmm0-15 hold live state (XINUSE
+/// bits 2 and 6, read by XGETBV with ECX = 1) after clearing them, running
+/// `kernel`, and returning; nullopt where the CPU cannot report XINUSE, or
+/// in an unoptimized build (GCC inserts VZEROUPPER only when optimizing,
+/// and the library is built like this file).
+template <class Kernel>
+std::optional<bool> leaves_upper_state_dirty(Kernel&& kernel) {
+#if defined(__x86_64__) && defined(__OPTIMIZE__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!numeric::cpu_has_avx() ||
+      __get_cpuid_count(0xD, 1, &eax, &ebx, &ecx, &edx) == 0 ||
+      (eax & 4U) == 0)
+    return std::nullopt;
+  asm volatile("vzeroupper");
+  kernel();
+  std::uint32_t lo = 0, hi = 0;
+  asm volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1));
+  return (lo & 0x44U) != 0;
+#else
+  (void)kernel;
+  return std::nullopt;
+#endif
+}
+
+// The callers are baseline code, whose legacy-SSE instructions each pay a
+// merge penalty while the upper vector state is dirty, so every kernel
+// must return with it clear (VZEROUPPER). GCC 12 omits that for __m256h
+// code: the avx512fp16 conv once made a ConvNet incremental replay ~8x
+// slower while every output stayed bit-identical.
+TYPED_TEST(KernelProperty, KernelsReturnWithUpperVectorStateClear) {
+  using T = TypeParam;
+  const ConvGeom g = kConvGeoms[4];
+  const FcGeom f = kFcGeoms[0];
+  const auto in = awkward<T>(g.in_c * g.in_h * g.in_w, 11, Season::kFinite);
+  const auto w = awkward<T>(g.out_c * g.steps(), 23, Season::kFinite);
+  const auto fw = awkward<T>(f.out * f.in, 41, Season::kFinite);
+  const auto bias = awkward<T>(std::max(g.out_c, f.out), 5, Season::kFinite);
+  std::vector<T> out(g.out_c * g.out_h * g.out_w);
+  for (const char* name : registered_names<T>()) {
+    const KernelSet<T>* ks = kernel_set<T>(name);
+    ASSERT_NE(ks, nullptr) << name;
+    std::vector<T> packed(packed_elems(g.out_c, g.steps(), ks->pack_lanes));
+    std::vector<T> fpacked(packed_elems(f.out, f.in, ks->pack_lanes));
+    if (!packed.empty()) {
+      pack_rows(w.data(), g.out_c, g.steps(), ks->pack_lanes, packed.data());
+      pack_rows(fw.data(), f.out, f.in, ks->pack_lanes, fpacked.data());
+    }
+    const T* wp = packed.empty() ? nullptr : packed.data();
+    const T* fwp = fpacked.empty() ? nullptr : fpacked.data();
+    const auto conv = leaves_upper_state_dirty([&] {
+      ks->conv(g, g.full(), in.data(), w.data(), wp, bias.data(), out.data());
+    });
+    if (!conv) GTEST_SKIP() << "unoptimized build or no XINUSE";
+    EXPECT_FALSE(*conv) << name << " conv";
+    EXPECT_FALSE(*leaves_upper_state_dirty([&] {
+      ks->fc(f, in.data(), fw.data(), fwp, bias.data(), out.data());
+    })) << name << " fc";
+    EXPECT_FALSE(*leaves_upper_state_dirty(
+        [&] { ks->relu(in.data(), out.data(), in.size()); }))
+        << name << " relu";
+  }
+}
+
 TYPED_TEST(KernelProperty, HundredRunReuseIsStable) {
   using T = TypeParam;
   const ConvGeom g = kConvGeoms[0];
@@ -485,6 +638,15 @@ void softmax_restructure_locked() {
       }
     }
   }
+}
+
+// The two facts the avx512fp16 set's bit-identity rests on (see
+// kernel_avx512fp16.cpp), on every first operand against every 64th second
+// operand: 2^26 pairs, the residue mod 64 following the first operand so
+// every bit pattern appears on both sides. test_fp16_exhaustive (slow) runs
+// all 2^32.
+TEST(KernelFp16Arith, NativeMulAddMatchF16cRoundTripStrided) {
+  test::expect_native_fp16_matches_round_trip(64);
 }
 
 TEST(KernelRestructure, ScalarLrnMatchesLegacyFormulaBitwise) {
@@ -770,6 +932,23 @@ TEST(KernelDispatch, ExecutorScalarAndAvx512ModesBitIdentical) {
   executor_modes_match<numeric::Fx32r26>("avx512");
   executor_modes_match<numeric::Fx32r10>("avx512");
   executor_modes_match<numeric::Fx16r10>("avx512");
+}
+
+TEST(KernelDispatch, ExecutorScalarAndAvx512Fp16ModesBitIdentical) {
+  if (kernel_set<numeric::Half>("avx512fp16") == nullptr)
+    GTEST_SKIP() << "avx512fp16 kernels not available on this build/CPU";
+  executor_modes_match<numeric::Half>("avx512fp16");
+  // The set is FLOAT16's alone: every other type resolves as avx512, and
+  // auto prefers it for FLOAT16.
+  EXPECT_EQ(kernel_set<float>("avx512fp16"), nullptr);
+  ModeGuard guard;
+  ASSERT_TRUE(set_active_mode("avx512fp16"));
+  EXPECT_STREQ(active_kernels<float>().name, "avx512");
+  EXPECT_STREQ(active_kernels<numeric::Fx16r10>().name, "avx512");
+  ASSERT_TRUE(set_active_mode("avx512"));
+  EXPECT_STREQ(active_kernels<numeric::Half>().name, "avx512");
+  ASSERT_TRUE(set_active_mode("auto"));
+  EXPECT_STREQ(active_kernels<numeric::Half>().name, "avx512fp16");
 }
 
 TEST(KernelDispatch, UnknownModeRejected) {

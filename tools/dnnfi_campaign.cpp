@@ -48,7 +48,8 @@
 //             Prints fault-free per-layer value ranges over N examples
 //             (SED learning data).
 //   info      --network <name>
-//             Prints topology, MACs, weights, and buffer footprints.
+//             Prints topology, MACs, weights, and buffer footprints, and
+//             the kernel sets DNNFI_KERNELS and CPUID resolve to.
 //   worker    (internal) one supervised shard: `run` speaking the framed
 //             init/beat/checkpoint protocol on stdin/stdout, with
 //             taxonomy-coded exit statuses.
@@ -83,6 +84,7 @@
 #include "dnnfi/common/error.h"
 #include "dnnfi/common/table.h"
 #include "dnnfi/data/pretrain.h"
+#include "dnnfi/dnn/kernels/kernels.h"
 #include "dnnfi/dnn/zoo.h"
 #include "dnnfi/fault/campaign.h"
 #include "dnnfi/fault/checkpoint.h"
@@ -707,6 +709,9 @@ int cmd_info(const Args& a) {
            std::to_string(f.output_elems), std::to_string(f.macs)});
   t.print(std::cout);
   std::cout << "total MACs: " << accel::total_macs(fp) << "\n";
+  const auto k = dnn::kernels::kernel_profile();
+  std::cout << "kernels: " << k.mode << " -> FLOAT " << k.active_float
+            << ", FLOAT16 " << k.active_float16 << "\n";
   return 0;
 }
 

@@ -13,7 +13,9 @@
 #      which is the one field that records how trials were *executed*
 #      rather than what they produced. The same cross-check then runs on
 #      AlexNet-S at --site datapath and --site global-buffer, whose stride-2
-#      padded conv, LRN and 3x3/2 pool exercise every dirty-region rule.
+#      padded conv, LRN and 3x3/2 pool exercise every dirty-region rule;
+#   5. on an AVX512-FP16 CPU, the same AlexNet-S campaigns on the native
+#      FP16 kernels (auto) and on the F16C path (DNNFI_KERNELS=avx512).
 #
 # Usage: tools/nightly_campaign.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -94,6 +96,30 @@ for SITE in datapath global-buffer; do
     exit 1
   fi
 done
+
+# The avx512fp16 set (what auto picks for FLOAT16 on an AVX512-FP16 CPU)
+# computes Half taps natively instead of through F16C float round trips; a
+# whole campaign on each must produce the same stats file byte for byte.
+INFO="$(DNNFI_KERNELS=auto "$CAMPAIGN" info --network alexnet)"
+if grep -q '^kernels: .*FLOAT16 avx512fp16$' <<<"$INFO"; then
+  for SITE in datapath global-buffer; do
+    echo "== native FP16 vs F16C kernels: AlexNet-S --site $SITE =="
+    ALEX=(--network alexnet --dtype FLOAT16 --site "$SITE" --trials 2000
+          --seed 20170101 --inputs 8 --distances --no-progress)
+    DNNFI_KERNELS=avx512 "$CAMPAIGN" run "${ALEX[@]}" \
+        --out "$WORK/alex-$SITE-f16c.stats"
+    DNNFI_KERNELS=auto "$CAMPAIGN" run "${ALEX[@]}" \
+        --out "$WORK/alex-$SITE-fp16.stats"
+    if diff -u "$WORK/alex-$SITE-f16c.stats" "$WORK/alex-$SITE-fp16.stats"; then
+      echo "PASS: AlexNet-S $SITE native FP16 is bit-identical to F16C"
+    else
+      echo "FAIL: AlexNet-S $SITE native FP16 diverged from F16C" >&2
+      exit 1
+    fi
+  done
+else
+  echo "SKIP (no avx512fp16): native FP16 vs F16C byte-identity leg"
+fi
 
 echo "== supervised campaign with a worker killed -9 mid-flight =="
 # The supervisor (DESIGN.md §9) shards the same campaign across worker
