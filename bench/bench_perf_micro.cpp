@@ -6,7 +6,8 @@
 // Beyond the google-benchmark tables, the binary runs a dedicated
 // counting-allocator measurement of the compiled-plan engine and writes
 // BENCH_perf_micro.json (ns/inference, ns/trial, allocations/trial, peak
-// live-heap growth of the streaming campaign path) into the results
+// live-heap growth of the streaming campaign path, the plan's packed weight
+// copy and one workspace's arena in bytes) into the results
 // directory. It exits nonzero if the faulty hot path performs any heap
 // allocation per trial after warm-up, or if the streaming run_shard path's
 // peak live heap grows with trial count — the engine's zero-alloc and the
@@ -372,8 +373,8 @@ StreamingReport measure_streaming_memory() {
 // avx512 where the CPU has them) on fixed conv / fully-connected
 // shapes, for float, FLOAT16, double and 32b_rb10, driven through the
 // kernels API directly — a set's packed layout is interleaved once outside
-// the timed loop, as Workspace::bind does (fixed-point sets read row-major
-// weights and pack nothing).
+// the timed loop, as an ExecutionPlan does when its weights change
+// (fixed-point sets read row-major weights and pack nothing).
 // ---------------------------------------------------------------------------
 
 struct KernelCell {
@@ -494,7 +495,7 @@ void profile_layer_kinds(const char* netname, const char* dtype, NetworkId id,
     for (std::size_t i = 0; i < steps.size(); ++i) {
       tensor::TensorView<T> o = ws.out_buffer(parity, steps[i].out_shape);
       const auto t0 = Clock::now();
-      plan.exec_step(i, cur, o, ws.packed_data());
+      plan.exec_step(i, cur, o, plan.packed_data());
       if (timed)
         acc[steps[i].layer->kind()] += static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
@@ -526,9 +527,39 @@ std::vector<LayerKindCost> measure_layer_profile() {
   return cells;
 }
 
+// ---------------------------------------------------------------------------
+// Engine memory per plan: the one packed weight copy the plan owns, and the
+// arena of one workspace bound to it (ping + pong + patch), which every
+// chunk of campaign trials allocates.
+// ---------------------------------------------------------------------------
+
+struct PlanMemory {
+  std::string network;
+  std::string dtype;
+  std::string set;
+  std::size_t packed_bytes = 0;
+  std::size_t arena_bytes = 0;
+};
+
+template <typename T>
+PlanMemory plan_memory(const char* netname, const char* dtype, NetworkId id) {
+  const NetContext& ctx = ctx_for(id);
+  const auto net = dnn::instantiate<T>(ctx.model.spec, ctx.model.blob);
+  const dnn::Workspace<T> ws(net.plan());
+  return {netname, dtype, net.plan().kernel_set().name,
+          net.plan().packed_elems() * sizeof(T), ws.arena_bytes()};
+}
+
+std::vector<PlanMemory> measure_plan_memory() {
+  return {plan_memory<float>("AlexNet-S", "float", NetworkId::kAlexNetS),
+          plan_memory<numeric::Half>("AlexNet-S", "float16",
+                                     NetworkId::kAlexNetS)};
+}
+
 void write_json(const AllocatorReport& r, const StreamingReport& s,
                 const std::vector<KernelCell>& kc,
-                const std::vector<LayerKindCost>& lp, const std::string& path) {
+                const std::vector<LayerKindCost>& lp,
+                const std::vector<PlanMemory>& pm, const std::string& path) {
   std::ostringstream out;
   out << "{\n"
       << "  \"network\": \"ConvNet\",\n"
@@ -570,6 +601,16 @@ void write_json(const AllocatorReport& r, const StreamingReport& s,
         << ", \"share\": " << c.share << "}"
         << (i + 1 < lp.size() ? "," : "") << "\n";
   }
+  out << "  ],\n"
+      << "  \"plan_memory\": [\n";
+  for (std::size_t i = 0; i < pm.size(); ++i) {
+    const PlanMemory& m = pm[i];
+    out << "    {\"network\": \"" << m.network << "\", \"dtype\": \""
+        << m.dtype << "\", \"set\": \"" << m.set
+        << "\", \"packed_bytes\": " << m.packed_bytes
+        << ", \"workspace_arena_bytes\": " << m.arena_bytes << "}"
+        << (i + 1 < pm.size() ? "," : "") << "\n";
+  }
   out << "  ]\n}\n";
   if (!dnnfi::write_file_atomic(path, out.str()))
     std::cerr << "warning: could not write " << path << "\n";
@@ -587,9 +628,10 @@ int main(int argc, char** argv) {
   const StreamingReport s = measure_streaming_memory();
   const std::vector<KernelCell> kc = measure_kernel_gflops();
   const std::vector<LayerKindCost> lp = measure_layer_profile();
+  const std::vector<PlanMemory> pm = measure_plan_memory();
   std::filesystem::create_directories(results_dir());
   const std::string json = results_dir() + "/BENCH_perf_micro.json";
-  write_json(r, s, kc, lp, json);
+  write_json(r, s, kc, lp, pm, json);
   std::printf("\nper-kernel throughput (GFLOP/s, fixed conv 32c16x16k3 / fc "
               "1024x1024):\n");
   for (const KernelCell& c : kc)
@@ -600,6 +642,11 @@ int main(int argc, char** argv) {
     std::printf("  %-10s %-8s %-14s %10.0f ns  %5.1f%%\n", c.network.c_str(),
                 c.dtype.c_str(), c.kind.c_str(), c.ns_per_forward,
                 100.0 * c.share);
+  std::printf("\nengine memory per plan (packed copy / one workspace):\n");
+  for (const PlanMemory& m : pm)
+    std::printf("  %-10s %-8s %-11s %9zu B / %9zu B\n", m.network.c_str(),
+                m.dtype.c_str(), m.set.c_str(), m.packed_bytes,
+                m.arena_bytes);
   std::printf(
       "\ncompiled-engine hot path (ConvNet, float16, counting allocator):\n"
       "  ns/inference:                    %.0f\n"

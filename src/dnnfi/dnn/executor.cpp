@@ -90,7 +90,7 @@ Region dirty_region(const PlanStep<T>& st, const Region& in) {
       std::tie(r.x0, r.x1) = reach(in.x0, in.x1, g.k, g.stride, 0, g.out_w);
       break;
     }
-    default:  // fc, avgpool, softmax, layer forwards: full fan-in
+    default:  // fc, avgpool, softmax: full fan-in
       break;
   }
   return r.empty() ? Region{} : r;
@@ -154,9 +154,14 @@ Region mismatch_box(ConstTensorView<T> a, ConstTensorView<T> b) {
 
 template <typename T>
 ExecutionPlan<T>::ExecutionPlan(const Network<T>& net)
-    : input_(net.spec().input) {
+    : input_(net.spec().input), kset_(&kernels::active_kernels<T>()) {
+  // Kernel routing: the active set is captured once (the plan-compile-time
+  // selection) and each step's geometry, weight/bias pointers and slot in
+  // the packed copy are resolved here.
   DNNFI_EXPECTS(net.num_layers() > 0);
   steps_.reserve(net.num_layers());
+  const std::size_t lanes = kset_->pack_lanes;
+  std::size_t packed_elems = 0;
   Shape shape = input_;
   input_elems_ = shape.size();
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
@@ -169,14 +174,6 @@ ExecutionPlan<T>::ExecutionPlan(const Network<T>& net)
     buffer_elems_ = std::max(buffer_elems_, st.out_shape.size());
     input_elems_ = std::max(input_elems_, st.in_shape.size());
     shape = st.out_shape;
-    steps_.push_back(st);
-  }
-  // Kernel routing: capture the active set once (the plan-compile-time
-  // selection) and pre-resolve each MAC layer's geometry, weight/bias
-  // pointers, and slot in the packed weight region.
-  kset_ = &kernels::active_kernels<T>();
-  const std::size_t lanes = kset_->pack_lanes;
-  for (auto& st : steps_) {
     switch (st.layer->kind()) {
       case LayerKind::kConv: {
         const auto* c = static_cast<const Conv2d<T>*>(st.layer);
@@ -184,10 +181,8 @@ ExecutionPlan<T>::ExecutionPlan(const Network<T>& net)
         st.conv = c->geom(st.in_shape, st.out_shape);
         st.w = c->weights().data();
         st.bias = c->biases().data();
-        st.packed_off = packed_elems_;
         st.packed_n = kernels::packed_elems(st.conv.out_c, st.conv.steps(),
                                             lanes);
-        packed_elems_ += st.packed_n;
         break;
       }
       case LayerKind::kFullyConnected: {
@@ -196,9 +191,7 @@ ExecutionPlan<T>::ExecutionPlan(const Network<T>& net)
         st.fc = {f->in_features(), f->out_features()};
         st.w = f->weights().data();
         st.bias = f->biases().data();
-        st.packed_off = packed_elems_;
         st.packed_n = kernels::packed_elems(st.fc.out, st.fc.in, lanes);
-        packed_elems_ += st.packed_n;
         break;
       }
       case LayerKind::kRelu:
@@ -226,23 +219,24 @@ ExecutionPlan<T>::ExecutionPlan(const Network<T>& net)
       case LayerKind::kSoftmax:
         st.kernel = StepKernel::kSoftmax;
         break;
-      default:
-        break;
     }
+    st.packed_off = packed_elems;
+    packed_elems += st.packed_n;
+    steps_.push_back(st);
   }
+  packed_.resize(packed_elems);
 }
 
 template <typename T>
-void ExecutionPlan<T>::pack_into(T* dst) const {
+void ExecutionPlan<T>::repack() {
   const std::size_t lanes = kset_->pack_lanes;
   for (const auto& st : steps_) {
     if (st.packed_n == 0) continue;
+    T* const dst = packed_.data() + st.packed_off;
     if (st.kernel == StepKernel::kConv)
-      kernels::pack_rows(st.w, st.conv.out_c, st.conv.steps(), lanes,
-                         dst + st.packed_off);
+      kernels::pack_rows(st.w, st.conv.out_c, st.conv.steps(), lanes, dst);
     else
-      kernels::pack_rows(st.w, st.fc.out, st.fc.in, lanes,
-                         dst + st.packed_off);
+      kernels::pack_rows(st.w, st.fc.out, st.fc.in, lanes, dst);
   }
 }
 
@@ -250,24 +244,19 @@ template <typename T>
 void ExecutionPlan<T>::exec_step(std::size_t i, ConstTensorView<T> in,
                                  TensorView<T> out, const T* packed,
                                  const kernels::Region* region) const {
+  DNNFI_EXPECTS(packed == packed_data());
   const PlanStep<T>& st = steps_[i];
   const Region r = region == nullptr ? whole(st.out_shape) : *region;
   if (r.empty()) return;
-  // Kernels that consume packed weights need the workspace copy; without it
-  // (packed == null) MAC steps take the scalar reference path, which is
-  // bit-identical under every exact set.
-  const bool have_layout = packed != nullptr || kset_->pack_lanes == 0;
-  const kernels::KernelSet<T>& mac =
-      have_layout ? *kset_ : kernels::scalar_kernels<T>();
   const T* const pk = packed == nullptr ? nullptr : packed + st.packed_off;
   const T* const src = in.data().data();
   T* const dst = out.data().data();
   switch (st.kernel) {
     case StepKernel::kConv:
-      mac.conv(st.conv, r, src, st.w, pk, st.bias, dst);
+      kset_->conv(st.conv, r, src, st.w, pk, st.bias, dst);
       return;
     case StepKernel::kFc:
-      mac.fc(st.fc, src, st.w, pk, st.bias, dst);
+      kset_->fc(st.fc, src, st.w, pk, st.bias, dst);
       return;
     case StepKernel::kRelu:
       for_each_run(st.out_shape, r, [&](std::size_t off, std::size_t n) {
@@ -286,10 +275,7 @@ void ExecutionPlan<T>::exec_step(std::size_t i, ConstTensorView<T> in,
     case StepKernel::kSoftmax:
       kset_->softmax(src, dst, in.size());
       return;
-    case StepKernel::kNone:
-      break;
   }
-  st.layer->forward(in, out);
 }
 
 template <typename T>
@@ -308,21 +294,12 @@ void ActivationCache<T>::build(const ExecutionPlan<T>& plan,
     store_.resize(off);
   }
   // Layers write straight into their cache segment: no ping-pong, no
-  // copies, and kernel calls identical to a plain Executor run (a local
-  // packed copy is interleaved here so the cache runs the plan's own kernel
-  // set; cache builds are per-input setup work, not the faulty hot path).
-  std::vector<T> packed;
-  const T* pk = nullptr;
-  if (plan.packed_elems() > 0) {
-    packed.resize(plan.packed_elems());
-    plan.pack_into(packed.data());
-    pk = packed.data();
-  }
+  // copies, and kernel calls identical to a plain Executor run.
   std::copy_n(input.data().data(), input.size(), store_.data());
   ConstTensorView<T> cur{plan.input_shape(), store_.data()};
   for (std::size_t i = 0; i < steps.size(); ++i) {
     TensorView<T> out{steps[i].out_shape, store_.data() + offsets_[i]};
-    plan.exec_step(i, cur, out, pk);
+    plan.exec_step(i, cur, out, plan.packed_data());
     cur = out;
   }
 }
@@ -342,7 +319,7 @@ ConstTensorView<T> Executor<T>::run(Workspace<T>& ws,
   unsigned parity = 0;
   for (std::size_t i = 0; i < steps.size(); ++i) {
     TensorView<T> out = ws.out_buffer(parity, steps[i].out_shape);
-    plan_->exec_step(i, cur, out, ws.packed_data());
+    plan_->exec_step(i, cur, out, plan_->packed_data());
     if (req.observer != nullptr) (*req.observer)(i, out);
     cur = out;
     parity ^= 1U;
@@ -364,13 +341,14 @@ ConstTensorView<T> Executor<T>::run_faulty(Workspace<T>& ws,
   // golden activation everywhere else. A full replay (no early exit) runs
   // every step whole and stays the independent reference.
   const bool dirty = req.early_exit;
+  const T* const packed = plan_->packed_data();
   const auto replay_step = [&](std::size_t i, ConstTensorView<T> in,
                                TensorView<T> out, const Region& r) {
     if (r == whole(steps[i].out_shape)) {
-      plan_->exec_step(i, in, out, ws.packed_data());
+      plan_->exec_step(i, in, out, packed);
     } else {
       out.copy_from(g.act(i));
-      plan_->exec_step(i, in, out, ws.packed_data(), &r);
+      plan_->exec_step(i, in, out, packed, &r);
     }
     info.macs += region_macs(steps[i], r);
   };

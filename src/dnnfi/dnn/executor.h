@@ -2,7 +2,8 @@
 //
 // ExecutionPlan<T> is built once per Network<T>: it pre-resolves every
 // layer's input/output shape, per-layer MAC counts, and the arena high-water
-// mark a forward pass needs. Workspace<T> owns that arena (one contiguous
+// mark a forward pass needs, and it owns the one lane-interleaved weight
+// copy its kernel set reads. Workspace<T> owns the arena (one contiguous
 // vector, reused across runs). Executor<T> runs a plan out of a workspace:
 // a plain forward pass, or a fault-patched partial re-execution, behind one
 // RunRequest. ActivationCache<T> is the one fault-free reference: it holds
@@ -12,34 +13,31 @@
 // reach — and stop as soon as the fault's effect is erased (see DESIGN.md
 // §8).
 //
-// Thread-safety contract: a plan is immutable after construction and may be
-// shared by any number of threads; an Executor is a stateless handle over a
-// plan and is likewise shareable; an ActivationCache is immutable after
-// build() and likewise shareable. A Workspace is mutable scratch — use one
-// per thread (the campaign engine keeps one per worker for the whole
-// campaign). After warm-up, a faulty run performs zero heap allocations.
+// Thread-safety contract: a plan is immutable between weight updates and
+// may be shared by any number of threads; an Executor is a stateless handle
+// over a plan and is likewise shareable; an ActivationCache is immutable
+// after build() and likewise shareable. Weights change only through
+// Network::update_params, which re-takes the plan's packed copy and must
+// not overlap a run. A Workspace is mutable scratch — use one per thread
+// (the campaign engine builds one per chunk of trials). After warm-up, a
+// faulty run performs zero heap allocations.
 //
-// Buffer lifetime: the arena is laid out as [ping | pong | patch | packed].
+// Buffer lifetime: the arena is laid out as [ping | pong | patch].
 // Layer i reads buffer (i % 2) and writes buffer (1 - i % 2); a faulty
 // replay step that computes only its dirty region first fills its buffer
 // with the golden activation act(i), so the buffer always holds a full
 // tensor (DESIGN.md §5, §8). The patch slot holds the flipped copy of a
-// layer input for the global-buffer fault model; the packed slot holds the
-// lane-interleaved weight copies of the plan's MAC layers when the plan's
-// kernel set wants them (kernels.h — the plan-time layout transform). The
-// view returned by run() aliases the arena and is
-// valid only until the workspace is reused — except after a masked early
-// exit, where it aliases the (stable) ActivationCache instead.
+// layer input for the global-buffer fault model. The view returned by run()
+// aliases the arena and is valid only until the workspace is reused —
+// except after a masked early exit, where it aliases the (stable)
+// ActivationCache instead.
 //
 // Kernel dispatch: a plan captures kernels::active_kernels<T>() at
 // construction and routes every conv / fully-connected / relu / lrn /
 // maxpool / avgpool / softmax step through it (exec_step), optionally over
 // one output region. Public tensors — activations, caches, checkpoints,
-// fault injection coordinates — stay NCHW/OIHW; the packed copy lives only
-// in the workspace and is taken when the workspace binds a plan (re-binding
-// a different plan retakes it). It is a snapshot: after mutating weights in
-// place, run through a fresh workspace (Network::forward builds one per
-// call).
+// fault injection coordinates — stay NCHW/OIHW; the packed weight copy
+// (kernels.h — the plan-time layout transform) lives only in the plan.
 #pragma once
 
 #include <vector>
@@ -49,9 +47,8 @@
 
 namespace dnnfi::dnn {
 
-/// Which kernel a plan step routes through (kNone: the layer's own forward).
+/// Which kernel a plan step routes through: one per LayerKind.
 enum class StepKernel {
-  kNone,
   kConv,
   kFc,
   kRelu,
@@ -72,20 +69,21 @@ struct PlanStep {
   Shape in_shape;
   Shape out_shape;
   std::size_t macs = 0;
-  StepKernel kernel = StepKernel::kNone;
+  StepKernel kernel{};  ///< set for every step by the plan builder
   kernels::ConvGeom conv;
   kernels::FcGeom fc;
   kernels::LrnGeom lrn;
   kernels::PoolGeom pool;
   const T* w = nullptr;     ///< row-major weights (stable: layer storage)
   const T* bias = nullptr;
-  std::size_t packed_off = 0;  ///< offset of this step in the packed region
+  std::size_t packed_off = 0;  ///< offset of this step in the packed copy
   std::size_t packed_n = 0;    ///< packed element count (0: nothing packed)
 };
 
-/// Immutable forward schedule for one network topology. Holds raw layer
-/// pointers — valid as long as the Network that built it is alive (layer
-/// storage is stable across Network moves).
+/// Forward schedule for one network topology, immutable between weight
+/// updates. Holds raw layer pointers — valid as long as the Network that
+/// built it is alive (layer storage is stable across Network moves) — and
+/// the packed weight copy, which only that Network re-takes.
 template <typename T>
 class ExecutionPlan {
  public:
@@ -103,10 +101,16 @@ class ExecutionPlan {
   /// Largest layer-input element count (sizes the patch buffer).
   std::size_t input_elems() const noexcept { return input_elems_; }
   /// Packed-weight element count (0 when the kernel set reads row-major).
-  std::size_t packed_elems() const noexcept { return packed_elems_; }
-  /// Arena high-water mark: ping + pong + patch + packed.
+  std::size_t packed_elems() const noexcept { return packed_.size(); }
+  /// The lane-interleaved copy of the MAC layers' current weights, or null
+  /// when nothing is packed (sets with pack_lanes == 0: scalar, fixed
+  /// point).
+  const T* packed_data() const noexcept {
+    return packed_.empty() ? nullptr : packed_.data();
+  }
+  /// Arena high-water mark: ping + pong + patch.
   std::size_t arena_elems() const noexcept {
-    return 2 * buffer_elems_ + input_elems_ + packed_elems_;
+    return 2 * buffer_elems_ + input_elems_;
   }
 
   std::size_t total_macs() const noexcept { return total_macs_; }
@@ -115,15 +119,11 @@ class ExecutionPlan {
   /// that moment; later set_active_mode calls don't retarget this plan).
   const kernels::KernelSet<T>& kernel_set() const noexcept { return *kset_; }
 
-  /// Writes every MAC layer's lane-interleaved weight copy into `dst`
-  /// (capacity >= packed_elems()), reading the layers' current weights.
-  void pack_into(T* dst) const;
-
   /// Runs step `i` on `in` -> `out` through the captured kernel set.
-  /// `packed` is the packed-region base (Workspace::packed_data()), or null
-  /// — then steps whose kernels want packed weights take the scalar
-  /// reference path instead (bit-identical under an exact set). `region`,
-  /// when non-null, limits conv / relu / LRN / maxpool to that box of the
+  /// Precondition: `packed == packed_data()`; the argument and
+  /// Workspace::packed_data serve only bench/e2e/probe.cpp and go when it
+  /// stops replaying steps itself (ROADMAP item 2). `region`, when
+  /// non-null, limits conv / relu / LRN / maxpool to that box of the
   /// output (outputs outside it are not written); FC, avgpool and softmax
   /// always run whole, and an empty region runs nothing. Null: the whole
   /// output.
@@ -132,13 +132,20 @@ class ExecutionPlan {
                  const kernels::Region* region = nullptr) const;
 
  private:
+  friend class Network<T>;
+
+  /// Re-takes the packed copy from the layers' current weights.
+  void repack();
+
   std::vector<PlanStep<T>> steps_;
   Shape input_;
   std::size_t buffer_elems_ = 0;
   std::size_t input_elems_ = 0;
-  std::size_t packed_elems_ = 0;
   std::size_t total_macs_ = 0;
   const kernels::KernelSet<T>* kset_ = nullptr;
+  /// Sized at build: its zeros are the packed image of a new Network's
+  /// zero-valued layers.
+  std::vector<T> packed_;
 };
 
 /// Reusable per-thread scratch arena sized to a plan's high-water mark.
@@ -149,23 +156,14 @@ class Workspace {
   Workspace() = default;
   explicit Workspace(const ExecutionPlan<T>& plan) { bind(plan); }
 
-  /// Ensures capacity for `plan` and keeps the packed weight region in sync
-  /// with it. Idempotent; reallocates only when the plan needs more room
-  /// than any previously bound plan, and repacks weights only when the
-  /// bound plan (or the packed region's position) changed.
+  /// Ensures capacity for `plan`. Idempotent; reallocates only when the
+  /// plan needs more room than any previously bound plan.
   void bind(const ExecutionPlan<T>& plan) {
+    plan_ = &plan;
     buffer_elems_ = std::max(buffer_elems_, plan.buffer_elems());
     input_elems_ = std::max(input_elems_, plan.input_elems());
-    packed_cap_ = std::max(packed_cap_, plan.packed_elems());
-    const std::size_t need = 2 * buffer_elems_ + input_elems_ + packed_cap_;
+    const std::size_t need = 2 * buffer_elems_ + input_elems_;
     if (arena_.size() < need) arena_.resize(need);
-    const std::size_t base = 2 * buffer_elems_ + input_elems_;
-    if (plan.packed_elems() > 0 &&
-        (packed_plan_ != &plan || packed_base_ != base)) {
-      plan.pack_into(arena_.data() + base);
-      packed_plan_ = &plan;
-      packed_base_ = base;
-    }
   }
 
   /// Ping (`parity` 0) or pong (`parity` 1) output buffer, shaped `s`.
@@ -180,10 +178,10 @@ class Workspace {
     return {s, arena_.data() + 2 * buffer_elems_};
   }
 
-  /// Base of the packed weight region for the currently bound plan, or
-  /// null when nothing is packed. Valid until the next bind/resize.
+  /// The bound plan's packed_data() (null before the first bind); kept
+  /// only for bench/e2e/probe.cpp, see ExecutionPlan::exec_step.
   const T* packed_data() const noexcept {
-    return packed_plan_ == nullptr ? nullptr : arena_.data() + packed_base_;
+    return plan_ == nullptr ? nullptr : plan_->packed_data();
   }
 
   std::size_t arena_bytes() const noexcept {
@@ -194,9 +192,7 @@ class Workspace {
   std::vector<T> arena_;
   std::size_t buffer_elems_ = 0;
   std::size_t input_elems_ = 0;
-  std::size_t packed_cap_ = 0;
-  const ExecutionPlan<T>* packed_plan_ = nullptr;  ///< identity only
-  std::size_t packed_base_ = 0;
+  const ExecutionPlan<T>* plan_ = nullptr;  ///< last bound plan
 };
 
 /// Immutable fault-free activations of one input under one plan: the

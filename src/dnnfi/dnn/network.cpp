@@ -109,6 +109,17 @@ template <typename T>
 Network<T>& Network<T>::operator=(Network&&) noexcept = default;
 
 template <typename T>
+void Network<T>::update_params(const std::function<void(MutableLayers)>& fn) {
+  try {
+    fn(layers_);
+  } catch (...) {
+    plan_->repack();
+    throw;
+  }
+  plan_->repack();
+}
+
+template <typename T>
 Tensor<T> Network<T>::forward(const Tensor<T>& input) const {
   Workspace<T> ws(*plan_);
   RunRequest<T> req;

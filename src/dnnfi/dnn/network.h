@@ -6,12 +6,14 @@
 // Fault injection goes through the plan directly: an ActivationCache holds
 // the fault-free activations of one input, and a faulty Executor run
 // re-executes only the struck layer (patching just the ACTs the fault
-// reaches) and the layers after it. Hot paths (the campaign engine) keep a
-// long-lived per-thread Workspace.
+// reaches) and the layers after it. Hot paths (the campaign engine) reuse
+// one Workspace per thread across many trials. Weights change only through
+// update_params, which keeps the plan's packed weight copy in step.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,8 +73,13 @@ class Network {
   std::size_t num_classes() const noexcept { return spec_.num_classes; }
   bool has_softmax() const noexcept { return spec_.has_softmax(); }
 
-  Layer<T>& layer(std::size_t i) { return *layers_.at(i); }
   const Layer<T>& layer(std::size_t i) const { return *layers_.at(i); }
+
+  /// The one way to change parameters: calls `fn` with the mutable layers
+  /// (index i is layer(i)), then re-takes the plan's packed weight copy,
+  /// also when `fn` throws. No other thread may run the plan meanwhile.
+  using MutableLayers = std::span<const std::unique_ptr<Layer<T>>>;
+  void update_params(const std::function<void(MutableLayers)>& fn);
 
   /// Indices of layers that perform MACs (conv and FC), in order.
   const std::vector<std::size_t>& mac_layers() const noexcept {

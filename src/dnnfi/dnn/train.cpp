@@ -144,27 +144,28 @@ void train(Network<float>& net, const ExampleSource& source,
 
       // Reduce lanes in fixed order and apply SGD with momentum + decay.
       const auto bsz = static_cast<double>(end - start);
-      for (std::size_t li = 0; li < net.num_layers(); ++li) {
-        auto w = net.layer(li).weights();
-        auto b = net.layer(li).biases();
-        if (w.empty() && b.empty()) continue;
-        for (std::size_t j = 0; j < w.size(); ++j) {
-          double g = 0;
-          for (const auto& lane : lanes) g += static_cast<double>(lane.gw[li][j]);
-          g = g / bsz + config.weight_decay * static_cast<double>(w[j]);
-          vw[li][j] = static_cast<float>(config.momentum * static_cast<double>(vw[li][j]) -
-                                         config.learning_rate * g);
-          w[j] += vw[li][j];
+      net.update_params([&](auto layers) {
+        for (std::size_t li = 0; li < layers.size(); ++li) {
+          auto w = layers[li]->weights();
+          auto b = layers[li]->biases();
+          for (std::size_t j = 0; j < w.size(); ++j) {
+            double g = 0;
+            for (const auto& lane : lanes) g += static_cast<double>(lane.gw[li][j]);
+            g = g / bsz + config.weight_decay * static_cast<double>(w[j]);
+            vw[li][j] = static_cast<float>(config.momentum * static_cast<double>(vw[li][j]) -
+                                           config.learning_rate * g);
+            w[j] += vw[li][j];
+          }
+          for (std::size_t j = 0; j < b.size(); ++j) {
+            double g = 0;
+            for (const auto& lane : lanes) g += static_cast<double>(lane.gb[li][j]);
+            g /= bsz;
+            vb[li][j] = static_cast<float>(config.momentum * static_cast<double>(vb[li][j]) -
+                                           config.learning_rate * g);
+            b[j] += vb[li][j];
+          }
         }
-        for (std::size_t j = 0; j < b.size(); ++j) {
-          double g = 0;
-          for (const auto& lane : lanes) g += static_cast<double>(lane.gb[li][j]);
-          g /= bsz;
-          vb[li][j] = static_cast<float>(config.momentum * static_cast<double>(vb[li][j]) -
-                                         config.learning_rate * g);
-          b[j] += vb[li][j];
-        }
-      }
+      });
       for (const auto& lane : lanes) {
         epoch_loss += lane.loss_sum;
         epoch_correct += lane.correct;

@@ -36,19 +36,20 @@ template <typename T>
 void load_weights(Network<T>& net, const WeightsBlob& blob) {
   const auto& macs = net.mac_layers();
   DNNFI_EXPECTS(blob.layers.size() == macs.size());
-  for (std::size_t i = 0; i < macs.size(); ++i) {
-    auto& layer = net.layer(macs[i]);
-    auto w = layer.weights();
-    auto b = layer.biases();
-    DNNFI_EXPECTS(blob.layers[i].weights.size() == w.size());
-    DNNFI_EXPECTS(blob.layers[i].biases.size() == b.size());
-    for (std::size_t j = 0; j < w.size(); ++j)
-      w[j] = numeric::numeric_traits<T>::from_double(
-          static_cast<double>(blob.layers[i].weights[j]));
-    for (std::size_t j = 0; j < b.size(); ++j)
-      b[j] = numeric::numeric_traits<T>::from_double(
-          static_cast<double>(blob.layers[i].biases[j]));
-  }
+  net.update_params([&](auto layers) {
+    for (std::size_t i = 0; i < macs.size(); ++i) {
+      auto w = layers[macs[i]]->weights();
+      auto b = layers[macs[i]]->biases();
+      DNNFI_EXPECTS(blob.layers[i].weights.size() == w.size());
+      DNNFI_EXPECTS(blob.layers[i].biases.size() == b.size());
+      for (std::size_t j = 0; j < w.size(); ++j)
+        w[j] = numeric::numeric_traits<T>::from_double(
+            static_cast<double>(blob.layers[i].weights[j]));
+      for (std::size_t j = 0; j < b.size(); ++j)
+        b[j] = numeric::numeric_traits<T>::from_double(
+            static_cast<double>(blob.layers[i].biases[j]));
+    }
+  });
 }
 
 /// Builds a Network<T> from a spec and a trained blob in one step.

@@ -4,8 +4,8 @@
 //
 // Fault sites address logical NCHW/OIHW coordinates (tensor indices, MAC
 // step ordinals in (ci, ky, kx) order). The SIMD kernel engine's packed
-// weight layout (DESIGN.md §10) is a kernel-private copy inside the
-// workspace arena: injection, activation caching, and checkpointing never
+// weight layout (DESIGN.md §10) is a kernel-private copy owned by the
+// ExecutionPlan: injection, activation caching, and checkpointing never
 // see it, so fault coordinates mean the same thing under every kernel set.
 #pragma once
 

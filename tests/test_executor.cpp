@@ -2,7 +2,9 @@
 // ActivationCache<T> against the legacy layer-by-layer execution semantics
 // (plain forward, every-layer golden activations, and fault-patched partial
 // re-execution) for every datapath type, plus workspace-reuse hygiene
-// across many consecutive faulty runs.
+// across many consecutive faulty runs, coherence of the plan's packed
+// weight copy across weight updates under every kernel set, and one plan
+// shared by several threads.
 //
 // The references here are hand-rolled per-layer Tensor loops — the exact
 // semantics Network<T> had before it delegated to the executor — so the
@@ -10,11 +12,16 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "dnnfi/common/rng.h"
 #include "dnnfi/dnn/executor.h"
+#include "dnnfi/dnn/train.h"
 #include "dnnfi/dnn/weights.h"
 #include "dnnfi/dnn/zoo.h"
 
@@ -193,8 +200,82 @@ TYPED_TEST(ExecutorEquivalence, PlanResolvesShapesAndMacs) {
     EXPECT_GE(plan.buffer_elems(), shape.size());
   }
   EXPECT_EQ(plan.output_shape().size(), spec.num_classes);
-  EXPECT_EQ(plan.arena_elems(), 2 * plan.buffer_elems() +
-                                    plan.input_elems() + plan.packed_elems());
+  EXPECT_EQ(plan.arena_elems(), 2 * plan.buffer_elems() + plan.input_elems());
+}
+
+// The plan owns the one packed weight copy: every workspace bound to it
+// reads that copy, and a workspace's arena is ping + pong + patch only.
+TYPED_TEST(ExecutorEquivalence, WorkspacesShareThePlansPackedCopy) {
+  using T = TypeParam;
+  Network<T> net(convnet_spec());
+  const ExecutionPlan<T>& plan = net.plan();
+  EXPECT_EQ(plan.packed_data() == nullptr, plan.kernel_set().pack_lanes == 0);
+  const Workspace<T> a(plan);
+  const Workspace<T> b(plan);
+  EXPECT_EQ(a.packed_data(), plan.packed_data());
+  EXPECT_EQ(b.packed_data(), plan.packed_data());
+  const std::size_t bytes =
+      (2 * plan.buffer_elems() + plan.input_elems()) * sizeof(T);
+  EXPECT_EQ(a.arena_bytes(), bytes);
+  EXPECT_EQ(b.arena_bytes(), bytes);
+}
+
+/// set_active_mode is process-global; restore the default on scope exit.
+struct ModeGuard {
+  ~ModeGuard() { kernels::set_active_mode("auto"); }
+};
+
+// Weights change only through Network::update_params, which re-takes the
+// plan's packed copy. Under every kernel set, a workspace and a cache are
+// held on the plan while the weights change (a second blob; for float also
+// one SGD step); then the held workspace's plain and incremental faulty
+// runs and a rebuild of the held cache match the layer-by-layer reference,
+// which reads the layers' row-major weights.
+TYPED_TEST(ExecutorEquivalence, WeightUpdatesReachEveryRunUnderEverySet) {
+  using T = TypeParam;
+  const auto spec = convnet_spec();
+  const auto img = random_image<T>(spec.input, 82);
+  ModeGuard guard;
+  for (const char* name : kernels::registered_names<T>()) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(kernels::set_active_mode(name));
+    Network<T> net(spec);
+    ASSERT_STREQ(net.plan().kernel_set().name, name);
+    load_weights(net, random_blob(spec, 81));
+    const Executor<T> exec(net.plan());
+    Workspace<T> ws(net.plan());
+    ActivationCache<T> cache(net.plan(), img);
+
+    load_weights(net, random_blob(spec, 83));
+    if constexpr (std::is_same_v<T, float>) {
+      TrainConfig cfg;
+      cfg.epochs = 1;
+      cfg.train_count = 2;
+      cfg.batch = 2;
+      train(net,
+            [&](std::uint64_t i) {
+              return Example{random_image<float>(spec.input, 90 + i),
+                             static_cast<std::size_t>(i) % spec.num_classes};
+            },
+            cfg);
+    }
+
+    RunRequest<T> plain;
+    plain.input = img;
+    expect_bits_equal<T>(exec.run(ws, plain), legacy_forward(net, img));
+    cache.build(net.plan(), img);
+    const LegacyTrace<T> golden = legacy_trace(net, img);
+    for (std::size_t i = 0; i < cache.num_layers(); ++i)
+      expect_bits_equal<T>(cache.act(i), golden.acts[i]);
+    for (std::size_t trial = 0; trial < 8; ++trial) {
+      const AppliedFault f = nth_fault(net, trial);
+      RunRequest<T> req;
+      req.cache = &cache;
+      req.fault = &f;
+      req.early_exit = true;
+      expect_bits_equal<T>(exec.run(ws, req), legacy_fault(net, golden, f));
+    }
+  }
 }
 
 TYPED_TEST(ExecutorEquivalence, PlainAndTracedMatchLegacy) {
@@ -453,6 +534,64 @@ TEST(ExecutorWorkspaceReuse, HundredFaultyRunsNoStaleData) {
                 numeric::numeric_traits<T>::to_bits(want[i]))
           << "trial " << trial << " element " << i;
   }
+}
+
+// A callback that throws midway still leaves the plan's packed copy
+// coherent with the weights it changed.
+TEST(ExecutorWeightUpdates, RetakeAlsoWhenTheCallbackThrows) {
+  using T = float;
+  const auto spec = convnet_spec();
+  Network<T> net(spec);
+  load_weights(net, random_blob(spec, 101));
+  const auto img = random_image<T>(spec.input, 102);
+  const Tensor<T> before = legacy_forward(net, img);
+  EXPECT_THROW(net.update_params([&](auto layers) {
+                 for (auto& w : layers[net.mac_layers()[0]]->weights()) w = -w;
+                 throw std::runtime_error("midway");
+               }),
+               std::runtime_error);
+  const Tensor<T> want = legacy_forward(net, img);
+  EXPECT_FALSE(tensor::bitwise_equal(want, before));
+  expect_bits_equal<T>(net.forward(img).view(), want);
+}
+
+// One plan shared by four threads, each binding its own workspace and
+// running incremental faulty replays against one shared cache: every output
+// equals the serial run's. CI also runs this under ThreadSanitizer.
+TEST(ExecutorThreads, SharedPlanWorkspacePerThreadMatchesSerial) {
+  using T = numeric::Half;
+  const auto spec = convnet_spec();
+  Network<T> net(spec);
+  load_weights(net, random_blob(spec, 91));
+  const auto img = random_image<T>(spec.input, 92);
+  const ActivationCache<T> cache(net.plan(), img);
+  const Executor<T> exec(net.plan());
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kTrials = 24;
+  const auto run_trials = [&](std::size_t first, std::vector<Tensor<T>>& out) {
+    Workspace<T> ws(net.plan());
+    for (std::size_t k = 0; k < kTrials; ++k) {
+      const AppliedFault f = nth_fault(net, first + k);
+      RunRequest<T> req;
+      req.cache = &cache;
+      req.fault = &f;
+      req.early_exit = true;
+      out[k].assign(exec.run(ws, req));
+    }
+  };
+  std::vector<std::vector<Tensor<T>>> serial(
+      kThreads, std::vector<Tensor<T>>(kTrials));
+  auto parallel = serial;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    run_trials(t * kTrials, serial[t]);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back(run_trials, t * kTrials, std::ref(parallel[t]));
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t)
+    for (std::size_t k = 0; k < kTrials; ++k)
+      EXPECT_TRUE(tensor::bitwise_equal(parallel[t][k], serial[t][k]))
+          << "thread " << t << " trial " << k;
 }
 
 // The observer surfaces every recomputed layer exactly once, in order,
