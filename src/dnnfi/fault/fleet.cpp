@@ -202,13 +202,6 @@ std::pair<int, int> Fleet::reload(const std::vector<HostSpec>& specs) {
       ++drained;
     }
   }
-  // Fully idle drained nodes can go immediately; busy ones are reaped by
-  // the supervisor when their last worker exits.
-  nodes_.erase(std::remove_if(nodes_.begin(), nodes_.end(),
-                              [](const std::unique_ptr<Node>& n) {
-                                return n->draining && n->busy == 0;
-                              }),
-               nodes_.end());
   return {joined, drained};
 }
 

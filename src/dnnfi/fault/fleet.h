@@ -117,6 +117,10 @@ class Fleet {
   /// release() it exactly once.
   Node* acquire(const std::string& avoid);
 
+  /// Returns a slot whose launch did not start (the node's retiring
+  /// workers still hold it). Health is untouched.
+  void unacquire(Node& node) { --node.busy; }
+
   /// Returns a slot. On failure, advances the node's streaks and possibly
   /// degrades or quarantines it (reported back for logging); on success,
   /// resets them. A resource failure is a spawn failure, exit 127, or
@@ -126,7 +130,9 @@ class Fleet {
 
   /// Replaces membership with `specs` (diffed by host name, positionally
   /// within a name): surviving nodes keep their health state, new hosts
-  /// join fresh, vanished hosts drain. Returns how many joined/drained.
+  /// join fresh, vanished hosts drain. A drained node is kept (and rejoins
+  /// if its host comes back), so the supervisor's pointers to the nodes
+  /// its workers run on never dangle. Returns how many joined/drained.
   std::pair<int, int> reload(const std::vector<HostSpec>& specs);
 
   /// Slots across non-draining hosts (quarantined hosts still count —

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <list>
 #include <optional>
 
 #include "dnnfi/common/atomic_file.h"
@@ -28,12 +29,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using TimePoint = Clock::time_point;
-
-std::string shard_path(const std::string& dir, std::uint64_t begin,
-                       std::uint64_t end) {
-  return dir + "/shard_" + std::to_string(begin) + "_" + std::to_string(end) +
-         ".ckpt";
-}
 
 std::string range_str(std::uint64_t begin, std::uint64_t end) {
   return "[" + std::to_string(begin) + ", " + std::to_string(end) + ")";
@@ -62,18 +57,19 @@ struct Task {
   std::string last_node;  ///< fleet node the last failure ran on ("" = none)
 };
 
-/// A live worker subprocess and its channel to the supervisor.
+/// A persistent worker process and its channel to the supervisor: idle
+/// between tasks, running `task` from the moment its kInit frame is sent.
 struct Worker {
   pid_t pid = -1;
-  int fd = -1;  ///< nonblocking worker->supervisor fd; -1 once EOF
-  Task task;
+  int rx = -1;  ///< nonblocking worker->supervisor fd; -1 once EOF
+  int tx = -1;  ///< supervisor->worker fd; -1 once closed (worker retiring)
   Fleet::Node* node = nullptr;  ///< fleet node the worker runs on
   WorkerChannel channel;
-  std::string ckpt_path;  ///< supervisor-side checkpoint for this shard
-  std::string log_path;   ///< per-shard stderr log ("" = inherited stderr)
-  TimePoint started{};
+  std::string log_path;      ///< this process's stderr log ("" = inherited)
+  std::optional<Task> task;  ///< the running task; empty while idle
+  TimePoint started{};       ///< when the task's kInit frame was sent
   TimePoint last_beat{};
-  std::uint64_t trials_done = 0;
+  std::uint64_t trials_done = 0;  ///< of the task, this attempt
   bool watchdog_killed = false;
   bool channel_corrupt = false;  ///< frame damage or bad shipped checkpoint
   Error channel_error;           ///< set when channel_corrupt
@@ -112,8 +108,8 @@ class Supervisor {
       return fail(Errc::kIo, "supervise: cannot create " +
                                  opt_.checkpoint_dir + "/logs: " +
                                  ec.message());
-    // Init frames to workers that die instantly surface as EPIPE write
-    // errors, not process death.
+    // kInit frames to workers that died surface as EPIPE write errors, not
+    // process death.
     signal(SIGPIPE, SIG_IGN);
     log("fleet: " + std::to_string(fleet_.nodes().size()) + " host(s), " +
         std::to_string(fleet_.total_slots()) + " slot(s)");
@@ -130,26 +126,24 @@ class Supervisor {
           opt_.reload_hosts->exchange(false, std::memory_order_relaxed))
         reload_fleet();
       promote_waiting();
-      if (auto launched = launch_ready(); !launched.ok()) {
-        kill_all(SIGKILL);
-        reap_blocking();
-        return launched.error();
-      }
-      if (active_.empty() && waiting_.empty() && ready_.empty()) break;
-      if (active_.empty() && !fleet_.any_member())
-        return fail(Errc::kNoHosts,
-                    "supervise: every fleet host has left (--hosts-file) "
-                    "with " +
-                        std::to_string(ready_.size() + waiting_.size()) +
-                        " shard(s) still pending");
-      poll_heartbeats();
-      if (auto reaped = reap(); !reaped.ok()) {
-        kill_all(SIGKILL);
-        reap_blocking();
-        return reaped.error();
-      }
+      retire_idle();
+      if (auto dispatched = dispatch_ready(); !dispatched.ok())
+        return abort_with(dispatched.error());
+      const bool running = std::any_of(
+          workers_.begin(), workers_.end(),
+          [](const Worker& w) { return w.task.has_value(); });
+      if (!running && waiting_.empty() && ready_.empty()) break;
+      if (!running && !fleet_.any_member())
+        return abort_with(Error{
+            Errc::kNoHosts,
+            "supervise: every fleet host has left (--hosts-file) with " +
+                std::to_string(ready_.size() + waiting_.size()) +
+                " shard(s) still pending"});
+      poll_channels();
+      if (auto reaped = reap(); !reaped.ok()) return abort_with(reaped.error());
       enforce_deadlines();
     }
+    retire_all();
     return merge();
   }
 
@@ -296,95 +290,151 @@ class Supervisor {
 
   // ---- process management ----------------------------------------------
 
-  Expected<void> launch_ready() {
+  /// Worker processes on `node` not yet reaped; with `retiring` false, only
+  /// those whose stdin is still open.
+  int alive_on(const Fleet::Node& node, bool retiring) const {
+    return static_cast<int>(
+        std::count_if(workers_.begin(), workers_.end(), [&](const Worker& w) {
+          return w.node == &node && (retiring || w.tx >= 0);
+        }));
+  }
+
+  /// Closes the stdin of every idle worker its node no longer wants: all of
+  /// them on a draining or quarantined node, and those past the node's
+  /// slots after a degradation. EOF ends an idle worker with exit 0.
+  void retire_idle() {
+    const TimePoint now = Clock::now();
+    for (Worker& w : workers_) {
+      if (w.task || w.tx < 0) continue;
+      const Fleet::Node& n = *w.node;
+      if (n.draining || n.quarantined(now) ||
+          alive_on(n, /*retiring=*/false) > n.spec.slots)
+        close_fd(w.tx);
+    }
+  }
+
+  /// Hands ready tasks to free fleet slots, preferring a node other than
+  /// the one the task last failed on (retry-elsewhere). The node's idle
+  /// worker takes the task; without one a worker is spawned, unless the
+  /// node's retiring workers still hold its slots.
+  Expected<void> dispatch_ready() {
     while (!ready_.empty()) {
-      // A slot must be available; prefer a node other than the one the
-      // shard last failed on (retry-elsewhere).
       Fleet::Node* node = fleet_.acquire(ready_.front().last_node);
       if (node == nullptr) break;
+      const auto idle =
+          std::find_if(workers_.begin(), workers_.end(), [&](const Worker& w) {
+            return w.node == node && !w.task && w.tx >= 0;
+          });
+      const bool fresh = idle == workers_.end();
+      if (fresh && alive_on(*node, /*retiring=*/true) >= node->spec.slots) {
+        fleet_.unacquire(*node);
+        break;
+      }
       Task task = ready_.front();
       ready_.pop_front();
-      auto spawned = launch(task, *node);
-      if (!spawned.ok()) {
-        // fork/pipe/exec-level failure: a resource failure of the node;
-        // the task retries through the normal backoff path.
-        log("spawn on " + node->id + " failed: " +
-            spawned.error().to_string());
-        note_host_release(*node, /*success=*/false,
-                          /*resource_failure=*/true);
-        if (auto handled = handle_failure(task, spawned.error());
-            !handled.ok())
-          return handled.error();
-      }
+      Expected<void> started = fresh ? spawn(*node) : Expected<void>{};
+      if (started.ok())
+        started = assign(fresh ? workers_.back() : *idle, task);
+      if (started.ok()) continue;
+      // The attempt failed before it ran. A launch that never got a task
+      // to a fresh worker (fork/pipe/exec, or a worker dead on arrival) is
+      // a resource failure of the node; the task retries through the
+      // normal backoff path.
+      log("launch on " + node->id + " failed: " + started.error().to_string());
+      note_host_release(*node, /*success=*/false, /*resource_failure=*/fresh);
+      task.last_node = node->id;
+      if (auto handled = handle_failure(task, started.error()); !handled.ok())
+        return handled.error();
     }
     return {};
   }
 
-  /// Starts `task` on `node`. On success the worker joins active_.
-  Expected<void> launch(const Task& task, Fleet::Node& node) {
+  /// Starts an idle worker on `node`; it joins workers_ at the back.
+  Expected<void> spawn(Fleet::Node& node) {
     WorkerSpawn spawn;
     spawn.binary = opt_.binary;
     spawn.flags = opt_.worker_flags;
-    spawn.begin = task.begin;
-    spawn.end = task.end;
-    spawn.checkpoint = shard_path(opt_.checkpoint_dir, task.begin, task.end);
-    spawn.stderr_log = opt_.checkpoint_dir + "/logs/shard_" +
-                       std::to_string(task.begin) + "_" +
-                       std::to_string(task.end) + ".log";
+    spawn.stderr_log = opt_.checkpoint_dir + "/logs/worker_" +
+                       std::to_string(report_.workers_spawned + 1) + ".log";
+    auto handle = spawn_worker(node.spec.host, node.scratch, spawn);
+    if (!handle.ok()) return handle.error();
+    Worker& w = workers_.emplace_back();
+    w.pid = handle.value().pid;
+    w.rx = handle.value().rx;
+    w.tx = handle.value().tx;
+    w.node = &node;
+    w.log_path = spawn.stderr_log;
+    ++report_.workers_spawned;
+    log("worker pid " + std::to_string(w.pid) + " started on " + node.id);
+    return {};
+  }
 
-    // Workers checkpoint on their own node; resume state travels in the
-    // init frame from the supervisor's durable copy (landed by a prior
-    // attempt on any host, or left by a crashed supervisor).
-    std::vector<std::uint8_t> resume_bytes;
-    if (std::filesystem::exists(spawn.checkpoint)) {
-      auto bytes = read_checkpoint_bytes(spawn.checkpoint);
+  /// Sends `task` to the idle worker `w` as a kInit frame. Resume state
+  /// travels in it from the supervisor's durable copy (landed by a prior
+  /// attempt on any host, or left by a crashed supervisor). A failed send
+  /// means the worker is gone or its channel is: it is killed, and reaped
+  /// as an idle worker.
+  Expected<void> assign(Worker& w, const Task& task) {
+    const std::string ckpt = checkpoint_of(task);
+    std::optional<std::vector<std::uint8_t>> resume;
+    if (std::filesystem::exists(ckpt)) {
+      auto bytes = read_checkpoint_bytes(ckpt);
       if (bytes.ok()) {
-        resume_bytes = std::move(bytes).value();
-        spawn.resume = &resume_bytes;
+        resume = std::move(bytes).value();
       } else {
         log("warning: not shipping resume state for shard " +
             range_str(task.begin, task.end) + ": " +
             bytes.error().to_string());
       }
     }
-
-    auto handle = spawn_worker(node.spec.host, node.scratch, spawn);
-    if (!handle.ok()) return handle.error();
-
-    Worker w;
-    w.pid = handle.value().pid;
-    w.fd = handle.value().rx;
+    const std::vector<std::uint8_t> init =
+        encode_init(task.begin, task.end, resume ? &*resume : nullptr);
+    if (auto sent = send_frame(w.tx, FrameType::kInit, init.data(),
+                               init.size());
+        !sent.ok()) {
+      kill(w.pid, SIGKILL);
+      close_fd(w.tx);
+      return Error{Errc::kTransport, "init frame to pid " +
+                                         std::to_string(w.pid) + ": " +
+                                         sent.error().message};
+    }
     w.task = task;
-    w.node = &node;
-    w.ckpt_path = spawn.checkpoint;
-    w.log_path = spawn.stderr_log;
     w.started = w.last_beat = Clock::now();
-    ++report_.workers_spawned;
-    if (!task.last_node.empty() && node.id != task.last_node) {
+    w.trials_done = 0;
+    if (!task.last_node.empty() && w.node->id != task.last_node) {
       ++report_.retries_elsewhere;
       log("shard " + range_str(task.begin, task.end) + " moves " +
-          task.last_node + " -> " + node.id + " (retry-elsewhere" +
-          (spawn.resume != nullptr ? ", resuming from shipped checkpoint)"
-                                   : ")"));
+          task.last_node + " -> " + w.node->id + " (retry-elsewhere" +
+          (resume ? ", resuming from shipped checkpoint)" : ")"));
     }
-    log("shard " + range_str(task.begin, task.end) + " -> " + node.id +
+    log("shard " + range_str(task.begin, task.end) + " -> " + w.node->id +
         " pid " + std::to_string(w.pid) +
         (task.attempts > 0 ? " (attempt " + std::to_string(task.attempts + 1) +
                                  "/" + std::to_string(opt_.max_attempts) + ")"
                            : ""));
-    active_.push_back(std::move(w));
     return {};
   }
 
-  /// Blocks up to the nearest deadline waiting for heartbeats; drains
-  /// every readable channel and stamps last_beat.
-  void poll_heartbeats() {
+  /// The supervisor-side durable checkpoint of a task.
+  std::string checkpoint_of(const Task& task) const {
+    return opt_.checkpoint_dir + "/" +
+           shard_checkpoint_name(task.begin, task.end);
+  }
+
+  static void close_fd(int& fd) {
+    if (fd >= 0) close(fd);
+    fd = -1;
+  }
+
+  /// Blocks up to the nearest deadline waiting for frames; drains every
+  /// readable channel and stamps last_beat.
+  void poll_channels() {
     std::vector<pollfd> fds;
-    std::vector<std::size_t> owner;
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      if (active_[i].fd < 0) continue;
-      fds.push_back(pollfd{active_[i].fd, POLLIN, 0});
-      owner.push_back(i);
+    std::vector<Worker*> owner;
+    for (Worker& w : workers_) {
+      if (w.rx < 0) continue;
+      fds.push_back(pollfd{w.rx, POLLIN, 0});
+      owner.push_back(&w);
     }
     const int timeout_ms = next_wakeup_ms();
     const int n = ::poll(fds.empty() ? nullptr : fds.data(),
@@ -392,23 +442,24 @@ class Supervisor {
     if (n <= 0) return;  // timeout or EINTR: deadlines handled by caller
     for (std::size_t k = 0; k < fds.size(); ++k) {
       if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      drain(active_[owner[k]]);
+      drain(*owner[k]);
     }
   }
 
-  /// Wakeup bound: soonest of worker deadlines, backoff expiries, and
-  /// quarantine releases, clamped to [10, 200] ms so reaping and
-  /// cancellation stay responsive. A worker whose pipe already closed has
-  /// no fd left to wake poll() when it exits, so its reap is polled at the
-  /// floor.
+  /// Wakeup bound: soonest of running tasks' deadlines, backoff expiries,
+  /// and quarantine releases, clamped to [10, 200] ms so reaping and
+  /// cancellation stay responsive. A worker whose pipe already closed is
+  /// exiting but has no fd left to wake poll() when it is gone, so its
+  /// reap is polled every millisecond.
   int next_wakeup_ms() const {
     double soonest = 0.2;
     const TimePoint now = Clock::now();
     const auto until = [&](TimePoint tp) {
       return std::chrono::duration<double>(tp - now).count();
     };
-    for (const Worker& w : active_) {
-      if (w.fd < 0) return 10;
+    for (const Worker& w : workers_) {
+      if (w.rx < 0) return 1;
+      if (!w.task) continue;
       soonest = std::min(
           soonest, until(w.last_beat + to_duration(opt_.heartbeat_timeout_s)));
       if (opt_.shard_timeout_s > 0)
@@ -429,13 +480,13 @@ class Supervisor {
   /// Reads everything the worker's channel holds, decoding beats and
   /// shipped checkpoints. Short reads and EINTR are retried by the io
   /// layer — a signal landing mid-read must not drop a beat. Structural
-  /// damage poisons the worker: it is SIGKILLed and its exit is classified
-  /// kTransport / kCheckpointShip (both retryable, on another host when one
-  /// exists).
+  /// damage, or any frame from a worker with no task, poisons the worker:
+  /// it is SIGKILLed and a running task fails kTransport / kCheckpointShip
+  /// (both retryable, on another host when one exists).
   void drain(Worker& w) {
     std::uint8_t buf[4096];
-    while (w.fd >= 0 && !w.channel_corrupt) {
-      auto got = io_read_chunk(w.fd, buf, sizeof buf);
+    while (w.rx >= 0 && !w.channel_corrupt) {
+      auto got = io_read_chunk(w.rx, buf, sizeof buf);
       if (!got.ok()) {
         channel_fault(w, got.error());
         return;
@@ -443,15 +494,17 @@ class Supervisor {
       const long n = got.value();
       if (n < 0) break;  // EAGAIN: nothing more to read now
       if (n == 0) {      // worker closed its end (exiting)
-        close(w.fd);
-        w.fd = -1;
+        close_fd(w.rx);
         break;
       }
       w.last_beat = Clock::now();
       std::vector<ChannelEvent> events;
       auto fed = w.channel.feed(buf, static_cast<std::size_t>(n), events);
       for (const ChannelEvent& ev : events) {
-        if (ev.kind == ChannelEvent::Kind::kBeat)
+        if (!w.task)
+          channel_fault(w, Error{Errc::kTransport,
+                                 "frame from a worker with no task"});
+        else if (ev.kind == ChannelEvent::Kind::kBeat)
           w.trials_done = ev.done;
         else
           land_checkpoint(w, ev.bytes);
@@ -465,10 +518,13 @@ class Supervisor {
   }
 
   /// Validates and lands a shipped checkpoint image as the supervisor's
-  /// durable copy for the worker's shard (atomic tmp + rename). An image
+  /// durable copy for the worker's task (atomic tmp + rename). An image
   /// that fails to parse or covers the wrong range is channel damage; a
-  /// local write failure is a plain retryable kIo for this attempt.
+  /// local write failure is a plain retryable kIo for this attempt. A
+  /// complete image is the task's last frame: the task is done and the
+  /// worker idle.
   void land_checkpoint(Worker& w, const std::vector<std::uint8_t>& bytes) {
+    const Task& task = *w.task;
     const std::string origin = "checkpoint frame from " + w.node->id;
     auto parsed = parse_checkpoint_bytes(bytes.data(), bytes.size(), origin);
     if (!parsed.ok()) {
@@ -477,53 +533,55 @@ class Supervisor {
       return;
     }
     const ShardCheckpoint& ck = parsed.value();
-    if (ck.shard_begin != w.task.begin || ck.shard_end != w.task.end ||
+    if (ck.shard_begin != task.begin || ck.shard_end != task.end ||
         ck.trials_total != opt_.trials) {
       channel_fault(
           w, Error{Errc::kCheckpointShip,
                    origin + ": image covers shard " +
                        range_str(ck.shard_begin, ck.shard_end) + " of " +
                        std::to_string(ck.trials_total) +
-                       " trials, expected " +
-                       range_str(w.task.begin, w.task.end) + " of " +
-                       std::to_string(opt_.trials)});
+                       " trials, expected " + range_str(task.begin, task.end) +
+                       " of " + std::to_string(opt_.trials)});
       return;
     }
+    const std::string path = checkpoint_of(task);
     auto written = write_file_atomic(
-        w.ckpt_path,
-        std::string_view(reinterpret_cast<const char*>(bytes.data()),
-                         bytes.size()));
+        path, std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                               bytes.size()));
     if (!written.ok()) {
-      channel_fault(w, Error{Errc::kIo, "landing " + w.ckpt_path + ": " +
+      channel_fault(w, Error{Errc::kIo, "landing " + path + ": " +
                                             written.error().message});
       return;
     }
     ++report_.checkpoints_shipped;
+    if (!ck.complete) return;
+    completed_.push_back(Completed{task.begin, task.end, path});
+    note_host_release(*w.node, /*success=*/true);
+    log("shard " + range_str(task.begin, task.end) + " complete (" +
+        std::to_string(w.trials_done) + " trials this attempt)");
+    w.task.reset();
   }
 
   /// Marks a worker's channel unusable and kills the process; the reap
-  /// path turns this into a retryable failure carrying `err`.
+  /// path turns this into a retryable failure of its task carrying `err`.
   void channel_fault(Worker& w, const Error& err) {
     if (w.channel_corrupt) return;
     w.channel_corrupt = true;
     w.channel_error = err;
-    log("pid " + std::to_string(w.pid) + " shard " +
-        range_str(w.task.begin, w.task.end) + ": channel fault: " +
+    log("pid " + std::to_string(w.pid) + ": channel fault: " +
         err.to_string() + "; sending SIGKILL");
     kill(w.pid, SIGKILL);
-    if (w.fd >= 0) {
-      close(w.fd);
-      w.fd = -1;
-    }
+    close_fd(w.rx);
   }
 
-  /// SIGKILLs workers that missed their heartbeat deadline or exceeded the
-  /// shard wall-clock budget. The kill surfaces through reap() as a
+  /// SIGKILLs workers whose task missed its heartbeat deadline or exceeded
+  /// the shard wall-clock budget (counted from the kInit send). An idle
+  /// worker has no deadline. The kill surfaces through reap() as a
   /// kTimeout failure (retryable).
   void enforce_deadlines() {
     const TimePoint now = Clock::now();
-    for (Worker& w : active_) {
-      if (w.watchdog_killed || w.channel_corrupt) continue;
+    for (Worker& w : workers_) {
+      if (!w.task || w.watchdog_killed || w.channel_corrupt) continue;
       const bool hb_expired =
           now - w.last_beat > to_duration(opt_.heartbeat_timeout_s);
       const bool wall_expired =
@@ -531,7 +589,7 @@ class Supervisor {
           now - w.started > to_duration(opt_.shard_timeout_s);
       if (!hb_expired && !wall_expired) continue;
       log("pid " + std::to_string(w.pid) + " shard " +
-          range_str(w.task.begin, w.task.end) +
+          range_str(w.task->begin, w.task->end) +
           (hb_expired ? ": heartbeat deadline missed" : ": wall-clock budget exceeded") +
           "; sending SIGKILL");
       kill(w.pid, SIGKILL);
@@ -540,22 +598,28 @@ class Supervisor {
     }
   }
 
+  /// Reaps exited workers. A worker that dies with a task fails that task;
+  /// an idle one just frees its slot, which respawns on demand.
   Expected<void> reap() {
-    for (auto it = active_.begin(); it != active_.end();) {
+    for (auto it = workers_.begin(); it != workers_.end();) {
       int status = 0;
-      const pid_t r = waitpid(it->pid, &status, WNOHANG);
-      if (r != it->pid) {
+      if (waitpid(it->pid, &status, WNOHANG) != it->pid) {
         ++it;
         continue;
       }
       Worker w = std::move(*it);
-      it = active_.erase(it);
-      if (w.fd >= 0) {
-        drain(w);  // final beats/checkpoints written between last poll and exit
-        if (w.fd >= 0) close(w.fd);
+      it = workers_.erase(it);
+      const bool retiring = w.tx < 0;
+      drain(w);  // frames written between the last poll and exit
+      close_fd(w.rx);
+      close_fd(w.tx);
+      if (w.task) {
+        if (auto handled = handle_exit(w, status); !handled.ok())
+          return handled.error();
+      } else if (!retiring) {
+        log("idle worker pid " + std::to_string(w.pid) + " on " + w.node->id +
+            " exited (status " + std::to_string(status) + ")");
       }
-      if (auto handled = handle_exit(w, status); !handled.ok())
-        return handled.error();
     }
     return {};
   }
@@ -581,42 +645,24 @@ class Supervisor {
     }
   }
 
-  /// Last lines of the worker's stderr log, prefixed [host:shard], so a
-  /// failure report carries the worker's own words.
-  void log_failure_tail(const Worker& w) {
+  /// Last lines of the worker's stderr log, prefixed [host:shard_B_E] for
+  /// the failing task, so a failure report carries the worker's own words.
+  void log_failure_tail(const Worker& w, const Task& task) {
     if (w.log_path.empty()) return;
     const auto lines = tail_lines(w.log_path, 10);
     if (lines.empty()) return;
-    const std::string prefix = "[" + w.node->spec.host + ":shard_" + std::to_string(w.task.begin) + "_" +
-                               std::to_string(w.task.end) + "] ";
+    const std::string prefix = "[" + w.node->spec.host + ":shard_" +
+                               std::to_string(task.begin) + "_" +
+                               std::to_string(task.end) + "] ";
     log("last " + std::to_string(lines.size()) + " stderr line(s):");
     for (const std::string& line : lines) log(prefix + line);
   }
 
+  /// Fails the task of a worker that exited before a complete checkpoint
+  /// for it landed, classified from the exit status.
   Expected<void> handle_exit(const Worker& w, int status) {
-    Task task = w.task;
+    Task task = *w.task;
     task.last_node = w.node->id;
-
-    if (!w.channel_corrupt && WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-      // Trust but verify: the shard is only done if its checkpoint says
-      // so. The verified copy is the supervisor-side one the worker
-      // shipped — a worker whose final ship never landed retries.
-      auto loaded = try_load_shard_checkpoint(w.ckpt_path);
-      if (loaded.ok() && loaded.value().complete) {
-        completed_.push_back(Completed{task.begin, task.end, w.ckpt_path});
-        note_host_release(*w.node, /*success=*/true);
-        log("shard " + range_str(task.begin, task.end) + " complete (" +
-            std::to_string(w.trials_done) + " trials this attempt)");
-        return {};
-      }
-      note_host_release(*w.node, /*success=*/false);
-      log_failure_tail(w);
-      return handle_failure(
-          task, Error{Errc::kIo,
-                      "worker exited 0 but checkpoint " + w.ckpt_path +
-                          " is missing or incomplete"});
-    }
-
     Error err;
     bool resource_failure = false;
     if (w.channel_corrupt) {
@@ -631,6 +677,9 @@ class Supervisor {
       const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
       if (code == 127) {
         err = Error{Errc::kWorkerCrash, "exec failed (exit 127)"};
+      } else if (code == 0) {
+        err = Error{Errc::kIo, "worker exited 0 before a complete checkpoint "
+                               "for its task landed"};
       } else {
         err.code = errc_from_exit(code);
         err.message = "exited with status " + std::to_string(code) + " (" +
@@ -639,7 +688,7 @@ class Supervisor {
       resource_failure = code == 127 || err.code == Errc::kOutOfMemory;
     }
     note_host_release(*w.node, /*success=*/false, resource_failure);
-    log_failure_tail(w);
+    log_failure_tail(w, task);
     return handle_failure(task, err);
   }
 
@@ -704,46 +753,57 @@ class Supervisor {
 
   // ---- shutdown & merge -------------------------------------------------
 
-  void kill_all(int sig) {
-    for (const Worker& w : active_) kill(w.pid, sig);
-  }
-
-  void reap_blocking() {
-    for (Worker& w : active_) {
+  /// SIGKILLs and reaps every worker left.
+  void kill_all() {
+    for (Worker& w : workers_) {
+      kill(w.pid, SIGKILL);
       int status = 0;
       waitpid(w.pid, &status, 0);
-      if (w.fd >= 0) close(w.fd);
+      close_fd(w.rx);
+      close_fd(w.tx);
     }
-    active_.clear();
+    workers_.clear();
   }
 
-  /// SIGTERM the workers and wait for the graceful exits (each finishes
-  /// its in-flight batch, checkpoints and ships that final batch home); stragglers past the grace period are SIGKILLed.
-  /// At most one batch per worker is lost, and a later `supervise`
-  /// resumes from the same directory.
-  Expected<SupervisorReport> shutdown_cancelled() {
-    log("cancellation requested; stopping " +
-        std::to_string(active_.size()) + " worker(s)");
-    kill_all(SIGTERM);
+  /// Fatal error: kill every worker, return `err`.
+  Error abort_with(Error err) {
+    kill_all();
+    return err;
+  }
+
+  /// Closes every worker's stdin and waits for the exits: an idle worker
+  /// exits 0 on EOF, a SIGTERMed one finishes its batch and ships it first,
+  /// and those last frames are landed. Stragglers past the grace period
+  /// are SIGKILLed.
+  void retire_all() {
+    for (Worker& w : workers_) close_fd(w.tx);
     const TimePoint deadline =
         Clock::now() + to_duration(std::max(5.0, opt_.heartbeat_timeout_s));
-    while (!active_.empty() && Clock::now() < deadline) {
-      poll_heartbeats();
-      for (auto it = active_.begin(); it != active_.end();) {
+    while (!workers_.empty() && Clock::now() < deadline) {
+      poll_channels();
+      for (auto it = workers_.begin(); it != workers_.end();) {
         int status = 0;
-        if (waitpid(it->pid, &status, WNOHANG) == it->pid) {
-          if (it->fd >= 0) {
-            drain(*it);  // land the final shipped batch before letting go
-            if (it->fd >= 0) close(it->fd);
-          }
-          it = active_.erase(it);
-        } else {
+        if (waitpid(it->pid, &status, WNOHANG) != it->pid) {
           ++it;
+          continue;
         }
+        drain(*it);
+        close_fd(it->rx);
+        it = workers_.erase(it);
       }
     }
-    kill_all(SIGKILL);
-    reap_blocking();
+    kill_all();
+  }
+
+  /// SIGTERM the running workers and retire every worker. At most one
+  /// batch per worker is lost, and a later `supervise` resumes from the
+  /// same directory.
+  Expected<SupervisorReport> shutdown_cancelled() {
+    log("cancellation requested; stopping " +
+        std::to_string(workers_.size()) + " worker(s)");
+    for (const Worker& w : workers_)
+      if (w.task) kill(w.pid, SIGTERM);
+    retire_all();
     report_.cancelled = true;
     report_.aborted_trials = sorted_aborted();
     return report_;
@@ -843,7 +903,7 @@ class Supervisor {
 
   std::deque<Task> ready_;
   std::vector<Task> waiting_;
-  std::vector<Worker> active_;
+  std::list<Worker> workers_;  ///< live worker processes, idle or not
   std::vector<Completed> completed_;
   std::vector<std::uint64_t> aborted_;
 };

@@ -1,26 +1,32 @@
 // Fault-tolerant campaign supervisor: runs a sharded campaign across
 // spawned worker subprocesses and survives their failures.
 //
-// The supervisor partitions [0, trials) into shards and starts one
-// `dnnfi_campaign worker` process per shard (the same binary in a hidden
-// mode) on a fleet node (fault/fleet.h): the hosts of --hosts /
-// --hosts-file, or else the single node `localhost:<workers>`. Every worker
-// speaks frames (fault/transport.h) on its stdin/stdout: it receives its
-// resume checkpoint at spawn, keeps its own checkpoint in the node's scratch
-// directory (`<checkpoint_dir>/node<i>/` for localhost nodes), and sends a
-// kBeat frame — its count of completed trials — plus that checkpoint's file
-// image after every batch. The supervisor:
+// The supervisor partitions [0, trials) into shards (tasks) and runs them
+// on persistent `dnnfi_campaign worker` processes (the same binary in a
+// hidden mode) on a fleet node (fault/fleet.h): the hosts of --hosts /
+// --hosts-file, or else the single node `localhost:<workers>`. A worker
+// lives as long as its fleet slot: it loads the model and builds its golden
+// caches once, then runs one task per kInit frame (fault/transport.h) the
+// supervisor sends down its stdin, until EOF. It keeps the task's checkpoint
+// in the node's scratch directory (`<checkpoint_dir>/node<i>/` for
+// localhost nodes) and sends a kBeat frame — its count of completed trials
+// — plus that checkpoint's file image after every batch, the complete image
+// last. The supervisor:
 //
-//   launch    — one shard per free fleet slot, preferring a node other
-//               than the one the shard last failed on (retry-elsewhere);
+//   dispatch  — one task per free fleet slot, preferring a node other than
+//               the one the task last failed on (retry-elsewhere); the
+//               node's idle worker takes it, or a worker is spawned when
+//               the node has none and a slot to spare;
 //   ship      — validates every shipped checkpoint and lands it atomically
 //               in checkpoint_dir, the durable copy a retry resumes from;
-//   watchdog  — SIGKILLs a worker that misses its heartbeat deadline or
-//               exceeds the per-shard wall-clock timeout;
-//   retry     — relaunches failed shards with exponential backoff plus
+//               a complete one is the task done, and its worker idle;
+//   watchdog  — SIGKILLs a worker whose task misses its heartbeat deadline
+//               or exceeds the per-shard wall-clock timeout (counted from
+//               the kInit send); an idle worker has no deadline;
+//   retry     — re-dispatches failed tasks with exponential backoff plus
 //               deterministic jitter, up to `max_attempts` per range. A
-//               relaunched worker resumes from the last shipped batch, so
-//               a crash loses at most one checkpoint batch;
+//               retried task resumes from the last shipped batch, so a
+//               crash loses at most one checkpoint batch;
 //   bisect    — a range that exhausts its attempts is split in half and
 //               each half re-queued; repeated failures converge on the
 //               single poison trial, which is *quarantined* (recorded in
@@ -28,18 +34,21 @@
 //               aborting the campaign;
 //   degrade   — two OOM or launch failures in a row on a node halve its
 //               slots (never below one); a node whose failures keep coming
-//               is benched for a while, unless it is the only one;
+//               is benched for a while, unless it is the only one. Idle
+//               workers of a draining, benched or degraded node get EOF;
 //   merge     — completed shard checkpoints are merged exactly (ExactSum
 //               associativity) into aggregates byte-identical to a
 //               monolithic run, quarantined trials excepted and
 //               enumerated.
 //
 // Failure classification rides the error.h taxonomy over the process
-// boundary: a worker exits with exit_code(code), the supervisor classifies
-// via errc_from_exit() / WIFSIGNALED and retries only retryable() codes.
-// Fatal codes (fingerprint mismatch, corrupt/version-skewed checkpoint,
-// usage errors) abort the whole campaign immediately — retrying cannot
-// help, and bisecting would quarantine every trial.
+// boundary: a worker that dies before its task's complete checkpoint lands
+// fails that task; it exits with exit_code(code), the supervisor classifies
+// via errc_from_exit() / WIFSIGNALED and retries only retryable() codes,
+// and the slot respawns a worker on demand. Fatal codes (fingerprint
+// mismatch, corrupt/version-skewed checkpoint, usage errors) abort the
+// whole campaign immediately — retrying cannot help, and bisecting would
+// quarantine every trial.
 //
 // Crash-safety of the supervisor itself: all durable state lives in the
 // checkpoint directory. On startup the directory is scanned; complete
@@ -66,7 +75,7 @@ struct SupervisorOptions {
   std::string binary;
   /// Campaign-defining flags forwarded verbatim to every worker
   /// (--network, --dtype, --trials, --seed, ...). The supervisor appends
-  /// the per-shard --shard/--checkpoint flags itself.
+  /// the node's --ckpt-dir itself; shard ranges travel in kInit frames.
   std::vector<std::string> worker_flags;
 
   std::uint64_t trials = 0;       ///< whole-campaign trial count
@@ -112,9 +121,9 @@ struct SupervisorOptions {
 
   bool verbose = true;  ///< narrate launches/retries/quarantines on stderr
 
-  /// Graceful shutdown: when it reads true, workers receive SIGTERM
-  /// (finishing their in-flight batch and checkpointing), and supervise()
-  /// returns with `cancelled` set instead of merging.
+  /// Graceful shutdown: when it reads true, running workers receive SIGTERM
+  /// (finishing their in-flight batch and checkpointing), idle ones EOF,
+  /// and supervise() returns with `cancelled` set instead of merging.
   const std::atomic<bool>* cancel = nullptr;
 };
 
@@ -128,14 +137,15 @@ struct SupervisorReport {
   bool cancelled = false;  ///< stopped by SIGINT/SIGTERM before completion
 
   // Robustness telemetry.
-  int workers_spawned = 0;
+  int workers_spawned = 0;  ///< worker processes started (one per slot
+                            ///< unless a worker died)
   int retries = 0;          ///< failed attempts that were re-queued
   int watchdog_kills = 0;   ///< heartbeat/wall-clock SIGKILLs
   int bisections = 0;
   int degradations = 0;     ///< times a node's slots were halved
 
   // Fleet telemetry.
-  int retries_elsewhere = 0;    ///< failed shards relaunched on another host
+  int retries_elsewhere = 0;    ///< failed shards retried on another host
   int checkpoints_shipped = 0;  ///< checkpoint frames landed in --ckpt-dir
   int host_quarantines = 0;     ///< times a host was benched for its streak
 };

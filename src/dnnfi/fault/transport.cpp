@@ -1,15 +1,16 @@
 #include "dnnfi/fault/transport.h"
 
 #include <fcntl.h>
-#include <signal.h>
-#include <sys/wait.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 
 #include "dnnfi/common/env.h"
 #include "dnnfi/common/serial.h"
+#include "dnnfi/fault/checkpoint.h"
 
 namespace dnnfi::fault {
 
@@ -45,11 +46,17 @@ bool known_frame_type(std::uint8_t t) {
          t == static_cast<std::uint8_t>(FrameType::kCheckpoint);
 }
 
-/// Leaf component of a path ("a/b/c.ckpt" -> "c.ckpt").
-std::string path_leaf(const std::string& path) {
-  const auto slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
+std::uint64_t load_u64(const std::uint8_t* p) {
+  return static_cast<std::uint64_t>(load_u32(p)) |
+         (static_cast<std::uint64_t>(load_u32(p + 4)) << 32);
 }
+
+void store_u64(std::uint8_t* p, std::uint64_t v) {
+  store_u32(p, static_cast<std::uint32_t>(v));
+  store_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
+constexpr std::size_t kInitFixed = 17;  // u64 begin + u64 end + u8 flag
 
 }  // namespace
 
@@ -134,30 +141,101 @@ Expected<void> send_frame(int fd, FrameType type, const std::uint8_t* payload,
   return io_write_full(fd, wire.data(), wire.size());
 }
 
-Expected<std::optional<std::vector<std::uint8_t>>> read_init_frame(int fd) {
-  FrameDecoder dec;
+// ---- kInit: one task for a persistent worker ----------------------------
+
+std::vector<std::uint8_t> encode_init(std::uint64_t begin, std::uint64_t end,
+                                      const std::vector<std::uint8_t>* resume) {
+  const std::size_t image = resume != nullptr ? resume->size() : 0;
+  std::vector<std::uint8_t> out(kInitFixed + image);
+  store_u64(out.data(), begin);
+  store_u64(out.data() + 8, end);
+  out[16] = resume != nullptr ? 1 : 0;
+  if (image != 0) std::memcpy(out.data() + kInitFixed, resume->data(), image);
+  return out;
+}
+
+Expected<TaskInit> parse_init(const std::uint8_t* data, std::size_t n) {
+  if (n < kInitFixed)
+    return transport_error("init frame payload is " + std::to_string(n) +
+                           " bytes, shorter than its " +
+                           std::to_string(kInitFixed) + "-byte header");
+  TaskInit t;
+  t.begin = load_u64(data);
+  t.end = load_u64(data + 8);
+  const std::uint8_t has_checkpoint = data[16];
+  if (has_checkpoint > 1)
+    return transport_error("init frame has_checkpoint byte is " +
+                           std::to_string(has_checkpoint) + ", not 0 or 1");
+  if (has_checkpoint == 0 && n != kInitFixed)
+    return transport_error("init frame says start fresh but carries " +
+                           std::to_string(n - kInitFixed) + " image bytes");
+  if (has_checkpoint == 1)
+    t.resume.emplace(data + kInitFixed, data + n);
+  return t;
+}
+
+std::string shard_checkpoint_name(std::uint64_t begin, std::uint64_t end) {
+  return "shard_" + std::to_string(begin) + "_" + std::to_string(end) +
+         ".ckpt";
+}
+
+Expected<std::string> accept_task(const TaskInit& task, std::uint64_t trials,
+                                  const std::string& scratch_dir) {
+  if (!(task.begin < task.end && task.end <= trials))
+    return Error{Errc::kShardMismatch,
+                 "init frame range [" + std::to_string(task.begin) + ", " +
+                     std::to_string(task.end) + ") is not inside a " +
+                     std::to_string(trials) + "-trial campaign"};
+  const std::string path =
+      (std::filesystem::path(scratch_dir) /
+       shard_checkpoint_name(task.begin, task.end))
+          .string();
+  if (task.resume) {
+    auto landed = write_checkpoint_bytes(path, task.resume->data(),
+                                         task.resume->size());
+    if (!landed.ok()) return landed.error();
+    return path;
+  }
+  // Start fresh: a stale checkpoint from an earlier attempt on this node
+  // would resurrect state the supervisor has already moved past.
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  if (ec)
+    return Error{Errc::kIo, "cannot remove stale " + path + ": " + ec.message()};
+  return path;
+}
+
+Expected<std::optional<TaskInit>> InitReader::next(
+    const std::atomic<bool>* cancel) {
   std::uint8_t chunk[4096];
   while (true) {
-    auto parsed = dec.next();
+    auto parsed = dec_.next();
     if (!parsed.ok()) return parsed.error();
     if (parsed.value().has_value()) {
-      Frame f = std::move(*parsed.value());
+      const Frame& f = *parsed.value();
       if (f.type != FrameType::kInit)
         return transport_error("expected init frame, got type " +
                                std::to_string(static_cast<int>(f.type)));
-      if (f.payload.empty())
-        return transport_error("init frame payload is empty");
-      if (f.payload[0] == 0)
-        return std::optional<std::vector<std::uint8_t>>{};
-      return std::optional<std::vector<std::uint8_t>>{std::vector<std::uint8_t>(
-          f.payload.begin() + 1, f.payload.end())};
+      auto task = parse_init(f.payload.data(), f.payload.size());
+      if (!task.ok()) return task.error();
+      return std::optional<TaskInit>{std::move(task).value()};
     }
-    auto got = io_read_chunk(fd, chunk, sizeof(chunk));
+    if (cancel != nullptr && cancel->load(std::memory_order_relaxed))
+      return Error{Errc::kInterrupted, "interrupted while waiting for a task"};
+    // poll(2) is never restarted after a signal handler (SA_RESTART or
+    // not), so SIGTERM wakes it and the flag check above runs; the timeout
+    // covers a signal that lands between that check and the poll.
+    pollfd p{fd_, POLLIN, 0};
+    const int ready = ::poll(&p, 1, 200);
+    if (ready < 0 && errno != EINTR) return transport_errno("poll failed");
+    if (ready <= 0) continue;
+    auto got = io_read_chunk(fd_, chunk, sizeof(chunk));
     if (!got.ok()) return got.error();
-    if (got.value() == 0)
-      return transport_error("peer closed the channel before the init frame");
-    if (got.value() < 0) continue;  // blocking fd: should not happen
-    dec.feed(chunk, static_cast<std::size_t>(got.value()));
+    if (got.value() == 0) {
+      if (dec_.buffered() == 0) return std::optional<TaskInit>{};
+      return transport_error("supervisor closed the channel mid-frame");
+    }
+    if (got.value() > 0) dec_.feed(chunk, static_cast<std::size_t>(got.value()));
   }
 }
 
@@ -222,18 +300,12 @@ std::string shell_quote(const std::string& s) {
 Expected<WorkerHandle> spawn_worker(const std::string& host,
                                     const std::string& scratch_dir,
                                     const WorkerSpawn& s) {
-  // The worker keeps its checkpoint on its own node; only the leaf of the
-  // supervisor-side path survives, rehomed into this node's scratch dir.
-  const std::string worker_ckpt = scratch_dir + "/" + path_leaf(s.checkpoint);
-
   std::vector<std::string> words;
   words.push_back(s.binary);
   words.push_back("worker");
   for (const auto& f : s.flags) words.push_back(f);
-  words.push_back("--shard");
-  words.push_back(std::to_string(s.begin) + ":" + std::to_string(s.end));
-  words.push_back("--checkpoint");
-  words.push_back(worker_ckpt);
+  words.push_back("--ckpt-dir");
+  words.push_back(scratch_dir + "/");
 
   // The exec'd argv: the worker command directly for localhost nodes, or an
   // ssh client carrying the shell-quoted command for real remote hosts.
@@ -256,7 +328,7 @@ Expected<WorkerHandle> spawn_worker(const std::string& host,
     args.push_back(std::move(command));
   }
 
-  int to_worker[2];   // supervisor -> worker stdin (init frame)
+  int to_worker[2];   // supervisor -> worker stdin (kInit frames)
   int from_worker[2]; // worker stdout -> supervisor (beats + checkpoints)
   if (pipe(to_worker) != 0) return transport_errno("pipe failed");
   if (pipe(from_worker) != 0) {
@@ -264,7 +336,8 @@ Expected<WorkerHandle> spawn_worker(const std::string& host,
     close(to_worker[1]);
     return transport_errno("pipe failed");
   }
-  // Parent-kept ends must not leak into sibling workers.
+  // Parent-kept ends must not leak into sibling workers: a sibling holding
+  // this worker's tx would hide the EOF that ends it.
   fcntl(to_worker[1], F_SETFD, FD_CLOEXEC);
   fcntl(from_worker[0], F_SETFD, FD_CLOEXEC);
 
@@ -302,32 +375,12 @@ Expected<WorkerHandle> spawn_worker(const std::string& host,
   }
   close(to_worker[0]);
   close(from_worker[1]);
-
-  // Ship the resume state (or "start fresh") as the one and only downstream
-  // frame, then close: the worker reads stdin to EOF-after-frame and the
-  // supervisor never writes again. A worker that died instantly surfaces
-  // here as EPIPE (SIGPIPE is ignored by the supervisor); reap it so the
-  // caller never learns about the pid.
-  std::vector<std::uint8_t> init;
-  init.push_back(s.resume != nullptr ? 1 : 0);
-  if (s.resume != nullptr)
-    init.insert(init.end(), s.resume->begin(), s.resume->end());
-  auto sent = send_frame(to_worker[1], FrameType::kInit, init.data(),
-                         init.size());
-  close(to_worker[1]);
-  if (!sent.ok()) {
-    close(from_worker[0]);
-    kill(pid, SIGKILL);
-    int status = 0;
-    while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {}
-    return transport_error("init frame to " + host +
-                           " failed: " + sent.error().message);
-  }
   fcntl(from_worker[0], F_SETFL, O_NONBLOCK);
 
   WorkerHandle h;
   h.pid = pid;
   h.rx = from_worker[0];
+  h.tx = to_worker[1];
   return h;
 }
 

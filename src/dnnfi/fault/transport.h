@@ -1,16 +1,18 @@
 // The worker transport of the campaign supervisor.
 //
-// Every worker is `dnnfi_campaign worker` speaking length-prefixed,
-// CRC-checked frames (below) on its standard streams. `spawn_worker` starts
-// one for a fleet node: exec'd directly when the node is this machine
-// (`localhost` — also the one-node fleet `supervise --workers W` runs), or
-// through `ssh <host> <command>` otherwise. The supervisor ships a resume
-// checkpoint down the worker's stdin at spawn; the worker keeps its
-// checkpoint in the node's scratch directory, and its stdout carries
-// heartbeats AND that checkpoint's file image back after every batch. The
-// supervisor lands each shipped image atomically in --ckpt-dir, so a
-// retried shard — on the same node or another — resumes from the last
-// shipped batch.
+// Every worker is a persistent `dnnfi_campaign worker` process speaking
+// length-prefixed, CRC-checked frames (below) on its standard streams.
+// `spawn_worker` starts one for a fleet node: exec'd directly when the node
+// is this machine (`localhost` — also the one-node fleet `supervise
+// --workers W` runs), or through `ssh <host> <command>` otherwise. A worker
+// lives as long as its fleet slot and runs one task (a shard range) per
+// kInit frame the supervisor sends down its stdin; EOF on stdin ends it.
+// Each kInit carries the task's range and its resume checkpoint image. The
+// worker keeps the task's checkpoint in the node's scratch directory, and
+// its stdout carries heartbeats AND that checkpoint's file image back after
+// every batch, the complete image last. The supervisor lands each shipped
+// image atomically in --ckpt-dir, so a retried shard — on the same node or
+// another — resumes from the last shipped batch.
 //
 // Frame layout (little-endian):
 //
@@ -20,14 +22,18 @@
 //   5       4     CRC-32 of the payload
 //   9       N     payload
 //
-//   kInit       supervisor -> worker: u8 has_checkpoint + checkpoint image.
+//   kInit       supervisor -> worker, one per task:
+//                 u64 begin, u64 end   the task's trial range [begin, end)
+//                 u8  has_checkpoint   0 or 1
+//                 ... checkpoint image (present iff has_checkpoint = 1)
 //               has_checkpoint=0 orders the worker to discard any stale
 //               node-local checkpoint and start the shard fresh.
-//   kBeat       worker -> supervisor: u64 trials completed this attempt.
+//   kBeat       worker -> supervisor: u64 trials completed this task.
 //   kCheckpoint worker -> supervisor: the worker's checkpoint file image,
 //               exactly as written to its node-local disk (shipped after
 //               every batch; doubly integrity-checked — frame CRC plus the
-//               checkpoint's own envelope CRC).
+//               checkpoint's own envelope CRC). The complete image is the
+//               task's last frame; the next frame belongs to the next task.
 //
 // A structurally damaged stream (bad CRC, oversized length) is a kTransport
 // error: the channel, not the shard, is at fault, so the supervisor kills
@@ -41,6 +47,7 @@
 
 #include <sys/types.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -65,7 +72,7 @@ Expected<long> io_read_chunk(int fd, std::uint8_t* buf, std::size_t n);
 // ---- frame codec ---------------------------------------------------------
 
 enum class FrameType : std::uint8_t {
-  kInit = 1,        ///< supervisor->worker resume state (or "start fresh")
+  kInit = 1,        ///< supervisor->worker one task: range + resume state
   kBeat = 2,        ///< worker->supervisor liveness + progress
   kCheckpoint = 3,  ///< worker->supervisor checkpoint file image
 };
@@ -108,10 +115,53 @@ class FrameDecoder {
 Expected<void> send_frame(int fd, FrameType type, const std::uint8_t* payload,
                           std::size_t n);
 
-/// Worker-side blocking read of the supervisor's kInit frame from `fd`:
-/// the resume checkpoint image, or std::nullopt for "start fresh".
-/// kTransport on EOF-before-frame or a damaged stream.
-Expected<std::optional<std::vector<std::uint8_t>>> read_init_frame(int fd);
+// ---- kInit: one task for a persistent worker ----------------------------
+
+/// A decoded kInit payload.
+struct TaskInit {
+  std::uint64_t begin = 0;  ///< the task's trial range [begin, end)
+  std::uint64_t end = 0;
+  /// Checkpoint image to resume from; std::nullopt = start fresh.
+  std::optional<std::vector<std::uint8_t>> resume;
+};
+
+/// Encodes a kInit payload (send it with send_frame). `resume` may be null.
+std::vector<std::uint8_t> encode_init(std::uint64_t begin, std::uint64_t end,
+                                      const std::vector<std::uint8_t>* resume);
+
+/// Parses a kInit payload. kTransport when it is shorter than its fixed
+/// fields, when has_checkpoint is neither 0 nor 1, or when a "start fresh"
+/// payload carries image bytes. The range is not checked here (see
+/// accept_task).
+Expected<TaskInit> parse_init(const std::uint8_t* data, std::size_t n);
+
+/// Leaf name of a shard's checkpoint file, "shard_<begin>_<end>.ckpt": the
+/// same name in --ckpt-dir and in every node's scratch directory.
+std::string shard_checkpoint_name(std::uint64_t begin, std::uint64_t end);
+
+/// Worker side of a task: checks begin < end <= trials (kShardMismatch
+/// otherwise, before any file is touched), then lands the resume image as
+/// `<scratch_dir>/shard_<begin>_<end>.ckpt` or — for "start fresh" —
+/// removes a stale file there. Returns that path.
+Expected<std::string> accept_task(const TaskInit& task, std::uint64_t trials,
+                                  const std::string& scratch_dir);
+
+/// Worker-side reader of the supervisor's kInit frames on a blocking fd.
+class InitReader {
+ public:
+  explicit InitReader(int fd) : fd_(fd) {}
+
+  /// Blocks for the next task. std::nullopt on EOF at a frame boundary
+  /// (the supervisor has no more work for this worker); kTransport on a
+  /// damaged stream, a non-kInit frame or EOF mid-frame; kInterrupted as
+  /// soon as *cancel reads true (checked whenever a signal wakes the wait,
+  /// and at least every 200 ms).
+  Expected<std::optional<TaskInit>> next(const std::atomic<bool>* cancel);
+
+ private:
+  int fd_;
+  FrameDecoder dec_;
+};
 
 // ---- supervisor-side channel ---------------------------------------------
 
@@ -138,35 +188,32 @@ class WorkerChannel {
 
 // ---- worker spawning -----------------------------------------------------
 
-/// Everything needed to start one shard attempt.
+/// Everything needed to start one worker process.
 struct WorkerSpawn {
   std::string binary;                    ///< dnnfi_campaign path (both ends)
   std::vector<std::string> flags;        ///< campaign flags, forwarded as-is
-  std::uint64_t begin = 0;               ///< shard range [begin, end)
-  std::uint64_t end = 0;
-  std::string checkpoint;                ///< supervisor-side checkpoint path
   std::string stderr_log;                ///< append worker stderr here; "" = inherit
-  /// Checkpoint image to resume from, shipped as the kInit frame.
-  /// nullptr = start fresh (worker discards stale state).
-  const std::vector<std::uint8_t>* resume = nullptr;
 };
 
 /// A spawned worker as the supervisor sees it.
 struct WorkerHandle {
   pid_t pid = -1;  ///< local child (the worker itself, or its ssh client)
   int rx = -1;     ///< nonblocking worker->supervisor fd (owned by caller)
+  int tx = -1;     ///< supervisor->worker fd for kInit frames (owned by caller)
 };
 
-/// Starts one worker on `host`, checkpointing into `scratch_dir` (only the
-/// leaf of s.checkpoint is kept). For `localhost`/`local`/`127.0.0.1` the
-/// worker is exec'd directly; any other host is reached through
+/// Starts one idle worker on `host` as `<binary> worker <flags> --ckpt-dir
+/// <scratch_dir>/`; it waits for kInit frames on tx and checkpoints into
+/// `scratch_dir` (the path stays in argv, so a node's workers can be found
+/// with `pkill -f <scratch_dir>/`). For `localhost`/`local`/`127.0.0.1`
+/// the worker is exec'd directly; any other host is reached through
 /// `ssh -oBatchMode=yes <host> <command>`, or through
 /// `$DNNFI_FLEET_SSH <host> <command>` when that variable is set (test
 /// harnesses substitute a fake; deployments substitute wrappers). The
 /// dnnfi_campaign binary must exist at the same path on the remote host;
 /// the worker creates its scratch directory itself. On success the caller
-/// owns handle.rx and must waitpid(handle.pid). Spawn-level failures are
-/// kTransport.
+/// owns handle.rx and handle.tx and must waitpid(handle.pid). Spawn-level
+/// failures are kTransport.
 Expected<WorkerHandle> spawn_worker(const std::string& host,
                                     const std::string& scratch_dir,
                                     const WorkerSpawn& s);

@@ -20,6 +20,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "dnnfi/common/error.h"
+#include "dnnfi/common/rng.h"
 #include "dnnfi/fault/checkpoint.h"
 #include "dnnfi/fault/fleet.h"
 #include "dnnfi/fault/transport.h"
@@ -50,6 +52,12 @@ namespace fs = std::filesystem;
 
 std::vector<std::uint8_t> bytes_of(const std::string& s) {
   return std::vector<std::uint8_t>(s.begin(), s.end());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 TEST(FrameCodec, RoundTripsAcrossArbitraryChunkBoundaries) {
@@ -142,6 +150,206 @@ TEST(FrameCodec, OversizedLengthAndUnknownTypeAreTransportErrors) {
   auto next2 = dec2.next();
   ASSERT_FALSE(next2.ok());
   EXPECT_EQ(next2.error().code, Errc::kTransport);
+}
+
+// ---- kInit: one task for a persistent worker -----------------------------
+
+/// `n` pseudo-random bytes from a splitmix64 stream seeded with `seed`.
+std::vector<std::uint8_t> random_bytes(std::uint64_t seed, std::size_t n) {
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(splitmix64(seed));
+  return out;
+}
+
+/// A valid checkpoint file image for shard [begin, end) of `trials`.
+std::vector<std::uint8_t> checkpoint_image(std::uint64_t begin,
+                                           std::uint64_t end,
+                                           std::uint64_t trials) {
+  ShardCheckpoint ck;
+  ck.trials_total = trials;
+  ck.shard_begin = begin;
+  ck.shard_end = end;
+  ck.next_trial = begin;
+  const fs::path tmp = fs::temp_directory_path() /
+                       ("dnnfi_init_image_" + std::to_string(getpid()));
+  EXPECT_TRUE(try_save_shard_checkpoint(tmp.string(), ck).ok());
+  auto bytes = read_checkpoint_bytes(tmp.string());
+  fs::remove(tmp);
+  EXPECT_TRUE(bytes.ok());
+  return bytes.ok() ? std::move(bytes).value() : std::vector<std::uint8_t>{};
+}
+
+TEST(FrameCodec, InitPayloadRoundTripsThroughTheDecoder) {
+  const auto image = random_bytes(7, 300);
+  for (const bool with_image : {false, true}) {
+    SCOPED_TRACE(with_image ? "resume image" : "start fresh");
+    const std::uint64_t begin = 0x0123456789ABCDEFULL;
+    const std::uint64_t end = 0xFEDCBA9876543210ULL;
+    const auto payload =
+        encode_init(begin, end, with_image ? &image : nullptr);
+    EXPECT_EQ(payload.size(), 17u + (with_image ? image.size() : 0));
+    const auto wire =
+        encode_frame(FrameType::kInit, payload.data(), payload.size());
+    FrameDecoder dec;
+    dec.feed(wire.data(), wire.size());
+    auto frame = dec.next();
+    ASSERT_TRUE(frame.ok() && frame.value().has_value());
+    auto task = parse_init(frame.value()->payload.data(),
+                           frame.value()->payload.size());
+    ASSERT_TRUE(task.ok()) << task.error().to_string();
+    EXPECT_EQ(task.value().begin, begin);
+    EXPECT_EQ(task.value().end, end);
+    ASSERT_EQ(task.value().resume.has_value(), with_image);
+    if (with_image) {
+      EXPECT_EQ(*task.value().resume, image);
+    }
+  }
+}
+
+TEST(FrameCodec, InitParserSurvivesEveryByteFlipAndTruncation) {
+  // Mutation sweep: every single-byte change (all 255 XOR masks at every
+  // offset) and every truncation, of a kInit payload and of its whole
+  // frame, must decode to a task or fail with kTransport — never crash,
+  // hang or over-read. The image and the range come from a splitmix64
+  // stream; a start-fresh payload is swept too.
+  std::uint64_t seed = 2017;
+  const std::uint64_t begin = splitmix64(seed) >> 40;
+  const std::uint64_t end = begin + (splitmix64(seed) >> 48) + 1;
+  const auto image = random_bytes(splitmix64(seed), 40);
+  for (const std::vector<std::uint8_t>* resume :
+       {static_cast<const std::vector<std::uint8_t>*>(nullptr), &image}) {
+    const auto payload = encode_init(begin, end, resume);
+    const auto wire =
+        encode_frame(FrameType::kInit, payload.data(), payload.size());
+    const auto check_payload = [](const std::vector<std::uint8_t>& p) {
+      auto task = parse_init(p.data(), p.size());
+      if (!task.ok()) {
+        EXPECT_EQ(task.error().code, Errc::kTransport);
+        return;
+      }
+      const auto& image_got = task.value().resume;
+      EXPECT_EQ(17 + (image_got ? image_got->size() : 0), p.size());
+    };
+    const auto check_wire = [&](const std::vector<std::uint8_t>& w) {
+      FrameDecoder dec;
+      dec.feed(w.data(), w.size());
+      auto frame = dec.next();
+      if (!frame.ok()) {
+        EXPECT_EQ(frame.error().code, Errc::kTransport);
+      } else if (frame.value().has_value()) {
+        check_payload(frame.value()->payload);
+      }
+    };
+    for (std::size_t i = 0; i < wire.size(); ++i) {
+      for (int mask = 1; mask < 256; ++mask) {
+        if (i < payload.size()) {
+          auto p = payload;
+          p[i] ^= static_cast<std::uint8_t>(mask);
+          check_payload(p);
+        }
+        auto w = wire;
+        w[i] ^= static_cast<std::uint8_t>(mask);
+        check_wire(w);
+      }
+    }
+    for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+      if (cut < payload.size())
+        check_payload(std::vector<std::uint8_t>(payload.data(),
+                                                payload.data() + cut));
+      check_wire(std::vector<std::uint8_t>(wire.data(), wire.data() + cut));
+    }
+  }
+}
+
+TEST(FrameCodec, InitReaderStopsAtEofCancelAndTruncation) {
+  // Over a real pipe: two tasks, then a frame cut short by the writer's
+  // close — the reader yields both tasks and then kTransport, not a hang.
+  // EOF on a frame boundary is the clean "no more work" nullopt.
+  const auto read_all = [](const std::vector<std::uint8_t>& wire) {
+    int fds[2];
+    EXPECT_EQ(pipe(fds), 0);
+    EXPECT_TRUE(io_write_full(fds[1], wire.data(), wire.size()).ok());
+    close(fds[1]);
+    InitReader reader(fds[0]);
+    std::vector<Expected<std::optional<TaskInit>>> got;
+    while (true) {
+      got.push_back(reader.next(nullptr));
+      if (!got.back().ok() || !got.back().value().has_value()) break;
+    }
+    close(fds[0]);
+    return got;
+  };
+  std::vector<std::uint8_t> wire;
+  for (std::uint64_t b : {0u, 8u}) {
+    const auto p = encode_init(b, b + 8, nullptr);
+    const auto f = encode_frame(FrameType::kInit, p.data(), p.size());
+    wire.insert(wire.end(), f.begin(), f.end());
+  }
+  auto clean = read_all(wire);
+  ASSERT_EQ(clean.size(), 3u);
+  EXPECT_EQ(clean[1].value()->begin, 8u);
+  EXPECT_FALSE(clean[2].value().has_value());
+
+  wire.resize(wire.size() + 5, 0);  // the head of a frame that never ends
+  auto cut = read_all(wire);
+  ASSERT_EQ(cut.size(), 3u);
+  ASSERT_FALSE(cut[2].ok());
+  EXPECT_EQ(cut[2].error().code, Errc::kTransport);
+
+  // A set cancel flag ends the wait on an idle, still-open channel.
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  const std::atomic<bool> cancel{true};
+  InitReader reader(fds[0]);
+  auto stopped = reader.next(&cancel);
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.error().code, Errc::kInterrupted);
+  close(fds[0]);
+  close(fds[1]);
+}
+
+TEST(FrameCodec, OutOfRangeTaskIsRejectedBeforeAnyCheckpointIsTouched) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("dnnfi_accept_task_" + std::to_string(getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::uint64_t trials = 64;
+  // Stale files named for each bad range: a start-fresh task would remove
+  // them, a resume task would overwrite them, if the range went unchecked.
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> bad = {
+      {8, 8}, {9, 8}, {60, 65}, {0, ~0ULL}};
+  const auto image = checkpoint_image(0, 8, trials);
+  for (const auto& [b, e] : bad) {
+    std::ofstream(dir / shard_checkpoint_name(b, e)) << "stale";
+    for (const bool with_image : {false, true}) {
+      SCOPED_TRACE("[" + std::to_string(b) + ", " + std::to_string(e) + ")" +
+                   (with_image ? " resume" : " fresh"));
+      TaskInit task;
+      task.begin = b;
+      task.end = e;
+      if (with_image) task.resume = image;
+      auto accepted = accept_task(task, trials, dir.string() + "/");
+      ASSERT_FALSE(accepted.ok());
+      EXPECT_EQ(accepted.error().code, Errc::kShardMismatch);
+      EXPECT_EQ(read_file((dir / shard_checkpoint_name(b, e)).string()),
+                "stale");
+    }
+  }
+  // In range: a resume image lands, and start-fresh removes it again.
+  TaskInit task;
+  task.begin = 8;
+  task.end = 16;
+  task.resume = checkpoint_image(8, 16, trials);
+  auto landed = accept_task(task, trials, dir.string() + "/");
+  ASSERT_TRUE(landed.ok()) << landed.error().to_string();
+  EXPECT_EQ(landed.value(), (dir / "shard_8_16.ckpt").string());
+  auto bytes = read_checkpoint_bytes(landed.value());
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(bytes.value(), *task.resume);
+  task.resume.reset();
+  ASSERT_TRUE(accept_task(task, trials, dir.string()).ok());
+  EXPECT_FALSE(fs::exists(landed.value()));
+  fs::remove_all(dir);
 }
 
 // ---- worker channel ------------------------------------------------------
@@ -496,16 +704,33 @@ TEST(FleetMembership, ReloadJoinsNewHostsAndDrainsVanishedOnes) {
   }
 }
 
+TEST(FleetMembership, DrainedNodeOutlivesItsIdleWorkers) {
+  // A persistent worker keeps pointing at its node after its task returned
+  // the slot. A reload that drains that node must neither free it nor
+  // count its slots, and the host rejoins with its health when it returns.
+  auto specs = parse_hosts("alpha:1,beta:1");
+  ASSERT_TRUE(specs.ok());
+  Fleet fleet(specs.value(), test_fleet_config());
+  Fleet::Node* beta = fleet.acquire("alpha#0");
+  ASSERT_NE(beta, nullptr);
+  ASSERT_EQ(beta->spec.host, "beta");
+  fleet.release(*beta, /*success=*/false);  // the worker is now idle
+  auto alpha_only = parse_hosts("alpha:1");
+  ASSERT_TRUE(alpha_only.ok());
+  EXPECT_EQ(fleet.reload(alpha_only.value()), std::make_pair(0, 1));
+  ASSERT_EQ(fleet.nodes().size(), 2u);
+  EXPECT_EQ(fleet.nodes()[1].get(), beta);
+  EXPECT_TRUE(beta->draining);
+  EXPECT_EQ(fleet.total_slots(), 1);
+  EXPECT_EQ(fleet.reload(specs.value()), std::make_pair(1, 0));
+  EXPECT_FALSE(beta->draining);
+  EXPECT_EQ(beta->fail_streak, 1);
+}
+
 // ---- end-to-end fleet campaigns ------------------------------------------
 
 const char* kCampaignFlags =
     "--network convnet --trials 64 --seed 7 --inputs 4 --batch 16";
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
 
 /// Runs `DNNFI_CAMPAIGN_BIN <args>` through the shell with optional extra
 /// environment assignments; returns the exit code (-1 on abnormal death).
@@ -546,9 +771,10 @@ class FleetTest : public ::testing::Test {
     return read_file(out);
   }
 
-  std::string supervise_flags(const std::string& extra = "") const {
-    return std::string("supervise ") + kCampaignFlags +
-           " --shard-size 8 --backoff 0.05 --ckpt-dir " +
+  std::string supervise_flags(const std::string& extra = "",
+                              int shard_size = 8) const {
+    return std::string("supervise ") + kCampaignFlags + " --shard-size " +
+           std::to_string(shard_size) + " --backoff 0.05 --ckpt-dir " +
            (dir_ / "ckpt").string() + " --out " + (dir_ / "sup.stats").string() +
            " " + extra;
   }
@@ -559,14 +785,18 @@ class FleetTest : public ::testing::Test {
 TEST_F(FleetTest, WorkersFlagRunsAsOneLocalhostNode) {
   // No --hosts means the one-node fleet localhost:<--workers>: the same
   // framed transport and checkpoint shipping as any fleet, node0 scratch
-  // under the checkpoint directory, byte-identical results, and the
-  // per-shard stderr logs appearing under the checkpoint directory.
+  // under the checkpoint directory, byte-identical results, and one stderr
+  // log per worker process under the checkpoint directory.
   const std::string mono = monolithic();
   ASSERT_FALSE(mono.empty());
   ASSERT_EQ(run_tool(supervise_flags("--workers 2"), "", path("sup.log")), 0)
       << read_file(path("sup.log"));
   EXPECT_EQ(read_file(path("sup.stats")), mono);
-  EXPECT_TRUE(fs::exists(dir_ / "ckpt/logs")) << "per-shard log dir missing";
+  std::vector<std::string> logs;
+  for (const auto& e : fs::directory_iterator(dir_ / "ckpt/logs"))
+    logs.push_back(e.path().filename().string());
+  std::sort(logs.begin(), logs.end());
+  EXPECT_EQ(logs, (std::vector<std::string>{"worker_1.log", "worker_2.log"}));
   EXPECT_TRUE(fs::is_directory(dir_ / "ckpt/node0"))
       << "node0 scratch directory missing";
   const std::string log = read_file(path("sup.log"));
@@ -579,12 +809,16 @@ TEST_F(FleetTest, TwoNodeFleetMatchesMonolithicByteForByte) {
   const std::string mono = monolithic();
   ASSERT_FALSE(mono.empty());
   // Two localhost nodes: separate scratch dirs, framed channels, every
-  // batch shipped home. The merged result must not care.
-  ASSERT_EQ(run_tool(supervise_flags("--hosts localhost:1,localhost:1"), "",
-                     path("sup.log")),
+  // batch shipped home. The merged result must not care. 16 shards, and
+  // one worker per node runs all of that node's shards.
+  ASSERT_EQ(run_tool(supervise_flags("--hosts localhost:1,localhost:1", 4),
+                     "", path("sup.log")),
             0)
       << read_file(path("sup.log"));
   EXPECT_EQ(read_file(path("sup.stats")), mono);
+  EXPECT_NE(read_file(path("sup.log")).find("supervise: 2 worker(s),"),
+            std::string::npos)
+      << read_file(path("sup.log"));
   // Checkpoints were shipped over frames, and the node scratch dirs exist.
   EXPECT_NE(read_file(path("sup.log")).find("checkpoint(s) shipped"),
             std::string::npos);
@@ -594,10 +828,11 @@ TEST_F(FleetTest, TwoNodeFleetMatchesMonolithicByteForByte) {
 }
 
 TEST_F(FleetTest, NodeKilledRepeatedlyMidCampaignRetriesElsewhere) {
-  // A longer campaign than the other fixtures (1024 trials, batch 8) so
+  // A longer campaign than the other fixtures (4096 trials, batch 8) so
   // the killer has a real window: the 64-trial default finishes before a
-  // single kill can land.
-  const char* flags = "--network convnet --trials 1024 --seed 7 --inputs 4 "
+  // single kill can land, and persistent workers run 1024 trials in about
+  // the time of three killer rounds.
+  const char* flags = "--network convnet --trials 4096 --seed 7 --inputs 4 "
                       "--batch 8";
   const std::string mono_out = path("mono.stats");
   ASSERT_EQ(run_tool(std::string("run ") + flags + " --no-progress --out " +
@@ -616,7 +851,7 @@ TEST_F(FleetTest, NodeKilledRepeatedlyMidCampaignRetriesElsewhere) {
   int rc = -1;
   std::thread sup([&] {
     rc = run_tool(std::string("supervise ") + flags +
-                      " --shard-size 64 --backoff 0.05 --ckpt-dir " +
+                      " --shard-size 256 --backoff 0.05 --ckpt-dir " +
                       (dir_ / "ckpt").string() + " --out " +
                       (dir_ / "sup.stats").string() +
                       " --hosts localhost:1,localhost:1"

@@ -230,22 +230,35 @@ class SupervisorTest : public ::testing::Test {
     return read_file(out);
   }
 
-  std::string supervise_flags(const std::string& extra = "") const {
+  std::string supervise_flags(const std::string& extra = "",
+                              int shard_size = 8) const {
     return std::string("supervise ") + kCampaignFlags +
-           " --workers 2 --shard-size 8 --backoff 0.05 --ckpt-dir " +
-           (dir_ / "ckpt").string() + " --out " + (dir_ / "sup.stats").string() +
-           " " + extra;
+           " --workers 2 --shard-size " + std::to_string(shard_size) +
+           " --backoff 0.05 --ckpt-dir " + (dir_ / "ckpt").string() +
+           " --out " + (dir_ / "sup.stats").string() + " " + extra;
   }
 
   fs::path dir_;
 };
 
+/// The N of the supervise summary line "supervise: N worker(s), ...".
+int workers_spawned(const std::string& log) {
+  std::smatch m;
+  if (!std::regex_search(log, m, std::regex("supervise: (\\d+) worker\\(s\\)")))
+    return -1;
+  return std::stoi(m[1]);
+}
+
 TEST_F(SupervisorTest, CleanSupervisedRunMatchesMonolithicByteForByte) {
   const std::string mono = monolithic();
   ASSERT_FALSE(mono.empty());
-  ASSERT_EQ(run_tool(supervise_flags(), "", path("sup.log")), 0)
+  // 16 shards on 2 slots: each slot's worker lives for the whole campaign
+  // and runs its shards one kInit frame after another.
+  ASSERT_EQ(run_tool(supervise_flags("", 4), "", path("sup.log")), 0)
       << read_file(path("sup.log"));
   EXPECT_EQ(read_file(path("sup.stats")), mono);
+  EXPECT_EQ(workers_spawned(read_file(path("sup.log"))), 2)
+      << read_file(path("sup.log"));
 
   // The merged campaign checkpoint is written alongside and covers the
   // whole range with nothing quarantined.
@@ -287,16 +300,37 @@ TEST_F(SupervisorTest, SigkilledWorkerIsRetriedAndResumesByteIdentical) {
   const std::string mono = monolithic();
   // The first worker to reach mid-shard SIGKILLs itself (fire-once via the
   // sentinel file); the supervisor must classify worker-crash as retryable,
-  // relaunch, resume from the shard checkpoint, and still merge clean.
-  ASSERT_EQ(run_tool(supervise_flags(),
+  // retry the shard, resume from its checkpoint, and still merge clean. The
+  // dead slot respawns once: three workers for the 16 shards.
+  ASSERT_EQ(run_tool(supervise_flags("", 4),
                      "DNNFI_TEST_CRASH_ONCE_FILE='" + path("crashed") + "'",
                      path("sup.log")),
             0)
       << read_file(path("sup.log"));
   EXPECT_TRUE(fs::exists(path("crashed"))) << "crash hook never fired";
   EXPECT_EQ(read_file(path("sup.stats")), mono);
-  EXPECT_NE(read_file(path("sup.log")).find("worker-crash"),
-            std::string::npos);
+  const std::string log = read_file(path("sup.log"));
+  EXPECT_NE(log.find("worker-crash"), std::string::npos) << log;
+  EXPECT_EQ(workers_spawned(log), 3) << log;
+}
+
+TEST_F(SupervisorTest, IdleWorkersOutliveARetryBackoffPastTheHeartbeat) {
+  const std::string mono = monolithic();
+  // The crashed shard waits 1.5-2.25 s of backoff while the other shards
+  // finish, so both live workers sit idle past the 1 s heartbeat deadline.
+  // An idle worker owes no heartbeat: none is killed, and the retried shard
+  // goes to one of them instead of a new process. (The later --backoff
+  // overrides the fixture's.)
+  ASSERT_EQ(run_tool(supervise_flags("--backoff 1.5 --heartbeat-timeout 1", 4),
+                     "DNNFI_TEST_CRASH_ONCE_FILE='" + path("crashed") + "'",
+                     path("sup.log")),
+            0)
+      << read_file(path("sup.log"));
+  EXPECT_TRUE(fs::exists(path("crashed"))) << "crash hook never fired";
+  EXPECT_EQ(read_file(path("sup.stats")), mono);
+  const std::string log = read_file(path("sup.log"));
+  EXPECT_NE(log.find(" 0 watchdog kill(s)"), std::string::npos) << log;
+  EXPECT_EQ(workers_spawned(log), 3) << log;
 }
 
 TEST_F(SupervisorTest, HungWorkerIsKilledByHeartbeatWatchdog) {

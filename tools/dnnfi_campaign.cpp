@@ -24,8 +24,9 @@
 //   supervise Campaign flags plus [--workers W] [--shard-size N]
 //             [--ckpt-dir DIR] [--heartbeat-timeout S] [--shard-timeout S]
 //             [--max-attempts N] [--backoff S] [--max-quarantine N]
-//             Partitions the campaign into shards and runs each in a worker
-//             subprocess under a watchdog: hung workers are SIGKILLed,
+//             Partitions the campaign into shards and runs them on one
+//             persistent worker subprocess per slot (model loaded once per
+//             worker) under a watchdog: hung workers are SIGKILLed,
 //             failed shards retry with exponential backoff, repeatedly
 //             failing shards are bisected down to the poison trial, which
 //             is quarantined instead of aborting the campaign. Workers
@@ -36,7 +37,7 @@
 //             members of [--hosts h1:slots,h2:slots[:workdir]] or
 //             [--hosts-file FILE] (ssh for real hosts, direct exec for
 //             localhost entries; --workers is then a usage error). A dead
-//             host's shards relaunch elsewhere from the last shipped
+//             host's shards are retried elsewhere from the last shipped
 //             batch. [--host-quarantine S] and [--host-fail-limit N] tune
 //             per-host health; SIGHUP re-reads --hosts-file (elastic
 //             membership). See DESIGN.md §13.
@@ -50,9 +51,11 @@
 //   info      --network <name>
 //             Prints topology, MACs, weights, and buffer footprints, and
 //             the kernel sets DNNFI_KERNELS and CPUID resolve to.
-//   worker    (internal) one supervised shard: `run` speaking the framed
-//             init/beat/checkpoint protocol on stdin/stdout, with
-//             taxonomy-coded exit statuses.
+//   worker    (internal) Campaign flags plus --ckpt-dir DIR: a persistent
+//             supervised worker. Runs one shard per kInit frame on stdin
+//             (range + resume checkpoint, landed in DIR) and answers with
+//             beat/checkpoint frames on stdout; exits 0 on EOF, otherwise
+//             with a taxonomy-coded exit status.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown everywhere: the in-flight
 // batch finishes, a final checkpoint is written, and the process exits 4
@@ -67,6 +70,7 @@
 // --out writes a deterministic stats dump (counters in decimal, doubles as
 // C99 hex floats), so bit-identity across shardings is a textual diff.
 
+#include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -74,7 +78,6 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -721,7 +724,8 @@ int cmd_info(const Args& a) {
 /// count as a kBeat frame. Writes ride io_write_full, so a signal landing
 /// mid-write (EINTR) or a short pipe write can never truncate a beat. A
 /// dead supervisor turns writes into EPIPE noise (SIGPIPE is ignored); the
-/// worker keeps going and its checkpoint remains the source of truth.
+/// worker finishes its batch with its checkpoint the source of truth, and
+/// its final ship fails and ends it.
 void heartbeat(int fd, std::uint64_t done) {
   std::uint8_t b[8];
   for (int i = 0; i < 8; ++i)
@@ -731,31 +735,32 @@ void heartbeat(int fd, std::uint64_t done) {
 }
 
 /// Ships the worker's node-local checkpoint file image home as a
-/// kCheckpoint frame. Failure is deliberately quiet here: the supervisor's
-/// trust-but-verify pass re-runs any shard whose durable copy never landed.
-void ship_checkpoint(int fd, const std::string& path) {
+/// kCheckpoint frame. A lost per-batch ship only costs a retry that batch;
+/// the final ship's result decides whether the worker may go on.
+Expected<void> ship_checkpoint(int fd, const std::string& path) {
   auto bytes = fault::read_checkpoint_bytes(path);
-  if (!bytes.ok()) return;
-  [[maybe_unused]] auto sent =
-      fault::send_frame(fd, fault::FrameType::kCheckpoint,
-                        bytes.value().data(), bytes.value().size());
+  if (!bytes.ok()) return bytes.error();
+  return fault::send_frame(fd, fault::FrameType::kCheckpoint,
+                           bytes.value().data(), bytes.value().size());
 }
 
 /// Fires a fail-once fault-injection hook: creates the sentinel file first
-/// so the retried worker sees it and runs clean. Test-only (see
-/// tests/test_supervisor.cpp); both hooks are inert unless their env var
-/// is set.
+/// so the retried worker sees it and runs clean. The exclusive create makes
+/// exactly one of several workers racing to the hook fire it. Test-only
+/// (see tests/test_supervisor.cpp); both hooks are inert unless their env
+/// var is set.
 bool fire_once(const std::optional<std::string>& sentinel) {
-  if (!sentinel || std::filesystem::exists(*sentinel)) return false;
-  std::ofstream(*sentinel).put('x');
+  if (!sentinel) return false;
+  const int fd = open(sentinel->c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+  if (fd < 0) return false;
+  close(fd);
   return true;
 }
 
-/// Worker setup: moves the frame stream off stdout (stray prints from
-/// anywhere in the library would corrupt frames; they go to stderr instead),
-/// then lands the supervisor's init frame — the resume checkpoint image, or
-/// an order to discard stale node-local state. Sets `fd` to the frame
-/// stream and returns 0, or returns the exit code to die with.
+/// Moves the frame stream off stdout (stray prints from anywhere in the
+/// library would corrupt frames; they go to stderr instead) and creates the
+/// node scratch directory. Sets `fd` to the frame stream and returns 0, or
+/// returns the exit code to die with.
 int open_frame_stream(const Args& a, int& fd) {
   fd = dup(1);
   if (fd < 0) {
@@ -763,46 +768,24 @@ int open_frame_stream(const Args& a, int& fd) {
     return exit_code(Errc::kTransport);
   }
   dup2(2, 1);
-
-  if (a.checkpoint.empty()) {
-    std::cerr << "error: worker requires --checkpoint\n";
-    return 2;
-  }
   std::error_code ec;
-  const auto parent = std::filesystem::path(a.checkpoint).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
+  std::filesystem::create_directories(a.ckpt_dir, ec);
   if (ec) {
-    std::cerr << "error: cannot create " << parent.string() << ": "
-              << ec.message() << "\n";
+    std::cerr << "error: cannot create " << a.ckpt_dir << ": " << ec.message()
+              << "\n";
     return exit_code(Errc::kIo);
-  }
-
-  auto init = fault::read_init_frame(0);
-  if (!init.ok()) {
-    std::cerr << "error: " << init.error().to_string() << "\n";
-    return exit_code(init.error().code);
-  }
-  if (init.value().has_value()) {
-    const auto& image = *init.value();
-    auto landed =
-        fault::write_checkpoint_bytes(a.checkpoint, image.data(), image.size());
-    if (!landed.ok()) {
-      std::cerr << "error: " << landed.error().to_string() << "\n";
-      return exit_code(landed.error().code);
-    }
-  } else {
-    // Start fresh: a stale checkpoint from an earlier attempt on this node
-    // would resurrect state the supervisor has already moved past.
-    std::filesystem::remove(a.checkpoint, ec);
   }
   return 0;
 }
 
+/// A persistent worker: runs one shard per kInit frame on stdin until EOF
+/// (exit 0). The model and the campaign's golden caches are built once, on
+/// the first task. Any error ends the process with its taxonomy code.
 int cmd_worker(const Args& a) {
   signal(SIGPIPE, SIG_IGN);
+  if (a.ckpt_dir.empty()) usage("worker requires --ckpt-dir");
   int wire = -1;
   if (const int failed = open_frame_stream(a, wire); failed != 0) return failed;
-  heartbeat(wire, 0);  // liveness before the (slow) model load
 
   // Supervisor-robustness test hooks; inert without the env vars.
   const auto crash_once = env_string("DNNFI_TEST_CRASH_ONCE_FILE");
@@ -810,56 +793,71 @@ int cmd_worker(const Args& a) {
   std::optional<std::uint64_t> poison;
   if (const auto p = env_string("DNNFI_TEST_POISON_TRIAL"))
     poison = std::stoull(*p);
-
-  const dnn::Model m = data::pretrained(a.network);
-  const fault::Campaign c(m.spec, m.blob, a.dtype,
-                          test_inputs(a.network, a.inputs));
-
-  fault::CampaignOptions opt = campaign_options(a);
-  const std::uint64_t span =
-      (a.shard_end == 0 ? a.trials : a.shard_end) - a.shard_begin;
-  // The campaign saves the shard checkpoint *before* invoking progress, so
-  // shipping here always ships the batch that was just made durable.
-  opt.progress = [wire, &a, span, &crash_once, &hang_once](
-                     const fault::CampaignProgress& p) {
-    heartbeat(wire, p.done);
-    ship_checkpoint(wire, a.checkpoint);
-    if (p.done * 2 >= span) {
-      if (fire_once(crash_once)) raise(SIGKILL);
-      if (fire_once(hang_once))
-        while (true) pause();  // hold the pipe open, beat no more
-    }
+  // The poison trial aborts the worker the moment its record is streamed
+  // — a deterministic stand-in for a trial that reliably crashes or
+  // corrupts a worker, exercising bisection + quarantine end to end.
+  const fault::TrialSink abort_on_poison = [&poison](std::uint64_t trial,
+                                                     const fault::TrialRecord&) {
+    if (trial == *poison) std::abort();
   };
 
-  fault::ShardSpec shard;
-  shard.begin = a.shard_begin;
-  shard.end = a.shard_end;
-  shard.checkpoint = a.checkpoint;
-  shard.batch = a.batch;
+  fault::InitReader tasks(0);
+  std::optional<fault::Campaign> c;
+  while (true) {
+    auto next = tasks.next(&g_cancel);
+    if (!next.ok()) {
+      std::cerr << "error: " << next.error().to_string() << "\n";
+      return exit_code(next.error().code);
+    }
+    if (!next.value()) return 0;  // EOF: the slot has no more work
+    const fault::TaskInit& task = *next.value();
+    auto ckpt = fault::accept_task(task, a.trials, a.ckpt_dir);
+    if (!ckpt.ok()) {
+      std::cerr << "error: " << ckpt.error().to_string() << "\n";
+      return exit_code(ckpt.error().code);
+    }
+    heartbeat(wire, 0);  // liveness before the (slow) first model load
+    if (!c) {
+      const dnn::Model m = data::pretrained(a.network);
+      c.emplace(m.spec, m.blob, a.dtype, test_inputs(a.network, a.inputs));
+    }
 
-  fault::ShardResult res;
-  if (poison) {
-    // The poison trial aborts the worker the moment its record is streamed
-    // — a deterministic stand-in for a trial that reliably crashes or
-    // corrupts a worker, exercising bisection + quarantine end to end.
-    const std::uint64_t bad = *poison;
-    const fault::TrialSink sink = [bad](std::uint64_t trial,
-                                        const fault::TrialRecord&) {
-      if (trial == bad) std::abort();
+    fault::CampaignOptions opt = campaign_options(a);
+    const std::uint64_t span = task.end - task.begin;
+    const std::string& path = ckpt.value();
+    // The campaign saves the shard checkpoint *before* invoking progress,
+    // so shipping here always ships the batch that was just made durable.
+    // The complete image is shipped once, below, as the task's last frame.
+    opt.progress = [wire, &path, span, &crash_once,
+                    &hang_once](const fault::CampaignProgress& p) {
+      heartbeat(wire, p.done);
+      if (p.done < span) (void)ship_checkpoint(wire, path);
+      if (p.done * 2 >= span) {
+        if (fire_once(crash_once)) raise(SIGKILL);
+        if (fire_once(hang_once))
+          while (true) pause();  // hold the pipe open, beat no more
+      }
     };
-    res = c.run_shard(opt, shard, &sink);
-  } else {
-    res = c.run_shard(opt, shard);
+
+    fault::ShardSpec shard;
+    shard.begin = task.begin;
+    shard.end = task.end;
+    shard.checkpoint = path;
+    shard.batch = a.batch;
+    const fault::ShardResult res =
+        c->run_shard(opt, shard, poison ? &abort_on_poison : nullptr);
+    heartbeat(wire, res.next_trial - task.begin);
+    // Final ship: a complete checkpoint landing with the supervisor is
+    // what marks the task done.
+    if (auto shipped = ship_checkpoint(wire, path); !shipped.ok()) {
+      std::cerr << "error: " << shipped.error().to_string() << "\n";
+      return exit_code(shipped.error().code);
+    }
+    if (!res.complete)
+      return g_cancel.load(std::memory_order_relaxed)
+                 ? exit_code(Errc::kInterrupted)
+                 : 3;
   }
-  heartbeat(wire, res.next_trial - a.shard_begin);
-  // Final ship: the completion checkpoint must land with the supervisor
-  // before exit 0, or trust-but-verify will (correctly) re-run the shard.
-  ship_checkpoint(wire, a.checkpoint);
-  if (!res.complete)
-    return g_cancel.load(std::memory_order_relaxed)
-               ? exit_code(Errc::kInterrupted)
-               : 3;
-  return 0;
 }
 
 // ---- supervise mode ------------------------------------------------------

@@ -122,11 +122,13 @@ else
 fi
 
 echo "== supervised campaign with a worker killed -9 mid-flight =="
-# The supervisor (DESIGN.md §9) shards the same campaign across worker
-# subprocesses on the one-node fleet localhost:2. We SIGKILL a live worker
-# mid-campaign — simulating an OOM kill or node reaper — and require the
-# supervisor to relaunch the shard, resume it from its last shipped
-# checkpoint, and still merge bit-identical to the monolithic reference.
+# The supervisor (DESIGN.md §9) shards the same campaign across persistent
+# worker subprocesses on the one-node fleet localhost:2, one per slot. We
+# SIGKILL a live worker mid-campaign — simulating an OOM kill or node
+# reaper — and require the supervisor to retry the shard, resume it from
+# its last shipped checkpoint, and still merge bit-identical to the
+# monolithic reference. The dead slot respawns at most once, so the run
+# starts 2 or 3 workers in all, not one per shard.
 "$CAMPAIGN" supervise "${COMMON[@]}" --batch 100 --workers 2 \
     --ckpt-dir "$WORK/sup-ckpt" --backoff 0.1 \
     --out "$WORK/sup.stats" 2>"$WORK/sup.log" &
@@ -154,6 +156,12 @@ grep -q 'checkpoint(s) shipped' "$WORK/sup.log" || {
   echo "FAIL: supervise log has no 'checkpoint(s) shipped' line" >&2
   cat "$WORK/sup.log" >&2; exit 1; }
 
+SPAWNED="$(sed -n 's/^supervise: \([0-9]*\) worker(s),.*/\1/p' "$WORK/sup.log")"
+[ -n "$SPAWNED" ] && [ "$SPAWNED" -ge 2 ] && [ "$SPAWNED" -le 3 ] || {
+  echo "FAIL: expected 2-3 persistent workers, supervise started '$SPAWNED'" >&2
+  cat "$WORK/sup.log" >&2; exit 1; }
+echo "supervise started $SPAWNED worker(s)"
+
 if diff -u "$WORK/full.stats" "$WORK/sup.stats"; then
   echo "PASS: supervised campaign survived kill -9 bit-identically"
 else
@@ -165,8 +173,9 @@ fi
 echo "== fleet: two-node supervised campaign, node0 SIGKILLed repeatedly =="
 # Fleet mode (DESIGN.md §13): the same 2000-trial campaign spread over two
 # localhost fleet nodes (framed stdio transport, per-batch checkpoint
-# shipping). One entire "machine" — every worker whose checkpoint lives in
-# node0's scratch — is SIGKILLed over and over while node1 stays healthy.
+# shipping). One entire "machine" — every worker whose argv names node0's
+# scratch directory (--ckpt-dir <ckpt-dir>/node0/) — is SIGKILLed over and
+# over while node1 stays healthy.
 # Stranded shards must be retried elsewhere from their shipped checkpoints
 # and the merge must still be bit-identical to the monolithic reference.
 "$CAMPAIGN" supervise "${COMMON[@]}" --batch 100 \
