@@ -374,13 +374,15 @@ StreamingReport measure_streaming_memory() {
 // shapes, for float, FLOAT16, double and 32b_rb10, driven through the
 // kernels API directly — a set's packed layout is interleaved once outside
 // the timed loop, as an ExecutionPlan does when its weights change
-// (fixed-point sets read row-major weights and pack nothing).
+// (fixed-point sets read row-major weights and pack nothing). The
+// "conv_box" cell is the shape a faulty replay runs: AlexNet-S conv4
+// (48 -> 48 channels, 6x6, 3x3 kernel, pad 1) over a 3x3-pixel dirty box.
 // ---------------------------------------------------------------------------
 
 struct KernelCell {
   std::string dtype;
   std::string set;
-  std::string op;  ///< "conv" or "fc"
+  std::string op;  ///< "conv", "conv_box" or "fc"
   double gflops = 0;
 };
 
@@ -400,48 +402,57 @@ double time_gflops(double flops_per_call, Fn&& call) {
   }
 }
 
+/// One set's conv GFLOP/s over `box` of `g`, with inputs, weights and bias
+/// from `val`.
+template <typename T, typename Val>
+double conv_gflops(const dnn::kernels::KernelSet<T>& ks,
+                   const dnn::kernels::ConvGeom& g,
+                   const dnn::kernels::Region& box, Val&& val) {
+  namespace k = dnn::kernels;
+  std::vector<T> in(g.in_c * g.in_h * g.in_w), w(g.out_c * g.steps()),
+      bias(g.out_c), out(g.out_c * g.out_h * g.out_w);
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = val(i);
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = val(i + 7);
+  for (std::size_t i = 0; i < bias.size(); ++i) bias[i] = val(i + 3);
+  std::vector<T> packed(k::packed_elems(g.out_c, g.steps(), ks.pack_lanes));
+  if (!packed.empty())
+    k::pack_rows(w.data(), g.out_c, g.steps(), ks.pack_lanes, packed.data());
+  const T* wp = packed.empty() ? nullptr : packed.data();
+  const double flops =
+      2.0 * static_cast<double>((box.c1 - box.c0) * (box.y1 - box.y0) *
+                                (box.x1 - box.x0) * g.steps());
+  return time_gflops(flops, [&] {
+    ks.conv(g, box, in.data(), w.data(), wp, bias.data(), out.data());
+    benchmark::DoNotOptimize(out.data());
+  });
+}
+
 template <typename T>
 void bench_kernel_sets(const char* dtype, std::vector<KernelCell>& cells) {
   namespace k = dnn::kernels;
   const k::ConvGeom g{16, 16, 16, 32, 16, 16, 3, 1, 1};
+  const k::ConvGeom bg{48, 6, 6, 48, 6, 6, 3, 1, 1};
+  const k::Region box{0, bg.out_c, 1, 4, 1, 4};
   const k::FcGeom fg{1024, 1024};
   auto val = [](std::size_t i) {
     return numeric::numeric_traits<T>::from_double(
         0.03125 * static_cast<double>(i % 64) - 1.0);
   };
-  std::vector<T> cin(g.in_c * g.in_h * g.in_w), cw(g.out_c * g.steps()),
-      cbias(g.out_c), cout(g.out_c * g.out_h * g.out_w);
   std::vector<T> fin(fg.in), fw(fg.out * fg.in), fbias(fg.out), fout(fg.out);
-  for (std::size_t i = 0; i < cin.size(); ++i) cin[i] = val(i);
-  for (std::size_t i = 0; i < cw.size(); ++i) cw[i] = val(i + 7);
-  for (std::size_t i = 0; i < cbias.size(); ++i) cbias[i] = val(i + 3);
   for (std::size_t i = 0; i < fin.size(); ++i) fin[i] = val(i);
   for (std::size_t i = 0; i < fw.size(); ++i) fw[i] = val(i + 11);
   for (std::size_t i = 0; i < fbias.size(); ++i) fbias[i] = val(i + 5);
-  const double conv_flops =
-      2.0 * static_cast<double>(cout.size() * g.steps());
   const double fc_flops = 2.0 * static_cast<double>(fg.in * fg.out);
 
   for (const char* name : k::registered_names<T>()) {
     const k::KernelSet<T>* ks = k::kernel_set<T>(name);
     if (ks == nullptr) continue;
-    std::vector<T> cpacked(
-        k::packed_elems(g.out_c, g.steps(), ks->pack_lanes));
+    cells.push_back({dtype, name, "conv", conv_gflops(*ks, g, g.full(), val)});
+    cells.push_back({dtype, name, "conv_box", conv_gflops(*ks, bg, box, val)});
     std::vector<T> fpacked(k::packed_elems(fg.out, fg.in, ks->pack_lanes));
-    if (ks->pack_lanes > 0) {
-      k::pack_rows(cw.data(), g.out_c, g.steps(), ks->pack_lanes,
-                   cpacked.data());
+    if (ks->pack_lanes > 0)
       k::pack_rows(fw.data(), fg.out, fg.in, ks->pack_lanes, fpacked.data());
-    }
-    const T* cp = cpacked.empty() ? nullptr : cpacked.data();
     const T* fp = fpacked.empty() ? nullptr : fpacked.data();
-    KernelCell conv{dtype, name, "conv", 0};
-    conv.gflops = time_gflops(conv_flops, [&] {
-      ks->conv(g, g.full(), cin.data(), cw.data(), cp, cbias.data(),
-               cout.data());
-      benchmark::DoNotOptimize(cout.data());
-    });
-    cells.push_back(conv);
     KernelCell fc{dtype, name, "fc", 0};
     fc.gflops = time_gflops(fc_flops, [&] {
       ks->fc(fg, fin.data(), fw.data(), fp, fbias.data(), fout.data());
@@ -632,10 +643,10 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(results_dir());
   const std::string json = results_dir() + "/BENCH_perf_micro.json";
   write_json(r, s, kc, lp, pm, json);
-  std::printf("\nper-kernel throughput (GFLOP/s, fixed conv 32c16x16k3 / fc "
-              "1024x1024):\n");
+  std::printf("\nper-kernel throughput (GFLOP/s, fixed conv 32c16x16k3 / "
+              "conv_box 48c6x6k3 over 3x3 pixels / fc 1024x1024):\n");
   for (const KernelCell& c : kc)
-    std::printf("  %-8s %-13s %-4s %8.2f\n", c.dtype.c_str(), c.set.c_str(),
+    std::printf("  %-8s %-13s %-8s %8.2f\n", c.dtype.c_str(), c.set.c_str(),
                 c.op.c_str(), c.gflops);
   std::printf("\nper-layer-kind wall time of a fault-free forward:\n");
   for (const LayerKindCost& c : lp)

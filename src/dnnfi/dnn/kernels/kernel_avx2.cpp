@@ -80,6 +80,7 @@ struct F32x8 {
   using Acc = __m256;
   static constexpr std::size_t kLanes = 8;
   static constexpr bool kRowMajor = false;
+  static constexpr std::size_t kGroup = 3;
   static Acc zero() noexcept { return _mm256_setzero_ps(); }
   static __m256 load_w(const float* p, std::size_t) noexcept {
     return _mm256_loadu_ps(p);
@@ -118,6 +119,7 @@ struct F64x4 {
   using Acc = __m256d;
   static constexpr std::size_t kLanes = 4;
   static constexpr bool kRowMajor = false;
+  static constexpr std::size_t kGroup = 3;
   static Acc zero() noexcept { return _mm256_setzero_pd(); }
   static __m256d load_w(const double* p, std::size_t) noexcept {
     return _mm256_loadu_pd(p);
@@ -158,6 +160,7 @@ struct F16x8 {
   using Acc = __m128i;
   static constexpr std::size_t kLanes = 8;
   static constexpr bool kRowMajor = false;
+  static constexpr std::size_t kGroup = 3;
   static __m128i load(const T* p) noexcept {
     return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
   }
@@ -578,17 +581,12 @@ void avx2_relu_double(const double* in, double* out, std::size_t n) {
   relu_lanes<F64x4>(in, out, n);
 }
 
-// GCC 12 returns from this one without VZEROUPPER, leaving the callers'
-// legacy-SSE code a merge penalty per instruction (ConvNet incremental
-// replay ~8x slower); test_kernels' KernelsReturnWithUpperVectorStateClear
-// checks every kernel.
 void avx2_conv_half(const ConvGeom& g, const Region& r,
                     const numeric::Half* in, const numeric::Half* w,
                     const numeric::Half* wp, const numeric::Half* bias,
                     numeric::Half* out) {
   conv_lanes<F16x8>(g, r, bits(in), bits(w), bits(wp), bits(bias),
                     bits(out));
-  _mm256_zeroupper();
 }
 
 void avx2_fc_half(const FcGeom& g, const numeric::Half* in,

@@ -49,9 +49,16 @@ namespace {
   return _mm256_load_si256(reinterpret_cast<const __m256i*>(hb));
 }
 
+// The 16-lane converts use the all-ones maskz forms: the unmasked ones trip
+// GCC 12's -Wuninitialized inside avx512fintrin.h (their _mm512_undefined_*
+// source) once inlined into the grouped conv body, and compute the same.
+inline __m512 cvtph_ps512(__m256i h) noexcept {
+  return _mm512_maskz_cvtph_ps(0xFFFF, h);
+}
+
 // float -> half bits, 16 lanes, canonical-NaN rule.
 inline __m256i cvtps_ph_canon512(__m512 v) noexcept {
-  const __m256i h = _mm512_cvtps_ph(v, kRne);
+  const __m256i h = _mm512_maskz_cvtps_ph(0xFFFF, v, kRne);
   const __mmask16 nan_mask = _mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q);
   return nan_mask == 0 ? h : canon_nans512(v, h, nan_mask);
 }
@@ -65,6 +72,7 @@ struct F32x16 {
   using Acc = __m512;
   static constexpr std::size_t kLanes = 16;
   static constexpr bool kRowMajor = false;
+  static constexpr std::size_t kGroup = 3;
   static Acc zero() noexcept { return _mm512_setzero_ps(); }
   static __m512 load_w(const float* p, std::size_t) noexcept {
     return _mm512_loadu_ps(p);
@@ -91,6 +99,7 @@ struct F64x8 {
   using Acc = __m512d;
   static constexpr std::size_t kLanes = 8;
   static constexpr bool kRowMajor = false;
+  static constexpr std::size_t kGroup = 3;
   static Acc zero() noexcept { return _mm512_setzero_pd(); }
   static __m512d load_w(const double* p, std::size_t) noexcept {
     return _mm512_loadu_pd(p);
@@ -119,22 +128,23 @@ struct F16x16 {
   using Acc = __m256i;
   static constexpr std::size_t kLanes = 16;
   static constexpr bool kRowMajor = false;
+  static constexpr std::size_t kGroup = 3;
   static __m256i load(const T* p) noexcept {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
   }
   static Acc zero() noexcept { return _mm256_setzero_si256(); }
   static __m512 load_w(const T* p, std::size_t) noexcept {
-    return _mm512_cvtph_ps(load(p));
+    return cvtph_ps512(load(p));
   }
   static __m512 splat(T a) noexcept { return _mm512_set1_ps(_cvtsh_ss(a)); }
   static Acc mac(Acc acc, __m512 w, __m512 a) noexcept {
     const __m256i prod = cvtps_ph_canon512(_mm512_mul_ps(w, a));
     return cvtps_ph_canon512(
-        _mm512_add_ps(_mm512_cvtph_ps(acc), _mm512_cvtph_ps(prod)));
+        _mm512_add_ps(cvtph_ps512(acc), cvtph_ps512(prod)));
   }
   static __m256i finish(Acc acc, const T* bias) noexcept {
     return cvtps_ph_canon512(
-        _mm512_add_ps(_mm512_cvtph_ps(acc), _mm512_cvtph_ps(load(bias))));
+        _mm512_add_ps(cvtph_ps512(acc), cvtph_ps512(load(bias))));
   }
   static void store(__m256i r, T* lanes) noexcept {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), r);
@@ -142,7 +152,7 @@ struct F16x16 {
   // Compare on the converted floats, keep the original 16 bits.
   static void relu_block(const T* in, T* out) noexcept {
     const __m256i h = load(in);
-    const __mmask16 m = _mm512_cmp_ps_mask(_mm512_cvtph_ps(h),
+    const __mmask16 m = _mm512_cmp_ps_mask(cvtph_ps512(h),
                                            _mm512_setzero_ps(), _CMP_GT_OQ);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
                         _mm256_maskz_mov_epi16(m, h));
@@ -163,6 +173,7 @@ struct FxI64x8 {
   using Acc = __m512i;
   static constexpr std::size_t kLanes = 8;
   static constexpr bool kRowMajor = true;
+  static constexpr std::size_t kGroup = 3;
   static constexpr __mmask8 kAll = 0xFF;
   static constexpr int kF = Fx::kFraction;
 

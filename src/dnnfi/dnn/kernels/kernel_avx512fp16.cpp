@@ -57,6 +57,7 @@ struct F16x16Native {
   using Acc = __m256h;
   static constexpr std::size_t kLanes = 16;
   static constexpr bool kRowMajor = false;
+  static constexpr std::size_t kGroup = 3;
   static Acc zero() noexcept { return _mm256_setzero_ph(); }
   static __m256h load_w(const T* p, std::size_t) noexcept {
     return _mm256_castsi256_ph(
@@ -86,20 +87,19 @@ struct F16x16Native {
 
 }  // namespace
 
-// GCC 12 returns from these without VZEROUPPER, and the callers are
-// baseline code running legacy-SSE scalar math: with the upper halves left
-// dirty every such instruction pays a merge penalty (ConvNet incremental
-// replay ~8x slower). The entry points clear them explicitly;
-// test_kernels' KernelsReturnWithUpperVectorStateClear checks every kernel.
 void avx512fp16_conv_half(const ConvGeom& g, const Region& r,
                           const numeric::Half* in, const numeric::Half* w,
                           const numeric::Half* wp, const numeric::Half* bias,
                           numeric::Half* out) {
   conv_lanes<F16x16Native>(g, r, bits(in), bits(w), bits(wp), bits(bias),
                            bits(out));
-  _mm256_zeroupper();
 }
 
+// GCC 12 returns from __m256h code without VZEROUPPER (conv_lanes clears it
+// for the conv), and the callers are baseline code running legacy-SSE
+// scalar math: with the upper halves left dirty every such instruction pays
+// a merge penalty (ConvNet incremental replay ~8x slower). test_kernels'
+// KernelsReturnWithUpperVectorStateClear checks every kernel.
 void avx512fp16_fc_half(const FcGeom& g, const numeric::Half* in,
                         const numeric::Half* w, const numeric::Half* wp,
                         const numeric::Half* bias, numeric::Half* out) {

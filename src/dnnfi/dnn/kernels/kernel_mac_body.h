@@ -11,6 +11,8 @@
 //   T, kLanes                    element type (std::uint16_t = Half bits,
 //                                the raw int for Fixed<W,F>)
 //   kRowMajor                    weight addressing, see below
+//   kGroup                       lane-blocks the conv body runs per pass,
+//                                sized to the register file (see below)
 //   Acc, zero()                  per-lane accumulator
 //   load_w(const T* p, row)      one tap's weights for the kLanes rows
 //   splat(T)                     one activation broadcast to every lane
@@ -31,11 +33,16 @@
 //                                `in` for fc), the next tap at p + 1
 // A block's base is w + b * kLanes * row in both layouts.
 //
-// The conv body computes one output Region (kernels.h) and keeps kChains
-// of its pixels in flight per lane-block pass, one independent accumulator
-// chain each, sharing every weight load. Chains never read each other's
-// accumulators, so the interleaving only reorders independent work: every
-// output is still its own chain, bit for bit, whatever box holds it.
+// The conv body computes one output Region (kernels.h). It walks the
+// region's lane-blocks kGroup at a time and keeps kChains of its pixels in
+// flight per group: kGroup x kChains independent accumulator chains, each
+// tap's kGroup weight loads shared by the pixels and each pixel's
+// activation (bounds check, load, splat) shared by the blocks. Chains never
+// read each other's accumulators, so the grouping only reorders independent
+// work: every output is still its own chain, bit for bit, whatever box or
+// group holds it. kGroup is 3 on every SIMD trait (3 x 4 accumulators plus
+// 3 weight vectors and the activation fit 16 ymm and leave zmm headroom)
+// and 1 on the 1-lane traits; DESIGN.md §10 has the measurements.
 //
 // Channels of the region outside its full lane-blocks run the same body
 // through the 1-lane ScalarLane traits below, the 1-lane row-major case:
@@ -73,6 +80,7 @@ struct ScalarLane {
   using Acc = F;
   static constexpr std::size_t kLanes = 1;
   static constexpr bool kRowMajor = true;
+  static constexpr std::size_t kGroup = 1;
   static Acc zero() noexcept { return F{}; }
   static F load_w(const F* p, std::size_t) noexcept { return *p; }
   static F splat(F a) noexcept { return a; }
@@ -98,6 +106,7 @@ struct ScalarLane<std::uint16_t> {
   using Acc = std::uint16_t;
   static constexpr std::size_t kLanes = 1;
   static constexpr bool kRowMajor = true;
+  static constexpr std::size_t kGroup = 1;
   static Acc zero() noexcept { return 0; }
   static float load_w(const T* p, std::size_t) noexcept {
     return _cvtsh_ss(*p);
@@ -125,6 +134,7 @@ struct ScalarLane<numeric::Fixed<W, F>> {
   using Acc = std::int64_t;
   static constexpr std::size_t kLanes = 1;
   static constexpr bool kRowMajor = true;
+  static constexpr std::size_t kGroup = 1;
   static constexpr std::int64_t kMin = numeric::Fixed<W, F>::kRawMin;
   static constexpr std::int64_t kMax = numeric::Fixed<W, F>::kRawMax;
   static std::int64_t sat(std::int64_t v) noexcept {
@@ -153,20 +163,24 @@ inline std::size_t kvol(const ConvGeom& g) noexcept {
   return g.in_c * g.k * g.k;
 }
 
-/// Output pixels conv_blocks keeps in flight per lane-block pass: one
+/// Output pixels conv_pixels keeps in flight per lane-block, one
 /// independent accumulator chain each. A Half tap is a ~20-cycle serial
-/// chain (cvtph -> add -> cvtps_ph), so a single chain leaves the SIMD units
-/// idle; 4 chains hide most of that latency, and 8 measured no faster.
+/// chain (cvtph -> add -> cvtps_ph), so one chain leaves the SIMD units
+/// idle; kChains pixels times the trait's kGroup blocks keep up to 12 in
+/// flight. Eight pixels measured no faster than four at one block per pass.
 constexpr std::size_t kChains = 4;
 
 /// P consecutive pixels q0 .. q0+P-1 of the box-local flattened pixel order
 /// of region `r` (pixel q sits at row r.y0 + q / width, column
-/// r.x0 + q % width, so a group may wrap a row of the box) of one
-/// lane-block: one accumulator chain per pixel, each weight load shared by
-/// the P chains. Every chain is exactly the scalar reference's — same
-/// (ci, ky, kx) tap order, same mac — and no chain ever reads another's
-/// accumulator, so interleaving them cannot change a bit.
-template <class V, std::size_t P>
+/// r.x0 + q % width, so a group may wrap a row of the box) of B lane-blocks:
+/// block b's weights at wb + b * kvol * kLanes, its bias at bb + b * kLanes,
+/// its outputs at ob + b * kLanes * out_h * out_w. One accumulator chain per
+/// (block, pixel); each tap loads the B weight vectors once and each
+/// pixel's activation once (bounds check, load, splat), then feeds that
+/// activation to the pixel's B chains. Every chain is exactly the scalar
+/// reference's — same (ci, ky, kx) tap order, same mac — and no chain ever
+/// reads another's accumulator, so interleaving them cannot change a bit.
+template <class V, std::size_t B, std::size_t P>
 void conv_pixels(const ConvGeom& g, const Region& r, const typename V::T* in,
                  const typename V::T* wb, const typename V::T* bb,
                  typename V::T* ob, std::size_t q0) {
@@ -178,16 +192,17 @@ void conv_pixels(const ConvGeom& g, const Region& r, const typename V::T* in,
   const auto in_w = static_cast<std::ptrdiff_t>(g.in_w);
   const std::size_t oplane = g.out_h * g.out_w;
   const std::size_t width = r.x1 - r.x0;
+  const std::size_t bstride = kvol(g) * L;
   std::ptrdiff_t y0[P], x0[P];
   std::size_t opix[P];
-  typename V::Acc acc[P];
+  typename V::Acc acc[B][P];
   for (std::size_t p = 0; p < P; ++p) {
     const std::size_t oy = r.y0 + (q0 + p) / width;
     const std::size_t ox = r.x0 + (q0 + p) % width;
     y0[p] = static_cast<std::ptrdiff_t>(oy * g.stride) - pad;
     x0[p] = static_cast<std::ptrdiff_t>(ox * g.stride) - pad;
     opix[p] = oy * g.out_w + ox;
-    acc[p] = V::zero();
+    for (std::size_t b = 0; b < B; ++b) acc[b][p] = V::zero();
   }
   const T* wt = wb;
   for (std::size_t ci = 0; ci < g.in_c; ++ci) {
@@ -199,45 +214,74 @@ void conv_pixels(const ConvGeom& g, const Region& r, const typename V::T* in,
         irow[p] = (iy >= 0 && iy < in_h) ? ic + iy * in_w : nullptr;
       }
       for (std::size_t kx = 0; kx < g.k; ++kx, wt += tap) {
-        const auto wv = V::load_w(wt, kvol(g));
-#pragma GCC unroll 8  // keeps acc[] in registers
+        decltype(V::load_w(wt, 0)) wv[B];
+#pragma GCC unroll 4
+        for (std::size_t b = 0; b < B; ++b)
+          wv[b] = V::load_w(wt + b * bstride, kvol(g));
+#pragma GCC unroll 8  // keeps acc[][] in registers
         for (std::size_t p = 0; p < P; ++p) {
           const std::ptrdiff_t ix = x0[p] + static_cast<std::ptrdiff_t>(kx);
-          const T act = (irow[p] && ix >= 0 && ix < in_w) ? irow[p][ix] : T{};
-          acc[p] = V::mac(acc[p], wv, V::splat(act));
+          const auto a = V::splat(
+              (irow[p] && ix >= 0 && ix < in_w) ? irow[p][ix] : T{});
+#pragma GCC unroll 4
+          for (std::size_t b = 0; b < B; ++b)
+            acc[b][p] = V::mac(acc[b][p], wv[b], a);
         }
       }
     }
   }
-  for (std::size_t p = 0; p < P; ++p) {
-    alignas(64) T lane[L];
-    V::store(V::finish(acc[p], bb), lane);
-    for (std::size_t l = 0; l < L; ++l) ob[l * oplane + opix[p]] = lane[l];
+  for (std::size_t b = 0; b < B; ++b)
+    for (std::size_t p = 0; p < P; ++p) {
+      alignas(64) T lane[L];
+      V::store(V::finish(acc[b][p], bb + b * L), lane);
+      T* const o = ob + b * L * oplane + opix[p];
+      for (std::size_t l = 0; l < L; ++l) o[l * oplane] = lane[l];
+    }
+}
+
+/// The box's pixels for B lane-blocks (layout as for conv_pixels): kChains
+/// at a time, the last count % kChains one at a time.
+template <class V, std::size_t B>
+void conv_group(const ConvGeom& g, const Region& r, const typename V::T* in,
+                const typename V::T* wb, const typename V::T* bb,
+                typename V::T* ob) {
+  const std::size_t count = (r.y1 - r.y0) * (r.x1 - r.x0);
+  std::size_t q = 0;
+  for (; q + kChains <= count; q += kChains)
+    conv_pixels<V, B, kChains>(g, r, in, wb, bb, ob, q);
+  for (; q < count; ++q) conv_pixels<V, B, 1>(g, r, in, wb, bb, ob, q);
+}
+
+/// conv_group over the last `n` < B blocks: the remainder group.
+template <class V, std::size_t B>
+void conv_rest(const ConvGeom& g, const Region& r, const typename V::T* in,
+               const typename V::T* wb, const typename V::T* bb,
+               typename V::T* ob, std::size_t n) {
+  if constexpr (B > 1) {
+    if (n == B - 1) return conv_group<V, B - 1>(g, r, in, wb, bb, ob);
+    conv_rest<V, B - 1>(g, r, in, wb, bb, ob, n);
   }
 }
 
 /// Conv over the pixels of region `r` for `blocks` lane-blocks of
 /// V::kLanes output channels: `w` in V's weight layout, `bias` and `out`
 /// starting at the first block's channel (r's channel range is the
-/// caller's). Each block runs the box's pixels kChains at a time, the last
-/// count % kChains one at a time. Padded taps multiply a zero activation,
-/// so NaN/Inf weights propagate as in the scalar reference.
+/// caller's). The blocks run V::kGroup at a time, then one remainder group
+/// of blocks % kGroup. Padded taps multiply a zero activation, so NaN/Inf
+/// weights propagate as in the scalar reference.
 template <class V>
 void conv_blocks(const ConvGeom& g, const Region& r, const typename V::T* in,
                  const typename V::T* w, const typename V::T* bias,
                  typename V::T* out, std::size_t blocks) {
   constexpr std::size_t L = V::kLanes;
+  constexpr std::size_t G = V::kGroup;
   const std::size_t oplane = g.out_h * g.out_w;
-  const std::size_t count = (r.y1 - r.y0) * (r.x1 - r.x0);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const auto* const wb = w + b * kvol(g) * L;
-    const auto* const bb = bias + b * L;
-    auto* const ob = out + b * L * oplane;
-    std::size_t q = 0;
-    for (; q + kChains <= count; q += kChains)
-      conv_pixels<V, kChains>(g, r, in, wb, bb, ob, q);
-    for (; q < count; ++q) conv_pixels<V, 1>(g, r, in, wb, bb, ob, q);
-  }
+  std::size_t b = 0;
+  for (; b + G <= blocks; b += G)
+    conv_group<V, G>(g, r, in, w + b * kvol(g) * L, bias + b * L,
+                     out + b * L * oplane);
+  conv_rest<V, G>(g, r, in, w + b * kvol(g) * L, bias + b * L,
+                  out + b * L * oplane, blocks - b);
 }
 
 /// Fully-connected over `blocks` lane-blocks; layout as for conv_blocks.
@@ -277,12 +321,15 @@ void conv_lanes(const ConvGeom& g, const Region& r, const typename V::T* in,
   const std::size_t b1 = r.c1 / L;            // one past the last
   if (b0 >= b1) {
     tail(r.c0, r.c1);
-    return;
+  } else {
+    tail(r.c0, b0 * L);
+    conv_blocks<V>(g, r, in, (V::kRowMajor ? w : wp) + b0 * L * kvol(g),
+                   bias + b0 * L, out + b0 * L * oplane, b1 - b0);
+    tail(b1 * L, r.c1);
   }
-  tail(r.c0, b0 * L);
-  conv_blocks<V>(g, r, in, (V::kRowMajor ? w : wp) + b0 * L * kvol(g),
-                 bias + b0 * L, out + b0 * L * oplane, b1 - b0);
-  tail(b1 * L, r.c1);
+  // GCC 12 leaves some of these returns (a tail call into the 1-lane body,
+  // __m256h code) without VZEROUPPER; the callers are legacy-SSE code.
+  _mm256_zeroupper();
 }
 
 /// A full FcFn; weights and S as for conv_lanes.

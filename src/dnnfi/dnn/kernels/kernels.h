@@ -29,10 +29,11 @@
 // A full-layer call passes the geometry's full() box; the executor's
 // dirty-region replay (DESIGN.md §8) passes the box a fault can reach. An
 // output's chain is the same whichever box holds it, so a region call
-// writes exactly the bits a full call writes there. The SIMD conv keeps its
+// writes exactly the bits a full call writes there. The SIMD conv runs the
+// region's full lane-blocks in groups of its trait's kGroup, keeps its
 // kChains pixel groups in a box-local flattened pixel order (chains span
 // rows inside the box; for the full box that is the whole-plane order), and
-// channels outside the region's full lane-blocks run the 1-lane tail.
+// runs the channels outside those blocks through the 1-lane tail.
 // FC, relu, avgpool and softmax have no region: relu is elementwise (the
 // executor calls it once per contiguous run), the rest always run whole.
 //

@@ -165,9 +165,13 @@ Tensor<T> run_softmax(const KernelSet<T>& ks, std::size_t n,
 // yield ZERO full 16-lane blocks (7 also at 8 lanes: the packed pointer must
 // never be dereferenced); 16 is all-blocks at every width; 21 is full blocks
 // plus a tail at every width (1+5 at 16, 2+5 at 8, 5+1 at 4). The conv
-// body runs 4 output pixels per pass and the last out_h*out_w % 4 one at a
-// time: the 7x5 plane leaves 3 such pixels, and its 4-pixel groups straddle
-// output rows and the padded right border.
+// body runs its lane-blocks in groups of up to 3 (a trait's kGroup): with
+// out_c = 21, 37 and 53 every width runs groups of 1, 2 and 3 blocks plus a
+// tail (at 16 lanes 1, 2 and 3 blocks; at 8 lanes 2, 3+1 and 3+3; at 4
+// lanes 3+2, 3+3+3 and 3+3+3+1). Each group runs 4 output pixels per pass
+// and the last out_h*out_w % 4 one at a time: the 7x5 and 5x3 planes leave
+// 3 such pixels, and their 4-pixel groups straddle output rows and the
+// padded right border.
 const ConvGeom kConvGeoms[] = {
     {3, 9, 7, 13, 5, 4, 3, 2, 1},   // strided, padded, tail rows
     {5, 6, 6, 7, 6, 6, 1, 1, 0},    // 1x1 kernel, zero full blocks at w=8
@@ -175,6 +179,8 @@ const ConvGeom kConvGeoms[] = {
     {4, 5, 5, 9, 2, 2, 3, 2, 0},    // stride 2, no padding
     {2, 7, 7, 21, 4, 4, 3, 2, 1},   // blocks plus a tail at every width
     {3, 13, 9, 21, 7, 5, 3, 2, 1},  // pixel groups wrap rows; 3-pixel tail
+    {3, 9, 5, 37, 5, 3, 3, 2, 1},   // a 2-block group and a tail at 16 lanes
+    {2, 7, 5, 53, 7, 5, 3, 1, 1},   // a full 3-block group and a tail at 16
 };
 const FcGeom kFcGeoms[] = {{37, 19}, {64, 32}, {10, 3}};
 
@@ -310,7 +316,8 @@ TYPED_TEST(KernelProperty, PostMacOpsBitIdenticalToScalarOnOddShapes) {
 /// box; 1-pixel boxes at two corners and the centre; a border-clamped
 /// corner box; full-width multi-row boxes; a 3x3 box (9 pixels, not a
 /// multiple of the conv body's 4-pixel groups); channel sub-ranges that
-/// start and end inside a lane block; and random boxes.
+/// start and end inside a lane block, and for c > 8 inside a block group;
+/// and random boxes.
 std::vector<Region> test_regions(std::size_t c, std::size_t h, std::size_t w,
                                  std::uint64_t seed) {
   std::vector<Region> rs = {
@@ -325,6 +332,13 @@ std::vector<Region> test_regions(std::size_t c, std::size_t h, std::size_t w,
       {c / 3, c - c / 4, 0, h, 0, w},
       {c / 2, c / 2 + 1, 0, std::min<std::size_t>(2, h), w / 3, w},
   };
+  if (c > 8) {
+    // Channel ranges that start and end inside a conv block group: lane
+    // tails at both ends, then partial groups (at out_c = 53: blocks 1-2 at
+    // 16 lanes, 3+2 at 8, 3+3+3+2 at 4; and 1, 3 and 3+3+2 blocks).
+    rs.push_back({3, c - 3, 0, h, 0, w});
+    rs.push_back({c * 3 / 8, c - 1, h / 3, h, 0, w});
+  }
   Rng rng(seed);
   const auto span = [&](std::size_t n, std::size_t& lo, std::size_t& hi) {
     lo = static_cast<std::size_t>(rng() % n);
