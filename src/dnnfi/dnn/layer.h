@@ -66,31 +66,29 @@ class Layer {
 
   virtual Shape out_shape(const Shape& in) const = 0;
 
-  /// Computes `out` from `in`. `out` must already have shape
-  /// out_shape(in.shape()); the caller (executor or Tensor wrapper) is
-  /// responsible for sizing it. When `faults` is non-null the layer applies
-  /// them bit-exactly and, if `rec` is non-null, documents what it did.
-  /// Thread-safe: forward is const, allocation-free, and uses no hidden
-  /// mutable state. `in` and `out` must not alias.
-  virtual void forward(ConstTensorView<T> in, TensorView<T> out,
-                       const LayerFaults* faults = nullptr,
-                       InjectionRecord* rec = nullptr) const = 0;
+  /// Computes the fault-free `out` from `in`. `out` must already have
+  /// shape out_shape(in.shape()); the caller (executor or Tensor wrapper) is
+  /// responsible for sizing it. Thread-safe: forward is const,
+  /// allocation-free, and uses no hidden mutable state. `in` and `out` must
+  /// not alias.
+  virtual void forward(ConstTensorView<T> in, TensorView<T> out) const = 0;
 
-  /// Re-applies `faults` assuming `out` already holds the fault-free output
-  /// for `in` (patches only affected elements). Default recomputes fully.
-  virtual void apply_faults(ConstTensorView<T> in, TensorView<T> out,
-                            const LayerFaults& faults,
-                            InjectionRecord* rec) const {
-    forward(in, out, &faults, rec);
+  /// Applies `faults` bit-exactly, assuming `out` already holds the
+  /// fault-free output for `in` (patches only affected elements), and, if
+  /// `rec` is non-null, documents what it did. Every fault site is a conv
+  /// or FC layer, and only those override this; elsewhere it is a contract
+  /// violation.
+  virtual void apply_faults(ConstTensorView<T> /*in*/, TensorView<T> /*out*/,
+                            const LayerFaults& /*faults*/,
+                            InjectionRecord* /*rec*/) const {
+    DNNFI_EXPECTS(false);
   }
 
   /// Tensor convenience wrappers: resize `out` then run the view path.
   /// Derived classes pull these in with `using Layer<T>::forward;`.
-  void forward(const Tensor<T>& in, Tensor<T>& out,
-               const LayerFaults* faults = nullptr,
-               InjectionRecord* rec = nullptr) const {
+  void forward(const Tensor<T>& in, Tensor<T>& out) const {
     out.reshape(out_shape(in.shape()));
-    forward(in.view(), out.view(), faults, rec);
+    forward(in.view(), out.view());
   }
   void apply_faults(const Tensor<T>& in, Tensor<T>& out,
                     const LayerFaults& faults, InjectionRecord* rec) const {

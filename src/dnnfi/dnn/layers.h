@@ -114,9 +114,7 @@ class Conv2d final : public Layer<T> {
     return {in.c, in.h, in.w, os.c, os.h, os.w, k_, stride_, pad_};
   }
 
-  void forward(ConstTensorView<T> in, TensorView<T> out,
-               const LayerFaults* faults = nullptr,
-               InjectionRecord* rec = nullptr) const override {
+  void forward(ConstTensorView<T> in, TensorView<T> out) const override {
     const Shape os = out.shape();
     DNNFI_EXPECTS(os == out_shape(in.shape()));
     // Fault-free pass through the kernel registry (the scalar reference is
@@ -127,7 +125,6 @@ class Conv2d final : public Layer<T> {
     kernels::conv_forward<T>(geom(in.shape(), os), in.data().data(),
                              weights_.data().data(), bias_.data(),
                              out.data().data());
-    if (faults != nullptr) apply_faults(in, out, *faults, rec);
   }
 
   void apply_faults(ConstTensorView<T> in, TensorView<T> out,
@@ -388,16 +385,13 @@ class FullyConnected final : public Layer<T> {
   std::span<T> biases() override { return bias_; }
   std::span<const T> biases() const override { return bias_; }
 
-  void forward(ConstTensorView<T> in, TensorView<T> out,
-               const LayerFaults* faults = nullptr,
-               InjectionRecord* rec = nullptr) const override {
+  void forward(ConstTensorView<T> in, TensorView<T> out) const override {
     DNNFI_EXPECTS(in.size() == in_ && out.size() == out_);
     // Fault-free pass through the kernel registry (the scalar reference is
     // bit-identical to compute_one without fault or overrides).
     kernels::fc_forward<T>({in_, out_}, in.data().data(),
                            weights_.data().data(), bias_.data(),
                            out.data().data());
-    if (faults != nullptr) apply_faults(in, out, *faults, rec);
   }
 
   void apply_faults(ConstTensorView<T> in, TensorView<T> out,
@@ -558,9 +552,7 @@ class Relu final : public Layer<T> {
   LayerKind kind() const noexcept override { return LayerKind::kRelu; }
   Shape out_shape(const Shape& in) const override { return in; }
 
-  void forward(ConstTensorView<T> in, TensorView<T> out,
-               const LayerFaults* = nullptr,
-               InjectionRecord* = nullptr) const override {
+  void forward(ConstTensorView<T> in, TensorView<T> out) const override {
     DNNFI_EXPECTS(out.size() == in.size());
     kernels::relu_forward<T>(in.data().data(), out.data().data(), in.size());
   }
@@ -594,9 +586,7 @@ class MaxPool2d final : public Layer<T> {
                        (in.w - k_) / stride_ + 1);
   }
 
-  void forward(ConstTensorView<T> in, TensorView<T> out,
-               const LayerFaults* = nullptr,
-               InjectionRecord* = nullptr) const override {
+  void forward(ConstTensorView<T> in, TensorView<T> out) const override {
     const Shape& is = in.shape();
     const Shape os = out.shape();
     DNNFI_EXPECTS(os == out_shape(is));
@@ -659,9 +649,7 @@ class Lrn final : public Layer<T> {
   LayerKind kind() const noexcept override { return LayerKind::kLrn; }
   Shape out_shape(const Shape& in) const override { return in; }
 
-  void forward(ConstTensorView<T> in, TensorView<T> out,
-               const LayerFaults* = nullptr,
-               InjectionRecord* = nullptr) const override {
+  void forward(ConstTensorView<T> in, TensorView<T> out) const override {
     const Shape& is = in.shape();
     DNNFI_EXPECTS(out.size() == in.size());
     kernels::lrn_forward<T>(
@@ -743,9 +731,7 @@ class Softmax final : public Layer<T> {
     return tensor::vec(in.size());
   }
 
-  void forward(ConstTensorView<T> in, TensorView<T> out,
-               const LayerFaults* = nullptr,
-               InjectionRecord* = nullptr) const override {
+  void forward(ConstTensorView<T> in, TensorView<T> out) const override {
     DNNFI_EXPECTS(out.size() == in.size());
     kernels::softmax_forward<T>(in.data().data(), out.data().data(),
                                 in.size());
@@ -774,9 +760,7 @@ class GlobalAvgPool final : public Layer<T> {
   LayerKind kind() const noexcept override { return LayerKind::kGlobalAvgPool; }
   Shape out_shape(const Shape& in) const override { return tensor::vec(in.c); }
 
-  void forward(ConstTensorView<T> in, TensorView<T> out,
-               const LayerFaults* = nullptr,
-               InjectionRecord* = nullptr) const override {
+  void forward(ConstTensorView<T> in, TensorView<T> out) const override {
     const Shape& is = in.shape();
     DNNFI_EXPECTS(out.size() == is.c);
     kernels::avgpool_forward<T>(in.data().data(), out.data().data(), is.c,

@@ -720,14 +720,16 @@ StratifiedResult Campaign::run_stratified(const CampaignOptions& opt,
   return backend_->run_stratified(opt, shard, fingerprint(opt));
 }
 
-std::uint64_t Campaign::fingerprint(const CampaignOptions& opt) const {
+std::uint64_t campaign_fingerprint(const std::string& network, DType dtype,
+                                   std::size_t num_inputs,
+                                   const CampaignOptions& opt) {
   ByteWriter w;
   w.u64(opt.seed);
   w.u64(opt.trials);
   w.u32(static_cast<std::uint32_t>(opt.site));
-  w.u32(static_cast<std::uint32_t>(backend_->dtype()));
-  w.str(backend_->spec().name);
-  w.u64(backend_->num_inputs());
+  w.u32(static_cast<std::uint32_t>(dtype));
+  w.str(network);
+  w.u64(num_inputs);
   const SampleConstraint& c = opt.constraint;
   w.u8(c.fixed_bit.has_value() ? 1 : 0);
   w.u32(static_cast<std::uint32_t>(c.fixed_bit.value_or(0)));
@@ -755,6 +757,11 @@ std::uint64_t Campaign::fingerprint(const CampaignOptions& opt) const {
   // and stats files keep matching).
   if (opt.sampler != SamplerMode::kUniform) w.str(sampler_id(opt));
   return fingerprint64(w.bytes().data(), w.bytes().size());
+}
+
+std::uint64_t Campaign::fingerprint(const CampaignOptions& opt) const {
+  return campaign_fingerprint(backend_->spec().name, backend_->dtype(),
+                              backend_->num_inputs(), opt);
 }
 
 const dnn::NetworkSpec& Campaign::spec() const { return backend_->spec(); }

@@ -128,6 +128,15 @@ struct CampaignOptions {
 /// checkpoints and non-default stats headers.
 std::string sampler_id(const CampaignOptions& opt);
 
+/// Fold of every option that changes trial outcomes — seed, trial count,
+/// site, constraint, dtype, topology, detector presence — used to refuse
+/// resuming/merging under mismatched configurations: equal fingerprints
+/// promise equal trials. Needs no model load.
+std::uint64_t campaign_fingerprint(const std::string& network,
+                                   numeric::DType dtype,
+                                   std::size_t num_inputs,
+                                   const CampaignOptions& opt);
+
 /// One shard of a campaign: which trial-index range to run and how to
 /// persist it.
 struct ShardSpec {
@@ -260,10 +269,7 @@ class Campaign {
   StratifiedResult run_stratified(const CampaignOptions& opt,
                                   const ShardSpec& shard = {}) const;
 
-  /// Fold of every option that changes trial outcomes — seed, trial count,
-  /// site, constraint, dtype, topology, detector presence — used to refuse
-  /// resuming/merging under mismatched configurations. Not part of the
-  /// checkpoint payload semantics: equal fingerprints promise equal trials.
+  /// campaign_fingerprint of this campaign's network, dtype and inputs.
   std::uint64_t fingerprint(const CampaignOptions& opt) const;
 
   const dnn::NetworkSpec& spec() const;

@@ -1,5 +1,6 @@
 #include "dnnfi/fault/checkpoint.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <string_view>
@@ -250,6 +251,76 @@ Expected<void> validate_checkpoint_axes(const ShardCheckpoint& ck,
                 "checkpoint was produced with sampler '" + ck.sampler +
                     "' but this campaign runs '" + sampler + "'");
   return {};
+}
+
+Expected<ShardCheckpoint> merge_checkpoints(
+    const std::vector<NamedCheckpoint>& shards,
+    const std::vector<std::uint64_t>& quarantined) {
+  if (shards.empty())
+    return fail(Errc::kShardMismatch,
+                "nothing to merge: no complete shard checkpoint");
+  const NamedCheckpoint& first = shards.front();
+  std::vector<const NamedCheckpoint*> order;
+  for (const NamedCheckpoint& s : shards) {
+    if (!s.ck.complete)
+      return fail(Errc::kShardMismatch,
+                  "shard " + s.origin + " is incomplete; finish it first");
+    if (s.ck.fingerprint != first.ck.fingerprint ||
+        s.ck.trials_total != first.ck.trials_total)
+      return fail(Errc::kFingerprintMismatch,
+                  "shard " + s.origin + " belongs to a different campaign than " +
+                      first.origin);
+    if (auto axes = validate_checkpoint_axes(s.ck, first.ck.accel,
+                                             first.ck.fault_op,
+                                             first.ck.sampler);
+        !axes.ok())
+      return fail(axes.error().code,
+                  "shard " + s.origin + ": " + axes.error().message);
+    order.push_back(&s);
+  }
+  std::sort(order.begin(), order.end(), [](const auto* x, const auto* y) {
+    return x->ck.shard_begin < y->ck.shard_begin;
+  });
+
+  // Identity fields come from the first operand; the folded ones restart.
+  ShardCheckpoint merged = first.ck;
+  merged.shard_begin = 0;
+  merged.shard_end = merged.trials_total;
+  merged.masked_exits = 0;
+  merged.aborted_trials = quarantined;
+  merged.acc = OutcomeAccumulator();
+  merged.stratified.reset();
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const ShardCheckpoint& ck = order[i]->ck;
+    if (i > 0 && ck.shard_begin < order[i - 1]->ck.shard_end)
+      return fail(Errc::kShardMismatch, "shards " + order[i - 1]->origin +
+                                            " and " + order[i]->origin +
+                                            " overlap");
+    merged.acc.merge(ck.acc);
+    merged.masked_exits += ck.masked_exits;
+    merged.aborted_trials.insert(merged.aborted_trials.end(),
+                                 ck.aborted_trials.begin(),
+                                 ck.aborted_trials.end());
+  }
+  std::vector<std::uint64_t>& aborted = merged.aborted_trials;
+  std::sort(aborted.begin(), aborted.end());
+  aborted.erase(std::unique(aborted.begin(), aborted.end()), aborted.end());
+
+  // Coverage sweep: each step takes the next operand range, or one
+  // quarantined trial that no range holds.
+  std::uint64_t next = 0;
+  for (std::size_t i = 0;;) {
+    if (i < order.size() && order[i]->ck.shard_begin <= next)
+      next = std::max(next, order[i++]->ck.shard_end);
+    else if (next < merged.trials_total &&
+             std::binary_search(aborted.begin(), aborted.end(), next))
+      ++next;
+    else
+      break;
+  }
+  merged.next_trial = next;
+  merged.complete = next == merged.trials_total;
+  return merged;
 }
 
 }  // namespace dnnfi::fault

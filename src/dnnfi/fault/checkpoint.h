@@ -188,4 +188,27 @@ Expected<void> validate_checkpoint_axes(const ShardCheckpoint& ck,
                                         const std::string& fault_op,
                                         const std::string& sampler = "uniform");
 
+// ---- shard merge -----------------------------------------------------------
+
+/// A loaded checkpoint and the file it came from, which rejections name.
+struct NamedCheckpoint {
+  std::string origin;
+  ShardCheckpoint ck;
+};
+
+/// The one rule for folding shard checkpoints, shared by `dnnfi_campaign
+/// merge` and the supervisor. Rejects, naming the file: no operand or an
+/// incomplete one (kShardMismatch); another fingerprint or trials_total
+/// than the first operand's (kFingerprintMismatch); other accel, fault-op
+/// or sampler axes (validate_checkpoint_axes); overlapping ranges
+/// (kShardMismatch). The result spans [0, trials_total) with the first
+/// operand's identity fields, the exact fold of every accumulator and
+/// masked_exits, and the sorted union of every aborted_trials list and
+/// `quarantined`. It is `complete` iff the operand ranges plus quarantined
+/// trials cover [0, trials_total); next_trial is the first trial they miss.
+/// The stratified section is not carried over.
+Expected<ShardCheckpoint> merge_checkpoints(
+    const std::vector<NamedCheckpoint>& shards,
+    const std::vector<std::uint64_t>& quarantined = {});
+
 }  // namespace dnnfi::fault

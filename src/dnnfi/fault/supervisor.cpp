@@ -68,8 +68,7 @@ struct Worker {
   std::string log_path;      ///< this process's stderr log ("" = inherited)
   std::optional<Task> task;  ///< the running task; empty while idle
   TimePoint started{};       ///< when the task's kInit frame was sent
-  TimePoint last_beat{};
-  std::uint64_t trials_done = 0;  ///< of the task, this attempt
+  TimePoint last_beat{};     ///< when the last byte arrived from the worker
   bool watchdog_killed = false;
   bool channel_corrupt = false;  ///< frame damage or bad shipped checkpoint
   Error channel_error;           ///< set when channel_corrupt
@@ -376,7 +375,7 @@ class Supervisor {
   /// as an idle worker.
   Expected<void> assign(Worker& w, const Task& task) {
     const std::string ckpt = checkpoint_of(task);
-    std::optional<std::vector<std::uint8_t>> resume;
+    std::vector<std::uint8_t> resume;
     if (std::filesystem::exists(ckpt)) {
       auto bytes = read_checkpoint_bytes(ckpt);
       if (bytes.ok()) {
@@ -388,7 +387,7 @@ class Supervisor {
       }
     }
     const std::vector<std::uint8_t> init =
-        encode_init(task.begin, task.end, resume ? &*resume : nullptr);
+        encode_init(task.begin, task.end, resume);
     if (auto sent = send_frame(w.tx, FrameType::kInit, init.data(),
                                init.size());
         !sent.ok()) {
@@ -400,12 +399,11 @@ class Supervisor {
     }
     w.task = task;
     w.started = w.last_beat = Clock::now();
-    w.trials_done = 0;
     if (!task.last_node.empty() && w.node->id != task.last_node) {
       ++report_.retries_elsewhere;
       log("shard " + range_str(task.begin, task.end) + " moves " +
           task.last_node + " -> " + w.node->id + " (retry-elsewhere" +
-          (resume ? ", resuming from shipped checkpoint)" : ")"));
+          (resume.empty() ? ")" : ", resuming from shipped checkpoint)"));
     }
     log("shard " + range_str(task.begin, task.end) + " -> " + w.node->id +
         " pid " + std::to_string(w.pid) +
@@ -427,7 +425,7 @@ class Supervisor {
   }
 
   /// Blocks up to the nearest deadline waiting for frames; drains every
-  /// readable channel and stamps last_beat.
+  /// readable channel.
   void poll_channels() {
     std::vector<pollfd> fds;
     std::vector<Worker*> owner;
@@ -477,9 +475,10 @@ class Supervisor {
         std::chrono::duration<double>(seconds));
   }
 
-  /// Reads everything the worker's channel holds, decoding beats and
-  /// shipped checkpoints. Short reads and EINTR are retried by the io
-  /// layer — a signal landing mid-read must not drop a beat. Structural
+  /// Reads everything the worker's channel holds, landing each shipped
+  /// checkpoint; every byte read stamps last_beat. Short reads and EINTR
+  /// are retried by the io layer — a signal landing mid-read must not drop
+  /// part of a frame. Structural
   /// damage, or any frame from a worker with no task, poisons the worker:
   /// it is SIGKILLed and a running task fails kTransport / kCheckpointShip
   /// (both retryable, on another host when one exists).
@@ -498,16 +497,14 @@ class Supervisor {
         break;
       }
       w.last_beat = Clock::now();
-      std::vector<ChannelEvent> events;
-      auto fed = w.channel.feed(buf, static_cast<std::size_t>(n), events);
-      for (const ChannelEvent& ev : events) {
+      std::vector<std::vector<std::uint8_t>> images;
+      auto fed = w.channel.feed(buf, static_cast<std::size_t>(n), images);
+      for (const std::vector<std::uint8_t>& image : images) {
         if (!w.task)
           channel_fault(w, Error{Errc::kTransport,
                                  "frame from a worker with no task"});
-        else if (ev.kind == ChannelEvent::Kind::kBeat)
-          w.trials_done = ev.done;
         else
-          land_checkpoint(w, ev.bytes);
+          land_checkpoint(w, image);
         if (w.channel_corrupt) return;
       }
       if (!fed.ok()) {
@@ -558,7 +555,7 @@ class Supervisor {
     completed_.push_back(Completed{task.begin, task.end, path});
     note_host_release(*w.node, /*success=*/true);
     log("shard " + range_str(task.begin, task.end) + " complete (" +
-        std::to_string(w.trials_done) + " trials this attempt)");
+        std::to_string(ck.next_trial - ck.shard_begin) + " trials)");
     w.task.reset();
   }
 
@@ -805,91 +802,42 @@ class Supervisor {
       if (w.task) kill(w.pid, SIGTERM);
     retire_all();
     report_.cancelled = true;
-    report_.aborted_trials = sorted_aborted();
+    report_.aborted_trials = aborted_;
+    std::sort(report_.aborted_trials.begin(), report_.aborted_trials.end());
     return report_;
   }
 
-  std::vector<std::uint64_t> sorted_aborted() const {
-    std::vector<std::uint64_t> v = aborted_;
-    std::sort(v.begin(), v.end());
-    return v;
-  }
-
-  /// Loads every completed shard checkpoint and merges exactly. The result
-  /// is byte-identical to the monolithic run over the same trials —
-  /// quarantined trials excepted, and those are enumerated. Shipped
-  /// checkpoints carry the same exact accumulators, and ExactSum merges
-  /// are associative, so where a shard ran (or how often it moved) cannot
-  /// change a single bit.
+  /// Loads every completed shard checkpoint and merges them exactly
+  /// (merge_checkpoints), requiring the shards and quarantined trials to
+  /// cover the whole campaign. The result is byte-identical to the
+  /// monolithic run over the same trials — quarantined trials excepted, and
+  /// those are enumerated. A shard of another campaign left in the
+  /// directory is a fatal fingerprint mismatch here, not a silent mix.
   Expected<SupervisorReport> merge() {
-    std::sort(completed_.begin(), completed_.end(),
-              [](const Completed& a, const Completed& b) {
-                return a.begin < b.begin;
-              });
-    // Coverage audit: completed shards plus quarantined singletons must
-    // tile [0, trials) without gaps or overlaps.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> tiles;
-    for (const Completed& c : completed_) tiles.emplace_back(c.begin, c.end);
-    // A quarantined trial is its own tile unless a completed range already
-    // accounts for it (a prior run's campaign.ckpt spans administratively-
-    // complete ranges that include their quarantined trials).
-    for (const std::uint64_t t : aborted_) {
-      const bool inside = std::any_of(
-          completed_.begin(), completed_.end(), [&](const Completed& c) {
-            return c.begin <= t && t < c.end;
-          });
-      if (!inside) tiles.emplace_back(t, t + 1);
-    }
-    std::sort(tiles.begin(), tiles.end());
-    std::uint64_t cursor = 0;
-    for (const auto& [b, e] : tiles) {
-      if (b != cursor)
-        return fail(Errc::kInternal,
-                    "supervise: coverage hole or overlap at trial " +
-                        std::to_string(cursor) + " vs tile " +
-                        range_str(b, e));
-      cursor = e;
-    }
-    if (cursor != opt_.trials)
-      return fail(Errc::kInternal,
-                  "supervise: coverage ends at " + std::to_string(cursor) +
-                      " of " + std::to_string(opt_.trials));
-
-    std::string network;
-    std::string accel = "eyeriss";
-    std::string fault_op = "toggle";
+    std::vector<NamedCheckpoint> shards;
     for (const Completed& c : completed_) {
       auto loaded = try_load_shard_checkpoint(c.path);
       if (!loaded.ok()) return loaded.error();
-      const ShardCheckpoint& ck = loaded.value();
-      report_.acc.merge(ck.acc);
-      report_.masked_exits += ck.masked_exits;
-      report_.fingerprint = ck.fingerprint;
-      network = ck.network;
-      accel = ck.accel;
-      fault_op = ck.fault_op;
+      shards.push_back(NamedCheckpoint{c.path, std::move(loaded).value()});
     }
-    report_.aborted_trials = sorted_aborted();
-
+    auto merged = merge_checkpoints(shards, aborted_);
+    if (!merged.ok()) return merged.error();
+    const ShardCheckpoint& ck = merged.value();
+    if (!ck.complete)
+      return fail(Errc::kInternal,
+                  "supervise: coverage ends at " +
+                      std::to_string(ck.next_trial) + " of " +
+                      std::to_string(opt_.trials));
     // Leave the merged state behind as a self-describing checkpoint that
     // carries the same geometry/op identity as its shards.
-    ShardCheckpoint merged;
-    merged.fingerprint = report_.fingerprint;
-    merged.network = network;
-    merged.accel = accel;
-    merged.fault_op = fault_op;
-    merged.trials_total = opt_.trials;
-    merged.shard_begin = 0;
-    merged.shard_end = opt_.trials;
-    merged.next_trial = opt_.trials;
-    merged.complete = true;
-    merged.masked_exits = report_.masked_exits;
-    merged.aborted_trials = report_.aborted_trials;
-    merged.acc = report_.acc;
     if (auto saved = try_save_shard_checkpoint(
-            opt_.checkpoint_dir + "/campaign.ckpt", merged);
+            opt_.checkpoint_dir + "/campaign.ckpt", ck);
         !saved.ok())
       return saved.error();
+    report_.acc = ck.acc;
+    report_.fingerprint = ck.fingerprint;
+    report_.masked_exits = ck.masked_exits;
+    report_.aborted_trials = ck.aborted_trials;
     return std::move(report_);
   }
 

@@ -9,9 +9,9 @@
 // caches once, then runs one task per kInit frame (fault/transport.h) the
 // supervisor sends down its stdin, until EOF. It keeps the task's checkpoint
 // in the node's scratch directory (`<checkpoint_dir>/node<i>/` for
-// localhost nodes) and sends a kBeat frame — its count of completed trials
-// — plus that checkpoint's file image after every batch, the complete image
-// last. The supervisor:
+// localhost nodes) and sends that checkpoint's file image as a kCheckpoint
+// frame after every batch, the complete image last; the frame is also its
+// heartbeat. The supervisor:
 //
 //   dispatch  — one task per free fleet slot, preferring a node other than
 //               the one the task last failed on (retry-elsewhere); the
@@ -20,9 +20,11 @@
 //   ship      — validates every shipped checkpoint and lands it atomically
 //               in checkpoint_dir, the durable copy a retry resumes from;
 //               a complete one is the task done, and its worker idle;
-//   watchdog  — SIGKILLs a worker whose task misses its heartbeat deadline
-//               or exceeds the per-shard wall-clock timeout (counted from
-//               the kInit send); an idle worker has no deadline;
+//   watchdog  — SIGKILLs a worker whose task sends nothing for the
+//               heartbeat timeout (counted from the kInit send or the last
+//               byte read) or exceeds the per-shard wall-clock timeout
+//               (counted from the kInit send); an idle worker has no
+//               deadline;
 //   retry     — re-dispatches failed tasks with exponential backoff plus
 //               deterministic jitter, up to `max_attempts` per range. A
 //               retried task resumes from the last shipped batch, so a
@@ -39,7 +41,8 @@
 //   merge     — completed shard checkpoints are merged exactly (ExactSum
 //               associativity) into aggregates byte-identical to a
 //               monolithic run, quarantined trials excepted and
-//               enumerated.
+//               enumerated, by merge_checkpoints (fault/checkpoint.h),
+//               the rule `dnnfi_campaign merge` applies too.
 //
 // Failure classification rides the error.h taxonomy over the process
 // boundary: a worker that dies before its task's complete checkpoint lands
@@ -92,9 +95,10 @@ struct SupervisorOptions {
   std::size_t max_quarantine = 16;    ///< poison-trial budget; more = fatal
 
   /// Directory holding shard checkpoints and the merged campaign
-  /// checkpoint. One campaign configuration per directory: stale
-  /// checkpoints from a different configuration are a fatal
-  /// fingerprint mismatch.
+  /// checkpoint. One campaign configuration per directory: checkpoints of
+  /// two configurations are a fatal fingerprint mismatch (startup scan,
+  /// merge_checkpoints); a directory wholly of another one is the caller's
+  /// to refuse by SupervisorReport::fingerprint (campaign_fingerprint).
   std::string checkpoint_dir;
 
   /// Seeds the deterministic retry jitter (any value; reuse the campaign
@@ -152,8 +156,8 @@ struct SupervisorReport {
 
 /// Runs the supervised campaign to completion (or cancellation). Returns
 /// the merged report, or the first fatal Error. Also writes the merged
-/// state as `<checkpoint_dir>/campaign.ckpt` (format v3, aborted_trials
-/// enumerated) so a finished campaign is self-describing on disk.
+/// state as `<checkpoint_dir>/campaign.ckpt` (aborted_trials enumerated)
+/// so a finished campaign is self-describing on disk.
 Expected<SupervisorReport> supervise(const SupervisorOptions& opt);
 
 }  // namespace dnnfi::fault

@@ -42,7 +42,6 @@ constexpr std::size_t kFrameHeader = 9;  // u32 len + u8 type + u32 crc
 
 bool known_frame_type(std::uint8_t t) {
   return t == static_cast<std::uint8_t>(FrameType::kInit) ||
-         t == static_cast<std::uint8_t>(FrameType::kBeat) ||
          t == static_cast<std::uint8_t>(FrameType::kCheckpoint);
 }
 
@@ -56,7 +55,7 @@ void store_u64(std::uint8_t* p, std::uint64_t v) {
   store_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
-constexpr std::size_t kInitFixed = 17;  // u64 begin + u64 end + u8 flag
+constexpr std::size_t kInitFixed = 16;  // u64 begin + u64 end
 
 }  // namespace
 
@@ -144,13 +143,12 @@ Expected<void> send_frame(int fd, FrameType type, const std::uint8_t* payload,
 // ---- kInit: one task for a persistent worker ----------------------------
 
 std::vector<std::uint8_t> encode_init(std::uint64_t begin, std::uint64_t end,
-                                      const std::vector<std::uint8_t>* resume) {
-  const std::size_t image = resume != nullptr ? resume->size() : 0;
-  std::vector<std::uint8_t> out(kInitFixed + image);
+                                      const std::vector<std::uint8_t>& resume) {
+  std::vector<std::uint8_t> out(kInitFixed + resume.size());
   store_u64(out.data(), begin);
   store_u64(out.data() + 8, end);
-  out[16] = resume != nullptr ? 1 : 0;
-  if (image != 0) std::memcpy(out.data() + kInitFixed, resume->data(), image);
+  if (!resume.empty())
+    std::memcpy(out.data() + kInitFixed, resume.data(), resume.size());
   return out;
 }
 
@@ -162,15 +160,7 @@ Expected<TaskInit> parse_init(const std::uint8_t* data, std::size_t n) {
   TaskInit t;
   t.begin = load_u64(data);
   t.end = load_u64(data + 8);
-  const std::uint8_t has_checkpoint = data[16];
-  if (has_checkpoint > 1)
-    return transport_error("init frame has_checkpoint byte is " +
-                           std::to_string(has_checkpoint) + ", not 0 or 1");
-  if (has_checkpoint == 0 && n != kInitFixed)
-    return transport_error("init frame says start fresh but carries " +
-                           std::to_string(n - kInitFixed) + " image bytes");
-  if (has_checkpoint == 1)
-    t.resume.emplace(data + kInitFixed, data + n);
+  t.resume.assign(data + kInitFixed, data + n);
   return t;
 }
 
@@ -190,9 +180,9 @@ Expected<std::string> accept_task(const TaskInit& task, std::uint64_t trials,
       (std::filesystem::path(scratch_dir) /
        shard_checkpoint_name(task.begin, task.end))
           .string();
-  if (task.resume) {
-    auto landed = write_checkpoint_bytes(path, task.resume->data(),
-                                         task.resume->size());
+  if (!task.resume.empty()) {
+    auto landed = write_checkpoint_bytes(path, task.resume.data(),
+                                         task.resume.size());
     if (!landed.ok()) return landed.error();
     return path;
   }
@@ -241,40 +231,19 @@ Expected<std::optional<TaskInit>> InitReader::next(
 
 // ---- supervisor-side channel ---------------------------------------------
 
-Expected<void> WorkerChannel::feed(const std::uint8_t* data, std::size_t n,
-                                   std::vector<ChannelEvent>& out) {
+Expected<void> WorkerChannel::feed(
+    const std::uint8_t* data, std::size_t n,
+    std::vector<std::vector<std::uint8_t>>& out) {
   decoder_.feed(data, n);
   while (true) {
     auto parsed = decoder_.next();
     if (!parsed.ok()) return parsed.error();
     if (!parsed.value().has_value()) return {};
-    Frame f = std::move(*parsed.value());
-    switch (f.type) {
-      case FrameType::kBeat: {
-        if (f.payload.size() != 8)
-          return transport_error("beat frame payload is " +
-                                 std::to_string(f.payload.size()) +
-                                 " bytes, expected 8");
-        std::uint64_t done = 0;
-        for (std::size_t i = 0; i < 8; ++i)
-          done |= static_cast<std::uint64_t>(f.payload[i]) << (8 * i);
-        ChannelEvent ev;
-        ev.kind = ChannelEvent::Kind::kBeat;
-        ev.done = done;
-        out.push_back(std::move(ev));
-        break;
-      }
-      case FrameType::kCheckpoint: {
-        ChannelEvent ev;
-        ev.kind = ChannelEvent::Kind::kCheckpoint;
-        ev.bytes = std::move(f.payload);
-        out.push_back(std::move(ev));
-        break;
-      }
-      case FrameType::kInit:
-        return transport_error(
-            "worker sent an init frame (supervisor-only direction)");
-    }
+    Frame& f = *parsed.value();
+    if (f.type == FrameType::kInit)
+      return transport_error(
+          "worker sent an init frame (supervisor-only direction)");
+    out.push_back(std::move(f.payload));
   }
 }
 
@@ -329,7 +298,7 @@ Expected<WorkerHandle> spawn_worker(const std::string& host,
   }
 
   int to_worker[2];   // supervisor -> worker stdin (kInit frames)
-  int from_worker[2]; // worker stdout -> supervisor (beats + checkpoints)
+  int from_worker[2]; // worker stdout -> supervisor (checkpoints)
   if (pipe(to_worker) != 0) return transport_errno("pipe failed");
   if (pipe(from_worker) != 0) {
     close(to_worker[0]);

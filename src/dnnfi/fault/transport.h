@@ -8,11 +8,11 @@
 // lives as long as its fleet slot and runs one task (a shard range) per
 // kInit frame the supervisor sends down its stdin; EOF on stdin ends it.
 // Each kInit carries the task's range and its resume checkpoint image. The
-// worker keeps the task's checkpoint in the node's scratch directory, and
-// its stdout carries heartbeats AND that checkpoint's file image back after
-// every batch, the complete image last. The supervisor lands each shipped
-// image atomically in --ckpt-dir, so a retried shard — on the same node or
-// another — resumes from the last shipped batch.
+// worker keeps the task's checkpoint in the node's scratch directory and
+// sends its file image back after every batch, the complete image last;
+// each image is also the worker's heartbeat. The supervisor lands each
+// shipped image atomically in --ckpt-dir, so a retried shard — on the same
+// node or another — resumes from the last shipped batch.
 //
 // Frame layout (little-endian):
 //
@@ -22,20 +22,17 @@
 //   5       4     CRC-32 of the payload
 //   9       N     payload
 //
-//   kInit       supervisor -> worker, one per task:
-//                 u64 begin, u64 end   the task's trial range [begin, end)
-//                 u8  has_checkpoint   0 or 1
-//                 ... checkpoint image (present iff has_checkpoint = 1)
-//               has_checkpoint=0 orders the worker to discard any stale
-//               node-local checkpoint and start the shard fresh.
-//   kBeat       worker -> supervisor: u64 trials completed this task.
-//   kCheckpoint worker -> supervisor: the worker's checkpoint file image,
-//               exactly as written to its node-local disk (shipped after
-//               every batch; doubly integrity-checked — frame CRC plus the
-//               checkpoint's own envelope CRC). The complete image is the
-//               task's last frame; the next frame belongs to the next task.
+//   1 kInit       supervisor -> worker, one per task: u64 begin, u64 end
+//                 (the trial range [begin, end)), then the checkpoint image
+//                 to resume from; an empty image means start fresh (discard
+//                 any stale node-local checkpoint).
+//   3 kCheckpoint worker -> supervisor: the worker's checkpoint file image,
+//                 exactly as written to its node-local disk (after every
+//                 batch; frame CRC plus the checkpoint's own envelope CRC).
+//                 The complete image is the task's last frame.
 //
-// A structurally damaged stream (bad CRC, oversized length) is a kTransport
+// A structurally damaged stream (bad CRC, oversized length, any other type
+// — 2 included, an earlier protocol's progress beat) is a kTransport
 // error: the channel, not the shard, is at fault, so the supervisor kills
 // the worker and retries the shard — preferring a different host.
 //
@@ -73,8 +70,7 @@ Expected<long> io_read_chunk(int fd, std::uint8_t* buf, std::size_t n);
 
 enum class FrameType : std::uint8_t {
   kInit = 1,        ///< supervisor->worker one task: range + resume state
-  kBeat = 2,        ///< worker->supervisor liveness + progress
-  kCheckpoint = 3,  ///< worker->supervisor checkpoint file image
+  kCheckpoint = 3,  ///< worker->supervisor checkpoint image and heartbeat
 };
 
 /// Upper bound on a frame payload. Checkpoints are kilobytes; anything
@@ -83,7 +79,7 @@ enum class FrameType : std::uint8_t {
 inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 
 struct Frame {
-  FrameType type = FrameType::kBeat;
+  FrameType type = FrameType::kCheckpoint;
   std::vector<std::uint8_t> payload;
 };
 
@@ -121,18 +117,17 @@ Expected<void> send_frame(int fd, FrameType type, const std::uint8_t* payload,
 struct TaskInit {
   std::uint64_t begin = 0;  ///< the task's trial range [begin, end)
   std::uint64_t end = 0;
-  /// Checkpoint image to resume from; std::nullopt = start fresh.
-  std::optional<std::vector<std::uint8_t>> resume;
+  /// Checkpoint image to resume from; empty = start fresh.
+  std::vector<std::uint8_t> resume;
 };
 
-/// Encodes a kInit payload (send it with send_frame). `resume` may be null.
+/// Encodes a kInit payload (send it with send_frame). An empty `resume`
+/// starts the task fresh.
 std::vector<std::uint8_t> encode_init(std::uint64_t begin, std::uint64_t end,
-                                      const std::vector<std::uint8_t>* resume);
+                                      const std::vector<std::uint8_t>& resume);
 
-/// Parses a kInit payload. kTransport when it is shorter than its fixed
-/// fields, when has_checkpoint is neither 0 nor 1, or when a "start fresh"
-/// payload carries image bytes. The range is not checked here (see
-/// accept_task).
+/// Parses a kInit payload. kTransport when it is shorter than the 16 bytes
+/// of its range. The range is not checked here (see accept_task).
 Expected<TaskInit> parse_init(const std::uint8_t* data, std::size_t n);
 
 /// Leaf name of a shard's checkpoint file, "shard_<begin>_<end>.ckpt": the
@@ -165,22 +160,14 @@ class InitReader {
 
 // ---- supervisor-side channel ---------------------------------------------
 
-/// One decoded message from a worker.
-struct ChannelEvent {
-  enum class Kind { kBeat, kCheckpoint };
-  Kind kind = Kind::kBeat;
-  std::uint64_t done = 0;            ///< kBeat: trials this attempt
-  std::vector<std::uint8_t> bytes;   ///< kCheckpoint: shipped file image
-};
-
-/// Turns a worker's frame stream into events, tolerating arbitrary
-/// fragmentation.
+/// Turns a worker's frame stream into shipped checkpoint images, tolerating
+/// arbitrary fragmentation.
 class WorkerChannel {
  public:
-  /// Decodes as many complete messages as `data` completes, appending them
-  /// to `out`. kTransport on structural damage.
+  /// Decodes as many kCheckpoint frames as `data` completes, appending their
+  /// images to `out`. kTransport on structural damage or a kInit frame.
   Expected<void> feed(const std::uint8_t* data, std::size_t n,
-                      std::vector<ChannelEvent>& out);
+                      std::vector<std::vector<std::uint8_t>>& out);
 
  private:
   FrameDecoder decoder_;

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -413,6 +414,149 @@ TEST(CampaignDeterminism, AccumulatorMatchesBufferedRun) {
   }
   EXPECT_EQ(streamed.acc.detections(), detected);
   EXPECT_EQ(streamed.acc.reached_output().hits, reached);
+}
+
+// ---------------------------------------------------------------------------
+// Shard merge: the one rule `dnnfi_campaign merge` and the supervisor share
+// for folding shard checkpoints, on checkpoints built in memory.
+// ---------------------------------------------------------------------------
+
+/// A complete shard [begin, end) of a 96-trial campaign.
+ShardCheckpoint merge_operand(std::uint64_t begin, std::uint64_t end) {
+  ShardCheckpoint ck;
+  ck.fingerprint = 0xF00DULL;
+  ck.network = "tiny";
+  ck.trials_total = 96;
+  ck.shard_begin = begin;
+  ck.shard_end = end;
+  ck.next_trial = end;
+  ck.complete = true;
+  return ck;
+}
+
+/// Asserts that merging `shards` fails with `code`, naming `culprit`.
+void expect_merge_rejects(const std::vector<NamedCheckpoint>& shards,
+                          Errc code, const std::string& culprit) {
+  const auto merged = merge_checkpoints(shards);
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.error().code, code) << merged.error().to_string();
+  EXPECT_NE(merged.error().message.find(culprit), std::string::npos)
+      << merged.error().message;
+}
+
+TEST(ShardMerge, FoldsShardsToTheMonolithicAggregateInAnyOrder) {
+  const Campaign c = tiny_campaign(DType::kFloat16);
+  const CampaignOptions opt = base_options();
+  const ShardResult whole = c.run_shard(opt, ShardSpec{});
+  std::vector<NamedCheckpoint> shards;
+  for (const auto& [b, e] : {std::pair<std::uint64_t, std::uint64_t>{0, 17},
+                             {17, 50}, {50, 96}}) {
+    ShardSpec spec;
+    spec.begin = b;
+    spec.end = e;
+    const ShardResult r = c.run_shard(opt, spec);
+    ShardCheckpoint ck = merge_operand(b, e);
+    ck.fingerprint = c.fingerprint(opt);
+    ck.acc = r.acc;
+    ck.masked_exits = r.masked_exits;
+    shards.push_back(NamedCheckpoint{"s" + std::to_string(b), std::move(ck)});
+  }
+  for (int rotation = 0; rotation < 3; ++rotation) {
+    SCOPED_TRACE(rotation);
+    const auto merged = merge_checkpoints(shards);
+    ASSERT_TRUE(merged.ok()) << merged.error().to_string();
+    const ShardCheckpoint& m = merged.value();
+    EXPECT_EQ(m.acc.bytes(), whole.acc.bytes());
+    EXPECT_EQ(m.masked_exits, whole.masked_exits);
+    EXPECT_EQ(m.fingerprint, c.fingerprint(opt));
+    EXPECT_EQ(m.network, "tiny");
+    EXPECT_EQ(m.shard_begin, 0u);
+    EXPECT_EQ(m.shard_end, 96u);
+    EXPECT_EQ(m.next_trial, 96u);
+    EXPECT_TRUE(m.complete);
+    EXPECT_TRUE(m.aborted_trials.empty());
+    std::rotate(shards.begin(), shards.begin() + 1, shards.end());
+  }
+}
+
+TEST(ShardMerge, RejectsAnIncompleteOperand) {
+  ShardCheckpoint partial = merge_operand(48, 96);
+  partial.complete = false;
+  partial.next_trial = 60;
+  expect_merge_rejects({{"a.ckpt", merge_operand(0, 48)}, {"b.ckpt", partial}},
+                       Errc::kShardMismatch, "b.ckpt");
+  expect_merge_rejects({}, Errc::kShardMismatch, "nothing to merge");
+}
+
+TEST(ShardMerge, RejectsAFingerprintMismatch) {
+  ShardCheckpoint other = merge_operand(48, 96);
+  other.fingerprint ^= 1;
+  expect_merge_rejects({{"a.ckpt", merge_operand(0, 48)}, {"b.ckpt", other}},
+                       Errc::kFingerprintMismatch, "b.ckpt");
+}
+
+TEST(ShardMerge, RejectsATrialsTotalMismatch) {
+  ShardCheckpoint other = merge_operand(48, 96);
+  other.trials_total = 200;
+  expect_merge_rejects({{"a.ckpt", merge_operand(0, 48)}, {"b.ckpt", other}},
+                       Errc::kFingerprintMismatch, "b.ckpt");
+}
+
+TEST(ShardMerge, RejectsAnAxesMismatch) {
+  for (std::string ShardCheckpoint::*axis :
+       {&ShardCheckpoint::accel, &ShardCheckpoint::fault_op,
+        &ShardCheckpoint::sampler}) {
+    ShardCheckpoint other = merge_operand(48, 96);
+    other.*axis = "elsewhere";
+    expect_merge_rejects({{"a.ckpt", merge_operand(0, 48)}, {"b.ckpt", other}},
+                         Errc::kFingerprintMismatch, "b.ckpt");
+  }
+}
+
+TEST(ShardMerge, RejectsOverlappingRanges) {
+  expect_merge_rejects({{"a.ckpt", merge_operand(0, 50)},
+                        {"c.ckpt", merge_operand(60, 96)},
+                        {"b.ckpt", merge_operand(48, 60)}},
+                       Errc::kShardMismatch, "a.ckpt and b.ckpt overlap");
+}
+
+TEST(ShardMerge, QuarantinedTrialTilesOnlyOutsideTheOperandRanges) {
+  // Trial 7 lies inside [0, 40) (and that operand already lists it); trial
+  // 40 lies in the gap and is its own one-trial tile.
+  ShardCheckpoint lo = merge_operand(0, 40);
+  lo.aborted_trials = {7};
+  const std::vector<NamedCheckpoint> shards = {{"hi", merge_operand(41, 96)},
+                                               {"lo", lo}};
+  const auto merged = merge_checkpoints(shards, {40, 7});
+  ASSERT_TRUE(merged.ok()) << merged.error().to_string();
+  EXPECT_TRUE(merged.value().complete);
+  EXPECT_EQ(merged.value().next_trial, 96u);
+  EXPECT_EQ(merged.value().aborted_trials, (std::vector<std::uint64_t>{7, 40}));
+
+  // Without trial 40 the gap stays open; trial 7 alone closes nothing.
+  const auto holed = merge_checkpoints(shards, {7});
+  ASSERT_TRUE(holed.ok()) << holed.error().to_string();
+  EXPECT_FALSE(holed.value().complete);
+  EXPECT_EQ(holed.value().next_trial, 40u);
+  EXPECT_EQ(holed.value().aborted_trials, (std::vector<std::uint64_t>{7}));
+}
+
+TEST(ShardMerge, PartialCoverageIsAnIncompleteButValidImage) {
+  ShardCheckpoint lo = merge_operand(0, 40);
+  lo.masked_exits = 3;
+  ShardCheckpoint hi = merge_operand(60, 96);
+  hi.masked_exits = 4;
+  const auto merged = merge_checkpoints({{"lo", lo}, {"hi", hi}});
+  ASSERT_TRUE(merged.ok()) << merged.error().to_string();
+  EXPECT_FALSE(merged.value().complete);
+  EXPECT_EQ(merged.value().next_trial, 40u);
+  EXPECT_EQ(merged.value().masked_exits, 7u);
+  // The image is one a checkpoint file can hold.
+  TempFile f("merge_partial");
+  ASSERT_TRUE(try_save_shard_checkpoint(f.path, merged.value()).ok());
+  const auto loaded = try_load_shard_checkpoint(f.path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
+  EXPECT_FALSE(loaded.value().complete);
 }
 
 }  // namespace

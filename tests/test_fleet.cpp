@@ -65,9 +65,9 @@ TEST(FrameCodec, RoundTripsAcrossArbitraryChunkBoundaries) {
   // time: every frame must come out intact, in order, and never early.
   const std::vector<std::pair<FrameType, std::vector<std::uint8_t>>> frames = {
       {FrameType::kInit, bytes_of("")},
-      {FrameType::kBeat, bytes_of("\x01\x02\x03\x04\x05\x06\x07\x08")},
+      {FrameType::kCheckpoint, bytes_of("\x01\x02\x03\x04\x05\x06\x07\x08")},
       {FrameType::kCheckpoint, bytes_of(std::string(3000, 'x') + "tail")},
-      {FrameType::kBeat, bytes_of("01234567")},
+      {FrameType::kInit, bytes_of("01234567")},
   };
   std::vector<std::uint8_t> wire;
   for (const auto& [type, payload] : frames) {
@@ -112,7 +112,8 @@ TEST(FrameCodec, TruncatedFrameStaysPendingNotAnError) {
 
 TEST(FrameCodec, EveryPayloadBitFlipIsRejectedByCrc) {
   const auto payload = bytes_of("integrity matters");
-  auto wire = encode_frame(FrameType::kBeat, payload.data(), payload.size());
+  auto wire =
+      encode_frame(FrameType::kCheckpoint, payload.data(), payload.size());
   const std::size_t header = wire.size() - payload.size();
   for (std::size_t i = header; i < wire.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -135,21 +136,27 @@ TEST(FrameCodec, OversizedLengthAndUnknownTypeAreTransportErrors) {
   const std::uint32_t huge = kMaxFramePayload + 1;
   for (int i = 0; i < 4; ++i)
     oversized[i] = static_cast<std::uint8_t>(huge >> (8 * i));
-  oversized[4] = 2;  // kBeat
+  oversized[4] = 3;  // kCheckpoint
   FrameDecoder dec;
   dec.feed(oversized, sizeof oversized);
   auto next = dec.next();
   ASSERT_FALSE(next.ok());
   EXPECT_EQ(next.error().code, Errc::kTransport);
 
-  const auto payload = bytes_of("x");
-  auto wire = encode_frame(FrameType::kBeat, payload.data(), payload.size());
-  wire[4] = 99;  // not a FrameType
-  FrameDecoder dec2;
-  dec2.feed(wire.data(), wire.size());
-  auto next2 = dec2.next();
-  ASSERT_FALSE(next2.ok());
-  EXPECT_EQ(next2.error().code, Errc::kTransport);
+  // Type 2 carried a progress beat in an earlier protocol; it is no longer
+  // a FrameType, and neither are 0 and 99.
+  for (const int type : {0, 2, 99}) {
+    SCOPED_TRACE(::testing::Message() << "type " << type);
+    const auto payload = bytes_of("x");
+    auto wire =
+        encode_frame(FrameType::kCheckpoint, payload.data(), payload.size());
+    wire[4] = static_cast<std::uint8_t>(type);
+    FrameDecoder dec2;
+    dec2.feed(wire.data(), wire.size());
+    auto next2 = dec2.next();
+    ASSERT_FALSE(next2.ok());
+    EXPECT_EQ(next2.error().code, Errc::kTransport);
+  }
 }
 
 // ---- kInit: one task for a persistent worker -----------------------------
@@ -186,8 +193,8 @@ TEST(FrameCodec, InitPayloadRoundTripsThroughTheDecoder) {
     const std::uint64_t begin = 0x0123456789ABCDEFULL;
     const std::uint64_t end = 0xFEDCBA9876543210ULL;
     const auto payload =
-        encode_init(begin, end, with_image ? &image : nullptr);
-    EXPECT_EQ(payload.size(), 17u + (with_image ? image.size() : 0));
+        encode_init(begin, end, with_image ? image : std::vector<std::uint8_t>{});
+    EXPECT_EQ(payload.size(), 16u + (with_image ? image.size() : 0));
     const auto wire =
         encode_frame(FrameType::kInit, payload.data(), payload.size());
     FrameDecoder dec;
@@ -199,10 +206,8 @@ TEST(FrameCodec, InitPayloadRoundTripsThroughTheDecoder) {
     ASSERT_TRUE(task.ok()) << task.error().to_string();
     EXPECT_EQ(task.value().begin, begin);
     EXPECT_EQ(task.value().end, end);
-    ASSERT_EQ(task.value().resume.has_value(), with_image);
-    if (with_image) {
-      EXPECT_EQ(*task.value().resume, image);
-    }
+    EXPECT_EQ(task.value().resume,
+              with_image ? image : std::vector<std::uint8_t>{});
   }
 }
 
@@ -216,8 +221,8 @@ TEST(FrameCodec, InitParserSurvivesEveryByteFlipAndTruncation) {
   const std::uint64_t begin = splitmix64(seed) >> 40;
   const std::uint64_t end = begin + (splitmix64(seed) >> 48) + 1;
   const auto image = random_bytes(splitmix64(seed), 40);
-  for (const std::vector<std::uint8_t>* resume :
-       {static_cast<const std::vector<std::uint8_t>*>(nullptr), &image}) {
+  for (const std::vector<std::uint8_t>& resume :
+       {std::vector<std::uint8_t>{}, image}) {
     const auto payload = encode_init(begin, end, resume);
     const auto wire =
         encode_frame(FrameType::kInit, payload.data(), payload.size());
@@ -227,8 +232,7 @@ TEST(FrameCodec, InitParserSurvivesEveryByteFlipAndTruncation) {
         EXPECT_EQ(task.error().code, Errc::kTransport);
         return;
       }
-      const auto& image_got = task.value().resume;
-      EXPECT_EQ(17 + (image_got ? image_got->size() : 0), p.size());
+      EXPECT_EQ(16 + task.value().resume.size(), p.size());
     };
     const auto check_wire = [&](const std::vector<std::uint8_t>& w) {
       FrameDecoder dec;
@@ -281,7 +285,7 @@ TEST(FrameCodec, InitReaderStopsAtEofCancelAndTruncation) {
   };
   std::vector<std::uint8_t> wire;
   for (std::uint64_t b : {0u, 8u}) {
-    const auto p = encode_init(b, b + 8, nullptr);
+    const auto p = encode_init(b, b + 8, {});
     const auto f = encode_frame(FrameType::kInit, p.data(), p.size());
     wire.insert(wire.end(), f.begin(), f.end());
   }
@@ -322,8 +326,8 @@ TEST(FrameCodec, OutOfRangeTaskIsRejectedBeforeAnyCheckpointIsTouched) {
   for (const auto& [b, e] : bad) {
     std::ofstream(dir / shard_checkpoint_name(b, e)) << "stale";
     for (const bool with_image : {false, true}) {
-      SCOPED_TRACE("[" + std::to_string(b) + ", " + std::to_string(e) + ")" +
-                   (with_image ? " resume" : " fresh"));
+      SCOPED_TRACE(::testing::Message() << "[" << b << ", " << e << ")"
+                                        << (with_image ? " resume" : " fresh"));
       TaskInit task;
       task.begin = b;
       task.end = e;
@@ -345,8 +349,8 @@ TEST(FrameCodec, OutOfRangeTaskIsRejectedBeforeAnyCheckpointIsTouched) {
   EXPECT_EQ(landed.value(), (dir / "shard_8_16.ckpt").string());
   auto bytes = read_checkpoint_bytes(landed.value());
   ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ(bytes.value(), *task.resume);
-  task.resume.reset();
+  EXPECT_EQ(bytes.value(), task.resume);
+  task.resume.clear();
   ASSERT_TRUE(accept_task(task, trials, dir.string()).ok());
   EXPECT_FALSE(fs::exists(landed.value()));
   fs::remove_all(dir);
@@ -354,87 +358,73 @@ TEST(FrameCodec, OutOfRangeTaskIsRejectedBeforeAnyCheckpointIsTouched) {
 
 // ---- worker channel ------------------------------------------------------
 
-TEST(WorkerChannel, BeatsAndCheckpointSurviveArbitraryFragmentation) {
-  // Beat frames around one checkpoint frame, fed in 3-byte pieces and one
-  // byte at a time (pipes split writes anywhere). Every message must be
+TEST(WorkerChannel, CheckpointsSurviveArbitraryFragmentation) {
+  // Checkpoint frames of different sizes, fed in 3-byte pieces and one byte
+  // at a time (pipes split writes anywhere). Every image must be
   // reassembled, in order.
-  const std::vector<std::uint64_t> beats = {1, 16, 0xDEADBEEFCAFEF00DULL, 64};
-  const auto image = bytes_of("pretend checkpoint file image");
+  const std::vector<std::vector<std::uint8_t>> images = {
+      bytes_of("pretend checkpoint file image"), bytes_of(""),
+      random_bytes(16, 5000), bytes_of("x")};
   std::vector<std::uint8_t> wire;
-  for (std::size_t k = 0; k < beats.size(); ++k) {
-    std::uint8_t b[8];
-    for (int i = 0; i < 8; ++i)
-      b[i] = static_cast<std::uint8_t>(beats[k] >> (8 * i));
-    const auto f = encode_frame(FrameType::kBeat, b, sizeof b);
+  for (const auto& image : images) {
+    const auto f =
+        encode_frame(FrameType::kCheckpoint, image.data(), image.size());
     wire.insert(wire.end(), f.begin(), f.end());
-    if (k == 1) {
-      const auto c =
-          encode_frame(FrameType::kCheckpoint, image.data(), image.size());
-      wire.insert(wire.end(), c.begin(), c.end());
-    }
   }
 
   for (const std::size_t step : {std::size_t{3}, std::size_t{1}}) {
     SCOPED_TRACE("step " + std::to_string(step));
     WorkerChannel ch;
-    std::vector<ChannelEvent> events;
+    std::vector<std::vector<std::uint8_t>> got;
     for (std::size_t i = 0; i < wire.size(); i += step) {
       const std::size_t n = std::min(step, wire.size() - i);
-      auto fed = ch.feed(wire.data() + i, n, events);
+      auto fed = ch.feed(wire.data() + i, n, got);
       ASSERT_TRUE(fed.ok()) << fed.error().to_string();
     }
-    ASSERT_EQ(events.size(), beats.size() + 1);
-    std::size_t beat = 0;
-    for (std::size_t e = 0; e < events.size(); ++e) {
-      if (e == 2) {
-        EXPECT_EQ(events[e].kind, ChannelEvent::Kind::kCheckpoint);
-        EXPECT_EQ(events[e].bytes, image);
-        continue;
-      }
-      EXPECT_EQ(events[e].kind, ChannelEvent::Kind::kBeat);
-      EXPECT_EQ(events[e].done, beats[beat++]);
-    }
+    EXPECT_EQ(got, images);
   }
 }
 
-TEST(WorkerChannel, FramedDialectYieldsBeatsAndCheckpoints) {
+TEST(WorkerChannel, FramedDialectYieldsCheckpointImages) {
+  // Two frames in one read: both images come out of one feed.
   WorkerChannel ch;
+  const auto first = bytes_of("pretend checkpoint file image");
+  const auto second = bytes_of("the next batch's image");
   std::vector<std::uint8_t> wire;
-  std::uint8_t beat[8] = {42, 0, 0, 0, 0, 0, 0, 0};
-  const auto f1 = encode_frame(FrameType::kBeat, beat, sizeof beat);
-  const auto image = bytes_of("pretend checkpoint file image");
-  const auto f2 =
-      encode_frame(FrameType::kCheckpoint, image.data(), image.size());
-  wire.insert(wire.end(), f1.begin(), f1.end());
-  wire.insert(wire.end(), f2.begin(), f2.end());
+  for (const auto* image : {&first, &second}) {
+    const auto f =
+        encode_frame(FrameType::kCheckpoint, image->data(), image->size());
+    wire.insert(wire.end(), f.begin(), f.end());
+  }
 
-  std::vector<ChannelEvent> events;
-  auto fed = ch.feed(wire.data(), wire.size(), events);
+  std::vector<std::vector<std::uint8_t>> got;
+  auto fed = ch.feed(wire.data(), wire.size(), got);
   ASSERT_TRUE(fed.ok()) << fed.error().to_string();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].kind, ChannelEvent::Kind::kBeat);
-  EXPECT_EQ(events[0].done, 42u);
-  EXPECT_EQ(events[1].kind, ChannelEvent::Kind::kCheckpoint);
-  EXPECT_EQ(events[1].bytes, image);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], first);
+  EXPECT_EQ(got[1], second);
 }
 
 TEST(WorkerChannel, FramedDamageIsATransportErrorAndWrongDirectionToo) {
   {
+    // A type-2 frame (a progress beat in an earlier protocol) is damage.
     WorkerChannel ch;
-    std::uint8_t bad_beat[3] = {1, 2, 3};  // beats must be exactly 8 bytes
-    const auto f = encode_frame(FrameType::kBeat, bad_beat, sizeof bad_beat);
-    std::vector<ChannelEvent> events;
-    auto fed = ch.feed(f.data(), f.size(), events);
+    std::uint8_t beat[8] = {42, 0, 0, 0, 0, 0, 0, 0};
+    auto f = encode_frame(FrameType::kCheckpoint, beat, sizeof beat);
+    f[4] = 2;
+    std::vector<std::vector<std::uint8_t>> got;
+    auto fed = ch.feed(f.data(), f.size(), got);
     ASSERT_FALSE(fed.ok());
     EXPECT_EQ(fed.error().code, Errc::kTransport);
+    EXPECT_TRUE(got.empty());
   }
   {
     // Workers never send kInit; one arriving means the stream is confused.
     WorkerChannel ch;
     std::uint8_t one = 0;
     const auto f = encode_frame(FrameType::kInit, &one, 1);
-    std::vector<ChannelEvent> events;
-    auto fed = ch.feed(f.data(), f.size(), events);
+    std::vector<std::vector<std::uint8_t>> got;
+    auto fed = ch.feed(f.data(), f.size(), got);
     ASSERT_FALSE(fed.ok());
     EXPECT_EQ(fed.error().code, Errc::kTransport);
   }

@@ -4,8 +4,10 @@
 // byte-identical to a monolithic run of the same configuration, no matter
 // what is done to the workers in between: SIGKILL mid-shard, a hung
 // worker reaped by the heartbeat watchdog, or a poison trial that is
-// bisected down to and quarantined. The CampaignCli tests lock the CLI's
-// usage errors and the output formats of `info`, `profile` and `inject`.
+// bisected down to and quarantined — and never report another campaign's
+// checkpoints as its own. The CampaignCli tests lock the CLI's usage
+// errors, `merge`'s refusals and the output formats of `info`, `profile`
+// and `inject`.
 //
 // Failure injection uses the worker's env-gated test hooks
 // (DNNFI_TEST_CRASH_ONCE_FILE / DNNFI_TEST_HANG_ONCE_FILE /
@@ -202,6 +204,52 @@ TEST(CampaignCli, InjectNarratesTheTrialRunShardStreams) {
   EXPECT_EQ(got, narration(*fifth));
 }
 
+TEST(CampaignCli, MergeRefusesShardsThatDoNotBelongTogether) {
+  // Exit 22 for shards of different campaigns, 23 for overlapping or
+  // unfinished ones; no --out file either way. Shards of one campaign merge.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("dnnfi_test_cli_merge_" + std::to_string(getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto shard = [&](const std::string& leaf, std::uint64_t begin,
+                         std::uint64_t end, std::uint64_t fingerprint,
+                         bool complete = true) {
+    fault::ShardCheckpoint ck;
+    ck.fingerprint = fingerprint;
+    ck.network = "ConvNet";
+    ck.trials_total = 64;
+    ck.shard_begin = begin;
+    ck.shard_end = end;
+    ck.next_trial = complete ? end : begin;
+    ck.complete = complete;
+    const std::string path = (dir / leaf).string();
+    EXPECT_TRUE(fault::try_save_shard_checkpoint(path, ck).ok());
+    return path;
+  };
+  const std::string lo = shard("lo.ckpt", 0, 32, 7);
+  const std::string hi = shard("hi.ckpt", 32, 64, 7);
+  const std::string other = shard("other.ckpt", 32, 64, 8);
+  const std::string overlap = shard("overlap.ckpt", 16, 48, 7);
+  const std::string unfinished = shard("unfinished.ckpt", 32, 64, 7, false);
+  const std::string out = (dir / "merged.stats").string();
+  const std::string log = (dir / "merge.log").string();
+  for (const auto& [second, code] :
+       {std::pair<std::string, int>{other, 22}, {overlap, 23},
+        {unfinished, 23}}) {
+    SCOPED_TRACE(second);
+    EXPECT_EQ(run_tool("merge --out " + out + " " + lo + " " + second, "", log),
+              code)
+        << read_file(log);
+    EXPECT_NE(read_file(log).find(second), std::string::npos)
+        << read_file(log);
+    EXPECT_FALSE(fs::exists(out));
+  }
+  EXPECT_EQ(run_tool("merge --out " + out + " " + hi + " " + lo, "", log), 0)
+      << read_file(log);
+  EXPECT_TRUE(fs::exists(out));
+  fs::remove_all(dir);
+}
+
 class SupervisorTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -371,6 +419,39 @@ TEST_F(SupervisorTest, PoisonTrialIsBisectedToAndQuarantined) {
   EXPECT_FALSE(std::regex_search(log, std::regex("host \\S+ quarantined")))
       << log;
   EXPECT_NE(log.find(" 0 host quarantine(s)"), std::string::npos) << log;
+}
+
+TEST_F(SupervisorTest, CheckpointsOfAnotherCampaignAreNeverReported) {
+  // A finished seed-7 directory, then seed 8 pointed at it twice: once as
+  // it stands (every shard already complete, nothing left to run), and
+  // once with the merged checkpoint and one shard removed, so seed 8 runs
+  // that shard beside seven seed-7 ones. Both are fingerprint mismatches
+  // (exit 22) and neither writes --out.
+  ASSERT_EQ(run_tool(supervise_flags(), "", path("seed7.log")), 0)
+      << read_file(path("seed7.log"));
+  fs::remove(path("sup.stats"));
+
+  EXPECT_EQ(run_tool(supervise_flags("--seed 8"), "", path("whole.log")),
+            exit_code(Errc::kFingerprintMismatch))
+      << read_file(path("whole.log"));
+  EXPECT_FALSE(fs::exists(path("sup.stats")));
+
+  ASSERT_TRUE(fs::remove(dir_ / "ckpt/campaign.ckpt"));
+  ASSERT_TRUE(fs::remove(dir_ / "ckpt/shard_0_8.ckpt"));
+  EXPECT_EQ(run_tool(supervise_flags("--seed 8"), "", path("mixed.log")),
+            exit_code(Errc::kFingerprintMismatch))
+      << read_file(path("mixed.log"));
+  EXPECT_FALSE(fs::exists(path("sup.stats")));
+  // The merge itself refuses the mix, naming the seed-8 shard, before any
+  // fingerprint reaches the CLI's own check.
+  const std::string mixed = read_file(path("mixed.log"));
+  std::smatch error;
+  ASSERT_TRUE(std::regex_search(mixed, error, std::regex("error: .*")))
+      << mixed;
+  EXPECT_NE(error.str().find("shard_0_8.ckpt"), std::string::npos) << mixed;
+  EXPECT_NE(error.str().find("belongs to a different campaign"),
+            std::string::npos)
+      << mixed;
 }
 
 TEST_F(SupervisorTest, GracefulSigtermSavesCheckpointAndResumeMatches) {

@@ -54,8 +54,8 @@
 //   worker    (internal) Campaign flags plus --ckpt-dir DIR: a persistent
 //             supervised worker. Runs one shard per kInit frame on stdin
 //             (range + resume checkpoint, landed in DIR) and answers with
-//             beat/checkpoint frames on stdout; exits 0 on EOF, otherwise
-//             with a taxonomy-coded exit status.
+//             checkpoint frames on stdout; exits 0 on EOF, otherwise with a
+//             taxonomy-coded exit status.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown everywhere: the in-flight
 // batch finishes, a final checkpoint is written, and the process exits 4
@@ -720,23 +720,12 @@ int cmd_info(const Args& a) {
 
 // ---- worker mode ---------------------------------------------------------
 
-/// One heartbeat on the worker's frame stream `fd`: the completed-trial
-/// count as a kBeat frame. Writes ride io_write_full, so a signal landing
-/// mid-write (EINTR) or a short pipe write can never truncate a beat. A
-/// dead supervisor turns writes into EPIPE noise (SIGPIPE is ignored); the
-/// worker finishes its batch with its checkpoint the source of truth, and
-/// its final ship fails and ends it.
-void heartbeat(int fd, std::uint64_t done) {
-  std::uint8_t b[8];
-  for (int i = 0; i < 8; ++i)
-    b[i] = static_cast<std::uint8_t>(done >> (8 * i));
-  [[maybe_unused]] auto sent =
-      fault::send_frame(fd, fault::FrameType::kBeat, b, sizeof b);
-}
-
 /// Ships the worker's node-local checkpoint file image home as a
-/// kCheckpoint frame. A lost per-batch ship only costs a retry that batch;
-/// the final ship's result decides whether the worker may go on.
+/// kCheckpoint frame, which is also the worker's heartbeat. Writes ride
+/// io_write_full, so a signal landing mid-write (EINTR) or a short pipe
+/// write can never truncate a frame. A lost per-batch ship only costs a
+/// retry that batch; the final ship's result decides whether the worker may
+/// go on (a dead supervisor turns it into EPIPE, as SIGPIPE is ignored).
 Expected<void> ship_checkpoint(int fd, const std::string& path) {
   auto bytes = fault::read_checkpoint_bytes(path);
   if (!bytes.ok()) return bytes.error();
@@ -816,7 +805,6 @@ int cmd_worker(const Args& a) {
       std::cerr << "error: " << ckpt.error().to_string() << "\n";
       return exit_code(ckpt.error().code);
     }
-    heartbeat(wire, 0);  // liveness before the (slow) first model load
     if (!c) {
       const dnn::Model m = data::pretrained(a.network);
       c.emplace(m.spec, m.blob, a.dtype, test_inputs(a.network, a.inputs));
@@ -830,12 +818,11 @@ int cmd_worker(const Args& a) {
     // The complete image is shipped once, below, as the task's last frame.
     opt.progress = [wire, &path, span, &crash_once,
                     &hang_once](const fault::CampaignProgress& p) {
-      heartbeat(wire, p.done);
       if (p.done < span) (void)ship_checkpoint(wire, path);
       if (p.done * 2 >= span) {
         if (fire_once(crash_once)) raise(SIGKILL);
         if (fire_once(hang_once))
-          while (true) pause();  // hold the pipe open, beat no more
+          while (true) pause();  // hold the pipe open, ship no more
       }
     };
 
@@ -846,7 +833,6 @@ int cmd_worker(const Args& a) {
     shard.batch = a.batch;
     const fault::ShardResult res =
         c->run_shard(opt, shard, poison ? &abort_on_poison : nullptr);
-    heartbeat(wire, res.next_trial - task.begin);
     // Final ship: a complete checkpoint landing with the supervisor is
     // what marks the task done.
     if (auto shipped = ship_checkpoint(wire, path); !shipped.ok()) {
@@ -929,6 +915,15 @@ int cmd_supervise(const Args& a, const char* argv0) {
               << " resume on the next run\n";
     return exit_code(Errc::kInterrupted);
   }
+  // Another campaign's checkpoints merge cleanly among themselves; only the
+  // flags know which campaign was asked for.
+  if (rep.fingerprint != fault::campaign_fingerprint(
+                             dnn::zoo::network_spec(a.network).name, a.dtype,
+                             a.inputs, campaign_options(a))) {
+    std::cerr << "error: checkpoints in " << a.ckpt_dir
+              << " belong to another campaign; use a fresh --ckpt-dir\n";
+    return exit_code(Errc::kFingerprintMismatch);
+  }
 
   print_summary("supervised " + std::to_string(a.trials) + " trials: " +
                     std::string(dnn::zoo::network_name(a.network)) + " " +
@@ -961,41 +956,24 @@ int cmd_supervise(const Args& a, const char* argv0) {
 
 int cmd_merge(const Args& a) {
   if (a.files.empty()) usage("merge needs at least one checkpoint");
-  std::vector<fault::ShardCheckpoint> cks;
+  std::vector<fault::NamedCheckpoint> shards;
   for (const auto& f : a.files)
-    cks.push_back(fault::load_shard_checkpoint(f));
-
-  for (std::size_t i = 0; i < cks.size(); ++i) {
-    if (!cks[i].complete)
-      throw fault::CheckpointError(
-          Errc::kShardMismatch,
-          "shard " + a.files[i] + " is incomplete; finish it before merging");
-    if (cks[i].fingerprint != cks[0].fingerprint ||
-        cks[i].trials_total != cks[0].trials_total)
-      throw fault::CheckpointError(
-          Errc::kFingerprintMismatch,
-          "shard " + a.files[i] + " belongs to a different campaign than " +
-              a.files[0]);
-    if (auto axes = fault::validate_checkpoint_axes(
-            cks[i], cks[0].accel, cks[0].fault_op, cks[0].sampler);
-        !axes.ok())
-      throw fault::CheckpointError(axes.error().code,
-                                   "shard " + a.files[i] + ": " +
-                                       axes.error().message);
-  }
+    shards.push_back(fault::NamedCheckpoint{f, fault::load_shard_checkpoint(f)});
+  auto merged = fault::merge_checkpoints(shards);
+  if (!merged.ok()) throw fault::CheckpointError(merged.error());
 
   // A stratified campaign is one sequential-adaptive run, so its final
   // checkpoint IS the whole campaign: `merge` degenerates to validating it
   // and re-emitting the stats — byte-identical to the run's own --out,
   // which is what the nightly kill/resume/merge leg diffs.
-  if (cks[0].sampler != "uniform") {
-    if (cks.size() != 1)
+  if (shards[0].ck.sampler != "uniform") {
+    if (shards.size() != 1)
       throw fault::CheckpointError(
           Errc::kShardMismatch,
           "stratified campaigns don't shard; merge accepts exactly one "
           "stratified checkpoint (got " +
-              std::to_string(cks.size()) + ")");
-    const fault::ShardCheckpoint& ck = cks[0];
+              std::to_string(shards.size()) + ")");
+    const fault::ShardCheckpoint& ck = shards[0].ck;
     if (!ck.stratified)
       throw fault::CheckpointError(
           Errc::kCorruptData,
@@ -1014,41 +992,21 @@ int cmd_merge(const Args& a) {
           fault::StatsAxes{ck.accel, ck.fault_op, ck.sampler}, &section);
     return 0;
   }
-  std::vector<std::size_t> order(cks.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return cks[x].shard_begin < cks[y].shard_begin;
-  });
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    if (cks[order[i]].shard_begin < cks[order[i - 1]].shard_end)
-      throw fault::CheckpointError(
-          Errc::kShardMismatch, "shards " + a.files[order[i - 1]] + " and " +
-                                    a.files[order[i]] + " overlap");
-  }
 
-  fault::OutcomeAccumulator merged;
+  const fault::ShardCheckpoint& ck = merged.value();
   std::uint64_t covered = 0;
-  std::uint64_t masked = 0;
-  std::vector<std::uint64_t> aborted;
-  for (const auto& ck : cks) {
-    merged.merge(ck.acc);
-    covered += ck.shard_end - ck.shard_begin;
-    masked += ck.masked_exits;
-    aborted.insert(aborted.end(), ck.aborted_trials.begin(),
-                   ck.aborted_trials.end());
-  }
-  if (covered != cks[0].trials_total)
-    std::cerr << "note: shards cover " << covered << " of "
-              << cks[0].trials_total << " trials\n";
+  for (const auto& s : shards) covered += s.ck.shard_end - s.ck.shard_begin;
+  if (covered != ck.trials_total)
+    std::cerr << "note: shards cover " << covered << " of " << ck.trials_total
+              << " trials\n";
 
-  print_summary("merged " + std::to_string(cks.size()) + " shard(s), " +
-                    std::to_string(merged.trials()) + " trials: " +
-                    cks[0].network,
-                merged);
+  print_summary("merged " + std::to_string(shards.size()) + " shard(s), " +
+                    std::to_string(ck.acc.trials()) + " trials: " + ck.network,
+                ck.acc);
   if (!a.out.empty())
-    return emit_stats_or_fail(
-        a.out, cks[0].fingerprint, merged, masked, aborted,
-        fault::StatsAxes{cks[0].accel, cks[0].fault_op});
+    return emit_stats_or_fail(a.out, ck.fingerprint, ck.acc, ck.masked_exits,
+                              ck.aborted_trials,
+                              fault::StatsAxes{ck.accel, ck.fault_op});
   return 0;
 }
 

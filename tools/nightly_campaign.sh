@@ -170,6 +170,15 @@ else
   exit 1
 fi
 
+echo "== supervise refuses a finished directory of another campaign =="
+# Every shard is complete, so nothing runs; the merge is seed 20170101's.
+rc=0; "$CAMPAIGN" supervise "${COMMON[@]}" --seed 20170102 --workers 2 \
+    --ckpt-dir "$WORK/sup-ckpt" --out "$WORK/reseed.stats" 2>/dev/null || rc=$?
+[ "$rc" -eq 22 ] && [ ! -e "$WORK/reseed.stats" ] || {
+  echo "FAIL: --seed 20170102 on seed 20170101's checkpoints exited $rc" >&2
+  exit 1; }
+echo "PASS: another seed's checkpoints were refused (exit 22, no stats)"
+
 echo "== fleet: two-node supervised campaign, node0 SIGKILLed repeatedly =="
 # Fleet mode (DESIGN.md §13): the same 2000-trial campaign spread over two
 # localhost fleet nodes (framed stdio transport, per-batch checkpoint
