@@ -1,6 +1,7 @@
 #include "dnnfi/common/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "dnnfi/common/env.h"
 #include "dnnfi/common/expects.h"
@@ -23,47 +24,76 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
+ThreadPool::Ticket::~Ticket() {
+  if (pool_ != nullptr) pool_->join(*this);
+}
+
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> task;
+    Job job;
     {
       std::unique_lock lock(mutex_);
       work_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (stopping_ && queue_.empty()) return;
-      task = std::move(queue_.front());
+      job = std::move(queue_.front());
       queue_.pop();
     }
+    std::exception_ptr error;
     try {
-      task();
+      job.fn();
     } catch (...) {
-      std::lock_guard lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
+      error = std::current_exception();
     }
+    job.fn = nullptr;  // release the task's captures before the join
     {
       std::lock_guard lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) batch_done_.notify_all();
+      Ticket& t = *job.ticket;
+      if (error && !t.error_) t.error_ = error;
+      // The waiter may destroy the ticket once the lock drops.
+      if (--t.pending_ == 0) batch_done_.notify_all();
     }
   }
 }
 
-void ThreadPool::run_batch(std::vector<std::function<void()>> tasks) {
+void ThreadPool::post(std::vector<std::function<void()>> tasks,
+                      Ticket& ticket) {
   if (workers_.empty()) {
-    // Serial pool: run inline, preserving exception propagation.
-    for (auto& t : tasks) t();
+    // Serial pool: run inline; the exception waits for wait() like a
+    // pooled one.
+    ticket.error_ = nullptr;
+    try {
+      for (auto& t : tasks) t();
+    } catch (...) {
+      ticket.error_ = std::current_exception();
+    }
     return;
   }
   {
     std::lock_guard lock(mutex_);
-    DNNFI_EXPECTS(in_flight_ == 0);  // batches do not overlap
-    first_error_ = nullptr;
-    in_flight_ = tasks.size();
-    for (auto& t : tasks) queue_.push(std::move(t));
+    DNNFI_EXPECTS(ticket.pending_ == 0);  // one batch per ticket
+    ticket.pool_ = this;
+    ticket.error_ = nullptr;
+    ticket.pending_ = tasks.size();
+    for (auto& t : tasks) queue_.push(Job{std::move(t), &ticket});
   }
   work_ready_.notify_all();
+}
+
+void ThreadPool::join(Ticket& ticket) noexcept {
   std::unique_lock lock(mutex_);
-  batch_done_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_) std::rethrow_exception(first_error_);
+  batch_done_.wait(lock, [&ticket] { return ticket.pending_ == 0; });
+}
+
+void ThreadPool::wait(Ticket& ticket) {
+  join(ticket);
+  if (std::exception_ptr e = std::exchange(ticket.error_, nullptr))
+    std::rethrow_exception(e);
+}
+
+void ThreadPool::run_batch(std::vector<std::function<void()>> tasks) {
+  Ticket ticket;
+  post(std::move(tasks), ticket);
+  wait(ticket);
 }
 
 ThreadPool& ThreadPool::global() {
@@ -76,25 +106,30 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-void parallel_for_chunks(ThreadPool& pool, std::size_t count,
-                         const std::function<void(std::size_t, std::size_t)>& body) {
-  if (count == 0) return;
+void post_chunks(ThreadPool& pool, std::size_t count,
+                 const std::function<void(std::size_t, std::size_t)>& body,
+                 ThreadPool::Ticket& ticket) {
   const std::size_t workers = std::max<std::size_t>(1, pool.size());
   // Four chunks per worker balances load without timing-dependent splits.
   const std::size_t chunks = std::min(count, workers * 4);
-  const std::size_t base = count / chunks;
-  const std::size_t extra = count % chunks;
   std::vector<std::function<void()>> tasks;
   tasks.reserve(chunks);
   std::size_t begin = 0;
   for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
+    const std::size_t len = count / chunks + (c < count % chunks ? 1 : 0);
     const std::size_t end = begin + len;
     tasks.emplace_back([&body, begin, end] { body(begin, end); });
     begin = end;
   }
   DNNFI_ENSURES(begin == count);
-  pool.run_batch(std::move(tasks));
+  pool.post(std::move(tasks), ticket);
+}
+
+void parallel_for_chunks(ThreadPool& pool, std::size_t count,
+                         const std::function<void(std::size_t, std::size_t)>& body) {
+  ThreadPool::Ticket ticket;
+  post_chunks(pool, count, body, ticket);
+  pool.wait(ticket);
 }
 
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body) {

@@ -127,12 +127,15 @@ struct Campaign::TypedBackend final : Campaign::Backend {
       layer_to_block[ends[b]] = static_cast<int>(b);
     caches.reserve(inputs.size());
     predictions.reserve(inputs.size());
+    masked_outcomes.reserve(inputs.size());
     ranges.assign(ends.size(), BlockRange{std::numeric_limits<double>::max(),
                                           std::numeric_limits<double>::lowest()});
     for (const auto& ex : inputs) {
       const dnn::Tensor<T> image = tensor::convert<T>(ex.image);
       dnn::ActivationCache<T> cache(net.plan(), image);
       predictions.push_back(net.interpret(cache.output()));
+      masked_outcomes.push_back(
+          classify(predictions.back(), predictions.back()));
       for (std::size_t b = 0; b < ends.size(); ++b) {
         const auto [lo, hi] = tensor::value_range<T>(cache.act(ends[b]));
         ranges[b].lo = std::min(ranges[b].lo, lo);
@@ -284,7 +287,11 @@ struct Campaign::TypedBackend final : Campaign::Backend {
             dist[b] = golden.self_dist[p.input * ends.size() + b];
         }
       }
-      tr.outcome = classify(predictions[p.input], net.interpret(out));
+      // A masked exit's output is the cached golden output, whose outcome
+      // was classified once per input.
+      tr.outcome = replay.masked
+                       ? masked_outcomes[p.input]
+                       : classify(predictions[p.input], net.interpret(out));
       tr.detected = detected;
       tr.output_corruption = corruption;
       if (opt.record_block_distances)
@@ -392,10 +399,23 @@ struct Campaign::TypedBackend final : Campaign::Backend {
     std::uint64_t trial;
   };
 
+  /// One batch of drive(): the slots it plans, the records and masked-exit
+  /// flags its chunks write, and the chunk body and ticket that run it. The
+  /// ticket is the last member, so destroying a Batch joins its chunks
+  /// before the buffers they write go away.
+  struct Batch {
+    std::vector<Slot> slots;
+    std::vector<TrialRecord> records;
+    std::vector<char> masked;
+    std::function<void(std::size_t, std::size_t)> body;
+    ThreadPool::Ticket ticket;
+  };
+
   /// The one trial-batch loop behind run_shard and run_stratified. The
   /// caller supplies what differs between samplers:
   ///  - next(batch, slots) plans the next batch of at most `batch` slots
   ///    on the driving thread, or returns false once the campaign is done;
+  ///    `next_reads_fold` says whether it reads the folded aggregates;
   ///  - draw(slot) samples the slot's fault from the slot's own RNG stream;
   ///  - fill(ck) adds the caller's fields to each saved checkpoint;
   ///  - sdc1() is the running SDC-1 estimate progress reports carry.
@@ -404,11 +424,16 @@ struct Campaign::TypedBackend final : Campaign::Backend {
   /// construction, and memory stays flat in trial count. After every batch
   /// the records stream to `sink` (keyed by slot trial), the checkpoint is
   /// saved, progress is reported, and stop_after/cancel may end the run.
-  /// Batches bound that latency and the record buffer; they never change
+  /// When `next` does not read the fold, batch k+1 is planned and posted
+  /// before batch k is joined, so the pool runs it while this thread folds
+  /// and saves batch k; a stop or cancel then still folds and saves the
+  /// batch in flight. No batch is posted once stop_after's trials are.
+  /// Batches bound that latency and the record buffers; they never change
   /// results. Returns true when the campaign ran to completion.
   template <typename Next, typename Draw, typename Fill, typename Sdc1>
-  bool drive(Run& run, const TrialSink* sink, const Next& next,
-             const Draw& draw, const Fill& fill, const Sdc1& sdc1) const {
+  bool drive(Run& run, const TrialSink* sink, bool next_reads_fold,
+             const Next& next, const Draw& draw, const Fill& fill,
+             const Sdc1& sdc1) const {
     const auto save = [&](bool complete) {
       if (run.shard.checkpoint.empty()) return;
       ShardCheckpoint ck;
@@ -436,16 +461,17 @@ struct Campaign::TypedBackend final : Campaign::Backend {
     const GoldenTables golden = compute_golden(opt);
     const std::size_t batch = std::max<std::size_t>(1, run.shard.batch);
     const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t ran = 0;  // new trials executed by this call
-    std::vector<Slot> slots;
-    std::vector<TrialRecord> records;
-    std::vector<char> masked;
+    const auto cancelled = [&] {
+      return opt.cancel && opt.cancel->load(std::memory_order_relaxed);
+    };
+    std::uint64_t planned = 0;  // new trials posted by this call
+    std::uint64_t ran = 0;      // new trials folded by this call
 
-    while (next(batch, slots)) {
-      const std::size_t count = slots.size();
-      records.resize(count);
-      masked.assign(count, 0);
-      parallel_for_chunks(pool, count, [&](std::size_t cb, std::size_t ce) {
+    // Declared after everything the chunks read: an exception unwinding
+    // out of this loop joins both batches first.
+    Batch ring[2];
+    for (Batch& b : ring)
+      b.body = [&, self = &b](std::size_t cb, std::size_t ce) {
         // Sample and lower every trial of the chunk up front (a trial's RNG
         // stream depends only on its slot, so sampling order is free);
         // execute_span then runs them sorted by (input, fault layer).
@@ -454,23 +480,45 @@ struct Campaign::TypedBackend final : Campaign::Backend {
         for (std::size_t i = cb; i < ce; ++i) {
           Pending p;
           p.idx = i;
-          p.input = static_cast<std::size_t>(slots[i].trial % caches.size());
-          p.fd = draw(slots[i]);
+          p.input =
+              static_cast<std::size_t>(self->slots[i].trial % caches.size());
+          p.fd = draw(self->slots[i]);
           p.af = lower(p.fd, net.mac_layers(), *run.model);
           pending.push_back(p);
         }
-        execute_span(opt, exec, golden, pending, records.data(),
-                     masked.data());
-      });
+        execute_span(opt, exec, golden, pending, self->records.data(),
+                     self->masked.data());
+      };
+    const auto launch = [&](Batch& b) {
+      if (run.shard.stop_after > 0 && planned >= run.shard.stop_after)
+        return false;
+      if (!next(batch, b.slots)) return false;
+      const std::size_t count = b.slots.size();
+      b.records.resize(count);
+      b.masked.assign(count, 0);
+      planned += count;
+      post_chunks(pool, count, b.body, b.ticket);
+      return true;
+    };
+
+    Batch* cur = &ring[0];
+    Batch* ahead = &ring[1];
+    bool stopping = false;
+    bool live = launch(*cur);
+    while (live) {
+      const bool ahead_live =
+          !next_reads_fold && !stopping && !cancelled() && launch(*ahead);
+      pool.wait(cur->ticket);
+      const std::size_t count = cur->slots.size();
       for (std::size_t i = 0; i < count; ++i) {
-        run.accs[slots[i].acc].add(records[i]);
-        if (masked[i] != 0) ++run.masked_exits;
+        run.accs[cur->slots[i].acc].add(cur->records[i]);
+        if (cur->masked[i] != 0) ++run.masked_exits;
       }
       ran += count;
 
       if (sink)
         for (std::size_t i = 0; i < count; ++i)
-          (*sink)(slots[i].trial, records[i]);
+          (*sink)(cur->slots[i].trial, cur->records[i]);
       save(false);
       if (opt.progress) {
         const double secs = std::chrono::duration<double>(
@@ -495,11 +543,19 @@ struct Campaign::TypedBackend final : Campaign::Backend {
         opt.progress(p);
       }
       // Clean preemption or graceful shutdown: the batch is folded and its
-      // checkpoint (if any) is on disk.
+      // checkpoint (if any) is on disk; a look-ahead batch already in
+      // flight folds and saves on the next pass, then the loop ends.
       if ((run.shard.stop_after > 0 && ran >= run.shard.stop_after) ||
-          (opt.cancel && opt.cancel->load(std::memory_order_relaxed)))
-        return false;
+          cancelled())
+        stopping = true;
+      if (next_reads_fold) {
+        live = !stopping && launch(*cur);  // folded: its buffers are free
+      } else {
+        std::swap(cur, ahead);
+        live = ahead_live;
+      }
     }
+    if (stopping) return false;
     // A uniform shard's last batch already saved complete; a stratified run
     // learns it is done only after its last batch, and an empty shard ran
     // none.
@@ -520,9 +576,10 @@ struct Campaign::TypedBackend final : Campaign::Backend {
     }
 
     // Uniform is the one-slot case: trial t draws from
-    // derive_stream(seed, t) and replays input t % num_inputs.
+    // derive_stream(seed, t) and replays input t % num_inputs. Its plan
+    // reads only the trial cursor, so batches run one ahead of the fold.
     drive(
-        run, sink,
+        run, sink, /*next_reads_fold=*/false,
         [&](std::size_t batch, std::vector<Slot>& slots) {
           const std::uint64_t b1 =
               std::min<std::uint64_t>(run.end, next_trial + batch);
@@ -631,9 +688,11 @@ struct Campaign::TypedBackend final : Campaign::Backend {
       return true;
     };
 
-    // Trial t of stratum h draws from derive_stream(seed, h, t).
+    // Trial t of stratum h draws from derive_stream(seed, h, t). The next
+    // allocation reads the per-stratum counts, so every batch is joined and
+    // folded before the next is planned.
     const bool done = drive(
-        run, nullptr, next,
+        run, nullptr, /*next_reads_fold=*/true, next,
         [&](const Slot& s) {
           Rng rng = derive_stream(opt.seed, static_cast<std::uint64_t>(s.acc),
                                   s.trial);
@@ -683,6 +742,9 @@ struct Campaign::TypedBackend final : Campaign::Backend {
   /// trials seed their replay from (and early-exit against) these.
   std::vector<dnn::ActivationCache<T>> caches;
   std::vector<dnn::Prediction> predictions;
+  /// classify(prediction, prediction) per input: every masked trial's
+  /// outcome.
+  std::vector<Outcome> masked_outcomes;
   std::vector<BlockRange> ranges;
 };
 

@@ -106,9 +106,10 @@ struct CampaignOptions {
   std::function<void(const CampaignProgress&)> progress;
 
   /// Cooperative cancellation (graceful SIGINT/SIGTERM shutdown): checked
-  /// between batches. When it reads true the in-flight batch finishes, its
-  /// checkpoint (if any) is written, and run_shard returns an incomplete
-  /// result — exactly like stop_after, but signal-driven. Typically points
+  /// between batches. When it reads true the in-flight batches finish (a
+  /// uniform run keeps one batch in flight ahead of the one it folds), are
+  /// folded and checkpointed (if checkpointing), and run_shard returns an
+  /// incomplete result — exactly like stop_after, but signal-driven. Typically points
   /// at an atomic set from a signal handler; null disables the check.
   const std::atomic<bool>* cancel = nullptr;
 

@@ -173,6 +173,12 @@ class Supervisor {
                         "-trial campaign, expected " +
                         std::to_string(opt_.trials) +
                         " (one campaign per checkpoint directory)");
+      if (opt_.fingerprint && ck.fingerprint != *opt_.fingerprint)
+        return fail(Errc::kFingerprintMismatch,
+                    "checkpoint " + path +
+                        " belongs to a different campaign configuration "
+                        "than the one requested (one campaign per "
+                        "directory; use a fresh --ckpt-dir)");
       if (fingerprint && ck.fingerprint != *fingerprint)
         return fail(Errc::kFingerprintMismatch,
                     "checkpoint " + path +
@@ -516,10 +522,10 @@ class Supervisor {
 
   /// Validates and lands a shipped checkpoint image as the supervisor's
   /// durable copy for the worker's task (atomic tmp + rename). An image
-  /// that fails to parse or covers the wrong range is channel damage; a
-  /// local write failure is a plain retryable kIo for this attempt. A
-  /// complete image is the task's last frame: the task is done and the
-  /// worker idle.
+  /// that fails to parse or covers the wrong range is channel damage, one
+  /// of another campaign a fatal fingerprint mismatch; a local write
+  /// failure is a plain retryable kIo for this attempt. A complete image is
+  /// the task's last frame: the task is done and the worker idle.
   void land_checkpoint(Worker& w, const std::vector<std::uint8_t>& bytes) {
     const Task& task = *w.task;
     const std::string origin = "checkpoint frame from " + w.node->id;
@@ -530,6 +536,14 @@ class Supervisor {
       return;
     }
     const ShardCheckpoint& ck = parsed.value();
+    // A worker whose flags define another campaign: retrying cannot help.
+    if (opt_.fingerprint && ck.fingerprint != *opt_.fingerprint) {
+      channel_fault(w, Error{Errc::kFingerprintMismatch,
+                             origin + ": image belongs to a different "
+                                      "campaign configuration than the one "
+                                      "requested"});
+      return;
+    }
     if (ck.shard_begin != task.begin || ck.shard_end != task.end ||
         ck.trials_total != opt_.trials) {
       channel_fault(

@@ -28,7 +28,8 @@
 //   retry     — re-dispatches failed tasks with exponential backoff plus
 //               deterministic jitter, up to `max_attempts` per range. A
 //               retried task resumes from the last shipped batch, so a
-//               crash loses at most one checkpoint batch;
+//               crash loses at most two batches (the one being shipped
+//               and the one running ahead of it);
 //   bisect    — a range that exhausts its attempts is split in half and
 //               each half re-queued; repeated failures converge on the
 //               single poison trial, which is *quarantined* (recorded in
@@ -58,13 +59,16 @@
 // shard checkpoints count as coverage, gaps are (re)scheduled with
 // deterministic names (`shard_<begin>_<end>.ckpt`), and an incomplete
 // checkpoint for a rescheduled range is shipped to its worker to resume.
-// `kill -9` of the supervisor or any worker therefore loses at most one
-// checkpoint batch of work. Membership is elastic via SIGHUP-triggered
-// hosts-file reloads. See DESIGN.md §9 and §13.
+// `kill -9` of the supervisor or any worker therefore loses at most two
+// batches of work. With SupervisorOptions::fingerprint set, a checkpoint of
+// another campaign is refused at startup, before any worker spawns.
+// Membership is elastic via SIGHUP-triggered hosts-file reloads. See
+// DESIGN.md §9 and §13.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,9 +101,14 @@ struct SupervisorOptions {
   /// Directory holding shard checkpoints and the merged campaign
   /// checkpoint. One campaign configuration per directory: checkpoints of
   /// two configurations are a fatal fingerprint mismatch (startup scan,
-  /// merge_checkpoints); a directory wholly of another one is the caller's
-  /// to refuse by SupervisorReport::fingerprint (campaign_fingerprint).
+  /// merge_checkpoints).
   std::string checkpoint_dir;
+  /// The campaign_fingerprint of the campaign the worker flags define.
+  /// When set, a checkpoint of any other campaign — on disk at startup or
+  /// shipped by a worker — is a fatal fingerprint mismatch, so another
+  /// campaign's directory is refused before any worker spawns. Unset, only
+  /// the checkpoints' agreement with each other is checked.
+  std::optional<std::uint64_t> fingerprint;
 
   /// Seeds the deterministic retry jitter (any value; reuse the campaign
   /// seed for reproducible schedules).

@@ -7,10 +7,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dnnfi/dnn/weights.h"
@@ -414,6 +418,148 @@ TEST(CampaignDeterminism, AccumulatorMatchesBufferedRun) {
   }
   EXPECT_EQ(streamed.acc.detections(), detected);
   EXPECT_EQ(streamed.acc.reached_output().hits, reached);
+}
+
+// ---------------------------------------------------------------------------
+// Pipelined uniform batches: the pool runs batch k+1 while the driving
+// thread folds and saves batch k. Results, checkpoints and the stop/cancel
+// cadence do not depend on it.
+// ---------------------------------------------------------------------------
+
+TEST(CampaignPipeline, UniformIsByteIdenticalAcrossPoolsAndBatches) {
+  const Campaign c = tiny_campaign(DType::kFloat16);
+  CampaignOptions opt = base_options();
+  ThreadPool serial(0);
+  opt.pool = &serial;
+  TempFile ref_ck("pipeline_ref");
+  ShardSpec ref_shard;
+  ref_shard.checkpoint = ref_ck.path;
+  const ShardCapture ref = capture(c, opt, ref_shard);
+  ASSERT_TRUE(ref.result.complete);
+  const std::vector<char> ref_bytes = slurp(ref_ck.path);
+  ASSERT_FALSE(ref_bytes.empty());
+
+  for (const std::size_t workers : {0UL, 1UL, 4UL}) {
+    ThreadPool pool(workers);
+    opt.pool = &pool;
+    for (const std::size_t batch : {1UL, 7UL, 512UL}) {
+      SCOPED_TRACE(std::to_string(workers) + " workers, batch " +
+                   std::to_string(batch));
+      TempFile ck("pipeline");
+      ShardSpec shard;
+      shard.checkpoint = ck.path;
+      shard.batch = batch;
+      const ShardCapture got = capture(c, opt, shard);
+      EXPECT_TRUE(got.result.complete);
+      EXPECT_EQ(got.records, ref.records);
+      EXPECT_EQ(got.result.acc.bytes(), ref.result.acc.bytes());
+      EXPECT_EQ(got.result.masked_exits, ref.result.masked_exits);
+      EXPECT_EQ(slurp(ck.path), ref_bytes);
+    }
+  }
+}
+
+TEST(CampaignPipeline, CancelFromProgressSavesTheInFlightBatchAndResumes) {
+  const Campaign c = tiny_campaign(DType::kFloat16);
+  for (const std::size_t workers : {0UL, 4UL}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    ThreadPool pool(workers);
+    CampaignOptions opt = base_options();
+    opt.pool = &pool;
+    TempFile whole_ck("pipeline_whole");
+    ShardSpec whole_shard;
+    whole_shard.checkpoint = whole_ck.path;
+    whole_shard.batch = 8;
+    const ShardResult whole = c.run_shard(opt, whole_shard);
+    ASSERT_TRUE(whole.complete);
+
+    // Cancel while reporting batch 1 (16 trials folded): batch 2 is
+    // already running, so it folds, saves and reports too.
+    std::atomic<bool> cancel{false};
+    std::vector<std::uint64_t> reported;
+    opt.cancel = &cancel;
+    opt.progress = [&](const CampaignProgress& p) {
+      reported.push_back(p.done);
+      if (p.done == 16) cancel = true;
+    };
+    TempFile ck("pipeline_cancel");
+    ShardSpec shard;
+    shard.checkpoint = ck.path;
+    shard.batch = 8;
+    const ShardResult stopped = c.run_shard(opt, shard);
+    EXPECT_FALSE(stopped.complete);
+    EXPECT_EQ(stopped.next_trial, 24u);
+    EXPECT_EQ(reported, (std::vector<std::uint64_t>{8, 16, 24}));
+    const ShardCheckpoint on_disk = load_shard_checkpoint(ck.path);
+    EXPECT_EQ(on_disk.next_trial, 24u);
+    EXPECT_EQ(on_disk.acc.bytes(), stopped.acc.bytes());
+
+    cancel = false;
+    const ShardResult resumed = c.run_shard(opt, shard);
+    EXPECT_TRUE(resumed.resumed);
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.acc.bytes(), whole.acc.bytes());
+    EXPECT_EQ(resumed.masked_exits, whole.masked_exits);
+    EXPECT_EQ(slurp(ck.path), slurp(whole_ck.path));
+  }
+}
+
+TEST(CampaignPipeline, StopAfterNeverRunsATrialPastItsBatch) {
+  const Campaign c = tiny_campaign(DType::kFloat16);
+  ThreadPool pool(4);
+  CampaignOptions opt = base_options();
+  opt.pool = &pool;
+  for (const std::uint64_t stop : {1ULL, 16ULL, 20ULL, 95ULL}) {
+    SCOPED_TRACE("stop_after " + std::to_string(stop));
+    std::vector<std::uint64_t> seen;
+    const TrialSink sink = [&](std::uint64_t trial, const TrialRecord&) {
+      seen.push_back(trial);
+    };
+    ShardSpec shard;
+    shard.batch = 8;
+    shard.stop_after = stop;
+    const ShardResult r = c.run_shard(opt, shard, &sink);
+    // Every executed trial is folded and sunk: the batch that reaches
+    // stop_after is the last one run.
+    const std::uint64_t expect =
+        std::min<std::uint64_t>(opt.trials, (stop + 7) / 8 * 8);
+    EXPECT_EQ(r.next_trial, expect);
+    EXPECT_EQ(r.acc.trials(), expect);
+    ASSERT_EQ(seen.size(), expect);
+    for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
+  }
+}
+
+TEST(CampaignPipeline, ThrowingProgressJoinsTheInFlightBatch) {
+  const Campaign c = tiny_campaign(DType::kFloat16);
+  ThreadPool pool(4);
+  CampaignOptions opt = base_options();
+  opt.pool = &pool;
+  // The detector runs on the pool for every trial that is not masked at
+  // its first replayed block; slowing it keeps the look-ahead batch busy
+  // while the progress callback throws.
+  std::atomic<std::uint64_t> detector_calls{0};
+  opt.detector = [&](int, double v) {
+    if (detector_calls.fetch_add(1, std::memory_order_relaxed) % 64 == 0)
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    return v > 40.0 || v < -40.0;
+  };
+  opt.progress = [](const CampaignProgress&) {
+    throw std::runtime_error("progress failed");
+  };
+  ShardSpec shard;
+  shard.batch = 16;
+  EXPECT_THROW(c.run_shard(opt, shard), std::runtime_error);
+  // The exception left only after the in-flight batch was joined: no
+  // trial runs any more.
+  const std::uint64_t after = detector_calls.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(detector_calls.load(), after);
+
+  // The pool is idle and reusable.
+  opt.progress = nullptr;
+  const ShardResult again = c.run_shard(opt, shard);
+  EXPECT_TRUE(again.complete);
 }
 
 // ---------------------------------------------------------------------------

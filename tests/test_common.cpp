@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
+#include <stdexcept>
+#include <thread>
 #include <set>
 #include <vector>
 
@@ -165,6 +169,105 @@ TEST(ThreadPool, ReusableAcrossBatches) {
     pool.run_batch(std::move(tasks));
   }
   EXPECT_EQ(counter.load(), 100);
+}
+
+TEST(ThreadPool, OverlappingPostedBatchesBothComplete) {
+  // Batch A's task can finish only once batch B's task has run, so B must
+  // start while A is still in flight: post never waits for a batch.
+  ThreadPool pool(2);
+  std::promise<void> b_ran;
+  std::shared_future<void> b_done = b_ran.get_future().share();
+  std::atomic<bool> a_saw_b{false};
+  std::atomic<int> counter{0};
+  ThreadPool::Ticket a, b;
+  std::vector<std::function<void()>> first;
+  first.emplace_back([&] {
+    a_saw_b = b_done.wait_for(std::chrono::seconds(10)) ==
+              std::future_status::ready;
+    ++counter;
+  });
+  pool.post(std::move(first), a);
+  std::vector<std::function<void()>> second;
+  second.emplace_back([&] {
+    b_ran.set_value();
+    ++counter;
+  });
+  for (int i = 0; i < 20; ++i) second.emplace_back([&counter] { ++counter; });
+  pool.post(std::move(second), b);
+  pool.wait(b);
+  pool.wait(a);
+  EXPECT_TRUE(a_saw_b.load());
+  EXPECT_EQ(counter.load(), 22);
+}
+
+TEST(ThreadPool, ExceptionIsRethrownByItsOwnTicketOnly) {
+  ThreadPool pool(3);
+  ThreadPool::Ticket bad, good;
+  std::atomic<int> counter{0};
+  std::vector<std::function<void()>> throwing;
+  throwing.emplace_back([] { throw std::runtime_error("boom"); });
+  for (int i = 0; i < 5; ++i) throwing.emplace_back([&counter] { ++counter; });
+  pool.post(std::move(throwing), bad);
+  std::vector<std::function<void()>> fine;
+  for (int i = 0; i < 5; ++i) fine.emplace_back([&counter] { ++counter; });
+  pool.post(std::move(fine), good);
+  EXPECT_NO_THROW(pool.wait(good));
+  EXPECT_THROW(pool.wait(bad), std::runtime_error);
+  // The other tasks of the failing batch still ran, and the exception is
+  // reported once.
+  EXPECT_EQ(counter.load(), 10);
+  EXPECT_NO_THROW(pool.wait(bad));
+}
+
+TEST(ThreadPool, SerialPoolPostRunsInline) {
+  ThreadPool pool(0);
+  ThreadPool::Ticket ticket;
+  int counter = 0;
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < 4; ++i) tasks.emplace_back([&counter] { ++counter; });
+  pool.post(std::move(tasks), ticket);
+  EXPECT_EQ(counter, 4);  // before any wait
+  EXPECT_NO_THROW(pool.wait(ticket));
+  // A serial exception surfaces from wait, like a pooled one.
+  std::vector<std::function<void()>> throwing;
+  throwing.emplace_back([] { throw std::runtime_error("boom"); });
+  throwing.emplace_back([&counter] { ++counter; });
+  EXPECT_NO_THROW(pool.post(std::move(throwing), ticket));
+  EXPECT_THROW(pool.wait(ticket), std::runtime_error);
+  EXPECT_EQ(counter, 4);  // the batch stops at its first exception
+}
+
+TEST(ThreadPool, DestroyingThePoolWithNothingInFlightIsClean) {
+  std::atomic<int> counter{0};
+  {
+    ThreadPool idle(3);  // never posted to
+  }
+  {
+    ThreadPool pool(3);
+    ThreadPool::Ticket ticket;
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < 9; ++i) tasks.emplace_back([&counter] { ++counter; });
+    pool.post(std::move(tasks), ticket);
+    pool.wait(ticket);
+  }
+  EXPECT_EQ(counter.load(), 9);
+}
+
+TEST(ThreadPool, DestroyingATicketJoinsItsBatch) {
+  ThreadPool pool(2);
+  std::atomic<int> counter{0};
+  {
+    ThreadPool::Ticket ticket;
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < 8; ++i)
+      tasks.emplace_back([&counter] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        ++counter;
+      });
+    tasks.emplace_back([] { throw std::runtime_error("dropped"); });
+    pool.post(std::move(tasks), ticket);
+  }  // no wait: the destructor joins and drops the exception
+  EXPECT_EQ(counter.load(), 8);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {

@@ -30,6 +30,7 @@
 #include "dnnfi/data/pretrain.h"
 #include "dnnfi/fault/campaign.h"
 #include "dnnfi/fault/checkpoint.h"
+#include "dnnfi/fault/supervisor.h"
 
 namespace dnnfi {
 namespace {
@@ -424,12 +425,14 @@ TEST_F(SupervisorTest, PoisonTrialIsBisectedToAndQuarantined) {
 TEST_F(SupervisorTest, CheckpointsOfAnotherCampaignAreNeverReported) {
   // A finished seed-7 directory, then seed 8 pointed at it twice: once as
   // it stands (every shard already complete, nothing left to run), and
-  // once with the merged checkpoint and one shard removed, so seed 8 runs
-  // that shard beside seven seed-7 ones. Both are fingerprint mismatches
-  // (exit 22) and neither writes --out.
+  // once with the merged checkpoint and one shard removed, so a seed-8 run
+  // would have a shard to run. Both are fingerprint mismatches (exit 22)
+  // refused by the startup scan: no worker spawns, no shard reruns and
+  // nothing is written to --out.
   ASSERT_EQ(run_tool(supervise_flags(), "", path("seed7.log")), 0)
       << read_file(path("seed7.log"));
   fs::remove(path("sup.stats"));
+  fs::remove_all(dir_ / "ckpt/logs");
 
   EXPECT_EQ(run_tool(supervise_flags("--seed 8"), "", path("whole.log")),
             exit_code(Errc::kFingerprintMismatch))
@@ -442,16 +445,45 @@ TEST_F(SupervisorTest, CheckpointsOfAnotherCampaignAreNeverReported) {
             exit_code(Errc::kFingerprintMismatch))
       << read_file(path("mixed.log"));
   EXPECT_FALSE(fs::exists(path("sup.stats")));
-  // The merge itself refuses the mix, naming the seed-8 shard, before any
-  // fingerprint reaches the CLI's own check.
+  EXPECT_FALSE(fs::exists(dir_ / "ckpt/shard_0_8.ckpt"));
+  EXPECT_FALSE(fs::exists(dir_ / "ckpt/logs/worker_1.log"));
   const std::string mixed = read_file(path("mixed.log"));
+  EXPECT_EQ(mixed.find(" started on "), std::string::npos) << mixed;
+  // The error names a seed-7 shard, not the campaign as a whole.
   std::smatch error;
   ASSERT_TRUE(std::regex_search(mixed, error, std::regex("error: .*")))
       << mixed;
-  EXPECT_NE(error.str().find("shard_0_8.ckpt"), std::string::npos) << mixed;
+  EXPECT_TRUE(std::regex_search(error.str(),
+                                std::regex("shard_[0-9]+_[0-9]+\\.ckpt")))
+      << mixed;
   EXPECT_NE(error.str().find("belongs to a different campaign"),
             std::string::npos)
       << mixed;
+}
+
+TEST_F(SupervisorTest, ShippedCheckpointOfAnotherCampaignIsFatal) {
+  // The supervisor expects another campaign than its worker flags define:
+  // the first checkpoint a worker ships is refused, and the campaign ends
+  // on a fatal fingerprint mismatch instead of retrying or merging.
+  fault::SupervisorOptions so;
+  so.binary = DNNFI_CAMPAIGN_BIN;
+  so.trials = 64;
+  so.shard_size = 32;
+  so.workers = 1;
+  so.checkpoint_dir = path("ckpt");
+  so.verbose = false;
+  so.worker_flags = {"--network", "convnet", "--trials", "64", "--seed", "7",
+                     "--inputs", "4", "--batch", "16"};
+  so.fingerprint = 1;
+  ASSERT_EQ(setenv("DNNFI_MODEL_DIR", DNNFI_REPO_MODELS, 1), 0);
+  const auto rep = fault::supervise(so);
+  ASSERT_FALSE(rep.ok());
+  EXPECT_EQ(rep.error().code, Errc::kFingerprintMismatch)
+      << rep.error().to_string();
+  EXPECT_NE(rep.error().message.find("belongs to a different campaign"),
+            std::string::npos)
+      << rep.error().to_string();
+  EXPECT_FALSE(fs::exists(path("ckpt/campaign.ckpt")));
 }
 
 TEST_F(SupervisorTest, GracefulSigtermSavesCheckpointAndResumeMatches) {

@@ -870,6 +870,9 @@ int cmd_supervise(const Args& a, const char* argv0) {
   so.backoff_base_s = a.backoff;
   so.max_quarantine = a.max_quarantine;
   so.checkpoint_dir = a.ckpt_dir;
+  so.fingerprint = fault::campaign_fingerprint(
+      dnn::zoo::network_spec(a.network).name, a.dtype, a.inputs,
+      campaign_options(a));
   so.jitter_seed = a.seed;
   so.verbose = a.progress;
   so.cancel = &g_cancel;
@@ -914,15 +917,6 @@ int cmd_supervise(const Args& a, const char* argv0) {
     std::cerr << "supervise: interrupted; shard checkpoints in " << a.ckpt_dir
               << " resume on the next run\n";
     return exit_code(Errc::kInterrupted);
-  }
-  // Another campaign's checkpoints merge cleanly among themselves; only the
-  // flags know which campaign was asked for.
-  if (rep.fingerprint != fault::campaign_fingerprint(
-                             dnn::zoo::network_spec(a.network).name, a.dtype,
-                             a.inputs, campaign_options(a))) {
-    std::cerr << "error: checkpoints in " << a.ckpt_dir
-              << " belong to another campaign; use a fresh --ckpt-dir\n";
-    return exit_code(Errc::kFingerprintMismatch);
   }
 
   print_summary("supervised " + std::to_string(a.trials) + " trials: " +

@@ -171,7 +171,8 @@ else
 fi
 
 echo "== supervise refuses a finished directory of another campaign =="
-# Every shard is complete, so nothing runs; the merge is seed 20170101's.
+# The startup scan refuses seed 20170101's checkpoints before any worker
+# spawns.
 rc=0; "$CAMPAIGN" supervise "${COMMON[@]}" --seed 20170102 --workers 2 \
     --ckpt-dir "$WORK/sup-ckpt" --out "$WORK/reseed.stats" 2>/dev/null || rc=$?
 [ "$rc" -eq 22 ] && [ ! -e "$WORK/reseed.stats" ] || {
