@@ -362,16 +362,8 @@ ConstTensorView<T> Executor<T>::run_faulty(Workspace<T>& ws,
     TensorView<T> in = ws.patch_buffer(steps[f.layer].in_shape);
     in.copy_from(g.layer_input(f.layer));
     DNNFI_EXPECTS(f.input_index < in.size());
-    const T before = in[f.input_index];
-    const T after = detail::storage_apply(before, f.input_op, f.input_storage);
-    in[f.input_index] = after;
-    if (req.record != nullptr) {
-      req.record->corrupted_before = detail::to_d(before);
-      req.record->corrupted_after = detail::to_d(after);
-      req.record->zero_to_one =
-          detail::storage_apply_dir(before, f.input_op, f.input_storage);
-      req.record->applied = true;
-    }
+    in[f.input_index] = detail::storage_strike(
+        in[f.input_index], f.input_op, f.input_storage, req.record);
     if (dirty)
       r = dirty_region(steps[f.layer], point(in.shape(), f.input_index));
     replay_step(f.layer, ConstTensorView<T>(in), a, r);
@@ -380,7 +372,7 @@ ConstTensorView<T> Executor<T>::run_faulty(Workspace<T>& ws,
     // the patched elements' bounding box is the dirty region.
     a.copy_from(g.act(f.layer));
     steps[f.layer].layer->apply_faults(g.layer_input(f.layer), a, f.faults,
-                                       req.record);
+                                       req.record, plan_->kernel_set());
     if (dirty) r = mismatch_box<T>(a, g.act(f.layer));
   }
   if (req.observer != nullptr) (*req.observer)(f.layer, a);

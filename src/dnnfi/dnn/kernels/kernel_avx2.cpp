@@ -13,15 +13,15 @@
 // The conv / fully-connected / relu kernels are kernel_mac_body.h's single
 // body instantiated over the 8-lane float, 4-lane double and 8-lane Half
 // traits below; rows past the last full lane-block run the same body through
-// its 1-lane scalar traits. Bit-identity strategy: vectorize ACROSS output
-// channels, one output per lane. Each lane performs the scalar reference's
-// accumulation chain — same (ci, ky, kx) order, separate multiply and add
-// per tap (-ffp-contract=off keeps the compiler from contracting the scalar
-// tails), padded taps multiply a zero activation so NaN/Inf weights
-// propagate identically. FLOAT16 rounds to half after every multiply and
-// every add via VCVTPS2PH with a movemask-guarded fixup to the library's
-// canonical quiet NaN (sign | 0x7E00), matching Half operator semantics
-// bit-for-bit.
+// its 1-lane scalar traits, and so do the Half single chains. Bit-identity
+// strategy: vectorize ACROSS output channels, one output per lane. Each lane
+// performs the scalar reference's accumulation chain — same (ci, ky, kx)
+// order, separate multiply and add per tap (-ffp-contract=off keeps the
+// compiler from contracting the scalar tails), padded taps multiply a zero
+// activation so NaN/Inf weights propagate identically. FLOAT16 rounds to
+// half after every multiply and every add via VCVTPS2PH with a
+// movemask-guarded fixup to the library's canonical quiet NaN
+// (sign | 0x7E00), matching Half operator semantics bit-for-bit.
 //
 // The post-MAC kernels are likewise one body per op: lrn_blocks,
 // avgpool_lanes and softmax_lanes run over the LaneIoF32/F64/F16 traits
@@ -598,6 +598,18 @@ void avx2_fc_half(const FcGeom& g, const numeric::Half* in,
 void avx2_relu_half(const numeric::Half* in, numeric::Half* out,
                     std::size_t n) {
   relu_lanes<F16x8>(bits(in), bits(out), n);
+}
+
+void avx2_chain_half(const numeric::Half* w, const numeric::Half* a,
+                     std::size_t n, numeric::Half* acc) {
+  chain_lane<ScalarLane<std::uint16_t>>(bits(w), bits(a), n, bits(acc));
+}
+
+std::size_t avx2_chain_pair_half(const numeric::Half* w,
+                                 const numeric::Half* a, std::size_t n,
+                                 numeric::Half* acc, numeric::Half* gold) {
+  return chain_pair_lane<ScalarLane<std::uint16_t>>(bits(w), bits(a), n,
+                                                    bits(acc), bits(gold));
 }
 
 // ---------------------------------------------------------------------------

@@ -37,6 +37,13 @@ void avx2_fc_half(const FcGeom&, const numeric::Half*, const numeric::Half*,
                   const numeric::Half*, const numeric::Half*, numeric::Half*);
 void avx2_relu_half(const numeric::Half*, numeric::Half*, std::size_t);
 
+// Half single chains (ChainFn / ChainPairFn) through the 1-lane F16C trait;
+// the avx512 Half set registers them too.
+void avx2_chain_half(const numeric::Half*, const numeric::Half*, std::size_t,
+                     numeric::Half*);
+std::size_t avx2_chain_pair_half(const numeric::Half*, const numeric::Half*,
+                                 std::size_t, numeric::Half*, numeric::Half*);
+
 // Post-MAC kernels (bit-identical to the scalar reference; shared by the
 // avx2 and avx512 sets). Each op is one template body instantiated per
 // type over lane traits, and these entry points are one-line forwards. LRN

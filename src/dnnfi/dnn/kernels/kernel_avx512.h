@@ -15,8 +15,9 @@
 // kernel_avx512fp16.cpp (the same flags plus -mavx512fp16): the
 // avx512fp16 set's Half conv and fc, native VMULPH / VADDPH over the same
 // 16-lane packed weights, bit-identical to the F16C path (the argument is
-// in that TU). Reached only when cpu_has_avx512fp16() also holds; the set
-// reuses avx512_relu_half and the AVX2 post-MAC ops.
+// in that TU), and the set's native single chains. Reached only when
+// cpu_has_avx512fp16() also holds; the set reuses avx512_relu_half and the
+// AVX2 post-MAC ops.
 #pragma once
 
 #include <cstddef>
@@ -56,6 +57,11 @@ void avx512fp16_conv_half(const ConvGeom&, const Region&,
 void avx512fp16_fc_half(const FcGeom&, const numeric::Half*,
                         const numeric::Half*, const numeric::Half*,
                         const numeric::Half*, numeric::Half*);
+void avx512fp16_chain_half(const numeric::Half*, const numeric::Half*,
+                           std::size_t, numeric::Half*);
+std::size_t avx512fp16_chain_pair_half(const numeric::Half*,
+                                       const numeric::Half*, std::size_t,
+                                       numeric::Half*, numeric::Half*);
 #endif
 
 // Fixed point: 8 int64 lanes, row-major weights (the packed argument is

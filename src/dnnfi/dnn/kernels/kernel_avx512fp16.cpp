@@ -35,6 +35,7 @@
 //
 // Weights come from the avx512 set's 16-lane packed copy; the 1-lane
 // remainder channels run kernel_mac_body.h's ScalarLane<std::uint16_t>.
+// The single chains run one native lane (H1Native), by the same argument.
 #include "dnnfi/dnn/kernels/kernel_avx512.h"
 
 #if defined(DNNFI_ENABLE_AVX512FP16_KERNELS)
@@ -85,6 +86,29 @@ struct F16x16Native {
   }
 };
 
+// One native binary16 lane for the single chains. leave() is the NaN
+// rewrite finish() does for the lanes, once per call; same() compares after
+// it, so a chain pair stops at the tap where the F16C path's two
+// accumulators first hold the same bits.
+struct H1Native {
+  using T = std::uint16_t;
+  using Acc = _Float16;
+  static Acc enter(T v) noexcept { return __builtin_bit_cast(_Float16, v); }
+  static _Float16 load_w(const T* p, std::size_t) noexcept {
+    return enter(*p);
+  }
+  static _Float16 splat(T a) noexcept { return enter(a); }
+  static Acc mac(Acc acc, _Float16 w, _Float16 a) noexcept {
+    return acc + w * a;
+  }
+  static T leave(Acc acc) noexcept {
+    const auto h = __builtin_bit_cast(T, acc);
+    return (h & 0x7FFFU) > 0x7C00U ? static_cast<T>((h & 0x8000U) | 0x7E00U)
+                                   : h;
+  }
+  static bool same(Acc f, Acc g) noexcept { return leave(f) == leave(g); }
+};
+
 }  // namespace
 
 void avx512fp16_conv_half(const ConvGeom& g, const Region& r,
@@ -106,6 +130,19 @@ void avx512fp16_fc_half(const FcGeom& g, const numeric::Half* in,
   fc_lanes<F16x16Native>(g, bits(in), bits(w), bits(wp), bits(bias),
                          bits(out));
   _mm256_zeroupper();
+}
+
+void avx512fp16_chain_half(const numeric::Half* w, const numeric::Half* a,
+                           std::size_t n, numeric::Half* acc) {
+  chain_lane<H1Native>(bits(w), bits(a), n, bits(acc));
+}
+
+std::size_t avx512fp16_chain_pair_half(const numeric::Half* w,
+                                       const numeric::Half* a, std::size_t n,
+                                       numeric::Half* acc,
+                                       numeric::Half* gold) {
+  return chain_pair_lane<H1Native>(bits(w), bits(a), n, bits(acc),
+                                   bits(gold));
 }
 
 }  // namespace dnnfi::dnn::kernels::detail

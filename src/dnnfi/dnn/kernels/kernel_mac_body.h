@@ -47,6 +47,14 @@
 // Channels of the region outside its full lane-blocks run the same body
 // through the 1-lane ScalarLane traits below, the 1-lane row-major case:
 // channel c's tail is the body on w + c*kvol.
+//
+// The single-chain entries (kernels.h ChainFn / ChainPairFn) run one chain
+// over gathered taps through a 1-lane trait S that also provides
+//   enter(T) / leave(Acc)        the accumulator into and out of Acc
+//   same(Acc, Acc)               whether two accumulators leave as the
+//                                same bits
+// leave runs only after a tap, so a call over no taps returns the bits it
+// was given.
 #pragma once
 
 constexpr int kRne = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
@@ -123,6 +131,9 @@ struct ScalarLane<std::uint16_t> {
   static void relu_block(const T* in, T* out) noexcept {
     *out = (_cvtsh_ss(*in) > 0.0f) ? *in : T{0};
   }
+  static Acc enter(T v) noexcept { return v; }
+  static T leave(Acc acc) noexcept { return acc; }
+  static bool same(Acc a, Acc b) noexcept { return a == b; }
 };
 
 /// 1-lane trait for Fixed<W,F> raw ints: Fixed::operator* and operator+ on
@@ -350,4 +361,38 @@ void relu_lanes(const typename V::T* in, typename V::T* out, std::size_t n) {
   std::size_t i = 0;
   for (; i + V::kLanes <= n; i += V::kLanes) V::relu_block(in + i, out + i);
   for (; i < n; ++i) S::relu_block(in + i, out + i);
+}
+
+/// A ChainFn over the 1-lane trait S.
+template <class S>
+void chain_lane(const typename S::T* w, const typename S::T* a, std::size_t n,
+                typename S::T* acc) {
+  if (n == 0) return;
+  typename S::Acc s = S::enter(*acc);
+  for (std::size_t i = 0; i < n; ++i)
+    s = S::mac(s, S::load_w(w + i, 0), S::splat(a[i]));
+  *acc = S::leave(s);
+}
+
+/// A ChainPairFn over the 1-lane trait S: both chains take each tap's
+/// operands from one load, and stop after the first tap that leaves them
+/// S::same.
+template <class S>
+std::size_t chain_pair_lane(const typename S::T* w, const typename S::T* a,
+                            std::size_t n, typename S::T* acc,
+                            typename S::T* gold) {
+  if (*acc == *gold) return 0;
+  if (n == 0) return 1;
+  typename S::Acc f = S::enter(*acc), g = S::enter(*gold);
+  std::size_t k = 1;
+  for (; k <= n; ++k) {
+    const auto wv = S::load_w(w + k - 1, 0);
+    const auto av = S::splat(a[k - 1]);
+    f = S::mac(f, wv, av);
+    g = S::mac(g, wv, av);
+    if (S::same(f, g)) break;
+  }
+  *acc = S::leave(f);
+  *gold = S::leave(g);
+  return k;
 }

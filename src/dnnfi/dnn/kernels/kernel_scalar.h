@@ -1,14 +1,14 @@
 // Scalar reference kernels — the always-correct ground truth every SIMD set
 // is tested bit-identical against (see kernels.h for the contract).
 //
-// scalar_conv is the former Conv2d::forward_plain: bit-identical to
-// Conv2d::compute_one with no fault and no overrides — same (ci, ky, kx)
-// accumulation order, same multiply-then-accumulate per tap (padded taps
-// multiply by a zero activation), same trailing bias add — with the per-tap
+// scalar_conv is the former Conv2d::forward_plain: per output, the
+// (ci, ky, kx) chain of multiply-then-accumulate taps (padded taps multiply
+// by a zero activation) and the trailing bias add, with the per-tap
 // Shape::index arithmetic replaced by hoisted row pointers. scalar_fc is
-// likewise the former FullyConnected fast path. scalar_conv, scalar_lrn and
-// scalar_maxpool compute one output Region (kernels.h); each output's value
-// does not depend on the region it is computed in.
+// likewise the former FullyConnected fast path, and scalar_chain /
+// scalar_chain_pair the same tap loop over gathered taps. scalar_conv,
+// scalar_lrn and scalar_maxpool compute one output Region (kernels.h); each
+// output's value does not depend on the region it is computed in.
 //
 // The post-MAC kernels (scalar_lrn / scalar_maxpool / scalar_avgpool /
 // scalar_softmax) are the former Lrn / MaxPool2d / GlobalAvgPool / Softmax
@@ -97,6 +97,33 @@ void scalar_fc(const FcGeom& g, const T* in, const T* w,
     acc += bias[o];
     out[o] = acc;
   }
+}
+
+/// One gathered chain (ChainFn), scalar reference.
+template <typename T>
+void scalar_chain(const T* w, const T* a, std::size_t n, T* acc) {
+  T s = *acc;
+  for (std::size_t i = 0; i < n; ++i) {
+    const T product = w[i] * a[i];
+    s += product;
+  }
+  *acc = s;
+}
+
+/// A faulty and a golden chain up to their first bit-equal tap count
+/// (ChainPairFn), scalar reference.
+template <typename T>
+std::size_t scalar_chain_pair(const T* w, const T* a, std::size_t n, T* acc,
+                              T* gold) {
+  using Tr = numeric::numeric_traits<T>;
+  std::size_t k = 0;
+  for (; Tr::to_bits(*acc) != Tr::to_bits(*gold); ++k) {
+    if (k == n) return n + 1;
+    const T product = w[k] * a[k];
+    *acc += product;
+    *gold += product;
+  }
+  return k;
 }
 
 template <typename T>

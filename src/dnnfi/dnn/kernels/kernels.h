@@ -2,10 +2,10 @@
 //
 // A KernelSet<T> bundles the conv / fully-connected / relu inner loops for
 // one datapath type. The scalar reference set always exists and is the
-// semantic ground truth: it performs exactly the MAC pipeline of
-// Conv2d::compute_one (products and accumulations in T, (ci, ky, kx)
-// accumulation order, padded taps multiplying a zero activation, trailing
-// bias add). SIMD sets vectorize ACROSS output channels — one output per
+// semantic ground truth: every output is one MAC chain in T (multiply, then
+// add to the accumulator, rounded after each; (ci, ky, kx) accumulation
+// order, padded taps multiplying a zero activation, trailing bias add).
+// SIMD sets vectorize ACROSS output channels — one output per
 // lane, each lane's accumulation chain identical to the scalar one — so
 // every set's results are bit-identical to the reference and call sites with
 // and without SIMD can be mixed freely without changing a single output bit.
@@ -36,6 +36,13 @@
 // runs the channels outside those blocks through the 1-lane tail.
 // FC, relu, avgpool and softmax have no region: relu is elementwise (the
 // executor calls it once per contiguous run), the rest always run whole.
+//
+// Single chains: `chain` and `chain_pair` run one output's MAC chain over
+// gathered taps, for the outputs a fault rewrites (Conv2d /
+// FullyConnected::apply_faults, DESIGN.md §8). The scalar set runs the
+// reference loop; the avx2 and avx512 FLOAT16 sets the 1-lane F16C trait of
+// kernel_mac_body.h; avx512fp16 native binary16 with the canonical-NaN
+// rewrite once per call; every other set the scalar entries.
 //
 // Selection happens once per process: the DNNFI_KERNELS environment variable
 // ("scalar" | "avx2" | "avx512" | "avx512fp16" | "auto"/unset) is combined
@@ -178,6 +185,21 @@ using AvgPoolFn = void (*)(const T* in, T* out, std::size_t channels,
 template <typename T>
 using SoftmaxFn = void (*)(const T* in, T* out, std::size_t n);
 
+/// One output's MAC chain over n gathered taps from `*acc`: for i in
+/// [0, n), acc = acc + w[i] * a[i], multiplied then added and rounded as the
+/// scalar reference rounds; n = 0 leaves `*acc` untouched.
+template <typename T>
+using ChainFn = void (*)(const T* w, const T* a, std::size_t n, T* acc);
+
+/// A faulty (`*acc`) and a golden (`*gold`) chain over the same n taps:
+/// both advance tap by tap until they are bit-equal. Returns k, the first
+/// count of taps in [0, n] after which they are (both then hold that
+/// value), or n + 1 when they never are (both then hold their value after
+/// all n taps). Either accumulator may enter holding any bit pattern.
+template <typename T>
+using ChainPairFn = std::size_t (*)(const T* w, const T* a, std::size_t n,
+                                    T* acc, T* gold);
+
 /// One registered kernel family for one datapath type.
 template <typename T>
 struct KernelSet {
@@ -192,6 +214,8 @@ struct KernelSet {
   PoolFn<T> maxpool = nullptr;
   AvgPoolFn<T> avgpool = nullptr;
   SoftmaxFn<T> softmax = nullptr;
+  ChainFn<T> chain = nullptr;
+  ChainPairFn<T> chain_pair = nullptr;
 };
 
 /// The scalar reference set: always available, always bit-identical.

@@ -76,8 +76,10 @@ Mode& mode_ref() {
 /// The AVX2 set for T, or null when T has none or the CPU lacks the
 /// instructions. FLOAT16 kernels additionally execute F16C converts. The
 /// post-MAC kernels (lrn / maxpool / avgpool / softmax) are the AVX2
-/// implementations for all three floating types. Fixed point has no AVX2
-/// set (unmeasured): without AVX-512 it runs the scalar reference.
+/// implementations for all three floating types. The single chains are the
+/// 1-lane F16C ones for FLOAT16 and the scalar ones otherwise. Fixed point
+/// has no AVX2 set (unmeasured): without AVX-512 it runs the scalar
+/// reference.
 template <typename T>
 const KernelSet<T>* avx2_set() {
   if constexpr (std::is_same_v<T, float>) {
@@ -86,7 +88,8 @@ const KernelSet<T>* avx2_set() {
         "avx2", 8, detail::avx2_conv_float, detail::avx2_fc_float,
         detail::avx2_relu_float, detail::avx2_lrn_float,
         detail::avx2_maxpool_float, detail::avx2_avgpool_float,
-        detail::avx2_softmax_float};
+        detail::avx2_softmax_float, &scalar_chain<float>,
+        &scalar_chain_pair<float>};
     return &s;
   } else if constexpr (std::is_same_v<T, double>) {
     if (!numeric::cpu_has_avx2()) return nullptr;
@@ -94,7 +97,8 @@ const KernelSet<T>* avx2_set() {
         "avx2", 4, detail::avx2_conv_double, detail::avx2_fc_double,
         detail::avx2_relu_double, detail::avx2_lrn_double,
         detail::avx2_maxpool_double, detail::avx2_avgpool_double,
-        detail::avx2_softmax_double};
+        detail::avx2_softmax_double, &scalar_chain<double>,
+        &scalar_chain_pair<double>};
     return &s;
   } else if constexpr (std::is_same_v<T, numeric::Half>) {
     if (!numeric::cpu_has_avx2() || !numeric::cpu_has_f16c()) return nullptr;
@@ -102,7 +106,8 @@ const KernelSet<T>* avx2_set() {
         "avx2", 8, detail::avx2_conv_half, detail::avx2_fc_half,
         detail::avx2_relu_half, detail::avx2_lrn_half,
         detail::avx2_maxpool_half, detail::avx2_avgpool_half,
-        detail::avx2_softmax_half};
+        detail::avx2_softmax_half, detail::avx2_chain_half,
+        detail::avx2_chain_pair_half};
     return &s;
   } else {
     return nullptr;  // fixed point: avx512 or the scalar reference
@@ -122,9 +127,11 @@ const KernelSet<T>* avx2_set() {
 
 /// The AVX-512 set for T: 16-lane float, 8-lane double, 16-lane F16C-path
 /// Half MAC kernels from the -mavx512f TU, post-MAC kernels shared with the
-/// AVX2 TU (every AVX-512 CPU also runs AVX2). The three fixed-point types
+/// AVX2 TU (every AVX-512 CPU also runs AVX2), as are the single chains
+/// (scalar ones for float and double). The three fixed-point types
 /// get 8-lane int64 MAC kernels that read row-major weights (pack_lanes 0,
-/// so there is no packed copy) and keep the scalar post-MAC kernels. Gated
+/// so there is no packed copy) and keep the scalar post-MAC kernels and
+/// chains. Gated
 /// on the full avx512 kernel bundle (F+BW+VL+DQ, see numeric/cpu.h) so
 /// Knights-Landing-class parts fall back rather than fault in the Half mask
 /// blends.
@@ -137,14 +144,16 @@ const KernelSet<T>* avx512_set() {
         "avx512", 16, detail::avx512_conv_float, detail::avx512_fc_float,
         detail::avx512_relu_float, detail::avx2_lrn_float,
         detail::avx2_maxpool_float, detail::avx2_avgpool_float,
-        detail::avx2_softmax_float};
+        detail::avx2_softmax_float, &scalar_chain<float>,
+        &scalar_chain_pair<float>};
     return &s;
   } else if constexpr (std::is_same_v<T, double>) {
     static const KernelSet<double> s{
         "avx512", 8, detail::avx512_conv_double,
         detail::avx512_fc_double, detail::avx512_relu_double,
         detail::avx2_lrn_double, detail::avx2_maxpool_double,
-        detail::avx2_avgpool_double, detail::avx2_softmax_double};
+        detail::avx2_avgpool_double, detail::avx2_softmax_double,
+        &scalar_chain<double>, &scalar_chain_pair<double>};
     return &s;
   } else if constexpr (std::is_same_v<T, numeric::Half>) {
     if (!numeric::cpu_has_f16c()) return nullptr;
@@ -152,26 +161,30 @@ const KernelSet<T>* avx512_set() {
         "avx512", 16, detail::avx512_conv_half, detail::avx512_fc_half,
         detail::avx512_relu_half, detail::avx2_lrn_half,
         detail::avx2_maxpool_half, detail::avx2_avgpool_half,
-        detail::avx2_softmax_half};
+        detail::avx2_softmax_half, detail::avx2_chain_half,
+        detail::avx2_chain_pair_half};
     return &s;
   } else if constexpr (std::is_same_v<T, numeric::Fx32r26>) {
     static const KernelSet<T> s{
         "avx512", 0, detail::avx512_conv_fx32r26, detail::avx512_fc_fx32r26,
         detail::avx512_relu_fx32r26, &scalar_lrn<T>, &scalar_maxpool<T>,
-        &scalar_avgpool<T>, &scalar_softmax<T>};
+        &scalar_avgpool<T>, &scalar_softmax<T>, &scalar_chain<T>,
+        &scalar_chain_pair<T>};
     return &s;
   } else if constexpr (std::is_same_v<T, numeric::Fx32r10>) {
     static const KernelSet<T> s{
         "avx512", 0, detail::avx512_conv_fx32r10, detail::avx512_fc_fx32r10,
         detail::avx512_relu_fx32r10, &scalar_lrn<T>, &scalar_maxpool<T>,
-        &scalar_avgpool<T>, &scalar_softmax<T>};
+        &scalar_avgpool<T>, &scalar_softmax<T>, &scalar_chain<T>,
+        &scalar_chain_pair<T>};
     return &s;
   } else {
     static_assert(std::is_same_v<T, numeric::Fx16r10>);
     static const KernelSet<T> s{
         "avx512", 0, detail::avx512_conv_fx16r10, detail::avx512_fc_fx16r10,
         detail::avx512_relu_fx16r10, &scalar_lrn<T>, &scalar_maxpool<T>,
-        &scalar_avgpool<T>, &scalar_softmax<T>};
+        &scalar_avgpool<T>, &scalar_softmax<T>, &scalar_chain<T>,
+        &scalar_chain_pair<T>};
     return &s;
   }
 }
@@ -187,10 +200,11 @@ const KernelSet<T>* avx512_set() {
 
 #if defined(DNNFI_ENABLE_AVX512FP16_KERNELS)
 
-/// The avx512fp16 set: FLOAT16 only. The avx512 Half set with the conv and
-/// fc swapped for native VMULPH / VADDPH kernels over the same 16-lane
-/// packed weights; gated on AVX512-FP16 on top of everything the avx512 set
-/// needs. Every other type has no such set (null).
+/// The avx512fp16 set: FLOAT16 only. The avx512 Half set with the conv,
+/// fc and single chains swapped for native VMULPH / VADDPH ones (the conv
+/// and fc over the same 16-lane packed weights); gated on AVX512-FP16 on
+/// top of everything the avx512 set needs. Every other type has no such
+/// set (null).
 template <typename T>
 const KernelSet<T>* avx512fp16_set() {
   if constexpr (std::is_same_v<T, numeric::Half>) {
@@ -200,7 +214,8 @@ const KernelSet<T>* avx512fp16_set() {
         "avx512fp16", 16, detail::avx512fp16_conv_half,
         detail::avx512fp16_fc_half, detail::avx512_relu_half,
         detail::avx2_lrn_half, detail::avx2_maxpool_half,
-        detail::avx2_avgpool_half, detail::avx2_softmax_half};
+        detail::avx2_avgpool_half, detail::avx2_softmax_half,
+        detail::avx512fp16_chain_half, detail::avx512fp16_chain_pair_half};
     return &s;
   } else {
     return nullptr;
@@ -224,7 +239,8 @@ const KernelSet<T>& scalar_kernels() noexcept {
                               &scalar_conv<T>,    &scalar_fc<T>,
                               &scalar_relu<T>,    &scalar_lrn<T>,
                               &scalar_maxpool<T>, &scalar_avgpool<T>,
-                              &scalar_softmax<T>};
+                              &scalar_softmax<T>, &scalar_chain<T>,
+                              &scalar_chain_pair<T>};
   return s;
 }
 

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "dnnfi/dnn/fault_hooks.h"
+#include "dnnfi/dnn/kernels/kernels.h"
 #include "dnnfi/tensor/tensor.h"
 
 namespace dnnfi::dnn {
@@ -75,16 +76,19 @@ class Layer {
 
   /// Applies `faults` bit-exactly, assuming `out` already holds the
   /// fault-free output for `in` (patches only affected elements), and, if
-  /// `rec` is non-null, documents what it did. Every fault site is a conv
-  /// or FC layer, and only those override this; elsewhere it is a contract
-  /// violation.
+  /// `rec` is non-null, documents what it did. The rewritten outputs' MAC
+  /// chains run on `ks` (any set gives the same bits). Every fault site is
+  /// a conv or FC layer, and only those override this; elsewhere it is a
+  /// contract violation.
   virtual void apply_faults(ConstTensorView<T> /*in*/, TensorView<T> /*out*/,
                             const LayerFaults& /*faults*/,
-                            InjectionRecord* /*rec*/) const {
+                            InjectionRecord* /*rec*/,
+                            const kernels::KernelSet<T>& /*ks*/) const {
     DNNFI_EXPECTS(false);
   }
 
-  /// Tensor convenience wrappers: resize `out` then run the view path.
+  /// Tensor convenience wrappers: resize `out` then run the view path (on
+  /// the scalar reference set, for apply_faults).
   /// Derived classes pull these in with `using Layer<T>::forward;`.
   void forward(const Tensor<T>& in, Tensor<T>& out) const {
     out.reshape(out_shape(in.shape()));
@@ -93,7 +97,8 @@ class Layer {
   void apply_faults(const Tensor<T>& in, Tensor<T>& out,
                     const LayerFaults& faults, InjectionRecord* rec) const {
     DNNFI_EXPECTS(out.shape() == out_shape(in.shape()));
-    apply_faults(in.view(), out.view(), faults, rec);
+    apply_faults(in.view(), out.view(), faults, rec,
+                 kernels::scalar_kernels<T>());
   }
 
   /// Backpropagation (used by the float trainer): given the layer input,

@@ -62,6 +62,141 @@ bool storage_apply_dir(T v, const fault::FaultOp& op,
         numeric::numeric_traits<S>::from_double(to_d(v)), op);
   });
 }
+
+/// Applies a buffer upset to the stored operand `v` (a weight or an input
+/// value), records it, and returns the corrupted value.
+template <typename T>
+T storage_strike(T v, const fault::FaultOp& op,
+                 const std::optional<numeric::DType>& storage,
+                 InjectionRecord* rec) {
+  const T after = storage_apply(v, op, storage);
+  if (rec != nullptr) {
+    rec->corrupted_before = to_d(v);
+    rec->corrupted_after = to_d(after);
+    rec->zero_to_one = storage_apply_dir(v, op, storage);
+    rec->applied = true;
+  }
+  return after;
+}
+
+/// Records a latch upset of `value` (what `op` does to it).
+template <typename T>
+void record_flip(InjectionRecord* rec, T value, const fault::FaultOp& op) {
+  if (rec == nullptr) return;
+  rec->corrupted_before = to_d(value);
+  rec->corrupted_after = to_d(fault::apply_op(value, op));
+  rec->zero_to_one = fault::op_zero_to_one(value, op);
+  rec->applied = true;
+}
+
+/// Records the affected output activation before and after the fault.
+template <typename T>
+void note_act(InjectionRecord* rec, T before, T after) {
+  if (rec == nullptr) return;
+  rec->act_before = to_d(before);
+  rec->act_after = to_d(after);
+}
+
+/// How one output's MAC chain departs from its golden chain: at step
+/// `step` only, by a latch upset (`op` at `site`: MacFault, ColumnFault) or
+/// by a replaced operand (`w` / `a`: WeightFault, ScopedInputFault).
+template <typename T>
+struct StepFault {
+  std::size_t step = 0;
+  const fault::FaultOp* op = nullptr;
+  MacSite site = MacSite::kAccumulator;
+  std::optional<T> w, a;
+
+  static StepFault upset(std::size_t step, const fault::FaultOp& op,
+                         MacSite site) {
+    StepFault f;
+    f.step = step;
+    f.op = &op;
+    f.site = site;
+    return f;
+  }
+  static StepFault weight(std::size_t step, T w) {
+    StepFault f;
+    f.step = step;
+    f.w = w;
+    return f;
+  }
+  static StepFault input(std::size_t step, T a) {
+    StepFault f;
+    f.step = step;
+    f.a = a;
+    return f;
+  }
+};
+
+/// Taps gathered per chain call: one output's activations are staged in
+/// chunks of this many, so the buffer is bounded whatever the kernel volume.
+inline constexpr std::size_t kTapChunk = 256;
+
+/// One output whose n-step chain departs from the golden one as `f` says:
+/// the golden chain with one step changed, run on `ks`. `w` is the output's
+/// weight row (read in place); `acts(b, e)` returns its activations of
+/// steps [b, e), e - b <= kTapChunk (padded taps zero). Returns the faulty
+/// output, or nullopt when it equals the golden output bit for bit, so the
+/// golden value already in place stands:
+///   - an operand upset whose faulty product equals the golden product
+///     changes nothing (no chain runs);
+///   - otherwise the prefix [0, step) runs on ks.chain, the step itself
+///     here (T arithmetic, so the record reads the reference's values),
+///     then ks.chain_pair carries the faulty and the golden accumulators
+///     until they reconverge — from then on the chains are identical;
+///   - a chain that never reconverges ends with the bias add.
+template <typename T, class Acts>
+std::optional<T> diverged_output(const kernels::KernelSet<T>& ks, const T* w,
+                                 std::size_t n, Acts&& acts,
+                                 const StepFault<T>& f, T bias,
+                                 InjectionRecord* rec) {
+  const std::size_t s = f.step;
+  const T w0 = w[s];
+  const T a0 = *acts(s, s + 1);
+  T wf = f.w.value_or(w0);
+  T af = f.a.value_or(a0);
+  const bool latch = f.op != nullptr;
+  if (latch && f.site == MacSite::kOperandAct) {
+    record_flip(rec, a0, *f.op);
+    af = fault::apply_op(a0, *f.op);
+  }
+  if (latch && f.site == MacSite::kOperandWeight) {
+    record_flip(rec, w0, *f.op);
+    wf = fault::apply_op(w0, *f.op);
+  }
+  const T gp = w0 * a0;
+  T fp = wf * af;
+  if (latch && f.site == MacSite::kProduct) {
+    record_flip(rec, gp, *f.op);
+    fp = fault::apply_op(gp, *f.op);
+  } else if (!(latch && f.site == MacSite::kAccumulator) &&
+             numeric::numeric_traits<T>::to_bits(fp) ==
+                 numeric::numeric_traits<T>::to_bits(gp)) {
+    return std::nullopt;
+  }
+  T acc{};
+  for (std::size_t b = 0; b < s; b += kTapChunk) {
+    const std::size_t e = std::min(s, b + kTapChunk);
+    ks.chain(w + b, acts(b, e), e - b, &acc);
+  }
+  T gold = acc;
+  gold += gp;
+  acc += fp;
+  if (latch && f.site == MacSite::kAccumulator) {
+    record_flip(rec, gold, *f.op);
+    acc = fault::apply_op(gold, *f.op);
+  }
+  for (std::size_t b = s + 1;;) {
+    const std::size_t e = std::min(n, b + kTapChunk);
+    if (ks.chain_pair(w + b, acts(b, e), e - b, &acc, &gold) <= e - b)
+      return std::nullopt;
+    if (e == n) break;
+    b = e;
+  }
+  acc += bias;
+  return acc;
+}
 }  // namespace detail
 
 /// 2-D convolution with square kernels, zero padding, and per-output-channel
@@ -117,9 +252,8 @@ class Conv2d final : public Layer<T> {
   void forward(ConstTensorView<T> in, TensorView<T> out) const override {
     const Shape os = out.shape();
     DNNFI_EXPECTS(os == out_shape(in.shape()));
-    // Fault-free pass through the kernel registry (the scalar reference is
-    // bit-identical to compute_one with no fault and no overrides; SIMD
-    // sets are bit-identical to the scalar reference). The compiled
+    // Fault-free pass through the kernel registry (SIMD sets are
+    // bit-identical to the scalar reference). The compiled
     // Executor path routes through ExecutionPlan::exec_step instead, which
     // adds the packed-weight layout.
     kernels::conv_forward<T>(geom(in.shape(), os), in.data().data(),
@@ -128,58 +262,62 @@ class Conv2d final : public Layer<T> {
   }
 
   void apply_faults(ConstTensorView<T> in, TensorView<T> out,
-                    const LayerFaults& faults,
-                    InjectionRecord* rec) const override {
+                    const LayerFaults& faults, InjectionRecord* rec,
+                    const kernels::KernelSet<T>& ks) const override {
     const Shape os = out.shape();
+    DNNFI_EXPECTS(os == out_shape(in.shape()));
+    const std::size_t plane = os.h * os.w;
+    T taps[detail::kTapChunk];
+    const auto rewrite = [&](std::size_t e, const detail::StepFault<T>& sf,
+                             InjectionRecord* r) {
+      if (const auto v = compute_one(ks, in, e / plane, e % plane / os.w,
+                                     e % os.w, sf, r, taps))
+        out[e] = *v;
+    };
     if (faults.mac) {
       const MacFault& f = *faults.mac;
       DNNFI_EXPECTS(f.out_index < out.size() && f.step < steps());
-      const auto [co, oy, ox] = unflatten(os, f.out_index);
       const T before = out[f.out_index];
-      const T after = compute_one(in, co, oy, ox, &f, rec, kNoOverride,
-                                  kNoOverride);
-      out[f.out_index] = after;
-      note_act(rec, before, after);
+      rewrite(f.out_index, detail::StepFault<T>::upset(f.step, f.op, f.site),
+              rec);
+      detail::note_act(rec, before, out[f.out_index]);
     }
     if (faults.weight) {
       const WeightFault& f = *faults.weight;
       DNNFI_EXPECTS(f.weight_index < weights_.size());
-      const T w0 = weights_[f.weight_index];
-      const T w1 = detail::storage_apply(w0, f.op, f.storage);
-      if (rec != nullptr) {
-        rec->corrupted_before = detail::to_d(w0);
-        rec->corrupted_after = detail::to_d(w1);
-        rec->zero_to_one = detail::storage_apply_dir(w0, f.op, f.storage);
-        rec->applied = true;
-      }
-      // The corrupted weight feeds every MAC of its output channel.
+      const T w1 = detail::storage_strike(weights_[f.weight_index], f.op,
+                                          f.storage, rec);
+      // The corrupted weight feeds one step of every output of its channel.
       const std::size_t co = f.weight_index / steps();
-      const Override ov{f.weight_index, w1};
-      const T rep_before = out.at(0, co, 0, 0);
-      for (std::size_t oy = 0; oy < os.h; ++oy)
-        for (std::size_t ox = 0; ox < os.w; ++ox)
-          out.at(0, co, oy, ox) =
-              compute_one(in, co, oy, ox, nullptr, nullptr, ov, kNoOverride);
-      note_act(rec, rep_before, out.at(0, co, 0, 0));
+      const auto sf =
+          detail::StepFault<T>::weight(f.weight_index % steps(), w1);
+      const T rep_before = out[co * plane];
+      for (std::size_t e = co * plane; e < (co + 1) * plane; ++e)
+        rewrite(e, sf, nullptr);
+      detail::note_act(rec, rep_before, out[co * plane]);
     }
     if (faults.scoped_input) {
       const ScopedInputFault& f = *faults.scoped_input;
       DNNFI_EXPECTS(f.input_index < in.size());
       DNNFI_EXPECTS(f.out_channel < os.c && f.out_row < os.h);
-      const T v0 = in[f.input_index];
-      const T v1 = detail::storage_apply(v0, f.op, f.storage);
-      if (rec != nullptr) {
-        rec->corrupted_before = detail::to_d(v0);
-        rec->corrupted_after = detail::to_d(v1);
-        rec->zero_to_one = detail::storage_apply_dir(v0, f.op, f.storage);
-        rec->applied = true;
+      const T v1 = detail::storage_strike(in[f.input_index], f.op, f.storage,
+                                          rec);
+      // Each output of the row whose window holds the value reads it at one
+      // step; the others stay golden.
+      // (yp, xp): the value's position in the padded input.
+      const Shape& is = in.shape();
+      const std::size_t ci = f.input_index / (is.h * is.w);
+      const std::size_t yp = f.input_index / is.w % is.h + pad_;
+      const std::size_t xp = f.input_index % is.w + pad_;
+      const std::size_t y0 = f.out_row * stride_;
+      const std::size_t row = (f.out_channel * os.h + f.out_row) * os.w;
+      const T rep_before = out[row];
+      for (std::size_t ox = 0; yp >= y0 && yp - y0 < k_ && ox < os.w; ++ox) {
+        if (xp < ox * stride_ || xp - ox * stride_ >= k_) continue;
+        const std::size_t step = (ci * k_ + yp - y0) * k_ + xp - ox * stride_;
+        rewrite(row + ox, detail::StepFault<T>::input(step, v1), nullptr);
       }
-      const Override ov{f.input_index, v1};
-      const T rep_before = out.at(0, f.out_channel, f.out_row, 0);
-      for (std::size_t ox = 0; ox < os.w; ++ox)
-        out.at(0, f.out_channel, f.out_row, ox) = compute_one(
-            in, f.out_channel, f.out_row, ox, nullptr, nullptr, kNoOverride, ov);
-      note_act(rec, rep_before, out.at(0, f.out_channel, f.out_row, 0));
+      detail::note_act(rec, rep_before, out[row]);
     }
     if (faults.column) {
       // Weight-stationary systolic column propagation (accel::SystolicArray):
@@ -187,23 +325,15 @@ class Conv2d final : public Layer<T> {
       // the strike re-accumulates through the corrupt partial-sum chain.
       const ColumnFault& f = *faults.column;
       DNNFI_EXPECTS(f.step < steps() && f.cols > 0 && f.first_out < out.size());
-      const std::size_t plane = os.h * os.w;
-      bool first = true;
+      const auto sf =
+          detail::StepFault<T>::upset(f.step, f.op, MacSite::kAccumulator);
+      InjectionRecord* first = rec;  // the first element's chain records
       for (std::size_t e = f.first_out; e < out.size(); ++e) {
         if ((e / plane) % f.cols != f.col) continue;
-        MacFault mf;
-        mf.out_index = e;
-        mf.step = f.step;
-        mf.site = MacSite::kAccumulator;
-        mf.op = f.op;
-        const auto [co, oy, ox] = unflatten(os, e);
         const T before = out[e];
-        const T after = compute_one(in, co, oy, ox, &mf,
-                                    first ? rec : nullptr, kNoOverride,
-                                    kNoOverride);
-        out[e] = after;
-        if (first) note_act(rec, before, after);
-        first = false;
+        rewrite(e, sf, first);
+        detail::note_act(first, before, out[e]);
+        first = nullptr;
       }
     }
   }
@@ -252,94 +382,43 @@ class Conv2d final : public Layer<T> {
   std::size_t pad() const noexcept { return pad_; }
 
  private:
-  struct Override {
-    std::size_t index;
-    T value;
-  };
-  static constexpr std::optional<Override> kNoOverride = std::nullopt;
-
-  static std::tuple<std::size_t, std::size_t, std::size_t> unflatten(
-      const Shape& os, std::size_t flat) {
-    const std::size_t ox = flat % os.w;
-    const std::size_t oy = (flat / os.w) % os.h;
-    const std::size_t co = flat / (os.w * os.h);
-    return {co, oy, ox};
-  }
-
-  static void note_act(InjectionRecord* rec, T before, T after) {
-    if (rec == nullptr) return;
-    rec->act_before = detail::to_d(before);
-    rec->act_after = detail::to_d(after);
-  }
-
-  /// Computes a single output element, optionally applying a MacFault and/or
-  /// weight/input overrides. This is the reference MAC pipeline: every
-  /// product and accumulation is performed in T.
-  T compute_one(ConstTensorView<T> in, std::size_t co, std::size_t oy,
-                std::size_t ox, const MacFault* mf, InjectionRecord* rec,
-                const std::optional<Override>& w_over,
-                const std::optional<Override>& in_over) const {
+  /// Output (co, oy, ox) with its chain departing from the golden one as
+  /// `f` says, on `ks` (detail::diverged_output): the weight row read in
+  /// place, the activations gathered into `taps` in (ci, ky, kx) order,
+  /// padded taps zero. Nullopt: the output stays golden.
+  std::optional<T> compute_one(const kernels::KernelSet<T>& ks,
+                               ConstTensorView<T> in, std::size_t co,
+                               std::size_t oy, std::size_t ox,
+                               const detail::StepFault<T>& f,
+                               InjectionRecord* rec, T* taps) const {
     const Shape& is = in.shape();
-    T acc{};
-    std::size_t step = 0;
-    for (std::size_t ci = 0; ci < in_c_; ++ci) {
-      for (std::size_t ky = 0; ky < k_; ++ky) {
-        for (std::size_t kx = 0; kx < k_; ++kx, ++step) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-              static_cast<std::ptrdiff_t>(pad_);
-          const std::ptrdiff_t ix =
-              static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-              static_cast<std::ptrdiff_t>(pad_);
-          const bool in_bounds = iy >= 0 &&
-                                 iy < static_cast<std::ptrdiff_t>(is.h) &&
-                                 ix >= 0 &&
-                                 ix < static_cast<std::ptrdiff_t>(is.w);
-          std::size_t ii = 0;
-          T act{};
-          if (in_bounds) {
-            ii = is.index(0, ci, static_cast<std::size_t>(iy),
-                          static_cast<std::size_t>(ix));
-            act = in[ii];
-            if (in_over && in_over->index == ii) act = in_over->value;
-          }
-          const std::size_t wi = weights_.shape().index(co, ci, ky, kx);
-          T w = weights_[wi];
-          if (w_over && w_over->index == wi) w = w_over->value;
-
-          const bool fault_here = (mf != nullptr) && (step == mf->step);
-          if (fault_here && mf->site == MacSite::kOperandAct) {
-            record_flip(rec, act, mf->op);
-            act = fault::apply_op(act, mf->op);
-          }
-          if (fault_here && mf->site == MacSite::kOperandWeight) {
-            record_flip(rec, w, mf->op);
-            w = fault::apply_op(w, mf->op);
-          }
-          T product = w * act;
-          if (fault_here && mf->site == MacSite::kProduct) {
-            record_flip(rec, product, mf->op);
-            product = fault::apply_op(product, mf->op);
-          }
-          acc += product;
-          if (fault_here && mf->site == MacSite::kAccumulator) {
-            record_flip(rec, acc, mf->op);
-            acc = fault::apply_op(acc, mf->op);
+    const T* const src = in.data().data();
+    const auto y0 = static_cast<std::ptrdiff_t>(oy * stride_) -
+                    static_cast<std::ptrdiff_t>(pad_);
+    const auto x0 = static_cast<std::ptrdiff_t>(ox * stride_) -
+                    static_cast<std::ptrdiff_t>(pad_);
+    const auto acts = [&](std::size_t b, std::size_t e) -> const T* {
+      std::size_t ci = b / (k_ * k_), ky = b / k_ % k_, kx = b % k_;
+      for (std::size_t i = 0; i < e - b; ++i) {
+        const std::ptrdiff_t iy = y0 + static_cast<std::ptrdiff_t>(ky);
+        const std::ptrdiff_t ix = x0 + static_cast<std::ptrdiff_t>(kx);
+        taps[i] = iy >= 0 && iy < static_cast<std::ptrdiff_t>(is.h) &&
+                          ix >= 0 && ix < static_cast<std::ptrdiff_t>(is.w)
+                      ? src[(ci * is.h + static_cast<std::size_t>(iy)) * is.w +
+                            static_cast<std::size_t>(ix)]
+                      : T{};
+        if (++kx == k_) {
+          kx = 0;
+          if (++ky == k_) {
+            ky = 0;
+            ++ci;
           }
         }
       }
-    }
-    acc += bias_[co];
-    return acc;
-  }
-
-  static void record_flip(InjectionRecord* rec, T value,
-                          const fault::FaultOp& op) {
-    if (rec == nullptr) return;
-    rec->corrupted_before = detail::to_d(value);
-    rec->corrupted_after = detail::to_d(fault::apply_op(value, op));
-    rec->zero_to_one = fault::op_zero_to_one(value, op);
-    rec->applied = true;
+      return taps;
+    };
+    return detail::diverged_output(ks, weights_.data().data() + co * steps(),
+                                   steps(), acts, f, bias_[co], rec);
   }
 
   std::size_t in_c_, out_c_, k_, stride_, pad_;
@@ -387,76 +466,56 @@ class FullyConnected final : public Layer<T> {
 
   void forward(ConstTensorView<T> in, TensorView<T> out) const override {
     DNNFI_EXPECTS(in.size() == in_ && out.size() == out_);
-    // Fault-free pass through the kernel registry (the scalar reference is
-    // bit-identical to compute_one without fault or overrides).
+    // Fault-free pass through the kernel registry.
     kernels::fc_forward<T>({in_, out_}, in.data().data(),
                            weights_.data().data(), bias_.data(),
                            out.data().data());
   }
 
   void apply_faults(ConstTensorView<T> in, TensorView<T> out,
-                    const LayerFaults& faults,
-                    InjectionRecord* rec) const override {
+                    const LayerFaults& faults, InjectionRecord* rec,
+                    const kernels::KernelSet<T>& ks) const override {
+    DNNFI_EXPECTS(in.size() == in_ && out.size() == out_);
+    const auto rewrite = [&](std::size_t o, const detail::StepFault<T>& sf,
+                             InjectionRecord* r) {
+      const T before = out[o];
+      if (const auto v = compute_one(ks, in, o, sf, r)) out[o] = *v;
+      detail::note_act(r, before, out[o]);
+    };
     if (faults.mac) {
       const MacFault& f = *faults.mac;
       DNNFI_EXPECTS(f.out_index < out_ && f.step < in_);
-      const T before = out[f.out_index];
-      out[f.out_index] =
-          compute_one(in, f.out_index, &f, rec, std::nullopt, std::nullopt);
-      note_act(rec, before, out[f.out_index]);
+      rewrite(f.out_index, detail::StepFault<T>::upset(f.step, f.op, f.site),
+              rec);
     }
     if (faults.weight) {
       const WeightFault& f = *faults.weight;
       DNNFI_EXPECTS(f.weight_index < weights_.size());
-      const std::size_t o = f.weight_index / in_;
-      const T w1 =
-          detail::storage_apply(weights_[f.weight_index], f.op, f.storage);
-      if (rec != nullptr) {
-        rec->corrupted_before = detail::to_d(weights_[f.weight_index]);
-        rec->corrupted_after = detail::to_d(w1);
-        rec->zero_to_one = detail::storage_apply_dir(weights_[f.weight_index],
-                                                     f.op, f.storage);
-        rec->applied = true;
-      }
-      const T before = out[o];
-      out[o] = compute_one(in, o, nullptr, nullptr,
-                           Override{f.weight_index, w1}, std::nullopt);
-      note_act(rec, before, out[o]);
+      const T w1 = detail::storage_strike(weights_[f.weight_index], f.op,
+                                          f.storage, rec);
+      rewrite(f.weight_index / in_,
+              detail::StepFault<T>::weight(f.weight_index % in_, w1), rec);
     }
     if (faults.scoped_input) {
       const ScopedInputFault& f = *faults.scoped_input;
       DNNFI_EXPECTS(f.input_index < in.size());
       DNNFI_EXPECTS(f.out_channel < out_);
-      const T v1 = detail::storage_apply(in[f.input_index], f.op, f.storage);
-      if (rec != nullptr) {
-        rec->corrupted_before = detail::to_d(in[f.input_index]);
-        rec->corrupted_after = detail::to_d(v1);
-        rec->zero_to_one =
-            detail::storage_apply_dir(in[f.input_index], f.op, f.storage);
-        rec->applied = true;
-      }
-      const T before = out[f.out_channel];
-      out[f.out_channel] = compute_one(in, f.out_channel, nullptr, nullptr,
-                                       std::nullopt, Override{f.input_index, v1});
-      note_act(rec, before, out[f.out_channel]);
+      const T v1 = detail::storage_strike(in[f.input_index], f.op, f.storage,
+                                          rec);
+      rewrite(f.out_channel, detail::StepFault<T>::input(f.input_index, v1),
+              rec);
     }
     if (faults.column) {
       // Systolic column propagation: FC output o maps onto column o % cols.
       const ColumnFault& f = *faults.column;
       DNNFI_EXPECTS(f.step < in_ && f.cols > 0 && f.first_out < out_);
-      bool first = true;
+      const auto sf =
+          detail::StepFault<T>::upset(f.step, f.op, MacSite::kAccumulator);
+      InjectionRecord* first = rec;  // the first element's chain records
       for (std::size_t o = f.first_out; o < out_; ++o) {
         if (o % f.cols != f.col) continue;
-        MacFault mf;
-        mf.out_index = o;
-        mf.step = f.step;
-        mf.site = MacSite::kAccumulator;
-        mf.op = f.op;
-        const T before = out[o];
-        out[o] = compute_one(in, o, &mf, first ? rec : nullptr, std::nullopt,
-                             std::nullopt);
-        if (first) note_act(rec, before, out[o]);
-        first = false;
+        rewrite(o, sf, first);
+        first = nullptr;
       }
     }
   }
@@ -482,58 +541,17 @@ class FullyConnected final : public Layer<T> {
   std::size_t out_features() const noexcept { return out_; }
 
  private:
-  struct Override {
-    std::size_t index;
-    T value;
-  };
-
-  static void note_act(InjectionRecord* rec, T before, T after) {
-    if (rec == nullptr) return;
-    rec->act_before = detail::to_d(before);
-    rec->act_after = detail::to_d(after);
-  }
-
-  T compute_one(ConstTensorView<T> in, std::size_t o, const MacFault* mf,
-                InjectionRecord* rec, const std::optional<Override>& w_over,
-                const std::optional<Override>& in_over) const {
-    T acc{};
-    const std::size_t base = o * in_;
-    for (std::size_t i = 0; i < in_; ++i) {
-      T act = in[i];
-      if (in_over && in_over->index == i) act = in_over->value;
-      T w = weights_[base + i];
-      if (w_over && w_over->index == base + i) w = w_over->value;
-      const bool fault_here = (mf != nullptr) && (i == mf->step);
-      if (fault_here && mf->site == MacSite::kOperandAct) {
-        record_flip(rec, act, mf->op);
-        act = fault::apply_op(act, mf->op);
-      }
-      if (fault_here && mf->site == MacSite::kOperandWeight) {
-        record_flip(rec, w, mf->op);
-        w = fault::apply_op(w, mf->op);
-      }
-      T product = w * act;
-      if (fault_here && mf->site == MacSite::kProduct) {
-        record_flip(rec, product, mf->op);
-        product = fault::apply_op(product, mf->op);
-      }
-      acc += product;
-      if (fault_here && mf->site == MacSite::kAccumulator) {
-        record_flip(rec, acc, mf->op);
-        acc = fault::apply_op(acc, mf->op);
-      }
-    }
-    acc += bias_[o];
-    return acc;
-  }
-
-  static void record_flip(InjectionRecord* rec, T value,
-                          const fault::FaultOp& op) {
-    if (rec == nullptr) return;
-    rec->corrupted_before = detail::to_d(value);
-    rec->corrupted_after = detail::to_d(fault::apply_op(value, op));
-    rec->zero_to_one = fault::op_zero_to_one(value, op);
-    rec->applied = true;
+  /// Output o with its chain departing from the golden one as `f` says, on
+  /// `ks` (detail::diverged_output): weight row and input read in place.
+  std::optional<T> compute_one(const kernels::KernelSet<T>& ks,
+                               ConstTensorView<T> in, std::size_t o,
+                               const detail::StepFault<T>& f,
+                               InjectionRecord* rec) const {
+    const T* const src = in.data().data();
+    return detail::diverged_output(
+        ks, weights_.data().data() + o * in_, in_,
+        [src](std::size_t b, std::size_t) { return src + b; }, f, bias_[o],
+        rec);
   }
 
   std::size_t in_, out_;

@@ -138,8 +138,8 @@ constexpr bool op_zero_to_one(T v, const FaultOp& op) {
   const B affected = static_cast<B>(op.affected());
   if (affected == 0) return false;
   const int bit = std::countr_zero(affected);
-  const bool before = (Tr::to_bits(v) >> bit) & 1U;
-  const bool after = (Tr::to_bits(apply_op(v, op)) >> bit) & 1U;
+  const bool before = (std::uint64_t{Tr::to_bits(v)} >> bit) & 1U;
+  const bool after = (std::uint64_t{Tr::to_bits(apply_op(v, op))} >> bit) & 1U;
   return !before && after;
 }
 

@@ -142,7 +142,7 @@ template <typename T>
 constexpr bool flip_is_zero_to_one(T v, int bit) {
   using Tr = numeric_traits<T>;
   DNNFI_EXPECTS(bit >= 0 && bit < Tr::width);
-  return ((Tr::to_bits(v) >> bit) & 1U) == 0;
+  return ((std::uint64_t{Tr::to_bits(v)} >> bit) & 1U) == 0;
 }
 
 }  // namespace dnnfi::numeric

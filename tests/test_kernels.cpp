@@ -6,7 +6,8 @@
 // buffer reuse — asserting tensor::bitwise_equal for every set, MAC and
 // post-MAC ops (lrn / maxpool / avgpool / softmax) alike, with
 // restructure-lock tests pinning the scalar reference to the formulas the
-// layers used to inline. Plus the packed-layout formula itself, native
+// layers used to inline. The single chains (chain / chain_pair) are held
+// to the plain tap loop. Plus the packed-layout formula itself, native
 // FP16 arithmetic against the F16C round trip (fp16_arith.h), a check that
 // every kernel returns with the upper vector state clear, and
 // executor-level integration checks that set_active_mode("scalar") and
@@ -547,6 +548,13 @@ TYPED_TEST(KernelProperty, KernelsReturnWithUpperVectorStateClear) {
     EXPECT_FALSE(*leaves_upper_state_dirty(
         [&] { ks->relu(in.data(), out.data(), in.size()); }))
         << name << " relu";
+    T acc = bias[0], gold = bias[1];
+    EXPECT_FALSE(*leaves_upper_state_dirty(
+        [&] { ks->chain(in.data(), w.data(), in.size(), &acc); }))
+        << name << " chain";
+    EXPECT_FALSE(*leaves_upper_state_dirty([&] {
+      ks->chain_pair(in.data(), w.data(), in.size(), &acc, &gold);
+    })) << name << " chain_pair";
   }
 }
 
@@ -888,6 +896,192 @@ TYPED_TEST(FixedSaturation, WeightReadsStayInsideTheArray) {
             << name << " fc out=" << g.out;
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Single chains (KernelSet::chain / chain_pair), the bodies Conv2d and
+// FullyConnected::apply_faults run for every output a fault rewrites. Each
+// registered set must equal the plain tap loop below: over random taps, the
+// non-finite, payload-NaN and subnormal seasons (floating types), the
+// saturation taps (fixed point), and lengths 0, 1 and odd ones either side
+// of the apply_faults chunk. A chain pair's faulty accumulator starts as
+// the golden one with one bit flipped (low bits tend to reconverge, high
+// ones not) or, for floating types, as a payload NaN; its golden one is
+// finite, so no two NaNs of different bit patterns ever meet in one add
+// (the hole kernels.h documents).
+// ---------------------------------------------------------------------------
+
+enum class ChainSeason {
+  kRandom,
+  kNaN,
+  kInf,
+  kPayloadNaN,
+  kSubnormal,
+  kSaturated
+};
+
+/// n taps of one chain season; `salt` varies the values, `weights` picks
+/// the weight half of a saturation sequence.
+template <typename T>
+std::vector<T> chain_taps(std::size_t n, std::uint64_t salt,
+                          ChainSeason season, bool weights) {
+  using Tr = numeric_traits<T>;
+  std::vector<T> v(n);
+  Rng rng(salt * 7919 + (weights ? 1 : 0));
+  for (auto& x : v)
+    x = Tr::from_double(rng.normal() * static_cast<double>(1 + salt % 4));
+  if constexpr (Tr::is_floating) {
+    if (season == ChainSeason::kNaN || season == ChainSeason::kInf) {
+      const Season s = season == ChainSeason::kNaN ? Season::kNaN
+                                                   : Season::kInf;
+      const auto planted = awkward<T>(n, salt, s);
+      if (n >= 8)
+        for (const std::size_t i : {n / 5, n / 2, 2 * n / 3}) v[i] = planted[i];
+    } else if (season == ChainSeason::kPayloadNaN &&
+               weights == (salt % 2 == 0)) {
+      // One NaN per chain, in the weights or the activations.
+      const auto planted = awkward<T>(n, salt, Season::kPayloadNaN);
+      for (std::size_t i = 0; i < n; ++i)
+        if (std::isnan(Tr::to_double(planted[i]))) v[i] = planted[i];
+    } else if (season == ChainSeason::kSubnormal) {
+      // Every third tap a subnormal of either sign: products underflow to
+      // signed zeros, sums of subnormals stay exact or round.
+      using B = typename Tr::bits_type;
+      for (std::size_t i = 0; i < n; i += 3) {
+        const auto mant =
+            static_cast<B>(1 + rng() % ((B{1} << Tr::exponent_lo) - 1));
+        const auto sign =
+            rng() % 2 ? static_cast<B>(B{1} << Tr::exponent_hi) : B{0};
+        v[i] = Tr::from_bits(static_cast<B>(sign | mant));
+      }
+    }
+  } else if (season == ChainSeason::kSaturated) {
+    for (std::size_t i = 0; i < n; ++i)
+      v[i] = weights ? sat_weight<T>(salt, i % kSatTaps)
+                     : sat_act<T>(i % kSatTaps);
+  }
+  return v;
+}
+
+/// The plain tap loop both chain entries must reproduce.
+template <typename T>
+T loop_chain(const std::vector<T>& w, const std::vector<T>& a, T acc) {
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    const T product = w[i] * a[i];
+    acc += product;
+  }
+  return acc;
+}
+
+/// The first tap count after which the two chains are bit-equal, or n + 1;
+/// `acc` and `gold` end where that search stops.
+template <typename T>
+std::size_t loop_pair(const std::vector<T>& w, const std::vector<T>& a,
+                      T& acc, T& gold) {
+  using Tr = numeric_traits<T>;
+  for (std::size_t k = 0;; ++k) {
+    if (Tr::to_bits(acc) == Tr::to_bits(gold)) return k;
+    if (k == w.size()) return k + 1;
+    const T product = w[k] * a[k];
+    acc += product;
+    gold += product;
+  }
+}
+
+template <typename T>
+class KernelChain : public ::testing::Test {};
+TYPED_TEST_SUITE(KernelChain, DatapathTypes);
+
+TYPED_TEST(KernelChain, EverySetMatchesTheTapLoop) {
+  using T = TypeParam;
+  using Tr = numeric_traits<T>;
+  using B = typename Tr::bits_type;
+  using S = ChainSeason;
+  const std::vector<S> seasons =
+      Tr::is_floating ? std::vector<S>{S::kRandom, S::kNaN, S::kInf,
+                                       S::kPayloadNaN, S::kSubnormal}
+                      : std::vector<S>{S::kRandom, S::kSaturated};
+  const std::size_t lengths[] = {0, 1, 3, 7, 31, 255, 257, 401};
+  const int bits[] = {0, 1, 2, Tr::width / 2, Tr::width - 2, Tr::width - 1};
+  std::size_t mid = 0, never = 0;
+  for (const char* name : registered_names<T>()) {
+    const KernelSet<T>* ks = kernel_set<T>(name);
+    ASSERT_NE(ks, nullptr) << name;
+    ASSERT_NE(ks->chain, nullptr) << name;
+    ASSERT_NE(ks->chain_pair, nullptr) << name;
+    for (const ChainSeason season : seasons) {
+      for (const std::size_t n : lengths) {
+        for (std::uint64_t salt = 1; salt <= 4; ++salt) {
+          const auto w = chain_taps<T>(n, salt, season, true);
+          const auto a = chain_taps<T>(n, salt, season, false);
+          const T start = chain_taps<T>(1, salt + 50, ChainSeason::kRandom,
+                                        false)[0];
+          const std::string what =
+              std::string(name) + " season=" +
+              std::to_string(static_cast<int>(season)) +
+              " n=" + std::to_string(n) + " salt=" + std::to_string(salt);
+          T acc = start;
+          ks->chain(w.data(), a.data(), n, &acc);
+          EXPECT_EQ(Tr::to_bits(acc), Tr::to_bits(loop_chain(w, a, start)))
+              << what;
+          const bool nan_taps = season == ChainSeason::kNaN ||
+                                season == ChainSeason::kPayloadNaN;
+          std::vector<T> faulty_starts;
+          for (const int bit : bits)
+            faulty_starts.push_back(numeric::flip_bit(start, bit));
+          if (Tr::is_floating && !nan_taps) {
+            // A latch flip into an all-ones exponent: a payload NaN (kept
+            // out of the NaN seasons, where it would meet a second NaN).
+            const auto exp = static_cast<B>(
+                ((B{1} << (Tr::exponent_hi - Tr::exponent_lo)) - 1)
+                << Tr::exponent_lo);
+            faulty_starts.push_back(Tr::from_bits(static_cast<B>(
+                exp | (B{1} << (salt % Tr::exponent_lo)))));
+          }
+          for (const T f0 : faulty_starts) {
+            // A flip into the exponent can itself make a NaN: kept out of
+            // the NaN seasons, like the payload NaN start above.
+            if (nan_taps && std::isnan(Tr::to_double(f0))) continue;
+            T want_acc = f0, want_gold = start;
+            const std::size_t want = loop_pair(w, a, want_acc, want_gold);
+            T got_acc = f0, got_gold = start;
+            const std::size_t got =
+                ks->chain_pair(w.data(), a.data(), n, &got_acc, &got_gold);
+            EXPECT_EQ(got, want) << what;
+            EXPECT_EQ(Tr::to_bits(got_acc), Tr::to_bits(want_acc)) << what;
+            EXPECT_EQ(Tr::to_bits(got_gold), Tr::to_bits(want_gold)) << what;
+            mid += want > 0 && want <= n;
+            never += want == n + 1;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(mid, 0u) << "no chain pair reconverged mid-chain";
+  EXPECT_GT(never, 0u) << "every chain pair reconverged";
+}
+
+TYPED_TEST(KernelChain, PairStopsAtEqualEntryAndReturnsTheFirstEqualStep) {
+  using T = TypeParam;
+  using Tr = numeric_traits<T>;
+  const auto w = chain_taps<T>(9, 3, ChainSeason::kRandom, true);
+  const auto a = chain_taps<T>(9, 3, ChainSeason::kRandom, false);
+  for (const char* name : registered_names<T>()) {
+    const KernelSet<T>* ks = kernel_set<T>(name);
+    ASSERT_NE(ks, nullptr) << name;
+    // Equal on entry: k = 0 and nothing moves, whatever n.
+    for (const std::size_t n : {std::size_t{0}, std::size_t{9}}) {
+      T acc = a[0], gold = a[0];
+      EXPECT_EQ(ks->chain_pair(w.data(), a.data(), n, &acc, &gold), 0u)
+          << name;
+      EXPECT_EQ(Tr::to_bits(acc), Tr::to_bits(a[0])) << name;
+    }
+    // Unequal over no taps: n + 1, nothing moves.
+    T acc = a[0], gold = a[1];
+    EXPECT_EQ(ks->chain_pair(w.data(), a.data(), 0, &acc, &gold), 1u) << name;
+    EXPECT_EQ(Tr::to_bits(acc), Tr::to_bits(a[0])) << name;
+    EXPECT_EQ(Tr::to_bits(gold), Tr::to_bits(a[1])) << name;
   }
 }
 
