@@ -37,11 +37,7 @@ inline NetContext load_net(NetworkId id, std::size_t num_inputs = 8) {
   ctx.id = id;
   ctx.name = std::string(dnn::zoo::network_name(id));
   ctx.model = data::pretrained(id);
-  const auto ds = data::dataset_for(id);
-  for (std::size_t i = 0; i < num_inputs; ++i) {
-    auto s = ds->sample(data::kTestSplitBegin + i);
-    ctx.inputs.push_back(dnn::Example{std::move(s.image), s.label});
-  }
+  ctx.inputs = data::test_examples(id, num_inputs);
   return ctx;
 }
 

@@ -31,12 +31,7 @@ int main(int argc, char** argv) {
   }
 
   const dnn::Model model = data::pretrained(id);
-  const auto ds = data::dataset_for(id);
-  std::vector<dnn::Example> inputs;
-  for (std::size_t i = 0; i < 6; ++i) {
-    auto s = ds->sample(data::kTestSplitBegin + i);
-    inputs.push_back(dnn::Example{std::move(s.image), s.label});
-  }
+  const std::vector<dnn::Example> inputs = data::test_examples(id, 6);
   const std::size_t n = default_samples(200);
   const auto fp = accel::analyze(model.spec);
 

@@ -27,9 +27,7 @@ int main() {
     auto s = ds->sample(i);
     return dnn::Example{std::move(s.image), s.label};
   };
-  std::vector<dnn::Example> inputs;
-  for (std::size_t i = 0; i < 6; ++i)
-    inputs.push_back(source(data::kTestSplitBegin + i));
+  const std::vector<dnn::Example> inputs = data::test_examples(id, 6);
 
   std::cout << "protecting " << dnn::zoo::network_name(id) << " deployed in "
             << numeric::dtype_name(dt) << " (n=" << n << ")\n\n";

@@ -8,6 +8,11 @@
 
 namespace dnnfi {
 
+namespace {
+/// The pool whose worker_loop runs on this thread, if any.
+thread_local const ThreadPool* tls_worker_of = nullptr;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
@@ -29,6 +34,7 @@ ThreadPool::Ticket::~Ticket() {
 }
 
 void ThreadPool::worker_loop() {
+  tls_worker_of = this;
   for (;;) {
     Job job;
     {
@@ -57,9 +63,10 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::post(std::vector<std::function<void()>> tasks,
                       Ticket& ticket) {
-  if (workers_.empty()) {
-    // Serial pool: run inline; the exception waits for wait() like a
-    // pooled one.
+  if (workers_.empty() || tls_worker_of == this) {
+    // Serial pool, or a task of this pool posting more work: run inline
+    // (a worker that waited on its own queue could deadlock the pool); the
+    // exception waits for wait() like a pooled one.
     ticket.error_ = nullptr;
     try {
       for (auto& t : tasks) t();

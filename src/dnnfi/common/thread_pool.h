@@ -18,9 +18,12 @@ namespace dnnfi {
 /// Fixed-size pool of worker threads executing enqueued tasks.
 ///
 /// Work is posted in batches, each on a caller-owned Ticket; several
-/// batches may be in flight at once and run in FIFO order. Tasks must not
-/// throw past the pool boundary: the first exception thrown by any task of
-/// a batch is captured on its ticket and rethrown by that ticket's `wait`.
+/// batches may be in flight at once and run in FIFO order. A batch posted
+/// from one of the pool's own workers runs inline on that worker, as on a
+/// serial pool, so a task may call parallel_for (or build a Campaign)
+/// without deadlocking on its own queue. Tasks must not throw past the
+/// pool boundary: the first exception thrown by any task of a batch is
+/// captured on its ticket and rethrown by that ticket's `wait`.
 class ThreadPool {
  public:
   /// One posted batch: its unfinished task count and first exception. A
@@ -55,8 +58,9 @@ class ThreadPool {
   std::size_t size() const noexcept { return workers_.size(); }
 
   /// Queues `tasks` as one batch on `ticket` without blocking. A serial
-  /// pool runs them inline, stopping at the first exception. The ticket
-  /// must not carry an unjoined batch.
+  /// pool, or a call from one of this pool's workers, runs them inline,
+  /// stopping at the first exception. The ticket must not carry an
+  /// unjoined batch.
   void post(std::vector<std::function<void()>> tasks, Ticket& ticket);
 
   /// Blocks until every task of the ticket's batch has finished, then

@@ -18,6 +18,17 @@ std::unique_ptr<Dataset> dataset_for(NetworkId id) {
   return std::make_unique<TexturesDataset>(kDatasetSeed);
 }
 
+std::vector<dnn::Example> test_examples(NetworkId id, std::size_t n) {
+  const auto ds = dataset_for(id);
+  std::vector<dnn::Example> v;
+  v.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    auto s = ds->sample(kTestSplitBegin + i);
+    v.push_back(dnn::Example{std::move(s.image), s.label});
+  }
+  return v;
+}
+
 dnn::TrainConfig train_config_for(NetworkId id) {
   dnn::TrainConfig cfg;
   cfg.seed = 7;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "dnnfi/data/datasets.h"
 #include "dnnfi/dnn/serialize.h"
@@ -21,6 +22,11 @@ inline constexpr std::uint64_t kTestSplitBegin = 1u << 20;
 
 /// The dataset each paper network runs on.
 std::unique_ptr<Dataset> dataset_for(dnn::zoo::NetworkId id);
+
+/// The first `n` held-out test examples of `id`'s dataset (indices
+/// kTestSplitBegin onward): the golden inputs campaigns run on. Draws them
+/// serially on the calling thread.
+std::vector<dnn::Example> test_examples(dnn::zoo::NetworkId id, std::size_t n);
 
 /// Training recipe for `id` (epochs/count tuned per network).
 dnn::TrainConfig train_config_for(dnn::zoo::NetworkId id);

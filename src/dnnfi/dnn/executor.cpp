@@ -281,9 +281,14 @@ void ExecutionPlan<T>::exec_step(std::size_t i, ConstTensorView<T> in,
 template <typename T>
 void ActivationCache<T>::build(const ExecutionPlan<T>& plan,
                                ConstTensorView<T> input) {
-  DNNFI_EXPECTS(input.shape() == plan.input_shape());
-  const auto& steps = plan.steps();
+  bind(plan).copy_from(input);
+  fill();
+}
+
+template <typename T>
+TensorView<T> ActivationCache<T>::bind(const ExecutionPlan<T>& plan) {
   if (plan_ != &plan) {
+    const auto& steps = plan.steps();
     plan_ = &plan;
     offsets_.resize(steps.size());
     std::size_t off = plan.input_shape().size();
@@ -293,10 +298,17 @@ void ActivationCache<T>::build(const ExecutionPlan<T>& plan,
     }
     store_.resize(off);
   }
+  return {plan.input_shape(), store_.data()};
+}
+
+template <typename T>
+void ActivationCache<T>::fill() {
+  DNNFI_EXPECTS(bound());
+  const ExecutionPlan<T>& plan = *plan_;
+  const auto& steps = plan.steps();
   // Layers write straight into their cache segment: no ping-pong, no
   // copies, and kernel calls identical to a plain Executor run.
-  std::copy_n(input.data().data(), input.size(), store_.data());
-  ConstTensorView<T> cur{plan.input_shape(), store_.data()};
+  ConstTensorView<T> cur = input();
   for (std::size_t i = 0; i < steps.size(); ++i) {
     TensorView<T> out{steps[i].out_shape, store_.data() + offsets_[i]};
     plan.exec_step(i, cur, out, plan.packed_data());

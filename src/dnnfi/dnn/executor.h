@@ -16,7 +16,7 @@
 // Thread-safety contract: a plan is immutable between weight updates and
 // may be shared by any number of threads; an Executor is a stateless handle
 // over a plan and is likewise shareable; an ActivationCache is immutable
-// after build() and likewise shareable. Weights change only through
+// after build() (or fill()) and likewise shareable. Weights change only through
 // Network::update_params, which re-takes the plan's packed copy and must
 // not overlap a run. A Workspace is mutable scratch — use one per thread
 // (the campaign engine builds one per chunk of trials). After warm-up, a
@@ -214,6 +214,15 @@ class ActivationCache {
   /// boundary. Layer outputs are bit-identical to an Executor plain run
   /// (same forward calls on the same values, in the same order).
   void build(const ExecutionPlan<T>& plan, ConstTensorView<T> input);
+
+  /// build() in two halves, so a caller can allocate on its own thread and
+  /// compute on others (Campaign does, so pool threads allocate no cache
+  /// memory in malloc arenas of their own). bind() lays the store out for
+  /// `plan`, allocates it zero-filled, and returns the input slot for the
+  /// caller to write; fill() then runs the forward pass from that slot and
+  /// allocates nothing.
+  TensorView<T> bind(const ExecutionPlan<T>& plan);
+  void fill();
 
   bool bound() const noexcept { return plan_ != nullptr; }
   std::size_t num_layers() const noexcept {

@@ -33,9 +33,9 @@
 // kPayloadNaN season the NaN argument, with one payload NaN per chain
 // planted in the inputs or the weights.
 //
-// Weights come from the avx512 set's 16-lane packed copy; the 1-lane
-// remainder channels run kernel_mac_body.h's ScalarLane<std::uint16_t>.
-// The single chains run one native lane (H1Native), by the same argument.
+// Weights come from the avx512 set's 16-lane packed copy. The remainder
+// channels outside a full lane-block and the single chains run one native
+// lane (H1Native), by the same argument.
 #include "dnnfi/dnn/kernels/kernel_avx512.h"
 
 #if defined(DNNFI_ENABLE_AVX512FP16_KERNELS)
@@ -86,13 +86,18 @@ struct F16x16Native {
   }
 };
 
-// One native binary16 lane for the single chains. leave() is the NaN
-// rewrite finish() does for the lanes, once per call; same() compares after
-// it, so a chain pair stops at the tap where the F16C path's two
-// accumulators first hold the same bits.
+// One native binary16 lane: the 1-lane trait of the remainder channels and
+// of the single chains. leave() is the NaN rewrite finish() does for the
+// lanes, once per output or chain call; same() compares after it, so a
+// chain pair stops at the tap where the F16C path's two accumulators first
+// hold the same bits.
 struct H1Native {
   using T = std::uint16_t;
   using Acc = _Float16;
+  static constexpr std::size_t kLanes = 1;
+  static constexpr bool kRowMajor = true;
+  static constexpr std::size_t kGroup = 1;
+  static Acc zero() noexcept { return 0; }
   static Acc enter(T v) noexcept { return __builtin_bit_cast(_Float16, v); }
   static _Float16 load_w(const T* p, std::size_t) noexcept {
     return enter(*p);
@@ -107,6 +112,10 @@ struct H1Native {
                                    : h;
   }
   static bool same(Acc f, Acc g) noexcept { return leave(f) == leave(g); }
+  static T finish(Acc acc, const T* bias) noexcept {
+    return leave(acc + enter(*bias));
+  }
+  static void store(T r, T* lanes) noexcept { *lanes = r; }
 };
 
 }  // namespace
@@ -115,8 +124,8 @@ void avx512fp16_conv_half(const ConvGeom& g, const Region& r,
                           const numeric::Half* in, const numeric::Half* w,
                           const numeric::Half* wp, const numeric::Half* bias,
                           numeric::Half* out) {
-  conv_lanes<F16x16Native>(g, r, bits(in), bits(w), bits(wp), bits(bias),
-                           bits(out));
+  conv_lanes<F16x16Native, H1Native>(g, r, bits(in), bits(w), bits(wp),
+                                     bits(bias), bits(out));
 }
 
 // GCC 12 returns from __m256h code without VZEROUPPER (conv_lanes clears it
@@ -127,8 +136,8 @@ void avx512fp16_conv_half(const ConvGeom& g, const Region& r,
 void avx512fp16_fc_half(const FcGeom& g, const numeric::Half* in,
                         const numeric::Half* w, const numeric::Half* wp,
                         const numeric::Half* bias, numeric::Half* out) {
-  fc_lanes<F16x16Native>(g, bits(in), bits(w), bits(wp), bits(bias),
-                         bits(out));
+  fc_lanes<F16x16Native, H1Native>(g, bits(in), bits(w), bits(wp),
+                                   bits(bias), bits(out));
   _mm256_zeroupper();
 }
 

@@ -45,8 +45,9 @@
 // and 1 on the 1-lane traits; DESIGN.md §10 has the measurements.
 //
 // Channels of the region outside its full lane-blocks run the same body
-// through the 1-lane ScalarLane traits below, the 1-lane row-major case:
-// channel c's tail is the body on w + c*kvol.
+// through a 1-lane trait S, the 1-lane row-major case: channel c's tail is
+// the body on w + c*kvol. S is one of the ScalarLane traits below unless a
+// TU names its own (the avx512fp16 set's native half lane).
 //
 // The single-chain entries (kernels.h ChainFn / ChainPairFn) run one chain
 // over gathered taps through a 1-lane trait S that also provides

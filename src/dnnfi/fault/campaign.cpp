@@ -110,6 +110,7 @@ struct Campaign::Backend {
   virtual std::size_t num_inputs() const = 0;
   virtual const dnn::Prediction& golden_prediction(std::size_t i) const = 0;
   virtual const std::vector<BlockRange>& golden_block_ranges() const = 0;
+  virtual const void* golden_cache(std::size_t i) const = 0;
 };
 
 template <typename T>
@@ -125,14 +126,21 @@ struct Campaign::TypedBackend final : Campaign::Backend {
     layer_to_block.assign(net.num_layers(), -1);
     for (std::size_t b = 0; b < ends.size(); ++b)
       layer_to_block[ends[b]] = static_cast<int>(b);
-    caches.reserve(inputs.size());
+    // The golden forwards run on the global pool, one task per input.
+    // Each cache is allocated, and its input converted straight into it,
+    // here on the calling thread first, so the tasks allocate nothing
+    // (DESIGN.md §8). The folds below then read the caches in input order,
+    // exactly as a serial build would.
+    caches.resize(inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+      tensor::convert_into<T, float>(inputs[i].image,
+                                     caches[i].bind(net.plan()));
+    parallel_for(caches.size(), [this](std::size_t i) { caches[i].fill(); });
     predictions.reserve(inputs.size());
     masked_outcomes.reserve(inputs.size());
     ranges.assign(ends.size(), BlockRange{std::numeric_limits<double>::max(),
                                           std::numeric_limits<double>::lowest()});
-    for (const auto& ex : inputs) {
-      const dnn::Tensor<T> image = tensor::convert<T>(ex.image);
-      dnn::ActivationCache<T> cache(net.plan(), image);
+    for (const auto& cache : caches) {
       predictions.push_back(net.interpret(cache.output()));
       masked_outcomes.push_back(
           classify(predictions.back(), predictions.back()));
@@ -141,7 +149,6 @@ struct Campaign::TypedBackend final : Campaign::Backend {
         ranges[b].lo = std::min(ranges[b].lo, lo);
         ranges[b].hi = std::max(ranges[b].hi, hi);
       }
-      caches.push_back(std::move(cache));
     }
   }
 
@@ -732,6 +739,9 @@ struct Campaign::TypedBackend final : Campaign::Backend {
   const std::vector<BlockRange>& golden_block_ranges() const override {
     return ranges;
   }
+  const void* golden_cache(std::size_t i) const override {
+    return &caches.at(i);
+  }
 
   dnn::Network<T> net;
   Sampler site_sampler;
@@ -835,6 +845,9 @@ const dnn::Prediction& Campaign::golden_prediction(std::size_t i) const {
 }
 const std::vector<BlockRange>& Campaign::golden_block_ranges() const {
   return backend_->golden_block_ranges();
+}
+const void* Campaign::golden_cache_of(std::size_t i) const {
+  return backend_->golden_cache(i);
 }
 
 std::vector<BlockRange> profile_block_ranges(const dnn::NetworkSpec& spec,

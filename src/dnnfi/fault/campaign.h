@@ -281,8 +281,16 @@ class Campaign {
   const dnn::Prediction& golden_prediction(std::size_t i) const;
   /// Fault-free value range observed at each block end across all inputs.
   const std::vector<BlockRange>& golden_block_ranges() const;
+  /// Input `i`'s fault-free activation cache; T must be dtype()'s type.
+  template <typename T>
+  const dnn::ActivationCache<T>& golden_cache(std::size_t i) const {
+    DNNFI_EXPECTS(numeric::dtype_of<T>() == dtype());
+    return *static_cast<const dnn::ActivationCache<T>*>(golden_cache_of(i));
+  }
 
  private:
+  const void* golden_cache_of(std::size_t i) const;
+
   struct Backend;
   template <typename T>
   struct TypedBackend;

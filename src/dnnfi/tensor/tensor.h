@@ -229,32 +229,38 @@ class Tensor {
 
 /// Element-wise conversion between any two supported numeric types, via
 /// double (every type converts exactly to double except DOUBLE->narrower,
-/// which rounds exactly as the target type defines).
+/// which rounds exactly as the target type defines), into a same-shaped
+/// view.
 template <typename To, typename From>
-Tensor<To> convert(const Tensor<From>& src) {
-  Tensor<To> dst(src.shape());
+void convert_into(ConstTensorView<From> src, TensorView<To> dst) {
+  DNNFI_EXPECTS(src.shape() == dst.shape());
   for (std::size_t i = 0; i < src.size(); ++i) {
     dst[i] = numeric::numeric_traits<To>::from_double(
         numeric::numeric_traits<From>::to_double(src[i]));
   }
-  return dst;
 }
 
 // The FLOAT16 <-> FLOAT pairs take the vectorized batch path. float narrows
 // exactly through double and Half applies the same rounding and NaN rule
 // either way, so these are bit-identical to the generic loop above.
 template <>
-inline Tensor<float> convert<float, numeric::Half>(
-    const Tensor<numeric::Half>& src) {
-  Tensor<float> dst(src.shape());
+inline void convert_into<float, numeric::Half>(
+    ConstTensorView<numeric::Half> src, TensorView<float> dst) {
+  DNNFI_EXPECTS(src.shape() == dst.shape());
   numeric::half_to_float_n(src.data().data(), dst.data().data(), src.size());
-  return dst;
 }
 template <>
-inline Tensor<numeric::Half> convert<numeric::Half, float>(
-    const Tensor<float>& src) {
-  Tensor<numeric::Half> dst(src.shape());
+inline void convert_into<numeric::Half, float>(ConstTensorView<float> src,
+                                               TensorView<numeric::Half> dst) {
+  DNNFI_EXPECTS(src.shape() == dst.shape());
   numeric::float_to_half_n(src.data().data(), dst.data().data(), src.size());
+}
+
+/// convert_into a new tensor.
+template <typename To, typename From>
+Tensor<To> convert(const Tensor<From>& src) {
+  Tensor<To> dst(src.shape());
+  convert_into<To, From>(src, dst);
   return dst;
 }
 

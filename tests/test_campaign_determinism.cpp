@@ -10,8 +10,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -20,6 +25,7 @@
 #include "dnnfi/dnn/weights.h"
 #include "dnnfi/fault/campaign.h"
 #include "dnnfi/fault/checkpoint.h"
+#include "dnnfi/fault/stats_io.h"
 
 namespace dnnfi::fault {
 namespace {
@@ -418,6 +424,119 @@ TEST(CampaignDeterminism, AccumulatorMatchesBufferedRun) {
   }
   EXPECT_EQ(streamed.acc.detections(), detected);
   EXPECT_EQ(streamed.acc.reached_output().hits, reached);
+}
+
+// ---------------------------------------------------------------------------
+// Golden state on the pool: the constructor builds every input's activation
+// cache on the global pool, and the caches, predictions and block ranges
+// equal a serial build byte for byte. A campaign built inside a pool task
+// builds inline on that task's worker.
+// ---------------------------------------------------------------------------
+
+// The global pool reads DNNFI_THREADS once, on first use. Unless the
+// environment pins it (CI also runs this suite with DNNFI_THREADS=1, the
+// serial pool), give it 4 workers so the golden builds here fan out.
+const bool kGlobalPoolDefaulted = ::setenv("DNNFI_THREADS", "4", 0) == 0;
+
+template <typename T>
+bool same_bytes(tensor::ConstTensorView<T> a, tensor::ConstTensorView<T> b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(T)) ==
+             0;
+}
+
+bool same_bytes(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Every cached activation, prediction and block range of `c` against
+/// caches built one input after another here.
+template <typename T>
+void expect_serial_golden(const Campaign& c,
+                          const std::vector<dnn::Example>& inputs) {
+  const dnn::Network<T> net = dnn::instantiate<T>(tiny_spec(), tiny_blob());
+  const std::vector<std::size_t> ends = block_end_layers(tiny_spec());
+  std::vector<BlockRange> ranges(
+      ends.size(), BlockRange{std::numeric_limits<double>::max(),
+                              std::numeric_limits<double>::lowest()});
+  ASSERT_EQ(c.num_inputs(), inputs.size());
+  for (std::size_t in = 0; in < inputs.size(); ++in) {
+    SCOPED_TRACE("input " + std::to_string(in));
+    const dnn::ActivationCache<T> ref(net.plan(),
+                                      tensor::convert<T>(inputs[in].image));
+    const dnn::ActivationCache<T>& got = c.golden_cache<T>(in);
+    ASSERT_EQ(got.num_layers(), ref.num_layers());
+    EXPECT_TRUE(same_bytes<T>(got.input(), ref.input()));
+    for (std::size_t i = 0; i < ref.num_layers(); ++i)
+      EXPECT_TRUE(same_bytes<T>(got.act(i), ref.act(i))) << "layer " << i;
+
+    const dnn::Prediction want = net.interpret(ref.output());
+    const dnn::Prediction& pred = c.golden_prediction(in);
+    ASSERT_EQ(pred.scores.size(), want.scores.size());
+    for (std::size_t k = 0; k < want.scores.size(); ++k)
+      EXPECT_TRUE(same_bytes(pred.scores[k], want.scores[k])) << "class " << k;
+    EXPECT_EQ(pred.has_confidence, want.has_confidence);
+
+    for (std::size_t b = 0; b < ends.size(); ++b) {
+      const auto [lo, hi] = tensor::value_range<T>(ref.act(ends[b]));
+      ranges[b].lo = std::min(ranges[b].lo, lo);
+      ranges[b].hi = std::max(ranges[b].hi, hi);
+    }
+  }
+  const std::vector<BlockRange>& got = c.golden_block_ranges();
+  ASSERT_EQ(got.size(), ranges.size());
+  for (std::size_t b = 0; b < ranges.size(); ++b) {
+    EXPECT_TRUE(same_bytes(got[b].lo, ranges[b].lo)) << "block " << b;
+    EXPECT_TRUE(same_bytes(got[b].hi, ranges[b].hi)) << "block " << b;
+  }
+}
+
+/// The stats file a short run of `c` writes.
+std::string stats_text(const Campaign& c, const CampaignOptions& opt) {
+  const ShardResult r = c.run_shard(opt, ShardSpec{});
+  EXPECT_TRUE(r.complete);
+  std::ostringstream os;
+  write_stats(os, c.fingerprint(opt), r.acc, r.masked_exits);
+  return os.str();
+}
+
+TEST(CampaignGolden, PooledBuildEqualsSerialCaches) {
+  ASSERT_TRUE(kGlobalPoolDefaulted);
+  // More inputs than workers, so some pool tasks build several caches.
+  const std::vector<dnn::Example> inputs = tiny_inputs(9);
+  for (const DType dt : {DType::kFloat16, DType::kFx32r10, DType::kFloat,
+                         DType::kFx16r10}) {
+    SCOPED_TRACE(std::string(numeric::dtype_name(dt)));
+    const Campaign c(tiny_spec(), tiny_blob(), dt, inputs);
+    numeric::dispatch_dtype(
+        dt, [&]<typename T>() { expect_serial_golden<T>(c, inputs); });
+  }
+}
+
+TEST(CampaignGolden, CampaignsBuiltInPoolTasksMatchAndRunTheSameStats) {
+  // Built from pool tasks, the constructor's fan-out runs inline on each
+  // task's worker: a serial build, and no deadlock however many tasks
+  // hold workers.
+  const std::vector<dnn::Example> inputs = tiny_inputs(9);
+  const Campaign pooled(tiny_spec(), tiny_blob(), DType::kFloat16, inputs);
+  std::vector<std::optional<Campaign>> nested(8);  // two per default worker
+  parallel_for(nested.size(), [&](std::size_t i) {
+    nested[i].emplace(tiny_spec(), tiny_blob(), DType::kFloat16, inputs);
+  });
+  expect_serial_golden<numeric::Half>(pooled, inputs);
+
+  const CampaignOptions opt = base_options();
+  const ShardCapture want = capture(pooled, opt, ShardSpec{});
+  const std::string want_stats = stats_text(pooled, opt);
+  ASSERT_FALSE(want_stats.empty());
+  for (const auto& c : nested) {
+    ASSERT_TRUE(c.has_value());
+    expect_serial_golden<numeric::Half>(*c, inputs);
+    const ShardCapture got = capture(*c, opt, ShardSpec{});
+    EXPECT_EQ(got.records, want.records);
+    EXPECT_EQ(got.result.acc.bytes(), want.result.acc.bytes());
+    EXPECT_EQ(stats_text(*c, opt), want_stats);
+  }
 }
 
 // ---------------------------------------------------------------------------

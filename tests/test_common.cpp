@@ -270,6 +270,37 @@ TEST(ThreadPool, DestroyingATicketJoinsItsBatch) {
   EXPECT_EQ(counter.load(), 8);
 }
 
+TEST(ThreadPool, NestedCallsFromItsWorkersRunInline) {
+  // Both workers hold an outer task that posts a batch to the same pool
+  // and waits for it: queued, those batches would never find a free
+  // worker. They run inline on the posting worker instead (a hang here is
+  // the deadlock; the ctest TIMEOUT ends it).
+  ThreadPool pool(2);
+  std::atomic<int> started{0};
+  std::vector<std::atomic<int>> hits(2 * 16);
+  std::atomic<int> foreign{0};  // inner chunks run off their outer's thread
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t t = 0; t < 2; ++t)
+    tasks.emplace_back([&, t] {
+      ++started;
+      while (started.load() < 2) std::this_thread::yield();
+      const std::thread::id outer = std::this_thread::get_id();
+      parallel_for_chunks(pool, 16, [&](std::size_t b, std::size_t e) {
+        if (std::this_thread::get_id() != outer) ++foreign;
+        for (std::size_t i = b; i < e; ++i) ++hits[t * 16 + i];
+      });
+    });
+  pool.run_batch(std::move(tasks));
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(foreign.load(), 0);
+  // The pool still runs posted work on its workers afterwards.
+  std::atomic<int> counter{0};
+  parallel_for_chunks(pool, 8, [&](std::size_t b, std::size_t e) {
+    counter += static_cast<int>(e - b);
+  });
+  EXPECT_EQ(counter.load(), 8);
+}
+
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);

@@ -168,6 +168,13 @@ std::vector<std::uint8_t> random_bytes(std::uint64_t seed, std::size_t n) {
   return out;
 }
 
+/// `<tmp>/<stem>_<pid>`: a scratch path no other test process shares, so
+/// two runs of this suite at once (two build trees on one machine) never
+/// remove each other's files or kill each other's workers.
+fs::path scratch_path(const std::string& stem) {
+  return fs::temp_directory_path() / (stem + "_" + std::to_string(getpid()));
+}
+
 /// A valid checkpoint file image for shard [begin, end) of `trials`.
 std::vector<std::uint8_t> checkpoint_image(std::uint64_t begin,
                                            std::uint64_t end,
@@ -177,8 +184,7 @@ std::vector<std::uint8_t> checkpoint_image(std::uint64_t begin,
   ck.shard_begin = begin;
   ck.shard_end = end;
   ck.next_trial = begin;
-  const fs::path tmp = fs::temp_directory_path() /
-                       ("dnnfi_init_image_" + std::to_string(getpid()));
+  const fs::path tmp = scratch_path("dnnfi_init_image");
   EXPECT_TRUE(try_save_shard_checkpoint(tmp.string(), ck).ok());
   auto bytes = read_checkpoint_bytes(tmp.string());
   fs::remove(tmp);
@@ -313,8 +319,7 @@ TEST(FrameCodec, InitReaderStopsAtEofCancelAndTruncation) {
 }
 
 TEST(FrameCodec, OutOfRangeTaskIsRejectedBeforeAnyCheckpointIsTouched) {
-  const fs::path dir = fs::temp_directory_path() /
-                       ("dnnfi_accept_task_" + std::to_string(getpid()));
+  const fs::path dir = scratch_path("dnnfi_accept_task");
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::uint64_t trials = 64;
@@ -458,7 +463,7 @@ TEST(HostSpec, RejectsMalformedSpecs) {
 }
 
 TEST(HostSpec, HostsFileSkipsCommentsAndNamesBadLines) {
-  const fs::path file = fs::temp_directory_path() / "dnnfi_fleet_hosts_test";
+  const fs::path file = scratch_path("dnnfi_fleet_hosts_test");
   {
     std::ofstream out(file);
     out << "# fleet for the nightly\n"
@@ -492,9 +497,7 @@ TEST(HostSpec, ParsersSurviveEveryByteFlipAndTruncation) {
   const std::string csv = "alpha:4,localhost:2:/scratch/n0,beta:1000000000";
   const std::string file_text =
       "alpha:4\n  localhost:2:/scratch/n0  # on-box\nbeta:1000000000\n";
-  const fs::path file =
-      fs::temp_directory_path() /
-      ("dnnfi_fleet_hosts_mutation_" + std::to_string(getpid()));
+  const fs::path file = scratch_path("dnnfi_fleet_hosts_mutation");
 
   const auto check = [](const Expected<std::vector<HostSpec>>& got,
                         const std::string& input) {
@@ -737,10 +740,10 @@ int run_tool(const std::string& args, const std::string& env = "",
 class FleetTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("dnnfi_test_fleet_" + std::string(::testing::UnitTest::GetInstance()
-                                                  ->current_test_info()
-                                                  ->name()));
+    dir_ = scratch_path("dnnfi_test_fleet_" +
+                        std::string(::testing::UnitTest::GetInstance()
+                                        ->current_test_info()
+                                        ->name()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

@@ -180,13 +180,8 @@ TEST(CampaignCli, InjectNarratesTheTrialRunShardStreams) {
   ASSERT_EQ(setenv("DNNFI_MODEL_DIR", DNNFI_REPO_MODELS, 1), 0);
   const auto id = dnn::zoo::NetworkId::kConvNet;
   const dnn::Model m = data::pretrained(id);
-  const auto ds = data::dataset_for(id);
-  std::vector<dnn::Example> inputs;
-  for (std::size_t i = 0; i < 8; ++i) {
-    auto s = ds->sample(data::kTestSplitBegin + i);
-    inputs.push_back(dnn::Example{std::move(s.image), s.label});
-  }
-  const fault::Campaign c(m.spec, m.blob, numeric::DType::kFloat16, inputs);
+  const fault::Campaign c(m.spec, m.blob, numeric::DType::kFloat16,
+                          data::test_examples(id, 8));
   fault::CampaignOptions opt;
   opt.trials = 2000;
   opt.seed = 7;

@@ -399,16 +399,6 @@ fault::StatsAxes stats_axes(const Args& a) {
                           sampler_cli_id(a)};
 }
 
-std::vector<dnn::Example> test_inputs(NetworkId id, std::size_t n) {
-  const auto ds = data::dataset_for(id);
-  std::vector<dnn::Example> v;
-  for (std::size_t i = 0; i < n; ++i) {
-    auto s = ds->sample(data::kTestSplitBegin + i);
-    v.push_back(dnn::Example{std::move(s.image), s.label});
-  }
-  return v;
-}
-
 void print_summary(const std::string& title,
                    const fault::OutcomeAccumulator& acc) {
   Table t(title);
@@ -563,7 +553,7 @@ int cmd_run(const Args& a, bool resume) {
   const bool stratified = a.sampler == fault::SamplerMode::kStratified;
   const dnn::Model m = data::pretrained(a.network);
   const fault::Campaign c(m.spec, m.blob, a.dtype,
-                          test_inputs(a.network, a.inputs));
+                          data::test_examples(a.network, a.inputs));
 
   fault::CampaignOptions opt = campaign_options(a);
   if (a.progress) {
@@ -650,7 +640,7 @@ int cmd_run(const Args& a, bool resume) {
 int cmd_inject(const Args& a) {
   const dnn::Model m = data::pretrained(a.network);
   const fault::Campaign c(m.spec, m.blob, a.dtype,
-                          test_inputs(a.network, a.inputs));
+                          data::test_examples(a.network, a.inputs));
   fault::ShardSpec shard;
   shard.begin = a.shard_begin;
   shard.end = a.shard_end;
@@ -807,7 +797,8 @@ int cmd_worker(const Args& a) {
     }
     if (!c) {
       const dnn::Model m = data::pretrained(a.network);
-      c.emplace(m.spec, m.blob, a.dtype, test_inputs(a.network, a.inputs));
+      c.emplace(m.spec, m.blob, a.dtype,
+                data::test_examples(a.network, a.inputs));
     }
 
     fault::CampaignOptions opt = campaign_options(a);
