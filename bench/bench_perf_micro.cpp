@@ -162,6 +162,9 @@ void BM_Inference_ConvNet_Half(benchmark::State& s) {
 void BM_Inference_ConvNet_Fx16(benchmark::State& s) {
   run_inference<numeric::Fx16r10>(s, NetworkId::kConvNet);
 }
+void BM_Inference_AlexNetS_Fx32(benchmark::State& s) {
+  run_inference<numeric::Fx32r10>(s, NetworkId::kAlexNetS);
+}
 void BM_Inference_AlexNetS_Float(benchmark::State& s) {
   run_inference<float>(s, NetworkId::kAlexNetS);
 }
@@ -171,6 +174,7 @@ void BM_Inference_NiNS_Float(benchmark::State& s) {
 BENCHMARK(BM_Inference_ConvNet_Float)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Inference_ConvNet_Half)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Inference_ConvNet_Fx16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Inference_AlexNetS_Fx32)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Inference_AlexNetS_Float)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Inference_NiNS_Float)->Unit(benchmark::kMillisecond);
 
@@ -373,8 +377,7 @@ StreamingReport measure_streaming_memory() {
 // avx512 where the CPU has them) on fixed conv / fully-connected
 // shapes, for float, FLOAT16, double and 32b_rb10, driven through the
 // kernels API directly — a set's packed layout is interleaved once outside
-// the timed loop, as an ExecutionPlan does when its weights change
-// (fixed-point sets read row-major weights and pack nothing). The
+// the timed loop, as an ExecutionPlan does when its weights change. The
 // "conv_box" cell is the shape a faulty replay runs: AlexNet-S conv4
 // (48 -> 48 channels, 6x6, 3x3 kernel, pad 1) over a 3x3-pixel dirty box.
 // ---------------------------------------------------------------------------

@@ -100,11 +100,11 @@ class ExecutionPlan {
   std::size_t buffer_elems() const noexcept { return buffer_elems_; }
   /// Largest layer-input element count (sizes the patch buffer).
   std::size_t input_elems() const noexcept { return input_elems_; }
-  /// Packed-weight element count (0 when the kernel set reads row-major).
+  /// Packed-weight element count (0 under the scalar set).
   std::size_t packed_elems() const noexcept { return packed_.size(); }
   /// The lane-interleaved copy of the MAC layers' current weights, or null
-  /// when nothing is packed (sets with pack_lanes == 0: scalar, fixed
-  /// point).
+  /// when nothing is packed (the scalar set, the one with pack_lanes == 0,
+  /// or no MAC layer with a full lane-block).
   const T* packed_data() const noexcept {
     return packed_.empty() ? nullptr : packed_.data();
   }

@@ -19,7 +19,7 @@
 // (sign | 0x7E00). A lane's chain never mixes with another lane's, so
 // widening 8 -> 16 lanes cannot change a single output bit relative to
 // scalar or AVX2. Fixed point is exact int64 arithmetic per lane (see
-// FxI64x8) over row-major weights, so it needs no packed copy.
+// FxI64x8) over the same packed copy, 8 lanes wide.
 #include "dnnfi/dnn/kernels/kernel_avx512.h"
 
 #if defined(DNNFI_ENABLE_AVX512_KERNELS)
@@ -71,12 +71,9 @@ struct F32x16 {
   using T = float;
   using Acc = __m512;
   static constexpr std::size_t kLanes = 16;
-  static constexpr bool kRowMajor = false;
   static constexpr std::size_t kGroup = 3;
   static Acc zero() noexcept { return _mm512_setzero_ps(); }
-  static __m512 load_w(const float* p, std::size_t) noexcept {
-    return _mm512_loadu_ps(p);
-  }
+  static __m512 load_w(const float* p) noexcept { return _mm512_loadu_ps(p); }
   static __m512 splat(float a) noexcept { return _mm512_set1_ps(a); }
   static Acc mac(Acc acc, __m512 w, __m512 a) noexcept {
     return _mm512_add_ps(acc, _mm512_mul_ps(w, a));
@@ -98,12 +95,9 @@ struct F64x8 {
   using T = double;
   using Acc = __m512d;
   static constexpr std::size_t kLanes = 8;
-  static constexpr bool kRowMajor = false;
   static constexpr std::size_t kGroup = 3;
   static Acc zero() noexcept { return _mm512_setzero_pd(); }
-  static __m512d load_w(const double* p, std::size_t) noexcept {
-    return _mm512_loadu_pd(p);
-  }
+  static __m512d load_w(const double* p) noexcept { return _mm512_loadu_pd(p); }
   static __m512d splat(double a) noexcept { return _mm512_set1_pd(a); }
   static Acc mac(Acc acc, __m512d w, __m512d a) noexcept {
     return _mm512_add_pd(acc, _mm512_mul_pd(w, a));
@@ -127,15 +121,12 @@ struct F16x16 {
   using T = std::uint16_t;
   using Acc = __m256i;
   static constexpr std::size_t kLanes = 16;
-  static constexpr bool kRowMajor = false;
   static constexpr std::size_t kGroup = 3;
   static __m256i load(const T* p) noexcept {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
   }
   static Acc zero() noexcept { return _mm256_setzero_si256(); }
-  static __m512 load_w(const T* p, std::size_t) noexcept {
-    return cvtph_ps512(load(p));
-  }
+  static __m512 load_w(const T* p) noexcept { return cvtph_ps512(load(p)); }
   static __m512 splat(T a) noexcept { return _mm512_set1_ps(_cvtsh_ss(a)); }
   static Acc mac(Acc acc, __m512 w, __m512 a) noexcept {
     const __m256i prod = cvtps_ph_canon512(_mm512_mul_ps(w, a));
@@ -163,7 +154,9 @@ struct F16x16 {
 // operator+ exactly: VPMULDQ's 32x32->64 product (|p| <= 2^62), +2^(F-1),
 // VPSRAQ by F, saturate; then the sum, saturated again. The arithmetic is
 // exact integer math, so every lane is bit-identical to the scalar chain.
-// Weights are read row-major through a strided gather (no packed copy).
+// A tap's weights are 8 contiguous raw ints of the packed copy, so load_w
+// is the same sign-extending load as the bias and relu input (16 bytes for
+// the 16-bit type, 32 for the 32-bit ones).
 // The unmasked cvt / min / max forms trip GCC 12's -Wuninitialized inside
 // avx512fintrin.h (their _mm512_undefined_* source); the all-ones maskz
 // forms compute the same thing.
@@ -172,7 +165,6 @@ struct FxI64x8 {
   using T = typename Fx::raw_type;
   using Acc = __m512i;
   static constexpr std::size_t kLanes = 8;
-  static constexpr bool kRowMajor = true;
   static constexpr std::size_t kGroup = 3;
   static constexpr __mmask8 kAll = 0xFF;
   static constexpr int kF = Fx::kFraction;
@@ -192,27 +184,7 @@ struct FxI64x8 {
           kAll, _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
   }
   static Acc zero() noexcept { return _mm512_setzero_si512(); }
-  // Lane l reads p[l * row]. There is no 16-bit gather: lanes 0-6 gather the
-  // dword starting at their element and lane 7 the dword ending at it, so no
-  // lane reads outside rows 0..7 of the block; each lane's element is then
-  // shifted into the high half and sign-extended down.
-  static __m512i load_w(const T* p, std::size_t row) noexcept {
-    const __m256i idx = _mm256_mullo_epi32(
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-        _mm256_set1_epi32(static_cast<int>(row)));
-    const auto* base = reinterpret_cast<const int*>(p);
-    if constexpr (sizeof(T) == 4) {
-      return _mm512_maskz_cvtepi32_epi64(
-          kAll, _mm256_i32gather_epi32(base, idx, 4));
-    } else {
-      const __m256i last_back =
-          _mm256_sub_epi32(idx, _mm256_setr_epi32(0, 0, 0, 0, 0, 0, 0, 1));
-      const __m256i d = _mm256_i32gather_epi32(base, last_back, 2);
-      const __m256i hi = _mm256_sllv_epi32(
-          d, _mm256_setr_epi32(16, 16, 16, 16, 16, 16, 16, 0));
-      return _mm512_maskz_cvtepi32_epi64(kAll, _mm256_srai_epi32(hi, 16));
-    }
-  }
+  static __m512i load_w(const T* p) noexcept { return load(p); }
   static __m512i splat(T a) noexcept { return _mm512_set1_epi64(a); }
   static Acc mac(Acc acc, __m512i w, __m512i a) noexcept {
     const __m512i p = _mm512_add_epi64(_mm512_mul_epi32(w, a),
@@ -298,20 +270,19 @@ void avx512_relu_half(const numeric::Half* in, numeric::Half* out,
   relu_lanes<F16x16>(bits(in), bits(out), n);
 }
 
-// Fixed point reads row-major weights: the packed pointer is always null.
 #define DNNFI_AVX512_FIXED(Fx, name)                                         \
   void avx512_conv_##name(const ConvGeom& g, const Region& r,                \
                           const numeric::Fx* in, const numeric::Fx* w,       \
-                          const numeric::Fx*, const numeric::Fx* bias,       \
+                          const numeric::Fx* wp, const numeric::Fx* bias,    \
                           numeric::Fx* out) {                                \
     conv_lanes<FxI64x8<numeric::Fx>, ScalarLane<numeric::Fx>>(               \
-        g, r, raw(in), raw(w), nullptr, raw(bias), raw(out));                \
+        g, r, raw(in), raw(w), raw(wp), raw(bias), raw(out));                \
   }                                                                          \
   void avx512_fc_##name(const FcGeom& g, const numeric::Fx* in,              \
-                        const numeric::Fx* w, const numeric::Fx*,            \
+                        const numeric::Fx* w, const numeric::Fx* wp,         \
                         const numeric::Fx* bias, numeric::Fx* out) {         \
     fc_lanes<FxI64x8<numeric::Fx>, ScalarLane<numeric::Fx>>(                 \
-        g, raw(in), raw(w), nullptr, raw(bias), raw(out));                   \
+        g, raw(in), raw(w), raw(wp), raw(bias), raw(out));                   \
   }                                                                          \
   void avx512_relu_##name(const numeric::Fx* in, numeric::Fx* out,           \
                           std::size_t n) {                                   \

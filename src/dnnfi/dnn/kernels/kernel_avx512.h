@@ -64,8 +64,8 @@ std::size_t avx512fp16_chain_pair_half(const numeric::Half*,
                                        numeric::Half*, numeric::Half*);
 #endif
 
-// Fixed point: 8 int64 lanes, row-major weights (the packed argument is
-// ignored; the sets register pack_lanes = 0).
+// Fixed point: 8 int64 lanes over the 8-lane packed copy (the sets register
+// pack_lanes = 8).
 #define DNNFI_AVX512_FIXED_DECL(Fx, name)                                    \
   void avx512_conv_##name(const ConvGeom&, const Region&,                    \
                           const numeric::Fx*, const numeric::Fx*,            \

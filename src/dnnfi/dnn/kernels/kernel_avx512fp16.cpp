@@ -57,10 +57,9 @@ struct F16x16Native {
   using T = std::uint16_t;
   using Acc = __m256h;
   static constexpr std::size_t kLanes = 16;
-  static constexpr bool kRowMajor = false;
   static constexpr std::size_t kGroup = 3;
   static Acc zero() noexcept { return _mm256_setzero_ph(); }
-  static __m256h load_w(const T* p, std::size_t) noexcept {
+  static __m256h load_w(const T* p) noexcept {
     return _mm256_castsi256_ph(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
   }
@@ -72,7 +71,7 @@ struct F16x16Native {
   }
   // The bias add, then the chain's one canonical-NaN rewrite.
   static __m256i finish(Acc acc, const T* bias) noexcept {
-    const __m256h r = _mm256_add_ph(acc, load_w(bias, 0));
+    const __m256h r = _mm256_add_ph(acc, load_w(bias));
     const __m256i h = _mm256_castph_si256(r);
     const __m256i sign = _mm256_and_si256(h, _mm256_set1_epi16(-0x8000));
     const __m256i mag = _mm256_andnot_si256(sign, h);
@@ -95,13 +94,10 @@ struct H1Native {
   using T = std::uint16_t;
   using Acc = _Float16;
   static constexpr std::size_t kLanes = 1;
-  static constexpr bool kRowMajor = true;
   static constexpr std::size_t kGroup = 1;
   static Acc zero() noexcept { return 0; }
   static Acc enter(T v) noexcept { return __builtin_bit_cast(_Float16, v); }
-  static _Float16 load_w(const T* p, std::size_t) noexcept {
-    return enter(*p);
-  }
+  static _Float16 load_w(const T* p) noexcept { return enter(*p); }
   static _Float16 splat(T a) noexcept { return enter(a); }
   static Acc mac(Acc acc, _Float16 w, _Float16 a) noexcept {
     return acc + w * a;

@@ -10,11 +10,11 @@
 // intrinsics. V provides:
 //   T, kLanes                    element type (std::uint16_t = Half bits,
 //                                the raw int for Fixed<W,F>)
-//   kRowMajor                    weight addressing, see below
 //   kGroup                       lane-blocks the conv body runs per pass,
 //                                sized to the register file (see below)
 //   Acc, zero()                  per-lane accumulator
-//   load_w(const T* p, row)      one tap's weights for the kLanes rows
+//   load_w(const T* p)           one tap's weights for the kLanes rows: the
+//                                kLanes contiguous values at p
 //   splat(T)                     one activation broadcast to every lane
 //   mac(acc, w, a)               acc + w * a as a separate multiply then add
 //                                (Half: rounded to half after each; Fixed:
@@ -24,14 +24,10 @@
 //   relu_block(const T*, T*)     relu over kLanes contiguous elements
 // so each lane runs exactly the scalar reference's accumulation chain.
 //
-// Weights come in one of two layouts, fixed per trait at compile time:
-//   packed (kRowMajor false)     the pack_rows copy: a tap's kLanes weights
-//                                are contiguous at p, the next tap at
-//                                p + kLanes; `row` is unused
-//   row-major (kRowMajor true)   the OIHW / fc-row array itself: lane l reads
-//                                p[l * row] (row = kernel volume for conv,
-//                                `in` for fc), the next tap at p + 1
-// A block's base is w + b * kLanes * row in both layouts.
+// Weights are the pack_rows copy (kernels.h): a tap's kLanes weights are
+// contiguous, the next tap kLanes further on, and block b starts at
+// b * kLanes * row (row = kernel volume for conv, `in` for fc). For a
+// 1-lane trait that layout is the OIHW / fc-row array itself.
 //
 // The conv body computes one output Region (kernels.h). It walks the
 // region's lane-blocks kGroup at a time and keeps kChains of its pixels in
@@ -45,7 +41,7 @@
 // and 1 on the 1-lane traits; DESIGN.md §10 has the measurements.
 //
 // Channels of the region outside its full lane-blocks run the same body
-// through a 1-lane trait S, the 1-lane row-major case: channel c's tail is
+// through a 1-lane trait S on the row-major weights: channel c's tail is
 // the body on w + c*kvol. S is one of the ScalarLane traits below unless a
 // TU names its own (the avx512fp16 set's native half lane).
 //
@@ -88,10 +84,9 @@ struct ScalarLane {
   using T = F;
   using Acc = F;
   static constexpr std::size_t kLanes = 1;
-  static constexpr bool kRowMajor = true;
   static constexpr std::size_t kGroup = 1;
   static Acc zero() noexcept { return F{}; }
-  static F load_w(const F* p, std::size_t) noexcept { return *p; }
+  static F load_w(const F* p) noexcept { return *p; }
   static F splat(F a) noexcept { return a; }
   static Acc mac(Acc acc, F w, F a) noexcept {
     const F product = w * a;
@@ -114,12 +109,9 @@ struct ScalarLane<std::uint16_t> {
   using T = std::uint16_t;
   using Acc = std::uint16_t;
   static constexpr std::size_t kLanes = 1;
-  static constexpr bool kRowMajor = true;
   static constexpr std::size_t kGroup = 1;
   static Acc zero() noexcept { return 0; }
-  static float load_w(const T* p, std::size_t) noexcept {
-    return _cvtsh_ss(*p);
-  }
+  static float load_w(const T* p) noexcept { return _cvtsh_ss(*p); }
   static float splat(T a) noexcept { return _cvtsh_ss(a); }
   static Acc mac(Acc acc, float w, float a) noexcept {
     const T product = f2h(w * a);
@@ -145,7 +137,6 @@ struct ScalarLane<numeric::Fixed<W, F>> {
   using T = typename numeric::Fixed<W, F>::raw_type;
   using Acc = std::int64_t;
   static constexpr std::size_t kLanes = 1;
-  static constexpr bool kRowMajor = true;
   static constexpr std::size_t kGroup = 1;
   static constexpr std::int64_t kMin = numeric::Fixed<W, F>::kRawMin;
   static constexpr std::int64_t kMax = numeric::Fixed<W, F>::kRawMax;
@@ -153,7 +144,7 @@ struct ScalarLane<numeric::Fixed<W, F>> {
     return v < kMin ? kMin : (v > kMax ? kMax : v);
   }
   static Acc zero() noexcept { return 0; }
-  static std::int64_t load_w(const T* p, std::size_t) noexcept { return *p; }
+  static std::int64_t load_w(const T* p) noexcept { return *p; }
   static std::int64_t splat(T a) noexcept { return a; }
   static Acc mac(Acc acc, std::int64_t w, std::int64_t a) noexcept {
     const std::int64_t product =
@@ -198,7 +189,6 @@ void conv_pixels(const ConvGeom& g, const Region& r, const typename V::T* in,
                  typename V::T* ob, std::size_t q0) {
   using T = typename V::T;
   constexpr std::size_t L = V::kLanes;
-  constexpr std::size_t tap = V::kRowMajor ? 1 : L;
   const auto pad = static_cast<std::ptrdiff_t>(g.pad);
   const auto in_h = static_cast<std::ptrdiff_t>(g.in_h);
   const auto in_w = static_cast<std::ptrdiff_t>(g.in_w);
@@ -225,11 +215,11 @@ void conv_pixels(const ConvGeom& g, const Region& r, const typename V::T* in,
         const std::ptrdiff_t iy = y0[p] + static_cast<std::ptrdiff_t>(ky);
         irow[p] = (iy >= 0 && iy < in_h) ? ic + iy * in_w : nullptr;
       }
-      for (std::size_t kx = 0; kx < g.k; ++kx, wt += tap) {
-        decltype(V::load_w(wt, 0)) wv[B];
+      for (std::size_t kx = 0; kx < g.k; ++kx, wt += L) {
+        decltype(V::load_w(wt)) wv[B];
 #pragma GCC unroll 4
         for (std::size_t b = 0; b < B; ++b)
-          wv[b] = V::load_w(wt + b * bstride, kvol(g));
+          wv[b] = V::load_w(wt + b * bstride);
 #pragma GCC unroll 8  // keeps acc[][] in registers
         for (std::size_t p = 0; p < P; ++p) {
           const std::ptrdiff_t ix = x0[p] + static_cast<std::ptrdiff_t>(kx);
@@ -276,7 +266,7 @@ void conv_rest(const ConvGeom& g, const Region& r, const typename V::T* in,
 }
 
 /// Conv over the pixels of region `r` for `blocks` lane-blocks of
-/// V::kLanes output channels: `w` in V's weight layout, `bias` and `out`
+/// V::kLanes output channels: `w` in the packed layout, `bias` and `out`
 /// starting at the first block's channel (r's channel range is the
 /// caller's). The blocks run V::kGroup at a time, then one remainder group
 /// of blocks % kGroup. Padded taps multiply a zero activation, so NaN/Inf
@@ -302,22 +292,21 @@ void fc_blocks(const FcGeom& g, const typename V::T* in,
                const typename V::T* w, const typename V::T* bias,
                typename V::T* out, std::size_t blocks) {
   constexpr std::size_t L = V::kLanes;
-  constexpr std::size_t tap = V::kRowMajor ? 1 : L;
   for (std::size_t b = 0; b < blocks; ++b) {
     const typename V::T* wt = w + b * g.in * L;
     typename V::Acc acc = V::zero();
-    for (std::size_t i = 0; i < g.in; ++i, wt += tap)
-      acc = V::mac(acc, V::load_w(wt, g.in), V::splat(in[i]));
+    for (std::size_t i = 0; i < g.in; ++i, wt += L)
+      acc = V::mac(acc, V::load_w(wt), V::splat(in[i]));
     V::store(V::finish(acc, bias + b * L), out + b * L);
   }
 }
 
 /// A ConvFn: the lane-blocks that lie wholly inside r's channel range, from
-/// the row-major `w` or, for packed traits, the packed copy `wp` (never
-/// dereferenced when no such block exists); the region's other channels
-/// from `w` through the 1-lane trait S (Fixed traits name theirs: the raw
-/// int alone does not carry F). For the full region that is every full
-/// block, then the out_c % kLanes remainder rows.
+/// the packed copy `wp` (never dereferenced when no such block exists); the
+/// region's other channels from the row-major `w` through the 1-lane trait
+/// S (Fixed traits name theirs: the raw int alone does not carry F). For
+/// the full region that is every full block, then the out_c % kLanes
+/// remainder rows.
 template <class V, class S = ScalarLane<typename V::T>>
 void conv_lanes(const ConvGeom& g, const Region& r, const typename V::T* in,
                 const typename V::T* w, const typename V::T* wp,
@@ -335,8 +324,8 @@ void conv_lanes(const ConvGeom& g, const Region& r, const typename V::T* in,
     tail(r.c0, r.c1);
   } else {
     tail(r.c0, b0 * L);
-    conv_blocks<V>(g, r, in, (V::kRowMajor ? w : wp) + b0 * L * kvol(g),
-                   bias + b0 * L, out + b0 * L * oplane, b1 - b0);
+    conv_blocks<V>(g, r, in, wp + b0 * L * kvol(g), bias + b0 * L,
+                   out + b0 * L * oplane, b1 - b0);
     tail(b1 * L, r.c1);
   }
   // GCC 12 leaves some of these returns (a tail call into the 1-lane body,
@@ -351,7 +340,7 @@ void fc_lanes(const FcGeom& g, const typename V::T* in,
               const typename V::T* bias, typename V::T* out) {
   const std::size_t blocks = g.out / V::kLanes;
   const std::size_t done = blocks * V::kLanes;
-  fc_blocks<V>(g, in, V::kRowMajor ? w : wp, bias, out, blocks);
+  fc_blocks<V>(g, in, wp, bias, out, blocks);
   fc_blocks<S>(g, in, w + done * g.in, bias + done, out + done,
                g.out - done);
 }
@@ -371,7 +360,7 @@ void chain_lane(const typename S::T* w, const typename S::T* a, std::size_t n,
   if (n == 0) return;
   typename S::Acc s = S::enter(*acc);
   for (std::size_t i = 0; i < n; ++i)
-    s = S::mac(s, S::load_w(w + i, 0), S::splat(a[i]));
+    s = S::mac(s, S::load_w(w + i), S::splat(a[i]));
   *acc = S::leave(s);
 }
 
@@ -387,7 +376,7 @@ std::size_t chain_pair_lane(const typename S::T* w, const typename S::T* a,
   typename S::Acc f = S::enter(*acc), g = S::enter(*gold);
   std::size_t k = 1;
   for (; k <= n; ++k) {
-    const auto wv = S::load_w(w + k - 1, 0);
+    const auto wv = S::load_w(w + k - 1);
     const auto av = S::splat(a[k - 1]);
     f = S::mac(f, wv, av);
     g = S::mac(g, wv, av);

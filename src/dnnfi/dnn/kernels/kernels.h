@@ -54,22 +54,19 @@
 // type resolves as "avx512", and "avx512" keeps FLOAT16 on the F16C path.
 // ExecutionPlan<T> captures the active set at plan-build time.
 //
-// Packed weights: SIMD sets with pack_lanes > 0 consume a lane-interleaved
-// copy of each MAC layer's weights, produced by pack_rows into the one copy
-// the ExecutionPlan owns (the plan-time layout transform, re-taken by
+// Packed weights: every SIMD set consumes a lane-interleaved copy of each
+// MAC layer's weights (pack_lanes > 0), produced by pack_rows into the one
+// copy the ExecutionPlan owns (the plan-time layout transform, re-taken by
 // Network::update_params). Public tensors stay NCHW/OIHW; the packed copy
 // is invisible outside the kernel call. Only full blocks of `lanes` rows
 // are packed — remainder rows are read directly from the row-major weights,
-// which are the 1-lane packed layout. Sets with pack_lanes == 0 read the
-// row-major weights throughout: the scalar reference, and the avx512
-// fixed-point sets, whose lanes gather one weight per output row (no packed
-// copy, so no extra memory, and conv_forward / fc_forward below run them at
-// layer level too).
+// which are the 1-lane packed layout. Only the scalar reference has
+// pack_lanes == 0 and reads the row-major weights throughout.
 //
 // Fixed point: the avx512 sets for Fx16r10 / Fx32r10 / Fx32r26 compute each
 // tap as Fixed::operator* then operator+ in exact int64 arithmetic (product,
-// rounding shift, saturate; sum, saturate), so they are bit-identical by
-// construction. There is no avx2 fixed-point set.
+// rounding shift, saturate; sum, saturate) over an 8-lane packed copy, so
+// they are bit-identical by construction. There is no avx2 fixed-point set.
 #pragma once
 
 #include <cstddef>
@@ -272,11 +269,10 @@ template <typename T>
 void pack_rows(const T* w, std::size_t rows, std::size_t cols,
                std::size_t lanes, T* dst);
 
-/// Dispatch helpers for layer-level call sites (no plan, so no packed
-/// copy): run the active set when it needs no packing (scalar, or avx512
-/// fixed point), otherwise the scalar reference. Every set being
-/// bit-identical, this is indistinguishable from
-/// the Executor's packed path.
+/// Dispatch helpers for layer-level call sites. conv_forward and
+/// fc_forward have no plan, so no packed copy, and run the scalar
+/// reference; the rest run the active set. Every set being bit-identical,
+/// this is indistinguishable from the Executor's packed path.
 template <typename T>
 void conv_forward(const ConvGeom& g, const T* in, const T* w, const T* bias,
                   T* out);

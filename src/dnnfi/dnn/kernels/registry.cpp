@@ -129,12 +129,10 @@ const KernelSet<T>* avx2_set() {
 /// Half MAC kernels from the -mavx512f TU, post-MAC kernels shared with the
 /// AVX2 TU (every AVX-512 CPU also runs AVX2), as are the single chains
 /// (scalar ones for float and double). The three fixed-point types
-/// get 8-lane int64 MAC kernels that read row-major weights (pack_lanes 0,
-/// so there is no packed copy) and keep the scalar post-MAC kernels and
-/// chains. Gated
-/// on the full avx512 kernel bundle (F+BW+VL+DQ, see numeric/cpu.h) so
-/// Knights-Landing-class parts fall back rather than fault in the Half mask
-/// blends.
+/// get 8-lane int64 MAC kernels over an 8-lane packed copy and keep the
+/// scalar post-MAC kernels and chains. Gated on the full avx512 kernel
+/// bundle (F+BW+VL+DQ, see numeric/cpu.h) so Knights-Landing-class parts
+/// fall back rather than fault in the Half mask blends.
 template <typename T>
 const KernelSet<T>* avx512_set() {
   if (!numeric::cpu_has_avx512_kernel_bundle() || !numeric::cpu_has_avx2())
@@ -166,14 +164,14 @@ const KernelSet<T>* avx512_set() {
     return &s;
   } else if constexpr (std::is_same_v<T, numeric::Fx32r26>) {
     static const KernelSet<T> s{
-        "avx512", 0, detail::avx512_conv_fx32r26, detail::avx512_fc_fx32r26,
+        "avx512", 8, detail::avx512_conv_fx32r26, detail::avx512_fc_fx32r26,
         detail::avx512_relu_fx32r26, &scalar_lrn<T>, &scalar_maxpool<T>,
         &scalar_avgpool<T>, &scalar_softmax<T>, &scalar_chain<T>,
         &scalar_chain_pair<T>};
     return &s;
   } else if constexpr (std::is_same_v<T, numeric::Fx32r10>) {
     static const KernelSet<T> s{
-        "avx512", 0, detail::avx512_conv_fx32r10, detail::avx512_fc_fx32r10,
+        "avx512", 8, detail::avx512_conv_fx32r10, detail::avx512_fc_fx32r10,
         detail::avx512_relu_fx32r10, &scalar_lrn<T>, &scalar_maxpool<T>,
         &scalar_avgpool<T>, &scalar_softmax<T>, &scalar_chain<T>,
         &scalar_chain_pair<T>};
@@ -181,7 +179,7 @@ const KernelSet<T>* avx512_set() {
   } else {
     static_assert(std::is_same_v<T, numeric::Fx16r10>);
     static const KernelSet<T> s{
-        "avx512", 0, detail::avx512_conv_fx16r10, detail::avx512_fc_fx16r10,
+        "avx512", 8, detail::avx512_conv_fx16r10, detail::avx512_fc_fx16r10,
         detail::avx512_relu_fx16r10, &scalar_lrn<T>, &scalar_maxpool<T>,
         &scalar_avgpool<T>, &scalar_softmax<T>, &scalar_chain<T>,
         &scalar_chain_pair<T>};
@@ -328,16 +326,13 @@ void pack_rows(const T* w, std::size_t rows, std::size_t cols,
 template <typename T>
 void conv_forward(const ConvGeom& g, const T* in, const T* w, const T* bias,
                   T* out) {
-  const KernelSet<T>& ks = active_kernels<T>();
-  (ks.pack_lanes == 0 ? ks.conv : &scalar_conv<T>)(g, g.full(), in, w,
-                                                    nullptr, bias, out);
+  scalar_conv<T>(g, g.full(), in, w, nullptr, bias, out);
 }
 
 template <typename T>
 void fc_forward(const FcGeom& g, const T* in, const T* w, const T* bias,
                 T* out) {
-  const KernelSet<T>& ks = active_kernels<T>();
-  (ks.pack_lanes == 0 ? ks.fc : &scalar_fc<T>)(g, in, w, nullptr, bias, out);
+  scalar_fc<T>(g, in, w, nullptr, bias, out);
 }
 
 template <typename T>

@@ -252,10 +252,9 @@ class Conv2d final : public Layer<T> {
   void forward(ConstTensorView<T> in, TensorView<T> out) const override {
     const Shape os = out.shape();
     DNNFI_EXPECTS(os == out_shape(in.shape()));
-    // Fault-free pass through the kernel registry (SIMD sets are
-    // bit-identical to the scalar reference). The compiled
-    // Executor path routes through ExecutionPlan::exec_step instead, which
-    // adds the packed-weight layout.
+    // Fault-free pass on the scalar reference (every SIMD set is
+    // bit-identical to it). The compiled Executor path routes through
+    // ExecutionPlan::exec_step instead, which adds the packed-weight layout.
     kernels::conv_forward<T>(geom(in.shape(), os), in.data().data(),
                              weights_.data().data(), bias_.data(),
                              out.data().data());
@@ -466,7 +465,7 @@ class FullyConnected final : public Layer<T> {
 
   void forward(ConstTensorView<T> in, TensorView<T> out) const override {
     DNNFI_EXPECTS(in.size() == in_ && out.size() == out_);
-    // Fault-free pass through the kernel registry.
+    // Fault-free pass on the scalar reference.
     kernels::fc_forward<T>({in_, out_}, in.data().data(),
                            weights_.data().data(), bias_.data(),
                            out.data().data());

@@ -115,12 +115,13 @@ struct Campaign::Backend {
 
 template <typename T>
 struct Campaign::TypedBackend final : Campaign::Backend {
-  TypedBackend(const dnn::NetworkSpec& network_spec,
-               const dnn::WeightsBlob& blob, std::vector<dnn::Example> inputs)
+  TypedBackend(const dnn::NetworkSpec& network_spec, dnn::WeightsBlob blob,
+               std::vector<dnn::Example> inputs)
       : net(dnn::instantiate<T>(network_spec, blob)),
         site_sampler(network_spec, numeric::dtype_of<T>()),
         ends(block_end_layers(network_spec)) {
     DNNFI_EXPECTS(!inputs.empty());
+    blob = {};  // the typed network holds the weights now
     // Per-layer -> block-slot map, so the hot-path observer is a table
     // lookup instead of a std::find over the block-end list.
     layer_to_block.assign(net.num_layers(), -1);
@@ -132,9 +133,11 @@ struct Campaign::TypedBackend final : Campaign::Backend {
     // (DESIGN.md §8). The folds below then read the caches in input order,
     // exactly as a serial build would.
     caches.resize(inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i)
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
       tensor::convert_into<T, float>(inputs[i].image,
                                      caches[i].bind(net.plan()));
+      inputs[i].image = {};  // the cache holds the converted image now
+    }
     parallel_for(caches.size(), [this](std::size_t i) { caches[i].fill(); });
     predictions.reserve(inputs.size());
     masked_outcomes.reserve(inputs.size());
@@ -758,11 +761,12 @@ struct Campaign::TypedBackend final : Campaign::Backend {
   std::vector<BlockRange> ranges;
 };
 
-Campaign::Campaign(const dnn::NetworkSpec& spec, const dnn::WeightsBlob& blob,
+Campaign::Campaign(const dnn::NetworkSpec& spec, dnn::WeightsBlob blob,
                    DType dtype, std::vector<dnn::Example> inputs) {
   backend_ = numeric::dispatch_dtype(
       dtype, [&]<typename T>() -> std::unique_ptr<Backend> {
-        return std::make_unique<TypedBackend<T>>(spec, blob, std::move(inputs));
+        return std::make_unique<TypedBackend<T>>(spec, std::move(blob),
+                                                 std::move(inputs));
       });
 }
 

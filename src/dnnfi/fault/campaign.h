@@ -238,8 +238,11 @@ struct StratifiedResult {
 class Campaign {
  public:
   /// Builds the typed network from (spec, blob), quantizes `inputs`, and
-  /// computes their golden activation caches and predictions.
-  Campaign(const dnn::NetworkSpec& spec, const dnn::WeightsBlob& blob,
+  /// computes their golden activation caches and predictions. `blob` and
+  /// `inputs` are sinks: the float weights are freed once the typed network
+  /// holds them and each float image once its cache holds it, so a caller
+  /// that moves them in never keeps both copies alive.
+  Campaign(const dnn::NetworkSpec& spec, dnn::WeightsBlob blob,
            numeric::DType dtype, std::vector<dnn::Example> inputs);
   ~Campaign();
   Campaign(Campaign&&) noexcept;

@@ -806,10 +806,11 @@ TYPED_TEST(FixedSaturation, EverySetMatchesScalarAtRawExtremes) {
 }
 
 // ---------------------------------------------------------------------------
-// Out-of-bounds guard: the weight array is placed flush against a PROT_NONE
-// page — once ending at it, once starting right after one — so a kernel that
-// reads a single byte outside the array (e.g. a 4-byte gather of the last
-// 16-bit weight) faults and kills the test.
+// Out-of-bounds guard: the row-major weights and their packed copy are each
+// placed flush against a PROT_NONE page — once ending at it, once starting
+// right after one — so a kernel that reads a single byte outside either
+// array (e.g. one lane past the last packed block, or a wide load of the
+// last 16-bit weight) faults and kills the test.
 // ---------------------------------------------------------------------------
 
 /// `n` elements of T flush against an inaccessible page: after the array
@@ -848,49 +849,58 @@ class GuardedArray {
 
 TYPED_TEST(FixedSaturation, WeightReadsStayInsideTheArray) {
   using T = TypeParam;
-  // out_c / out = 16: the last 8-lane block's lane 7 owns the array's last
-  // row; 21 / 19: blocks plus tail rows. Weights use every raw extreme.
+  // out_c / out = 16: the last 8-lane block's lane 7 owns both arrays' last
+  // row; 21 / 19: blocks plus tail rows, which read the row-major array.
+  // Weights use every raw extreme.
   const ConvGeom convs[] = {{3, 5, 4, 16, 5, 4, 3, 1, 1},
                             {2, 4, 4, 21, 2, 2, 3, 2, 1}};
   const FcGeom fcs[] = {{37, 16}, {13, 19}};
-  auto fill = [](T* p, std::size_t n, std::uint64_t salt) {
-    const auto v = awkward<T>(n, salt, Season::kFinite);
-    for (std::size_t i = 0; i < n; ++i) p[i] = v[i];
-    p[0] = raw_fx<T>(T::kRawMin);
-    p[n - 1] = raw_fx<T>(T::kRawMax);
+  auto weights = [](std::size_t n, std::uint64_t salt) {
+    auto v = awkward<T>(n, salt, Season::kFinite);
+    v.front() = raw_fx<T>(T::kRawMin);
+    v.back() = raw_fx<T>(T::kRawMax);
+    return v;
   };
   for (const char* name : registered_names<T>()) {
     const KernelSet<T>* ks = kernel_set<T>(name);
     ASSERT_NE(ks, nullptr) << name;
-    if (ks->pack_lanes != 0) continue;  // reads a packed copy, not `w`
+    const std::size_t lanes = ks->pack_lanes;
+    // Runs call(w, wp) on guarded copies of the rows x cols weights `wv`
+    // and of their packed image (null when the set packs nothing).
+    auto guarded = [&](const std::vector<T>& wv, std::size_t rows,
+                       std::size_t cols, bool guard_after, auto&& call) {
+      const std::size_t np = packed_elems(rows, cols, lanes);
+      GuardedArray<T> w(wv.size(), guard_after), wp(np, guard_after);
+      ASSERT_NE(w.data(), nullptr);
+      ASSERT_NE(wp.data(), nullptr);
+      std::copy(wv.begin(), wv.end(), w.data());
+      if (np > 0) pack_rows(w.data(), rows, cols, lanes, wp.data());
+      call(w.data(), np > 0 ? wp.data() : nullptr);
+    };
     for (const bool guard_after : {true, false}) {
       for (const ConvGeom& g : convs) {
-        const std::size_t n = g.out_c * g.steps();
-        GuardedArray<T> w(n, guard_after);
-        ASSERT_NE(w.data(), nullptr);
-        fill(w.data(), n, 23);
-        const std::vector<T> wv(w.data(), w.data() + n);
+        const auto wv = weights(g.out_c * g.steps(), 23);
         const auto in = awkward<T>(g.in_c * g.in_h * g.in_w, 11,
                                    Season::kFinite);
         const auto bias = awkward<T>(g.out_c, 5, Season::kFinite);
         Tensor<T> got(Shape{1, g.out_c, g.out_h, g.out_w});
-        ks->conv(g, g.full(), in.data(), w.data(), nullptr, bias.data(),
-                 got.data().data());
+        guarded(wv, g.out_c, g.steps(), guard_after,
+                [&](const T* w, const T* wp) {
+                  ks->conv(g, g.full(), in.data(), w, wp, bias.data(),
+                           got.data().data());
+                });
         EXPECT_TRUE(tensor::bitwise_equal(
             got, run_conv(scalar_kernels<T>(), g, in, wv, bias)))
             << name << " conv out_c=" << g.out_c;
       }
       for (const FcGeom& g : fcs) {
-        const std::size_t n = g.out * g.in;
-        GuardedArray<T> w(n, guard_after);
-        ASSERT_NE(w.data(), nullptr);
-        fill(w.data(), n, 41);
-        const std::vector<T> wv(w.data(), w.data() + n);
+        const auto wv = weights(g.out * g.in, 41);
         const auto in = awkward<T>(g.in, 31, Season::kFinite);
         const auto bias = awkward<T>(g.out, 7, Season::kFinite);
         Tensor<T> got(Shape{1, g.out, 1, 1});
-        ks->fc(g, in.data(), w.data(), nullptr, bias.data(),
-               got.data().data());
+        guarded(wv, g.out, g.in, guard_after, [&](const T* w, const T* wp) {
+          ks->fc(g, in.data(), w, wp, bias.data(), got.data().data());
+        });
         EXPECT_TRUE(tensor::bitwise_equal(
             got, run_fc(scalar_kernels<T>(), g, in, wv, bias)))
             << name << " fc out=" << g.out;

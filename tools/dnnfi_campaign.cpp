@@ -551,8 +551,8 @@ int cmd_run(const Args& a, bool resume) {
     }
   }
   const bool stratified = a.sampler == fault::SamplerMode::kStratified;
-  const dnn::Model m = data::pretrained(a.network);
-  const fault::Campaign c(m.spec, m.blob, a.dtype,
+  dnn::Model m = data::pretrained(a.network);
+  const fault::Campaign c(m.spec, std::move(m.blob), a.dtype,
                           data::test_examples(a.network, a.inputs));
 
   fault::CampaignOptions opt = campaign_options(a);
@@ -638,8 +638,8 @@ int cmd_run(const Args& a, bool resume) {
 /// Narrates trials [B, E) as they stream from run_shard: the same trials,
 /// on the same code path, that a `run` of these flags folds.
 int cmd_inject(const Args& a) {
-  const dnn::Model m = data::pretrained(a.network);
-  const fault::Campaign c(m.spec, m.blob, a.dtype,
+  dnn::Model m = data::pretrained(a.network);
+  const fault::Campaign c(m.spec, std::move(m.blob), a.dtype,
                           data::test_examples(a.network, a.inputs));
   fault::ShardSpec shard;
   shard.begin = a.shard_begin;
@@ -796,8 +796,8 @@ int cmd_worker(const Args& a) {
       return exit_code(ckpt.error().code);
     }
     if (!c) {
-      const dnn::Model m = data::pretrained(a.network);
-      c.emplace(m.spec, m.blob, a.dtype,
+      dnn::Model m = data::pretrained(a.network);
+      c.emplace(m.spec, std::move(m.blob), a.dtype,
                 data::test_examples(a.network, a.inputs));
     }
 
