@@ -230,13 +230,19 @@ ExecutionPlan<T>::ExecutionPlan(const Network<T>& net)
 template <typename T>
 void ExecutionPlan<T>::repack() {
   const std::size_t lanes = kset_->pack_lanes;
-  for (const auto& st : steps_) {
+  for (auto& st : steps_) {
     if (st.packed_n == 0) continue;
     T* const dst = packed_.data() + st.packed_off;
-    if (st.kernel == StepKernel::kConv)
+    if (st.kernel == StepKernel::kConv) {
       kernels::pack_rows(st.w, st.conv.out_c, st.conv.steps(), lanes, dst);
-    else
+      if constexpr (!numeric::numeric_traits<T>::is_floating)
+        st.conv.act_limit = kernels::fixed_act_limit(
+            st.w, st.conv.out_c, st.conv.steps());
+    } else {
       kernels::pack_rows(st.w, st.fc.out, st.fc.in, lanes, dst);
+      if constexpr (!numeric::numeric_traits<T>::is_floating)
+        st.fc.act_limit = kernels::fixed_act_limit(st.w, st.fc.out, st.fc.in);
+    }
   }
 }
 

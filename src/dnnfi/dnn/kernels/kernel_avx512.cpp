@@ -19,7 +19,8 @@
 // (sign | 0x7E00). A lane's chain never mixes with another lane's, so
 // widening 8 -> 16 lanes cannot change a single output bit relative to
 // scalar or AVX2. Fixed point is exact int64 arithmetic per lane (see
-// FxI64x8) over the same packed copy, 8 lanes wide.
+// FxI64x8) over the same packed copy, 8 lanes wide, without the per-tap
+// saturation on calls whose activations a weight-sum bound clears.
 #include "dnnfi/dnn/kernels/kernel_avx512.h"
 
 #if defined(DNNFI_ENABLE_AVX512_KERNELS)
@@ -154,13 +155,20 @@ struct F16x16 {
 // operator+ exactly: VPMULDQ's 32x32->64 product (|p| <= 2^62), +2^(F-1),
 // VPSRAQ by F, saturate; then the sum, saturated again. The arithmetic is
 // exact integer math, so every lane is bit-identical to the scalar chain.
+// kSat = false drops both saturations. That body runs only on a call whose
+// activations all lie within the geometry's act_limit (kernels.h), which
+// proves every rounded product and prefix sum stays inside [RawMin, RawMax]:
+// each saturation is then the identity and the unsaturated chain equals the
+// saturated one bit for bit (its |sum| < 2^31 cannot overflow int64).
+// finish and store saturate in both bodies.
 // A tap's weights are 8 contiguous raw ints of the packed copy, so load_w
 // is the same sign-extending load as the bias and relu input (16 bytes for
 // the 16-bit type, 32 for the 32-bit ones).
-// The unmasked cvt / min / max forms trip GCC 12's -Wuninitialized inside
-// avx512fintrin.h (their _mm512_undefined_* source); the all-ones maskz
-// forms compute the same thing.
-template <class Fx>
+// The unmasked cvt / min / max / mul / shift forms trip GCC 12's
+// -Wuninitialized inside avx512fintrin.h (their _mm512_undefined_* source;
+// mul and shift only in -Os builds); the all-ones maskz forms compute the
+// same thing.
+template <class Fx, bool kSat>
 struct FxI64x8 {
   using T = typename Fx::raw_type;
   using Acc = __m512i;
@@ -187,9 +195,13 @@ struct FxI64x8 {
   static __m512i load_w(const T* p) noexcept { return load(p); }
   static __m512i splat(T a) noexcept { return _mm512_set1_epi64(a); }
   static Acc mac(Acc acc, __m512i w, __m512i a) noexcept {
-    const __m512i p = _mm512_add_epi64(_mm512_mul_epi32(w, a),
+    const __m512i p = _mm512_add_epi64(_mm512_maskz_mul_epi32(kAll, w, a),
                                        _mm512_set1_epi64(1LL << (kF - 1)));
-    return sat(_mm512_add_epi64(acc, sat(_mm512_srai_epi64(p, kF))));
+    const __m512i q = _mm512_maskz_srai_epi64(kAll, p, kF);
+    if constexpr (kSat)
+      return sat(_mm512_add_epi64(acc, sat(q)));
+    else
+      return _mm512_add_epi64(acc, q);
   }
   static __m512i finish(Acc acc, const T* bias) noexcept {
     return sat(_mm512_add_epi64(acc, load(bias)));
@@ -217,6 +229,57 @@ const typename Fx::raw_type* raw(const Fx* p) noexcept {
 template <class Fx>
 typename Fx::raw_type* raw(Fx* p) noexcept {
   return reinterpret_cast<typename Fx::raw_type*>(p);
+}
+
+// The largest |a| of n raw activations: a plain loop the compiler
+// vectorises, so the scans below test the limit once per run.
+template <class Raw>
+std::uint64_t max_abs(const Raw* p, std::size_t n) noexcept {
+  std::uint64_t m = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t v = p[i];
+    const auto a = static_cast<std::uint64_t>(v < 0 ? -v : v);
+    m = a > m ? a : m;
+  }
+  return m;
+}
+
+// Whether every raw activation a conv call over region r reads lies within
+// g.act_limit: all in_c channels over input rows [y0*s - pad,
+// (y1-1)*s + k - pad) and the same columns, clipped to the input. Stops
+// after the first input row holding an |a| above the limit; false when the
+// limit is 0 (unproven) or the region is empty.
+template <class Raw>
+bool conv_within_limit(const ConvGeom& g, const Region& r,
+                       const Raw* in) noexcept {
+  if (g.act_limit == 0 || r.y0 >= r.y1 || r.x0 >= r.x1) return false;
+  const auto lim = static_cast<std::uint64_t>(g.act_limit);
+  // [first, end) of the input coordinates outputs [o0, o1) read.
+  const auto first = [&](std::size_t o0) {
+    return o0 * g.stride > g.pad ? o0 * g.stride - g.pad : 0;
+  };
+  const auto end = [&](std::size_t o1, std::size_t n) {
+    const std::size_t e = (o1 - 1) * g.stride + g.k;
+    return e > g.pad + n ? n : (e > g.pad ? e - g.pad : 0);
+  };
+  const std::size_t iy0 = first(r.y0), iy1 = end(r.y1, g.in_h);
+  const std::size_t ix0 = first(r.x0), ix1 = end(r.x1, g.in_w);
+  if (ix0 >= ix1) return true;  // every column read is padding
+  for (std::size_t c = 0; c < g.in_c; ++c)
+    for (std::size_t y = iy0; y < iy1; ++y)
+      if (max_abs(in + (c * g.in_h + y) * g.in_w + ix0, ix1 - ix0) > lim)
+        return false;
+  return true;
+}
+
+// The FC counterpart: all `in` activations, 64 at a time.
+template <class Raw>
+bool fc_within_limit(const FcGeom& g, const Raw* in) noexcept {
+  if (g.act_limit == 0) return false;
+  const auto lim = static_cast<std::uint64_t>(g.act_limit);
+  for (std::size_t i = 0; i < g.in; i += 64)
+    if (max_abs(in + i, g.in - i < 64 ? g.in - i : 64) > lim) return false;
+  return true;
 }
 
 }  // namespace
@@ -270,24 +333,34 @@ void avx512_relu_half(const numeric::Half* in, numeric::Half* out,
   relu_lanes<F16x16>(bits(in), bits(out), n);
 }
 
+// Conv and FC pick the unsaturated lane-block body per call when the input
+// window is within act_limit; the 1-lane tail rows always saturate.
 #define DNNFI_AVX512_FIXED(Fx, name)                                         \
   void avx512_conv_##name(const ConvGeom& g, const Region& r,                \
                           const numeric::Fx* in, const numeric::Fx* w,       \
                           const numeric::Fx* wp, const numeric::Fx* bias,    \
                           numeric::Fx* out) {                                \
-    conv_lanes<FxI64x8<numeric::Fx>, ScalarLane<numeric::Fx>>(               \
-        g, r, raw(in), raw(w), raw(wp), raw(bias), raw(out));                \
+    if (conv_within_limit(g, r, raw(in)))                                    \
+      conv_lanes<FxI64x8<numeric::Fx, false>, ScalarLane<numeric::Fx>>(      \
+          g, r, raw(in), raw(w), raw(wp), raw(bias), raw(out));              \
+    else                                                                     \
+      conv_lanes<FxI64x8<numeric::Fx, true>, ScalarLane<numeric::Fx>>(       \
+          g, r, raw(in), raw(w), raw(wp), raw(bias), raw(out));              \
   }                                                                          \
   void avx512_fc_##name(const FcGeom& g, const numeric::Fx* in,              \
                         const numeric::Fx* w, const numeric::Fx* wp,         \
                         const numeric::Fx* bias, numeric::Fx* out) {         \
-    fc_lanes<FxI64x8<numeric::Fx>, ScalarLane<numeric::Fx>>(                 \
-        g, raw(in), raw(w), raw(wp), raw(bias), raw(out));                   \
+    if (fc_within_limit(g, raw(in)))                                         \
+      fc_lanes<FxI64x8<numeric::Fx, false>, ScalarLane<numeric::Fx>>(        \
+          g, raw(in), raw(w), raw(wp), raw(bias), raw(out));                 \
+    else                                                                     \
+      fc_lanes<FxI64x8<numeric::Fx, true>, ScalarLane<numeric::Fx>>(         \
+          g, raw(in), raw(w), raw(wp), raw(bias), raw(out));                 \
   }                                                                          \
   void avx512_relu_##name(const numeric::Fx* in, numeric::Fx* out,           \
                           std::size_t n) {                                   \
-    relu_lanes<FxI64x8<numeric::Fx>, ScalarLane<numeric::Fx>>(raw(in),       \
-                                                              raw(out), n);  \
+    relu_lanes<FxI64x8<numeric::Fx, true>, ScalarLane<numeric::Fx>>(         \
+        raw(in), raw(out), n);                                               \
   }
 
 DNNFI_AVX512_FIXED(Fx32r26, fx32r26)

@@ -124,8 +124,8 @@ void avx512fp16_conv_half(const ConvGeom& g, const Region& r,
                                      bits(bias), bits(out));
 }
 
-// GCC 12 returns from __m256h code without VZEROUPPER (conv_lanes clears it
-// for the conv), and the callers are baseline code running legacy-SSE
+// GCC 12 returns from __m256h code without VZEROUPPER (conv_lanes and
+// fc_lanes clear it), and the callers are baseline code running legacy-SSE
 // scalar math: with the upper halves left dirty every such instruction pays
 // a merge penalty (ConvNet incremental replay ~8x slower). test_kernels'
 // KernelsReturnWithUpperVectorStateClear checks every kernel.
@@ -134,7 +134,6 @@ void avx512fp16_fc_half(const FcGeom& g, const numeric::Half* in,
                         const numeric::Half* bias, numeric::Half* out) {
   fc_lanes<F16x16Native, H1Native>(g, bits(in), bits(w), bits(wp),
                                    bits(bias), bits(out));
-  _mm256_zeroupper();
 }
 
 void avx512fp16_chain_half(const numeric::Half* w, const numeric::Half* a,

@@ -18,7 +18,11 @@
 //   splat(T)                     one activation broadcast to every lane
 //   mac(acc, w, a)               acc + w * a as a separate multiply then add
 //                                (Half: rounded to half after each; Fixed:
-//                                rounded, shifted and saturated after each)
+//                                rounded and shifted after each, and
+//                                saturated after each unless the trait is
+//                                FxI64x8<Fx, false>, which a call runs only
+//                                when the weight-sum bound of kernels.h
+//                                proves no saturation can fire)
 //   finish(acc, const T* bias)   trailing bias add (and rounding)
 //   store(result, T* lanes)      kLanes contiguous outputs
 //   relu_block(const T*, T*)     relu over kLanes contiguous elements
@@ -329,7 +333,8 @@ void conv_lanes(const ConvGeom& g, const Region& r, const typename V::T* in,
     tail(b1 * L, r.c1);
   }
   // GCC 12 leaves some of these returns (a tail call into the 1-lane body,
-  // __m256h code) without VZEROUPPER; the callers are legacy-SSE code.
+  // __m256h code, any -O1 or -Os build) without VZEROUPPER; the callers are
+  // legacy-SSE code.
   _mm256_zeroupper();
 }
 
@@ -343,6 +348,8 @@ void fc_lanes(const FcGeom& g, const typename V::T* in,
   fc_blocks<V>(g, in, wp, bias, out, blocks);
   fc_blocks<S>(g, in, w + done * g.in, bias + done, out + done,
                g.out - done);
+  // As for conv_lanes: -O1 / -Os builds of GCC 12 return without VZEROUPPER.
+  _mm256_zeroupper();
 }
 
 /// A full EltwiseFn (relu): kLanes-wide blocks, then a 1-lane tail.
@@ -351,6 +358,7 @@ void relu_lanes(const typename V::T* in, typename V::T* out, std::size_t n) {
   std::size_t i = 0;
   for (; i + V::kLanes <= n; i += V::kLanes) V::relu_block(in + i, out + i);
   for (; i < n; ++i) S::relu_block(in + i, out + i);
+  _mm256_zeroupper();  // as for fc_lanes
 }
 
 /// A ChainFn over the 1-lane trait S.

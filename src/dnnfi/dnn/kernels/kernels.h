@@ -67,9 +67,21 @@
 // tap as Fixed::operator* then operator+ in exact int64 arithmetic (product,
 // rounding shift, saturate; sum, saturate) over an 8-lane packed copy, so
 // they are bit-identical by construction. There is no avx2 fixed-point set.
+// When a call can prove that neither saturation fires, they drop both. With
+// rnd(p) = (p + 2^(F-1)) >> F, |rnd(w*a)| <= |w|*|a| / 2^F + 1, so a chain
+// of n taps over activations |a| <= A has every product and every prefix sum
+// within S_w*A / 2^F + n, where S_w is the largest per-output-channel
+// sum |w| of the layer's raw weights. fixed_act_limit returns the largest A
+// that keeps that within RawMax; the plan stores it in the geometry's
+// act_limit when it takes the packed copy. A conv or FC call whose input
+// window holds no |a| above act_limit runs the lane-blocks unsaturated:
+// both saturations are then the identity, the plain int64 chain (|sum| <
+// 2^31) is the reference bit for bit, and the bias add and the final narrow
+// still saturate. act_limit 0 means "unproven" and always saturates.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -102,6 +114,8 @@ struct ConvGeom {
   std::size_t in_c = 0, in_h = 0, in_w = 0;
   std::size_t out_c = 0, out_h = 0, out_w = 0;
   std::size_t k = 0, stride = 0, pad = 0;
+  /// Fixed point only: fixed_act_limit of the weights (0: unproven).
+  std::int64_t act_limit = 0;
 
   /// Accumulation steps per output element (the kernel volume).
   constexpr std::size_t steps() const noexcept { return in_c * k * k; }
@@ -114,6 +128,8 @@ struct ConvGeom {
 /// Resolved fully-connected geometry: out x in row-major weights.
 struct FcGeom {
   std::size_t in = 0, out = 0;
+  /// Fixed point only: fixed_act_limit of the weights (0: unproven).
+  std::int64_t act_limit = 0;
 };
 
 /// Resolved local-response-normalization geometry: CHW input, odd channel
@@ -269,6 +285,16 @@ template <typename T>
 void pack_rows(const T* w, std::size_t rows, std::size_t cols,
                std::size_t lanes, T* dst);
 
+/// For Fixed<W,F> weights (rows x cols, row-major; cols = the tap count
+/// n): the largest raw activation magnitude A for which no rounded product
+/// and no prefix sum of any row's MAC chain can leave [RawMin, RawMax] (see
+/// the fixed-point paragraph above): floor((RawMax - n) * 2^F / S_w), with
+/// S_w the largest row's sum of |raw weight|. RawMax when every weight is
+/// zero; 0 (unproven) when n >= RawMax.
+template <typename T>
+std::int64_t fixed_act_limit(const T* w, std::size_t rows,
+                             std::size_t cols) noexcept;
+
 /// Dispatch helpers for layer-level call sites. conv_forward and
 /// fc_forward have no plan, so no packed copy, and run the scalar
 /// reference; the rest run the active set. Every set being bit-identical,
@@ -317,5 +343,12 @@ DNNFI_KERNELS_EXTERN(numeric::Fx32r26);
 DNNFI_KERNELS_EXTERN(numeric::Fx32r10);
 DNNFI_KERNELS_EXTERN(numeric::Fx16r10);
 #undef DNNFI_KERNELS_EXTERN
+
+extern template std::int64_t fixed_act_limit<numeric::Fx32r26>(
+    const numeric::Fx32r26*, std::size_t, std::size_t) noexcept;
+extern template std::int64_t fixed_act_limit<numeric::Fx32r10>(
+    const numeric::Fx32r10*, std::size_t, std::size_t) noexcept;
+extern template std::int64_t fixed_act_limit<numeric::Fx16r10>(
+    const numeric::Fx16r10*, std::size_t, std::size_t) noexcept;
 
 }  // namespace dnnfi::dnn::kernels

@@ -4,6 +4,8 @@
 // instantiates (kernel_scalar.h, kernels.h) gets safe baseline codegen.
 #include "dnnfi/dnn/kernels/kernels.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 
 #include "dnnfi/common/env.h"
@@ -322,6 +324,33 @@ void pack_rows(const T* w, std::size_t rows, std::size_t cols,
       for (std::size_t l = 0; l < lanes; ++l)
         dst[(b * cols + c) * lanes + l] = w[(b * lanes + l) * cols + c];
 }
+
+template <typename T>
+std::int64_t fixed_act_limit(const T* w, std::size_t rows,
+                             std::size_t cols) noexcept {
+  constexpr std::int64_t kMax = T::kRawMax;
+  if (cols >= static_cast<std::size_t>(kMax)) return 0;
+  // cols < RawMax <= 2^31 taps of |w| <= 2^31: no row sum overflows.
+  std::int64_t s_w = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::int64_t s = 0;
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::int64_t v = w[r * cols + c].raw();
+      s += v < 0 ? -v : v;
+    }
+    s_w = std::max(s_w, s);
+  }
+  if (s_w == 0) return kMax;
+  // (RawMax - n) * 2^F <= 2^(31+26): no overflow for any Fixed type.
+  return ((kMax - static_cast<std::int64_t>(cols)) << T::kFraction) / s_w;
+}
+
+template std::int64_t fixed_act_limit<numeric::Fx32r26>(
+    const numeric::Fx32r26*, std::size_t, std::size_t) noexcept;
+template std::int64_t fixed_act_limit<numeric::Fx32r10>(
+    const numeric::Fx32r10*, std::size_t, std::size_t) noexcept;
+template std::int64_t fixed_act_limit<numeric::Fx16r10>(
+    const numeric::Fx16r10*, std::size_t, std::size_t) noexcept;
 
 template <typename T>
 void conv_forward(const ConvGeom& g, const T* in, const T* w, const T* bias,

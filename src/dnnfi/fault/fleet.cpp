@@ -218,17 +218,6 @@ bool Fleet::any_member() const {
   return false;
 }
 
-bool Fleet::any_idle_capacity(TimePoint now) const {
-  for (const auto& n : nodes_) {
-    if (n->draining) continue;
-    if (n->busy < n->spec.slots) {
-      (void)now;
-      return true;  // usable now or after its quarantine expires
-    }
-  }
-  return false;
-}
-
 std::optional<Fleet::TimePoint> Fleet::earliest_release(TimePoint now) const {
   std::optional<TimePoint> earliest;
   for (const auto& n : nodes_) {

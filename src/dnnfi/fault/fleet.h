@@ -143,10 +143,6 @@ class Fleet {
   /// False means the fleet can never run anything again (kNoHosts).
   bool any_member() const;
 
-  /// True when some node is usable right now or will become usable by
-  /// itself (quarantine expiry). False when all capacity is busy/draining.
-  bool any_idle_capacity(TimePoint now) const;
-
   /// Earliest quarantine expiry among nodes that are idle-but-quarantined;
   /// nullopt when no wakeup is needed on the fleet's account.
   std::optional<TimePoint> earliest_release(TimePoint now) const;

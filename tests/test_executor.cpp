@@ -555,6 +555,45 @@ TEST(ExecutorWeightUpdates, RetakeAlsoWhenTheCallbackThrows) {
   expect_bits_equal<T>(net.forward(img).view(), want);
 }
 
+// The plan re-takes each fixed-point MAC step's act_limit (the weight-sum
+// bound of kernels.h) together with its packed copy: raw-extreme weights
+// set through update_params lower the first MAC layer's limit to what
+// fixed_act_limit gives for them and leave the other layers' alone.
+TEST(ExecutorWeightUpdates, ActLimitIsRetakenWithTheWeights) {
+  using T = numeric::Fx32r10;
+  if (kernels::kernel_set<T>("avx512") == nullptr)
+    GTEST_SKIP() << "avx512 kernels not available on this build/CPU";
+  ModeGuard guard;
+  ASSERT_TRUE(kernels::set_active_mode("avx512"));
+  const auto spec = convnet_spec();
+  Network<T> net(spec);
+  load_weights(net, random_blob(spec, 81));
+  const auto limits = [&] {
+    std::vector<std::int64_t> v;
+    for (const auto& st : net.plan().steps()) {
+      if (st.kernel == StepKernel::kConv) v.push_back(st.conv.act_limit);
+      if (st.kernel == StepKernel::kFc) v.push_back(st.fc.act_limit);
+    }
+    return v;
+  };
+  const std::vector<std::int64_t> before = limits();
+  ASSERT_EQ(before.size(), net.mac_layers().size());
+  ASSERT_GT(before[0], 0);
+  const std::size_t first = net.mac_layers()[0];
+  net.update_params([&](auto layers) {
+    const auto w = layers[first]->weights();
+    w[0] = T::max_value();
+    w[w.size() - 1] = T::min_value();
+  });
+  const std::vector<std::int64_t> after = limits();
+  const auto& st = net.plan().steps()[first];
+  EXPECT_LT(after[0], before[0]);
+  EXPECT_EQ(after[0], kernels::fixed_act_limit(st.w, st.conv.out_c,
+                                               st.conv.steps()));
+  for (std::size_t i = 1; i < after.size(); ++i)
+    EXPECT_EQ(after[i], before[i]) << "MAC layer " << i;
+}
+
 // One plan shared by four threads, each binding its own workspace and
 // running incremental faulty replays against one shared cache: every output
 // equals the serial run's. CI also runs this under ThreadSanitizer.

@@ -7,11 +7,14 @@
 // post-MAC ops (lrn / maxpool / avgpool / softmax) alike, with
 // restructure-lock tests pinning the scalar reference to the formulas the
 // layers used to inline. The single chains (chain / chain_pair) are held
-// to the plain tap loop. Plus the packed-layout formula itself, native
-// FP16 arithmetic against the F16C round trip (fp16_arith.h), a check that
-// every kernel returns with the upper vector state clear, and
-// executor-level integration checks that set_active_mode("scalar") and
-// each SIMD mode produce byte-identical network outputs.
+// to the plain tap loop. The fixed-point weight-sum bound (fixed_act_limit)
+// is checked against a modelled reference chain, and the conv and FC scans
+// that apply it against over-limit activations on their window's edges.
+// Plus the packed-layout formula itself, native FP16 arithmetic against the
+// F16C round trip (fp16_arith.h), a check that every kernel returns with
+// the upper vector state clear, and executor-level integration checks that
+// set_active_mode("scalar") and each SIMD mode produce byte-identical
+// network outputs.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <unistd.h>
@@ -23,6 +26,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <string>
@@ -127,6 +131,19 @@ Tensor<T> run_fc(const KernelSet<T>& ks, const FcGeom& g,
   ks.fc(g, in.data(), w.data(), packed.empty() ? nullptr : packed.data(),
         bias.data(), out.data().data());
   return out;
+}
+
+/// The act_limits a conv / FC comparison runs under: 0 (unproven, the
+/// saturating fixed-point body) and, for fixed point, the plan's
+/// fixed_act_limit of the rows x cols weights `w` (the unsaturated body
+/// wherever the inputs stay within it). Floating sets ignore act_limit.
+template <typename T>
+std::vector<std::int64_t> act_limits(const std::vector<T>& w,
+                                     std::size_t rows, std::size_t cols) {
+  if constexpr (numeric_traits<T>::is_floating)
+    return {0};
+  else
+    return {0, fixed_act_limit(w.data(), rows, cols)};
 }
 
 template <typename T>
@@ -236,23 +253,31 @@ TYPED_TEST(KernelProperty, SimdSetsBitIdenticalToScalarOnOddShapes) {
     const KernelSet<T>* ks = kernel_set<T>(name);
     ASSERT_NE(ks, nullptr) << name;
     for (const Season season : {Season::kFinite, Season::kNaN, Season::kInf}) {
-      for (const ConvGeom& g : kConvGeoms) {
+      for (ConvGeom g : kConvGeoms) {
         const auto in = awkward<T>(g.in_c * g.in_h * g.in_w, 11, season);
         const auto w = awkward<T>(g.out_c * g.steps(), 23, season);
         const auto bias = awkward<T>(g.out_c, 5, Season::kFinite);
-        EXPECT_TRUE(tensor::bitwise_equal(run_conv(*ks, g, in, w, bias),
-                                          run_conv(ref, g, in, w, bias)))
-            << name << " conv out_c=" << g.out_c
-            << " season=" << static_cast<int>(season);
+        for (const std::int64_t lim : act_limits(w, g.out_c, g.steps())) {
+          g.act_limit = lim;
+          EXPECT_TRUE(tensor::bitwise_equal(run_conv(*ks, g, in, w, bias),
+                                            run_conv(ref, g, in, w, bias)))
+              << name << " conv out_c=" << g.out_c
+              << " season=" << static_cast<int>(season)
+              << " act_limit=" << lim;
+        }
       }
-      for (const FcGeom& g : kFcGeoms) {
+      for (FcGeom g : kFcGeoms) {
         const auto in = awkward<T>(g.in, 31, season);
         const auto w = awkward<T>(g.out * g.in, 41, season);
         const auto bias = awkward<T>(g.out, 7, Season::kFinite);
-        EXPECT_TRUE(tensor::bitwise_equal(run_fc(*ks, g, in, w, bias),
-                                          run_fc(ref, g, in, w, bias)))
-            << name << " fc out=" << g.out
-            << " season=" << static_cast<int>(season);
+        for (const std::int64_t lim : act_limits(w, g.out, g.in)) {
+          g.act_limit = lim;
+          EXPECT_TRUE(tensor::bitwise_equal(run_fc(*ks, g, in, w, bias),
+                                            run_fc(ref, g, in, w, bias)))
+              << name << " fc out=" << g.out
+              << " season=" << static_cast<int>(season)
+              << " act_limit=" << lim;
+        }
       }
     }
     {
@@ -389,7 +414,7 @@ TYPED_TEST(KernelProperty, RegionCallsWriteExactlyTheRegion) {
     const KernelSet<T>* ks = kernel_set<T>(name);
     ASSERT_NE(ks, nullptr) << name;
     for (const Season season : {Season::kFinite, Season::kNaN}) {
-      for (const ConvGeom& g : kConvGeoms) {
+      for (ConvGeom g : kConvGeoms) {
         const auto in = awkward<T>(g.in_c * g.in_h * g.in_w, 11, season);
         const auto w = awkward<T>(g.out_c * g.steps(), 23, season);
         const auto bias = awkward<T>(g.out_c, 5, Season::kFinite);
@@ -399,15 +424,20 @@ TYPED_TEST(KernelProperty, RegionCallsWriteExactlyTheRegion) {
           pack_rows(w.data(), g.out_c, g.steps(), ks->pack_lanes,
                     packed.data());
         const Tensor<T> want = run_conv(ref, g, in, w, bias);
-        for (const Region& r : test_regions(g.out_c, g.out_h, g.out_w, 3)) {
-          expect_region_only(
-              want, r,
-              [&](T* out) {
-                ks->conv(g, r, in.data(), w.data(),
-                         packed.empty() ? nullptr : packed.data(),
-                         bias.data(), out);
-              },
-              std::string(name) + " conv out_c=" + std::to_string(g.out_c));
+        for (const std::int64_t lim : act_limits(w, g.out_c, g.steps())) {
+          g.act_limit = lim;
+          for (const Region& r : test_regions(g.out_c, g.out_h, g.out_w, 3)) {
+            expect_region_only(
+                want, r,
+                [&](T* out) {
+                  ks->conv(g, r, in.data(), w.data(),
+                           packed.empty() ? nullptr : packed.data(),
+                           bias.data(), out);
+                },
+                std::string(name) + " conv out_c=" +
+                    std::to_string(g.out_c) +
+                    " act_limit=" + std::to_string(lim));
+          }
         }
       }
       for (const LrnGeom& g : kLrnGeoms) {
@@ -789,19 +819,220 @@ TYPED_TEST(FixedSaturation, EverySetMatchesScalarAtRawExtremes) {
   const auto r0 = static_cast<std::int64_t>(fc_want[0].raw());
   EXPECT_GT(r0, static_cast<std::int64_t>(T::kRawMin));
   EXPECT_LT(r0, static_cast<std::int64_t>(T::kRawMax));
+  // The raw-extreme weights and activations fail the bound: with the
+  // plan's act_limit as with 0, every set must take the saturating body.
   for (const char* name : registered_names<T>()) {
     const KernelSet<T>* ks = kernel_set<T>(name);
     ASSERT_NE(ks, nullptr) << name;
-    EXPECT_TRUE(tensor::bitwise_equal(run_fc(*ks, fg, fin, fw, fbias),
-                                      fc_want))
-        << name << " fc";
-    EXPECT_TRUE(tensor::bitwise_equal(run_conv(*ks, cg, cin, fw, fbias),
-                                      conv_want))
-        << name << " conv";
+    for (const std::int64_t lim : act_limits(fw, fg.out, fg.in)) {
+      FcGeom fgl = fg;
+      ConvGeom cgl = cg;
+      fgl.act_limit = cgl.act_limit = lim;
+      EXPECT_TRUE(tensor::bitwise_equal(run_fc(*ks, fgl, fin, fw, fbias),
+                                        fc_want))
+          << name << " fc act_limit=" << lim;
+      EXPECT_TRUE(tensor::bitwise_equal(run_conv(*ks, cgl, cin, fw, fbias),
+                                        conv_want))
+          << name << " conv act_limit=" << lim;
+    }
     Tensor<T> a(Shape{1, 1, 1, rin.size()}), b(Shape{1, 1, 1, rin.size()});
     ks->relu(rin.data(), a.data().data(), rin.size());
     ref.relu(rin.data(), b.data().data(), rin.size());
     EXPECT_TRUE(tensor::bitwise_equal(a, b)) << name << " relu";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The weight-sum bound (kernels.h, fixed point): fixed_act_limit promises
+// that activations within +-limit never make a row's reference chain
+// saturate, and the avx512 conv and FC then run their lane-blocks without
+// the per-tap saturation. The comparisons above run at act_limit 0 and at
+// the plan's limit; the tests below check the promise itself and the conv
+// call's scan of its input window.
+// ---------------------------------------------------------------------------
+
+/// Row `w` (n taps)'s reference chain over activations `a`, as the raw int64
+/// arithmetic of Fixed::operator* then operator+: true when a product or a
+/// prefix sum left [RawMin, RawMax], i.e. when a saturation fired. The
+/// modelled chain must end where T's own operators end.
+template <typename T>
+bool chain_saturates(const T* w, const std::vector<T>& a) {
+  constexpr std::int64_t kHalf = std::int64_t{1} << (T::kFraction - 1);
+  const auto clamp = [](std::int64_t v, bool& fired) {
+    if (v > T::kRawMax || v < T::kRawMin) {
+      fired = true;
+      return v > T::kRawMax ? std::int64_t{T::kRawMax}
+                            : std::int64_t{T::kRawMin};
+    }
+    return v;
+  };
+  bool fired = false;
+  std::int64_t acc = 0;
+  T ref = raw_fx<T>(0);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::int64_t p =
+        (std::int64_t{w[i].raw()} * a[i].raw() + kHalf) >> T::kFraction;
+    acc = clamp(acc + clamp(p, fired), fired);
+    const T product = w[i] * a[i];
+    ref += product;
+  }
+  EXPECT_EQ(acc, std::int64_t{ref.raw()});
+  return fired;
+}
+
+/// A raw value drawn uniformly from [-bound, bound].
+std::int64_t draw_raw(Rng& rng, std::int64_t bound) {
+  return static_cast<std::int64_t>(
+             rng() % static_cast<std::uint64_t>(2 * bound + 1)) -
+         bound;
+}
+
+// Random small weight matrices at every magnitude scale. Activations drawn
+// within +-limit (uniformly, and the worst case: the limit with each
+// weight's sign on the row of largest sum |w|) never saturate the reference
+// chain, and every set handed that limit matches the scalar reference.
+// Activations drawn at any scale up to the raw extremes saturate it only
+// when some |a| exceeds the limit.
+TYPED_TEST(FixedSaturation, ActLimitProvesNoSaturation) {
+  using T = TypeParam;
+  constexpr int kBits = 8 * static_cast<int>(sizeof(typename T::raw_type));
+  const KernelSet<T>& ref = scalar_kernels<T>();
+  Rng rng(2017);
+  std::size_t saturated = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    // Up to two 8-lane blocks plus a tail (one 16-lane block plus 3).
+    const std::size_t rows = 1 + rng() % 19, cols = 1 + rng() % 40;
+    const std::int64_t wmax =
+        std::min<std::int64_t>(T::kRawMax, std::int64_t{1} << rng() % kBits);
+    std::vector<T> w(rows * cols);
+    for (auto& v : w) v = raw_fx<T>(draw_raw(rng, wmax));
+    const std::int64_t lim = fixed_act_limit(w.data(), rows, cols);
+    ASSERT_GE(lim, 0);
+    const std::int64_t amax = std::min<std::int64_t>(lim, T::kRawMax);
+    std::size_t worst = 0;  // the row of largest sum |w|
+    std::int64_t worst_sum = -1;
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::int64_t sum = 0;
+      for (std::size_t c = 0; c < cols; ++c)
+        sum += std::abs(std::int64_t{w[r * cols + c].raw()});
+      if (sum > worst_sum) {
+        worst = r;
+        worst_sum = sum;
+      }
+    }
+    std::vector<T> uniform(cols), signed_limit(cols), any(cols);
+    for (std::size_t c = 0; c < cols; ++c) {
+      uniform[c] = raw_fx<T>(draw_raw(rng, amax));
+      signed_limit[c] =
+          raw_fx<T>(w[worst * cols + c].raw() < 0 ? -amax : amax);
+      const std::int64_t scale = std::min<std::int64_t>(
+          T::kRawMax, std::int64_t{1} << rng() % kBits);
+      any[c] = raw_fx<T>(rng() % 16 == 0 ? std::int64_t{T::kRawMin}
+                                         : draw_raw(rng, scale));
+    }
+    const std::vector<T> bias(rows, raw_fx<T>(0));
+    for (const auto* a : {&uniform, &signed_limit}) {
+      for (std::size_t r = 0; r < rows; ++r)
+        ASSERT_FALSE(chain_saturates(w.data() + r * cols, *a))
+            << "iter " << iter << " row " << r << " limit " << lim;
+      const FcGeom g{cols, rows, lim};
+      const Tensor<T> want = run_fc(ref, g, *a, w, bias);
+      for (const char* name : registered_names<T>())
+        EXPECT_TRUE(tensor::bitwise_equal(
+            run_fc(*kernel_set<T>(name), g, *a, w, bias), want))
+            << name << " iter " << iter;
+    }
+    std::int64_t any_max = 0;
+    for (const T& v : any)
+      any_max = std::max(any_max, std::abs(std::int64_t{v.raw()}));
+    for (std::size_t r = 0; r < rows; ++r)
+      if (chain_saturates(w.data() + r * cols, any)) {
+        ++saturated;
+        EXPECT_GT(any_max, lim) << "iter " << iter << " row " << r;
+      }
+  }
+  EXPECT_GT(saturated, 0u) << "no draw saturated: the converse went untested";
+}
+
+// The conv scan must cover every input row and column a region reads. A
+// strided, padded region call whose only over-limit activation sits on the
+// first or last row, or the first or last column, of the region's input
+// window must take the saturating body. Channel 0's taps weigh 2 and read
+// zeros except for one planted kRawMax, whose product saturates; channel
+// 1's taps weigh -1 and read the limit, pulling the sum back below kRawMax.
+// The unsaturated chain would end at kRawMax instead.
+TYPED_TEST(FixedSaturation, RegionScanCoversTheWindowEdges) {
+  using T = TypeParam;
+  constexpr std::int64_t kOne = std::int64_t{1} << T::kFraction;
+  // 11x11 input, k3 s2 p1: 6x6 output. Output rows and columns [1, 4)
+  // read input rows and columns [1, 8).
+  ConvGeom g{2, 11, 11, 16, 6, 6, 3, 2, 1};
+  const Region r{0, 16, 1, 4, 1, 4};
+  const std::size_t plane = g.in_h * g.in_w, taps = g.k * g.k;
+  std::vector<T> w(g.out_c * g.steps());
+  for (std::size_t o = 0; o < g.out_c; ++o)
+    for (std::size_t t = 0; t < g.steps(); ++t)
+      w[o * g.steps() + t] = raw_fx<T>(t < taps ? 2 * kOne : -kOne);
+  g.act_limit = fixed_act_limit(w.data(), g.out_c, g.steps());
+  ASSERT_GT(g.act_limit, 0);
+  ASSERT_LT(g.act_limit, std::int64_t{T::kRawMax});
+  const std::vector<T> bias(g.out_c, raw_fx<T>(0));
+  std::vector<T> base(g.in_c * plane, raw_fx<T>(0));
+  for (std::size_t p = 0; p < plane; ++p)
+    base[plane + p] = raw_fx<T>(g.act_limit);
+  const Tensor<T> want_base = run_conv(scalar_kernels<T>(), g, base, w, bias);
+  const std::size_t edges[][2] = {{1, 4}, {7, 4}, {4, 1}, {4, 7}};  // y, x
+  for (const auto& e : edges) {
+    std::vector<T> in = base;
+    in[e[0] * g.in_w + e[1]] = raw_fx<T>(T::kRawMax);
+    const Tensor<T> want = run_conv(scalar_kernels<T>(), g, in, w, bias);
+    ASSERT_FALSE(tensor::bitwise_equal(want, want_base))
+        << "the planted activation must reach the output";
+    for (const char* name : registered_names<T>()) {
+      const KernelSet<T>* ks = kernel_set<T>(name);
+      std::vector<T> packed(packed_elems(g.out_c, g.steps(), ks->pack_lanes));
+      if (!packed.empty())
+        pack_rows(w.data(), g.out_c, g.steps(), ks->pack_lanes,
+                  packed.data());
+      expect_region_only(
+          want, r,
+          [&](T* out) {
+            ks->conv(g, r, in.data(), w.data(),
+                     packed.empty() ? nullptr : packed.data(), bias.data(),
+                     out);
+          },
+          std::string(name) + " planted at y=" + std::to_string(e[0]) +
+              " x=" + std::to_string(e[1]));
+    }
+  }
+}
+
+// The FC scan must cover all `in` activations, across its 64-element
+// chunks. The only over-limit activation (kRawMax, weight 2: its product
+// saturates) sits first, last, or either side of a chunk boundary; every
+// other tap weighs -1 and reads the limit, so the saturated chain ends below
+// kRawMax and the unsaturated one at kRawMax.
+TYPED_TEST(FixedSaturation, FcScanCoversEveryInput) {
+  using T = TypeParam;
+  constexpr std::int64_t kOne = std::int64_t{1} << T::kFraction;
+  FcGeom g{130, 16};
+  const std::vector<T> bias(g.out, raw_fx<T>(0));
+  for (const std::size_t pos : {std::size_t{0}, std::size_t{63},
+                                std::size_t{64}, g.in - 1}) {
+    std::vector<T> w(g.out * g.in);
+    for (std::size_t o = 0; o < g.out; ++o)
+      for (std::size_t i = 0; i < g.in; ++i)
+        w[o * g.in + i] = raw_fx<T>(i == pos ? 2 * kOne : -kOne);
+    g.act_limit = fixed_act_limit(w.data(), g.out, g.in);
+    ASSERT_GT(g.act_limit, 0);
+    std::vector<T> in(g.in, raw_fx<T>(g.act_limit));
+    in[pos] = raw_fx<T>(T::kRawMax);
+    const Tensor<T> want = run_fc(scalar_kernels<T>(), g, in, w, bias);
+    ASSERT_LT(std::int64_t{want[0].raw()}, std::int64_t{T::kRawMax});
+    for (const char* name : registered_names<T>())
+      EXPECT_TRUE(tensor::bitwise_equal(
+          run_fc(*kernel_set<T>(name), g, in, w, bias), want))
+          << name << " planted at " << pos;
   }
 }
 
@@ -878,32 +1109,40 @@ TYPED_TEST(FixedSaturation, WeightReadsStayInsideTheArray) {
       call(w.data(), np > 0 ? wp.data() : nullptr);
     };
     for (const bool guard_after : {true, false}) {
-      for (const ConvGeom& g : convs) {
+      for (ConvGeom g : convs) {
         const auto wv = weights(g.out_c * g.steps(), 23);
         const auto in = awkward<T>(g.in_c * g.in_h * g.in_w, 11,
                                    Season::kFinite);
         const auto bias = awkward<T>(g.out_c, 5, Season::kFinite);
-        Tensor<T> got(Shape{1, g.out_c, g.out_h, g.out_w});
-        guarded(wv, g.out_c, g.steps(), guard_after,
-                [&](const T* w, const T* wp) {
-                  ks->conv(g, g.full(), in.data(), w, wp, bias.data(),
-                           got.data().data());
-                });
-        EXPECT_TRUE(tensor::bitwise_equal(
-            got, run_conv(scalar_kernels<T>(), g, in, wv, bias)))
-            << name << " conv out_c=" << g.out_c;
+        for (const std::int64_t lim : act_limits(wv, g.out_c, g.steps())) {
+          g.act_limit = lim;
+          Tensor<T> got(Shape{1, g.out_c, g.out_h, g.out_w});
+          guarded(wv, g.out_c, g.steps(), guard_after,
+                  [&](const T* w, const T* wp) {
+                    ks->conv(g, g.full(), in.data(), w, wp, bias.data(),
+                             got.data().data());
+                  });
+          EXPECT_TRUE(tensor::bitwise_equal(
+              got, run_conv(scalar_kernels<T>(), g, in, wv, bias)))
+              << name << " conv out_c=" << g.out_c << " act_limit=" << lim;
+        }
       }
-      for (const FcGeom& g : fcs) {
+      for (FcGeom g : fcs) {
         const auto wv = weights(g.out * g.in, 41);
         const auto in = awkward<T>(g.in, 31, Season::kFinite);
         const auto bias = awkward<T>(g.out, 7, Season::kFinite);
-        Tensor<T> got(Shape{1, g.out, 1, 1});
-        guarded(wv, g.out, g.in, guard_after, [&](const T* w, const T* wp) {
-          ks->fc(g, in.data(), w, wp, bias.data(), got.data().data());
-        });
-        EXPECT_TRUE(tensor::bitwise_equal(
-            got, run_fc(scalar_kernels<T>(), g, in, wv, bias)))
-            << name << " fc out=" << g.out;
+        for (const std::int64_t lim : act_limits(wv, g.out, g.in)) {
+          g.act_limit = lim;
+          Tensor<T> got(Shape{1, g.out, 1, 1});
+          guarded(wv, g.out, g.in, guard_after,
+                  [&](const T* w, const T* wp) {
+                    ks->fc(g, in.data(), w, wp, bias.data(),
+                           got.data().data());
+                  });
+          EXPECT_TRUE(tensor::bitwise_equal(
+              got, run_fc(scalar_kernels<T>(), g, in, wv, bias)))
+              << name << " fc out=" << g.out << " act_limit=" << lim;
+        }
       }
     }
   }
