@@ -212,7 +212,7 @@ class ActivationCache {
 
   /// Runs the fault-free forward pass for `input`, storing every layer
   /// boundary. Layer outputs are bit-identical to an Executor plain run
-  /// (same forward calls on the same values, in the same order).
+  /// (same exec_step calls on the same values, in the same order).
   void build(const ExecutionPlan<T>& plan, ConstTensorView<T> input);
 
   /// build() in two halves, so a caller can allocate on its own thread and

@@ -295,28 +295,6 @@ template <typename T>
 std::int64_t fixed_act_limit(const T* w, std::size_t rows,
                              std::size_t cols) noexcept;
 
-/// Dispatch helpers for layer-level call sites. conv_forward and
-/// fc_forward have no plan, so no packed copy, and run the scalar
-/// reference; the rest run the active set. Every set being bit-identical,
-/// this is indistinguishable from the Executor's packed path.
-template <typename T>
-void conv_forward(const ConvGeom& g, const T* in, const T* w, const T* bias,
-                  T* out);
-template <typename T>
-void fc_forward(const FcGeom& g, const T* in, const T* w, const T* bias,
-                T* out);
-template <typename T>
-void relu_forward(const T* in, T* out, std::size_t n);
-template <typename T>
-void lrn_forward(const LrnGeom& g, const T* in, T* out);
-template <typename T>
-void maxpool_forward(const PoolGeom& g, const T* in, T* out);
-template <typename T>
-void avgpool_forward(const T* in, T* out, std::size_t channels,
-                     std::size_t plane);
-template <typename T>
-void softmax_forward(const T* in, T* out, std::size_t n);
-
 #define DNNFI_KERNELS_EXTERN(T)                                             \
   extern template const KernelSet<T>& scalar_kernels<T>() noexcept;         \
   extern template const KernelSet<T>& active_kernels<T>() noexcept;         \
@@ -324,17 +302,7 @@ void softmax_forward(const T* in, T* out, std::size_t n);
       noexcept;                                                             \
   extern template std::vector<const char*> registered_names<T>();           \
   extern template void pack_rows<T>(const T*, std::size_t, std::size_t,     \
-                                    std::size_t, T*);                       \
-  extern template void conv_forward<T>(const ConvGeom&, const T*, const T*, \
-                                       const T*, T*);                       \
-  extern template void fc_forward<T>(const FcGeom&, const T*, const T*,     \
-                                     const T*, T*);                         \
-  extern template void relu_forward<T>(const T*, T*, std::size_t);          \
-  extern template void lrn_forward<T>(const LrnGeom&, const T*, T*);        \
-  extern template void maxpool_forward<T>(const PoolGeom&, const T*, T*);   \
-  extern template void avgpool_forward<T>(const T*, T*, std::size_t,        \
-                                          std::size_t);                     \
-  extern template void softmax_forward<T>(const T*, T*, std::size_t)
+                                    std::size_t, T*)
 
 DNNFI_KERNELS_EXTERN(double);
 DNNFI_KERNELS_EXTERN(float);

@@ -1,5 +1,5 @@
 // Kernel registry: mode resolution (DNNFI_KERNELS + CPUID), per-type set
-// lookup, the packed-layout transform, and the layer-level dispatch helpers.
+// lookup, and the packed-layout transform.
 // Compiled without SIMD flags: every COMDAT-eligible template this TU
 // instantiates (kernel_scalar.h, kernels.h) gets safe baseline codegen.
 #include "dnnfi/dnn/kernels/kernels.h"
@@ -352,60 +352,13 @@ template std::int64_t fixed_act_limit<numeric::Fx32r10>(
 template std::int64_t fixed_act_limit<numeric::Fx16r10>(
     const numeric::Fx16r10*, std::size_t, std::size_t) noexcept;
 
-template <typename T>
-void conv_forward(const ConvGeom& g, const T* in, const T* w, const T* bias,
-                  T* out) {
-  scalar_conv<T>(g, g.full(), in, w, nullptr, bias, out);
-}
-
-template <typename T>
-void fc_forward(const FcGeom& g, const T* in, const T* w, const T* bias,
-                T* out) {
-  scalar_fc<T>(g, in, w, nullptr, bias, out);
-}
-
-template <typename T>
-void relu_forward(const T* in, T* out, std::size_t n) {
-  active_kernels<T>().relu(in, out, n);
-}
-
-template <typename T>
-void lrn_forward(const LrnGeom& g, const T* in, T* out) {
-  active_kernels<T>().lrn(g, g.full(), in, out);
-}
-
-template <typename T>
-void maxpool_forward(const PoolGeom& g, const T* in, T* out) {
-  active_kernels<T>().maxpool(g, g.full(), in, out);
-}
-
-template <typename T>
-void avgpool_forward(const T* in, T* out, std::size_t channels,
-                     std::size_t plane) {
-  active_kernels<T>().avgpool(in, out, channels, plane);
-}
-
-template <typename T>
-void softmax_forward(const T* in, T* out, std::size_t n) {
-  active_kernels<T>().softmax(in, out, n);
-}
-
 #define DNNFI_KERNELS_INSTANTIATE(T)                                        \
   template const KernelSet<T>& scalar_kernels<T>() noexcept;                \
   template const KernelSet<T>& active_kernels<T>() noexcept;                \
   template const KernelSet<T>* kernel_set<T>(std::string_view) noexcept;    \
   template std::vector<const char*> registered_names<T>();                  \
   template void pack_rows<T>(const T*, std::size_t, std::size_t,            \
-                             std::size_t, T*);                              \
-  template void conv_forward<T>(const ConvGeom&, const T*, const T*,        \
-                                const T*, T*);                              \
-  template void fc_forward<T>(const FcGeom&, const T*, const T*, const T*,  \
-                              T*);                                          \
-  template void relu_forward<T>(const T*, T*, std::size_t);                 \
-  template void lrn_forward<T>(const LrnGeom&, const T*, T*);               \
-  template void maxpool_forward<T>(const PoolGeom&, const T*, T*);          \
-  template void avgpool_forward<T>(const T*, T*, std::size_t, std::size_t); \
-  template void softmax_forward<T>(const T*, T*, std::size_t)
+                             std::size_t, T*)
 
 DNNFI_KERNELS_INSTANTIATE(double);
 DNNFI_KERNELS_INSTANTIATE(float);

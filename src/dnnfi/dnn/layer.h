@@ -2,10 +2,11 @@
 // that MAC arithmetic (including fixed-point saturation and binary16
 // rounding) happens exactly as the modeled accelerator would perform it.
 //
-// The primitive compute interface works on TensorViews so the executor can
-// run whole networks out of a preallocated Workspace arena; the Tensor
-// overloads below are convenience wrappers that resize the destination and
-// dispatch to the view path.
+// A layer describes itself (shape, MACs, parameters) and owns the two
+// per-layer computations the plan cannot do for it: patching fault-struck
+// outputs (apply_faults) and backpropagation (backward). Its fault-free
+// forward pass is a step of the network's ExecutionPlan (executor.h), the
+// one route to the kernels for campaigns and the trainer alike.
 #pragma once
 
 #include <cstddef>
@@ -67,13 +68,6 @@ class Layer {
 
   virtual Shape out_shape(const Shape& in) const = 0;
 
-  /// Computes the fault-free `out` from `in`. `out` must already have
-  /// shape out_shape(in.shape()); the caller (executor or Tensor wrapper) is
-  /// responsible for sizing it. Thread-safe: forward is const,
-  /// allocation-free, and uses no hidden mutable state. `in` and `out` must
-  /// not alias.
-  virtual void forward(ConstTensorView<T> in, TensorView<T> out) const = 0;
-
   /// Applies `faults` bit-exactly, assuming `out` already holds the
   /// fault-free output for `in` (patches only affected elements), and, if
   /// `rec` is non-null, documents what it did. The rewritten outputs' MAC
@@ -87,24 +81,11 @@ class Layer {
     DNNFI_EXPECTS(false);
   }
 
-  /// Tensor convenience wrappers: resize `out` then run the view path (on
-  /// the scalar reference set, for apply_faults).
-  /// Derived classes pull these in with `using Layer<T>::forward;`.
-  void forward(const Tensor<T>& in, Tensor<T>& out) const {
-    out.reshape(out_shape(in.shape()));
-    forward(in.view(), out.view());
-  }
-  void apply_faults(const Tensor<T>& in, Tensor<T>& out,
-                    const LayerFaults& faults, InjectionRecord* rec) const {
-    DNNFI_EXPECTS(out.shape() == out_shape(in.shape()));
-    apply_faults(in.view(), out.view(), faults, rec,
-                 kernels::scalar_kernels<T>());
-  }
-
   /// Backpropagation (used by the float trainer): given the layer input,
-  /// its output, and dLoss/dOut, computes dLoss/dIn and accumulates weight /
-  /// bias gradients. Layers without parameters ignore gw/gb.
-  virtual void backward(const Tensor<T>& in, const Tensor<T>& out,
+  /// its output (both read in place, e.g. from an ActivationCache), and
+  /// dLoss/dOut, computes dLoss/dIn and accumulates weight / bias
+  /// gradients. Layers without parameters ignore gw/gb.
+  virtual void backward(ConstTensorView<T> in, ConstTensorView<T> out,
                         const Tensor<T>& gout, Tensor<T>& gin,
                         std::span<T> gw, std::span<T> gb) const = 0;
 

@@ -11,7 +11,8 @@
 // averaging, winner selection, range compression) acts on T-typed inputs,
 // which it does here.
 //
-// All forward/apply_faults paths are allocation-free: they write into a
+// The fault-free forward of every layer is a step of the network's
+// ExecutionPlan (executor.h). apply_faults is allocation-free: it patches a
 // caller-sized output view, so the executor can drive a whole campaign out
 // of one arena.
 #pragma once
@@ -206,8 +207,6 @@ std::optional<T> diverged_output(const kernels::KernelSet<T>& ks, const T* w,
 template <typename T>
 class Conv2d final : public Layer<T> {
  public:
-  using Layer<T>::forward;
-  using Layer<T>::apply_faults;
 
   Conv2d(std::string name, int block, std::size_t in_c, std::size_t out_c,
          std::size_t k, std::size_t stride, std::size_t pad)
@@ -247,17 +246,6 @@ class Conv2d final : public Layer<T> {
   /// Kernel geometry for this layer under the given input/output shapes.
   kernels::ConvGeom geom(const Shape& in, const Shape& os) const noexcept {
     return {in.c, in.h, in.w, os.c, os.h, os.w, k_, stride_, pad_};
-  }
-
-  void forward(ConstTensorView<T> in, TensorView<T> out) const override {
-    const Shape os = out.shape();
-    DNNFI_EXPECTS(os == out_shape(in.shape()));
-    // Fault-free pass on the scalar reference (every SIMD set is
-    // bit-identical to it). The compiled Executor path routes through
-    // ExecutionPlan::exec_step instead, which adds the packed-weight layout.
-    kernels::conv_forward<T>(geom(in.shape(), os), in.data().data(),
-                             weights_.data().data(), bias_.data(),
-                             out.data().data());
   }
 
   void apply_faults(ConstTensorView<T> in, TensorView<T> out,
@@ -337,7 +325,7 @@ class Conv2d final : public Layer<T> {
     }
   }
 
-  void backward(const Tensor<T>& in, const Tensor<T>& /*out*/,
+  void backward(ConstTensorView<T> in, ConstTensorView<T> /*out*/,
                 const Tensor<T>& gout, Tensor<T>& gin, std::span<T> gw,
                 std::span<T> gb) const override {
     DNNFI_EXPECTS(gw.size() == weights_.size() && gb.size() == bias_.size());
@@ -431,8 +419,6 @@ class Conv2d final : public Layer<T> {
 template <typename T>
 class FullyConnected final : public Layer<T> {
  public:
-  using Layer<T>::forward;
-  using Layer<T>::apply_faults;
 
   FullyConnected(std::string name, int block, std::size_t in_features,
                  std::size_t out_features)
@@ -462,14 +448,6 @@ class FullyConnected final : public Layer<T> {
   std::span<const T> weights() const override { return weights_.data(); }
   std::span<T> biases() override { return bias_; }
   std::span<const T> biases() const override { return bias_; }
-
-  void forward(ConstTensorView<T> in, TensorView<T> out) const override {
-    DNNFI_EXPECTS(in.size() == in_ && out.size() == out_);
-    // Fault-free pass on the scalar reference.
-    kernels::fc_forward<T>({in_, out_}, in.data().data(),
-                           weights_.data().data(), bias_.data(),
-                           out.data().data());
-  }
 
   void apply_faults(ConstTensorView<T> in, TensorView<T> out,
                     const LayerFaults& faults, InjectionRecord* rec,
@@ -519,7 +497,7 @@ class FullyConnected final : public Layer<T> {
     }
   }
 
-  void backward(const Tensor<T>& in, const Tensor<T>& /*out*/,
+  void backward(ConstTensorView<T> in, ConstTensorView<T> /*out*/,
                 const Tensor<T>& gout, Tensor<T>& gin, std::span<T> gw,
                 std::span<T> gb) const override {
     DNNFI_EXPECTS(gw.size() == weights_.size() && gb.size() == bias_.size());
@@ -565,17 +543,12 @@ template <typename T>
 class Relu final : public Layer<T> {
  public:
   using Layer<T>::Layer;
-  using Layer<T>::forward;
   LayerKind kind() const noexcept override { return LayerKind::kRelu; }
   Shape out_shape(const Shape& in) const override { return in; }
 
-  void forward(ConstTensorView<T> in, TensorView<T> out) const override {
-    DNNFI_EXPECTS(out.size() == in.size());
-    kernels::relu_forward<T>(in.data().data(), out.data().data(), in.size());
-  }
-
-  void backward(const Tensor<T>& in, const Tensor<T>&, const Tensor<T>& gout,
-                Tensor<T>& gin, std::span<T>, std::span<T>) const override {
+  void backward(ConstTensorView<T> in, ConstTensorView<T>,
+                const Tensor<T>& gout, Tensor<T>& gin, std::span<T>,
+                std::span<T>) const override {
     if (gin.shape() != in.shape()) gin.reshape(in.shape());
     const T zero{};
     for (std::size_t i = 0; i < in.size(); ++i)
@@ -588,7 +561,6 @@ class Relu final : public Layer<T> {
 template <typename T>
 class MaxPool2d final : public Layer<T> {
  public:
-  using Layer<T>::forward;
 
   MaxPool2d(std::string name, int block, std::size_t k, std::size_t stride)
       : Layer<T>(std::move(name), block), k_(k), stride_(stride) {
@@ -603,17 +575,9 @@ class MaxPool2d final : public Layer<T> {
                        (in.w - k_) / stride_ + 1);
   }
 
-  void forward(ConstTensorView<T> in, TensorView<T> out) const override {
-    const Shape& is = in.shape();
-    const Shape os = out.shape();
-    DNNFI_EXPECTS(os == out_shape(is));
-    kernels::maxpool_forward<T>(
-        kernels::PoolGeom{os.c, is.h, is.w, os.h, os.w, k_, stride_},
-        in.data().data(), out.data().data());
-  }
-
-  void backward(const Tensor<T>& in, const Tensor<T>&, const Tensor<T>& gout,
-                Tensor<T>& gin, std::span<T>, std::span<T>) const override {
+  void backward(ConstTensorView<T> in, ConstTensorView<T>,
+                const Tensor<T>& gout, Tensor<T>& gin, std::span<T>,
+                std::span<T>) const override {
     const Shape os = gout.shape();
     if (gin.shape() != in.shape()) gin.reshape(in.shape());
     gin.fill(T{});
@@ -621,7 +585,7 @@ class MaxPool2d final : public Layer<T> {
       for (std::size_t oy = 0; oy < os.h; ++oy)
         for (std::size_t ox = 0; ox < os.w; ++ox) {
           // Route gradient to the window argmax (first maximum wins ties,
-          // matching forward's strict-greater comparison).
+          // matching the maxpool kernel's strict-greater comparison).
           std::size_t by = oy * stride_, bx = ox * stride_;
           T best = in.at(0, c, by, bx);
           for (std::size_t ky = 0; ky < k_; ++ky)
@@ -651,7 +615,6 @@ class MaxPool2d final : public Layer<T> {
 template <typename T>
 class Lrn final : public Layer<T> {
  public:
-  using Layer<T>::forward;
 
   Lrn(std::string name, int block, std::size_t size, double alpha, double beta,
       double k)
@@ -666,16 +629,9 @@ class Lrn final : public Layer<T> {
   LayerKind kind() const noexcept override { return LayerKind::kLrn; }
   Shape out_shape(const Shape& in) const override { return in; }
 
-  void forward(ConstTensorView<T> in, TensorView<T> out) const override {
-    const Shape& is = in.shape();
-    DNNFI_EXPECTS(out.size() == in.size());
-    kernels::lrn_forward<T>(
-        kernels::LrnGeom{is.c, is.h, is.w, size_, alpha_, beta_, k_},
-        in.data().data(), out.data().data());
-  }
-
-  void backward(const Tensor<T>& in, const Tensor<T>&, const Tensor<T>& gout,
-                Tensor<T>& gin, std::span<T>, std::span<T>) const override {
+  void backward(ConstTensorView<T> in, ConstTensorView<T>,
+                const Tensor<T>& gout, Tensor<T>& gin, std::span<T>,
+                std::span<T>) const override {
     const Shape& is = in.shape();
     if (gin.shape() != is) gin.reshape(is);
     const std::ptrdiff_t half = static_cast<std::ptrdiff_t>(size_ / 2);
@@ -736,25 +692,18 @@ class Lrn final : public Layer<T> {
 
 /// Numerically stabilized softmax over the flattened input. Produces the
 /// per-class confidence scores used by the SDC-10%/SDC-20% criteria.
-/// Forward dispatches to the kernel registry (max, exp-sum, normalize
-/// passes; see kernel_scalar.h for the reference semantics).
+/// The plan's softmax kernel computes it (max, exp-sum, normalize passes;
+/// see kernel_scalar.h for the reference semantics).
 template <typename T>
 class Softmax final : public Layer<T> {
  public:
   using Layer<T>::Layer;
-  using Layer<T>::forward;
   LayerKind kind() const noexcept override { return LayerKind::kSoftmax; }
   Shape out_shape(const Shape& in) const override {
     return tensor::vec(in.size());
   }
 
-  void forward(ConstTensorView<T> in, TensorView<T> out) const override {
-    DNNFI_EXPECTS(out.size() == in.size());
-    kernels::softmax_forward<T>(in.data().data(), out.data().data(),
-                                in.size());
-  }
-
-  void backward(const Tensor<T>& /*in*/, const Tensor<T>& out,
+  void backward(ConstTensorView<T> /*in*/, ConstTensorView<T> out,
                 const Tensor<T>& gout, Tensor<T>& gin, std::span<T>,
                 std::span<T>) const override {
     if (gin.shape() != out.shape()) gin.reshape(out.shape());
@@ -773,19 +722,12 @@ template <typename T>
 class GlobalAvgPool final : public Layer<T> {
  public:
   using Layer<T>::Layer;
-  using Layer<T>::forward;
   LayerKind kind() const noexcept override { return LayerKind::kGlobalAvgPool; }
   Shape out_shape(const Shape& in) const override { return tensor::vec(in.c); }
 
-  void forward(ConstTensorView<T> in, TensorView<T> out) const override {
-    const Shape& is = in.shape();
-    DNNFI_EXPECTS(out.size() == is.c);
-    kernels::avgpool_forward<T>(in.data().data(), out.data().data(), is.c,
-                                is.h * is.w);
-  }
-
-  void backward(const Tensor<T>& in, const Tensor<T>&, const Tensor<T>& gout,
-                Tensor<T>& gin, std::span<T>, std::span<T>) const override {
+  void backward(ConstTensorView<T> in, ConstTensorView<T>,
+                const Tensor<T>& gout, Tensor<T>& gin, std::span<T>,
+                std::span<T>) const override {
     const Shape& is = in.shape();
     if (gin.shape() != is) gin.reshape(is);
     const double inv = 1.0 / static_cast<double>(is.h * is.w);

@@ -8,24 +8,24 @@
 
 #include "dnnfi/common/rng.h"
 #include "dnnfi/common/thread_pool.h"
+#include "dnnfi/dnn/executor.h"
 
 namespace dnnfi::dnn {
 
 namespace {
 
-/// Per-worker forward/backward scratch: activations, gradients, and
-/// parameter-gradient accumulators.
-struct Workspace {
-  std::vector<Tensor<float>> acts;    // output of each layer
+/// One accumulation lane's scratch: the plan's activations of its current
+/// example, gradients, and parameter-gradient accumulators.
+struct Lane {
+  ActivationCache<float> cache;
   std::vector<Tensor<float>> grads;   // grad w.r.t. each layer output
   std::vector<std::vector<float>> gw; // per-layer weight grads
   std::vector<std::vector<float>> gb; // per-layer bias grads
+  std::vector<double> p;              // softmax of the logits
   double loss_sum = 0;
   std::size_t correct = 0;
-  std::size_t count = 0;
 
-  explicit Workspace(const Network<float>& net) {
-    acts.resize(net.num_layers());
+  explicit Lane(const Network<float>& net) {
     grads.resize(net.num_layers() + 1);
     gw.resize(net.num_layers());
     gb.resize(net.num_layers());
@@ -40,7 +40,6 @@ struct Workspace {
     for (auto& g : gb) std::fill(g.begin(), g.end(), 0.0F);
     loss_sum = 0;
     correct = 0;
-    count = 0;
   }
 };
 
@@ -52,47 +51,56 @@ std::size_t train_depth(const Network<float>& net) {
   return n;
 }
 
-/// Forward to logits, then softmax-cross-entropy loss/gradient, then
-/// backward, accumulating parameter gradients into ws.
-void fwd_bwd(const Network<float>& net, const Example& ex, Workspace& ws) {
-  const std::size_t depth = train_depth(net);
-  const Tensor<float>* cur = &ex.image;
-  for (std::size_t i = 0; i < depth; ++i) {
-    net.layer(i).forward(*cur, ws.acts[i]);
-    cur = &ws.acts[i];
-  }
-  const Tensor<float>& logits = *cur;
-  const std::size_t k = logits.size();
-  DNNFI_EXPECTS(ex.label < k);
+/// The softmax-cross-entropy head's verdict on one example.
+struct HeadResult {
+  double loss = 0;
+  bool correct = false;
+};
 
-  // Stabilized softmax + cross-entropy.
+/// Stabilized softmax of `logits` in double precision into `p`, with the
+/// cross-entropy loss against `label` and whether the top-1 class (first
+/// maximum wins ties) is `label`.
+HeadResult softmax_head(ConstTensorView<float> logits, std::size_t label,
+                        std::vector<double>& p) {
+  const std::size_t k = logits.size();
+  DNNFI_EXPECTS(label < k);
   float mx = logits[0];
-  for (std::size_t i = 1; i < k; ++i) mx = std::max(mx, logits[i]);
+  std::size_t argmax = 0;
+  for (std::size_t i = 1; i < k; ++i) {
+    mx = std::max(mx, logits[i]);
+    if (logits[i] > logits[argmax]) argmax = i;
+  }
+  p.resize(k);
   double sum = 0;
-  std::vector<double> p(k);
   for (std::size_t i = 0; i < k; ++i) {
     p[i] = std::exp(static_cast<double>(logits[i] - mx));
     sum += p[i];
   }
-  std::size_t argmax = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    p[i] /= sum;
-    if (logits[i] > logits[argmax]) argmax = i;
-  }
-  ws.loss_sum += -std::log(std::max(p[ex.label], 1e-12));
-  ws.correct += (argmax == ex.label) ? 1U : 0U;
-  ws.count += 1;
+  for (double& v : p) v /= sum;
+  return {-std::log(std::max(p[label], 1e-12)), argmax == label};
+}
+
+/// Forward through the network's plan into the lane's activation cache,
+/// then softmax-cross-entropy loss/gradient, then backward, accumulating
+/// parameter gradients into the lane.
+void fwd_bwd(const Network<float>& net, const Example& ex, Lane& lane) {
+  const std::size_t depth = train_depth(net);
+  lane.cache.build(net.plan(), ex.image);
+  const ConstTensorView<float> logits = lane.cache.act(depth - 1);
+  const HeadResult head = softmax_head(logits, ex.label, lane.p);
+  lane.loss_sum += head.loss;
+  lane.correct += head.correct ? 1U : 0U;
 
   // dLoss/dLogits = p - onehot(label).
-  Tensor<float>& gtop = ws.grads[depth];
+  Tensor<float>& gtop = lane.grads[depth];
   if (gtop.shape() != logits.shape()) gtop.reshape(logits.shape());
-  for (std::size_t i = 0; i < k; ++i)
-    gtop[i] = static_cast<float>(p[i] - (i == ex.label ? 1.0 : 0.0));
+  for (std::size_t i = 0; i < logits.size(); ++i)
+    gtop[i] = static_cast<float>(lane.p[i] - (i == ex.label ? 1.0 : 0.0));
 
   for (std::size_t i = depth; i-- > 0;) {
-    const Tensor<float>& in = (i == 0) ? ex.image : ws.acts[i - 1];
-    net.layer(i).backward(in, ws.acts[i], ws.grads[i + 1], ws.grads[i],
-                          ws.gw[i], ws.gb[i]);
+    net.layer(i).backward(lane.cache.layer_input(i), lane.cache.act(i),
+                          lane.grads[i + 1], lane.grads[i], lane.gw[i],
+                          lane.gb[i]);
   }
 }
 
@@ -113,7 +121,7 @@ void train(Network<float>& net, const ExampleSource& source,
   // gradient summation order (and thus the trained model) is reproducible
   // on any machine.
   constexpr std::size_t kLanes = 8;
-  std::vector<Workspace> lanes;
+  std::vector<Lane> lanes;
   lanes.reserve(kLanes);
   for (std::size_t i = 0; i < kLanes; ++i) lanes.emplace_back(net);
 
@@ -136,9 +144,9 @@ void train(Network<float>& net, const ExampleSource& source,
 
       // Deterministic lane assignment: example -> lane by position.
       parallel_for(kLanes, [&](std::size_t lane_idx) {
-        Workspace& ws = lanes[lane_idx];
+        Lane& lane = lanes[lane_idx];
         for (std::size_t s = start + lane_idx; s < end; s += kLanes) {
-          fwd_bwd(net, source(order[s]), ws);
+          fwd_bwd(net, source(order[s]), lane);
         }
       });
 
@@ -188,28 +196,14 @@ EvalResult evaluate(const Network<float>& net, const ExampleSource& source,
   const std::size_t depth = train_depth(net);
   double loss = 0;
   std::size_t correct = 0;
-  Tensor<float> a, b;
+  ActivationCache<float> cache;
+  std::vector<double> p;
   for (std::size_t s = 0; s < count; ++s) {
     const Example ex = source(begin + s);
-    const Tensor<float>* cur = &ex.image;
-    for (std::size_t i = 0; i < depth; ++i) {
-      net.layer(i).forward(*cur, (i % 2 == 0) ? a : b);
-      cur = (i % 2 == 0) ? &a : &b;
-    }
-    const Tensor<float>& logits = *cur;
-    float mx = logits[0];
-    std::size_t argmax = 0;
-    for (std::size_t i = 1; i < logits.size(); ++i) {
-      if (logits[i] > logits[argmax]) argmax = i;
-      mx = std::max(mx, logits[i]);
-    }
-    double sum = 0;
-    for (std::size_t i = 0; i < logits.size(); ++i)
-      sum += std::exp(static_cast<double>(logits[i] - mx));
-    const double p_label =
-        std::exp(static_cast<double>(logits[ex.label] - mx)) / sum;
-    loss += -std::log(std::max(p_label, 1e-12));
-    correct += (argmax == ex.label) ? 1U : 0U;
+    cache.build(net.plan(), ex.image);
+    const HeadResult head = softmax_head(cache.act(depth - 1), ex.label, p);
+    loss += head.loss;
+    correct += head.correct ? 1U : 0U;
   }
   return {static_cast<double>(correct) / static_cast<double>(count),
           loss / static_cast<double>(count)};

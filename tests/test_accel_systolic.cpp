@@ -17,6 +17,7 @@
 #include "dnnfi/fault/descriptor.h"
 #include "dnnfi/fault/injector.h"
 #include "dnnfi/fault/sampler.h"
+#include "scalar_reference.h"
 
 namespace dnnfi {
 namespace {
@@ -248,8 +249,7 @@ template <typename Layer, typename T>
 void check_column_law(Layer& layer, const Tensor<T>& in, std::size_t cols,
                       std::size_t col, std::size_t first_out,
                       std::size_t step, const fault::FaultOp& op) {
-  Tensor<T> golden;
-  layer.forward(in, golden);
+  const Tensor<T> golden = dnn::scalar_ref::forward(layer, in);
   const auto& os = golden.shape();
   // Conv outputs map channel-plane-wise onto columns; FC outputs (flat
   // vec(n) shape, one element per output neuron) map element-wise.
@@ -265,7 +265,8 @@ void check_column_law(Layer& layer, const Tensor<T>& in, std::size_t cols,
   faults.column = cf;
   Tensor<T> faulty = golden;
   dnn::InjectionRecord rec;
-  layer.apply_faults(in, faulty, faults, &rec);
+  layer.apply_faults(in, faulty, faults, &rec,
+                     dnn::kernels::scalar_kernels<T>());
   EXPECT_TRUE(rec.applied);
 
   using Tr = numeric::numeric_traits<T>;
@@ -285,7 +286,8 @@ void check_column_law(Layer& layer, const Tensor<T>& in, std::size_t cols,
     mf.op = op;
     single.mac = mf;
     Tensor<T> expect = golden;
-    layer.apply_faults(in, expect, single, nullptr);
+    layer.apply_faults(in, expect, single, nullptr,
+                       dnn::kernels::scalar_kernels<T>());
     EXPECT_EQ(Tr::to_bits(faulty[e]), Tr::to_bits(expect[e]))
         << "element " << e << " differs from the per-element oracle";
   }

@@ -9,6 +9,7 @@
 
 #include "dnnfi/common/rng.h"
 #include "dnnfi/dnn/layers.h"
+#include "scalar_reference.h"
 
 namespace dnnfi::dnn {
 namespace {
@@ -47,8 +48,7 @@ void expect_close(double analytic, double numeric, const char* what,
 
 /// Checks dLoss/dIn, dLoss/dW, dLoss/dB of `layer` at `in`.
 void grad_check(Layer<double>& layer, const Tensor<double>& in) {
-  Tensor<double> out;
-  layer.forward(in, out);
+  const Tensor<double> out = scalar_ref::forward(layer, in);
   const Rng probe(777);
 
   Tensor<double> gout = probe_grad(out.shape(), probe);
@@ -62,11 +62,9 @@ void grad_check(Layer<double>& layer, const Tensor<double>& in) {
   for (std::size_t i = 0; i < in.size(); ++i) {
     const double v = probe_in[i];
     probe_in[i] = v + kEps;
-    Tensor<double> o1;
-    layer.forward(probe_in, o1);
+    const Tensor<double> o1 = scalar_ref::forward(layer, probe_in);
     probe_in[i] = v - kEps;
-    Tensor<double> o2;
-    layer.forward(probe_in, o2);
+    const Tensor<double> o2 = scalar_ref::forward(layer, probe_in);
     probe_in[i] = v;
     const double num = (probe_loss(o1, probe) - probe_loss(o2, probe)) / (2 * kEps);
     expect_close(gin[i], num, "gin", i);
@@ -76,11 +74,9 @@ void grad_check(Layer<double>& layer, const Tensor<double>& in) {
   for (std::size_t i = 0; i < w.size(); ++i) {
     const double v = w[i];
     w[i] = v + kEps;
-    Tensor<double> o1;
-    layer.forward(in, o1);
+    const Tensor<double> o1 = scalar_ref::forward(layer, in);
     w[i] = v - kEps;
-    Tensor<double> o2;
-    layer.forward(in, o2);
+    const Tensor<double> o2 = scalar_ref::forward(layer, in);
     w[i] = v;
     const double num = (probe_loss(o1, probe) - probe_loss(o2, probe)) / (2 * kEps);
     expect_close(gw[i], num, "gw", i);
@@ -90,11 +86,9 @@ void grad_check(Layer<double>& layer, const Tensor<double>& in) {
   for (std::size_t i = 0; i < b.size(); ++i) {
     const double v = b[i];
     b[i] = v + kEps;
-    Tensor<double> o1;
-    layer.forward(in, o1);
+    const Tensor<double> o1 = scalar_ref::forward(layer, in);
     b[i] = v - kEps;
-    Tensor<double> o2;
-    layer.forward(in, o2);
+    const Tensor<double> o2 = scalar_ref::forward(layer, in);
     b[i] = v;
     const double num = (probe_loss(o1, probe) - probe_loss(o2, probe)) / (2 * kEps);
     expect_close(gb[i], num, "gb", i);

@@ -7,6 +7,7 @@
 
 #include "dnnfi/common/rng.h"
 #include "dnnfi/dnn/layers.h"
+#include "scalar_reference.h"
 
 namespace dnnfi::dnn {
 namespace {
@@ -87,8 +88,7 @@ TEST(Conv2d, MatchesReferenceAcrossGeometries) {
                                     100 + static_cast<std::uint64_t>(idx));
     const auto in = random_input<double>(chw(g.in_c, g.h, g.w),
                                          200 + static_cast<std::uint64_t>(idx));
-    Tensor<double> out;
-    conv->forward(in, out);
+    const Tensor<double> out = scalar_ref::forward(*conv, in);
 
     Tensor<double> w(tensor::oihw(g.out_c, g.in_c, g.k, g.k));
     std::copy(conv->weights().begin(), conv->weights().end(), w.data().begin());
@@ -119,8 +119,7 @@ TEST(Conv2d, OutShapeHonorsStrideAndPad) {
 TEST(Conv2d, MacFaultAccumulatorFlipChangesExactlyOneOutput) {
   auto conv = random_conv<float>(2, 3, 3, 1, 1, 7);
   const auto in = random_input<float>(chw(2, 6, 6), 8);
-  Tensor<float> golden;
-  conv->forward(in, golden);
+  const Tensor<float> golden = scalar_ref::forward(*conv, in);
 
   LayerFaults faults;
   MacFault mf;
@@ -132,7 +131,8 @@ TEST(Conv2d, MacFaultAccumulatorFlipChangesExactlyOneOutput) {
 
   Tensor<float> faulty = golden;
   InjectionRecord rec;
-  conv->apply_faults(in, faulty, faults, &rec);
+  conv->apply_faults(in, faulty, faults, &rec,
+                     kernels::scalar_kernels<float>());
 
   EXPECT_TRUE(rec.applied);
   std::size_t diffs = 0;
@@ -151,8 +151,7 @@ TEST(Conv2d, MacFaultLastStepAccumulatorFlipIsExactBitFlipOfPreBias) {
   // Zero bias isolates the accumulator value.
   for (auto& b : conv->biases()) b = 0.0F;
   const auto in = random_input<float>(chw(1, 3, 3), 10);
-  Tensor<float> golden;
-  conv->forward(in, golden);
+  const Tensor<float> golden = scalar_ref::forward(*conv, in);
 
   LayerFaults faults;
   MacFault mf;
@@ -162,7 +161,8 @@ TEST(Conv2d, MacFaultLastStepAccumulatorFlipIsExactBitFlipOfPreBias) {
   mf.op = fault::FaultOp::flip(12);
   faults.mac = mf;
   Tensor<float> faulty = golden;
-  conv->apply_faults(in, faulty, faults, nullptr);
+  conv->apply_faults(in, faulty, faults, nullptr,
+                     kernels::scalar_kernels<float>());
   EXPECT_EQ(numeric::numeric_traits<float>::to_bits(faulty[0]),
             numeric::numeric_traits<float>::to_bits(
                 numeric::flip_bit(golden[0], 12)));
@@ -174,8 +174,7 @@ TEST(Conv2d, OperandFaultOnPaddedTapFlipsZero) {
   // the multiply (0 * w = -0 or 0). The fault is applied, not skipped.
   auto conv = random_conv<float>(1, 1, 3, 1, 1, 11);
   const auto in = random_input<float>(chw(1, 4, 4), 12);
-  Tensor<float> golden;
-  conv->forward(in, golden);
+  const Tensor<float> golden = scalar_ref::forward(*conv, in);
   LayerFaults faults;
   MacFault mf;
   mf.out_index = 0;
@@ -185,7 +184,8 @@ TEST(Conv2d, OperandFaultOnPaddedTapFlipsZero) {
   faults.mac = mf;
   InjectionRecord rec;
   Tensor<float> faulty = golden;
-  conv->apply_faults(in, faulty, faults, &rec);
+  conv->apply_faults(in, faulty, faults, &rec,
+                     kernels::scalar_kernels<float>());
   EXPECT_TRUE(rec.applied);
   EXPECT_EQ(rec.corrupted_before, 0.0);
   EXPECT_EQ(faulty[0], golden[0]);  // -0 * w == -(0 * w), sums equal
@@ -194,8 +194,7 @@ TEST(Conv2d, OperandFaultOnPaddedTapFlipsZero) {
 TEST(Conv2d, WeightFaultAffectsOnlyItsOutputChannel) {
   auto conv = random_conv<float>(2, 3, 3, 1, 1, 13);
   const auto in = random_input<float>(chw(2, 5, 5), 14);
-  Tensor<float> golden;
-  conv->forward(in, golden);
+  const Tensor<float> golden = scalar_ref::forward(*conv, in);
 
   LayerFaults faults;
   WeightFault wf;
@@ -203,7 +202,8 @@ TEST(Conv2d, WeightFaultAffectsOnlyItsOutputChannel) {
   wf.op = fault::FaultOp::flip(28);
   faults.weight = wf;
   Tensor<float> faulty = golden;
-  conv->apply_faults(in, faulty, faults, nullptr);
+  conv->apply_faults(in, faulty, faults, nullptr,
+                     kernels::scalar_kernels<float>());
 
   const auto os = golden.shape();
   for (std::size_t co = 0; co < os.c; ++co) {
@@ -222,20 +222,19 @@ TEST(Conv2d, WeightFaultAffectsOnlyItsOutputChannel) {
 TEST(Conv2d, WeightFaultEqualsForwardWithFlippedWeight) {
   auto conv = random_conv<float>(2, 2, 3, 1, 0, 15);
   const auto in = random_input<float>(chw(2, 5, 5), 16);
-  Tensor<float> golden;
-  conv->forward(in, golden);
+  const Tensor<float> golden = scalar_ref::forward(*conv, in);
 
   const std::size_t wi = 7;
   const int bit = 20;
   LayerFaults faults;
   faults.weight = WeightFault{wi, fault::FaultOp::flip(bit), {}};
   Tensor<float> faulty = golden;
-  conv->apply_faults(in, faulty, faults, nullptr);
+  conv->apply_faults(in, faulty, faults, nullptr,
+                     kernels::scalar_kernels<float>());
 
   // Reference: flip the weight in place and run a clean forward.
   conv->weights()[wi] = numeric::flip_bit(conv->weights()[wi], bit);
-  Tensor<float> ref;
-  conv->forward(in, ref);
+  const Tensor<float> ref = scalar_ref::forward(*conv, in);
   for (std::size_t i = 0; i < ref.size(); ++i)
     ASSERT_EQ(numeric::numeric_traits<float>::to_bits(faulty[i]),
               numeric::numeric_traits<float>::to_bits(ref[i]));
@@ -244,8 +243,7 @@ TEST(Conv2d, WeightFaultEqualsForwardWithFlippedWeight) {
 TEST(Conv2d, ScopedInputFaultAffectsOnlyOneRow) {
   auto conv = random_conv<float>(1, 2, 3, 1, 1, 17);
   const auto in = random_input<float>(chw(1, 6, 6), 18);
-  Tensor<float> golden;
-  conv->forward(in, golden);
+  const Tensor<float> golden = scalar_ref::forward(*conv, in);
 
   LayerFaults faults;
   ScopedInputFault sf;
@@ -255,7 +253,8 @@ TEST(Conv2d, ScopedInputFaultAffectsOnlyOneRow) {
   sf.op = fault::FaultOp::flip(27);
   faults.scoped_input = sf;
   Tensor<float> faulty = golden;
-  conv->apply_faults(in, faulty, faults, nullptr);
+  conv->apply_faults(in, faulty, faults, nullptr,
+                     kernels::scalar_kernels<float>());
 
   const auto os = golden.shape();
   for (std::size_t co = 0; co < os.c; ++co)
@@ -280,8 +279,7 @@ TEST(Conv2d, FixedPointMacSaturatesInsteadOfWrapping) {
   direct.biases()[0] = Fx16r10(0.0);
   Tensor<Fx16r10> in(chw(1, 1, 1));
   in[0] = Fx16r10(30.0);
-  Tensor<Fx16r10> out;
-  direct.forward(in, out);
+  const Tensor<Fx16r10> out = scalar_ref::forward(direct, in);
   EXPECT_EQ(out[0].raw(), Fx16r10::kRawMax);  // 900 saturates at ~32
 }
 
@@ -295,8 +293,7 @@ TEST(FullyConnected, MatchesManualDotProduct) {
   in[0] = 1.0;
   in[1] = 2.0;
   in[2] = 3.0;
-  Tensor<double> out;
-  fc.forward(in, out);
+  const Tensor<double> out = scalar_ref::forward(fc, in);
   // out0 = 0*1 + 0.5*2 + 1*3 + 1 = 5; out1 = 1.5*1 + 2*2 + 2.5*3 - 1 = 12.
   EXPECT_DOUBLE_EQ(out[0], 5.0);
   EXPECT_DOUBLE_EQ(out[1], 12.0);
@@ -307,8 +304,7 @@ TEST(FullyConnected, MacFaultOperandWeight) {
   Rng rng(19);
   for (auto& w : fc.weights()) w = static_cast<float>(rng.normal());
   const auto in = random_input<float>(vec(4), 20);
-  Tensor<float> golden;
-  fc.forward(in, golden);
+  const Tensor<float> golden = scalar_ref::forward(fc, in);
   LayerFaults faults;
   MacFault mf;
   mf.out_index = 2;
@@ -318,7 +314,8 @@ TEST(FullyConnected, MacFaultOperandWeight) {
   faults.mac = mf;
   Tensor<float> faulty = golden;
   InjectionRecord rec;
-  fc.apply_faults(in, faulty, faults, &rec);
+  fc.apply_faults(in, faulty, faults, &rec,
+                  kernels::scalar_kernels<float>());
   EXPECT_EQ(faulty[0], golden[0]);
   EXPECT_EQ(faulty[1], golden[1]);
   EXPECT_NE(faulty[2], golden[2]);
@@ -330,13 +327,13 @@ TEST(FullyConnected, WeightFaultAffectsSingleOutput) {
   Rng rng(21);
   for (auto& w : fc.weights()) w = static_cast<float>(rng.normal());
   const auto in = random_input<float>(vec(5), 22);
-  Tensor<float> golden;
-  fc.forward(in, golden);
+  const Tensor<float> golden = scalar_ref::forward(fc, in);
   LayerFaults faults;
   // Weight of output 3.
   faults.weight = WeightFault{3 * 5 + 2, fault::FaultOp::flip(22), {}};
   Tensor<float> faulty = golden;
-  fc.apply_faults(in, faulty, faults, nullptr);
+  fc.apply_faults(in, faulty, faults, nullptr,
+                  kernels::scalar_kernels<float>());
   for (std::size_t o = 0; o < 4; ++o) {
     if (o == 3) EXPECT_NE(faulty[o], golden[o]);
     else EXPECT_EQ(faulty[o], golden[o]);
@@ -350,8 +347,7 @@ TEST(Relu, ClampsNegatives) {
   in[1] = 0.0F;
   in[2] = 2.5F;
   in[3] = -0.0F;
-  Tensor<float> out;
-  relu.forward(in, out);
+  const Tensor<float> out = scalar_ref::forward(relu, in);
   EXPECT_EQ(out[0], 0.0F);
   EXPECT_EQ(out[1], 0.0F);
   EXPECT_EQ(out[2], 2.5F);
@@ -364,8 +360,7 @@ TEST(Relu, MasksNegativeCorruption) {
   Relu<Half> relu("relu", 1);
   Tensor<Half> in(vec(1));
   in[0] = Half(-60000.0F);
-  Tensor<Half> out;
-  relu.forward(in, out);
+  const Tensor<Half> out = scalar_ref::forward(relu, in);
   EXPECT_EQ(static_cast<float>(out[0]), 0.0F);
 }
 
@@ -373,8 +368,7 @@ TEST(MaxPool, SelectsWindowMaxima) {
   MaxPool2d<float> pool("pool", 1, 2, 2);
   Tensor<float> in(chw(1, 4, 4));
   for (std::size_t i = 0; i < 16; ++i) in[i] = static_cast<float>(i);
-  Tensor<float> out;
-  pool.forward(in, out);
+  const Tensor<float> out = scalar_ref::forward(pool, in);
   ASSERT_EQ(out.shape(), chw(1, 2, 2));
   EXPECT_EQ(out.at(0, 0, 0, 0), 5.0F);
   EXPECT_EQ(out.at(0, 0, 0, 1), 7.0F);
@@ -389,11 +383,9 @@ TEST(MaxPool, MasksNonMaximalCorruption) {
   in[1] = 9.0F;
   in[2] = 2.0F;
   in[3] = 3.0F;
-  Tensor<float> clean;
-  pool.forward(in, clean);
+  const Tensor<float> clean = scalar_ref::forward(pool, in);
   in[0] = -5000.0F;  // corrupt a discarded element
-  Tensor<float> faulty;
-  pool.forward(in, faulty);
+  const Tensor<float> faulty = scalar_ref::forward(pool, in);
   EXPECT_EQ(clean[0], faulty[0]);
 }
 
@@ -402,8 +394,7 @@ TEST(Lrn, MatchesClosedFormSingleChannelWindow) {
   Lrn<double> lrn("lrn", 1, 1, 0.5, 0.75, 2.0);
   Tensor<double> in(chw(1, 1, 1));
   in[0] = 3.0;
-  Tensor<double> out;
-  lrn.forward(in, out);
+  const Tensor<double> out = scalar_ref::forward(lrn, in);
   EXPECT_NEAR(out[0], 3.0 / std::pow(2.0 + 0.5 * 9.0, 0.75), 1e-12);
 }
 
@@ -414,8 +405,7 @@ TEST(Lrn, CrossChannelNormalization) {
   in[0] = 1.0;
   in[1] = 2.0;
   in[2] = 2.0;
-  Tensor<double> out;
-  lrn.forward(in, out);
+  const Tensor<double> out = scalar_ref::forward(lrn, in);
   // denom(c=1) = sqrt(1 + (1+4+4)) = sqrt(10).
   EXPECT_NEAR(out[1], 2.0 / std::sqrt(10.0), 1e-12);
   // denom(c=0) = sqrt(1 + (1+4)) = sqrt(6) (window clipped at the edge).
@@ -428,11 +418,9 @@ TEST(Lrn, DampensOutlierRelativeToNeighbors) {
   Lrn<float> lrn("lrn", 1, 5, 1e-2, 0.75, 1.0);
   Tensor<float> in(chw(5, 1, 1));
   for (std::size_t c = 0; c < 5; ++c) in.at(0, c, 0, 0) = 1.0F;
-  Tensor<float> clean;
-  lrn.forward(in, clean);
+  const Tensor<float> clean = scalar_ref::forward(lrn, in);
   in.at(0, 2, 0, 0) = 10000.0F;
-  Tensor<float> faulty;
-  lrn.forward(in, faulty);
+  const Tensor<float> faulty = scalar_ref::forward(lrn, in);
   const double amplification = faulty.at(0, 2, 0, 0) / clean.at(0, 2, 0, 0);
   EXPECT_LT(amplification, 2000.0);  // strongly sub-proportional to 10^4
 }
@@ -443,8 +431,7 @@ TEST(Softmax, NormalizesAndOrders) {
   in[0] = 1.0F;
   in[1] = 2.0F;
   in[2] = 3.0F;
-  Tensor<float> out;
-  sm.forward(in, out);
+  const Tensor<float> out = scalar_ref::forward(sm, in);
   double sum = 0;
   for (std::size_t i = 0; i < 3; ++i) sum += static_cast<double>(out[i]);
   EXPECT_NEAR(sum, 1.0, 1e-5);
@@ -457,8 +444,7 @@ TEST(Softmax, StableUnderHugeCorruptedInput) {
   Tensor<Half> in(vec(2));
   in[0] = Half(60000.0F);
   in[1] = Half(1.0F);
-  Tensor<Half> out;
-  sm.forward(in, out);
+  const Tensor<Half> out = scalar_ref::forward(sm, in);
   EXPECT_NEAR(static_cast<float>(out[0]), 1.0F, 1e-3F);
 }
 
@@ -467,8 +453,7 @@ TEST(Softmax, NanInputDoesNotPoisonOthers) {
   Tensor<float> in(vec(2));
   in[0] = std::nanf("");
   in[1] = 1.0F;
-  Tensor<float> out;
-  sm.forward(in, out);
+  const Tensor<float> out = scalar_ref::forward(sm, in);
   EXPECT_NEAR(out[1], 1.0F, 1e-6F);
 }
 
@@ -477,8 +462,7 @@ TEST(GlobalAvgPool, AveragesPerChannel) {
   Tensor<float> in(chw(2, 2, 2));
   for (std::size_t i = 0; i < 4; ++i) in[i] = 2.0F;
   for (std::size_t i = 4; i < 8; ++i) in[i] = static_cast<float>(i);
-  Tensor<float> out;
-  gap.forward(in, out);
+  const Tensor<float> out = scalar_ref::forward(gap, in);
   ASSERT_EQ(out.shape(), vec(2));
   EXPECT_FLOAT_EQ(out[0], 2.0F);
   EXPECT_FLOAT_EQ(out[1], (4.0F + 5.0F + 6.0F + 7.0F) / 4.0F);

@@ -12,6 +12,7 @@
 #include "dnnfi/dnn/serialize.h"
 #include "dnnfi/dnn/weights.h"
 #include "dnnfi/dnn/zoo.h"
+#include "scalar_reference.h"
 
 namespace dnnfi::dnn {
 namespace {
@@ -141,12 +142,13 @@ TEST(Network, GlobalBufferFaultEqualsFullForwardOnFlippedInput) {
   f.input_op = fault::FaultOp::flip(25);
   const auto fast = run_fault(net, golden, f);
 
-  // Reference: full forward with the same flip applied at that point.
-  Tensor<float> a = img, b;
+  // Reference: full forward on the scalar set with the same flip applied
+  // at that point.
+  const ExecutionPlan<float> plan = scalar_ref::plan(net);
+  Tensor<float> a = img;
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
     if (i == fc_layer) a[10] = numeric::flip_bit(a[10], 25);
-    net.layer(i).forward(a, b);
-    std::swap(a, b);
+    a = scalar_ref::step(plan, i, a);
   }
   ASSERT_EQ(fast.size(), a.size());
   for (std::size_t i = 0; i < fast.size(); ++i)

@@ -2,6 +2,9 @@
 // problem, and training is bit-deterministic in its seed.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "dnnfi/common/rng.h"
 #include "dnnfi/dnn/train.h"
 #include "dnnfi/dnn/weights.h"
@@ -70,6 +73,47 @@ TEST(Train, DeterministicInSeed) {
   ASSERT_EQ(a.layers.size(), b.layers.size());
   for (std::size_t l = 0; l < a.layers.size(); ++l)
     EXPECT_EQ(a.layers[l].weights, b.layers[l].weights) << "layer " << l;
+}
+
+/// FNV-1a over the bit patterns of every trained weight and bias.
+std::uint64_t weights_checksum(const WeightsBlob& blob) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](float v) {
+    const auto bits = std::bit_cast<std::uint32_t>(v);
+    for (int b = 0; b < 32; b += 8) {
+      h ^= (bits >> b) & 0xFFU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& l : blob.layers) {
+    for (const float w : l.weights) mix(w);
+    for (const float b : l.biases) mix(b);
+  }
+  return h;
+}
+
+// Locks the trained bits: any change to the trainer's forward, backward,
+// loss or reduction order that moves a single weight bit fails here (the
+// checked-in models/*.dnnfi were trained by this code). Covers every
+// layer kind the zoo trains, LRN included.
+TEST(Train, TrainedWeightsMatchTheLockedChecksum) {
+  const auto spec = SpecBuilder("toy-lock", chw(1, 6, 6), 2)
+                        .conv(4, 3, 1, 1).relu().lrn(3, 1e-2, 0.75, 1.0)
+                        .maxpool(2, 2).fc(2).softmax()
+                        .build();
+  Network<float> net(spec);
+  init_weights(net, 5);
+  TrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.train_count = 96;
+  cfg.batch = 12;
+  cfg.learning_rate = 0.05;
+  cfg.seed = 6;
+  train(net, toy_example, cfg);
+  EXPECT_EQ(weights_checksum(extract_weights(net)), 0x91aaf1b3282ecaeeULL);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                evaluate(net, toy_example, 1000, 50).avg_loss),
+            0x3ed3078850ec47c7ULL);
 }
 
 TEST(Train, DifferentSeedsProduceDifferentModels) {

@@ -1,14 +1,16 @@
 // Compiled-plan engine: bit-exact equivalence of Executor<T> and
-// ActivationCache<T> against the legacy layer-by-layer execution semantics
+// ActivationCache<T> against a layer-by-layer reference execution
 // (plain forward, every-layer golden activations, and fault-patched partial
 // re-execution) for every datapath type, plus workspace-reuse hygiene
 // across many consecutive faulty runs, coherence of the plan's packed
 // weight copy across weight updates under every kernel set, and one plan
 // shared by several threads.
 //
-// The references here are hand-rolled per-layer Tensor loops — the exact
-// semantics Network<T> had before it delegated to the executor — so the
-// equivalence claim does not depend on the engine under test.
+// The references here are per-layer Tensor loops over a second plan built
+// on the scalar set (scalar_reference.h): whole steps into fresh tensors,
+// no arena, no cache, no dirty regions, no packed weights, so the
+// equivalence claim does not depend on the set or the replay machinery
+// under test. (The test names' "Legacy" is that reference.)
 #include <gtest/gtest.h>
 
 #include <array>
@@ -24,6 +26,7 @@
 #include "dnnfi/dnn/train.h"
 #include "dnnfi/dnn/weights.h"
 #include "dnnfi/dnn/zoo.h"
+#include "scalar_reference.h"
 
 namespace dnnfi::dnn {
 namespace {
@@ -47,21 +50,10 @@ Tensor<T> random_image(const tensor::Shape& s, std::uint64_t seed) {
   return tensor::convert<T>(t);
 }
 
-/// Legacy plain forward: fresh ping-pong Tensors through the compat layer API.
-template <typename T>
-Tensor<T> legacy_forward(const Network<T>& net, const Tensor<T>& input) {
-  Tensor<T> a = input, b;
-  for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    net.layer(i).forward(a, b);
-    std::swap(a, b);
-  }
-  return a;
-}
-
-/// Per-layer activations of one legacy forward pass: `acts[i]` is the
+/// Per-layer activations of one reference forward pass: `acts[i]` is the
 /// output of layer i, `input` the network input.
 template <typename T>
-struct LegacyTrace {
+struct RefTrace {
   Tensor<T> input;
   std::vector<Tensor<T>> acts;
 
@@ -70,49 +62,50 @@ struct LegacyTrace {
   }
 };
 
-/// Legacy trace: every layer output materialized into owning tensors.
+/// Reference trace: every layer output of a scalar-set plan, one step at a
+/// time, materialized into owning tensors.
 template <typename T>
-LegacyTrace<T> legacy_trace(const Network<T>& net, const Tensor<T>& input) {
-  LegacyTrace<T> tr;
+RefTrace<T> reference_trace(const Network<T>& net, const Tensor<T>& input) {
+  const ExecutionPlan<T> plan = scalar_ref::plan(net);
+  RefTrace<T> tr;
   tr.input = input;
-  tr.acts.resize(net.num_layers());
-  const Tensor<T>* cur = &tr.input;
-  for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    net.layer(i).forward(*cur, tr.acts[i]);
-    cur = &tr.acts[i];
-  }
+  tr.acts.reserve(net.num_layers());
+  for (std::size_t i = 0; i < net.num_layers(); ++i)
+    tr.acts.push_back(scalar_ref::step(plan, i, tr.layer_input(i)));
   return tr;
 }
 
-/// Legacy faulty run, layer by layer: patch (or recompute on flipped input)
-/// at the fault layer, then fresh-Tensor forward through the rest.
-/// `acts[i]` is layer i's faulty output for i >= f.layer (empty before).
+/// Reference faulty run, layer by layer on the scalar set: patch (or
+/// recompute on flipped input) at the fault layer, then a whole step into a
+/// fresh tensor for each later layer. `acts[i]` is layer i's faulty output
+/// for i >= f.layer (empty before).
 template <typename T>
-std::vector<Tensor<T>> legacy_fault_trace(const Network<T>& net,
-                                          const LegacyTrace<T>& golden,
-                                          const AppliedFault& f) {
+std::vector<Tensor<T>> reference_fault_trace(const Network<T>& net,
+                                             const RefTrace<T>& golden,
+                                             const AppliedFault& f) {
+  const ExecutionPlan<T> plan = scalar_ref::plan(net);
   std::vector<Tensor<T>> acts(net.num_layers());
   Tensor<T>& a = acts[f.layer];
   if (f.flip_layer_input) {
     Tensor<T> in = golden.layer_input(f.layer);
     in[f.input_index] =
         detail::storage_apply(in[f.input_index], f.input_op, f.input_storage);
-    net.layer(f.layer).forward(in, a);
+    a = scalar_ref::step(plan, f.layer, in);
   } else {
     a = golden.acts[f.layer];
     net.layer(f.layer).apply_faults(golden.layer_input(f.layer), a, f.faults,
-                                    nullptr);
+                                    nullptr, kernels::scalar_kernels<T>());
   }
   for (std::size_t i = f.layer + 1; i < net.num_layers(); ++i)
-    net.layer(i).forward(acts[i - 1], acts[i]);
+    acts[i] = scalar_ref::step(plan, i, acts[i - 1]);
   return acts;
 }
 
-/// Legacy faulty run: the final output of legacy_fault_trace.
+/// Reference faulty run: the final output of reference_fault_trace.
 template <typename T>
-Tensor<T> legacy_fault(const Network<T>& net, const LegacyTrace<T>& golden,
-                       const AppliedFault& f) {
-  return legacy_fault_trace(net, golden, f).back();
+Tensor<T> reference_fault(const Network<T>& net, const RefTrace<T>& golden,
+                          const AppliedFault& f) {
+  return reference_fault_trace(net, golden, f).back();
 }
 
 template <typename T>
@@ -262,9 +255,9 @@ TYPED_TEST(ExecutorEquivalence, WeightUpdatesReachEveryRunUnderEverySet) {
 
     RunRequest<T> plain;
     plain.input = img;
-    expect_bits_equal<T>(exec.run(ws, plain), legacy_forward(net, img));
+    expect_bits_equal<T>(exec.run(ws, plain), scalar_ref::forward(net, img));
     cache.build(net.plan(), img);
-    const LegacyTrace<T> golden = legacy_trace(net, img);
+    const RefTrace<T> golden = reference_trace(net, img);
     for (std::size_t i = 0; i < cache.num_layers(); ++i)
       expect_bits_equal<T>(cache.act(i), golden.acts[i]);
     for (std::size_t trial = 0; trial < 8; ++trial) {
@@ -273,7 +266,7 @@ TYPED_TEST(ExecutorEquivalence, WeightUpdatesReachEveryRunUnderEverySet) {
       req.cache = &cache;
       req.fault = &f;
       req.early_exit = true;
-      expect_bits_equal<T>(exec.run(ws, req), legacy_fault(net, golden, f));
+      expect_bits_equal<T>(exec.run(ws, req), reference_fault(net, golden, f));
     }
   }
 }
@@ -285,8 +278,8 @@ TYPED_TEST(ExecutorEquivalence, PlainAndTracedMatchLegacy) {
   load_weights(net, random_blob(spec, 21));
   const auto img = random_image<T>(spec.input, 22);
 
-  const Tensor<T> want = legacy_forward(net, img);
-  const LegacyTrace<T> want_trace = legacy_trace(net, img);
+  const Tensor<T> want = scalar_ref::forward(net, img);
+  const RefTrace<T> want_trace = reference_trace(net, img);
 
   const Executor<T> exec(net.plan());
   Workspace<T> ws(net.plan());
@@ -308,7 +301,7 @@ TYPED_TEST(ExecutorEquivalence, FaultyRunsMatchLegacyForAllFaultClasses) {
   Network<T> net(spec);
   load_weights(net, random_blob(spec, 31));
   const auto img = random_image<T>(spec.input, 32);
-  const LegacyTrace<T> golden = legacy_trace(net, img);
+  const RefTrace<T> golden = reference_trace(net, img);
   const ActivationCache<T> cache(net.plan(), img);
 
   const Executor<T> exec(net.plan());
@@ -316,7 +309,7 @@ TYPED_TEST(ExecutorEquivalence, FaultyRunsMatchLegacyForAllFaultClasses) {
   // Eight trials cover all four fault classes on different MAC layers.
   for (std::size_t trial = 0; trial < 8; ++trial) {
     const AppliedFault f = nth_fault(net, trial);
-    const Tensor<T> want = legacy_fault(net, golden, f);
+    const Tensor<T> want = reference_fault(net, golden, f);
     RunRequest<T> req;
     req.cache = &cache;
     req.fault = &f;
@@ -331,7 +324,7 @@ TYPED_TEST(ExecutorEquivalence, NetworkWrappersMatchLegacy) {
   load_weights(net, random_blob(spec, 41));
   const auto img = random_image<T>(spec.input, 42);
 
-  const Tensor<T> want = legacy_forward(net, img);
+  const Tensor<T> want = scalar_ref::forward(net, img);
   expect_bits_equal<T>(net.forward(img).view(), want);
   EXPECT_EQ(net.classify(img).scores, net.interpret(want).scores);
 }
@@ -442,7 +435,7 @@ TYPED_TEST(ExecutorEquivalence, DirtyRegionReplayMatchesLegacyLayerByLayer) {
   Network<T> net(spec);
   load_weights(net, random_blob(spec, 71));
   const auto img = random_image<T>(spec.input, 72);
-  const LegacyTrace<T> golden = legacy_trace(net, img);
+  const RefTrace<T> golden = reference_trace(net, img);
   const ActivationCache<T> cache(net.plan(), img);
   const auto& steps = net.plan().steps();
   const std::size_t n = net.num_layers();
@@ -463,7 +456,7 @@ TYPED_TEST(ExecutorEquivalence, DirtyRegionReplayMatchesLegacyLayerByLayer) {
     for (std::size_t k = 0; k < faults.size(); ++k) {
       const AppliedFault& f = faults[k];
       const bool centre = (k / 5) % 3 == 2;
-      const auto want = legacy_fault_trace(net, golden, f);
+      const auto want = reference_fault_trace(net, golden, f);
       for (const bool early_exit : {true, false}) {
         const std::string what = "layer " + std::to_string(layer) +
                                  " fault " + std::to_string(k) +
@@ -514,8 +507,8 @@ TEST(ExecutorWorkspaceReuse, HundredFaultyRunsNoStaleData) {
   load_weights(net, random_blob(spec, 51));
   const auto img0 = random_image<T>(spec.input, 52);
   const auto img1 = random_image<T>(spec.input, 53);
-  const LegacyTrace<T> goldens[2] = {legacy_trace(net, img0),
-                                     legacy_trace(net, img1)};
+  const RefTrace<T> goldens[2] = {reference_trace(net, img0),
+                                     reference_trace(net, img1)};
   const ActivationCache<T> caches[2] = {{net.plan(), img0},
                                         {net.plan(), img1}};
 
@@ -523,7 +516,7 @@ TEST(ExecutorWorkspaceReuse, HundredFaultyRunsNoStaleData) {
   Workspace<T> ws;  // deliberately unsized: first run binds it
   for (std::size_t trial = 0; trial < 100; ++trial) {
     const AppliedFault f = nth_fault(net, trial);
-    const Tensor<T> want = legacy_fault(net, goldens[trial % 2], f);
+    const Tensor<T> want = reference_fault(net, goldens[trial % 2], f);
     RunRequest<T> req;
     req.cache = &caches[trial % 2];
     req.fault = &f;
@@ -544,13 +537,13 @@ TEST(ExecutorWeightUpdates, RetakeAlsoWhenTheCallbackThrows) {
   Network<T> net(spec);
   load_weights(net, random_blob(spec, 101));
   const auto img = random_image<T>(spec.input, 102);
-  const Tensor<T> before = legacy_forward(net, img);
+  const Tensor<T> before = scalar_ref::forward(net, img);
   EXPECT_THROW(net.update_params([&](auto layers) {
                  for (auto& w : layers[net.mac_layers()[0]]->weights()) w = -w;
                  throw std::runtime_error("midway");
                }),
                std::runtime_error);
-  const Tensor<T> want = legacy_forward(net, img);
+  const Tensor<T> want = scalar_ref::forward(net, img);
   EXPECT_FALSE(tensor::bitwise_equal(want, before));
   expect_bits_equal<T>(net.forward(img).view(), want);
 }

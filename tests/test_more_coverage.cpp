@@ -13,6 +13,7 @@
 #include "dnnfi/fault/campaign.h"
 #include "dnnfi/fit/fit.h"
 #include "dnnfi/mitigate/sed.h"
+#include "scalar_reference.h"
 
 namespace dnnfi {
 namespace {
@@ -29,8 +30,7 @@ TEST(QuantizedLayers, LrnOutputsAreRepresentable) {
   Rng rng(1);
   for (std::size_t i = 0; i < in.size(); ++i)
     in[i] = Fx16r10(rng.normal() * 3.0);
-  Tensor<Fx16r10> out;
-  lrn.forward(in, out);
+  const Tensor<Fx16r10> out = dnn::scalar_ref::forward(lrn, in);
   // LRN is contractive for |v| >= 0 with k = 1: |out| <= |in|.
   for (std::size_t i = 0; i < in.size(); ++i) {
     EXPECT_LE(std::abs(static_cast<double>(out[i])),
@@ -43,8 +43,7 @@ TEST(QuantizedLayers, SoftmaxInHalfSumsToOne) {
   Tensor<Half> in(vec(8));
   Rng rng(2);
   for (std::size_t i = 0; i < in.size(); ++i) in[i] = Half(rng.normal() * 4.0);
-  Tensor<Half> out;
-  sm.forward(in, out);
+  const Tensor<Half> out = dnn::scalar_ref::forward(sm, in);
   double sum = 0;
   for (std::size_t i = 0; i < out.size(); ++i)
     sum += static_cast<double>(out[i]);
@@ -58,8 +57,7 @@ TEST(QuantizedLayers, MaxPoolPreservesRawBits) {
   Rng rng(3);
   for (std::size_t i = 0; i < in.size(); ++i)
     in[i] = Fx16r10(rng.normal() * 5.0);
-  Tensor<Fx16r10> out;
-  pool.forward(in, out);
+  const Tensor<Fx16r10> out = dnn::scalar_ref::forward(pool, in);
   for (std::size_t i = 0; i < out.size(); ++i) {
     bool found = false;
     for (std::size_t j = 0; j < in.size(); ++j)

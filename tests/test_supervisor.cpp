@@ -360,12 +360,15 @@ TEST_F(SupervisorTest, SigkilledWorkerIsRetriedAndResumesByteIdentical) {
 
 TEST_F(SupervisorTest, IdleWorkersOutliveARetryBackoffPastTheHeartbeat) {
   const std::string mono = monolithic();
-  // The crashed shard waits 1.5-2.25 s of backoff while the other shards
-  // finish, so both live workers sit idle past the 1 s heartbeat deadline.
+  // The crashed shard waits 3-4.5 s of backoff while the other shards
+  // finish, so both live workers sit idle past the 2 s heartbeat deadline.
   // An idle worker owes no heartbeat: none is killed, and the retried shard
   // goes to one of them instead of a new process. (The later --backoff
-  // overrides the fixture's.)
-  ASSERT_EQ(run_tool(supervise_flags("--backoff 1.5 --heartbeat-timeout 1", 4),
+  // overrides the fixture's.) A busy worker's first beat comes only after
+  // its model load, golden caches and first batch; the 2 s deadline leaves
+  // that startup room under a loaded parallel ctest, and the backoff is
+  // scaled with it so the idle stretch still outlasts the deadline.
+  ASSERT_EQ(run_tool(supervise_flags("--backoff 3 --heartbeat-timeout 2", 4),
                      "DNNFI_TEST_CRASH_ONCE_FILE='" + path("crashed") + "'",
                      path("sup.log")),
             0)

@@ -1,11 +1,18 @@
 // Pretrained-model regression tests: the cached zoo models must load, match
 // their specs, genuinely classify their datasets, and behave identically
-// across deployments. Skipped when the model cache has not been built yet
-// (run tools/train_models first).
+// across deployments, and retraining ConvNet reproduces its cached file
+// byte for byte. Skipped when the model cache has not been built yet (run
+// tools/train_models first).
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "dnnfi/data/pretrain.h"
 #include "dnnfi/dnn/weights.h"
@@ -83,6 +90,36 @@ TEST_P(PretrainedTest, GoldenPredictionIsDeterministic) {
   const auto a = net.forward(img);
   const auto b = net.forward(img);
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].raw(), b[i].raw());
+}
+
+std::vector<char> file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// Retraining into an empty model directory reproduces the checked-in
+// ConvNet file byte for byte: the trainer's forward (the network's plan, on
+// whichever kernel set is active), backward, loss and lane reduction are
+// pinned to the code that produced models/convnet.dnnfi.
+TEST(PretrainedRetrain, ConvNetRetrainsToTheCheckedInBytes) {
+  const std::filesystem::path want =
+      std::filesystem::path(DNNFI_REPO_MODELS) /
+      dnn::zoo::model_filename(NetworkId::kConvNet);
+  if (!dnn::is_model_file(want.string()))
+    GTEST_SKIP() << "model cache missing: " << want;
+  std::string tmpl =
+      (std::filesystem::temp_directory_path() / "dnnfi-retrain-XXXXXX")
+          .string();
+  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+  const std::filesystem::path dir = tmpl;
+  ::setenv("DNNFI_MODEL_DIR", dir.c_str(), 1);
+  data::pretrained(NetworkId::kConvNet);
+  const std::vector<char> got =
+      file_bytes(dir / dnn::zoo::model_filename(NetworkId::kConvNet));
+  std::filesystem::remove_all(dir);
+  EXPECT_FALSE(got.empty());
+  EXPECT_TRUE(got == file_bytes(want)) << "retrained " << got.size()
+                                       << " bytes differ from " << want;
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, PretrainedTest,
