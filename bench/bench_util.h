@@ -4,7 +4,7 @@
 //
 // Environment knobs (all optional):
 //   DNNFI_SAMPLES    injections per campaign cell (paper used 3,000)
-//   DNNFI_THREADS    worker threads for campaigns
+//   DNNFI_THREADS    compute threads for campaigns, the calling one included
 //   DNNFI_MODEL_DIR  pretrained model cache (default "models")
 //   DNNFI_RESULTS    CSV output directory (default "results")
 #pragma once

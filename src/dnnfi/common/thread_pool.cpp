@@ -9,13 +9,16 @@
 namespace dnnfi {
 
 namespace {
-/// The pool whose worker_loop runs on this thread, if any.
+/// The pool whose task runs on this thread, if any: set for good in
+/// worker_loop, and around each task a waiting thread runs in join.
 thread_local const ThreadPool* tls_worker_of = nullptr;
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
+  // The thread that waits on a batch is the last compute thread.
+  const std::size_t spawned = num_threads > 1 ? num_threads - 1 : 0;
+  workers_.reserve(spawned);
+  for (std::size_t i = 0; i < spawned; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -35,37 +38,37 @@ ThreadPool::Ticket::~Ticket() {
 
 void ThreadPool::worker_loop() {
   tls_worker_of = this;
+  std::unique_lock lock(mutex_);
   for (;;) {
-    Job job;
-    {
-      std::unique_lock lock(mutex_);
-      work_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (stopping_ && queue_.empty()) return;
-      job = std::move(queue_.front());
-      queue_.pop();
-    }
-    std::exception_ptr error;
-    try {
-      job.fn();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    job.fn = nullptr;  // release the task's captures before the join
-    {
-      std::lock_guard lock(mutex_);
-      Ticket& t = *job.ticket;
-      if (error && !t.error_) t.error_ = error;
-      // The waiter may destroy the ticket once the lock drops.
-      if (--t.pending_ == 0) batch_done_.notify_all();
-    }
+    work_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping, and nothing left to run
+    run_front(lock);
   }
+}
+
+void ThreadPool::run_front(std::unique_lock<std::mutex>& lock) noexcept {
+  Job job = std::move(queue_.front());
+  queue_.pop();
+  lock.unlock();
+  std::exception_ptr error;
+  try {
+    job.fn();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  job.fn = nullptr;  // release the task's captures before the join
+  lock.lock();
+  Ticket& t = *job.ticket;
+  if (error && !t.error_) t.error_ = error;
+  // The waiter may destroy the ticket once the lock drops.
+  if (--t.pending_ == 0) batch_done_.notify_all();
 }
 
 void ThreadPool::post(std::vector<std::function<void()>> tasks,
                       Ticket& ticket) {
   if (workers_.empty() || tls_worker_of == this) {
     // Serial pool, or a task of this pool posting more work: run inline
-    // (a worker that waited on its own queue could deadlock the pool); the
+    // (a task that waited on its own queue could deadlock the pool); the
     // exception waits for wait() like a pooled one.
     ticket.error_ = nullptr;
     try {
@@ -88,7 +91,19 @@ void ThreadPool::post(std::vector<std::function<void()>> tasks,
 
 void ThreadPool::join(Ticket& ticket) noexcept {
   std::unique_lock lock(mutex_);
-  batch_done_.wait(lock, [&ticket] { return ticket.pending_ == 0; });
+  for (;;) {
+    // Sleeps only while the batch's last tasks run on workers.
+    batch_done_.wait(lock, [&ticket, this] {
+      return ticket.pending_ == 0 || !queue_.empty();
+    });
+    if (ticket.pending_ == 0) return;
+    // Run the queue front, of any ticket, as a worker would: FIFO keeps an
+    // earlier batch from waiting behind this one, and posts from inside
+    // the task run inline.
+    const ThreadPool* const outer = std::exchange(tls_worker_of, this);
+    run_front(lock);
+    tls_worker_of = outer;
+  }
 }
 
 void ThreadPool::wait(Ticket& ticket) {
@@ -106,9 +121,7 @@ void ThreadPool::run_batch(std::vector<std::function<void()>> tasks) {
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool = [] {
     const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    const std::size_t n = env_size("DNNFI_THREADS", hw);
-    // A pool of 1 worker is strictly worse than inline execution.
-    return ThreadPool(n <= 1 ? 0 : n);
+    return ThreadPool(env_size("DNNFI_THREADS", hw));
   }();
   return pool;
 }
@@ -116,9 +129,9 @@ ThreadPool& ThreadPool::global() {
 void post_chunks(ThreadPool& pool, std::size_t count,
                  const std::function<void(std::size_t, std::size_t)>& body,
                  ThreadPool::Ticket& ticket) {
-  const std::size_t workers = std::max<std::size_t>(1, pool.size());
-  // Four chunks per worker balances load without timing-dependent splits.
-  const std::size_t chunks = std::min(count, workers * 4);
+  // Four chunks per compute thread balances load without timing-dependent
+  // splits.
+  const std::size_t chunks = std::min(count, pool.size() * 4);
   std::vector<std::function<void()>> tasks;
   tasks.reserve(chunks);
   std::size_t begin = 0;

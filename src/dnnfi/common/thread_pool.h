@@ -15,15 +15,18 @@
 
 namespace dnnfi {
 
-/// Fixed-size pool of worker threads executing enqueued tasks.
+/// Fixed-size pool of compute threads executing enqueued tasks.
 ///
 /// Work is posted in batches, each on a caller-owned Ticket; several
-/// batches may be in flight at once and run in FIFO order. A batch posted
-/// from one of the pool's own workers runs inline on that worker, as on a
-/// serial pool, so a task may call parallel_for (or build a Campaign)
-/// without deadlocking on its own queue. Tasks must not throw past the
-/// pool boundary: the first exception thrown by any task of a batch is
-/// captured on its ticket and rethrown by that ticket's `wait`.
+/// batches may be in flight at once and run in FIFO order. The thread that
+/// waits on a batch is one of the compute threads: until its batch is done
+/// it runs queued tasks (of any batch, in FIFO order) next to the spawned
+/// workers, and sleeps only once the queue is empty. A batch posted from a
+/// task of this pool, on a worker or on a waiting thread, runs inline on
+/// that thread, as on a serial pool, so a task may call parallel_for (or
+/// build a Campaign) without deadlocking on its own queue. Tasks must not
+/// throw past the pool boundary: the first exception thrown by any task of
+/// a batch is captured on its ticket and rethrown by that ticket's `wait`.
 class ThreadPool {
  public:
   /// One posted batch: its unfinished task count and first exception. A
@@ -46,7 +49,8 @@ class ThreadPool {
     std::exception_ptr error_;
   };
 
-  /// Creates a pool with `num_threads` workers. `num_threads == 0` means
+  /// Creates a pool of `num_threads` compute threads: `num_threads - 1`
+  /// spawned workers plus the thread that waits. `num_threads` 0 or 1 means
   /// "serial": tasks run inline on the calling thread.
   explicit ThreadPool(std::size_t num_threads);
   ~ThreadPool();
@@ -54,24 +58,28 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Number of worker threads (0 for a serial pool).
-  std::size_t size() const noexcept { return workers_.size(); }
+  /// Number of compute threads, the waiting thread included (1 for a
+  /// serial pool).
+  std::size_t size() const noexcept { return workers_.size() + 1; }
 
   /// Queues `tasks` as one batch on `ticket` without blocking. A serial
-  /// pool, or a call from one of this pool's workers, runs them inline,
+  /// pool, or a call from a task of this pool, runs them inline,
   /// stopping at the first exception. The ticket must not carry an
   /// unjoined batch.
   void post(std::vector<std::function<void()>> tasks, Ticket& ticket);
 
-  /// Blocks until every task of the ticket's batch has finished, then
-  /// rethrows its first captured exception, if any.
+  /// Runs queued tasks on the calling thread until every task of the
+  /// ticket's batch has finished (sleeping only while the queue is empty),
+  /// then rethrows the batch's first captured exception, if any. A task of
+  /// another batch run here records its exception on its own ticket.
   void wait(Ticket& ticket);
 
   /// post followed by wait.
   void run_batch(std::vector<std::function<void()>> tasks);
 
-  /// The process-wide default pool, sized from DNNFI_THREADS or hardware
-  /// concurrency. Constructed on first use.
+  /// The process-wide default pool: DNNFI_THREADS (or hardware
+  /// concurrency) compute threads, the waiting thread included, so 1 is
+  /// serial. Constructed on first use.
   static ThreadPool& global();
 
  private:
@@ -81,6 +89,10 @@ class ThreadPool {
   };
 
   void worker_loop();
+  /// Pops and runs the queue front with `lock` released, then records the
+  /// task's exception on its ticket and counts it done. The one job body
+  /// of workers and waiting threads; `lock` holds mutex_ on entry and exit.
+  void run_front(std::unique_lock<std::mutex>& lock) noexcept;
   /// wait without the rethrow; the ticket keeps its exception.
   void join(Ticket& ticket) noexcept;
 

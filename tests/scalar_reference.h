@@ -5,9 +5,9 @@
 #pragma once
 
 #include <algorithm>
-#include <string>
 
 #include "dnnfi/dnn/executor.h"
+#include "kernel_mode_guard.h"
 
 namespace dnnfi::dnn::scalar_ref {
 
@@ -15,15 +15,10 @@ namespace dnnfi::dnn::scalar_ref {
 /// meanwhile capture it), then restores the mode that was active before.
 class ModeScope {
  public:
-  ModeScope() : saved_(kernels::kernel_profile().mode) {
-    kernels::set_active_mode("scalar");
-  }
-  ~ModeScope() { kernels::set_active_mode(saved_); }
-  ModeScope(const ModeScope&) = delete;
-  ModeScope& operator=(const ModeScope&) = delete;
+  ModeScope() { kernels::set_active_mode("scalar"); }
 
  private:
-  std::string saved_;
+  kernels::ModeGuard restore_;  // constructed first: captures the old mode
 };
 
 /// A second plan over `net`, on the scalar set. It reads the layers'

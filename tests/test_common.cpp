@@ -2,10 +2,14 @@
 // parallel_for, tables, env parsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <future>
+#include <latch>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <set>
@@ -271,10 +275,11 @@ TEST(ThreadPool, DestroyingATicketJoinsItsBatch) {
 }
 
 TEST(ThreadPool, NestedCallsFromItsWorkersRunInline) {
-  // Both workers hold an outer task that posts a batch to the same pool
-  // and waits for it: queued, those batches would never find a free
-  // worker. They run inline on the posting worker instead (a hang here is
-  // the deadlock; the ctest TIMEOUT ends it).
+  // Both compute threads (the one worker and the waiting caller) hold an
+  // outer task that posts a batch to the same pool and waits for it:
+  // queued, those batches would never find a free thread. They run inline
+  // on the posting thread instead (a hang here is the deadlock; the ctest
+  // TIMEOUT ends it).
   ThreadPool pool(2);
   std::atomic<int> started{0};
   std::vector<std::atomic<int>> hits(2 * 16);
@@ -299,6 +304,143 @@ TEST(ThreadPool, NestedCallsFromItsWorkersRunInline) {
     counter += static_cast<int>(e - b);
   });
   EXPECT_EQ(counter.load(), 8);
+}
+
+/// Occupies one worker of `pool` with a task that blocks until the
+/// HeldWorker is destroyed: the constructor returns once a worker has taken
+/// it, so later batches can run only on the remaining workers and the
+/// waiting thread.
+class HeldWorker {
+ public:
+  explicit HeldWorker(ThreadPool& pool) {
+    std::vector<std::function<void()>> hold;
+    hold.emplace_back([this] {
+      started_.count_down();
+      release_.wait();
+    });
+    pool.post(std::move(hold), ticket_);
+    started_.wait();
+  }
+  /// Releases the task; destroying the ticket then joins it.
+  ~HeldWorker() { release_.count_down(); }
+
+ private:
+  std::latch started_{1};
+  std::latch release_{1};
+  ThreadPool::Ticket ticket_;
+};
+
+TEST(ThreadPool, WaitRunsItsBatchWhileTheOnlyWorkerIsHeld) {
+  // ThreadPool(2) spawns one worker; the caller of wait is the second
+  // compute thread. With the worker held, the second batch finishes only
+  // because wait runs its tasks on the calling thread (a waiter that only
+  // slept would hang here until the ctest TIMEOUT).
+  ThreadPool pool(2);
+  ASSERT_EQ(pool.size(), 2u);
+  HeldWorker held(pool);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(8);
+  ThreadPool::Ticket ticket;
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t i = 0; i < ran_on.size(); ++i)
+    tasks.emplace_back([&ran_on, i] { ran_on[i] = std::this_thread::get_id(); });
+  pool.post(std::move(tasks), ticket);
+  pool.wait(ticket);
+  for (const std::thread::id& id : ran_on) EXPECT_EQ(id, caller);
+}
+
+TEST(ThreadPool, TaskRunByTheWaiterCanNestParallelFor) {
+  // The waiting thread runs the outer task (the only worker is held), and
+  // the task's own parallel_for_chunks on the same pool runs inline there,
+  // as it would on a worker: every chunk has run before the nested post
+  // returns, and nothing deadlocks.
+  ThreadPool pool(2);
+  HeldWorker held(pool);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hits(16);
+  std::atomic<int> foreign{0};
+  std::atomic<bool> inline_post{false};
+  std::vector<std::function<void()>> tasks;
+  tasks.emplace_back([&] {
+    ThreadPool::Ticket inner;
+    const std::function<void(std::size_t, std::size_t)> body =
+        [&](std::size_t b, std::size_t e) {
+          if (std::this_thread::get_id() != caller) ++foreign;
+          for (std::size_t i = b; i < e; ++i) ++hits[i];
+        };
+    post_chunks(pool, hits.size(), body, inner);
+    inline_post = hits.back().load() == 1;
+    pool.wait(inner);
+    parallel_for_chunks(pool, hits.size(), body);
+  });
+  pool.run_batch(std::move(tasks));
+  EXPECT_TRUE(inline_post.load());
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 2);
+  EXPECT_EQ(foreign.load(), 0);
+}
+
+TEST(ThreadPool, ExceptionFromATaskTheWaiterRanStaysOnItsTicket) {
+  // With the only worker held, the caller of wait(good) runs the queue in
+  // FIFO order: first the earlier batch on `bad`, whose first task throws,
+  // then good's. The exception lands on `bad` alone, and bad's other tasks
+  // still run.
+  ThreadPool pool(2);
+  HeldWorker held(pool);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> counter{0};
+  std::atomic<int> off_caller{0};
+  const auto count = [&] {
+    if (std::this_thread::get_id() != caller) ++off_caller;
+    ++counter;
+  };
+  ThreadPool::Ticket bad, good;
+  std::vector<std::function<void()>> throwing;
+  throwing.emplace_back([] { throw std::runtime_error("boom"); });
+  for (int i = 0; i < 5; ++i) throwing.emplace_back(count);
+  pool.post(std::move(throwing), bad);
+  std::vector<std::function<void()>> fine;
+  for (int i = 0; i < 5; ++i) fine.emplace_back(count);
+  pool.post(std::move(fine), good);
+  EXPECT_NO_THROW(pool.wait(good));
+  EXPECT_EQ(counter.load(), 10);  // bad's tasks ran first, on the caller
+  EXPECT_EQ(off_caller.load(), 0);
+  EXPECT_THROW(pool.wait(bad), std::runtime_error);
+  EXPECT_NO_THROW(pool.wait(bad));
+}
+
+TEST(ThreadPool, RunsOnAtMostItsSizeThreadsCallerIncluded) {
+  // ThreadPool(n) is n compute threads: n - 1 workers plus the caller of
+  // wait. 0 and 1 are serial: post runs the batch inline.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(n);
+    ThreadPool pool(n);
+    EXPECT_EQ(pool.size(), std::max<std::size_t>(n, 1));
+    std::mutex m;
+    std::set<std::thread::id> ids;
+    std::atomic<int> counter{0};
+    for (int batch = 0; batch < 20; ++batch) {
+      ThreadPool::Ticket ticket;
+      std::vector<std::function<void()>> tasks;
+      for (int i = 0; i < 16; ++i)
+        tasks.emplace_back([&] {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          const std::lock_guard lock(m);
+          ids.insert(std::this_thread::get_id());
+          ++counter;
+        });
+      pool.post(std::move(tasks), ticket);
+      if (n <= 1) {
+        EXPECT_EQ(counter.load(), 16 * (batch + 1));  // ran inline
+      }
+      pool.wait(ticket);
+    }
+    EXPECT_EQ(counter.load(), 20 * 16);
+    EXPECT_LE(ids.size(), std::max<std::size_t>(n, 1));
+    if (n <= 1) {
+      EXPECT_EQ(*ids.begin(), caller);
+    }
+  }
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {

@@ -26,6 +26,7 @@
 #include "dnnfi/dnn/train.h"
 #include "dnnfi/dnn/weights.h"
 #include "dnnfi/dnn/zoo.h"
+#include "kernel_mode_guard.h"
 #include "scalar_reference.h"
 
 namespace dnnfi::dnn {
@@ -213,11 +214,6 @@ TYPED_TEST(ExecutorEquivalence, WorkspacesShareThePlansPackedCopy) {
   EXPECT_EQ(b.arena_bytes(), bytes);
 }
 
-/// set_active_mode is process-global; restore the default on scope exit.
-struct ModeGuard {
-  ~ModeGuard() { kernels::set_active_mode("auto"); }
-};
-
 // Weights change only through Network::update_params, which re-takes the
 // plan's packed copy. Under every kernel set, a workspace and a cache are
 // held on the plan while the weights change (a second blob; for float also
@@ -228,7 +224,7 @@ TYPED_TEST(ExecutorEquivalence, WeightUpdatesReachEveryRunUnderEverySet) {
   using T = TypeParam;
   const auto spec = convnet_spec();
   const auto img = random_image<T>(spec.input, 82);
-  ModeGuard guard;
+  const kernels::ModeGuard guard;
   for (const char* name : kernels::registered_names<T>()) {
     SCOPED_TRACE(name);
     ASSERT_TRUE(kernels::set_active_mode(name));
@@ -556,7 +552,7 @@ TEST(ExecutorWeightUpdates, ActLimitIsRetakenWithTheWeights) {
   using T = numeric::Fx32r10;
   if (kernels::kernel_set<T>("avx512") == nullptr)
     GTEST_SKIP() << "avx512 kernels not available on this build/CPU";
-  ModeGuard guard;
+  const kernels::ModeGuard guard;
   ASSERT_TRUE(kernels::set_active_mode("avx512"));
   const auto spec = convnet_spec();
   Network<T> net(spec);

@@ -41,6 +41,7 @@
 #include "dnnfi/numeric/traits.h"
 #include "dnnfi/tensor/tensor.h"
 #include "fp16_arith.h"
+#include "kernel_mode_guard.h"
 
 namespace dnnfi::dnn::kernels {
 namespace {
@@ -1334,12 +1335,6 @@ TYPED_TEST(KernelChain, PairStopsAtEqualEntryAndReturnsTheFirstEqualStep) {
   }
 }
 
-/// set_active_mode is process-global; restore the default on scope exit so
-/// test order cannot leak a scalar override into other suites.
-struct ModeGuard {
-  ~ModeGuard() { set_active_mode("auto"); }
-};
-
 template <typename T>
 void executor_modes_match(const char* simd_mode) {
   const auto spec = zoo::network_spec(zoo::NetworkId::kConvNet);
@@ -1354,7 +1349,7 @@ void executor_modes_match(const char* simd_mode) {
     img_f[i] = 0.01f * static_cast<float>(i % 113) - 0.5f;
   const Tensor<T> img = tensor::convert<T>(img_f);
 
-  ModeGuard guard;
+  const ModeGuard guard;
   auto run_with = [&](const char* mode) {
     EXPECT_TRUE(set_active_mode(mode));
     Network<T> net(spec);  // plan captures the active set at build time
@@ -1398,7 +1393,7 @@ TEST(KernelDispatch, ExecutorScalarAndAvx512Fp16ModesBitIdentical) {
   // The set is FLOAT16's alone: every other type resolves as avx512, and
   // auto prefers it for FLOAT16.
   EXPECT_EQ(kernel_set<float>("avx512fp16"), nullptr);
-  ModeGuard guard;
+  const ModeGuard guard;
   ASSERT_TRUE(set_active_mode("avx512fp16"));
   EXPECT_STREQ(active_kernels<float>().name, "avx512");
   EXPECT_STREQ(active_kernels<numeric::Fx16r10>().name, "avx512");
@@ -1409,8 +1404,25 @@ TEST(KernelDispatch, ExecutorScalarAndAvx512Fp16ModesBitIdentical) {
 }
 
 TEST(KernelDispatch, UnknownModeRejected) {
+  const ModeGuard guard;
   EXPECT_FALSE(set_active_mode("sse9"));
   EXPECT_TRUE(set_active_mode("auto"));
+}
+
+TEST(KernelDispatch, ModeGuardRestoresTheModeItFound) {
+  // Not "auto": a guard inside a scope pinned to scalar (as a CI leg pins
+  // DNNFI_KERNELS) hands scalar back.
+  const std::string started = kernel_profile().mode;
+  {
+    const ModeGuard outer;
+    ASSERT_TRUE(set_active_mode("scalar"));
+    {
+      const ModeGuard inner;
+      ASSERT_TRUE(set_active_mode("auto"));
+    }
+    EXPECT_EQ(kernel_profile().mode, "scalar");
+  }
+  EXPECT_EQ(kernel_profile().mode, started);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "dnnfi/fault/sampler.h"
 #include "dnnfi/mitigate/slh.h"
 #include "dnnfi/numeric/dtype.h"
+#include "kernel_mode_guard.h"
 
 namespace dnnfi {
 namespace {
@@ -387,9 +388,7 @@ TEST(CliSpecParsers, SurviveEveryByteFlipAndTruncation) {
 TEST(FaultOpKernels, FaultyRunsBitIdenticalAcrossScalarAndAvx2) {
   if (dnn::kernels::kernel_set<float>("avx2") == nullptr)
     GTEST_SKIP() << "avx2 kernels not available on this build/CPU";
-  struct ModeGuard {
-    ~ModeGuard() { dnn::kernels::set_active_mode("auto"); }
-  } guard;
+  const dnn::kernels::ModeGuard guard;
 
   const auto spec = dnn::zoo::network_spec(dnn::zoo::NetworkId::kConvNet);
   dnn::WeightsBlob blob;

@@ -275,9 +275,10 @@ class SupervisorTest : public ::testing::Test {
   }
 
   std::string supervise_flags(const std::string& extra = "",
-                              int shard_size = 8) const {
-    return std::string("supervise ") + kCampaignFlags +
-           " --workers 2 --shard-size " + std::to_string(shard_size) +
+                              int shard_size = 8, int workers = 2) const {
+    return std::string("supervise ") + kCampaignFlags + " --workers " +
+           std::to_string(workers) + " --shard-size " +
+           std::to_string(shard_size) +
            " --backoff 0.05 --ckpt-dir " + (dir_ / "ckpt").string() +
            " --out " + (dir_ / "sup.stats").string() + " " + extra;
   }
@@ -345,8 +346,13 @@ TEST_F(SupervisorTest, SigkilledWorkerIsRetriedAndResumesByteIdentical) {
   // The first worker to reach mid-shard SIGKILLs itself (fire-once via the
   // sentinel file); the supervisor must classify worker-crash as retryable,
   // retry the shard, resume from its checkpoint, and still merge clean. The
-  // dead slot respawns once: three workers for the 16 shards.
-  ASSERT_EQ(run_tool(supervise_flags("", 4),
+  // fleet has one slot, so the dead worker's slot must respawn before any
+  // other shard runs: two workers for the 16 shards. (With two slots the
+  // count would race the killed process's teardown, a few ms under load,
+  // against the live worker running the other 15 shards, 0.3 ms each; when
+  // those finish first, the retry goes to the idle worker and no slot
+  // respawns.)
+  ASSERT_EQ(run_tool(supervise_flags("", 4, 1),
                      "DNNFI_TEST_CRASH_ONCE_FILE='" + path("crashed") + "'",
                      path("sup.log")),
             0)
@@ -355,20 +361,24 @@ TEST_F(SupervisorTest, SigkilledWorkerIsRetriedAndResumesByteIdentical) {
   EXPECT_EQ(read_file(path("sup.stats")), mono);
   const std::string log = read_file(path("sup.log"));
   EXPECT_NE(log.find("worker-crash"), std::string::npos) << log;
-  EXPECT_EQ(workers_spawned(log), 3) << log;
+  EXPECT_EQ(workers_spawned(log), 2) << log;
 }
 
 TEST_F(SupervisorTest, IdleWorkersOutliveARetryBackoffPastTheHeartbeat) {
   const std::string mono = monolithic();
   // The crashed shard waits 3-4.5 s of backoff while the other shards
-  // finish, so both live workers sit idle past the 2 s heartbeat deadline.
-  // An idle worker owes no heartbeat: none is killed, and the retried shard
-  // goes to one of them instead of a new process. (The later --backoff
+  // finish on the one slot's respawned worker, which then sits idle past
+  // the 2 s heartbeat deadline. An idle worker owes no heartbeat: it is not
+  // killed, and the retried shard goes to it instead of a new process, so
+  // exactly two workers spawn. (One slot, as in the test above, keeps that
+  // count from racing the crashed worker's teardown. The later --backoff
   // overrides the fixture's.) A busy worker's first beat comes only after
   // its model load, golden caches and first batch; the 2 s deadline leaves
   // that startup room under a loaded parallel ctest, and the backoff is
   // scaled with it so the idle stretch still outlasts the deadline.
-  ASSERT_EQ(run_tool(supervise_flags("--backoff 3 --heartbeat-timeout 2", 4),
+  const std::string flags =
+      supervise_flags("--backoff 3 --heartbeat-timeout 2", 4, 1);
+  ASSERT_EQ(run_tool(flags,
                      "DNNFI_TEST_CRASH_ONCE_FILE='" + path("crashed") + "'",
                      path("sup.log")),
             0)
@@ -377,7 +387,7 @@ TEST_F(SupervisorTest, IdleWorkersOutliveARetryBackoffPastTheHeartbeat) {
   EXPECT_EQ(read_file(path("sup.stats")), mono);
   const std::string log = read_file(path("sup.log"));
   EXPECT_NE(log.find(" 0 watchdog kill(s)"), std::string::npos) << log;
-  EXPECT_EQ(workers_spawned(log), 3) << log;
+  EXPECT_EQ(workers_spawned(log), 2) << log;
 }
 
 TEST_F(SupervisorTest, HungWorkerIsKilledByHeartbeatWatchdog) {
