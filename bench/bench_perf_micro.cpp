@@ -378,14 +378,16 @@ StreamingReport measure_streaming_memory() {
 // shapes, for float, FLOAT16, double and 32b_rb10, driven through the
 // kernels API directly — a set's packed layout is interleaved once outside
 // the timed loop, as an ExecutionPlan does when its weights change. The
-// "conv_box" cell is the shape a faulty replay runs: AlexNet-S conv4
-// (48 -> 48 channels, 6x6, 3x3 kernel, pad 1) over a 3x3-pixel dirty box.
+// "conv_box" and "conv2_box" cells are shapes a faulty replay runs:
+// AlexNet-S conv4 (48 -> 48 channels, 6x6, 3x3 kernel, pad 1) over a
+// 3x3-pixel dirty box, and conv2 (16 -> 32 channels, 12x12, 5x5 kernel,
+// pad 2) over a 5x5 one.
 // ---------------------------------------------------------------------------
 
 struct KernelCell {
   std::string dtype;
   std::string set;
-  std::string op;  ///< "conv", "conv_box" or "fc"
+  std::string op;  ///< "conv", "conv_box", "conv2_box" or "fc"
   double gflops = 0;
 };
 
@@ -436,6 +438,8 @@ void bench_kernel_sets(const char* dtype, std::vector<KernelCell>& cells) {
   const k::ConvGeom g{16, 16, 16, 32, 16, 16, 3, 1, 1};
   const k::ConvGeom bg{48, 6, 6, 48, 6, 6, 3, 1, 1};
   const k::Region box{0, bg.out_c, 1, 4, 1, 4};
+  const k::ConvGeom g2{16, 12, 12, 32, 12, 12, 5, 1, 2};
+  const k::Region box2{0, g2.out_c, 4, 9, 4, 9};
   const k::FcGeom fg{1024, 1024};
   auto val = [](std::size_t i) {
     return numeric::numeric_traits<T>::from_double(
@@ -452,6 +456,8 @@ void bench_kernel_sets(const char* dtype, std::vector<KernelCell>& cells) {
     if (ks == nullptr) continue;
     cells.push_back({dtype, name, "conv", conv_gflops(*ks, g, g.full(), val)});
     cells.push_back({dtype, name, "conv_box", conv_gflops(*ks, bg, box, val)});
+    cells.push_back(
+        {dtype, name, "conv2_box", conv_gflops(*ks, g2, box2, val)});
     std::vector<T> fpacked(k::packed_elems(fg.out, fg.in, ks->pack_lanes));
     if (ks->pack_lanes > 0)
       k::pack_rows(fw.data(), fg.out, fg.in, ks->pack_lanes, fpacked.data());
@@ -647,9 +653,10 @@ int main(int argc, char** argv) {
   const std::string json = results_dir() + "/BENCH_perf_micro.json";
   write_json(r, s, kc, lp, pm, json);
   std::printf("\nper-kernel throughput (GFLOP/s, fixed conv 32c16x16k3 / "
-              "conv_box 48c6x6k3 over 3x3 pixels / fc 1024x1024):\n");
+              "conv_box 48c6x6k3 over 3x3 pixels / conv2_box 16c12x12k5 "
+              "over 5x5 / fc 1024x1024):\n");
   for (const KernelCell& c : kc)
-    std::printf("  %-8s %-13s %-8s %8.2f\n", c.dtype.c_str(), c.set.c_str(),
+    std::printf("  %-8s %-13s %-9s %8.2f\n", c.dtype.c_str(), c.set.c_str(),
                 c.op.c_str(), c.gflops);
   std::printf("\nper-layer-kind wall time of a fault-free forward:\n");
   for (const LayerKindCost& c : lp)

@@ -47,7 +47,9 @@
 // Channels of the region outside its full lane-blocks run the same body
 // through a 1-lane trait S on the row-major weights: channel c's tail is
 // the body on w + c*kvol. S is one of the ScalarLane traits below unless a
-// TU names its own (the avx512fp16 set's native half lane).
+// TU names its own (the avx512fp16 set's native half lane). conv_channels
+// makes that split; a TU with a block body of its own (the avx512fp16
+// stride-1 pair conv) passes it in, conv_lanes passes conv_blocks.
 //
 // The single-chain entries (kernels.h ChainFn / ChainPairFn) run one chain
 // over gathered taps through a 1-lane trait S that also provides
@@ -305,17 +307,17 @@ void fc_blocks(const FcGeom& g, const typename V::T* in,
   }
 }
 
-/// A ConvFn: the lane-blocks that lie wholly inside r's channel range, from
-/// the packed copy `wp` (never dereferenced when no such block exists); the
-/// region's other channels from the row-major `w` through the 1-lane trait
-/// S (Fixed traits name theirs: the raw int alone does not carry F). For
-/// the full region that is every full block, then the out_c % kLanes
-/// remainder rows.
-template <class V, class S = ScalarLane<typename V::T>>
-void conv_lanes(const ConvGeom& g, const Region& r, const typename V::T* in,
-                const typename V::T* w, const typename V::T* wp,
-                const typename V::T* bias, typename V::T* out) {
-  constexpr std::size_t L = V::kLanes;
+/// The body of a ConvFn whose lane-blocks are L channels wide: calls
+/// `blocks(b0, b1)` for the blocks [b0, b1) that lie wholly inside r's
+/// channel range (when there are any), and runs the region's other channels
+/// from the row-major `w` through the 1-lane trait S (Fixed traits name
+/// theirs: the raw int alone does not carry F). For the full region that is
+/// every full block, then the out_c % L remainder rows.
+template <std::size_t L, class S, class Blocks>
+void conv_channels(const ConvGeom& g, const Region& r,
+                   const typename S::T* in, const typename S::T* w,
+                   const typename S::T* bias, typename S::T* out,
+                   Blocks&& blocks) {
   if (r.c0 >= r.c1 || r.y0 >= r.y1 || r.x0 >= r.x1) return;
   const std::size_t oplane = g.out_h * g.out_w;
   const auto tail = [&](std::size_t c0, std::size_t c1) {
@@ -328,14 +330,29 @@ void conv_lanes(const ConvGeom& g, const Region& r, const typename V::T* in,
     tail(r.c0, r.c1);
   } else {
     tail(r.c0, b0 * L);
-    conv_blocks<V>(g, r, in, wp + b0 * L * kvol(g), bias + b0 * L,
-                   out + b0 * L * oplane, b1 - b0);
+    blocks(b0, b1);
     tail(b1 * L, r.c1);
   }
   // GCC 12 leaves some of these returns (a tail call into the 1-lane body,
   // __m256h code, any -O1 or -Os build) without VZEROUPPER; the callers are
   // legacy-SSE code.
   _mm256_zeroupper();
+}
+
+/// A ConvFn: conv_channels with the full lane-blocks run by conv_blocks<V>
+/// from the packed copy `wp` (never dereferenced when no such block exists).
+template <class V, class S = ScalarLane<typename V::T>>
+void conv_lanes(const ConvGeom& g, const Region& r, const typename V::T* in,
+                const typename V::T* w, const typename V::T* wp,
+                const typename V::T* bias, typename V::T* out) {
+  constexpr std::size_t L = V::kLanes;
+  const std::size_t oplane = g.out_h * g.out_w;
+  conv_channels<L, S>(g, r, in, w, bias, out,
+                      [&](std::size_t b0, std::size_t b1) {
+                        conv_blocks<V>(g, r, in, wp + b0 * L * kvol(g),
+                                       bias + b0 * L, out + b0 * L * oplane,
+                                       b1 - b0);
+                      });
 }
 
 /// A full FcFn; weights and S as for conv_lanes.

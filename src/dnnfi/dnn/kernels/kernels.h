@@ -11,7 +11,14 @@
 // and without SIMD can be mixed freely without changing a single output bit.
 // The SIMD conv additionally runs several output pixels' chains side by side
 // to hide the per-tap latency; the chains share weight loads but never an
-// accumulator, so that changes timing only.
+// accumulator, so that changes timing only. The avx512fp16 set's stride-1
+// conv packs two outputs into one vector: it stages the region's input
+// window, zero-padded, on the stack once per call, and each zmm holds one
+// 16-channel lane-block of two horizontally adjacent outputs (lane 2j is
+// channel j of output x, lane 2j + 1 channel j of output x + 1), fed per tap
+// by one 32-bit broadcast of the activation pair and the block's weights
+// widened to 32 lanes. Each lane is still one output's chain in the
+// reference order, a padded tap multiplying a staged +0.
 //
 // One documented hole in the bit-identity claim: when two NaNs with
 // DIFFERENT bit patterns meet in a single addition, x86 keeps whichever
@@ -33,7 +40,10 @@
 // region's full lane-blocks in groups of its trait's kGroup, keeps its
 // kChains pixel groups in a box-local flattened pixel order (chains span
 // rows inside the box; for the full box that is the whole-plane order), and
-// runs the channels outside those blocks through the 1-lane tail.
+// runs the channels outside those blocks through the 1-lane tail. The
+// avx512fp16 stride-1 body walks the box's outputs in pairs instead, 4 pairs
+// per group in the same row-major order; an odd-width row's last pair
+// computes a spare partner outside the box and never stores it.
 // FC, relu, avgpool and softmax have no region: relu is elementwise (the
 // executor calls it once per contiguous run), the rest always run whole.
 //

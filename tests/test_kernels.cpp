@@ -519,6 +519,90 @@ TEST(KernelPayloadNaN, EveryHalfSetMatchesScalarWithOneNaNPerChain) {
   EXPECT_GT(nan_outputs, 0u) << "no planted NaN reached an output";
 }
 
+/// A stride-1 conv geometry (out = in + 2 pad - k + 1).
+ConvGeom stride_one(std::size_t in_c, std::size_t in_h, std::size_t in_w,
+                    std::size_t out_c, std::size_t k, std::size_t pad) {
+  return {in_c, in_h, in_w, out_c, in_h + 2 * pad - k + 1,
+          in_w + 2 * pad - k + 1, k, 1, pad};
+}
+
+// The avx512fp16 set runs stride-1 convs on output pairs over the region's
+// input window, staged zero-padded into a stack tile of 8192 halves
+// (kernel_avx512fp16.cpp). These cases aim at that body's edges: k 1, 3
+// and 5 with every pad 0..k/2; in_c 1, 6 and 17; out_c 16, 19, 32, 35 and
+// 48 (1-3 blocks, with and without a remainder); boxes 1 to 7 wide (a
+// 1-wide box runs the 16-lane body), so odd rows end in a pair whose spare
+// partner must not be stored, against the top-left and bottom-right padded
+// edges and in the middle, over channel ranges that start or end inside a
+// block. Three windows overflow the tile: 60c10x10 k3 runs in row bands
+// (9 rows, then 1), 200c1x15 k3 in even column spans of its one row (10,
+// then 5), and 690c1x2 k3, whose window for a single pair does not fit,
+// runs the 16-lane body instead. Every registered SIMD Half set is held to
+// the scalar one in the finite, NaN (with -0), Inf (with -0) and
+// payload-NaN seasons.
+TEST(KernelPairConv, StrideOneBoxesMatchScalarInEverySet) {
+  using T = numeric::Half;
+  const KernelSet<T>& ref = scalar_kernels<T>();
+  const std::size_t taps[][2] = {{1, 0}, {3, 0}, {3, 1},
+                                 {5, 0}, {5, 1}, {5, 2}};
+  const std::size_t out_cs[] = {16, 19, 32, 35, 48};
+  const std::size_t in_cs[] = {1, 6, 17};
+  std::vector<ConvGeom> geoms;
+  for (std::size_t i = 0; i < std::size(taps); ++i)
+    for (std::size_t j = 0; j < std::size(out_cs); ++j)
+      geoms.push_back(stride_one(in_cs[(i + j) % std::size(in_cs)], 5, 9,
+                                 out_cs[j], taps[i][0], taps[i][1]));
+  geoms.push_back(stride_one(60, 10, 10, 16, 3, 1));
+  geoms.push_back(stride_one(200, 1, 15, 19, 3, 1));
+  geoms.push_back(stride_one(690, 1, 2, 19, 3, 1));
+  const Season seasons[][2] = {{Season::kFinite, Season::kFinite},
+                               {Season::kNaN, Season::kNaN},
+                               {Season::kInf, Season::kInf},
+                               {Season::kPayloadNaN, Season::kFinite},
+                               {Season::kFinite, Season::kPayloadNaN}};
+  for (std::size_t gi = 0; gi < geoms.size(); ++gi) {
+    const ConvGeom& g = geoms[gi];
+    const std::size_t c = g.out_c, h = g.out_h, w = g.out_w;
+    std::vector<Region> boxes = {g.full()};
+    for (std::size_t bw = 1; bw <= std::min<std::size_t>(7, w); ++bw) {
+      boxes.push_back({0, c, 0, std::min<std::size_t>(2, h), 0, bw});
+      boxes.push_back({5, c - 3, h - std::min<std::size_t>(3, h), h, w - bw,
+                       w});
+      boxes.push_back({0, c - 1, h / 2, h, (w - bw) / 2, (w - bw) / 2 + bw});
+    }
+    for (std::size_t si = 0; si < std::size(seasons); ++si) {
+      const std::uint64_t salt = gi * 8 + si;
+      const auto in =
+          awkward<T>(g.in_c * g.in_h * g.in_w, salt, seasons[si][0]);
+      const auto wt = awkward<T>(g.out_c * g.steps(), salt + 3, seasons[si][1]);
+      const auto bias = awkward<T>(g.out_c, 5, Season::kFinite);
+      const Tensor<T> want = run_conv(ref, g, in, wt, bias);
+      for (const char* name : registered_names<T>()) {
+        const KernelSet<T>* ks = kernel_set<T>(name);
+        ASSERT_NE(ks, nullptr) << name;
+        if (ks == &ref) continue;
+        std::vector<T> packed(
+            packed_elems(g.out_c, g.steps(), ks->pack_lanes));
+        if (!packed.empty())
+          pack_rows(wt.data(), g.out_c, g.steps(), ks->pack_lanes,
+                    packed.data());
+        for (const Region& r : boxes)
+          expect_region_only(
+              want, r,
+              [&](T* out) {
+                ks->conv(g, r, in.data(), wt.data(),
+                         packed.empty() ? nullptr : packed.data(),
+                         bias.data(), out);
+              },
+              std::string(name) + " in_c=" + std::to_string(g.in_c) +
+                  " out_c=" + std::to_string(c) + " k=" +
+                  std::to_string(g.k) + " pad=" + std::to_string(g.pad) +
+                  " season=" + std::to_string(si));
+      }
+    }
+  }
+}
+
 /// Whether the upper halves of ymm0-15 / zmm0-15 hold live state (XINUSE
 /// bits 2 and 6, read by XGETBV with ECX = 1) after clearing them, running
 /// `kernel`, and returning; nullopt where the CPU cannot report XINUSE, or
@@ -551,12 +635,14 @@ std::optional<bool> leaves_upper_state_dirty(Kernel&& kernel) {
 TYPED_TEST(KernelProperty, KernelsReturnWithUpperVectorStateClear) {
   using T = TypeParam;
   const ConvGeom g = kConvGeoms[4];
+  // The same layer at stride 1, which the avx512fp16 set runs by pairs.
+  const ConvGeom g1 = stride_one(g.in_c, g.in_h, g.in_w, g.out_c, g.k, g.pad);
   const FcGeom f = kFcGeoms[0];
   const auto in = awkward<T>(g.in_c * g.in_h * g.in_w, 11, Season::kFinite);
   const auto w = awkward<T>(g.out_c * g.steps(), 23, Season::kFinite);
   const auto fw = awkward<T>(f.out * f.in, 41, Season::kFinite);
   const auto bias = awkward<T>(std::max(g.out_c, f.out), 5, Season::kFinite);
-  std::vector<T> out(g.out_c * g.out_h * g.out_w);
+  std::vector<T> out(g1.out_c * g1.out_h * g1.out_w);
   for (const char* name : registered_names<T>()) {
     const KernelSet<T>* ks = kernel_set<T>(name);
     ASSERT_NE(ks, nullptr) << name;
@@ -573,6 +659,10 @@ TYPED_TEST(KernelProperty, KernelsReturnWithUpperVectorStateClear) {
     });
     if (!conv) GTEST_SKIP() << "unoptimized build or no XINUSE";
     EXPECT_FALSE(*conv) << name << " conv";
+    EXPECT_FALSE(*leaves_upper_state_dirty([&] {
+      ks->conv(g1, g1.full(), in.data(), w.data(), wp, bias.data(),
+               out.data());
+    })) << name << " conv stride 1";
     EXPECT_FALSE(*leaves_upper_state_dirty([&] {
       ks->fc(f, in.data(), fw.data(), fwp, bias.data(), out.data());
     })) << name << " fc";
