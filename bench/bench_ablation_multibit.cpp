@@ -36,9 +36,7 @@ int main() {
       fault::CampaignOptions dp;
       dp.trials = n;
       dp.seed = 31017;
-      dp.constraint.op_kind = op.kind;
-      dp.constraint.burst = op.burst;
-      dp.constraint.op_pattern = op.pattern;
+      dp.constraint.op = op;
       const auto e_dp = run_streaming(campaign, dp).sdc1();
 
       fault::CampaignOptions gb = dp;

@@ -58,9 +58,7 @@ std::size_t validate_column_law(const NetContext& ctx,
   const fault::Sampler sampler(ctx.model.spec, numeric::DType::kFloat16,
                                model);
   fault::SampleConstraint sc;
-  sc.op_kind = op.kind;
-  sc.burst = op.burst;
-  sc.op_pattern = op.pattern;
+  sc.op = op;
 
   std::size_t violations = 0;
   Rng rng(seed);
@@ -168,9 +166,7 @@ int main() {
       dp.trials = n;
       dp.seed = 20170814;
       dp.accel = *cfg;
-      dp.constraint.op_kind = spec->kind;
-      dp.constraint.burst = spec->burst;
-      dp.constraint.op_pattern = spec->pattern;
+      dp.constraint.op = *spec;
       const auto e_dp = run_streaming(campaign, dp).sdc1();
       cells.push_back({geom, spec->to_string(), "datapath", e_dp});
 

@@ -15,6 +15,7 @@
 // documented.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -391,20 +392,26 @@ struct KernelCell {
   double gflops = 0;
 };
 
+/// GFLOP/s of `call`: the median of kTimedRuns runs of one batch of calls,
+/// the batch sized (after one warm call) to take at least 20 ms, so a lone
+/// preempted run on a shared host does not set the cell.
 template <typename Fn>
 double time_gflops(double flops_per_call, Fn&& call) {
   using Clock = std::chrono::steady_clock;
-  call();  // warm
-  std::size_t reps = 1;
-  for (;;) {
+  constexpr std::size_t kTimedRuns = 5;
+  const auto run = [&](std::size_t reps) {
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < reps; ++i) call();
-    const double secs =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    if (secs >= 0.05 || reps >= (std::size_t{1} << 20))
-      return flops_per_call * static_cast<double>(reps) / secs / 1e9;
-    reps *= 2;
-  }
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  call();  // warm
+  std::size_t reps = 1;
+  while (run(reps) < 0.02 && reps < (std::size_t{1} << 20)) reps *= 2;
+  std::vector<double> secs(kTimedRuns);
+  for (double& t : secs) t = run(reps);
+  std::nth_element(secs.begin(), secs.begin() + kTimedRuns / 2, secs.end());
+  return flops_per_call * static_cast<double>(reps) / secs[kTimedRuns / 2] /
+         1e9;
 }
 
 /// One set's conv GFLOP/s over `box` of `g`, with inputs, weights and bias
@@ -517,7 +524,7 @@ void profile_layer_kinds(const char* netname, const char* dtype, NetworkId id,
       const auto t0 = Clock::now();
       plan.exec_step(i, cur, o, plan.packed_data());
       if (timed)
-        acc[steps[i].layer->kind()] += static_cast<double>(
+        acc[net.spec().layers[i].kind] += static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                                  t0)
                 .count());

@@ -15,7 +15,7 @@ std::vector<LayerFootprint> analyze(const NetworkSpec& spec) {
   for (std::size_t i = 0; i < spec.layers.size(); ++i) {
     const LayerSpec& l = spec.layers[i];
     const Shape os = dnn::shape_after(l, shape);
-    if (l.kind == LayerKind::kConv || l.kind == LayerKind::kFullyConnected) {
+    if (const std::size_t steps = dnn::mac_steps(l, shape); steps > 0) {
       LayerFootprint fp;
       fp.layer_index = i;
       fp.block = l.block;
@@ -24,13 +24,9 @@ std::vector<LayerFootprint> analyze(const NetworkSpec& spec) {
       fp.out_shape = os;
       fp.input_elems = shape.size();
       fp.output_elems = os.size();
-      if (fp.is_conv) {
-        fp.steps = shape.c * l.kernel * l.kernel;
-        fp.weight_elems = l.out_channels * fp.steps;
-      } else {
-        fp.steps = shape.size();
-        fp.weight_elems = l.out_features * fp.steps;
-      }
+      fp.steps = steps;
+      fp.weight_elems =
+          (fp.is_conv ? l.out_channels : l.out_features) * fp.steps;
       fp.macs = fp.output_elems * fp.steps;
       out.push_back(fp);
     }

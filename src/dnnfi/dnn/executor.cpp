@@ -156,63 +156,52 @@ template <typename T>
 ExecutionPlan<T>::ExecutionPlan(const Network<T>& net)
     : input_(net.spec().input), kset_(&kernels::active_kernels<T>()) {
   // Kernel routing: the active set is captured once (the plan-compile-time
-  // selection) and each step's geometry, weight/bias pointers and slot in
-  // the packed copy are resolved here.
-  DNNFI_EXPECTS(net.num_layers() > 0);
-  steps_.reserve(net.num_layers());
+  // selection) and each step's geometry and slot in the packed copy are
+  // resolved here from the spec; repack binds the weights.
+  const std::vector<LayerSpec>& layers = net.spec().layers;
+  DNNFI_EXPECTS(!layers.empty());
+  steps_.reserve(layers.size());
   const std::size_t lanes = kset_->pack_lanes;
   std::size_t packed_elems = 0;
   Shape shape = input_;
   input_elems_ = shape.size();
-  for (std::size_t i = 0; i < net.num_layers(); ++i) {
+  for (const LayerSpec& ls : layers) {
     PlanStep<T> st;
-    st.layer = &net.layer(i);
     st.in_shape = shape;
-    st.out_shape = st.layer->out_shape(shape);
-    st.macs = st.layer->macs(shape);
+    st.out_shape = shape_after(ls, shape);
+    st.macs = st.out_shape.size() * mac_steps(ls, shape);
     total_macs_ += st.macs;
     buffer_elems_ = std::max(buffer_elems_, st.out_shape.size());
     input_elems_ = std::max(input_elems_, st.in_shape.size());
     shape = st.out_shape;
-    switch (st.layer->kind()) {
-      case LayerKind::kConv: {
-        const auto* c = static_cast<const Conv2d<T>*>(st.layer);
+    const Shape& is = st.in_shape;
+    const Shape& os = st.out_shape;
+    switch (ls.kind) {
+      case LayerKind::kConv:
         st.kernel = StepKernel::kConv;
-        st.conv = c->geom(st.in_shape, st.out_shape);
-        st.w = c->weights().data();
-        st.bias = c->biases().data();
+        st.conv = {is.c, is.h, is.w, os.c, os.h, os.w,
+                   ls.kernel, ls.stride, ls.pad};
         st.packed_n = kernels::packed_elems(st.conv.out_c, st.conv.steps(),
                                             lanes);
         break;
-      }
-      case LayerKind::kFullyConnected: {
-        const auto* f = static_cast<const FullyConnected<T>*>(st.layer);
+      case LayerKind::kFullyConnected:
         st.kernel = StepKernel::kFc;
-        st.fc = {f->in_features(), f->out_features()};
-        st.w = f->weights().data();
-        st.bias = f->biases().data();
+        st.fc = {is.size(), ls.out_features};
         st.packed_n = kernels::packed_elems(st.fc.out, st.fc.in, lanes);
         break;
-      }
       case LayerKind::kRelu:
         st.kernel = StepKernel::kRelu;
         break;
-      case LayerKind::kLrn: {
-        const auto* l = static_cast<const Lrn<T>*>(st.layer);
+      case LayerKind::kLrn:
         st.kernel = StepKernel::kLrn;
-        st.lrn = {st.in_shape.c, st.in_shape.h, st.in_shape.w,
-                  l->size(),     l->alpha(),    l->beta(),
-                  l->bias_k()};
+        st.lrn = {is.c,         is.h,        is.w,    ls.lrn_size,
+                  ls.lrn_alpha, ls.lrn_beta, ls.lrn_k};
         break;
-      }
-      case LayerKind::kMaxPool: {
-        const auto* m = static_cast<const MaxPool2d<T>*>(st.layer);
+      case LayerKind::kMaxPool:
         st.kernel = StepKernel::kMaxPool;
-        st.pool = {st.out_shape.c, st.in_shape.h,  st.in_shape.w,
-                   st.out_shape.h, st.out_shape.w, m->kernel(),
-                   m->stride()};
+        st.pool = {os.c, is.h, is.w, os.h, os.w, ls.pool_kernel,
+                   ls.pool_stride};
         break;
-      }
       case LayerKind::kGlobalAvgPool:
         st.kernel = StepKernel::kAvgPool;
         break;
@@ -225,24 +214,29 @@ ExecutionPlan<T>::ExecutionPlan(const Network<T>& net)
     steps_.push_back(st);
   }
   packed_.resize(packed_elems);
+  repack(net.params());
 }
 
 template <typename T>
-void ExecutionPlan<T>::repack() {
+void ExecutionPlan<T>::repack(std::span<const LayerParams<T>> params) {
+  DNNFI_EXPECTS(params.size() == steps_.size());
   const std::size_t lanes = kset_->pack_lanes;
-  for (auto& st : steps_) {
+  for (std::size_t i = 0; i < steps_.size(); ++i) {
+    PlanStep<T>& st = steps_[i];
+    if (st.kernel != StepKernel::kConv && st.kernel != StepKernel::kFc)
+      continue;
+    const bool conv = st.kernel == StepKernel::kConv;
+    const std::size_t rows = conv ? st.conv.out_c : st.fc.out;
+    const std::size_t cols = conv ? st.conv.steps() : st.fc.in;
+    DNNFI_EXPECTS(params[i].weights.size() == rows * cols &&
+                  params[i].biases.size() == rows);
+    st.w = params[i].weights.data();
+    st.bias = params[i].biases.data();
     if (st.packed_n == 0) continue;
-    T* const dst = packed_.data() + st.packed_off;
-    if (st.kernel == StepKernel::kConv) {
-      kernels::pack_rows(st.w, st.conv.out_c, st.conv.steps(), lanes, dst);
-      if constexpr (!numeric::numeric_traits<T>::is_floating)
-        st.conv.act_limit = kernels::fixed_act_limit(
-            st.w, st.conv.out_c, st.conv.steps());
-    } else {
-      kernels::pack_rows(st.w, st.fc.out, st.fc.in, lanes, dst);
-      if constexpr (!numeric::numeric_traits<T>::is_floating)
-        st.fc.act_limit = kernels::fixed_act_limit(st.w, st.fc.out, st.fc.in);
-    }
+    kernels::pack_rows(st.w, rows, cols, lanes, packed_.data() + st.packed_off);
+    if constexpr (!numeric::numeric_traits<T>::is_floating)
+      (conv ? st.conv.act_limit : st.fc.act_limit) =
+          kernels::fixed_act_limit(st.w, rows, cols);
   }
 }
 
@@ -389,8 +383,8 @@ ConstTensorView<T> Executor<T>::run_faulty(Workspace<T>& ws,
     // Patch the golden output of the target layer with the fault's effect;
     // the patched elements' bounding box is the dirty region.
     a.copy_from(g.act(f.layer));
-    steps[f.layer].layer->apply_faults(g.layer_input(f.layer), a, f.faults,
-                                       req.record, plan_->kernel_set());
+    apply_faults(steps[f.layer], g.layer_input(f.layer), a, f.faults,
+                 req.record, plan_->kernel_set());
     if (dirty) r = mismatch_box<T>(a, g.act(f.layer));
   }
   if (req.observer != nullptr) (*req.observer)(f.layer, a);

@@ -1,9 +1,10 @@
 // Compiled execution plans.
 //
 // ExecutionPlan<T> is built once per Network<T>: it pre-resolves every
-// layer's input/output shape, per-layer MAC counts, and the arena high-water
-// mark a forward pass needs, and it owns the one lane-interleaved weight
-// copy its kernel set reads. Workspace<T> owns the arena (one contiguous
+// layer's input/output shape (spec.h shape_after), kernel geometry and MAC
+// count from the NetworkSpec, and the arena high-water mark a forward pass
+// needs, and it owns the one lane-interleaved weight copy its kernel set
+// reads. Workspace<T> owns the arena (one contiguous
 // vector, reused across runs). Executor<T> runs a plan out of a workspace:
 // a plain forward pass, or a fault-patched partial re-execution, behind one
 // RunRequest. ActivationCache<T> is the one fault-free reference: it holds
@@ -58,14 +59,13 @@ enum class StepKernel {
   kSoftmax
 };
 
-/// One layer of a compiled plan with its resolved shapes and, for kernel-
-/// routed layers, the pre-resolved kernel call (geometry, weight and bias
-/// pointers, packed-copy placement). Avgpool's channel/plane split and
-/// softmax's length come straight from in_shape at exec time, so only LRN
-/// and maxpool carry extra geometry.
+/// One layer of a compiled plan with its resolved shapes and the pre-
+/// resolved kernel call (geometry, weight and bias pointers, packed-copy
+/// placement). Avgpool's channel/plane split and softmax's length come
+/// straight from in_shape at exec time, so only conv, FC, LRN and maxpool
+/// carry geometry.
 template <typename T>
 struct PlanStep {
-  const Layer<T>* layer = nullptr;
   Shape in_shape;
   Shape out_shape;
   std::size_t macs = 0;
@@ -74,16 +74,16 @@ struct PlanStep {
   kernels::FcGeom fc;
   kernels::LrnGeom lrn;
   kernels::PoolGeom pool;
-  const T* w = nullptr;     ///< row-major weights (stable: layer storage)
+  const T* w = nullptr;     ///< row-major weights (the Network's record)
   const T* bias = nullptr;
   std::size_t packed_off = 0;  ///< offset of this step in the packed copy
   std::size_t packed_n = 0;    ///< packed element count (0: nothing packed)
 };
 
 /// Forward schedule for one network topology, immutable between weight
-/// updates. Holds raw layer pointers — valid as long as the Network that
-/// built it is alive (layer storage is stable across Network moves) — and
-/// the packed weight copy, which only that Network re-takes.
+/// updates. Holds raw pointers into the Network's parameter records — valid
+/// as long as that Network is alive (their storage is stable across Network
+/// moves) — and the packed weight copy, which only that Network re-takes.
 template <typename T>
 class ExecutionPlan {
  public:
@@ -134,8 +134,10 @@ class ExecutionPlan {
  private:
   friend class Network<T>;
 
-  /// Re-takes the packed copy from the layers' current weights.
-  void repack();
+  /// Re-takes the weight and bias pointers from `params` (the Network's
+  /// records, whose sizes must be unchanged) and the packed copy from their
+  /// current weights.
+  void repack(std::span<const LayerParams<T>> params);
 
   std::vector<PlanStep<T>> steps_;
   Shape input_;
@@ -143,8 +145,6 @@ class ExecutionPlan {
   std::size_t input_elems_ = 0;
   std::size_t total_macs_ = 0;
   const kernels::KernelSet<T>* kset_ = nullptr;
-  /// Sized at build: its zeros are the packed image of a new Network's
-  /// zero-valued layers.
   std::vector<T> packed_;
 };
 

@@ -1,7 +1,7 @@
-// Fault descriptors that layers understand. The fault module samples
-// hardware-level fault sites (latches, buffer bits) and lowers them onto
-// these layer-level hooks; the layer applies them bit-exactly during its
-// forward computation. Each hook carries a mask-based fault::FaultOp (set0 /
+// Layer-level fault descriptors. The fault module samples hardware-level
+// fault sites (latches, buffer bits) and lowers them onto these hooks;
+// apply_faults (layers.h) applies them bit-exactly to a conv or FC step's
+// fault-free output. Each hook carries a mask-based fault::FaultOp (set0 /
 // set1 / toggle masks) describing *what* happens to the struck word.
 //
 // Scoping mirrors the accelerator reuse analysis (paper §2.2, §5.2 for the
@@ -85,7 +85,7 @@ struct LayerFaults {
   std::optional<ColumnFault> column;
 };
 
-/// Written by the layer when it applies a fault: the corrupted quantity
+/// Written by apply_faults when it applies a fault: the corrupted quantity
 /// before and after the upset, in double. Feeds the paper's Fig 5 value
 /// study. `act_before/after` hold the affected *output* activation.
 struct InjectionRecord {

@@ -490,8 +490,8 @@ constexpr std::size_t kSoftmaxStack = 1024;
 // replaces NaN and +/-Inf lanes by -Inf before a 4-lane double max over the
 // widened inputs; widening and max are exact, so any association gives the
 // scalar "max over finite elements" for every type (only the sign of a zero
-// maximum may differ, which exp(v - mx) cannot see; see Softmax in
-// layers.h). The exp/sum pass stays scalar; the normalize pass divides four
+// maximum may differ, which exp(v - mx) cannot see; see scalar_softmax in
+// kernel_scalar.h). The exp/sum pass stays scalar; the normalize pass divides four
 // lanes at a time when the exps are buffered.
 template <class Io>
 void softmax_lanes(const typename Io::T* in, typename Io::T* out,

@@ -1,18 +1,19 @@
 // Scalar reference kernels — the always-correct ground truth every SIMD set
 // is tested bit-identical against (see kernels.h for the contract).
 //
-// scalar_conv is the former Conv2d::forward_plain: per output, the
+// scalar_conv is the original layer-level conv forward: per output, the
 // (ci, ky, kx) chain of multiply-then-accumulate taps (padded taps multiply
 // by a zero activation) and the trailing bias add, with the per-tap
 // Shape::index arithmetic replaced by hoisted row pointers. scalar_fc is
-// likewise the former FullyConnected fast path, and scalar_chain /
+// likewise the original fully-connected forward, and scalar_chain /
 // scalar_chain_pair the same tap loop over gathered taps. scalar_conv,
 // scalar_lrn and scalar_maxpool compute one output Region (kernels.h); each
 // output's value does not depend on the region it is computed in.
 //
 // The post-MAC kernels (scalar_lrn / scalar_maxpool / scalar_avgpool /
-// scalar_softmax) are the former Lrn / MaxPool2d / GlobalAvgPool / Softmax
-// forward loops, restructured for speed but bit-identical output for output:
+// scalar_softmax) are the original layer-level LRN / maxpool / avgpool /
+// softmax forward loops, restructured for speed but bit-identical output
+// for output:
 //  - scalar_lrn buffers each spatial column's squared activations once (the
 //    old loop re-converted every window tap from T per output, a 5-6x
 //    redundancy at size=5) and then sums each output's window from the
@@ -201,8 +202,8 @@ void scalar_lrn(const LrnGeom& g, const Region& r, const T* in, T* out) {
   }
 }
 
-/// Max pooling over the outputs in `r`, scalar reference: the former
-/// MaxPool2d::forward loop with the window seeded from its first element
+/// Max pooling over the outputs in `r`, scalar reference: the original
+/// layer-level maxpool loop with the window seeded from its first element
 /// and strict-greater updates, so NaNs never win and first-maximum
 /// tie-breaking is preserved.
 template <typename T>
@@ -246,7 +247,7 @@ void scalar_avgpool(const T* in, T* out, std::size_t channels,
   }
 }
 
-/// The former Softmax::shifted_exp: NaNs map to exp(-inf) = 0 so a poisoned
+/// The original softmax's shifted exp: NaNs map to exp(-inf) = 0 so a poisoned
 /// class drops out instead of wrecking every confidence score.
 template <typename T>
 double softmax_shifted_exp(T raw, double mx) {

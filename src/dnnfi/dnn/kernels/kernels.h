@@ -48,8 +48,8 @@
 // executor calls it once per contiguous run), the rest always run whole.
 //
 // Single chains: `chain` and `chain_pair` run one output's MAC chain over
-// gathered taps, for the outputs a fault rewrites (Conv2d /
-// FullyConnected::apply_faults, DESIGN.md §8). The scalar set runs the
+// gathered taps, for the outputs a fault rewrites (apply_faults in
+// layers.h, DESIGN.md §8). The scalar set runs the
 // reference loop; the avx2 and avx512 FLOAT16 sets the 1-lane F16C trait of
 // kernel_mac_body.h; avx512fp16 native binary16 with the canonical-NaN
 // rewrite once per call; every other set the scalar entries.
@@ -204,7 +204,7 @@ using AvgPoolFn = void (*)(const T* in, T* out, std::size_t channels,
                            std::size_t plane);
 
 /// Softmax over n elements: max-shifted, exp/sum at double precision,
-/// non-finite inputs contribute exp(-inf) = 0 (see Softmax in layers.h).
+/// non-finite inputs contribute exp(-inf) = 0 (see scalar_softmax).
 template <typename T>
 using SoftmaxFn = void (*)(const T* in, T* out, std::size_t n);
 

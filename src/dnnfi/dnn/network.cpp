@@ -29,73 +29,64 @@ std::vector<std::size_t> Prediction::topk(std::size_t k) const {
 
 double Prediction::top1_score() const { return scores[top1()]; }
 
-/// Output shape of `l` applied to `in` — mirrors the layer classes'
-/// out_shape without instantiating them. Shared by the accelerator model
-/// (dataflow footprints) and any spec-level shape walking.
 Shape shape_after(const LayerSpec& l, const Shape& in) {
   switch (l.kind) {
     case LayerKind::kConv: {
+      DNNFI_EXPECTS(in.c > 0 && l.out_channels > 0 && l.kernel > 0 &&
+                    l.stride > 0);
       DNNFI_EXPECTS(in.h + 2 * l.pad >= l.kernel && in.w + 2 * l.pad >= l.kernel);
       return tensor::chw(l.out_channels,
                          (in.h + 2 * l.pad - l.kernel) / l.stride + 1,
                          (in.w + 2 * l.pad - l.kernel) / l.stride + 1);
     }
     case LayerKind::kFullyConnected:
+      DNNFI_EXPECTS(in.size() > 0 && l.out_features > 0);
       return tensor::vec(l.out_features);
     case LayerKind::kMaxPool:
+      DNNFI_EXPECTS(l.pool_kernel > 0 && l.pool_stride > 0);
+      DNNFI_EXPECTS(in.h >= l.pool_kernel && in.w >= l.pool_kernel);
       return tensor::chw(in.c, (in.h - l.pool_kernel) / l.pool_stride + 1,
                          (in.w - l.pool_kernel) / l.pool_stride + 1);
     case LayerKind::kGlobalAvgPool:
       return tensor::vec(in.c);
     case LayerKind::kSoftmax:
       return tensor::vec(in.size());
-    case LayerKind::kRelu:
     case LayerKind::kLrn:
+      DNNFI_EXPECTS(l.lrn_size % 2 == 1);
+      return in;
+    case LayerKind::kRelu:
       return in;
   }
   DNNFI_EXPECTS(false);
   return in;
 }
 
-template <typename T>
-std::unique_ptr<Layer<T>> make_layer(const LayerSpec& spec, const Shape& in_shape) {
-  switch (spec.kind) {
+std::size_t mac_steps(const LayerSpec& l, const Shape& in) {
+  switch (l.kind) {
     case LayerKind::kConv:
-      return std::make_unique<Conv2d<T>>(spec.name, spec.block, in_shape.c,
-                                         spec.out_channels, spec.kernel,
-                                         spec.stride, spec.pad);
+      return in.c * l.kernel * l.kernel;
     case LayerKind::kFullyConnected:
-      return std::make_unique<FullyConnected<T>>(spec.name, spec.block,
-                                                 in_shape.size(),
-                                                 spec.out_features);
-    case LayerKind::kRelu:
-      return std::make_unique<Relu<T>>(spec.name, spec.block);
-    case LayerKind::kMaxPool:
-      return std::make_unique<MaxPool2d<T>>(spec.name, spec.block,
-                                            spec.pool_kernel, spec.pool_stride);
-    case LayerKind::kLrn:
-      return std::make_unique<Lrn<T>>(spec.name, spec.block, spec.lrn_size,
-                                      spec.lrn_alpha, spec.lrn_beta, spec.lrn_k);
-    case LayerKind::kSoftmax:
-      return std::make_unique<Softmax<T>>(spec.name, spec.block);
-    case LayerKind::kGlobalAvgPool:
-      return std::make_unique<GlobalAvgPool<T>>(spec.name, spec.block);
+      return in.size();
+    default:
+      return 0;
   }
-  DNNFI_EXPECTS(false);
-  return nullptr;
 }
 
 template <typename T>
-Network<T>::Network(const NetworkSpec& spec) : spec_(spec) {
+Network<T>::Network(const NetworkSpec& spec)
+    : spec_(spec), params_(spec.layers.size()) {
   DNNFI_EXPECTS(!spec.layers.empty());
   Shape shape = spec.input;
-  layers_.reserve(spec.layers.size());
-  for (const auto& ls : spec.layers) {
-    auto layer = make_layer<T>(ls, shape);
-    shape = layer->out_shape(shape);
-    if (ls.kind == LayerKind::kConv || ls.kind == LayerKind::kFullyConnected)
-      mac_layers_.push_back(layers_.size());
-    layers_.push_back(std::move(layer));
+  for (std::size_t i = 0; i < spec.layers.size(); ++i) {
+    const LayerSpec& ls = spec.layers[i];
+    const std::size_t steps = mac_steps(ls, shape);
+    shape = shape_after(ls, shape);
+    if (steps == 0) continue;
+    const std::size_t outs = ls.kind == LayerKind::kConv ? ls.out_channels
+                                                         : ls.out_features;
+    params_[i].weights.resize(outs * steps);
+    params_[i].biases.resize(outs);
+    mac_layers_.push_back(i);
   }
   DNNFI_ENSURES(shape.size() == spec.num_classes);
   plan_ = std::make_unique<ExecutionPlan<T>>(*this);
@@ -109,14 +100,15 @@ template <typename T>
 Network<T>& Network<T>::operator=(Network&&) noexcept = default;
 
 template <typename T>
-void Network<T>::update_params(const std::function<void(MutableLayers)>& fn) {
+void Network<T>::update_params(
+    const std::function<void(std::span<LayerParams<T>>)>& fn) {
   try {
-    fn(layers_);
+    fn(params_);
   } catch (...) {
-    plan_->repack();
+    plan_->repack(params_);
     throw;
   }
-  plan_->repack();
+  plan_->repack(params_);
 }
 
 template <typename T>
@@ -153,7 +145,7 @@ std::size_t Network<T>::total_macs() const {
 template <typename T>
 std::size_t Network<T>::total_weights() const {
   std::size_t total = 0;
-  for (const auto& layer : layers_) total += layer->weights().size();
+  for (const auto& p : params_) total += p.weights.size();
   return total;
 }
 
@@ -163,12 +155,5 @@ template class Network<numeric::Half>;
 template class Network<numeric::Fx32r26>;
 template class Network<numeric::Fx32r10>;
 template class Network<numeric::Fx16r10>;
-
-template std::unique_ptr<Layer<double>> make_layer<double>(const LayerSpec&, const Shape&);
-template std::unique_ptr<Layer<float>> make_layer<float>(const LayerSpec&, const Shape&);
-template std::unique_ptr<Layer<numeric::Half>> make_layer<numeric::Half>(const LayerSpec&, const Shape&);
-template std::unique_ptr<Layer<numeric::Fx32r26>> make_layer<numeric::Fx32r26>(const LayerSpec&, const Shape&);
-template std::unique_ptr<Layer<numeric::Fx32r10>> make_layer<numeric::Fx32r10>(const LayerSpec&, const Shape&);
-template std::unique_ptr<Layer<numeric::Fx16r10>> make_layer<numeric::Fx16r10>(const LayerSpec&, const Shape&);
 
 }  // namespace dnnfi::dnn

@@ -1,4 +1,8 @@
-// Network<T>: an ordered stack of layers executing in datapath type T.
+// Network<T>: a NetworkSpec plus one parameter record per layer, executing
+// in datapath type T. Conv/FC perform every MAC in T (fixed-point
+// saturation and binary16 rounding included, as the modeled accelerator
+// would) and are the layers that accept hardware fault hooks; the other
+// layers model fixed-function or host-side units.
 //
 // Execution is delegated to the compiled-plan engine (executor.h): each
 // Network builds an ExecutionPlan once at construction, and forward /
@@ -17,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "dnnfi/dnn/layers.h"
+#include "dnnfi/dnn/fault_hooks.h"
 #include "dnnfi/dnn/spec.h"
 #include "dnnfi/numeric/dtype.h"
 
@@ -58,6 +62,15 @@ struct AppliedFault {
   std::optional<numeric::DType> input_storage;
 };
 
+/// One layer's parameters: row-major weights (conv OIHW, FC out x in) and
+/// one bias per output channel (an FC output is its own channel). Both are
+/// empty for layers without MACs.
+template <typename T>
+struct LayerParams {
+  std::vector<T> weights;
+  std::vector<T> biases;
+};
+
 template <typename T>
 class Network {
  public:
@@ -69,17 +82,18 @@ class Network {
 
   const NetworkSpec& spec() const noexcept { return spec_; }
   const std::string& name() const noexcept { return spec_.name; }
-  std::size_t num_layers() const noexcept { return layers_.size(); }
+  std::size_t num_layers() const noexcept { return spec_.layers.size(); }
   std::size_t num_classes() const noexcept { return spec_.num_classes; }
   bool has_softmax() const noexcept { return spec_.has_softmax(); }
 
-  const Layer<T>& layer(std::size_t i) const { return *layers_.at(i); }
+  /// Every layer's parameters, indexed like spec().layers.
+  std::span<const LayerParams<T>> params() const noexcept { return params_; }
 
-  /// The one way to change parameters: calls `fn` with the mutable layers
-  /// (index i is layer(i)), then re-takes the plan's packed weight copy,
-  /// also when `fn` throws. No other thread may run the plan meanwhile.
-  using MutableLayers = std::span<const std::unique_ptr<Layer<T>>>;
-  void update_params(const std::function<void(MutableLayers)>& fn);
+  /// The one way to change parameters: calls `fn` with the mutable records
+  /// (index i is params()[i]; their sizes must not change), then re-takes
+  /// the plan's weight pointers and packed copy, also when `fn` throws. No
+  /// other thread may run the plan meanwhile.
+  void update_params(const std::function<void(std::span<LayerParams<T>>)>& fn);
 
   /// Indices of layers that perform MACs (conv and FC), in order.
   const std::vector<std::size_t>& mac_layers() const noexcept {
@@ -110,18 +124,13 @@ class Network {
 
  private:
   NetworkSpec spec_;
-  std::vector<std::unique_ptr<Layer<T>>> layers_;
+  std::vector<LayerParams<T>> params_;
   std::vector<std::size_t> mac_layers_;
   // Built eagerly in the constructor; unique_ptr because ExecutionPlan is
-  // incomplete here (executor.h includes this header). Layer storage is
-  // owned via unique_ptr, so the plan's raw layer pointers survive moves.
+  // incomplete here (executor.h includes this header). The plan points into
+  // the records' weight vectors, whose storage a Network move keeps.
   std::unique_ptr<ExecutionPlan<T>> plan_;
 };
-
-/// Builds one concrete layer from its spec. `in_shape` is the layer's input
-/// shape (needed to size FC weights); returns the layer and its out shape.
-template <typename T>
-std::unique_ptr<Layer<T>> make_layer(const LayerSpec& spec, const Shape& in_shape);
 
 extern template class Network<double>;
 extern template class Network<float>;

@@ -1,16 +1,53 @@
 // Declarative network topology description. A NetworkSpec is the single
 // source of truth a Network<T> is instantiated from, for any datapath type
 // T; it is also what the model serializer stores next to the weights.
+// shape_after and mac_steps are the one shape rule and the one MAC rule:
+// the execution plan, the parameter sizes and the accelerator footprint
+// model all read them.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
-#include "dnnfi/dnn/layer.h"
+#include "dnnfi/tensor/tensor.h"
 
 namespace dnnfi::dnn {
 
+using tensor::ConstTensorView;
+using tensor::Shape;
+using tensor::Tensor;
+using tensor::TensorView;
+
+enum class LayerKind {
+  kConv,
+  kFullyConnected,
+  kRelu,
+  kMaxPool,
+  kLrn,
+  kSoftmax,
+  kGlobalAvgPool,
+};
+
+constexpr const char* layer_kind_name(LayerKind k) {
+  switch (k) {
+    case LayerKind::kConv:           return "conv";
+    case LayerKind::kFullyConnected: return "fc";
+    case LayerKind::kRelu:           return "relu";
+    case LayerKind::kMaxPool:        return "maxpool";
+    case LayerKind::kLrn:            return "lrn";
+    case LayerKind::kSoftmax:        return "softmax";
+    case LayerKind::kGlobalAvgPool:  return "gavgpool";
+  }
+  return "?";
+}
+
 /// One layer of a topology. Only the fields relevant to `kind` are used.
+/// Conv: square kernels, zero padding, one bias per output channel; its MAC
+/// steps enumerate the (ci, ky, kx) kernel volume row-major, padded taps
+/// included. FC: out[o] = sum_i W[o,i] * in[i] + b[o] over the flattened
+/// input. Maxpool: square windows, no padding. LRN: across channels, odd
+/// window `lrn_size`.
 struct LayerSpec {
   LayerKind kind = LayerKind::kRelu;
   std::string name;
@@ -57,10 +94,14 @@ struct NetworkSpec {
   friend bool operator==(const NetworkSpec&, const NetworkSpec&) = default;
 };
 
-/// Output shape of `l` applied to `in` — mirrors the layer classes'
-/// out_shape without instantiating them. Used by the accelerator footprint
-/// model and anything else that walks shapes at the spec level.
+/// Output shape of `l` applied to `in`. Throws ContractViolation when the
+/// layer's geometry does not fit `in` (or is degenerate).
 Shape shape_after(const LayerSpec& l, const Shape& in);
+
+/// Accumulation steps per output element of `l` on `in`: the conv kernel
+/// volume in.c * k * k, the FC input length, 0 for layers without MACs.
+/// A layer's MACs are shape_after(l, in).size() * mac_steps(l, in).
+std::size_t mac_steps(const LayerSpec& l, const Shape& in);
 
 /// Convenience builders for assembling specs fluently.
 class SpecBuilder {

@@ -8,7 +8,7 @@
 
 #include "dnnfi/common/rng.h"
 #include "dnnfi/common/thread_pool.h"
-#include "dnnfi/dnn/executor.h"
+#include "dnnfi/dnn/layers.h"
 
 namespace dnnfi::dnn {
 
@@ -30,8 +30,8 @@ struct Lane {
     gw.resize(net.num_layers());
     gb.resize(net.num_layers());
     for (std::size_t i = 0; i < net.num_layers(); ++i) {
-      gw[i].resize(net.layer(i).weights().size(), 0.0F);
-      gb[i].resize(net.layer(i).biases().size(), 0.0F);
+      gw[i].resize(net.params()[i].weights.size(), 0.0F);
+      gb[i].resize(net.params()[i].biases.size(), 0.0F);
     }
   }
 
@@ -47,8 +47,7 @@ struct Lane {
 /// folded into the loss).
 std::size_t train_depth(const Network<float>& net) {
   const std::size_t n = net.num_layers();
-  if (net.layer(n - 1).kind() == LayerKind::kSoftmax) return n - 1;
-  return n;
+  return net.has_softmax() ? n - 1 : n;
 }
 
 /// The softmax-cross-entropy head's verdict on one example.
@@ -98,9 +97,9 @@ void fwd_bwd(const Network<float>& net, const Example& ex, Lane& lane) {
     gtop[i] = static_cast<float>(lane.p[i] - (i == ex.label ? 1.0 : 0.0));
 
   for (std::size_t i = depth; i-- > 0;) {
-    net.layer(i).backward(lane.cache.layer_input(i), lane.cache.act(i),
-                          lane.grads[i + 1], lane.grads[i], lane.gw[i],
-                          lane.gb[i]);
+    backward(net.plan().steps()[i], lane.cache.layer_input(i),
+             lane.cache.act(i), lane.grads[i + 1], lane.grads[i], lane.gw[i],
+             lane.gb[i]);
   }
 }
 
@@ -113,8 +112,8 @@ void train(Network<float>& net, const ExampleSource& source,
   // Momentum buffers per layer.
   std::vector<std::vector<float>> vw(net.num_layers()), vb(net.num_layers());
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    vw[i].resize(net.layer(i).weights().size(), 0.0F);
-    vb[i].resize(net.layer(i).biases().size(), 0.0F);
+    vw[i].resize(net.params()[i].weights.size(), 0.0F);
+    vb[i].resize(net.params()[i].biases.size(), 0.0F);
   }
 
   // Fixed number of accumulation lanes, independent of thread count, so the
@@ -152,10 +151,10 @@ void train(Network<float>& net, const ExampleSource& source,
 
       // Reduce lanes in fixed order and apply SGD with momentum + decay.
       const auto bsz = static_cast<double>(end - start);
-      net.update_params([&](auto layers) {
-        for (std::size_t li = 0; li < layers.size(); ++li) {
-          auto w = layers[li]->weights();
-          auto b = layers[li]->biases();
+      net.update_params([&](auto params) {
+        for (std::size_t li = 0; li < params.size(); ++li) {
+          auto& w = params[li].weights;
+          auto& b = params[li].biases;
           for (std::size_t j = 0; j < w.size(); ++j) {
             double g = 0;
             for (const auto& lane : lanes) g += static_cast<double>(lane.gw[li][j]);

@@ -13,10 +13,7 @@
 namespace dnnfi::dnn {
 
 /// Parameters of one conv/FC layer in float.
-struct LayerWeights {
-  std::vector<float> weights;
-  std::vector<float> biases;
-};
+using LayerWeights = LayerParams<float>;
 
 /// All parameters of a network, indexed by MAC-layer ordinal (the i-th
 /// conv/FC layer in topology order).
@@ -36,10 +33,10 @@ template <typename T>
 void load_weights(Network<T>& net, const WeightsBlob& blob) {
   const auto& macs = net.mac_layers();
   DNNFI_EXPECTS(blob.layers.size() == macs.size());
-  net.update_params([&](auto layers) {
+  net.update_params([&](auto params) {
     for (std::size_t i = 0; i < macs.size(); ++i) {
-      auto w = layers[macs[i]]->weights();
-      auto b = layers[macs[i]]->biases();
+      auto& w = params[macs[i]].weights;
+      auto& b = params[macs[i]].biases;
       DNNFI_EXPECTS(blob.layers[i].weights.size() == w.size());
       DNNFI_EXPECTS(blob.layers[i].biases.size() == b.size());
       for (std::size_t j = 0; j < w.size(); ++j)

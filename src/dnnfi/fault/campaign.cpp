@@ -320,7 +320,7 @@ struct Campaign::TypedBackend final : Campaign::Backend {
         std::uint64_t fp, std::vector<OutcomeAccumulator>& a)
         : opt(o), shard(s), fingerprint(fp), begin(s.begin),
           end(s.end == 0 ? o.trials : s.end), accel_id(o.accel.to_string()),
-          op_id(o.constraint.op_spec().to_string()), samp_id(sampler_id(o)),
+          op_id(o.constraint.op.to_string()), samp_id(sampler_id(o)),
           sampler(&b.site_sampler), accs(a) {
       DNNFI_EXPECTS(begin <= end && end <= o.trials);
       // The default (Eyeriss) reuses the backend's precomputed sampler so
@@ -815,7 +815,7 @@ std::uint64_t campaign_fingerprint(const std::string& network, DType dtype,
   w.u32(c.fixed_latch ? static_cast<std::uint32_t>(*c.fixed_latch) : 0);
   w.u8(c.buffer_storage.has_value() ? 1 : 0);
   w.u32(c.buffer_storage ? static_cast<std::uint32_t>(*c.buffer_storage) : 0);
-  w.u32(static_cast<std::uint32_t>(c.burst));
+  w.u32(static_cast<std::uint32_t>(c.op.burst));
   w.u8(opt.record_block_distances ? 1 : 0);
   // The detector is a std::function and cannot be fingerprinted; record its
   // presence only. Resuming with a *different* detector is on the caller.
@@ -823,10 +823,10 @@ std::uint64_t campaign_fingerprint(const std::string& network, DType dtype,
   // Accelerator-geometry / fault-op axes fold in only when non-default, so
   // every pre-geometry campaign keeps its historical fingerprint (and its
   // checkpoints and stats files keep matching).
-  if (!opt.accel.is_eyeriss() || c.op_kind != FaultOpKind::kToggle ||
-      c.op_pattern != 0) {
+  if (!opt.accel.is_eyeriss() || c.op.kind != FaultOpKind::kToggle ||
+      c.op.pattern != 0) {
     w.str(opt.accel.to_string());
-    w.str(c.op_spec().to_string());
+    w.str(c.op.to_string());
   }
   // The sampler axis folds the same way: only when non-default, so every
   // uniform campaign keeps its historical fingerprint (and its checkpoints

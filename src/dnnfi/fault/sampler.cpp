@@ -60,9 +60,9 @@ FaultDescriptor Sampler::sample(SiteClass cls, Rng& rng,
               ? *constraint.fixed_bit
               : static_cast<int>(rng.below(static_cast<std::uint64_t>(width)));
   DNNFI_EXPECTS(f.bit >= 0 && f.bit < width);
-  DNNFI_EXPECTS(constraint.burst >= 1);
-  f.burst = constraint.burst;
-  f.op = constraint.op_spec().at(f.bit);
+  DNNFI_EXPECTS(constraint.op.burst >= 1);
+  f.burst = constraint.op.burst;
+  f.op = constraint.op.at(f.bit);
 
   const accel::SiteCoords c = model_->sample_site(
       cls, fp, spec_.layers[fp.layer_index], rng, constraint.fixed_latch);

@@ -32,19 +32,10 @@ struct SampleConstraint {
   /// Reduced-precision buffer storage: buffer upsets strike this format
   /// (and bits are sampled within its width) instead of the datapath type.
   std::optional<numeric::DType> buffer_storage;
-  /// Adjacent bits affected per strike (1 = the paper's SEU model).
-  int burst = 1;
   /// Fault operation applied at the sampled bit: toggle (default, the
-  /// paper's XOR model), stuck-at-0, or stuck-at-1.
-  FaultOpKind op_kind = FaultOpKind::kToggle;
-  /// Arbitrary multi-bit footprint, relative to the sampled bit (anchored
-  /// at its lowest set bit). Zero = contiguous burst of `burst` bits.
-  std::uint64_t op_pattern = 0;
-
-  /// The op descriptor these fields select (bit-position independent).
-  FaultOpSpec op_spec() const noexcept {
-    return FaultOpSpec{op_kind, burst, op_pattern};
-  }
+  /// paper's XOR SEU model), stuck-at-0 or stuck-at-1, over a burst of
+  /// adjacent bits or an arbitrary pattern (FaultOpSpec).
+  FaultOpSpec op;
 };
 
 /// Samples fault descriptors for one (topology, dtype, geometry) triple.

@@ -37,21 +37,6 @@ class SedDetector {
     return false;
   }
 
-  /// Per-block verdicts over a fault-free ActivationCache: flags()
-  /// evaluated on each block-end activation. This is the golden-truth
-  /// table incremental replay consults for blocks a masked-fault early
-  /// exit skips (their fmaps are bit-identical to the cache, so the
-  /// deployed check would see exactly these values; DESIGN.md §8).
-  template <typename T>
-  std::vector<bool> golden_flags(const dnn::ActivationCache<T>& cache,
-                                 const std::vector<std::size_t>& block_ends)
-      const {
-    std::vector<bool> fires(block_ends.size());
-    for (std::size_t b = 0; b < block_ends.size(); ++b)
-      fires[b] = flags<T>(static_cast<int>(b) + 1, cache.act(block_ends[b]));
-    return fires;
-  }
-
   const std::vector<fault::BlockRange>& bounds() const noexcept {
     return bounds_;
   }

@@ -1,7 +1,8 @@
-// Test-only fault-free reference forward. It runs a network, or one layer,
-// through an ExecutionPlan built while the scalar kernel set is active, so
-// the reference is always the scalar set and never the set under test,
-// whatever DNNFI_KERNELS or set_active_mode selected for the process.
+// Test-only fault-free reference forward. It runs a network (one_layer
+// builds one of a single layer) through an ExecutionPlan built while the
+// scalar kernel set is active, so the reference is always the scalar set
+// and never the set under test, whatever DNNFI_KERNELS or set_active_mode
+// selected for the process.
 #pragma once
 
 #include <algorithm>
@@ -21,7 +22,7 @@ class ModeScope {
   kernels::ModeGuard restore_;  // constructed first: captures the old mode
 };
 
-/// A second plan over `net`, on the scalar set. It reads the layers'
+/// A second plan over `net`, on the scalar set. It reads the network's
 /// weights in place, so it follows later update_params calls.
 template <typename T>
 ExecutionPlan<T> plan(const Network<T>& net) {
@@ -48,40 +49,15 @@ tensor::Tensor<T> forward(const Network<T>& net,
   return out;
 }
 
-/// `layer`'s fault-free output for `in`, on the scalar set: the layer, with
-/// a copy of its parameters, run as a one-layer network.
+/// A network of the first layer `b` holds alone, on `b`'s input shape, with
+/// zero parameters (set them through update_params). Its plan's step 0 is
+/// what apply_faults and backward take.
 template <typename T>
-tensor::Tensor<T> forward(const Layer<T>& layer,
-                          const tensor::Tensor<T>& in) {
-  LayerSpec ls;
-  ls.kind = layer.kind();
-  ls.name = layer.name();
-  ls.block = layer.block();
-  if (const auto* c = dynamic_cast<const Conv2d<T>*>(&layer)) {
-    ls.out_channels = c->out_channels();
-    ls.kernel = c->kernel();
-    ls.stride = c->stride();
-    ls.pad = c->pad();
-  } else if (const auto* f = dynamic_cast<const FullyConnected<T>*>(&layer)) {
-    ls.out_features = f->out_features();
-  } else if (const auto* m = dynamic_cast<const MaxPool2d<T>*>(&layer)) {
-    ls.pool_kernel = m->kernel();
-    ls.pool_stride = m->stride();
-  } else if (const auto* l = dynamic_cast<const Lrn<T>*>(&layer)) {
-    ls.lrn_size = l->size();
-    ls.lrn_alpha = l->alpha();
-    ls.lrn_beta = l->beta();
-    ls.lrn_k = l->bias_k();
-  }
-  const Shape out_shape = layer.out_shape(in.shape());
-  const ModeScope scalar;
-  Network<T> net(
-      NetworkSpec{"single-layer", in.shape(), out_shape.size(), {ls}});
-  net.update_params([&](auto layers) {
-    std::ranges::copy(layer.weights(), layers[0]->weights().begin());
-    std::ranges::copy(layer.biases(), layers[0]->biases().begin());
-  });
-  return net.forward(in);
+Network<T> one_layer(const SpecBuilder& b) {
+  NetworkSpec s = b.build();
+  s.layers.resize(1);
+  s.num_classes = shape_after(s.layers[0], s.input).size();
+  return Network<T>(s);
 }
 
 }  // namespace dnnfi::dnn::scalar_ref

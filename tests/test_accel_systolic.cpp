@@ -245,11 +245,12 @@ TEST(SystolicArray, StationaryWeightLatchStrikesTheResidentWeight) {
 // op) to every footprint element independently, and must leave every
 // non-footprint element bit-identical to the golden output.
 
-template <typename Layer, typename T>
-void check_column_law(Layer& layer, const Tensor<T>& in, std::size_t cols,
-                      std::size_t col, std::size_t first_out,
+template <typename T>
+void check_column_law(const dnn::Network<T>& layer, const Tensor<T>& in,
+                      std::size_t cols, std::size_t col, std::size_t first_out,
                       std::size_t step, const fault::FaultOp& op) {
   const Tensor<T> golden = dnn::scalar_ref::forward(layer, in);
+  const dnn::PlanStep<T>& st = layer.plan().steps()[0];
   const auto& os = golden.shape();
   // Conv outputs map channel-plane-wise onto columns; FC outputs (flat
   // vec(n) shape, one element per output neuron) map element-wise.
@@ -265,8 +266,8 @@ void check_column_law(Layer& layer, const Tensor<T>& in, std::size_t cols,
   faults.column = cf;
   Tensor<T> faulty = golden;
   dnn::InjectionRecord rec;
-  layer.apply_faults(in, faulty, faults, &rec,
-                     dnn::kernels::scalar_kernels<T>());
+  dnn::apply_faults(st, in, faulty, faults, &rec,
+                    dnn::kernels::scalar_kernels<T>());
   EXPECT_TRUE(rec.applied);
 
   using Tr = numeric::numeric_traits<T>;
@@ -286,43 +287,46 @@ void check_column_law(Layer& layer, const Tensor<T>& in, std::size_t cols,
     mf.op = op;
     single.mac = mf;
     Tensor<T> expect = golden;
-    layer.apply_faults(in, expect, single, nullptr,
-                       dnn::kernels::scalar_kernels<T>());
+    dnn::apply_faults(st, in, expect, single, nullptr,
+                      dnn::kernels::scalar_kernels<T>());
     EXPECT_EQ(Tr::to_bits(faulty[e]), Tr::to_bits(expect[e]))
         << "element " << e << " differs from the per-element oracle";
   }
 }
 
 TEST(ColumnPropagationLaw, ConvFootprintIsExactlyTheDownstreamColumn) {
-  auto conv = std::make_unique<dnn::Conv2d<float>>("c", 1, 2, 6, 3, 1, 1);
+  auto conv = dnn::scalar_ref::one_layer<float>(
+      dnn::SpecBuilder("t", chw(2, 5, 5), 0).conv(6, 3, 1, 1));
   Rng rng(41);
-  for (auto& w : conv->weights())
-    w = static_cast<float>(rng.normal() * 0.3);
-  for (auto& b : conv->biases())
-    b = static_cast<float>(rng.normal() * 0.1);
+  conv.update_params([&](auto p) {
+    for (auto& w : p[0].weights) w = static_cast<float>(rng.normal() * 0.3);
+    for (auto& b : p[0].biases) b = static_cast<float>(rng.normal() * 0.1);
+  });
   Tensor<float> in(chw(2, 5, 5));
   for (std::size_t i = 0; i < in.size(); ++i)
     in[i] = static_cast<float>(rng.normal());
 
   // plane = 5*5 = 25, 6 channels over 4 columns: channels {1, 5} share
   // column 1. Strike mid-plane so the footprint is a strict subset of both.
-  check_column_law(*conv, in, 4, 1, 30, 7, fault::FaultOp::flip(30));
+  check_column_law(conv, in, 4, 1, 30, 7, fault::FaultOp::flip(30));
   // set1 on two bits, column 2, from the very first element.
-  check_column_law(*conv, in, 4, 2, 0, 0, fault::FaultOp::stuck1(20, 2));
+  check_column_law(conv, in, 4, 2, 0, 0, fault::FaultOp::stuck1(20, 2));
   // Degenerate 1-wide array: every channel flows through column 0.
-  check_column_law(*conv, in, 1, 0, 60, 3, fault::FaultOp::flip(22));
+  check_column_law(conv, in, 1, 0, 60, 3, fault::FaultOp::flip(22));
 }
 
 TEST(ColumnPropagationLaw, FcFootprintIsExactlyTheDownstreamColumn) {
-  dnn::FullyConnected<numeric::Half> fc("f", 1, 12, 9);
+  using Tr = numeric::numeric_traits<numeric::Half>;
+  auto fc = dnn::scalar_ref::one_layer<numeric::Half>(
+      dnn::SpecBuilder("t", tensor::vec(12), 0).fc(9));
   Rng rng(43);
-  for (auto& w : fc.weights())
-    w = numeric::numeric_traits<numeric::Half>::from_double(rng.normal() * 0.2);
-  for (auto& b : fc.biases())
-    b = numeric::numeric_traits<numeric::Half>::from_double(rng.normal() * 0.1);
+  fc.update_params([&](auto p) {
+    for (auto& w : p[0].weights) w = Tr::from_double(rng.normal() * 0.2);
+    for (auto& b : p[0].biases) b = Tr::from_double(rng.normal() * 0.1);
+  });
   Tensor<numeric::Half> in(tensor::vec(12));
   for (std::size_t i = 0; i < in.size(); ++i)
-    in[i] = numeric::numeric_traits<numeric::Half>::from_double(rng.normal());
+    in[i] = Tr::from_double(rng.normal());
 
   // FC outputs are 1x1 planes: output o maps onto column o % cols.
   check_column_law(fc, in, 4, 1, 2, 5, fault::FaultOp::flip(14));

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 
 #include "dnnfi/common/rng.h"
 #include "dnnfi/dnn/layers.h"
@@ -14,6 +13,7 @@
 namespace dnnfi::dnn {
 namespace {
 
+using scalar_ref::one_layer;
 using tensor::chw;
 using tensor::Tensor;
 using tensor::vec;
@@ -46,53 +46,68 @@ void expect_close(double analytic, double numeric, const char* what,
       << " numeric=" << numeric;
 }
 
-/// Checks dLoss/dIn, dLoss/dW, dLoss/dB of `layer` at `in`.
-void grad_check(Layer<double>& layer, const Tensor<double>& in) {
-  const Tensor<double> out = scalar_ref::forward(layer, in);
+/// Central difference of the probe loss of `net` at `in` in the parameter
+/// `at(params)` names.
+template <class At>
+double param_grad(Network<double>& net, const Tensor<double>& in, At at,
+                  Rng probe) {
+  double v0 = 0;
+  net.update_params([&](auto p) { v0 = at(p); });
+  const auto loss_at = [&](double x) {
+    net.update_params([&](auto p) { at(p) = x; });
+    return probe_loss(scalar_ref::forward(net, in), probe);
+  };
+  const double num = (loss_at(v0 + kEps) - loss_at(v0 - kEps)) / (2 * kEps);
+  net.update_params([&](auto p) { at(p) = v0; });
+  return num;
+}
+
+/// Checks dLoss/dIn, dLoss/dW, dLoss/dB of the one layer of `net` at `in`.
+void grad_check(Network<double>& net, const Tensor<double>& in) {
+  const Tensor<double> out = scalar_ref::forward(net, in);
   const Rng probe(777);
 
   Tensor<double> gout = probe_grad(out.shape(), probe);
   Tensor<double> gin;
-  std::vector<double> gw(layer.weights().size(), 0.0);
-  std::vector<double> gb(layer.biases().size(), 0.0);
-  layer.backward(in, out, gout, gin, gw, gb);
+  std::vector<double> gw(net.params()[0].weights.size(), 0.0);
+  std::vector<double> gb(net.params()[0].biases.size(), 0.0);
+  backward(net.plan().steps()[0], in, out, gout, gin, gw, gb);
 
   // Input gradients.
   Tensor<double> probe_in = in;
   for (std::size_t i = 0; i < in.size(); ++i) {
     const double v = probe_in[i];
     probe_in[i] = v + kEps;
-    const Tensor<double> o1 = scalar_ref::forward(layer, probe_in);
+    const Tensor<double> o1 = scalar_ref::forward(net, probe_in);
     probe_in[i] = v - kEps;
-    const Tensor<double> o2 = scalar_ref::forward(layer, probe_in);
+    const Tensor<double> o2 = scalar_ref::forward(net, probe_in);
     probe_in[i] = v;
     const double num = (probe_loss(o1, probe) - probe_loss(o2, probe)) / (2 * kEps);
     expect_close(gin[i], num, "gin", i);
   }
-  // Weight gradients.
-  auto w = layer.weights();
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    const double v = w[i];
-    w[i] = v + kEps;
-    const Tensor<double> o1 = scalar_ref::forward(layer, in);
-    w[i] = v - kEps;
-    const Tensor<double> o2 = scalar_ref::forward(layer, in);
-    w[i] = v;
-    const double num = (probe_loss(o1, probe) - probe_loss(o2, probe)) / (2 * kEps);
-    expect_close(gw[i], num, "gw", i);
+  // Weight and bias gradients.
+  for (std::size_t i = 0; i < gw.size(); ++i) {
+    const auto w = [i](auto p) -> double& { return p[0].weights[i]; };
+    expect_close(gw[i], param_grad(net, in, w, probe), "gw", i);
   }
-  // Bias gradients.
-  auto b = layer.biases();
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    const double v = b[i];
-    b[i] = v + kEps;
-    const Tensor<double> o1 = scalar_ref::forward(layer, in);
-    b[i] = v - kEps;
-    const Tensor<double> o2 = scalar_ref::forward(layer, in);
-    b[i] = v;
-    const double num = (probe_loss(o1, probe) - probe_loss(o2, probe)) / (2 * kEps);
-    expect_close(gb[i], num, "gb", i);
+  for (std::size_t i = 0; i < gb.size(); ++i) {
+    const auto b = [i](auto p) -> double& { return p[0].biases[i]; };
+    expect_close(gb[i], param_grad(net, in, b, probe), "gb", i);
   }
+}
+
+/// A one-layer network with its weights (then biases, when `bias_scale` is
+/// non-zero) drawn from N(0, scale^2) in turn.
+Network<double> randomized(const SpecBuilder& b, std::uint64_t seed,
+                           double bias_scale = 0.1) {
+  auto net = one_layer<double>(b);
+  Rng rng(seed);
+  net.update_params([&](auto p) {
+    for (auto& w : p[0].weights) w = rng.normal() * 0.4;
+    if (bias_scale != 0)
+      for (auto& v : p[0].biases) v = rng.normal() * bias_scale;
+  });
+  return net;
 }
 
 Tensor<double> smooth_input(tensor::Shape s, std::uint64_t seed) {
@@ -103,38 +118,28 @@ Tensor<double> smooth_input(tensor::Shape s, std::uint64_t seed) {
 }
 
 TEST(GradCheck, ConvBasic) {
-  Conv2d<double> conv("c", 1, 2, 3, 3, 1, 1);
-  Rng rng(1);
-  for (auto& w : conv.weights()) w = rng.normal() * 0.4;
-  for (auto& b : conv.biases()) b = rng.normal() * 0.1;
+  auto conv = randomized(SpecBuilder("t", chw(2, 5, 5), 0).conv(3, 3, 1, 1), 1);
   grad_check(conv, smooth_input(chw(2, 5, 5), 2));
 }
 
 TEST(GradCheck, ConvStride2NoPad) {
-  Conv2d<double> conv("c", 1, 2, 2, 3, 2, 0);
-  Rng rng(3);
-  for (auto& w : conv.weights()) w = rng.normal() * 0.4;
-  for (auto& b : conv.biases()) b = rng.normal() * 0.1;
+  auto conv = randomized(SpecBuilder("t", chw(2, 7, 7), 0).conv(2, 3, 2, 0), 3);
   grad_check(conv, smooth_input(chw(2, 7, 7), 4));
 }
 
 TEST(GradCheck, Conv1x1) {
-  Conv2d<double> conv("c", 1, 3, 2, 1, 1, 0);
-  Rng rng(5);
-  for (auto& w : conv.weights()) w = rng.normal() * 0.4;
+  auto conv =
+      randomized(SpecBuilder("t", chw(3, 4, 4), 0).conv(2, 1, 1, 0), 5, 0);
   grad_check(conv, smooth_input(chw(3, 4, 4), 6));
 }
 
 TEST(GradCheck, FullyConnected) {
-  FullyConnected<double> fc("fc", 1, 6, 4);
-  Rng rng(7);
-  for (auto& w : fc.weights()) w = rng.normal() * 0.4;
-  for (auto& b : fc.biases()) b = rng.normal() * 0.1;
+  auto fc = randomized(SpecBuilder("t", vec(6), 0).fc(4), 7);
   grad_check(fc, smooth_input(vec(6), 8));
 }
 
 TEST(GradCheck, ReluAwayFromKink) {
-  Relu<double> relu("r", 1);
+  auto relu = one_layer<double>(SpecBuilder("t", vec(12), 0).relu());
   // Keep inputs away from 0 where ReLU is non-differentiable.
   Tensor<double> in = smooth_input(vec(12), 9);
   for (std::size_t i = 0; i < in.size(); ++i)
@@ -143,28 +148,31 @@ TEST(GradCheck, ReluAwayFromKink) {
 }
 
 TEST(GradCheck, MaxPoolAwayFromTies) {
-  MaxPool2d<double> pool("p", 1, 2, 2);
+  auto pool = one_layer<double>(SpecBuilder("t", chw(2, 4, 4), 0).maxpool(2, 2));
   Tensor<double> in = smooth_input(chw(2, 4, 4), 10);
   grad_check(pool, in);
 }
 
 TEST(GradCheck, Lrn) {
-  Lrn<double> lrn("n", 1, 3, 0.5, 0.75, 1.0);
+  auto lrn = one_layer<double>(
+      SpecBuilder("t", chw(5, 2, 2), 0).lrn(3, 0.5, 0.75, 1.0));
   grad_check(lrn, smooth_input(chw(5, 2, 2), 11));
 }
 
 TEST(GradCheck, LrnPaperParameters) {
-  Lrn<double> lrn("n", 1, 5, 1e-4, 0.75, 1.0);
+  auto lrn = one_layer<double>(
+      SpecBuilder("t", chw(7, 2, 2), 0).lrn(5, 1e-4, 0.75, 1.0));
   grad_check(lrn, smooth_input(chw(7, 2, 2), 12));
 }
 
 TEST(GradCheck, Softmax) {
-  Softmax<double> sm("s", 1);
+  auto sm = one_layer<double>(SpecBuilder("t", vec(5), 0).softmax());
   grad_check(sm, smooth_input(vec(5), 13));
 }
 
 TEST(GradCheck, GlobalAvgPool) {
-  GlobalAvgPool<double> gap("g", 1);
+  auto gap =
+      one_layer<double>(SpecBuilder("t", chw(3, 3, 3), 0).global_avg_pool());
   grad_check(gap, smooth_input(chw(3, 3, 3), 14));
 }
 

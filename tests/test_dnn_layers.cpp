@@ -1,9 +1,10 @@
 // Layer-level correctness: forward semantics vs. independent references, and
 // bit-exact fault-hook behaviour (the heart of the injection methodology).
+// Each layer runs as a one-layer network (scalar_ref::one_layer); its fault
+// hooks are apply_faults on that network's plan step.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 
 #include "dnnfi/common/rng.h"
 #include "dnnfi/dnn/layers.h"
@@ -14,11 +15,13 @@ namespace {
 
 using numeric::Fx16r10;
 using numeric::Half;
+using scalar_ref::one_layer;
 using tensor::chw;
 using tensor::Tensor;
 using tensor::vec;
 
-/// Independent double-precision conv reference (no shared code with Conv2d).
+/// Independent double-precision conv reference (no shared code with the
+/// conv kernels).
 Tensor<double> conv_reference(const Tensor<double>& in,
                               const Tensor<double>& w,
                               const std::vector<double>& bias,
@@ -51,18 +54,29 @@ Tensor<double> conv_reference(const Tensor<double>& in,
   return out;
 }
 
-/// Builds a conv layer with deterministic pseudo-random parameters.
+/// A one-layer conv network on inputs shaped `in`, with deterministic
+/// pseudo-random parameters.
 template <typename T>
-std::unique_ptr<Conv2d<T>> random_conv(std::size_t in_c, std::size_t out_c,
-                                       std::size_t k, std::size_t stride,
-                                       std::size_t pad, std::uint64_t seed) {
-  auto conv = std::make_unique<Conv2d<T>>("conv", 1, in_c, out_c, k, stride, pad);
+Network<T> random_conv(tensor::Shape in, std::size_t out_c, std::size_t k,
+                       std::size_t stride, std::size_t pad,
+                       std::uint64_t seed) {
+  auto conv = one_layer<T>(SpecBuilder("t", in, 0).conv(out_c, k, stride, pad));
   Rng rng(seed);
-  for (auto& w : conv->weights())
-    w = numeric::numeric_traits<T>::from_double(rng.normal() * 0.3);
-  for (auto& b : conv->biases())
-    b = numeric::numeric_traits<T>::from_double(rng.normal() * 0.1);
+  conv.update_params([&](auto p) {
+    for (auto& w : p[0].weights)
+      w = numeric::numeric_traits<T>::from_double(rng.normal() * 0.3);
+    for (auto& b : p[0].biases)
+      b = numeric::numeric_traits<T>::from_double(rng.normal() * 0.1);
+  });
   return conv;
+}
+
+/// apply_faults on the one step of `net`, on the scalar set.
+template <typename T>
+void patch(const Network<T>& net, const Tensor<T>& in, Tensor<T>& out,
+           const LayerFaults& faults, InjectionRecord* rec) {
+  apply_faults(net.plan().steps()[0], in, out, faults, rec,
+               kernels::scalar_kernels<T>());
 }
 
 template <typename T>
@@ -84,15 +98,17 @@ TEST(Conv2d, MatchesReferenceAcrossGeometries) {
   };
   int idx = 0;
   for (const auto& g : geos) {
-    auto conv = random_conv<double>(g.in_c, g.out_c, g.k, g.stride, g.pad,
-                                    100 + static_cast<std::uint64_t>(idx));
+    const auto conv =
+        random_conv<double>(chw(g.in_c, g.h, g.w), g.out_c, g.k, g.stride,
+                            g.pad, 100 + static_cast<std::uint64_t>(idx));
     const auto in = random_input<double>(chw(g.in_c, g.h, g.w),
                                          200 + static_cast<std::uint64_t>(idx));
-    const Tensor<double> out = scalar_ref::forward(*conv, in);
+    const Tensor<double> out = scalar_ref::forward(conv, in);
 
+    const LayerParams<double>& p = conv.params()[0];
     Tensor<double> w(tensor::oihw(g.out_c, g.in_c, g.k, g.k));
-    std::copy(conv->weights().begin(), conv->weights().end(), w.data().begin());
-    std::vector<double> b(conv->biases().begin(), conv->biases().end());
+    std::copy(p.weights.begin(), p.weights.end(), w.data().begin());
+    const std::vector<double>& b = p.biases;
     const auto ref = conv_reference(in, w, b, g.stride, g.pad);
 
     ASSERT_EQ(out.shape(), ref.shape()) << "geometry " << idx;
@@ -103,23 +119,26 @@ TEST(Conv2d, MatchesReferenceAcrossGeometries) {
 }
 
 TEST(Conv2d, MacCountMatchesDefinition) {
-  Conv2d<float> direct("c", 1, 3, 8, 5, 1, 2);
-  const auto in_shape = chw(3, 16, 16);
-  EXPECT_EQ(direct.macs(in_shape), 8U * 16U * 16U * (3U * 5U * 5U));
-  EXPECT_EQ(direct.steps(), 75U);
+  const auto direct =
+      one_layer<float>(SpecBuilder("t", chw(3, 16, 16), 0).conv(8, 5, 1, 2));
+  const PlanStep<float>& st = direct.plan().steps()[0];
+  EXPECT_EQ(st.macs, 8U * 16U * 16U * (3U * 5U * 5U));
+  EXPECT_EQ(st.conv.steps(), 75U);
+  EXPECT_EQ(direct.total_weights(), 8U * 75U);
 }
 
 TEST(Conv2d, OutShapeHonorsStrideAndPad) {
-  Conv2d<float> direct("c", 1, 3, 4, 5, 2, 2);
-  const auto os = direct.out_shape(chw(3, 48, 48));
-  EXPECT_EQ(os, chw(4, 24, 24));
-  EXPECT_THROW(direct.out_shape(chw(2, 48, 48)), dnnfi::ContractViolation);
+  const LayerSpec conv =
+      SpecBuilder("t", chw(3, 48, 48), 0).conv(4, 5, 2, 2).build().layers[0];
+  EXPECT_EQ(shape_after(conv, chw(3, 48, 48)), chw(4, 24, 24));
+  // A kernel wider than the padded input has no output.
+  EXPECT_THROW(shape_after(conv, chw(3, 48, 0)), dnnfi::ContractViolation);
 }
 
 TEST(Conv2d, MacFaultAccumulatorFlipChangesExactlyOneOutput) {
-  auto conv = random_conv<float>(2, 3, 3, 1, 1, 7);
+  const auto conv = random_conv<float>(chw(2, 6, 6), 3, 3, 1, 1, 7);
   const auto in = random_input<float>(chw(2, 6, 6), 8);
-  const Tensor<float> golden = scalar_ref::forward(*conv, in);
+  const Tensor<float> golden = scalar_ref::forward(conv, in);
 
   LayerFaults faults;
   MacFault mf;
@@ -131,8 +150,7 @@ TEST(Conv2d, MacFaultAccumulatorFlipChangesExactlyOneOutput) {
 
   Tensor<float> faulty = golden;
   InjectionRecord rec;
-  conv->apply_faults(in, faulty, faults, &rec,
-                     kernels::scalar_kernels<float>());
+  patch(conv, in, faulty, faults, &rec);
 
   EXPECT_TRUE(rec.applied);
   std::size_t diffs = 0;
@@ -147,22 +165,23 @@ TEST(Conv2d, MacFaultAccumulatorFlipChangesExactlyOneOutput) {
 TEST(Conv2d, MacFaultLastStepAccumulatorFlipIsExactBitFlipOfPreBias) {
   // Flipping the accumulator after the LAST step corrupts the completed
   // dot product before the bias add — verify bit-exactness end to end.
-  auto conv = random_conv<float>(1, 1, 3, 1, 0, 9);
+  auto conv = random_conv<float>(chw(1, 3, 3), 1, 3, 1, 0, 9);
   // Zero bias isolates the accumulator value.
-  for (auto& b : conv->biases()) b = 0.0F;
+  conv.update_params([](auto p) {
+    for (auto& b : p[0].biases) b = 0.0F;
+  });
   const auto in = random_input<float>(chw(1, 3, 3), 10);
-  const Tensor<float> golden = scalar_ref::forward(*conv, in);
+  const Tensor<float> golden = scalar_ref::forward(conv, in);
 
   LayerFaults faults;
   MacFault mf;
   mf.out_index = 0;
-  mf.step = conv->steps() - 1;
+  mf.step = conv.plan().steps()[0].conv.steps() - 1;
   mf.site = MacSite::kAccumulator;
   mf.op = fault::FaultOp::flip(12);
   faults.mac = mf;
   Tensor<float> faulty = golden;
-  conv->apply_faults(in, faulty, faults, nullptr,
-                     kernels::scalar_kernels<float>());
+  patch(conv, in, faulty, faults, nullptr);
   EXPECT_EQ(numeric::numeric_traits<float>::to_bits(faulty[0]),
             numeric::numeric_traits<float>::to_bits(
                 numeric::flip_bit(golden[0], 12)));
@@ -172,9 +191,9 @@ TEST(Conv2d, OperandFaultOnPaddedTapFlipsZero) {
   // Step 0 of output (0,0,0) with pad=1 reads a padded zero; flipping its
   // sign bit yields -0 and the output must stay bit-identical except via
   // the multiply (0 * w = -0 or 0). The fault is applied, not skipped.
-  auto conv = random_conv<float>(1, 1, 3, 1, 1, 11);
+  const auto conv = random_conv<float>(chw(1, 4, 4), 1, 3, 1, 1, 11);
   const auto in = random_input<float>(chw(1, 4, 4), 12);
-  const Tensor<float> golden = scalar_ref::forward(*conv, in);
+  const Tensor<float> golden = scalar_ref::forward(conv, in);
   LayerFaults faults;
   MacFault mf;
   mf.out_index = 0;
@@ -184,26 +203,24 @@ TEST(Conv2d, OperandFaultOnPaddedTapFlipsZero) {
   faults.mac = mf;
   InjectionRecord rec;
   Tensor<float> faulty = golden;
-  conv->apply_faults(in, faulty, faults, &rec,
-                     kernels::scalar_kernels<float>());
+  patch(conv, in, faulty, faults, &rec);
   EXPECT_TRUE(rec.applied);
   EXPECT_EQ(rec.corrupted_before, 0.0);
   EXPECT_EQ(faulty[0], golden[0]);  // -0 * w == -(0 * w), sums equal
 }
 
 TEST(Conv2d, WeightFaultAffectsOnlyItsOutputChannel) {
-  auto conv = random_conv<float>(2, 3, 3, 1, 1, 13);
+  const auto conv = random_conv<float>(chw(2, 5, 5), 3, 3, 1, 1, 13);
   const auto in = random_input<float>(chw(2, 5, 5), 14);
-  const Tensor<float> golden = scalar_ref::forward(*conv, in);
+  const Tensor<float> golden = scalar_ref::forward(conv, in);
 
   LayerFaults faults;
   WeightFault wf;
-  wf.weight_index = conv->steps() * 1 + 4;  // a weight of channel co=1
+  wf.weight_index = 2 * 3 * 3 * 1 + 4;  // a weight of channel co=1
   wf.op = fault::FaultOp::flip(28);
   faults.weight = wf;
   Tensor<float> faulty = golden;
-  conv->apply_faults(in, faulty, faults, nullptr,
-                     kernels::scalar_kernels<float>());
+  patch(conv, in, faulty, faults, nullptr);
 
   const auto os = golden.shape();
   for (std::size_t co = 0; co < os.c; ++co) {
@@ -220,30 +237,31 @@ TEST(Conv2d, WeightFaultAffectsOnlyItsOutputChannel) {
 }
 
 TEST(Conv2d, WeightFaultEqualsForwardWithFlippedWeight) {
-  auto conv = random_conv<float>(2, 2, 3, 1, 0, 15);
+  auto conv = random_conv<float>(chw(2, 5, 5), 2, 3, 1, 0, 15);
   const auto in = random_input<float>(chw(2, 5, 5), 16);
-  const Tensor<float> golden = scalar_ref::forward(*conv, in);
+  const Tensor<float> golden = scalar_ref::forward(conv, in);
 
   const std::size_t wi = 7;
   const int bit = 20;
   LayerFaults faults;
   faults.weight = WeightFault{wi, fault::FaultOp::flip(bit), {}};
   Tensor<float> faulty = golden;
-  conv->apply_faults(in, faulty, faults, nullptr,
-                     kernels::scalar_kernels<float>());
+  patch(conv, in, faulty, faults, nullptr);
 
   // Reference: flip the weight in place and run a clean forward.
-  conv->weights()[wi] = numeric::flip_bit(conv->weights()[wi], bit);
-  const Tensor<float> ref = scalar_ref::forward(*conv, in);
+  conv.update_params([&](auto p) {
+    p[0].weights[wi] = numeric::flip_bit(p[0].weights[wi], bit);
+  });
+  const Tensor<float> ref = scalar_ref::forward(conv, in);
   for (std::size_t i = 0; i < ref.size(); ++i)
     ASSERT_EQ(numeric::numeric_traits<float>::to_bits(faulty[i]),
               numeric::numeric_traits<float>::to_bits(ref[i]));
 }
 
 TEST(Conv2d, ScopedInputFaultAffectsOnlyOneRow) {
-  auto conv = random_conv<float>(1, 2, 3, 1, 1, 17);
+  const auto conv = random_conv<float>(chw(1, 6, 6), 2, 3, 1, 1, 17);
   const auto in = random_input<float>(chw(1, 6, 6), 18);
-  const Tensor<float> golden = scalar_ref::forward(*conv, in);
+  const Tensor<float> golden = scalar_ref::forward(conv, in);
 
   LayerFaults faults;
   ScopedInputFault sf;
@@ -253,8 +271,7 @@ TEST(Conv2d, ScopedInputFaultAffectsOnlyOneRow) {
   sf.op = fault::FaultOp::flip(27);
   faults.scoped_input = sf;
   Tensor<float> faulty = golden;
-  conv->apply_faults(in, faulty, faults, nullptr,
-                     kernels::scalar_kernels<float>());
+  patch(conv, in, faulty, faults, nullptr);
 
   const auto os = golden.shape();
   for (std::size_t co = 0; co < os.c; ++co)
@@ -274,9 +291,12 @@ TEST(Conv2d, ScopedInputFaultAffectsOnlyOneRow) {
 }
 
 TEST(Conv2d, FixedPointMacSaturatesInsteadOfWrapping) {
-  Conv2d<Fx16r10> direct("c", 1, 1, 1, 1, 1, 0);
-  direct.weights()[0] = Fx16r10(30.0);
-  direct.biases()[0] = Fx16r10(0.0);
+  auto direct =
+      one_layer<Fx16r10>(SpecBuilder("t", chw(1, 1, 1), 0).conv(1, 1, 1, 0));
+  direct.update_params([](auto p) {
+    p[0].weights[0] = Fx16r10(30.0);
+    p[0].biases[0] = Fx16r10(0.0);
+  });
   Tensor<Fx16r10> in(chw(1, 1, 1));
   in[0] = Fx16r10(30.0);
   const Tensor<Fx16r10> out = scalar_ref::forward(direct, in);
@@ -284,11 +304,14 @@ TEST(Conv2d, FixedPointMacSaturatesInsteadOfWrapping) {
 }
 
 TEST(FullyConnected, MatchesManualDotProduct) {
-  FullyConnected<double> fc("fc", 1, 3, 2);
-  auto w = fc.weights();
-  for (std::size_t i = 0; i < w.size(); ++i) w[i] = 0.5 * static_cast<double>(i);
-  fc.biases()[0] = 1.0;
-  fc.biases()[1] = -1.0;
+  auto fc = one_layer<double>(SpecBuilder("t", vec(3), 0).fc(2));
+  fc.update_params([](auto p) {
+    auto& w = p[0].weights;
+    for (std::size_t i = 0; i < w.size(); ++i)
+      w[i] = 0.5 * static_cast<double>(i);
+    p[0].biases[0] = 1.0;
+    p[0].biases[1] = -1.0;
+  });
   Tensor<double> in(vec(3));
   in[0] = 1.0;
   in[1] = 2.0;
@@ -300,9 +323,11 @@ TEST(FullyConnected, MatchesManualDotProduct) {
 }
 
 TEST(FullyConnected, MacFaultOperandWeight) {
-  FullyConnected<float> fc("fc", 1, 4, 3);
+  auto fc = one_layer<float>(SpecBuilder("t", vec(4), 0).fc(3));
   Rng rng(19);
-  for (auto& w : fc.weights()) w = static_cast<float>(rng.normal());
+  fc.update_params([&](auto p) {
+    for (auto& w : p[0].weights) w = static_cast<float>(rng.normal());
+  });
   const auto in = random_input<float>(vec(4), 20);
   const Tensor<float> golden = scalar_ref::forward(fc, in);
   LayerFaults faults;
@@ -314,26 +339,27 @@ TEST(FullyConnected, MacFaultOperandWeight) {
   faults.mac = mf;
   Tensor<float> faulty = golden;
   InjectionRecord rec;
-  fc.apply_faults(in, faulty, faults, &rec,
-                  kernels::scalar_kernels<float>());
+  patch(fc, in, faulty, faults, &rec);
   EXPECT_EQ(faulty[0], golden[0]);
   EXPECT_EQ(faulty[1], golden[1]);
   EXPECT_NE(faulty[2], golden[2]);
-  EXPECT_EQ(rec.corrupted_before, static_cast<double>(fc.weights()[2 * 4 + 1]));
+  EXPECT_EQ(rec.corrupted_before,
+            static_cast<double>(fc.params()[0].weights[2 * 4 + 1]));
 }
 
 TEST(FullyConnected, WeightFaultAffectsSingleOutput) {
-  FullyConnected<float> fc("fc", 1, 5, 4);
+  auto fc = one_layer<float>(SpecBuilder("t", vec(5), 0).fc(4));
   Rng rng(21);
-  for (auto& w : fc.weights()) w = static_cast<float>(rng.normal());
+  fc.update_params([&](auto p) {
+    for (auto& w : p[0].weights) w = static_cast<float>(rng.normal());
+  });
   const auto in = random_input<float>(vec(5), 22);
   const Tensor<float> golden = scalar_ref::forward(fc, in);
   LayerFaults faults;
   // Weight of output 3.
   faults.weight = WeightFault{3 * 5 + 2, fault::FaultOp::flip(22), {}};
   Tensor<float> faulty = golden;
-  fc.apply_faults(in, faulty, faults, nullptr,
-                  kernels::scalar_kernels<float>());
+  patch(fc, in, faulty, faults, nullptr);
   for (std::size_t o = 0; o < 4; ++o) {
     if (o == 3) EXPECT_NE(faulty[o], golden[o]);
     else EXPECT_EQ(faulty[o], golden[o]);
@@ -341,7 +367,7 @@ TEST(FullyConnected, WeightFaultAffectsSingleOutput) {
 }
 
 TEST(Relu, ClampsNegatives) {
-  Relu<float> relu("relu", 1);
+  const auto relu = one_layer<float>(SpecBuilder("t", vec(4), 0).relu());
   Tensor<float> in(vec(4));
   in[0] = -1.0F;
   in[1] = 0.0F;
@@ -357,7 +383,7 @@ TEST(Relu, ClampsNegatives) {
 TEST(Relu, MasksNegativeCorruption) {
   // A corrupted hugely-negative value is fully masked by ReLU — one of the
   // paper's masking mechanisms.
-  Relu<Half> relu("relu", 1);
+  const auto relu = one_layer<Half>(SpecBuilder("t", vec(1), 0).relu());
   Tensor<Half> in(vec(1));
   in[0] = Half(-60000.0F);
   const Tensor<Half> out = scalar_ref::forward(relu, in);
@@ -365,7 +391,8 @@ TEST(Relu, MasksNegativeCorruption) {
 }
 
 TEST(MaxPool, SelectsWindowMaxima) {
-  MaxPool2d<float> pool("pool", 1, 2, 2);
+  const auto pool =
+      one_layer<float>(SpecBuilder("t", chw(1, 4, 4), 0).maxpool(2, 2));
   Tensor<float> in(chw(1, 4, 4));
   for (std::size_t i = 0; i < 16; ++i) in[i] = static_cast<float>(i);
   const Tensor<float> out = scalar_ref::forward(pool, in);
@@ -377,7 +404,8 @@ TEST(MaxPool, SelectsWindowMaxima) {
 }
 
 TEST(MaxPool, MasksNonMaximalCorruption) {
-  MaxPool2d<float> pool("pool", 1, 2, 2);
+  const auto pool =
+      one_layer<float>(SpecBuilder("t", chw(1, 2, 2), 0).maxpool(2, 2));
   Tensor<float> in(chw(1, 2, 2));
   in[0] = 1.0F;
   in[1] = 9.0F;
@@ -391,7 +419,8 @@ TEST(MaxPool, MasksNonMaximalCorruption) {
 
 TEST(Lrn, MatchesClosedFormSingleChannelWindow) {
   // size=1 window: out = v / (k + alpha * v^2)^beta.
-  Lrn<double> lrn("lrn", 1, 1, 0.5, 0.75, 2.0);
+  const auto lrn = one_layer<double>(
+      SpecBuilder("t", chw(1, 1, 1), 0).lrn(1, 0.5, 0.75, 2.0));
   Tensor<double> in(chw(1, 1, 1));
   in[0] = 3.0;
   const Tensor<double> out = scalar_ref::forward(lrn, in);
@@ -400,7 +429,8 @@ TEST(Lrn, MatchesClosedFormSingleChannelWindow) {
 
 TEST(Lrn, CrossChannelNormalization) {
   // size=3 over 3 channels: middle channel sees all three.
-  Lrn<double> lrn("lrn", 1, 3, 3.0, 0.5, 1.0);  // alpha/n = 1
+  const auto lrn = one_layer<double>(  // alpha/n = 1
+      SpecBuilder("t", chw(3, 1, 1), 0).lrn(3, 3.0, 0.5, 1.0));
   Tensor<double> in(chw(3, 1, 1));
   in[0] = 1.0;
   in[1] = 2.0;
@@ -415,7 +445,8 @@ TEST(Lrn, CrossChannelNormalization) {
 TEST(Lrn, DampensOutlierRelativeToNeighbors) {
   // LRN must shrink a huge corrupted value far more than proportionally —
   // the masking effect of Fig 7.
-  Lrn<float> lrn("lrn", 1, 5, 1e-2, 0.75, 1.0);
+  const auto lrn = one_layer<float>(
+      SpecBuilder("t", chw(5, 1, 1), 0).lrn(5, 1e-2, 0.75, 1.0));
   Tensor<float> in(chw(5, 1, 1));
   for (std::size_t c = 0; c < 5; ++c) in.at(0, c, 0, 0) = 1.0F;
   const Tensor<float> clean = scalar_ref::forward(lrn, in);
@@ -426,7 +457,7 @@ TEST(Lrn, DampensOutlierRelativeToNeighbors) {
 }
 
 TEST(Softmax, NormalizesAndOrders) {
-  Softmax<float> sm("softmax", 1);
+  const auto sm = one_layer<float>(SpecBuilder("t", vec(3), 0).softmax());
   Tensor<float> in(vec(3));
   in[0] = 1.0F;
   in[1] = 2.0F;
@@ -440,7 +471,7 @@ TEST(Softmax, NormalizesAndOrders) {
 }
 
 TEST(Softmax, StableUnderHugeCorruptedInput) {
-  Softmax<Half> sm("softmax", 1);
+  const auto sm = one_layer<Half>(SpecBuilder("t", vec(2), 0).softmax());
   Tensor<Half> in(vec(2));
   in[0] = Half(60000.0F);
   in[1] = Half(1.0F);
@@ -449,7 +480,7 @@ TEST(Softmax, StableUnderHugeCorruptedInput) {
 }
 
 TEST(Softmax, NanInputDoesNotPoisonOthers) {
-  Softmax<float> sm("softmax", 1);
+  const auto sm = one_layer<float>(SpecBuilder("t", vec(2), 0).softmax());
   Tensor<float> in(vec(2));
   in[0] = std::nanf("");
   in[1] = 1.0F;
@@ -458,7 +489,8 @@ TEST(Softmax, NanInputDoesNotPoisonOthers) {
 }
 
 TEST(GlobalAvgPool, AveragesPerChannel) {
-  GlobalAvgPool<float> gap("gap", 1);
+  const auto gap =
+      one_layer<float>(SpecBuilder("t", chw(2, 2, 2), 0).global_avg_pool());
   Tensor<float> in(chw(2, 2, 2));
   for (std::size_t i = 0; i < 4; ++i) in[i] = 2.0F;
   for (std::size_t i = 4; i < 8; ++i) in[i] = static_cast<float>(i);

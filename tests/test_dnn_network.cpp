@@ -374,9 +374,9 @@ TEST(Weights, QuantizedLoadMatchesConversion) {
   const auto blob = random_blob(spec, 13);
   Network<Fx16r10> net(spec);
   load_weights(net, blob);
-  const auto& layer = net.layer(net.mac_layers()[0]);
+  const auto& layer = net.params()[net.mac_layers()[0]];
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(layer.weights()[i].raw(),
+    EXPECT_EQ(layer.weights[i].raw(),
               Fx16r10(static_cast<double>(blob.layers[0].weights[i])).raw());
   }
 }

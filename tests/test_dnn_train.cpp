@@ -160,18 +160,17 @@ TEST(InitWeights, DeterministicAndScaled) {
   Network<float> a(toy_spec()), b(toy_spec());
   init_weights(a, 42);
   init_weights(b, 42);
-  const auto& la = a.layer(a.mac_layers()[0]);
-  const auto& lb = b.layer(b.mac_layers()[0]);
-  for (std::size_t i = 0; i < la.weights().size(); ++i)
-    EXPECT_EQ(la.weights()[i], lb.weights()[i]);
+  const auto& la = a.params()[a.mac_layers()[0]];
+  const auto& lb = b.params()[b.mac_layers()[0]];
+  EXPECT_EQ(la.weights, lb.weights);
   // He-init std for fan_in 9 is sqrt(2/9) ~ 0.47; check sample std is sane.
   double s2 = 0;
-  for (const float w : la.weights())
+  for (const float w : la.weights)
     s2 += static_cast<double>(w) * static_cast<double>(w);
-  const double std_est = std::sqrt(s2 / static_cast<double>(la.weights().size()));
+  const double std_est = std::sqrt(s2 / static_cast<double>(la.weights.size()));
   EXPECT_GT(std_est, 0.2);
   EXPECT_LT(std_est, 0.8);
-  for (const float bias : la.biases()) EXPECT_EQ(bias, 0.0F);
+  for (const float bias : la.biases) EXPECT_EQ(bias, 0.0F);
 }
 
 }  // namespace

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "dnnfi/common/rng.h"
-#include "dnnfi/dnn/executor.h"
+#include "dnnfi/dnn/layers.h"
 #include "dnnfi/dnn/train.h"
 #include "dnnfi/dnn/weights.h"
 #include "dnnfi/dnn/zoo.h"
@@ -94,8 +94,8 @@ std::vector<Tensor<T>> reference_fault_trace(const Network<T>& net,
     a = scalar_ref::step(plan, f.layer, in);
   } else {
     a = golden.acts[f.layer];
-    net.layer(f.layer).apply_faults(golden.layer_input(f.layer), a, f.faults,
-                                    nullptr, kernels::scalar_kernels<T>());
+    apply_faults(plan.steps()[f.layer], golden.layer_input(f.layer), a,
+                 f.faults, nullptr, kernels::scalar_kernels<T>());
   }
   for (std::size_t i = f.layer + 1; i < net.num_layers(); ++i)
     acts[i] = scalar_ref::step(plan, i, acts[i - 1]);
@@ -146,7 +146,7 @@ AppliedFault nth_fault(const Network<T>& net, std::size_t trial) {
     }
     case 1: {
       WeightFault wf;
-      wf.weight_index = (trial * 7) % net.layer(layer).weights().size();
+      wf.weight_index = (trial * 7) % net.params()[layer].weights.size();
       wf.op = fault::FaultOp::flip(bit);
       f.faults.weight = wf;
       break;
@@ -189,7 +189,7 @@ TYPED_TEST(ExecutorEquivalence, PlanResolvesShapesAndMacs) {
   tensor::Shape shape = spec.input;
   for (std::size_t i = 0; i < plan.num_layers(); ++i) {
     EXPECT_EQ(plan.steps()[i].in_shape, shape);
-    shape = net.layer(i).out_shape(shape);
+    shape = shape_after(spec.layers[i], shape);
     EXPECT_EQ(plan.steps()[i].out_shape, shape);
     EXPECT_GE(plan.buffer_elems(), shape.size());
   }
@@ -350,7 +350,7 @@ std::vector<AppliedFault> placed_faults(const Network<T>& net,
   const tensor::Shape& is = st.in_shape;
   const bool fc = st.kernel == StepKernel::kFc;
   const std::size_t steps = st.macs / os.size();
-  const std::size_t wsize = net.layer(layer).weights().size();
+  const std::size_t wsize = net.params()[layer].weights.size();
   const auto at = [](const tensor::Shape& s, std::size_t c, std::size_t y,
                      std::size_t x) { return (c * s.h + y) * s.w + x; };
   // Corner, edge and centre of a CHW tensor: (c, y, x) per place.
@@ -535,13 +535,47 @@ TEST(ExecutorWeightUpdates, RetakeAlsoWhenTheCallbackThrows) {
   const auto img = random_image<T>(spec.input, 102);
   const Tensor<T> before = scalar_ref::forward(net, img);
   EXPECT_THROW(net.update_params([&](auto layers) {
-                 for (auto& w : layers[net.mac_layers()[0]]->weights()) w = -w;
+                 for (auto& w : layers[net.mac_layers()[0]].weights) w = -w;
                  throw std::runtime_error("midway");
                }),
                std::runtime_error);
   const Tensor<T> want = scalar_ref::forward(net, img);
   EXPECT_FALSE(tensor::bitwise_equal(want, before));
   expect_bits_equal<T>(net.forward(img).view(), want);
+}
+
+// The plan points into the network's parameter records, and a Network move
+// keeps their storage (Campaign moves the network dnn::instantiate returns):
+// a moved-to network, and a cache built on its plan before the move, run
+// the weights that were loaded.
+TEST(ExecutorWeightUpdates, PlanWeightPointersSurviveNetworkMoves) {
+  using T = numeric::Half;
+  const auto spec = convnet_spec();
+  Network<T> net = instantiate<T>(spec, random_blob(spec, 111));
+  const auto img = random_image<T>(spec.input, 112);
+  const Tensor<T> want = scalar_ref::forward(net, img);
+  const ActivationCache<T> cache(net.plan(), img);
+  Network<T> moved(std::move(net));
+  expect_bits_equal<T>(moved.forward(img).view(), want);
+  Network<T> assigned(spec);
+  assigned = std::move(moved);
+  expect_bits_equal<T>(assigned.forward(img).view(), want);
+  expect_bits_equal<T>(cache.output(), want);
+  for (const std::size_t li : assigned.mac_layers()) {
+    EXPECT_EQ(assigned.plan().steps()[li].w,
+              assigned.params()[li].weights.data());
+    EXPECT_EQ(assigned.plan().steps()[li].bias,
+              assigned.params()[li].biases.data());
+  }
+  // A fault patched through the moved plan reads the loaded weights too.
+  const AppliedFault f = nth_fault(assigned, 1);
+  Workspace<T> ws(assigned.plan());
+  RunRequest<T> req;
+  req.cache = &cache;
+  req.fault = &f;
+  expect_bits_equal<T>(Executor<T>(assigned.plan()).run(ws, req),
+                       reference_fault(assigned, reference_trace(assigned, img),
+                                       f));
 }
 
 // The plan re-takes each fixed-point MAC step's act_limit (the weight-sum
@@ -570,7 +604,7 @@ TEST(ExecutorWeightUpdates, ActLimitIsRetakenWithTheWeights) {
   ASSERT_GT(before[0], 0);
   const std::size_t first = net.mac_layers()[0];
   net.update_params([&](auto layers) {
-    const auto w = layers[first]->weights();
+    auto& w = layers[first].weights;
     w[0] = T::max_value();
     w[w.size() - 1] = T::min_value();
   });

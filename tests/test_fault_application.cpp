@@ -1,6 +1,6 @@
-// Random-geometry differential test for fault application. Conv2d and
-// FullyConnected::apply_faults run every rewritten output as the golden
-// chain with one step changed, on a kernel set, with shortcuts (an operand
+// Random-geometry differential test for fault application. apply_faults
+// runs every rewritten output of a conv or FC step as the golden chain with
+// one step changed, on a kernel set, with shortcuts (an operand
 // upset whose product does not change, a chain pair that reconverges, an
 // input outside an output's window). Here each registered set is checked
 // against a naive reference written below: every rewritten output's whole
@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -28,6 +27,7 @@
 #include "dnnfi/dnn/kernels/kernels.h"
 #include "dnnfi/dnn/layers.h"
 #include "dnnfi/numeric/traits.h"
+#include "scalar_reference.h"
 
 namespace dnnfi::dnn {
 namespace {
@@ -326,16 +326,19 @@ LayerFaults draw_fault(Draw& d, const Geom& g, std::size_t kase, int width,
   return f;
 }
 
+/// The one-layer network of `n`'s geometry and parameters.
 template <typename T>
-std::unique_ptr<Layer<T>> make_layer(const Naive<T>& n) {
-  std::unique_ptr<Layer<T>> layer;
-  if (n.g.fc)
-    layer = std::make_unique<FullyConnected<T>>("fc", 1, n.g.in_c, n.g.out_c);
-  else
-    layer = std::make_unique<Conv2d<T>>("conv", 1, n.g.in_c, n.g.out_c, n.g.k,
-                                        n.g.stride, n.g.pad);
-  std::copy(n.w.begin(), n.w.end(), layer->weights().begin());
-  std::copy(n.bias.begin(), n.bias.end(), layer->biases().begin());
+Network<T> make_layer(const Naive<T>& n) {
+  SpecBuilder b("t",
+                n.g.fc ? tensor::vec(n.g.in_c)
+                       : tensor::chw(n.g.in_c, n.g.in_h, n.g.in_w),
+                0);
+  auto layer = scalar_ref::one_layer<T>(
+      n.g.fc ? b.fc(n.g.out_c) : b.conv(n.g.out_c, n.g.k, n.g.stride, n.g.pad));
+  layer.update_params([&](auto p) {
+    std::ranges::copy(n.w, p[0].weights.begin());
+    std::ranges::copy(n.bias, p[0].biases.begin());
+  });
   return layer;
 }
 
@@ -372,10 +375,10 @@ TYPED_TEST(FaultApplication, EverySetMatchesTheNaiveFullChains) {
       v = d.below(5) < 2 ? (d.below(4) == 0 ? Tr::from_double(-0.0) : T{})
                          : draw_value<T>(d, scale);
     const auto layer = make_layer(n);
+    const PlanStep<T>& st = layer.plan().steps()[0];
     const std::vector<T> golden = n.golden();
-    const Shape is = n.g.fc ? tensor::vec(n.g.in_c)
-                            : tensor::chw(n.g.in_c, n.g.in_h, n.g.in_w);
-    const Shape os = layer->out_shape(is);
+    const Shape is = st.in_shape;
+    const Shape os = st.out_shape;
     ASSERT_EQ(os.size(), golden.size());
     tensor::Tensor<T> in(is);
     std::copy(n.in.begin(), n.in.end(), in.data().begin());
@@ -400,8 +403,8 @@ TYPED_TEST(FaultApplication, EverySetMatchesTheNaiveFullChains) {
         tensor::Tensor<T> out(os);
         std::copy(golden.begin(), golden.end(), out.data().begin());
         InjectionRecord rec;
-        layer->apply_faults(in.view(), out.view(), f, &rec,
-                            *kernels::kernel_set<T>(name));
+        apply_faults(st, in.view(), out.view(), f, &rec,
+                     *kernels::kernel_set<T>(name));
         for (std::size_t e = 0; e < want.size(); ++e)
           ASSERT_EQ(Tr::to_bits(out[e]), Tr::to_bits(want[e]))
               << "output " << e;

@@ -25,7 +25,8 @@ using tensor::Tensor;
 using tensor::vec;
 
 TEST(QuantizedLayers, LrnOutputsAreRepresentable) {
-  dnn::Lrn<Fx16r10> lrn("n", 1, 3, 0.5, 0.75, 1.0);
+  const auto lrn = dnn::scalar_ref::one_layer<Fx16r10>(
+      dnn::SpecBuilder("t", chw(3, 2, 2), 0).lrn(3, 0.5, 0.75, 1.0));
   Tensor<Fx16r10> in(chw(3, 2, 2));
   Rng rng(1);
   for (std::size_t i = 0; i < in.size(); ++i)
@@ -39,7 +40,8 @@ TEST(QuantizedLayers, LrnOutputsAreRepresentable) {
 }
 
 TEST(QuantizedLayers, SoftmaxInHalfSumsToOne) {
-  dnn::Softmax<Half> sm("s", 1);
+  const auto sm = dnn::scalar_ref::one_layer<Half>(
+      dnn::SpecBuilder("t", vec(8), 0).softmax());
   Tensor<Half> in(vec(8));
   Rng rng(2);
   for (std::size_t i = 0; i < in.size(); ++i) in[i] = Half(rng.normal() * 4.0);
@@ -52,7 +54,8 @@ TEST(QuantizedLayers, SoftmaxInHalfSumsToOne) {
 
 TEST(QuantizedLayers, MaxPoolPreservesRawBits) {
   // Pooling selects, never recomputes: outputs are bit-identical copies.
-  dnn::MaxPool2d<Fx16r10> pool("p", 1, 2, 2);
+  const auto pool = dnn::scalar_ref::one_layer<Fx16r10>(
+      dnn::SpecBuilder("t", chw(1, 4, 4), 0).maxpool(2, 2));
   Tensor<Fx16r10> in(chw(1, 4, 4));
   Rng rng(3);
   for (std::size_t i = 0; i < in.size(); ++i)

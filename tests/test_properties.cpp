@@ -419,8 +419,8 @@ TEST(FaultOpKernels, FaultyRunsBitIdenticalAcrossScalarAndAvx2) {
       for (const auto kind :
            {fault::FaultOpKind::kToggle, fault::FaultOpKind::kSet0,
             fault::FaultOpKind::kSet1}) {
-        sc.op_kind = kind;
-        sc.burst = 1 + (i++ % 3);
+        sc.op.kind = kind;
+        sc.op.burst = 1 + (i++ % 3);
         faults.push_back(sampler.sample(cls, rng, sc));
       }
     }

@@ -84,7 +84,7 @@ TEST(BurstCampaign, BurstLengthIsHonoredEndToEnd) {
   fault::CampaignOptions opt;
   opt.trials = 100;
   opt.site = fault::SiteClass::kGlobalBuffer;
-  opt.constraint.burst = 4;
+  opt.constraint.op.burst = 4;
   const auto r = c.run(opt);
   for (const auto& t : r.trials) {
     ASSERT_EQ(t.fault.burst, 4);
@@ -112,7 +112,7 @@ TEST(BurstCampaign, WiderBurstsNeverReduceCorruptionReach) {
   auto reach = [&](int burst) {
     fault::CampaignOptions opt;
     opt.trials = 300;
-    opt.constraint.burst = burst;
+    opt.constraint.op.burst = burst;
     return c.run(opt)
         .rate([](const fault::TrialRecord& t) { return t.output_corruption > 0; })
         .p;

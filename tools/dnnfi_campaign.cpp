@@ -388,17 +388,6 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
-std::string sampler_cli_id(const Args& a) {
-  return a.sampler == fault::SamplerMode::kStratified
-             ? a.stratified.to_string()
-             : std::string("uniform");
-}
-
-fault::StatsAxes stats_axes(const Args& a) {
-  return fault::StatsAxes{a.accel.to_string(), a.fault_op.to_string(),
-                          sampler_cli_id(a)};
-}
-
 void print_summary(const std::string& title,
                    const fault::OutcomeAccumulator& acc) {
   Table t(title);
@@ -431,42 +420,14 @@ int emit_stats_or_fail(const std::string& path, std::uint64_t fingerprint,
   return 0;
 }
 
-/// The v5 stats section of a finished stratified run.
-fault::StratifiedStatsSection strat_section(const fault::StratifiedResult& r) {
-  fault::StratifiedStatsSection s;
-  s.strata.reserve(r.strata.size());
-  for (std::size_t h = 0; h < r.strata.size(); ++h) {
-    fault::StratumStats st;
-    st.id = r.strata[h].id();
-    st.weight = r.weights[h];
-    st.trials = r.per_stratum[h].trials();
-    st.sdc1 = r.per_stratum[h].sdc1().hits;
-    st.sdc5 = r.per_stratum[h].sdc5().hits;
-    st.sdc10 = r.per_stratum[h].sdc10().hits;
-    st.sdc20 = r.per_stratum[h].sdc20().hits;
-    s.strata.push_back(std::move(st));
-  }
-  return s;
-}
-
-/// Same section rebuilt from a v5 checkpoint (for `merge`): identical bytes
-/// to the run-time emission because both reduce to the same counters.
-fault::StratifiedStatsSection strat_section(
-    const fault::StratifiedCheckpoint& ck) {
-  fault::StratifiedStatsSection s;
-  s.strata.reserve(ck.strata.size());
-  for (const auto& h : ck.strata) {
-    fault::StratumStats st;
-    st.id = h.id;
-    st.weight = h.weight;
-    st.trials = h.acc.trials();
-    st.sdc1 = h.acc.sdc1().hits;
-    st.sdc5 = h.acc.sdc5().hits;
-    st.sdc10 = h.acc.sdc10().hits;
-    st.sdc20 = h.acc.sdc20().hits;
-    s.strata.push_back(std::move(st));
-  }
-  return s;
+/// One stratum's row of the v5 stats section. A finished stratified run and
+/// its checkpoint (for `merge`) hold the same counters, so both emit
+/// identical bytes.
+fault::StratumStats stratum_stats(std::string id, double weight,
+                                  const fault::OutcomeAccumulator& acc) {
+  return {std::move(id),     weight,           acc.trials(),
+          acc.sdc1().hits,   acc.sdc5().hits,  acc.sdc10().hits,
+          acc.sdc20().hits};
 }
 
 /// Horvitz–Thompson estimates of a stratified section: unbiased population
@@ -504,9 +465,7 @@ fault::CampaignOptions campaign_options(const Args& a) {
   opt.constraint.fixed_bit = a.bit;
   opt.constraint.fixed_block = a.layer;
   opt.constraint.buffer_storage = a.storage;
-  opt.constraint.op_kind = a.fault_op.kind;
-  opt.constraint.burst = a.fault_op.burst;
-  opt.constraint.op_pattern = a.fault_op.pattern;
+  opt.constraint.op = a.fault_op;
   opt.accel = a.accel;
   opt.sampler = a.sampler;
   opt.stratified = a.stratified;
@@ -514,6 +473,11 @@ fault::CampaignOptions campaign_options(const Args& a) {
   opt.incremental_replay = a.incremental;
   opt.cancel = &g_cancel;
   return opt;
+}
+
+fault::StatsAxes stats_axes(const Args& a) {
+  return fault::StatsAxes{a.accel.to_string(), a.fault_op.to_string(),
+                          fault::sampler_id(campaign_options(a))};
 }
 
 /// Prints the FIT rate of the campaign's component given its SDC-1 rate:
@@ -602,7 +566,10 @@ int cmd_run(const Args& a, bool resume) {
                       std::to_string(a.trials) +
                       " budgeted trials (pooled): " + what,
                   res.pooled);
-    const fault::StratifiedStatsSection section = strat_section(res);
+    fault::StratifiedStatsSection section;
+    for (std::size_t h = 0; h < res.strata.size(); ++h)
+      section.strata.push_back(stratum_stats(
+          res.strata[h].id(), res.weights[h], res.per_stratum[h]));
     print_ht_summary(section, res.trials);
     std::cerr << "stratified: " << res.rounds << " round(s), "
               << (res.converged ? "converged on the CI target"
@@ -969,7 +936,9 @@ int cmd_merge(const Args& a) {
                       "/" + std::to_string(ck.trials_total) +
                       " budgeted trials (pooled): " + ck.network,
                   ck.acc);
-    const fault::StratifiedStatsSection section = strat_section(*ck.stratified);
+    fault::StratifiedStatsSection section;
+    for (const auto& h : ck.stratified->strata)
+      section.strata.push_back(stratum_stats(h.id, h.weight, h.acc));
     print_ht_summary(section, ck.acc.trials());
     if (!a.out.empty())
       return emit_stats_or_fail(
